@@ -398,15 +398,15 @@ func BenchmarkFactorizeEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkersScaling measures the intra-rank worker pool (DESIGN.md
-// §9) on a real factorization: one rank, 1/2/4/8 executor goroutines over
-// the largest end-to-end problem. The EXPERIMENTS.md workers-scaling table
-// is produced from this benchmark. Kernel-compute scaling is bounded by
-// GOMAXPROCS, so the pure-CPU group shows speedup only on multi-core hosts;
-// the stall group injects real-time progress-stream stalls (an OS hiccup on
-// the UPC++ progress thread) and shows the pool's second win — the
-// dedicated progress goroutine absorbs the stalls while executors keep
-// computing — which holds at any core count.
+// BenchmarkWorkersScaling measures intra-rank workers (DESIGN.md §9) on a
+// real factorization: one rank, 1/2/4/8 goroutines (the rank's own plus
+// helpers) over the largest end-to-end problem. The EXPERIMENTS.md
+// workers-scaling tables are produced from this benchmark. Kernel-compute
+// scaling is bounded by GOMAXPROCS, so the pure-CPU group shows speedup
+// only on hosts with idle cores; the stall group injects real-time stalls
+// into Progress (an OS hiccup on the polling thread), which only the rank
+// goroutine calls — alone it eats every stall between tasks, with helpers
+// the stalls idle one lane while the others keep computing.
 func BenchmarkWorkersScaling(b *testing.B) {
 	a := gen.Laplace3D(12, 12, 12)
 	for _, w := range []int{1, 2, 4, 8} {

@@ -28,7 +28,7 @@ func main() {
 		rhsPath = flag.String("b", "", "right-hand side file (one value per line; default: all ones)")
 		outPath = flag.String("o", "", "solution output file (default stdout)")
 		ranks   = flag.Int("ranks", 4, "simulated UPC++ processes")
-		workers = flag.Int("workers", 0, "executor goroutines per rank (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
+		workers = flag.Int("workers", 0, "goroutines per rank running tasks, the rank's own included (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
 		gpus    = flag.Int("gpus", 0, "GPUs per node (0 = CPU only)")
 		ordName = flag.String("ordering", "SCOTCH", "fill-reducing ordering")
 	formNm  = flag.String("formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")

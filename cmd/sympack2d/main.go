@@ -40,7 +40,7 @@ func main() {
 		icLevel  = flag.Int("ic-level", 1, "IC(k) fill level for -solver=pcg")
 		rtol     = flag.Float64("rtol", 1e-8, "relative tolerance for -solver=cg|pcg")
 		ranks    = flag.Int("ranks", 4, "number of UPC++ processes to simulate")
-		workers  = flag.Int("workers", 0, "executor goroutines per rank (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
+		workers  = flag.Int("workers", 0, "goroutines per rank running tasks, the rank's own included (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
 		rpn      = flag.Int("ranks-per-node", 0, "ranks per node (0 = all on one node)")
 		gpus     = flag.Int("gpus", 0, "GPUs per node (0 = CPU only)")
 		devCap   = flag.Int64("device-mem", 0, "device memory per GPU in MiB (0 = unbounded)")

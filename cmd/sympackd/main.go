@@ -41,7 +41,7 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "default per-request deadline for requests that specify none (0 = unbounded)")
 
 		ranks   = flag.Int("ranks", 1, "simulated UPC++ processes per factorization")
-		workers = flag.Int("workers", 0, "executor goroutines per rank (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
+		workers = flag.Int("workers", 0, "goroutines per rank running tasks, the rank's own included (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
 		gpus    = flag.Int("gpus", 0, "GPUs per node (0 = CPU only)")
 
 		brkN  = flag.Int("breaker-threshold", 3, "consecutive device/stall failures that trip the breaker")

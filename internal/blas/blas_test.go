@@ -404,72 +404,6 @@ func TestFlopCounts(t *testing.T) {
 	}
 }
 
-// The blocked GEMM implementation must match the reference across fringe
-// shapes and leading-dimension padding. (It is not dispatched to by Gemm —
-// see gemm_blocked.go for the measured reasoning — but stays correct.)
-func TestGemmBlockedAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	shapes := [][3]int{
-		{48, 48, 48},    // exactly at the cutoff volume
-		{64, 64, 64},    // whole tiles
-		{65, 67, 70},    // fringe rows and columns everywhere
-		{130, 50, 300},  // crosses MC and KC panel boundaries
-		{50, 513, 40},   // hmm: below cutoff — stays on simple path; fine
-		{200, 130, 257}, // crosses NC? nc=512 not crossed; kc crossed
-	}
-	for _, tb := range []Trans{NoTrans, Transpose} {
-		for _, sh := range shapes {
-			m, n, k := sh[0], sh[1], sh[2]
-			lda, ldc := m+3, m+1
-			ldb := k + 2
-			if tb == Transpose {
-				ldb = n + 2
-			}
-			asz := lda * k
-			bsz := ldb * n
-			if tb == Transpose {
-				bsz = ldb * k
-			}
-			a := randSlice(rng, asz)
-			b := randSlice(rng, bsz)
-			c0 := randSlice(rng, ldc*n)
-			alpha := 1.25
-			got := append([]float64(nil), c0...)
-			want := append([]float64(nil), c0...)
-			if tb == Transpose {
-				gemmBlockedNT(m, n, k, alpha, a, lda, b, ldb, got, ldc)
-			} else {
-				gemmBlockedNN(m, n, k, alpha, a, lda, b, ldb, got, ldc)
-			}
-			RefGemm(NoTrans, tb, m, n, k, alpha, a, lda, b, ldb, 1, want, ldc)
-			if d := maxAbsDiffSlice(got, want); d > 1e-9 {
-				t.Fatalf("blocked Gemm(%v, %dx%dx%d) differs by %g", tb, m, n, k, d)
-			}
-		}
-	}
-}
-
-// Property: blocked and simple paths agree at randomly chosen large-ish
-// shapes.
-func TestGemmBlockedProperty(t *testing.T) {
-	f := func(seed int64, mRaw, nRaw, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := int(mRaw%64) + 48
-		n := int(nRaw%64) + 48
-		k := int(kRaw%64) + 48
-		a := randSlice(rng, m*k)
-		b := randSlice(rng, n*k)
-		got := make([]float64, m*n)
-		want := make([]float64, m*n)
-		gemmBlockedNT(m, n, k, 1, a, m, b, n, got, m)
-		RefGemm(NoTrans, Transpose, m, n, k, 1, a, m, b, n, 1, want, m)
-		return maxAbsDiffSlice(got, want) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Blocked POTRF path (n ≥ 64) must agree with the unblocked kernel and
 // report failures with the global pivot context.
 func TestPotrfBlockedMatchesUnblocked(t *testing.T) {

@@ -27,9 +27,9 @@ func TestFactorizeCanceledBeforeStart(t *testing.T) {
 // TestFactorizeDeadlineMidRun cancels a deliberately slowed factorization
 // mid-flight: every loop must stop at its next task-pull boundary, so the
 // call returns ErrCanceled long before the stall-injected run would have
-// finished. The worker-pool and sequential paths both carry checks, so both
-// are exercised, as is a multi-rank job where only one rank needs to detect
-// the cancellation for the abort to fan out.
+// finished. The rank loop and the helper loop both carry checks, so ranks
+// with and without helpers are exercised, as is a multi-rank job where only
+// one rank needs to detect the cancellation for the abort to fan out.
 func TestFactorizeDeadlineMidRun(t *testing.T) {
 	a := gen.Laplace2D(16, 16)
 	// Rate-1 stalls of 2ms on every runtime operation make the full run
@@ -37,10 +37,12 @@ func TestFactorizeDeadlineMidRun(t *testing.T) {
 	// bound below would still trip.
 	plan := planWith(1, faults.RankStall, 1)
 	plan.StallWindow = 2 * time.Millisecond
-	// Stalls are injected in Progress(), so the sequential loop (which
-	// polls between tasks) and multi-rank pools (whose dependencies flow
-	// through the stalled progress goroutines) are slowed; a single-rank
-	// pool would not be, and is covered by the r2 cases' workerLoops.
+	// Stalls are injected in Progress(), which only the rank goroutine
+	// calls — once per task it pulls. A rank without helpers is therefore
+	// slowed on every task, and multi-rank jobs are slowed because their
+	// dependencies flow through the stalled polls; a single rank with
+	// helpers would not be (the helpers drain the RTQ unstalled), so
+	// workerLoop's check is covered by the r2 cases.
 	for _, tc := range []struct{ ranks, workers int }{
 		{1, 1}, {2, 2}, {2, 4},
 	} {
@@ -83,7 +85,11 @@ func TestCanceledRunLeavesAnalysisReusable(t *testing.T) {
 	plan.StallWindow = 2 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := FactorizeAnalyzed(st, pa, Options{Faults: plan, Context: ctx}); !errors.Is(err, ErrCanceled) {
+	// One rank, no helpers: every task pull is preceded by a 2ms stalled
+	// Progress, which for this task count is far more than 50ms on any host.
+	// Default Workers would add unstalled helpers that finish first.
+	slowed := Options{Ranks: 1, Workers: 1, Faults: plan, Context: ctx}
+	if _, err := FactorizeAnalyzed(st, pa, slowed); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("slowed run: err=%v, want ErrCanceled", err)
 	}
 	f, err := FactorizeAnalyzed(st, pa, Options{})

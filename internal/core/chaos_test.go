@@ -59,6 +59,9 @@ func distSolveCheck(t *testing.T, a *matrix.SparseSym, f *Factor, seed int64) fl
 // and the distributed solve numerically exact. Transient faults never
 // hard-abort; recovery is the protocol's job, not the caller's.
 func TestChaosMatrix(t *testing.T) {
+	// Wall time here is recovery backoff sleeps, not CPU: overlap it with
+	// the other sleep-bound chaos tests.
+	t.Parallel()
 	a := gen.Laplace2D(9, 8)
 	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
 	cases := []struct {
@@ -74,9 +77,9 @@ func TestChaosMatrix(t *testing.T) {
 		{"oom", faults.TransientOOM, 0.5, 1},
 		{"stall", faults.RankStall, 0.02, 0},
 	}
-	// The workers axis crosses every fault class with the intra-rank pool:
-	// recovery must hold when the progress goroutine races executor
-	// workers, not just on the sequential loop.
+	// The workers axis crosses every fault class with helper goroutines:
+	// recovery must hold when the rank goroutine's polling races helpers
+	// executing tasks, not just when the rank runs alone.
 	for _, tc := range cases {
 		for _, seed := range chaosSeeds(t) {
 			for _, ranks := range []int{1, 4, 8} {
@@ -160,7 +163,7 @@ func TestChaosFormulationMatrix(t *testing.T) {
 }
 
 // TestChaosAllClassesCombined piles every recoverable class into one plan,
-// on a four-worker pool so every recovery path also runs concurrently.
+// with four workers per rank so every recovery path also runs concurrently.
 func TestChaosAllClassesCombined(t *testing.T) {
 	a := gen.Laplace2D(9, 8)
 	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
@@ -182,11 +185,19 @@ func TestChaosAllClassesCombined(t *testing.T) {
 
 // TestChaosLostSignalRecovery drops the majority of announcements on a
 // multi-rank run and requires the job to finish through the re-request
-// protocol — observable retries, not a watchdog abort.
+// protocol — observable retries, not a watchdog abort. Each seed spends ~15s
+// of wall-clock in re-request backoff sleeps, so tier-1 runs only the first
+// (which must itself observe a re-request and a redelivery); CI's chaos jobs
+// set CHAOS_EXTRA_SEED and run the full list.
 func TestChaosLostSignalRecovery(t *testing.T) {
+	t.Parallel()
 	a := gen.Laplace2D(9, 8)
+	seeds := chaosSeeds(t)
+	if os.Getenv("CHAOS_EXTRA_SEED") == "" {
+		seeds = seeds[:1]
+	}
 	var sawReRequest bool
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range seeds {
 		f, err := Factorize(a, Options{
 			Ranks:        4,
 			Faults:       planWith(seed, faults.DropSignal, 0.6),

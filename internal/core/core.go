@@ -37,14 +37,14 @@ import (
 type Options struct {
 	// Ranks is the number of UPC++ processes to simulate (default 1).
 	Ranks int
-	// Workers is the size of each rank's intra-rank worker pool: the
-	// number of executor goroutines concurrently running ready tasks while
-	// a dedicated progress goroutine serves communication. 1 selects the
-	// sequential loop of paper Fig. 3. 0 means the default: the
-	// SYMPACK_WORKERS environment variable if set, otherwise
-	// GOMAXPROCS/Ranks (at least 1). The factor is bit-identical across
-	// worker counts — update contributions are applied in a canonical
-	// order regardless of completion interleaving.
+	// Workers is the number of goroutines per rank running ready tasks:
+	// the rank's own goroutine, which runs the loop of paper Fig. 3 (poll,
+	// then execute a ready task) and serves all of the rank's
+	// communication, plus Workers-1 helpers that only execute tasks. 0
+	// means the default: the SYMPACK_WORKERS environment variable if set,
+	// otherwise GOMAXPROCS/Ranks (at least 1). The factor is bit-identical
+	// across worker counts — update contributions are applied in a
+	// canonical order regardless of completion interleaving.
 	Workers int
 	// RanksPerNode controls node locality in the communication model
 	// (default: all ranks on one node).
@@ -252,7 +252,7 @@ func (s *OpStats) Total() int64 {
 type Stats struct {
 	PerRank []OpStats // kernel counts per rank (Fig. 6 plots rank 0)
 
-	// Workers is the per-rank executor pool size the run used (after
+	// Workers is the per-rank goroutine count the run used (after
 	// defaulting), for reports and the workers-scaling experiments.
 	Workers int
 

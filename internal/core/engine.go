@@ -78,12 +78,12 @@ type blockApply struct {
 
 // engine is the per-rank state of the fan-out factorization.
 //
-// Concurrency: with Options.Workers > 1 the rank runs a worker pool —
-// `workers` executor goroutines pulling tasks from the RTQ — plus one
-// dedicated progress goroutine (the rank's own goroutine) that owns
-// upcxx.Progress, inbox draining and the re-request protocol. The mutex mu
-// guards all scheduler state: the RTQ heap, dependency counters, avail,
-// inbox, wanted/reqAt/reqCount, produced and doneTasks. Numeric kernels run
+// Concurrency: a rank is `workers` goroutines pulling tasks from the RTQ.
+// The rank's own goroutine (factorLoop, lane 0) also owns upcxx.Progress,
+// inbox draining and the re-request protocol; the other workers-1 are
+// helpers (workerLoop) that only execute tasks. The mutex mu guards all
+// scheduler state: the RTQ heap, dependency counters, avail, inbox,
+// wanted/reqAt/reqCount, produced and doneTasks. Numeric kernels run
 // outside mu; ordered application into target blocks is serialized per
 // block by blockApply. Lock order: blockApply.mu before engine.mu, never
 // the reverse.
@@ -104,20 +104,20 @@ type engine struct {
 	dir     []upcxx.GlobalPtr // shared global directory of item pointers
 	// peers is the per-factorization engine registry (index = rank).
 	// Producer RPC closures use it to reach the consumer's inbox; the
-	// closure executes on the consumer's progress goroutine inside
-	// Progress() and goes through the locked enqueueSignal, because the
-	// consumer's executor workers share the engine state.
+	// closure executes on the consumer's rank goroutine inside Progress()
+	// and goes through the locked enqueueSignal, because the consumer's
+	// helpers share the engine state.
 	peers []*engine
 
-	// mu guards the scheduler state listed above; cond wakes idle workers
+	// mu guards the scheduler state listed above; cond wakes idle helpers
 	// when a task is pushed or the run ends.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	workers int
-	stopped bool // set on completion or abort; workers exit; guarded by e.mu
-	// inflight counts tasks popped but not yet completed, so the progress
-	// goroutine can tell "workers busy" from "rank starved" when deciding
-	// to suspect lost announcements. Guarded by e.mu.
+	workers int  // goroutines executing tasks, the rank's own included
+	stopped bool // set when factorLoop returns; helpers exit; guarded by e.mu
+	// inflight counts tasks popped but not yet completed, so factorLoop can
+	// tell "helpers busy" from "rank starved" when deciding to suspect
+	// lost announcements. Guarded by e.mu.
 	inflight int
 	pushSeq  int64 // guarded by e.mu
 
@@ -169,9 +169,9 @@ type engine struct {
 	// Resilience state (lost-signal recovery, paper Fig. 4 hardened).
 	// produced[item] is set by this rank once it has produced and announced
 	// the item (a factored block, or a computed contribution under
-	// fan-in/fan-both); writers are executor workers and the reader is the
-	// re-request RPC handler on the progress goroutine, so both sides go
-	// through mu. Guarded by e.mu.
+	// fan-in/fan-both); writers are whichever workers ran the task and the
+	// reader is the re-request RPC handler on the rank goroutine, so both
+	// sides go through mu. Guarded by e.mu.
 	produced []bool
 	// wanted holds source item ids this rank's remaining tasks still
 	// await; entries leave on acquire. Its remote members are the
@@ -232,7 +232,7 @@ func (e *engine) mine(b *symbolic.Block) bool { return symbolic.OwnerOfBlock(e.m
 // pointers, and initializes all dependency counters and queues.
 func (e *engine) setup() {
 	st, tg := e.st, e.tg
-	// The pool has not started yet, so this is single-threaded — but take
+	// No helper has started yet, so this is single-threaded — but take
 	// e.mu anyway: "scheduler state is touched under e.mu, always" is a
 	// checkable invariant, "except during setup" is not.
 	e.mu.Lock()
@@ -439,13 +439,13 @@ func (e *engine) checkCanceled() bool {
 	return true
 }
 
-// factorLoop is the sequential (Workers == 1) scheduling loop of paper
-// Fig. 3: poll for incoming notifications, then run a ready task; repeat
-// until all local tasks are done or the job aborts. When the rank idles
-// with source blocks still outstanding it suspects lost announcements and
-// runs the re-request protocol, turning what used to be a silent deadlock
-// into recovery. Multi-worker ranks run progressLoop/workerLoop instead
-// (pool.go); both paths share poll, pop, execute and the recovery logic.
+// factorLoop is the scheduling loop of paper Fig. 3, run by the rank's own
+// goroutine (executor lane 0): poll for incoming notifications, then run a
+// ready task; repeat until all local tasks are done or the job aborts. When
+// the rank is starved — no ready task AND no helper mid-task — with source
+// blocks still outstanding it suspects lost announcements and runs the
+// re-request protocol, turning what used to be a silent deadlock into
+// recovery. Helpers (workerLoop, pool.go) share pop, execute and complete.
 func (e *engine) factorLoop() {
 	rt := e.r.Runtime()
 	idle := 0
@@ -464,29 +464,33 @@ func (e *engine) factorLoop() {
 			return
 		}
 		t, ok := e.pop()
+		if ok {
+			e.inflight++
+		}
+		starved := !ok && e.inflight == 0
 		e.mu.Unlock()
-		if !ok {
-			idle++
-			if idle > 256 {
-				if idle%64 == 0 {
-					e.mu.Lock()
-					e.reRequestLost()
-					e.mu.Unlock()
-				}
-				e.met.backoffWaits.Inc()
-				machine.Backoff(20 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
+		if ok {
+			idle = 0
+			e.execute(t, 0)
+			e.complete()
 			continue
 		}
-		idle = 0
-		e.execute(t, 0)
-		e.mu.Lock()
-		e.doneTasks++
-		e.mu.Unlock()
-		if e.progress != nil {
-			e.progress.Add(1)
+		if !starved {
+			idle = 0
+			runtime.Gosched()
+			continue
+		}
+		idle++
+		if idle > 256 {
+			if idle%64 == 0 {
+				e.mu.Lock()
+				e.reRequestLost()
+				e.mu.Unlock()
+			}
+			e.met.backoffWaits.Inc()
+			machine.Backoff(20 * time.Microsecond)
+		} else {
+			runtime.Gosched()
 		}
 	}
 }
@@ -565,10 +569,10 @@ func (e *engine) reRequestLost() {
 			tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", b, owner))
 		}
 		e.r.RPC(owner, func(t *upcxx.Rank) {
-			// Runs on the producer's progress goroutine: if the item is
-			// done, re-announce it to the requester; duplicates are
-			// absorbed by acquire. produced is written by the producer's
-			// executor workers, so read it under the producer's mu.
+			// Runs on the producer's rank goroutine: if the item is done,
+			// re-announce it to the requester; duplicates are absorbed by
+			// acquire. produced is written by the producer's workers, so
+			// read it under the producer's mu.
 			pe := peers[t.ID]
 			pe.mu.Lock()
 			done := pe.produced[b]
@@ -585,9 +589,9 @@ func (e *engine) reRequestLost() {
 }
 
 // enqueueSignal records an announced block id for the next poll. It is the
-// only inbox writer and runs inside RPC closures on this rank's progress
+// only inbox writer and runs inside RPC closures on this rank's own
 // goroutine; the lock orders it against the poll drain and against health
-// snapshots taken while workers run.
+// snapshots taken while helpers run.
 func (e *engine) enqueueSignal(bid int32) {
 	e.mu.Lock()
 	e.inbox = append(e.inbox, bid)
@@ -596,8 +600,8 @@ func (e *engine) enqueueSignal(bid int32) {
 
 // poll drains the RPC queue (which enqueues announced block ids into the
 // inbox) and then fetches each announced block with a one-sided get,
-// updating dependency counters — paper Fig. 4 steps 2–6. Only the progress
-// goroutine calls it.
+// updating dependency counters — paper Fig. 4 steps 2–6. Only the rank
+// goroutine (factorLoop) calls it.
 func (e *engine) poll() {
 	e.r.Progress()
 	e.mu.Lock()
@@ -839,7 +843,7 @@ func (e *engine) announce(bid int32, consumers map[int]bool) {
 		b := bid
 		peers := e.peers
 		e.r.RPC(rank, func(target *upcxx.Rank) {
-			// Runs on the consumer's progress goroutine inside Progress():
+			// Runs on the consumer's rank goroutine inside Progress():
 			// record the notification; the consumer's poll does the get.
 			peers[target.ID].enqueueSignal(b)
 		})

@@ -107,7 +107,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 	m.backoffWaits = reg.Counter("sympack_core_backoff_waits_total",
 		"idle-loop backoff sleeps")
 	m.workerWaits = reg.Counter("sympack_core_worker_waits_total",
-		"worker-pool waits on an empty ready queue")
+		"helper-worker waits on an empty ready queue")
 	m.fetchFailures = reg.Counter("sympack_core_fetch_failures_total",
 		"block fetches whose transfer retry budget ran out")
 	m.cancelChecks = reg.Counter("sympack_core_cancel_detections_total",

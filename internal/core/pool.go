@@ -1,61 +1,57 @@
-// Intra-rank worker-pool execution. A rank with Options.Workers > 1 splits
-// into N executor goroutines (workerLoop) that pull ready tasks from the
-// RTQ and one dedicated progress goroutine (progressLoop, the rank's own
-// goroutine) that owns the communication side: upcxx.Progress, inbox
-// draining, health mirroring and the lost-signal re-request protocol. The
-// split mirrors real symPACK's progress-thread configuration: computation
-// never blocks the network, and RPC handlers are serialized on one
-// goroutine per rank.
+// Intra-rank execution. A rank is Options.Workers goroutines: the rank's own
+// goroutine runs the Fig. 3 loop (factorLoop, engine.go) — poll, pop,
+// execute — as executor lane 0 and as the rank's only caller of
+// upcxx.Progress, so RPC handlers, inbox draining, health mirroring and the
+// lost-signal re-request protocol are serialized on it; Workers-1 helper
+// goroutines (workerLoop) only pull ready tasks from the same RTQ.
+// Workers == 1 is the same loop with no helpers.
 package core
 
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
-
-	"sympack/internal/machine"
 )
 
-// run executes this rank's share of the factorization: the sequential
-// Fig. 3 loop when the pool is trivial, otherwise the worker pool plus the
-// progress goroutine.
+// run executes this rank's share of the factorization: it starts the
+// Workers-1 helpers, runs the Fig. 3 loop on the calling (rank) goroutine,
+// and stops the helpers when the loop returns.
 func (e *engine) run() {
-	if e.workers <= 1 {
-		e.factorLoop()
-		return
-	}
 	rt := e.r.Runtime()
 	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
+	for lane := 1; lane < e.workers; lane++ {
 		wg.Add(1)
 		go func(lane int32) {
 			defer wg.Done()
 			defer func() {
 				// A panicking kernel must fail the job like it does on the
-				// sequential path (where the rank goroutine's recover
-				// catches it), not crash the process.
+				// rank goroutine (whose recover in upcxx.Run catches it), not
+				// crash the process.
 				if p := recover(); p != nil {
 					rt.Fail(fmt.Errorf("%w: rank %d worker %d panic: %v", ErrInternal, e.r.ID, lane, p))
 					e.cond.Broadcast()
 				}
 			}()
 			e.workerLoop(lane)
-		}(int32(w))
+		}(int32(lane))
 	}
-	e.progressLoop()
-	e.mu.Lock()
-	e.stopped = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	wg.Wait()
+	// Deferred so a kernel panic on lane 0 (kernels run outside e.mu) still
+	// releases helpers parked on cond before it unwinds to upcxx.Run.
+	defer func() {
+		e.mu.Lock()
+		e.stopped = true
+		e.cond.Broadcast()
+		e.mu.Unlock()
+		wg.Wait()
+	}()
+	e.factorLoop()
 }
 
-// workerLoop pulls tasks until the rank's share is done or the job stops.
-// Kernels run outside e.mu; only queue operations and completion accounting
-// hold it. Idle workers park on cond and are woken by push (new ready
-// task), by the last completion, or by run's shutdown broadcast.
+// workerLoop is a helper executor: it pulls tasks until the rank's share is
+// done or the job stops. Kernels run outside e.mu; only queue operations and
+// completion accounting hold it. Idle helpers park on cond and are woken by
+// push (new ready task), by the last completion, or by run's shutdown
+// broadcast. Helpers never call upcxx.Progress.
 func (e *engine) workerLoop(lane int32) {
 	rt := e.r.Runtime()
 	e.mu.Lock()
@@ -82,63 +78,24 @@ func (e *engine) workerLoop(lane int32) {
 			return
 		}
 		e.execute(t, lane)
-
-		e.mu.Lock()
-		e.inflight--
-		e.doneTasks++
-		if e.doneTasks >= e.totalTasks {
-			e.cond.Broadcast() // release siblings parked on an empty queue
-		}
-		e.mu.Unlock()
-		if e.progress != nil {
-			e.progress.Add(1)
-		}
+		e.complete()
 		e.mu.Lock()
 	}
 }
 
-// progressLoop is the communication half of the pool: it drives the
-// simulated UPC++ progress engine (executing incoming RPC handlers), drains
-// announced blocks into dependency decrements, refreshes the watchdog's
-// health mirrors, and — when the rank is starved (no ready tasks AND no
-// worker mid-task) with source blocks still outstanding — runs the
-// re-request protocol against suspected lost announcements.
-func (e *engine) progressLoop() {
-	rt := e.r.Runtime()
-	idle := 0
-	for {
-		if rt.ShouldAbort() {
-			return
-		}
-		if e.checkCanceled() {
-			return
-		}
-		e.poll()
-		e.mu.Lock()
-		e.mirrorHealth()
-		done := e.doneTasks >= e.totalTasks
-		starved := e.rtq.Len() == 0 && e.inflight == 0
-		e.mu.Unlock()
-		if done {
-			return
-		}
-		if starved {
-			idle++
-			if idle > 256 {
-				if idle%64 == 0 {
-					e.mu.Lock()
-					e.reRequestLost()
-					e.mu.Unlock()
-				}
-				e.met.backoffWaits.Inc()
-				machine.Backoff(20 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-		} else {
-			idle = 0
-			runtime.Gosched()
-		}
+// complete accounts one executed task: it leaves the in-flight set, counts
+// toward the rank's share (the last one releases helpers parked on an empty
+// queue) and toward the job-wide watchdog counter.
+func (e *engine) complete() {
+	e.mu.Lock()
+	e.inflight--
+	e.doneTasks++
+	if e.doneTasks >= e.totalTasks {
+		e.cond.Broadcast()
+	}
+	e.mu.Unlock()
+	if e.progress != nil {
+		e.progress.Add(1)
 	}
 }
 

@@ -71,7 +71,7 @@ func requireSameFactor(t *testing.T, ref, f *Factor, what string) {
 }
 
 // TestPropertyWorkersRanksDeterminism is the randomized correctness harness
-// for the worker-pool execution model: ~50 random sparse SPD matrices of
+// for the multi-worker execution model: ~50 random sparse SPD matrices of
 // varying size, density and supernode partitioning are factored at every
 // workers ∈ {1,2,4} × ranks ∈ {1,4} combination. Each run must solve to a
 // residual ≤ 1e-10, and every factor must be bit-identical to the

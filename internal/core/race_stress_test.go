@@ -1,6 +1,6 @@
 //go:build race
 
-// Race-detector stress for the intra-rank worker pool. The build tag keeps
+// Race-detector stress for intra-rank helper workers. The build tag keeps
 // it out of ordinary runs: the configurations below are chosen to maximize
 // concurrent scheduler traffic (tiny supernodes → many tasks, high update
 // fan-in, more workers than cores are likely to serve), which is slow and
@@ -16,11 +16,11 @@ import (
 	"sympack/internal/symbolic"
 )
 
-// TestRaceStressWorkerPool hammers the pool with the worst scheduler shape:
+// TestRaceStressWorkerPool hammers the workers with the worst scheduler shape:
 // width-2 supernodes over a 3D Laplacian produce thousands of tiny tasks
 // whose updates fan into shared target blocks, so workers continuously
 // contend on the RTQ heap, the per-block apply locks and the dependency
-// counters while the progress goroutine races them with RPC deliveries.
+// counters while the rank goroutine's polling races them with RPC deliveries.
 func TestRaceStressWorkerPool(t *testing.T) {
 	a := gen.Laplace3D(6, 6, 6)
 	sym := symbolic.DefaultOptions()

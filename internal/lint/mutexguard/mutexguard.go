@@ -1,8 +1,8 @@
 // Package mutexguard enforces `// guarded by <recv>.<mu>` field
 // annotations with a flow-sensitive lockset analysis. The engine's
 // scheduler state (dependency counters, ready queue, retry bookkeeping)
-// is a classic fan-out hazard: it is mutated from worker goroutines, the
-// progress goroutine, and remote-signal callbacks, and the paper's
+// is a classic fan-out hazard: it is mutated from the rank goroutine, its
+// helper workers, and remote-signal callbacks, and the paper's
 // bit-identical-factors claim (§3.2) only holds if every such mutation
 // happens under the engine mutex. PR 2 established the discipline in
 // prose; this analyzer makes the prose checkable.

@@ -190,8 +190,8 @@ func (m *Machine) HostDeviceCopyTime(bytes int64) float64 {
 
 // Clock is an accumulator of modeled seconds, used by the runtime to
 // attribute virtual time to ranks. It is safe for concurrent use: with the
-// engine's intra-rank worker pool, several executor goroutines charge kernel
-// time to one rank's clock at once, so Advance is a lock-free CAS add.
+// engine's helper workers, several goroutines charge kernel time to one
+// rank's clock at once, so Advance is a lock-free CAS add.
 type Clock struct {
 	bits atomic.Uint64 // float64 seconds, as IEEE-754 bits
 }

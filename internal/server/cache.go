@@ -48,22 +48,14 @@ func int32Bytes(s []int32) []byte {
 	return b
 }
 
-// analysis is the cached symbolic phase: the structure plus the permuted
-// matrix it was computed for is everything FactorizeAnalyzed needs.
-type analysis struct {
-	st *symbolic.Structure
-	pa *matrix.SparseSym
-}
-
-// analysisBytes estimates the retained size of a cached analysis. It is a
-// budget estimate, not an accounting guarantee: the dominant arrays (row
-// index lists, block tables, the permuted matrix) are counted, fixed
-// per-object overheads are not.
-func analysisBytes(st *symbolic.Structure, pa *matrix.SparseSym) int64 {
+// analysisBytes estimates the retained size of a cached analysis (the
+// symbolic structure). It is a budget estimate, not an accounting
+// guarantee: the dominant arrays (row index lists, block tables) are
+// counted, fixed per-object overheads are not.
+func analysisBytes(st *symbolic.Structure) int64 {
 	b := int64(st.NnzL) * 4 // supernode row lists are int32
 	b += int64(len(st.Blocks)) * 32
 	b += int64(st.N) * 12 // perm, iperm, snof
-	b += int64(len(pa.ColPtr))*4 + int64(len(pa.RowInd))*4 + int64(len(pa.Val))*8
 	return b
 }
 

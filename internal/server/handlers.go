@@ -16,6 +16,7 @@ import (
 	"sympack/internal/matrix"
 	"sympack/internal/metrics"
 	"sympack/internal/precond"
+	"sympack/internal/symbolic"
 )
 
 // StatusClientClosedRequest is the nginx-convention status for a request
@@ -325,21 +326,31 @@ func decode[T any](r *http.Request) (*T, *httpError) {
 	return &v, nil
 }
 
-// analysisFor returns the (cached or freshly computed) analysis for a
-// matrix, pinned; the caller must invoke the release.
-func (s *Server) analysisFor(ctx context.Context, a *matrix.SparseSym, ph string) (*analysis, func(), bool, *httpError) {
+// analysisFor returns the (cached or freshly computed) symbolic structure
+// for a's pattern, pinned — the caller must invoke the release — together
+// with a permuted by that structure's ordering. Only the structure is
+// cached: it depends on the pattern alone, while the permuted matrix carries
+// this request's values, so a hit permutes the posted matrix afresh.
+func (s *Server) analysisFor(ctx context.Context, a *matrix.SparseSym, ph string) (*symbolic.Structure, *matrix.SparseSym, func(), bool, *httpError) {
 	key := "a:" + ph
 	s.thrashFor(ctx, key)
 	if v, rel, ok := s.cache.get(key); ok {
-		return v.(*analysis), rel, true, nil
+		st := v.(*symbolic.Structure)
+		pa, err := a.Permute(st.Perm)
+		if err != nil {
+			rel()
+			return nil, nil, nil, false, &httpError{code: http.StatusInternalServerError, err: err}
+		}
+		return st, pa, rel, true, nil
 	}
 	st, pa, err := s.analyzeFn(a, s.cfg.Solver)
 	if err != nil {
-		return nil, nil, false, &httpError{code: http.StatusUnprocessableEntity, err: err}
+		return nil, nil, nil, false, &httpError{code: http.StatusUnprocessableEntity, err: err}
 	}
-	an := &analysis{st: st, pa: pa}
-	v, rel := s.cache.put(key, an, analysisBytes(st, pa))
-	return v.(*analysis), rel, false, nil
+	// st and pa stay paired even when a concurrent miss cached its own
+	// (equal) structure first; the pin is on whichever copy the cache kept.
+	_, rel := s.cache.put(key, st, analysisBytes(st))
+	return st, pa, rel, false, nil
 }
 
 // handleAnalyze serves POST /v1/analyze.
@@ -358,7 +369,7 @@ func (s *Server) handleAnalyze(r *http.Request) (any, *httpError) {
 	}
 	defer done()
 	ph := patternHash(a)
-	an, rel, cached, herr := s.analysisFor(ctx, a, ph)
+	st, _, rel, cached, herr := s.analysisFor(ctx, a, ph)
 	if herr != nil {
 		return nil, herr
 	}
@@ -366,11 +377,11 @@ func (s *Server) handleAnalyze(r *http.Request) (any, *httpError) {
 	return AnalyzeResponse{
 		Pattern:    ph,
 		Cached:     cached,
-		N:          an.st.N,
-		Supernodes: an.st.NumSupernodes(),
-		Blocks:     an.st.NumBlocks(),
-		NnzL:       an.st.NnzL,
-		FactorFlop: an.st.FactorFlop,
+		N:          st.N,
+		Supernodes: st.NumSupernodes(),
+		Blocks:     st.NumBlocks(),
+		NnzL:       st.NnzL,
+		FactorFlop: st.FactorFlop,
 	}, nil
 }
 
@@ -401,7 +412,7 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 		return FactorResponse{Factor: fid, Pattern: ph, Cached: true, NnzL: f.Stats.NnzL}, nil
 	}
 
-	an, arel, _, herr := s.analysisFor(ctx, a, ph)
+	st, pa, arel, _, herr := s.analysisFor(ctx, a, ph)
 	if herr != nil {
 		return nil, herr
 	}
@@ -424,7 +435,7 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	if !useGPU {
 		opt.GPUsPerNode = 0
 	}
-	f, err := s.factorWithRetry(ctx, an, opt)
+	f, err := s.factorWithRetry(ctx, st, pa, opt)
 	s.brk.result(err, probe)
 	if err != nil {
 		return nil, s.engineError(ctx, err)
@@ -454,10 +465,10 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 // bounded backoff. The engine already retries transient faults internally;
 // this outer loop is the second line of defense for runs that still
 // surface ErrTransient.
-func (s *Server) factorWithRetry(ctx context.Context, an *analysis, opt core.Options) (*core.Factor, error) {
+func (s *Server) factorWithRetry(ctx context.Context, st *symbolic.Structure, pa *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
 	backoff := 10 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		f, err := s.factorFn(an.st, an.pa, opt)
+		f, err := s.factorFn(st, pa, opt)
 		if err == nil || attempt >= 2 || !errors.Is(err, core.ErrTransient) {
 			return f, err
 		}

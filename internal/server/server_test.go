@@ -541,3 +541,48 @@ func TestFactorMatchesDirectEngine(t *testing.T) {
 		t.Fatal("cached factor retains a request context")
 	}
 }
+
+// TestFactorOnAnalysisHitUsesPostedValues: the analysis cache is keyed by
+// pattern alone, so a /v1/factor that hits it must factor the values it was
+// posted, not the ones the analysis was first computed from — neither an
+// earlier same-pattern matrix nor the zeros of a pattern-only /v1/analyze.
+func TestFactorOnAnalysisHitUsesPostedValues(t *testing.T) {
+	a := gen.Laplace2D(8, 8)
+	a2 := a.Clone()
+	for i := range a2.Val {
+		a2.Val[i] *= 2
+	}
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = float64(i%5) + 1
+	}
+	solveAgainst := func(t *testing.T, s *Server, m *matrix.SparseSym) {
+		t.Helper()
+		var fr FactorResponse
+		if code, _ := post(t, s.Addr(), "/v1/factor", FactorRequest{Matrix: wire(m)}, &fr); code != 200 {
+			t.Fatalf("factor status %d, want 200", code)
+		}
+		var sr SolveResponse
+		if code, _ := post(t, s.Addr(), "/v1/solve", SolveRequest{Factor: fr.Factor, B: rhs}, &sr); code != 200 {
+			t.Fatalf("solve status %d", code)
+		}
+		if res := core.ResidualNorm(m, sr.X, rhs); res > 1e-10 {
+			t.Fatalf("residual against the posted matrix %g, want <= 1e-10", res)
+		}
+	}
+
+	t.Run("refactor", func(t *testing.T) {
+		s := startServer(t, Config{})
+		solveAgainst(t, s, a)
+		solveAgainst(t, s, a2)
+	})
+	t.Run("analyze-then-factor", func(t *testing.T) {
+		s := startServer(t, Config{})
+		pattern := wire(a)
+		pattern.Val = nil
+		if code, _ := post(t, s.Addr(), "/v1/analyze", AnalyzeRequest{Matrix: pattern}, nil); code != 200 {
+			t.Fatalf("analyze status %d", code)
+		}
+		solveAgainst(t, s, a)
+	})
+}

@@ -18,7 +18,7 @@ import (
 // Event is one completed unit of work on a rank.
 type Event struct {
 	Rank   int32
-	Lane   int32  // intra-rank execution lane: worker index, or the rank's progress lane
+	Lane   int32  // intra-rank execution lane: 0 is the rank goroutine, 1.. its helpers
 	Kind   string // "POTRF", "TRSM", "SYRK", "GEMM", "rget", "poll", ...
 	Start  time.Duration
 	End    time.Duration
@@ -59,7 +59,7 @@ func (r *Recorder) End(rank int32, kind string, start time.Duration, detail stri
 }
 
 // EndLane records an event on a specific execution lane of a rank. The
-// engine's worker pool gives each executor goroutine its own lane so the
+// engine gives each worker its own lane (0 is the rank goroutine) so the
 // Chrome trace shows intra-rank concurrency as parallel rows under the
 // rank's process group.
 func (r *Recorder) EndLane(rank, lane int32, kind string, start time.Duration, detail string) {

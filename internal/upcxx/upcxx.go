@@ -223,9 +223,9 @@ var ErrAborted = errors.New("upcxx: job aborted")
 
 // ---------------------------------------------------------------- Rank ----
 
-// Rank is one simulated UPC++ process. A rank may host several executor
-// goroutines (the engine's worker pool) plus one progress goroutine; the
-// clock is charge-safe from any of them, while Progress is serialized so RPC
+// Rank is one simulated UPC++ process. A rank may host several goroutines
+// executing tasks (the engine's rank goroutine and its helpers); the clock
+// is charge-safe from any of them, while Progress is serialized so RPC
 // handlers keep the single-threaded execution guarantee of the real
 // library's progress engine.
 type Rank struct {
