@@ -381,7 +381,7 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 	// formulations — one slot per update for the computed contribution
 	// (item id = nBlocks + update index). Both ride the same signal / poll
 	// / Rget / re-request protocol.
-	dir := make([]upcxx.GlobalPtr, len(st.Blocks)+len(tg.Updates))
+	dir := make([]upcxx.GlobalPtr, opt.Formulation.ItemCount(tg))
 	engines := make([]*engine, opt.Ranks)
 	// engMu orders engine-slot publication against the watchdog's health
 	// snapshots; the slots themselves are written once, before the first

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,33 +48,87 @@ type task struct {
 
 // fetched caches a pulled (or locally produced) source block, optionally
 // with a device-resident mirror for the paper's "GPU blocks" optimization.
-// once guards the lazy device→host materialization in hostOf: several
-// executor workers may consume the same source block concurrently.
+// acquire fills an entry and sets ready last, under e.mu; from then on the
+// entry is immutable except for once, which guards the lazy device→host
+// materialization in hostOf: several executor workers may consume the same
+// source block concurrently.
 type fetched struct {
-	host []float64
-	dev  *gpu.Buffer
-	once sync.Once
-}
-
-// parkedUpd is a computed update contribution waiting for its canonical
-// apply turn on the target block.
-type parkedUpd struct {
-	ui      int32
-	scratch []float64
+	host  []float64
+	dev   *gpu.Buffer
+	once  sync.Once
+	ready bool
 }
 
 // blockApply sequences update applications into one target block. Because
 // floating-point subtraction is not associative, contributions must land in
-// a canonical order — ascending update index — for the factor to be
-// bit-identical across worker counts, rank counts and scheduling policies.
-// A worker whose update finishes out of turn parks the scratch buffer here;
-// the worker that completes the preceding update drains the parked queue.
+// a canonical order — ascending update index, the block's
+// TaskGraph.UpdatesByTarget list — for the factor to be bit-identical across
+// worker counts, rank counts and scheduling policies. A worker whose update
+// finishes out of turn parks the scratch buffer in engine.parked; the worker
+// that completes the preceding update drains what became applicable.
 type blockApply struct {
 	mu sync.Mutex
-	// next is the canonical sequence number of the next update to apply;
-	// guarded by bs.mu.
-	next   int32
-	parked map[int32]parkedUpd // guarded by bs.mu
+	// next indexes the block's UpdatesByTarget list at the next update to
+	// apply; guarded by bs.mu.
+	next int32
+}
+
+// awaited is the re-request state of one item another rank produces:
+// exponential backoff between attempts, with at the earliest next attempt in
+// wall-clock nanoseconds (ticks proved useless as a clock: the idle loop's
+// short sleeps stretch to OS-timer granularity, freezing tick-based timers).
+type awaited struct {
+	item  int32
+	count int32
+	at    int64
+}
+
+// laneScratch is the reusable working memory of one executor goroutine
+// (lane), private to it, so the per-task path neither allocates nor locks
+// for it: scatterSub's row positions, sized for the tallest block, and the
+// consumer-rank set announce fans a finished item out to.
+type laneScratch struct {
+	rpos  []int
+	mark  []bool // by rank: already in ranks
+	ranks []int
+}
+
+// consumer adds a rank to the consumer set of the item about to be announced.
+func (ls *laneScratch) consumer(rank int) {
+	if !ls.mark[rank] {
+		ls.mark[rank] = true
+		ls.ranks = append(ls.ranks, rank)
+	}
+}
+
+// scratchPool recycles update scratch buffers in power-of-two size classes,
+// so a steady-state update allocates nothing. Its lock is a leaf: nothing
+// is acquired while holding it.
+type scratchPool struct {
+	mu   sync.Mutex
+	free [bits.UintSize][][]float64 // by log2(capacity); guarded by p.mu
+}
+
+// get returns a buffer of length n ≥ 1 with unspecified contents.
+func (p *scratchPool) get(n int) []float64 {
+	c := bits.Len(uint(n - 1))
+	p.mu.Lock()
+	if l := p.free[c]; len(l) > 0 {
+		buf := l[len(l)-1]
+		p.free[c] = l[:len(l)-1]
+		p.mu.Unlock()
+		return buf[:n]
+	}
+	p.mu.Unlock()
+	return make([]float64, n, 1<<c)
+}
+
+// put returns a buffer obtained from get.
+func (p *scratchPool) put(buf []float64) {
+	c := bits.TrailingZeros(uint(cap(buf)))
+	p.mu.Lock()
+	p.free[c] = append(p.free[c], buf)
+	p.mu.Unlock()
 }
 
 // engine is the per-rank state of the fan-out factorization.
@@ -83,10 +138,11 @@ type blockApply struct {
 // inbox draining and the re-request protocol; the other workers-1 are
 // helpers (workerLoop) that only execute tasks. The mutex mu guards all
 // scheduler state: the RTQ heap, dependency counters, avail, inbox,
-// wanted/reqAt/reqCount, produced and doneTasks. Numeric kernels run
-// outside mu; ordered application into target blocks is serialized per
-// block by blockApply. Lock order: blockApply.mu before engine.mu, never
-// the reverse.
+// wanted/remote, produced and doneTasks. Numeric kernels run outside mu;
+// ordered application into target blocks is serialized per block by
+// blockApply. Lock order: blockApply.mu before engine.mu, never the
+// reverse; scratch.mu is a leaf, taken under blockApply.mu or under no lock
+// at all and never held across another acquisition.
 type engine struct {
 	r   *upcxx.Rank
 	st  *symbolic.Structure
@@ -97,8 +153,8 @@ type engine struct {
 	// form is the task formulation (cached from opt). The protocol below
 	// speaks in *items*: item ids < nBlocks are blocks, and — under
 	// contribution-delivering formulations — item nBlocks+ui is the
-	// computed contribution of update ui. dir, avail, produced, wanted,
-	// reqAt and reqCount are all indexed/keyed by item id.
+	// computed contribution of update ui. dir, avail, produced and wanted
+	// are all indexed by item id.
 	form    symbolic.Formulation
 	nBlocks int32
 	dir     []upcxx.GlobalPtr // shared global directory of item pointers
@@ -121,7 +177,9 @@ type engine struct {
 	inflight int
 	pushSeq  int64 // guarded by e.mu
 
-	owned [][]float64 // per block id: storage for blocks this rank owns
+	// owned is, per block id, the storage of the blocks this rank owns:
+	// slices of one slab in the rank's shared segment (see setup).
+	owned [][]float64
 
 	// Dependency counters for tasks this rank owns, indexed by block id
 	// and update index respectively. Guarded by e.mu.
@@ -129,26 +187,23 @@ type engine struct {
 	depUpdate []int32 // guarded by e.mu
 
 	// avail caches source data this rank can consume, by item id (blocks,
-	// then delivered contributions). Guarded by e.mu; entries are
-	// write-once, which is what licenses the two audited unlocked reads in
-	// hostOf and gpuTrsm.
-	avail []*fetched
+	// then delivered contributions). Guarded by e.mu; an entry is frozen
+	// once its ready flag is set, which is what licenses the two audited
+	// unlocked reads in hostOf and gpuTrsm.
+	avail []fetched
 
-	// updatesByLocalSource maps a source block id to the local update
-	// tasks consuming it (precomputed from the task graph restricted to
-	// owned targets).
-	updatesByLocalSource [][]int32
-	// localFOfSnode maps a supernode to this rank's off-diagonal blocks in
-	// it (waiting on the supernode's diagonal factor).
-	localFOfSnode [][]int32
+	// blk holds the per-block ordered-apply state and parked[ui] the
+	// scratch of an update that finished before its turn (nil otherwise;
+	// guarded by the target's blk mutex). Together with the task graph's
+	// UpdatesByTarget lists they make the scatter-subtract order — and
+	// therefore the factor bits — independent of execution interleaving.
+	blk    []blockApply
+	parked [][]float64
 
-	// applySeq[ui] is the canonical position of update ui among the
-	// updates targeting the same block (ascending update index), and blk
-	// holds the per-block ordered-apply state. Together they make the
-	// scatter-subtract order — and therefore the factor bits — independent
-	// of execution interleaving.
-	applySeq []int32
-	blk      []blockApply
+	// scratch recycles update scratch buffers (own leaf lock); lanes is
+	// each executor goroutine's private working memory, indexed by lane.
+	scratch scratchPool
+	lanes   []laneScratch
 
 	// signals received but not yet processed: item ids announced by
 	// producers via RPC. Guarded by e.mu.
@@ -173,17 +228,15 @@ type engine struct {
 	// reader is the re-request RPC handler on the rank goroutine, so both
 	// sides go through mu. Guarded by e.mu.
 	produced []bool
-	// wanted holds source item ids this rank's remaining tasks still
-	// await; entries leave on acquire. Its remote members are the
-	// candidates for re-requests when the rank idles. Guarded by e.mu.
-	wanted map[int32]bool
-	// reqAt / reqCount implement per-item exponential backoff between
-	// re-requests; reqAt holds the earliest next attempt in wall-clock
-	// nanoseconds (ticks proved useless as a clock: the idle loop's short
-	// sleeps stretch to OS-timer granularity, freezing tick-based timers).
+	// wanted marks the source items this rank's remaining tasks still
+	// await (nWanted of them); marks clear on acquire. Guarded by e.mu.
+	wanted  []bool
+	nWanted int // guarded by e.mu
+	// remote lists the wanted items other ranks produce, ascending by item
+	// id, with their backoff state: the candidates for re-requests when the
+	// rank idles. reRequestLost drops acquired entries as it walks.
 	// Guarded by e.mu.
-	reqAt    map[int32]int64
-	reqCount map[int32]int // guarded by e.mu
+	remote []awaited
 
 	// demoted is set when this rank's device dies mid-run: every later
 	// offload decision answers CPU. Any worker may demote; all consult it.
@@ -197,27 +250,32 @@ type engine struct {
 }
 
 func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a *matrix.SparseSym, m2d symbolic.BlockMap, opt *Options, dir []upcxx.GlobalPtr, peers []*engine) *engine {
-	nItems := len(st.Blocks) + len(tg.Updates)
+	nItems := opt.Formulation.ItemCount(tg)
 	e := &engine{
 		r: r, st: st, tg: tg, a: a, m2d: m2d, opt: opt, dir: dir, peers: peers,
-		form:                 opt.Formulation,
-		nBlocks:              int32(len(st.Blocks)),
-		owned:                make([][]float64, len(st.Blocks)),
-		depBlock:             make([]int32, len(st.Blocks)),
-		depUpdate:            make([]int32, len(tg.Updates)),
-		avail:                make([]*fetched, nItems),
-		updatesByLocalSource: make([][]int32, len(st.Blocks)),
-		localFOfSnode:        make([][]int32, len(st.Snodes)),
-		applySeq:             make([]int32, len(tg.Updates)),
-		blk:                  make([]blockApply, len(st.Blocks)),
-		produced:             make([]bool, nItems),
-		wanted:               map[int32]bool{},
-		reqAt:                map[int32]int64{},
-		reqCount:             map[int32]int{},
-		workers:              opt.Workers,
+		form:      opt.Formulation,
+		nBlocks:   int32(len(st.Blocks)),
+		owned:     make([][]float64, len(st.Blocks)),
+		depBlock:  make([]int32, len(st.Blocks)),
+		depUpdate: make([]int32, len(tg.Updates)),
+		avail:     make([]fetched, nItems),
+		blk:       make([]blockApply, len(st.Blocks)),
+		parked:    make([][]float64, len(tg.Updates)),
+		produced:  make([]bool, nItems),
+		wanted:    make([]bool, nItems),
+		workers:   max(opt.Workers, 1),
 	}
-	if e.workers < 1 {
-		e.workers = 1
+	var maxRows int32
+	for bi := range st.Blocks {
+		maxRows = max(maxRows, st.Blocks[bi].NRows)
+	}
+	e.lanes = make([]laneScratch, e.workers)
+	for i := range e.lanes {
+		e.lanes[i] = laneScratch{
+			rpos:  make([]int, maxRows),
+			mark:  make([]bool, m2d.P()),
+			ranks: make([]int, 0, m2d.P()),
+		}
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.rtq.e = e
@@ -239,14 +297,25 @@ func (e *engine) setup() {
 	if e.opt.Scheduling == SchedCriticalPath {
 		e.chainDepth = chainDepths(st)
 	}
-	// Allocate owned blocks in the shared segment and publish pointers.
+	// Owned blocks live back to back in one slab of the shared segment,
+	// sized from the symbolic structure; each block publishes a pointer to
+	// its own range.
+	total := 0
+	for bi := range st.Blocks {
+		if b := &st.Blocks[bi]; e.mine(b) {
+			m, n := blockDims(st, b)
+			total += m * n
+		}
+	}
+	slab, off := e.r.NewArray(total), 0
 	for bi := range st.Blocks {
 		b := &st.Blocks[bi]
 		if !e.mine(b) {
 			continue
 		}
 		m, n := blockDims(st, b)
-		g := e.r.NewArray(m * n)
+		g := slab.Slice(off, off+m*n)
+		off += m * n
 		e.owned[b.ID] = g.Data
 		e.dir[b.ID] = g
 		// D/F dependency counter: updates targeting the block, plus the
@@ -254,9 +323,8 @@ func (e *engine) setup() {
 		dep := tg.InUpdates[b.ID]
 		if !b.IsDiag() {
 			dep++
-			e.localFOfSnode[b.Snode] = append(e.localFOfSnode[b.Snode], b.ID)
 			// The panel factorization awaits the supernode's diagonal.
-			e.wanted[st.DiagBlock(b.Snode).ID] = true
+			e.want(st.DiagBlock(b.Snode).ID)
 		}
 		e.depBlock[b.ID] = dep
 		e.totalTasks++
@@ -266,22 +334,15 @@ func (e *engine) setup() {
 	}
 	// Update compute tasks execute at the owner of the formulation's
 	// compute block — the target under fan-out, a source operand under
-	// fan-in/fan-both. The ascending sweep runs over every update
-	// unconditionally so each update's canonical apply position within its
-	// target block (applySeq) is a pure function of the task graph —
-	// identical on every rank, for every mapping and formulation — which
-	// is what keeps the scatter-subtract order, and therefore the factor
-	// bits, schedule-independent.
+	// fan-in/fan-both. depUpdate stays zero for updates computed elsewhere,
+	// which is how acquire tells them apart.
 	deliver := e.form.DeliversContributions()
-	updsIntoBlock := make([]int32, len(st.Blocks))
 	for ui := range tg.Updates {
 		u := &tg.Updates[ui]
-		e.applySeq[ui] = updsIntoBlock[u.Target]
-		updsIntoBlock[u.Target]++
 		if deliver && e.mine(&st.Blocks[u.Target]) {
 			// The apply task scatters the delivered contribution into the
 			// target; it becomes ready when the contribution item arrives.
-			e.wanted[e.nBlocks+int32(ui)] = true
+			e.want(e.nBlocks + int32(ui))
 			e.totalTasks++
 		}
 		if !e.mine(&st.Blocks[e.form.ComputeBlock(u)]) {
@@ -292,17 +353,26 @@ func (e *engine) setup() {
 			deps = 1
 		}
 		e.depUpdate[int32(ui)] = deps
-		e.updatesByLocalSource[u.BlkA] = append(e.updatesByLocalSource[u.BlkA], int32(ui))
-		e.wanted[u.BlkA] = true
-		if u.BlkB != u.BlkA {
-			e.updatesByLocalSource[u.BlkB] = append(e.updatesByLocalSource[u.BlkB], int32(ui))
-			e.wanted[u.BlkB] = true
-		}
+		e.want(u.BlkA)
+		e.want(u.BlkB)
 		e.totalTasks++
+	}
+	for item, w := range e.wanted {
+		if w && e.itemProducer(int32(item)) != e.r.ID {
+			e.remote = append(e.remote, awaited{item: int32(item)})
+		}
 	}
 	e.met.tasksTotal.Set(float64(e.totalTasks))
 	e.mu.Unlock()
 	e.assemble()
+}
+
+// want marks an item as awaited by this rank's tasks; callers hold e.mu.
+func (e *engine) want(item int32) {
+	if !e.wanted[item] {
+		e.wanted[item] = true
+		e.nWanted++
+	}
 }
 
 func taskFor(b *symbolic.Block) taskKind {
@@ -377,7 +447,7 @@ func (e *engine) push(kind taskKind, id int32) {
 	if e.chainDepth != nil {
 		t.depth = e.chainDepth[e.taskSupernode(t)]
 	}
-	heap.Push(&e.rtq, t)
+	e.rtq.push(t)
 	depth := float64(e.rtq.Len())
 	e.met.rtqDepth.Set(depth)
 	e.met.rtqPeak.SetMax(depth)
@@ -415,7 +485,7 @@ func (e *engine) pop() (task, bool) {
 	if e.rtq.Len() == 0 {
 		return task{}, false
 	}
-	t := heap.Pop(&e.rtq).(task)
+	t := e.rtq.pop()
 	e.met.rtqDepth.Set(float64(e.rtq.Len()))
 	return t, true
 }
@@ -501,7 +571,7 @@ func (e *engine) mirrorHealth() {
 	e.met.tasksDone.Set(float64(e.doneTasks))
 	e.met.rtqDepth.Set(float64(e.rtq.Len()))
 	e.met.inboxDepth.Set(float64(len(e.inbox)))
-	e.met.wantedBlocks.Set(float64(len(e.wanted)))
+	e.met.wantedBlocks.Set(float64(e.nWanted))
 }
 
 // drainUntil keeps executing incoming RPCs after this rank's own tasks are
@@ -535,56 +605,63 @@ func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
 // subject to injection — the protocol only assumes the network delivers
 // eventually, not reliably.
 func (e *engine) reRequestLost() {
-	// Callers hold e.mu (wanted/reqAt/reqCount are scheduler state).
-	rt := e.r.Runtime()
+	// Callers hold e.mu (wanted/remote are scheduler state).
 	now := machine.WallNow().UnixNano()
-	// Re-request in sorted item order: the recovery RPCs race the normal
-	// announcement path, and map order here would make the replayed
-	// schedule depend on Go's map randomization.
-	pending := make([]int32, 0, len(e.wanted))
-	for bid := range e.wanted {
-		pending = append(pending, bid)
+	// e.remote ascends by item id: the recovery RPCs race the normal
+	// announcement path, so their order must be a function of the items,
+	// not of when each was first awaited.
+	kept := e.remote[:0]
+	for _, w := range e.remote {
+		if !e.wanted[w.item] {
+			continue // acquired since the last sweep
+		}
+		if now >= w.at {
+			w.at = now + int64(4*time.Millisecond)<<min(w.count, 6)
+			w.count++
+			e.reRequest(w.item)
+		}
+		kept = append(kept, w)
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, bid := range pending {
-		owner := e.itemProducer(bid)
-		if owner == e.r.ID {
-			continue // locally produced: delivery is a direct call, never lost
+	e.remote = kept
+}
+
+// reRequest asks an item's producer to re-announce it if already produced;
+// callers hold e.mu.
+func (e *engine) reRequest(b int32) {
+	rt := e.r.Runtime()
+	owner := e.itemProducer(b)
+	requester := e.r.ID
+	peers := e.peers
+	e.met.reRequests.Inc()
+	rt.Stats.ReRequests.Add(1)
+	if tr := e.opt.Trace; tr != nil {
+		tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", b, owner))
+	}
+	e.r.RPC(owner, func(t *upcxx.Rank) {
+		// Runs on the producer's rank goroutine: if the item is done,
+		// re-announce it to the requester; duplicates are absorbed by
+		// acquire. produced is written by the producer's workers, so
+		// read it under the producer's mu.
+		pe := peers[t.ID]
+		pe.mu.Lock()
+		done := pe.produced[b]
+		pe.mu.Unlock()
+		if !done {
+			return
 		}
-		if now < e.reqAt[bid] {
-			continue
-		}
-		n := e.reqCount[bid]
-		e.reqCount[bid] = n + 1
-		if n > 6 {
-			n = 6
-		}
-		e.reqAt[bid] = now + int64(4*time.Millisecond)<<n
-		b := bid
-		requester := e.r.ID
-		peers := e.peers
-		e.met.reRequests.Inc()
-		rt.Stats.ReRequests.Add(1)
-		if tr := e.opt.Trace; tr != nil {
-			tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", b, owner))
-		}
-		e.r.RPC(owner, func(t *upcxx.Rank) {
-			// Runs on the producer's rank goroutine: if the item is done,
-			// re-announce it to the requester; duplicates are absorbed by
-			// acquire. produced is written by the producer's workers, so
-			// read it under the producer's mu.
-			pe := peers[t.ID]
-			pe.mu.Lock()
-			done := pe.produced[b]
-			pe.mu.Unlock()
-			if !done {
-				return
-			}
-			rt.Stats.Redeliveries.Add(1)
-			t.RPC(requester, func(c *upcxx.Rank) {
-				peers[c.ID].enqueueSignal(b)
-			})
+		rt.Stats.Redeliveries.Add(1)
+		t.RPC(requester, func(c *upcxx.Rank) {
+			peers[c.ID].enqueueSignal(b)
 		})
+	})
+}
+
+// retryNow clears a remote item's re-request backoff after a failed fetch,
+// so the next idle sweep asks for a fresh announcement; callers hold e.mu.
+func (e *engine) retryNow(item int32) {
+	byItem := func(w awaited, item int32) int { return cmp.Compare(w.item, item) }
+	if i, ok := slices.BinarySearchFunc(e.remote, item, byItem); ok {
+		e.remote[i].at = 0
 	}
 }
 
@@ -605,13 +682,12 @@ func (e *engine) enqueueSignal(bid int32) {
 func (e *engine) poll() {
 	e.r.Progress()
 	e.mu.Lock()
-	if len(e.inbox) > 0 {
-		inbox := e.inbox
-		e.inbox = nil
-		for _, bid := range inbox {
-			e.acquire(bid)
-		}
+	// enqueueSignal is the only inbox writer and needs e.mu, so the drain
+	// sees a fixed slice and can keep its backing array.
+	for _, bid := range e.inbox {
+		e.acquire(bid)
 	}
+	e.inbox = e.inbox[:0]
 	e.mu.Unlock()
 }
 
@@ -623,9 +699,10 @@ func (e *engine) poll() {
 // where the re-request protocol triggers a fresh announcement and a fresh
 // fetch. Callers hold e.mu; the mutex release at the subsequent pop is the
 // happens-before edge that lets workers read avail entries unlocked
-// afterwards (acquire never rewrites an existing entry).
+// afterwards (acquire never rewrites a ready entry).
 func (e *engine) acquire(item int32) {
-	if e.avail[item] != nil {
+	fc := &e.avail[item]
+	if fc.ready {
 		return
 	}
 	if item >= e.nBlocks {
@@ -634,7 +711,6 @@ func (e *engine) acquire(item int32) {
 	}
 	bid := item
 	b := &e.st.Blocks[bid]
-	var fc fetched
 	if data := e.owned[bid]; data != nil {
 		fc.host = data
 	} else {
@@ -658,33 +734,50 @@ func (e *engine) acquire(item int32) {
 			}
 		}
 		if fc.dev == nil {
-			fc.host = make([]float64, src.Len())
-			if f := e.r.Rget(src, fc.host); !f.OK() {
+			host := make([]float64, src.Len())
+			if f := e.r.Rget(src, host); !f.OK() {
 				// Retries exhausted: keep the block wanted and let the
 				// re-request path re-signal it; a later acquire retries
 				// the get with a fresh attempt budget.
 				e.met.fetchFailures.Inc()
-				e.reqAt[bid] = 0
+				e.retryNow(bid)
 				return
 			}
+			fc.host = host
 		}
 	}
-	e.avail[bid] = &fc
-	delete(e.wanted, bid)
+	e.acquired(item)
 	if b.IsDiag() {
 		// Local panel blocks of this supernode lose their diagonal
 		// dependency.
-		for _, fbid := range e.localFOfSnode[b.Snode] {
-			e.decBlock(fbid)
+		for _, fb := range e.st.SnodeBlocks(b.Snode)[1:] {
+			if e.owned[fb.ID] != nil {
+				e.decBlock(fb.ID)
+			}
 		}
 	}
-	// Updates consuming this block lose one source dependency.
-	for _, ui := range e.updatesByLocalSource[bid] {
+	// Updates computed here that consume this block lose one source
+	// dependency; a zero counter is an update computed on another rank
+	// (a local one still counts this very block).
+	for _, ui := range e.tg.UpdatesBySource[bid] {
+		if e.depUpdate[ui] == 0 {
+			continue
+		}
 		e.depUpdate[ui]--
 		e.met.depDecrements.Inc()
 		if e.depUpdate[ui] == 0 {
 			e.push(taskUpdate, ui)
 		}
+	}
+}
+
+// acquired publishes a filled avail entry and retires the item from the
+// wanted set; callers hold e.mu.
+func (e *engine) acquired(item int32) {
+	e.avail[item].ready = true
+	if e.wanted[item] {
+		e.wanted[item] = false
+		e.nWanted--
 	}
 }
 
@@ -696,22 +789,20 @@ func (e *engine) acquire(item int32) {
 // producer publishes before announcing, and redeliveries check produced
 // first. Callers hold e.mu.
 func (e *engine) acquireContribution(item int32) {
-	var fc fetched
 	src := e.dir[item]
-	if int(src.Rank) == e.r.ID {
-		// Computed on this rank (the compute owner is also the target
-		// owner): the published buffer is directly readable.
-		fc.host = src.Data
-	} else {
-		fc.host = make([]float64, src.Len())
-		if f := e.r.Rget(src, fc.host); !f.OK() {
+	// Computed on this rank (the compute owner is also the target owner):
+	// the published buffer is directly readable.
+	host := src.Data
+	if int(src.Rank) != e.r.ID {
+		host = make([]float64, src.Len())
+		if f := e.r.Rget(src, host); !f.OK() {
 			e.met.fetchFailures.Inc()
-			e.reqAt[item] = 0
+			e.retryNow(item)
 			return
 		}
 	}
-	e.avail[item] = &fc
-	delete(e.wanted, item)
+	e.avail[item].host = host
+	e.acquired(item)
 	e.push(taskApply, item-e.nBlocks)
 }
 
@@ -731,14 +822,14 @@ func (e *engine) itemProducer(item int32) int {
 // block was fetched device-direct. Concurrent workers consuming the same
 // item race to materialize; once serializes.
 func (e *engine) hostOf(item int32) []float64 {
-	//lint:ignore mutexguard avail entries are write-once under e.mu; the pop that scheduled this task happens-after acquire published the entry (see acquire's doc)
-	fc := e.avail[item]
-	fc.once.Do(func() {
-		if fc.host == nil {
+	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this task happens-after acquire published the entry (see acquire's doc)
+	fc := &e.avail[item]
+	if fc.dev != nil {
+		fc.once.Do(func() {
 			fc.host = make([]float64, fc.dev.Len())
 			e.r.Charge(e.r.Device().DeviceToHost(fc.host, fc.dev))
-		}
-	})
+		})
+	}
 	return fc.host
 }
 
@@ -793,50 +884,59 @@ func (e *engine) devAlloc(n int) (*gpu.Buffer, error) {
 	}
 }
 
+// traceKind and traceLabel name a task on the timeline.
+var (
+	traceKind  = [...]string{taskDiag: "D", taskFactor: "F", taskUpdate: "U", taskApply: "A"}
+	traceLabel = [...]string{taskDiag: "sn=%d", taskFactor: "blk=%d", taskUpdate: "upd=%d", taskApply: "upd=%d"}
+)
+
 // execute dispatches one ready task, recording it on the executing lane
 // when tracing is on. Runs outside e.mu; the caller accounts completion.
 func (e *engine) execute(t task, lane int32) {
 	tr := e.opt.Trace
 	start := tr.Begin()
+	ls := &e.lanes[lane]
 	switch t.kind {
 	case taskDiag:
-		e.runDiag(t.id)
-		tr.EndLane(int32(e.r.ID), lane, "D", start, fmt.Sprintf("sn=%d", e.st.Blocks[t.id].Snode))
+		e.runDiag(t.id, ls)
 	case taskFactor:
-		e.runFactor(t.id)
-		tr.EndLane(int32(e.r.ID), lane, "F", start, fmt.Sprintf("blk=%d", t.id))
+		e.runFactor(t.id, ls)
 	case taskUpdate:
-		e.runUpdate(t.id)
-		tr.EndLane(int32(e.r.ID), lane, "U", start, fmt.Sprintf("upd=%d", t.id))
+		e.runUpdate(t.id, ls)
 	case taskApply:
-		e.runApply(t.id)
-		tr.EndLane(int32(e.r.ID), lane, "A", start, fmt.Sprintf("upd=%d", t.id))
+		e.runApply(t.id, ls)
 	}
+	if tr == nil {
+		return // a nil recorder drops the event, but only after its label was formatted
+	}
+	arg := t.id
+	if t.kind == taskDiag {
+		arg = e.st.Blocks[t.id].Snode
+	}
+	tr.EndLane(int32(e.r.ID), lane, traceKind[t.kind], start, fmt.Sprintf(traceLabel[t.kind], arg))
 }
 
 // announce notifies every rank holding tasks that consume an item — a
 // factored block (paper Fig. 4 step 1) or a computed contribution under
-// fan-in/fan-both; the local rank is handled directly. It also records the
-// item as produced so the re-request protocol can serve consumers whose
+// fan-in/fan-both; the caller collected them in ls (laneScratch.consumer),
+// and the local rank is handled directly. It also records the item as
+// produced so the re-request protocol can serve consumers whose
 // notification the network lost. The producing worker's write to the item
 // data happens-before every consumer read: locally via e.mu (acquire under
 // the same lock the consuming pop takes), remotely via the RPC queue lock
 // followed by the consumer's inbox drain under its mu.
-func (e *engine) announce(bid int32, consumers map[int]bool) {
+func (e *engine) announce(bid int32, ls *laneScratch) {
 	e.mu.Lock()
 	e.produced[bid] = true
-	if consumers[e.r.ID] {
+	if ls.mark[e.r.ID] {
 		e.acquire(bid)
 	}
 	e.mu.Unlock()
 	// Notify consumers in sorted rank order so the signal fan-out is a
-	// deterministic function of the item, not of map iteration order.
-	ranks := make([]int, 0, len(consumers))
-	for rank := range consumers {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
-	for _, rank := range ranks {
+	// deterministic function of the item, not of the order they were found.
+	slices.Sort(ls.ranks)
+	for _, rank := range ls.ranks {
+		ls.mark[rank] = false
 		if rank == e.r.ID {
 			continue
 		}
@@ -848,11 +948,12 @@ func (e *engine) announce(bid int32, consumers map[int]bool) {
 			peers[target.ID].enqueueSignal(b)
 		})
 	}
+	ls.ranks = ls.ranks[:0]
 }
 
 // runDiag executes D_k: POTRF of the diagonal block, then fan-out to the
 // panel owners.
-func (e *engine) runDiag(bid int32) {
+func (e *engine) runDiag(bid int32, ls *laneScratch) {
 	st := e.st
 	b := &st.Blocks[bid]
 	data := e.owned[bid]
@@ -873,17 +974,16 @@ func (e *engine) runDiag(bid int32) {
 		return
 	}
 	// Consumers: owners of the off-diagonal blocks of this supernode.
-	consumers := map[int]bool{}
 	blks := st.SnodeBlocks(b.Snode)
 	for i := 1; i < len(blks); i++ {
-		consumers[symbolic.OwnerOfBlock(e.m2d, &blks[i])] = true
+		ls.consumer(symbolic.OwnerOfBlock(e.m2d, &blks[i]))
 	}
-	e.announce(bid, consumers)
+	e.announce(bid, ls)
 }
 
 // runFactor executes F_{i,k}: TRSM of an off-diagonal panel block against
 // the supernode's factorized diagonal, then fan-out to update owners.
-func (e *engine) runFactor(bid int32) {
+func (e *engine) runFactor(bid int32, ls *laneScratch) {
 	st := e.st
 	b := &st.Blocks[bid]
 	data := e.owned[bid]
@@ -897,19 +997,18 @@ func (e *engine) runFactor(bid int32) {
 	// Consumers: owners of the formulation's compute blocks of every
 	// update using this block — the target's owner under fan-out, a source
 	// operand's owner under fan-in/fan-both.
-	consumers := map[int]bool{}
 	for _, ui := range e.tg.UpdatesBySource[bid] {
 		u := &e.tg.Updates[ui]
-		consumers[symbolic.OwnerOfBlock(e.m2d, &st.Blocks[e.form.ComputeBlock(u)])] = true
+		ls.consumer(symbolic.OwnerOfBlock(e.m2d, &st.Blocks[e.form.ComputeBlock(u)]))
 	}
-	e.announce(bid, consumers)
+	e.announce(bid, ls)
 }
 
 // runUpdate executes U_{i,j,k}: W = B_{i,j}·B_{k,j}ᵀ (SYRK when the blocks
 // coincide), then commits the contribution — directly through the
 // ordered-apply path under fan-out, or by publishing it to the target's
 // owner under the contribution-delivering formulations.
-func (e *engine) runUpdate(ui int32) {
+func (e *engine) runUpdate(ui int32, ls *laneScratch) {
 	st := e.st
 	u := &e.tg.Updates[ui]
 	ba := &st.Blocks[u.BlkA] // B_{k,j}
@@ -918,7 +1017,17 @@ func (e *engine) runUpdate(ui int32) {
 	w := st.Snodes[u.SrcSn].NCols() // inner dimension
 	mB := int(bb.NRows)
 	nA := int(ba.NRows)
-	scratch := make([]float64, mB*nA)
+	// A contribution that will be published keeps its buffer for the rest
+	// of the run (the shared segment adopts it); one applied here comes from
+	// the pool and goes back once scattered. Every kernel below overwrites
+	// the part of scratch that scatterSub reads.
+	deliver := e.form.DeliversContributions()
+	var scratch []float64
+	if deliver {
+		scratch = make([]float64, mB*nA)
+	} else {
+		scratch = e.scratch.get(mB * nA)
+	}
 
 	syrk := u.IsSyrk()
 	hostA := e.hostOf(u.BlkA)
@@ -947,11 +1056,11 @@ func (e *engine) runUpdate(ui int32) {
 		}
 	}
 
-	if e.form.DeliversContributions() {
-		e.publishContribution(ui, scratch)
+	if deliver {
+		e.publishContribution(ui, scratch, ls)
 		return
 	}
-	e.applyUpdate(ui, scratch)
+	e.applyUpdate(ui, scratch, ls)
 }
 
 // publishContribution ships a computed contribution toward the target
@@ -960,14 +1069,15 @@ func (e *engine) runUpdate(ui int32) {
 // announced exactly like a factored block — so a lost or duplicated
 // contribution signal is recovered by the same re-request protocol. The
 // target's apply task scatters it in the canonical order.
-func (e *engine) publishContribution(ui int32, scratch []float64) {
+func (e *engine) publishContribution(ui int32, scratch []float64, ls *laneScratch) {
 	item := e.nBlocks + ui
 	g := e.r.NewArrayFrom(scratch)
 	e.mu.Lock()
 	e.dir[item] = g
 	e.mu.Unlock()
 	tgt := &e.st.Blocks[e.tg.Updates[ui].Target]
-	e.announce(item, map[int]bool{symbolic.OwnerOfBlock(e.m2d, tgt): true})
+	ls.consumer(symbolic.OwnerOfBlock(e.m2d, tgt))
+	e.announce(item, ls)
 }
 
 // runApply executes A_{i,j,k}: scatter a delivered contribution into its
@@ -976,43 +1086,47 @@ func (e *engine) publishContribution(ui int32, scratch []float64) {
 // runs on the target's executor outside e.mu — blockApply.mu must be taken
 // strictly before engine.mu, so acquire (which holds e.mu) cannot apply
 // inline.
-func (e *engine) runApply(ui int32) {
-	e.applyUpdate(ui, e.hostOf(e.nBlocks+ui))
+func (e *engine) runApply(ui int32, ls *laneScratch) {
+	e.applyUpdate(ui, e.hostOf(e.nBlocks+ui), ls)
 }
 
 // applyUpdate commits a computed update contribution to its target block in
-// the canonical order (ascending update index, fixed in applySeq at setup).
-// An update finishing out of turn parks its scratch; the worker completing
-// the preceding update drains everything that became applicable. Because
-// every contribution lands in the same order no matter which worker, rank
-// or scheduling policy produced it — and floating-point subtraction is not
-// associative — the factor is bit-identical across all those dimensions.
-func (e *engine) applyUpdate(ui int32, scratch []float64) {
+// the canonical order (ascending update index: the target's UpdatesByTarget
+// list). An update finishing out of turn parks its scratch; the worker
+// completing the preceding update drains everything that became applicable.
+// Because every contribution lands in the same order no matter which worker,
+// rank or scheduling policy produced it — and floating-point subtraction is
+// not associative — the factor is bit-identical across all those dimensions.
+// Under fan-out the scratch is a pool buffer and returns there once
+// scattered; a delivered contribution stays published.
+func (e *engine) applyUpdate(ui int32, scratch []float64, ls *laneScratch) {
 	bid := e.tg.Updates[ui].Target
+	turn := e.tg.UpdatesByTarget[bid]
+	pooled := !e.form.DeliversContributions()
 	bs := &e.blk[bid]
 	bs.mu.Lock()
-	seq := e.applySeq[ui]
-	if seq != bs.next {
-		if bs.parked == nil {
-			bs.parked = map[int32]parkedUpd{}
-		}
-		bs.parked[seq] = parkedUpd{ui: ui, scratch: scratch}
+	if turn[bs.next] != ui {
+		e.parked[ui] = scratch
 		bs.mu.Unlock()
 		e.met.updatesParked.Inc()
 		return
 	}
-	e.scatterSub(ui, scratch)
-	bs.next++
-	applied := int32(1)
+	applied := int32(0)
 	for {
-		p, ok := bs.parked[bs.next]
-		if !ok {
-			break
+		e.scatterSub(ui, scratch, ls.rpos)
+		if pooled {
+			e.scratch.put(scratch)
 		}
-		delete(bs.parked, bs.next)
-		e.scatterSub(p.ui, p.scratch)
 		bs.next++
 		applied++
+		if int(bs.next) == len(turn) {
+			break
+		}
+		ui = turn[bs.next]
+		if scratch = e.parked[ui]; scratch == nil {
+			break
+		}
+		e.parked[ui] = nil
 	}
 	bs.mu.Unlock()
 	// Lock order: blockApply.mu strictly before engine.mu.
@@ -1023,9 +1137,10 @@ func (e *engine) applyUpdate(ui int32, scratch []float64) {
 
 // scatterSub subtracts one update's scratch contribution from its target
 // block. Row positions come from the source row lists; column positions are
-// the A-block rows relative to the target supernode's first column. Callers
-// hold the target's blockApply mutex.
-func (e *engine) scatterSub(ui int32, scratch []float64) {
+// the A-block rows relative to the target supernode's first column; rpos is
+// the calling lane's row-position buffer. Callers hold the target's
+// blockApply mutex.
+func (e *engine) scatterSub(ui int32, scratch []float64, rpos []int) {
 	st := e.st
 	u := &e.tg.Updates[ui]
 	ba := &st.Blocks[u.BlkA]
@@ -1040,7 +1155,7 @@ func (e *engine) scatterSub(ui int32, scratch []float64) {
 	rowsB := snj.Rows[bb.RowOff : bb.RowOff+bb.NRows]
 	rowsA := snj.Rows[ba.RowOff : ba.RowOff+ba.NRows]
 	ldT := int(tb.NRows)
-	rpos := make([]int, mB)
+	rpos = rpos[:mB]
 	if e.st.Incomplete {
 		// IC structures drop rows individually: a block that survived the
 		// level rule may still lack some of the source's rows. Missing
@@ -1161,11 +1276,11 @@ func (e *engine) gpuTrsm(m, n int, diagID int32, data []float64) {
 	d := e.r.Device()
 	// Reuse a device-resident diagonal when the fetch already placed it
 	// there (GPU-blocks optimization); otherwise stage it now.
-	//lint:ignore mutexguard avail entries are write-once under e.mu; the pop that scheduled this TRSM happens-after acquire published the diagonal
-	fc := e.avail[diagID]
+	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal
+	fc := &e.avail[diagID]
 	var diagBuf *gpu.Buffer
 	ownDiag := false
-	if fc != nil && fc.dev != nil {
+	if fc.dev != nil {
 		diagBuf = fc.dev
 	} else {
 		host := e.hostOf(diagID)

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 )
@@ -99,26 +98,59 @@ func (e *engine) complete() {
 	}
 }
 
-// readyQueue is the RTQ as a binary heap ordered by the scheduling policy.
-// Priorities (seq, depth) are cached in the task at push time, so Less is
-// pure and the heap never reaches back into mutable engine state.
+// readyQueue is the RTQ as a binary min-heap under engine.before, the
+// scheduling policy's order. Priorities (seq, depth) are cached in the task
+// at push time, so the comparator is pure and the heap never reaches back
+// into mutable engine state; because before is a strict total order, the pop
+// sequence is a function of the pushed set alone.
 type readyQueue struct {
 	e     *engine
 	items []task
 }
 
-func (q *readyQueue) Len() int           { return len(q.items) }
-func (q *readyQueue) Less(i, j int) bool { return q.e.before(q.items[i], q.items[j]) }
-func (q *readyQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
+func (q *readyQueue) Len() int { return len(q.items) }
 
-func (q *readyQueue) Push(x any) { q.items = append(q.items, x.(task)) }
+// push inserts t, sifting it up from the new leaf.
+func (q *readyQueue) push(t task) {
+	q.items = append(q.items, t)
+	i := len(q.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.e.before(t, q.items[parent]) {
+			break
+		}
+		q.items[i] = q.items[parent]
+		i = parent
+	}
+	q.items[i] = t
+}
 
-func (q *readyQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	t := old[n-1]
-	q.items = old[:n-1]
-	return t
+// pop removes the before-minimum of a non-empty queue: the last leaf takes
+// the root's place and sifts down.
+func (q *readyQueue) pop() task {
+	top := q.items[0]
+	n := len(q.items) - 1
+	t := q.items[n]
+	q.items = q.items[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && q.e.before(q.items[child+1], q.items[child]) {
+			child++
+		}
+		if !q.e.before(q.items[child], t) {
+			break
+		}
+		q.items[i] = q.items[child]
+		i = child
+	}
+	if n > 0 {
+		q.items[i] = t
+	}
+	return top
 }
 
 // before is the strict total priority order between two ready tasks:
@@ -151,6 +183,3 @@ func (e *engine) before(a, b task) bool {
 		return a.seq < b.seq
 	}
 }
-
-// Assert the heap contract at compile time.
-var _ heap.Interface = (*readyQueue)(nil)

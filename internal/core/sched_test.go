@@ -148,6 +148,71 @@ func TestPopOrdering(t *testing.T) {
 	}
 }
 
+// TestRTQOrderProperty checks the typed heap against the definition of a
+// priority queue: under random interleavings of pushes and pops, for every
+// policy and with all four task kinds in flight, each pop returns the
+// before-minimum of what a plain reference slice holds at that moment.
+func TestRTQOrderProperty(t *testing.T) {
+	a := gen.Laplace2D(6, 5)
+	base := Options{}.withDefaults()
+	sym := *base.Symbolic
+	sym.MaxSupernodeSize = 3
+	st, _, err := symbolic.Analyze(a, base.Ordering, sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := symbolic.BuildTaskGraph(st)
+	var all []task
+	for bi := range st.Blocks {
+		all = append(all, task{kind: taskFor(&st.Blocks[bi]), id: int32(bi)})
+	}
+	for ui := range tg.Updates {
+		all = append(all, task{kind: taskUpdate, id: int32(ui)}, task{kind: taskApply, id: int32(ui)})
+	}
+
+	for _, pol := range []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			o := Options{Scheduling: pol, Workers: 1, Formulation: FanBoth}
+			e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil, nil)
+			if pol == SchedCriticalPath {
+				e.chainDepth = chainDepths(st)
+			}
+			todo := append([]task(nil), all...)
+			rng.Shuffle(len(todo), func(i, j int) { todo[i], todo[j] = todo[j], todo[i] })
+			var ref []task
+			for len(todo) > 0 || len(ref) > 0 {
+				if len(todo) > 0 && (len(ref) == 0 || rng.Intn(3) > 0) {
+					next := todo[len(todo)-1]
+					todo = todo[:len(todo)-1]
+					// push stamps the scheduling keys; the reference gets the same.
+					next.seq = e.pushSeq
+					if e.chainDepth != nil {
+						next.depth = e.chainDepth[e.taskSupernode(next)]
+					}
+					e.push(next.kind, next.id)
+					ref = append(ref, next)
+					continue
+				}
+				first := 0
+				for i := range ref {
+					if e.before(ref[i], ref[first]) {
+						first = i
+					}
+				}
+				got, ok := e.pop()
+				if !ok || got != ref[first] {
+					t.Fatalf("%v seed %d: pop = %+v (ok=%v), want %+v", pol, seed, got, ok, ref[first])
+				}
+				ref = append(ref[:first], ref[first+1:]...)
+			}
+			if _, ok := e.pop(); ok {
+				t.Fatalf("%v seed %d: queue not empty after draining", pol, seed)
+			}
+		}
+	}
+}
+
 func TestSchedulingPoliciesSolve(t *testing.T) {
 	a := gen.Thermal2D(20, 20, 2, 5)
 	rng := rand.New(rand.NewSource(6))

@@ -200,15 +200,49 @@ func (s *SparseSym) Permute(perm []int32) (*SparseSym, error) {
 		seen[old] = true
 		inv[old] = int32(k)
 	}
-	coo := NewCOO(n)
+	// A symmetric permutation of a lower-stored matrix maps distinct entries
+	// to distinct entries, so values only move: two stable counting passes
+	// (by new row, then by new column) leave every column's rows ascending.
+	nnz := len(s.Val)
+	// rowEnd[r] is where new row r starts in row order, until the fill
+	// below has advanced it to where the row ends.
+	rowEnd := make([]int32, n+1)
 	for j := 0; j < n; j++ {
-		nj := inv[j]
 		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
-			ni := inv[s.RowInd[p]]
-			coo.Add(int(ni), int(nj), s.Val[p])
+			rowEnd[max(inv[s.RowInd[p]], inv[j])+1]++
 		}
 	}
-	return coo.ToSym()
+	for r := 0; r < n; r++ {
+		rowEnd[r+1] += rowEnd[r]
+	}
+	out := &SparseSym{N: n, ColPtr: make([]int32, n+1), RowInd: make([]int32, nnz), Val: make([]float64, nnz)}
+	byRowCol := make([]int32, nnz)
+	byRowVal := make([]float64, nnz)
+	for j := 0; j < n; j++ {
+		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
+			r, c := inv[s.RowInd[p]], inv[j]
+			if r < c {
+				r, c = c, r // fold to lower triangle
+			}
+			q := rowEnd[r]
+			rowEnd[r]++
+			byRowCol[q], byRowVal[q] = c, s.Val[p]
+			out.ColPtr[c+1]++
+		}
+	}
+	for c := 0; c < n; c++ {
+		out.ColPtr[c+1] += out.ColPtr[c]
+	}
+	next := append([]int32(nil), out.ColPtr[:n]...)
+	q := int32(0)
+	for r := 0; r < n; r++ {
+		for ; q < rowEnd[r]; q++ {
+			c := byRowCol[q]
+			out.RowInd[next[c]], out.Val[next[c]] = int32(r), byRowVal[q]
+			next[c]++
+		}
+	}
+	return out, nil
 }
 
 // Scale returns a copy of s with all values multiplied by alpha.

@@ -135,6 +135,78 @@ func TestPermuteRoundTrip(t *testing.T) {
 	}
 }
 
+// permuteViaCOO is the route Permute used to take — triplets through
+// COO.ToSym's comparison sort — kept as the oracle for the counting-sort
+// implementation.
+func permuteViaCOO(t *testing.T, s *SparseSym, perm []int32) *SparseSym {
+	t.Helper()
+	inv := make([]int32, s.N)
+	for k, old := range perm {
+		inv[old] = int32(k)
+	}
+	coo := NewCOO(s.N)
+	for j := 0; j < s.N; j++ {
+		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
+			coo.Add(int(inv[s.RowInd[p]]), int(inv[j]), s.Val[p])
+		}
+	}
+	want, err := coo.ToSym()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestPermuteMatchesCOOOracle pins Permute bit for bit — ColPtr, RowInd and
+// Val — to the COO route on random patterns, including n=1, columns with no
+// off-diagonal (or no entry at all), and the identity and reverse orders.
+func TestPermuteMatchesCOOOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 2, 7, 40, 120} {
+		for _, density := range []float64{0, 0.05, 0.5} {
+			s := randomSym(rng, n, density)
+			if n > 2 {
+				// Drop one column's entries entirely: an empty column.
+				j := rng.Intn(n)
+				lo, hi := s.ColPtr[j], s.ColPtr[j+1]
+				s.RowInd = append(s.RowInd[:lo:lo], s.RowInd[hi:]...)
+				s.Val = append(s.Val[:lo:lo], s.Val[hi:]...)
+				for c := j + 1; c <= n; c++ {
+					s.ColPtr[c] -= hi - lo
+				}
+			}
+			ident, rev, random := make([]int32, n), make([]int32, n), make([]int32, n)
+			for i, v := range rng.Perm(n) {
+				ident[i], rev[i], random[i] = int32(i), int32(n-1-i), int32(v)
+			}
+			for name, perm := range map[string][]int32{"identity": ident, "reverse": rev, "random": random} {
+				got, err := s.Permute(perm)
+				if err != nil {
+					t.Fatalf("n=%d density=%g %s: %v", n, density, name, err)
+				}
+				want := permuteViaCOO(t, s, perm)
+				if err := got.Validate(); err != nil {
+					t.Fatalf("n=%d density=%g %s: %v", n, density, name, err)
+				}
+				if len(got.RowInd) != len(want.RowInd) || len(got.Val) != len(want.Val) {
+					t.Fatalf("n=%d density=%g %s: nnz %d, want %d", n, density, name, len(got.Val), len(want.Val))
+				}
+				for c := range want.ColPtr {
+					if got.ColPtr[c] != want.ColPtr[c] {
+						t.Fatalf("n=%d density=%g %s: ColPtr[%d] = %d, want %d", n, density, name, c, got.ColPtr[c], want.ColPtr[c])
+					}
+				}
+				for p := range want.Val {
+					if got.RowInd[p] != want.RowInd[p] || math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
+						t.Fatalf("n=%d density=%g %s: entry %d = (%d, %x), want (%d, %x)", n, density, name, p,
+							got.RowInd[p], math.Float64bits(got.Val[p]), want.RowInd[p], math.Float64bits(want.Val[p]))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPermuteRejectsBadPerm(t *testing.T) {
 	s := randomSym(rand.New(rand.NewSource(3)), 4, 0.5)
 	if _, err := s.Permute([]int32{0, 1, 2}); err == nil {

@@ -106,6 +106,16 @@ func (f Formulation) TaskCount(tg *TaskGraph) int {
 	return n
 }
 
+// ItemCount returns the number of items the formulation's protocol moves
+// between ranks: one per block, plus — when contributions are delivered —
+// one per update (item id = block count + update index).
+func (f Formulation) ItemCount(tg *TaskGraph) int {
+	if f.DeliversContributions() {
+		return tg.St.NumBlocks() + len(tg.Updates)
+	}
+	return tg.St.NumBlocks()
+}
+
 // Formulations lists every formulation, in declaration order.
 func Formulations() []Formulation { return []Formulation{FanOut, FanIn, FanBoth} }
 

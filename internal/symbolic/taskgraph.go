@@ -39,6 +39,11 @@ type TaskGraph struct {
 	// once.
 	UpdatesBySource [][]int32
 
+	// UpdatesByTarget[b] lists, ascending, the indices into Updates whose
+	// Target is block b: the canonical order in which the engine applies
+	// contributions to b. len(UpdatesByTarget[b]) == InUpdates[b].
+	UpdatesByTarget [][]int32
+
 	// InUpdates[b] is the number of update tasks targeting block b — the
 	// initial dependency count of D (for diagonal blocks) and of F beyond
 	// its D dependency (for off-diagonal blocks).
@@ -49,12 +54,26 @@ type TaskGraph struct {
 // every ordered pair of its off-diagonal blocks (B_{k,j}, B_{i,j}) with
 // i ≥ k, emit U_{i,j,k}. The target B_{i,k} exists by the fill closure of
 // the supernodal structure (see buildSupernodeRows).
+//
+// Everything is sized before it is filled: the pair count bounds Updates
+// (exactly, unless IC dropped targets), and the per-block lists are carved
+// out of one backing array from the per-block counts.
 func BuildTaskGraph(st *Structure) *TaskGraph {
+	nb := len(st.Blocks)
+	pairs := 0
+	for j := range st.Snodes {
+		off := len(st.SnodeBlocks(int32(j))) - 1
+		pairs += off * (off + 1) / 2
+	}
 	tg := &TaskGraph{
 		St:              st,
-		UpdatesBySource: make([][]int32, len(st.Blocks)),
-		InUpdates:       make([]int32, len(st.Blocks)),
+		Updates:         make([]Update, 0, pairs),
+		UpdatesBySource: make([][]int32, nb),
+		UpdatesByTarget: make([][]int32, nb),
+		InUpdates:       make([]int32, nb),
 	}
+	bySource := make([]int32, nb) // per-block count of consuming updates
+	refs := 0
 	for j := range st.Snodes {
 		blks := st.SnodeBlocks(int32(j))[1:] // off-diagonal blocks only
 		for x := range blks {
@@ -72,17 +91,35 @@ func BuildTaskGraph(st *Structure) *TaskGraph {
 					// here means a symbolic bug, better loud than wrong.
 					panic("symbolic: missing update target block")
 				}
-				ui := int32(len(tg.Updates))
 				tg.Updates = append(tg.Updates, Update{
 					SrcSn: int32(j), BlkA: a.ID, BlkB: b.ID, Target: target,
 				})
-				tg.UpdatesBySource[a.ID] = append(tg.UpdatesBySource[a.ID], ui)
+				bySource[a.ID]++
+				refs++
 				if b.ID != a.ID {
-					tg.UpdatesBySource[b.ID] = append(tg.UpdatesBySource[b.ID], ui)
+					bySource[b.ID]++
+					refs++
 				}
 				tg.InUpdates[target]++
 			}
 		}
+	}
+	// Carve empty lists of exactly the counted capacity, so the appends
+	// below fill the backing array in place and never reallocate.
+	backing := make([]int32, refs+len(tg.Updates))
+	src, tgt := backing[:refs], backing[refs:]
+	for b := 0; b < nb; b++ {
+		ns, nt := bySource[b], tg.InUpdates[b]
+		tg.UpdatesBySource[b], src = src[:0:ns], src[ns:]
+		tg.UpdatesByTarget[b], tgt = tgt[:0:nt], tgt[nt:]
+	}
+	for i := range tg.Updates {
+		u, ui := &tg.Updates[i], int32(i)
+		tg.UpdatesBySource[u.BlkA] = append(tg.UpdatesBySource[u.BlkA], ui)
+		if u.BlkB != u.BlkA {
+			tg.UpdatesBySource[u.BlkB] = append(tg.UpdatesBySource[u.BlkB], ui)
+		}
+		tg.UpdatesByTarget[u.Target] = append(tg.UpdatesByTarget[u.Target], ui)
 	}
 	return tg
 }

@@ -209,3 +209,43 @@ func TestTaskGraphUpdatesBySource(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskGraphUpdatesByTarget checks the canonical apply order: each
+// block's list holds exactly the updates targeting it, ascending, with the
+// InUpdates count — for exact and incomplete (IC) structures alike, where
+// the update count is below the pair count the lists are carved for.
+func TestTaskGraphUpdatesByTarget(t *testing.T) {
+	a := gen.Laplace2D(7, 6)
+	exact, _, err := Analyze(a, ordering.NestedDissection, Options{MaxSupernodeSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, _, err := AnalyzeIC(a, ordering.NestedDissection, Options{MaxSupernodeSize: 2}, ICOptions{Level: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Structure{"exact": exact, "ic0": ic} {
+		tg := BuildTaskGraph(st)
+		if len(tg.Updates) == 0 {
+			t.Fatalf("%s: no updates", name)
+		}
+		listed := 0
+		for b, l := range tg.UpdatesByTarget {
+			if len(l) != int(tg.InUpdates[b]) {
+				t.Fatalf("%s: block %d lists %d updates, InUpdates says %d", name, b, len(l), tg.InUpdates[b])
+			}
+			for i, ui := range l {
+				if tg.Updates[ui].Target != int32(b) {
+					t.Fatalf("%s: update %d listed under block %d, targets %d", name, ui, b, tg.Updates[ui].Target)
+				}
+				if i > 0 && l[i-1] >= ui {
+					t.Fatalf("%s: block %d list not ascending at %d", name, b, i)
+				}
+			}
+			listed += len(l)
+		}
+		if listed != len(tg.Updates) {
+			t.Fatalf("%s: %d updates listed by target, want %d", name, listed, len(tg.Updates))
+		}
+	}
+}

@@ -287,9 +287,11 @@ func (g GlobalPtr) IsNil() bool { return g.Data == nil }
 // Len returns the referenced element count.
 func (g GlobalPtr) Len() int { return len(g.Data) }
 
-// Slice returns a sub-pointer covering elements [lo, hi).
+// Slice returns a sub-pointer covering elements [lo, hi) and nothing beyond:
+// the capacity is clipped too, so an append through one block of a slab
+// cannot reach its neighbour.
 func (g GlobalPtr) Slice(lo, hi int) GlobalPtr {
-	return GlobalPtr{Rank: g.Rank, Kind: g.Kind, Data: g.Data[lo:hi]}
+	return GlobalPtr{Rank: g.Rank, Kind: g.Kind, Data: g.Data[lo:hi:hi]}
 }
 
 // NewArray allocates n elements of host shared-segment memory with affinity
