@@ -453,6 +453,7 @@ func BenchmarkSolveEndToEnd(b *testing.B) {
 // BenchmarkSymbolicAnalysis measures the symbolic phase alone.
 func BenchmarkSymbolicAnalysis(b *testing.B) {
 	a := gen.Thermal2D(128, 128, 6, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := symbolic.Analyze(a, ordering.NestedDissection, symbolic.DefaultOptions()); err != nil {

@@ -76,16 +76,25 @@ func Compute(a *matrix.SparseSym) *Tree {
 	return &Tree{Parent: parent}
 }
 
-// Children returns, for each vertex, the list of its children in ascending
-// order (row indices ascend because columns are visited in order).
-func (t *Tree) Children() [][]int32 {
-	ch := make([][]int32, t.N())
-	for j, p := range t.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], int32(j))
+// ChildLists returns the children of every vertex as first-child /
+// next-sibling links: first[v] is the smallest child of v, next[c] the next
+// larger child of c's parent, -1 where there is none. Two arrays, whatever
+// the shape of the tree.
+func (t *Tree) ChildLists() (first, next []int32) {
+	n := t.N()
+	first, next = make([]int32, n), make([]int32, n)
+	for i := range first {
+		first[i] = -1
+	}
+	// Pushing at the head in descending order leaves every list ascending.
+	for j := n - 1; j >= 0; j-- {
+		next[j] = -1
+		if p := t.Parent[j]; p >= 0 {
+			next[j] = first[p]
+			first[p] = int32(j)
 		}
 	}
-	return ch
+	return first, next
 }
 
 // Roots returns the tree roots (one per connected component).
@@ -105,27 +114,22 @@ func (t *Tree) Roots() []int32 {
 // which keeps the permutation stable for already-postordered trees.
 func (t *Tree) Postorder() []int32 {
 	n := t.N()
-	ch := t.Children()
+	// first doubles as the per-vertex child cursor; the parent links take
+	// the place of a stack, so path graphs cost no depth.
+	first, next := t.ChildLists()
 	post := make([]int32, 0, n)
-	// Iterative DFS with per-vertex child cursor to avoid recursion depth
-	// limits on path graphs.
-	cursor := make([]int32, n)
-	stack := make([]int32, 0, 64)
 	for j := 0; j < n; j++ {
 		if t.Parent[j] != -1 {
 			continue
 		}
-		stack = append(stack, int32(j))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			if int(cursor[v]) < len(ch[v]) {
-				c := ch[v][cursor[v]]
-				cursor[v]++
-				stack = append(stack, c)
+		for v := int32(j); v != -1; {
+			if c := first[v]; c != -1 {
+				first[v] = next[c]
+				v = c
 				continue
 			}
 			post = append(post, v)
-			stack = stack[:len(stack)-1]
+			v = t.Parent[v]
 		}
 	}
 	return post

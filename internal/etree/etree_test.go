@@ -123,7 +123,13 @@ func TestPermuteConsistentWithMatrixPermute(t *testing.T) {
 
 func TestChildrenAndRoots(t *testing.T) {
 	tr := &Tree{Parent: []int32{2, 2, 4, 4, -1, -1}}
-	ch := tr.Children()
+	first, next := tr.ChildLists()
+	ch := make([][]int32, tr.N())
+	for v := range ch {
+		for c := first[v]; c != -1; c = next[c] {
+			ch[v] = append(ch[v], c)
+		}
+	}
 	if len(ch[2]) != 2 || ch[2][0] != 0 || ch[2][1] != 1 {
 		t.Fatalf("children(2) = %v", ch[2])
 	}

@@ -1,6 +1,12 @@
 // Package graph provides the undirected-graph machinery consumed by the
 // fill-reducing ordering phase: compressed adjacency, breadth-first level
 // structures, pseudo-peripheral vertex search and connected components.
+//
+// Every traversal works on the one CSR graph under a vertex→part label
+// array: a vertex belongs to the traversed set when label[v] == cur (a nil
+// label array admits every vertex). Nothing is copied or renumbered; the
+// transient state of a traversal lives in a Workspace that is reused from
+// call to call.
 package graph
 
 import "sympack/internal/matrix"
@@ -17,19 +23,17 @@ type Graph struct {
 // rows/columns, edges are off-diagonal nonzeros.
 func FromSparse(s *matrix.SparseSym) *Graph {
 	n := s.N
-	deg := make([]int32, n)
+	g := &Graph{N: n, Ptr: make([]int32, n+1)}
 	for j := 0; j < n; j++ {
 		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
-			i := int(s.RowInd[p])
-			if i != j {
-				deg[i]++
-				deg[j]++
+			if i := int(s.RowInd[p]); i != j {
+				g.Ptr[i+1]++
+				g.Ptr[j+1]++
 			}
 		}
 	}
-	g := &Graph{N: n, Ptr: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
-		g.Ptr[v+1] = g.Ptr[v] + deg[v]
+		g.Ptr[v+1] += g.Ptr[v]
 	}
 	g.Adj = make([]int32, g.Ptr[n])
 	pos := make([]int32, n)
@@ -45,10 +49,11 @@ func FromSparse(s *matrix.SparseSym) *Graph {
 			}
 		}
 	}
-	// Row indices are emitted in increasing column order for row i, and in
-	// increasing row order for column j, so each neighbor list is already
-	// sorted ascending by construction of the two passes? Not quite: list v
-	// receives neighbors from both roles. Sort defensively.
+	// A column with ascending rows fills every list in ascending order (the
+	// columns before v, then the rows of column v), so this pass moves
+	// nothing; it is here because every traversal order, and with it the
+	// permutation, would otherwise follow the storage order of a matrix that
+	// never went through SparseSym.Validate.
 	for v := 0; v < n; v++ {
 		insertionSort(g.Adj[g.Ptr[v]:g.Ptr[v+1]])
 	}
@@ -74,8 +79,40 @@ func (g *Graph) Degree(v int32) int { return int(g.Ptr[v+1] - g.Ptr[v]) }
 // graph's storage and must not be modified.
 func (g *Graph) Neighbors(v int32) []int32 { return g.Adj[g.Ptr[v]:g.Ptr[v+1]] }
 
+// LabelDegree returns the number of neighbors of v inside the set
+// label[w] == cur: the degree of v in the induced subgraph.
+func (g *Graph) LabelDegree(v int32, label []int32, cur int32) int {
+	if label == nil {
+		return g.Degree(v)
+	}
+	d := 0
+	for _, w := range g.Neighbors(v) {
+		if label[w] == cur {
+			d++
+		}
+	}
+	return d
+}
+
+// Workspace is the transient state of the traversals: visit stamps, the BFS
+// queue and the level offsets. One workspace serves any number of
+// traversals of one graph, one at a time; a traversal resets nothing and
+// costs only the vertices and edges it touches.
+type Workspace struct {
+	mark   []int32 // mark[v] == stamp: v was reached by the current traversal
+	stamp  int32
+	order  []int32 // BFS queue, DFS stack, bucket scratch; len N
+	levels []int32 // level offsets, component sizes; len N+1
+}
+
+// NewWorkspace allocates a workspace for graphs of up to n vertices.
+func NewWorkspace(n int) *Workspace {
+	return &Workspace{mark: make([]int32, n), order: make([]int32, n), levels: make([]int32, n+1)}
+}
+
 // LevelStructure holds a BFS layering rooted at some vertex, restricted to
-// the vertices in one connected component (or an induced subset).
+// the vertices of one labelled set. Its slices are views into the workspace
+// that produced it and are overwritten by that workspace's next traversal.
 type LevelStructure struct {
 	Order  []int32 // vertices in BFS order
 	Levels []int32 // Levels[k] = start offset of level k in Order; len = depth+1
@@ -95,150 +132,113 @@ func (ls *LevelStructure) Width() int {
 	return w
 }
 
-// BFS computes the level structure rooted at root over the vertices where
-// mask[v] is true (a nil mask means all vertices). The scratch slice `dist`
-// must have length N and be filled with -1 for masked-in vertices; it is
-// returned updated so callers can reuse it (re-set visited entries to -1 to
-// reuse).
-func (g *Graph) BFS(root int32, mask []bool, dist []int32) *LevelStructure {
-	order := make([]int32, 0, 64)
-	order = append(order, root)
-	dist[root] = 0
-	levels := []int32{0}
-	head := 0
-	curLevel := int32(0)
-	for head < len(order) {
-		v := order[head]
-		if dist[v] > curLevel {
-			levels = append(levels, int32(head))
-			curLevel = dist[v]
-		}
-		head++
-		for _, w := range g.Neighbors(v) {
-			if dist[w] >= 0 {
-				continue
+// BFS computes the level structure rooted at root over the vertices with
+// label[v] == cur (a nil label means all vertices). Neighbors are visited in
+// ascending order.
+func (g *Graph) BFS(ws *Workspace, root int32, label []int32, cur int32) LevelStructure {
+	ws.stamp++
+	mark, stamp := ws.mark, ws.stamp
+	order, levels := ws.order, ws.levels
+	order[0] = root
+	mark[root] = stamp
+	tail := 1
+	nlev := 0
+	for head := 0; head < tail; {
+		// Everything queued so far and not yet expanded is one level.
+		levels[nlev] = int32(head)
+		nlev++
+		for end := tail; head < end; head++ {
+			for _, w := range g.Neighbors(order[head]) {
+				if mark[w] == stamp || (label != nil && label[w] != cur) {
+					continue
+				}
+				mark[w] = stamp
+				order[tail] = w
+				tail++
 			}
-			if mask != nil && !mask[w] {
-				continue
-			}
-			dist[w] = dist[v] + 1
-			order = append(order, w)
 		}
 	}
-	levels = append(levels, int32(len(order)))
-	return &LevelStructure{Order: order, Levels: levels}
+	levels[nlev] = int32(tail)
+	return LevelStructure{Order: order[:tail], Levels: levels[:nlev+1]}
 }
 
 // PseudoPeripheral finds a vertex of (approximately) maximal eccentricity in
 // the component containing start, using the Gibbs–Poole–Stockmeyer
-// iteration. It returns the vertex and its final level structure.
-func (g *Graph) PseudoPeripheral(start int32, mask []bool) (int32, *LevelStructure) {
-	dist := make([]int32, g.N)
-	reset := func(ls *LevelStructure) {
-		for _, v := range ls.Order {
-			dist[v] = -1
-		}
-	}
-	for i := range dist {
-		dist[i] = -1
-	}
+// iteration: re-root at a minimum-degree vertex of the last level (degree
+// within the labelled set, first in BFS order among equals) while that
+// deepens the level structure. The level structure it returns is always
+// that of the last BFS it ran. When the iteration stops because a candidate
+// did not deepen the structure, that is the candidate's, while the vertex
+// returned is the root before it — nested dissection cuts the candidate's
+// levels, and the permutation is pinned to that.
+func (g *Graph) PseudoPeripheral(ws *Workspace, start int32, label []int32, cur int32) (int32, LevelStructure) {
 	root := start
-	ls := g.BFS(root, mask, dist)
+	ls := g.BFS(ws, root, label, cur)
 	for iter := 0; iter < 8; iter++ {
-		// Pick a minimum-degree vertex in the last level.
-		last := ls.Order[ls.Levels[ls.Depth()-1]:ls.Levels[ls.Depth()]]
-		best := last[0]
+		depth := ls.Depth()
+		last := ls.Order[ls.Levels[depth-1]:ls.Levels[depth]]
+		best, bestDeg := last[0], g.LabelDegree(last[0], label, cur)
 		for _, v := range last[1:] {
-			if g.Degree(v) < g.Degree(best) {
-				best = v
+			if d := g.LabelDegree(v, label, cur); d < bestDeg {
+				best, bestDeg = v, d
 			}
 		}
-		reset(ls)
-		ls2 := g.BFS(best, mask, dist)
-		if ls2.Depth() <= ls.Depth() {
-			// Restore dist for the returned structure's invariant and stop.
-			return root, ls2
+		ls = g.BFS(ws, best, label, cur)
+		if ls.Depth() <= depth {
+			return root, ls
 		}
-		root, ls = best, ls2
+		root = best
 	}
 	return root, ls
 }
 
-// Components returns the connected components over the vertices where
-// mask[v] is true (nil mask = all), each as a sorted vertex list.
-func (g *Graph) Components(mask []bool) [][]int32 {
-	seen := make([]bool, g.N)
-	var comps [][]int32
-	stack := make([]int32, 0, 64)
-	for v := 0; v < g.N; v++ {
-		if seen[v] || (mask != nil && !mask[v]) {
+// Components splits verts — ascending, all with label[v] == cur — into the
+// connected components of the subgraph they induce. It reorders verts in
+// place so that each component is contiguous, components follow each other
+// in order of their smallest vertex and each stays ascending, and relabels
+// component i (from 0) with next+i, so afterwards the components are the
+// runs of equal label in verts. It returns the number of components.
+func (g *Graph) Components(ws *Workspace, verts []int32, label []int32, cur, next int32) int {
+	stack, size := ws.order, ws.levels
+	ncomp := 0
+	for _, v := range verts {
+		if label[v] != cur {
 			continue
 		}
-		var comp []int32
-		stack = append(stack[:0], int32(v))
-		seen[v] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
+		id := next + int32(ncomp)
+		label[v] = id
+		stack[0] = v
+		top, cnt := 1, int32(0)
+		for top > 0 {
+			top--
+			u := stack[top]
+			cnt++
 			for _, w := range g.Neighbors(u) {
-				if seen[w] || (mask != nil && !mask[w]) {
-					continue
+				if label[w] == cur {
+					label[w] = id
+					stack[top] = w
+					top++
 				}
-				seen[w] = true
-				stack = append(stack, w)
 			}
 		}
-		insertionSortLarge(comp)
-		comps = append(comps, comp)
+		size[ncomp] = cnt
+		ncomp++
 	}
-	return comps
-}
-
-func insertionSortLarge(a []int32) {
-	// Components can be large; fall back to a shell sort that behaves well
-	// without pulling in sort for int32 slices.
-	gaps := []int{701, 301, 132, 57, 23, 10, 4, 1}
-	for _, gap := range gaps {
-		for i := gap; i < len(a); i++ {
-			x := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > x; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = x
-		}
+	if ncomp <= 1 {
+		return ncomp
 	}
-}
-
-// InducedSubgraph extracts the subgraph over the given (sorted or unsorted)
-// vertex set. It returns the subgraph and the local→global vertex mapping.
-func (g *Graph) InducedSubgraph(verts []int32) (*Graph, []int32) {
-	local := make(map[int32]int32, len(verts))
-	for i, v := range verts {
-		local[v] = int32(i)
+	// Stable bucketing of the ascending range by component keeps every
+	// component ascending: no sort.
+	off := int32(0)
+	for i := 0; i < ncomp; i++ {
+		off, size[i] = off+size[i], off
 	}
-	sub := &Graph{N: len(verts), Ptr: make([]int32, len(verts)+1)}
-	for i, v := range verts {
-		cnt := int32(0)
-		for _, w := range g.Neighbors(v) {
-			if _, ok := local[w]; ok {
-				cnt++
-			}
-		}
-		sub.Ptr[i+1] = sub.Ptr[i] + cnt
+	buf := ws.order[:len(verts)]
+	for _, v := range verts {
+		c := label[v] - next
+		buf[size[c]] = v
+		size[c]++
 	}
-	sub.Adj = make([]int32, sub.Ptr[len(verts)])
-	for i, v := range verts {
-		p := sub.Ptr[i]
-		for _, w := range g.Neighbors(v) {
-			if lw, ok := local[w]; ok {
-				sub.Adj[p] = lw
-				p++
-			}
-		}
-		insertionSort(sub.Adj[sub.Ptr[i]:sub.Ptr[i+1]])
-	}
-	glob := append([]int32(nil), verts...)
-	return sub, glob
+	copy(verts, buf)
+	return ncomp
 }

@@ -45,11 +45,7 @@ func TestFromSparseAdjacency(t *testing.T) {
 
 func TestBFSLevels(t *testing.T) {
 	g := pathGraph(5) // path of 5 vertices
-	dist := make([]int32, g.N)
-	for i := range dist {
-		dist[i] = -1
-	}
-	ls := g.BFS(0, nil, dist)
+	ls := g.BFS(NewWorkspace(g.N), 0, nil, 0)
 	if ls.Depth() != 5 {
 		t.Fatalf("depth = %d, want 5", ls.Depth())
 	}
@@ -68,20 +64,23 @@ func TestBFSLevels(t *testing.T) {
 
 func TestBFSMask(t *testing.T) {
 	g := pathGraph(5)
-	mask := []bool{true, true, false, true, true}
-	dist := make([]int32, g.N)
-	for i := range dist {
-		dist[i] = -1
-	}
-	ls := g.BFS(0, mask, dist)
+	label := []int32{7, 7, 0, 7, 7} // vertex 2 is outside the set
+	ws := NewWorkspace(g.N)
+	ls := g.BFS(ws, 0, label, 7)
 	if len(ls.Order) != 2 {
 		t.Fatalf("masked BFS reached %d vertices, want 2", len(ls.Order))
+	}
+	// The workspace carries nothing over: a second traversal from the other
+	// side of the gap sees its own two vertices.
+	ls = g.BFS(ws, 4, label, 7)
+	if len(ls.Order) != 2 || ls.Order[0] != 4 || ls.Order[1] != 3 {
+		t.Fatalf("second masked BFS = %v, want [4 3]", ls.Order)
 	}
 }
 
 func TestPseudoPeripheralOnPath(t *testing.T) {
 	g := pathGraph(9)
-	root, ls := g.PseudoPeripheral(4, nil) // start mid-path
+	root, ls := g.PseudoPeripheral(NewWorkspace(g.N), 4, nil, 0) // start mid-path
 	if root != 0 && root != 8 {
 		t.Fatalf("pseudo-peripheral of a path should be an endpoint, got %d", root)
 	}
@@ -90,55 +89,125 @@ func TestPseudoPeripheralOnPath(t *testing.T) {
 	}
 }
 
+// runs cuts verts into its runs of equal label: the components, after
+// Components.
+func runs(verts, label []int32) [][]int32 {
+	var out [][]int32
+	for lo := 0; lo < len(verts); {
+		hi := lo + 1
+		for hi < len(verts) && label[verts[hi]] == label[verts[lo]] {
+			hi++
+		}
+		out = append(out, verts[lo:hi])
+		lo = hi
+	}
+	return out
+}
+
+func iota32(n int) []int32 {
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = int32(i)
+	}
+	return v
+}
+
 func TestComponents(t *testing.T) {
 	// Two disjoint paths via a block-diagonal matrix.
 	s := gen.RandomSPD(4, 0, 1) // diagonal only: 4 singletons
 	g := FromSparse(s)
-	comps := g.Components(nil)
-	if len(comps) != 4 {
-		t.Fatalf("components = %d, want 4", len(comps))
+	verts, label := iota32(g.N), make([]int32, g.N)
+	if n := g.Components(NewWorkspace(g.N), verts, label, 0, 1); n != 4 || len(runs(verts, label)) != 4 {
+		t.Fatalf("components = %d, want 4", n)
 	}
 	g2 := pathGraph(6)
-	comps2 := g2.Components(nil)
-	if len(comps2) != 1 || len(comps2[0]) != 6 {
+	ws := NewWorkspace(g2.N)
+	verts, label = iota32(6), make([]int32, 6)
+	n := g2.Components(ws, verts, label, 0, 1)
+	if comps2 := runs(verts, label); n != 1 || len(comps2) != 1 || len(comps2[0]) != 6 {
 		t.Fatalf("path should be one component of 6, got %v", comps2)
 	}
-	// Masked components.
-	mask := []bool{true, true, true, false, true, true}
-	comps3 := g2.Components(mask)
-	if len(comps3) != 2 {
-		t.Fatalf("masked path should split into 2 components, got %d", len(comps3))
+	// Masked components: vertex 3 is outside the set.
+	verts, label = []int32{0, 1, 2, 4, 5}, []int32{0, 0, 0, 9, 0, 0}
+	n = g2.Components(ws, verts, label, 0, 1)
+	comps3 := runs(verts, label)
+	if n != 2 || len(comps3) != 2 {
+		t.Fatalf("masked path should split into 2 components, got %d", n)
+	}
+	if label[3] != 9 {
+		t.Fatalf("vertex outside the set was relabelled to %d", label[3])
 	}
 }
 
+// Components on an interleaved set: the components come out contiguous, in
+// order of their smallest vertex, each ascending, under labels next, next+1.
+func TestComponentsOrderAndLabels(t *testing.T) {
+	// A 3x3 grid without its middle column: the left and right columns are
+	// two paths, {0,3,6} and {2,5,8}, whose vertex ids interleave.
+	g := FromSparse(gen.Laplace2D(3, 3))
+	label := make([]int32, 9)
+	for _, v := range []int32{1, 4, 7} {
+		label[v] = -1
+	}
+	verts := []int32{0, 2, 3, 5, 6, 8}
+	if n := g.Components(NewWorkspace(g.N), verts, label, 0, 5); n != 2 {
+		t.Fatalf("components = %d, want 2", n)
+	}
+	want := []int32{0, 3, 6, 2, 5, 8}
+	for i := range want {
+		if verts[i] != want[i] {
+			t.Fatalf("verts = %v, want %v", verts, want)
+		}
+	}
+	for i, v := range verts {
+		if wantL := int32(5 + i/3); label[v] != wantL {
+			t.Fatalf("label[%d] = %d, want %d", v, label[v], wantL)
+		}
+	}
+}
+
+// The induced subgraph is never built; its adjacency is the labelled view
+// of the graph's own lists. Same assertions the copy used to get: on the
+// 2x2 corner {0,1,3,4} of a 3x3 grid, vertex 0 sees the set's second and
+// third vertex, and the view has 4 edges.
 func TestInducedSubgraph(t *testing.T) {
 	g := FromSparse(gen.Laplace2D(3, 3))
 	verts := []int32{0, 1, 3, 4}
-	sub, glob := g.InducedSubgraph(verts)
-	if sub.N != 4 {
-		t.Fatalf("sub.N = %d", sub.N)
+	label := make([]int32, g.N)
+	local := map[int32]int32{}
+	for i, v := range verts {
+		label[v] = 1
+		local[v] = int32(i)
 	}
-	if len(glob) != 4 || glob[0] != 0 {
-		t.Fatalf("glob = %v", glob)
+	var nb []int32
+	for _, w := range g.Neighbors(0) {
+		if label[w] == 1 {
+			nb = append(nb, local[w])
+		}
 	}
-	// In the 2x2 corner of the grid, vertex 0 connects to 1 and 3 (local 1, 2).
-	nb := sub.Neighbors(0)
 	if len(nb) != 2 || nb[0] != 1 || nb[1] != 2 {
 		t.Fatalf("sub neighbors(0) = %v", nb)
 	}
+	if d := g.LabelDegree(0, label, 1); d != 2 {
+		t.Fatalf("LabelDegree(0) = %d, want 2", d)
+	}
 	// Edge count: 4 edges in the 2x2 block.
-	if len(sub.Adj) != 8 {
-		t.Fatalf("sub edge endpoints = %d, want 8", len(sub.Adj))
+	ends := 0
+	for _, v := range verts {
+		ends += g.LabelDegree(v, label, 1)
+	}
+	if ends != 8 {
+		t.Fatalf("sub edge endpoints = %d, want 8", ends)
+	}
+	// Vertex 4 has degree 4 in the grid, 2 in the set, 4 without a label.
+	if g.LabelDegree(4, label, 1) != 2 || g.LabelDegree(4, nil, 0) != 4 {
+		t.Fatalf("LabelDegree(4) = %d / %d", g.LabelDegree(4, label, 1), g.LabelDegree(4, nil, 0))
 	}
 }
 
 func TestLevelStructureWidth(t *testing.T) {
 	g := FromSparse(gen.Laplace2D(4, 4))
-	dist := make([]int32, g.N)
-	for i := range dist {
-		dist[i] = -1
-	}
-	ls := g.BFS(0, nil, dist)
+	ls := g.BFS(NewWorkspace(g.N), 0, nil, 0)
 	// Diagonal BFS on a 4x4 grid: widths 1,2,3,4,3,2,1 → max 4.
 	if ls.Width() != 4 {
 		t.Fatalf("width = %d, want 4", ls.Width())

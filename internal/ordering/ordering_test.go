@@ -221,14 +221,27 @@ func TestNDFillNoWorseProperty(t *testing.T) {
 	}
 }
 
+// split partitions d.verts by the side marks and returns the three parts.
+func split(d *dissector) (sep, a, b []int32) {
+	na, nb := 0, 0
+	for _, v := range d.verts {
+		switch d.side[v] {
+		case sideA:
+			na++
+		case sideB:
+			nb++
+		}
+	}
+	d.partition(d.verts, na, nb)
+	return d.verts[na+nb:], d.verts[:na], d.verts[na : na+nb]
+}
+
 func TestBisectSeparates(t *testing.T) {
 	m := gen.Laplace2D(12, 12)
 	g := graph.FromSparse(m)
-	verts := make([]int32, g.N)
-	for i := range verts {
-		verts[i] = int32(i)
-	}
-	sep, a, b := bisect(g, verts)
+	d := newDissector(g)
+	d.bisect(d.verts, 0)
+	sep, a, b := split(d)
 	if len(a) == 0 || len(b) == 0 || len(sep) == 0 {
 		t.Fatalf("degenerate bisection: |sep|=%d |a|=%d |b|=%d", len(sep), len(a), len(b))
 	}
@@ -266,12 +279,9 @@ func TestGreedyBisectDirect(t *testing.T) {
 	// greedy split.
 	m := gen.RandomSPD(30, 0.6, 9)
 	g := graph.FromSparse(m)
-	verts := make([]int32, g.N)
-	for i := range verts {
-		verts[i] = int32(i)
-	}
-	sub, glob := g.InducedSubgraph(verts)
-	sep, a, b := greedyBisect(sub, glob)
+	d := newDissector(g)
+	greedyBisect(g, d.ws, d.verts, d.label, 0, d.side)
+	sep, a, b := split(d)
 	if len(sep)+len(a)+len(b) != g.N {
 		t.Fatalf("partition does not cover: %d+%d+%d != %d", len(sep), len(a), len(b), g.N)
 	}
@@ -296,7 +306,7 @@ func TestGreedyBisectDirect(t *testing.T) {
 		}
 	}
 	// The dense graph must still produce a valid ND ordering end to end
-	// (exercising the clique fallback inside ndRecurse too).
+	// (exercising the clique fallback inside the recursion too).
 	big := gen.RandomSPD(80, 0.7, 10)
 	perm, err := Compute(NestedDissection, big)
 	if err != nil {
@@ -315,7 +325,7 @@ func TestRefineSeparatorSwap(t *testing.T) {
 	m := gen.Laplace2D(9, 1)
 	g := graph.FromSparse(m)
 	side := []int8{0, 0, 1, 2, 2, 2, 2, 2, 2} // A small, B big
-	refineSeparator(g, side, 4)
+	refineSeparator(g, identity(g.N), make([]int32, g.N), 0, side, 4)
 	nSep := 0
 	for _, s := range side {
 		if s == 1 {

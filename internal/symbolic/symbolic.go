@@ -169,52 +169,12 @@ func Analyze(a *matrix.SparseSym, ord ordering.Kind, opt Options) (*Structure, *
 		ident[i] = int32(i)
 	}
 	st.ColCount = tree.ColCounts(a2, ident)
-	st.buildPartition(opt)
-	st.buildSupernodeRows(a2)
+	nrows := st.buildPartition(opt)
+	st.buildSupernodeRows(a2, nrows)
 	st.buildBlocks()
 	st.buildSnTree()
 	st.computeCosts()
 	return st, a2, nil
-}
-
-// colCounts computes nnz per column of L (diagonal included) by symbolic
-// elimination; it is the O(nnz(L)) reference implementation the tests hold
-// the production path (etree.Tree.ColCounts, the near-linear skeleton
-// algorithm) against. Child structures are freed as soon as their parent
-// consumes them, so peak memory tracks the elimination front, not nnz(L).
-func colCounts(a *matrix.SparseSym, tree *etree.Tree) []int32 {
-	n := a.N
-	counts := make([]int32, n)
-	structs := make([][]int32, n)
-	children := tree.Children()
-	marker := make([]int32, n)
-	for i := range marker {
-		marker[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		jj := int32(j)
-		marker[j] = jj
-		col := []int32{}
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if r := a.RowInd[p]; marker[r] != jj {
-				marker[r] = jj
-				col = append(col, r)
-			}
-		}
-		for _, c := range children[j] {
-			for _, r := range structs[c] {
-				if r == jj || marker[r] == jj {
-					continue
-				}
-				marker[r] = jj
-				col = append(col, r)
-			}
-			structs[c] = nil // free: consumed by this parent
-		}
-		counts[j] = int32(len(col)) + 1 // + diagonal
-		structs[j] = col
-	}
-	return counts
 }
 
 // partition is a supernode prototype during partition construction:
@@ -228,15 +188,25 @@ type partition struct {
 
 // buildPartition derives the final column partition: fundamental supernodes
 // from counts and the etree, then amalgamation, then width capping. SnOf is
-// filled; Snodes get their column ranges (Rows comes later).
-func (st *Structure) buildPartition(opt Options) {
+// filled; Snodes get their column ranges (Rows comes later). It returns the
+// total length of the row lists the partition predicts.
+func (st *Structure) buildPartition(opt Options) (rows int) {
 	n := st.N
 	parent := st.Tree.Parent
-	var parts []partition
+	// Column j continues the supernode of j-1.
+	fund := func(j int) bool {
+		return parent[j-1] == int32(j) && st.ColCount[j] == st.ColCount[j-1]-1
+	}
+	nparts := 1
+	for j := 1; j < n; j++ {
+		if !fund(j) {
+			nparts++
+		}
+	}
+	parts := make([]partition, 0, nparts)
 	fc := int32(0)
 	for j := 1; j <= n; j++ {
-		fund := j < n && parent[j-1] == int32(j) && st.ColCount[j] == st.ColCount[j-1]-1
-		if !fund {
+		if j == n || !fund(j) {
 			lc := int32(j - 1)
 			parts = append(parts, partition{fc: fc, lc: lc, off: st.ColCount[fc] - (lc - fc + 1)})
 			fc = int32(j)
@@ -255,7 +225,9 @@ func (st *Structure) buildPartition(opt Options) {
 		for c := p.fc; c <= p.lc; c++ {
 			st.SnOf[c] = int32(id)
 		}
+		rows += int(p.lc-p.fc+1) + int(p.off)
 	}
+	return rows
 }
 
 // amalgamate greedily merges a supernode into its column successor when the
@@ -314,7 +286,14 @@ func amalgamate(parts []partition, parent []int32, ratio float64, maxW int) []pa
 // follow it (dense by supernodality); the exact structure recomputation
 // handles that automatically.
 func capWidth(parts []partition, maxW int) []partition {
-	out := make([]partition, 0, len(parts))
+	nout := 0
+	for _, p := range parts {
+		nout += (int(p.lc-p.fc) + maxW) / maxW // chunks of p: ⌈w/maxW⌉
+	}
+	if nout == len(parts) {
+		return parts
+	}
+	out := make([]partition, 0, nout)
 	for _, p := range parts {
 		w := int(p.lc - p.fc + 1)
 		if w <= maxW {
@@ -348,10 +327,22 @@ func capWidth(parts []partition, maxW int) []partition {
 // by amalgamation or capping flows into all ancestors that need it, which
 // is precisely the closure property the update tasks' target lookup relies
 // on.
-func (st *Structure) buildSupernodeRows(a *matrix.SparseSym) {
+//
+// All row lists live in one slab, in supernode order; a parent reads its
+// children's lists where they lie, through first-child / next-sibling links
+// over the supernodes. sizeHint is the slab length the partition predicts
+// (exact for fundamental and amalgamated supernodes; the slab grows if it
+// ever is not). Rows are capacity-clipped views, so an append to one
+// reallocates instead of running into the next supernode's rows.
+func (st *Structure) buildSupernodeRows(a *matrix.SparseSym, sizeHint int) {
 	n := st.N
 	nsn := len(st.Snodes)
-	contrib := make([][][]int32, nsn) // per supernode: list of contributed sorted row slices
+	slab := make([]int32, 0, sizeHint)
+	rowPtr := make([]int32, nsn+1)
+	firstChild, nextSib := make([]int32, nsn), make([]int32, nsn)
+	for k := range firstChild {
+		firstChild[k] = -1
+	}
 	marker := make([]int32, n)
 	for i := range marker {
 		marker[i] = -1
@@ -359,51 +350,39 @@ func (st *Structure) buildSupernodeRows(a *matrix.SparseSym) {
 	for k := 0; k < nsn; k++ {
 		sn := &st.Snodes[k]
 		kk := int32(k)
-		var rows []int32
-		// Off-diagonal entries of A in this supernode's columns.
+		// Own columns first, then the off-diagonal rows: those of A in this
+		// supernode's columns and those its children pass up.
+		for c := sn.FirstCol; c <= sn.LastCol; c++ {
+			slab = append(slab, c)
+		}
+		off := len(slab)
 		for c := sn.FirstCol; c <= sn.LastCol; c++ {
 			for p := a.ColPtr[c]; p < a.ColPtr[c+1]; p++ {
 				r := a.RowInd[p]
 				if r > sn.LastCol && marker[r] != kk {
 					marker[r] = kk
-					rows = append(rows, r)
+					slab = append(slab, r)
 				}
 			}
 		}
-		// Child contributions.
-		for _, cl := range contrib[k] {
-			for _, r := range cl {
+		for c := firstChild[k]; c != -1; c = nextSib[c] {
+			for _, r := range slab[rowPtr[c]+int32(st.Snodes[c].NCols()) : rowPtr[c+1]] {
 				if r > sn.LastCol && marker[r] != kk {
 					marker[r] = kk
-					rows = append(rows, r)
+					slab = append(slab, r)
 				}
 			}
 		}
-		contrib[k] = nil
-		sortInt32(rows)
-		// Assemble full Rows: own columns then off-diagonal.
-		full := make([]int32, 0, sn.NCols()+len(rows))
-		for c := sn.FirstCol; c <= sn.LastCol; c++ {
-			full = append(full, c)
+		sortInt32(slab[off:])
+		rowPtr[k+1] = int32(len(slab))
+		if off < len(slab) {
+			p := st.SnOf[slab[off]]
+			nextSib[k] = firstChild[p]
+			firstChild[p] = kk
 		}
-		full = append(full, rows...)
-		sn.Rows = full
-		// Contribute to the parent.
-		if len(rows) > 0 {
-			p := st.SnOf[rows[0]]
-			plc := st.Snodes[p].LastCol
-			// Rows beyond the parent's columns propagate further.
-			cut := len(rows)
-			for i, r := range rows {
-				if r > plc {
-					cut = i
-					break
-				}
-			}
-			if cut < len(rows) {
-				contrib[p] = append(contrib[p], rows[cut:])
-			}
-		}
+	}
+	for k := range st.Snodes {
+		st.Snodes[k].Rows = slab[rowPtr[k]:rowPtr[k+1]:rowPtr[k+1]]
 	}
 }
 
@@ -429,10 +408,25 @@ func sortInt32(a []int32) {
 func (st *Structure) buildBlocks() {
 	nsn := len(st.Snodes)
 	st.BlockPtr = make([]int32, nsn+1)
-	var blocks []Block
+	// Count: the diagonal block, then one block wherever the row supernode
+	// changes among the off-diagonal rows.
+	nblk := int32(0)
 	for k := 0; k < nsn; k++ {
 		sn := &st.Snodes[k]
-		st.BlockPtr[k] = int32(len(blocks))
+		st.BlockPtr[k] = nblk
+		nblk++
+		prev := int32(k)
+		for _, r := range sn.Rows[sn.NCols():] {
+			if rsn := st.SnOf[r]; rsn != prev {
+				nblk++
+				prev = rsn
+			}
+		}
+	}
+	st.BlockPtr[nsn] = nblk
+	blocks := make([]Block, 0, nblk)
+	for k := 0; k < nsn; k++ {
+		sn := &st.Snodes[k]
 		nc := int32(sn.NCols())
 		blocks = append(blocks, Block{
 			ID: int32(len(blocks)), Snode: int32(k), RowSn: int32(k),
@@ -451,7 +445,6 @@ func (st *Structure) buildBlocks() {
 			})
 		}
 	}
-	st.BlockPtr[nsn] = int32(len(blocks))
 	st.Blocks = blocks
 }
 
