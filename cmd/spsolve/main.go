@@ -20,6 +20,9 @@ import (
 	"time"
 
 	"sympack"
+	"sympack/internal/faults"
+	"sympack/internal/matrix"
+	"sympack/internal/ordering"
 )
 
 func main() {
@@ -47,7 +50,7 @@ func main() {
 		report  = flag.String("report", "", "write a machine-readable run report to this JSON file ('auto' = BENCH_spsolve_<timestamp>.json)")
 	)
 	flag.Parse()
-	plan, err := faultPlan(*faultsF, *chaos)
+	plan, err := faults.Resolve(*faultsF, *chaos, 1, faults.DefaultChaos)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spsolve:", err)
 		os.Exit(1)
@@ -89,27 +92,6 @@ type iterConfig struct {
 	rtol      float64
 }
 
-// faultPlan resolves the -chaos / -faults flags into an optional plan.
-func faultPlan(spec string, chaos int64) (*sympack.FaultPlan, error) {
-	switch {
-	case spec != "":
-		s := chaos
-		if s == 0 {
-			s = 1
-		}
-		p, err := sympack.ParseFaultPlan(spec, s)
-		if err != nil {
-			return nil, err
-		}
-		return &p, nil
-	case chaos != 0:
-		p := sympack.DefaultChaosPlan(chaos)
-		return &p, nil
-	default:
-		return nil, nil
-	}
-}
-
 func run(matPath, rhsPath, outPath string, ranks, workers, gpus int, ordName string, form sympack.Formulation, bmap sympack.MappingKind, iter iterConfig, refine bool, saveFac, loadFac, selDiag string, plan *sympack.FaultPlan, metAddr, report string) error {
 	var (
 		a   *sympack.Matrix
@@ -122,10 +104,10 @@ func run(matPath, rhsPath, outPath string, ranks, workers, gpus int, ordName str
 		if matPath == "" {
 			return fmt.Errorf("-solver=%s needs the matrix (-A)", iter.solver)
 		}
-		if a, err = readMatrix(matPath); err != nil {
+		if a, err = matrix.ReadFile(matPath); err != nil {
 			return err
 		}
-		ord, err := parseOrdering(ordName)
+		ord, err := ordering.ParseKind(ordName)
 		if err != nil {
 			return err
 		}
@@ -169,15 +151,15 @@ func run(matPath, rhsPath, outPath string, ranks, workers, gpus int, ordName str
 		fmt.Fprintf(os.Stderr, "spsolve: loaded factor: n=%d, %d supernodes\n",
 			f.St.N, f.St.NumSupernodes())
 		if matPath != "" {
-			if a, err = readMatrix(matPath); err != nil {
+			if a, err = matrix.ReadFile(matPath); err != nil {
 				return err
 			}
 		}
 	case matPath != "":
-		if a, err = readMatrix(matPath); err != nil {
+		if a, err = matrix.ReadFile(matPath); err != nil {
 			return err
 		}
-		ord, err := parseOrdering(ordName)
+		ord, err := ordering.ParseKind(ordName)
 		if err != nil {
 			return err
 		}
@@ -316,36 +298,6 @@ func writeReport(path, matName string, a *sympack.Matrix, f *sympack.Factor, ran
 	fmt.Fprintf(os.Stderr, "spsolve: report written to %s\n", path)
 	return nil
 }
-
-func readMatrix(path string) (*sympack.Matrix, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	if strings.HasSuffix(path, ".rb") || strings.HasSuffix(path, ".rsa") || strings.HasSuffix(path, ".psa") {
-		return sympack.ReadRutherfordBoeing(fh)
-	}
-	return sympack.ReadMatrixMarket(fh)
-}
-
-func parseOrdering(name string) (sympackOrdering, error) {
-	switch strings.ToUpper(name) {
-	case "SCOTCH", "ND", "METIS":
-		return sympack.OrderNestedDissection, nil
-	case "AMD", "MMD", "MINDEGREE":
-		return sympack.OrderMinDegree, nil
-	case "RCM":
-		return sympack.OrderRCM, nil
-	case "NATURAL", "NONE":
-		return sympack.OrderNatural, nil
-	default:
-		return sympack.OrderNatural, fmt.Errorf("unknown ordering %q", name)
-	}
-}
-
-// sympackOrdering aliases the facade's ordering kind for the helper above.
-type sympackOrdering = sympack.OrderingKind
 
 // readVector loads one float per line.
 func readVector(path string, dst []float64) error {

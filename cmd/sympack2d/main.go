@@ -21,8 +21,10 @@ import (
 	"time"
 
 	"sympack"
+	"sympack/internal/faults"
 	"sympack/internal/gpu"
 	"sympack/internal/machine"
+	"sympack/internal/matrix"
 	"sympack/internal/ordering"
 	"sympack/internal/trace"
 )
@@ -103,7 +105,9 @@ func main() {
 		rec = trace.New()
 		opt.Trace = rec
 	}
-	plan, planDesc, err := faultPlan(*faultStr, *chaos, *seed)
+	// An explicit -faults spec is seeded by -chaos when given, else by the
+	// run seed; -chaos alone selects the default chaos plan.
+	plan, err := faults.Resolve(*faultStr, *chaos, *seed, faults.DefaultChaos)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sympack2d:", err)
 		os.Exit(1)
@@ -114,7 +118,7 @@ func main() {
 	fmt.Printf("matrix: %s  n=%d  nnz=%d  ordering=%v  ranks=%d  gpus/node=%d  formulation=%v  mapping=%v\n",
 		name, a.N, a.NnzFull(), ord, *ranks, *gpus, form, bmap)
 	if plan != nil {
-		fmt.Printf("fault injection: %s  (seed %d)\n", planDesc, plan.Seed)
+		fmt.Printf("fault injection: %s  (seed %d)\n", plan, plan.Seed)
 	}
 
 	switch *solverNm {
@@ -155,6 +159,8 @@ func main() {
 		}
 		b := a.MulVec(xTrue)
 		var x []float64
+		// Timed here: only SolveDistributed fills SolveStats.Wall.
+		t0 := machine.WallNow()
 		if prec == sympack.PrecFP32 {
 			// An fp32 factor alone gives single-precision accuracy;
 			// refinement against the fp64 matrix recovers the rest.
@@ -170,12 +176,13 @@ func main() {
 		} else {
 			x, err = f.Solve(b)
 		}
+		wall := machine.WallSince(t0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sympack2d: solve failed:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("solve %d: wall=%v  relative residual=%.3g\n",
-			r, f.SolveStats.Wall, sympack.ResidualNorm(a, x, b))
+			r, wall, sympack.ResidualNorm(a, x, b))
 	}
 
 	if f.SolveStats.Faults.Any() {
@@ -285,44 +292,11 @@ func writeReport(path, name string, a *sympack.Matrix, f *sympack.Factor, ranks,
 	return nil
 }
 
-// faultPlan resolves the -chaos / -faults flags into an optional plan. An
-// explicit -faults spec wins and is seeded by -chaos when given (else the
-// run seed); -chaos alone selects the default chaos plan.
-func faultPlan(spec string, chaos, seed int64) (*sympack.FaultPlan, string, error) {
-	switch {
-	case spec != "":
-		s := chaos
-		if s == 0 {
-			s = seed
-		}
-		p, err := sympack.ParseFaultPlan(spec, s)
-		if err != nil {
-			return nil, "", err
-		}
-		return &p, p.String(), nil
-	case chaos != 0:
-		p := sympack.DefaultChaosPlan(chaos)
-		return &p, p.String(), nil
-	default:
-		return nil, "", nil
-	}
-}
-
 // loadMatrix reads a file or builds a generated problem.
 func loadMatrix(in, genSpec string, seed int64) (*sympack.Matrix, string, error) {
 	switch {
 	case in != "":
-		fh, err := os.Open(in)
-		if err != nil {
-			return nil, "", err
-		}
-		defer fh.Close()
-		var a *sympack.Matrix
-		if strings.HasSuffix(in, ".rb") || strings.HasSuffix(in, ".rua") || strings.HasSuffix(in, ".rsa") {
-			a, err = sympack.ReadRutherfordBoeing(fh)
-		} else {
-			a, err = sympack.ReadMatrixMarket(fh)
-		}
+		a, err := matrix.ReadFile(in)
 		return a, in, err
 	case genSpec != "":
 		parts := strings.SplitN(genSpec, ":", 2)

@@ -63,37 +63,16 @@ func main() {
 	}
 }
 
-// plan resolves a (seed, explicit-spec) flag pair into an optional fault
-// plan, defaulting the plan shape by kind when only the seed is given.
-func plan(seed int64, spec string, def func(int64) faults.Plan) (*faults.Plan, error) {
-	switch {
-	case spec != "":
-		if seed == 0 {
-			seed = 1
-		}
-		p, err := faults.Parse(spec, seed)
-		if err != nil {
-			return nil, err
-		}
-		return &p, nil
-	case seed != 0:
-		p := def(seed)
-		return &p, nil
-	default:
-		return nil, nil
-	}
-}
-
 func run(addr string, inflight, queue int, cacheMB int64, deadline time.Duration,
 	ranks, workers, gpus, brkN int, brkCD time.Duration,
 	chaosSeed int64, chaosSpec string, solverSeed int64, solverSpec string,
 	drainT time.Duration, metricsAddr, report string) error {
 
-	chaos, err := plan(chaosSeed, chaosSpec, faults.ServerChaos)
+	chaos, err := faults.Resolve(chaosSpec, chaosSeed, 1, faults.ServerChaos)
 	if err != nil {
 		return err
 	}
-	solverChaos, err := plan(solverSeed, solverSpec, faults.DefaultChaos)
+	solverChaos, err := faults.Resolve(solverSpec, solverSeed, 1, faults.DefaultChaos)
 	if err != nil {
 		return err
 	}

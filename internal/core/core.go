@@ -276,8 +276,11 @@ type Factor struct {
 	Opt  Options
 	Data [][]float64 // per global block ID, column-major, ld = block rows
 
-	Stats      Stats
-	SolveStats Stats // filled by Solve
+	Stats Stats
+	// SolveStats is filled by SolveDistributed (Wall, ModelSeconds, Faults),
+	// which also folds its runtime's series into Metrics: it mutates the
+	// factor and so, unlike Solve, must not run concurrently on one Factor.
+	SolveStats Stats
 
 	// Metrics is the merged job-wide metric registry: every rank's
 	// instrumentation bundle reduced across ranks (counters and histogram
@@ -354,16 +357,7 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 	m2d := blockMapFor(opt.Mapping, opt.Ranks, st)
 
 	inj := newInjector(opt)
-	rt, err := upcxx.NewRuntime(upcxx.Config{
-		Ranks:          opt.Ranks,
-		RanksPerNode:   opt.RanksPerNode,
-		GPUsPerNode:    opt.GPUsPerNode,
-		Machine:        *opt.Machine,
-		DeviceCapacity: opt.DeviceCapacity,
-		Faults:         inj,
-		Trace:          opt.Trace,
-		ElemBytes:      opt.Precision.elemBytes(),
-	})
+	rt, err := newRuntime(opt, inj)
 	if err != nil {
 		return nil, err
 	}
@@ -457,14 +451,6 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 		_ = r.Barrier()
 	})
 	f.Stats.Wall = machine.WallSince(start)
-	f.Stats.Faults = runtimeFaultStats(rt)
-	for _, e := range engines {
-		if e == nil {
-			continue
-		}
-		f.Stats.Faults.AllocRetries += int64(e.met.allocRetries.Value())
-		f.Stats.Faults.DeviceDemotions += int64(e.met.gpuDemotions.Value())
-	}
 	if err != nil {
 		if msrv != nil {
 			msrv.Close()
@@ -536,6 +522,23 @@ func startWatchdog(rt *upcxx.Runtime, progress *atomic.Int64, timeout time.Durat
 		}
 	}()
 	return func() { close(done) }
+}
+
+// newRuntime builds the simulated job a factorization or a distributed solve
+// runs on from the options the two share. The solve issues no transfers and
+// no device allocations, so the element width and device capacity only
+// matter to the factorization.
+func newRuntime(opt Options, inj *faults.Injector) (*upcxx.Runtime, error) {
+	return upcxx.NewRuntime(upcxx.Config{
+		Ranks:          opt.Ranks,
+		RanksPerNode:   opt.RanksPerNode,
+		GPUsPerNode:    opt.GPUsPerNode,
+		Machine:        *opt.Machine,
+		DeviceCapacity: opt.DeviceCapacity,
+		Faults:         inj,
+		Trace:          opt.Trace,
+		ElemBytes:      opt.Precision.elemBytes(),
+	})
 }
 
 // newInjector builds the factorization's fault injector, or nil when the

@@ -551,18 +551,28 @@ func (e *engine) factorLoop() {
 			continue
 		}
 		idle++
-		if idle > 256 {
-			if idle%64 == 0 {
-				e.mu.Lock()
-				e.reRequestLost()
-				e.mu.Unlock()
-			}
+		if idle > 256 && idle%64 == 0 {
+			e.mu.Lock()
+			e.reRequestLost()
+			e.mu.Unlock()
+		}
+		if idleWait(idle) {
 			e.met.backoffWaits.Inc()
-			machine.Backoff(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
 		}
 	}
+}
+
+// idleWait is the one idle step of the package's polling loops (factorLoop,
+// drainUntil, the distributed solve): after the idle-th consecutive poll that
+// found nothing to do it yields the processor, and past 256 of them sleeps
+// instead so a starved rank stops spinning. It reports whether it slept.
+func idleWait(idle int) bool {
+	if idle > 256 {
+		machine.Backoff(20 * time.Microsecond)
+		return true
+	}
+	runtime.Gosched()
+	return false
 }
 
 // mirrorHealth refreshes the scheduler-occupancy gauges the watchdog and
@@ -587,11 +597,7 @@ func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
 		}
 		e.r.Progress()
 		idle++
-		if idle > 256 {
-			machine.Backoff(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+		idleWait(idle)
 	}
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"sympack/internal/blas"
 	"sympack/internal/faults"
@@ -18,9 +16,13 @@ import (
 // executed across the factorization's rank layout: forward substitution
 // fans each solved supernode segment out to its panel-block owners, whose
 // contributions fan in (as aggregate vectors, §2.3's second message kind)
-// to the diagonal owners of the target supernodes; the backward pass runs
-// the mirror-image dataflow. Communication uses the same RPC-notification
-// machinery as the factorization.
+// to the segment owners of the target supernodes; the backward pass is the
+// same sweep with the roles of a block's row and column supernode swapped.
+// Communication uses the same RPC-notification machinery as the
+// factorization.
+//
+// Unlike Solve it writes to the factor (SolveStats, Metrics), so calls on
+// one Factor must not overlap.
 func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 	st := f.St
 	n := st.N
@@ -32,77 +34,89 @@ func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 	// the factorization's announcements are, so only generic faults (delays,
 	// failing transfers, rank stalls) are injected; drop/dup target the
 	// factor-announcement protocol and would wedge or corrupt a solve.
-	inj := newInjector(opt).Restrict(
-		faults.DelaySignal, faults.TransientTransfer, faults.RankStall)
-	rt, err := upcxx.NewRuntime(upcxx.Config{
-		Ranks:        opt.Ranks,
-		RanksPerNode: opt.RanksPerNode,
-		GPUsPerNode:  opt.GPUsPerNode,
-		Machine:      *opt.Machine,
-		Faults:       inj,
-		Trace:        opt.Trace,
-	})
+	rt, err := newRuntime(opt, newInjector(opt).Restrict(
+		faults.DelaySignal, faults.TransientTransfer, faults.RankStall))
 	if err != nil {
 		return nil, err
 	}
 	m2d := blockMapFor(opt.Mapping, opt.Ranks, st)
 
-	// Permute the RHS into factor ordering (read-only shared).
-	bp := make([]float64, n)
-	for k := 0; k < n; k++ {
-		bp[k] = b[st.Perm[k]]
+	// The one vector of the solve, in factor ordering: b on entry, y after
+	// the forward sweep, x after the backward one. Segment k is written only
+	// by segOwner(k); another rank reads it only after the owner's RPC told
+	// it the segment is final for the sweep.
+	y := make([]float64, n)
+	for k := range y {
+		y[k] = b[st.Perm[k]]
 	}
-	// Output in factor ordering; each position written by exactly one
-	// diagonal owner, read after the final barrier.
-	xp := make([]float64, n)
 
-	// Global reverse index: blocks grouped by their row supernode,
-	// excluding diagonal blocks (needed by the backward fan-out).
-	blocksByRowSn := make([][]int32, st.NumSupernodes())
+	// Off-diagonal block ids grouped by row supernode (the backward sweep's
+	// fan-out), as a CSR filled in block-id order. Counting at i+2 leaves
+	// rowPtr[i+1] at the start of row i after the prefix sum, so the fill's
+	// cursor increments turn it into the end of row i — the start of i+1.
+	nsn := st.NumSupernodes()
+	rowPtr := make([]int32, nsn+2)
+	for bi := range st.Blocks {
+		if bl := &st.Blocks[bi]; !bl.IsDiag() {
+			rowPtr[bl.RowSn+2]++
+		}
+	}
+	for i := 2; i < len(rowPtr); i++ {
+		rowPtr[i] += rowPtr[i-1]
+	}
+	rowBlk := make([]int32, rowPtr[nsn+1])
+	for bi := range st.Blocks {
+		if bl := &st.Blocks[bi]; !bl.IsDiag() {
+			rowBlk[rowPtr[bl.RowSn+1]] = bl.ID
+			rowPtr[bl.RowSn+1]++
+		}
+	}
+
+	// Every rank's share is set up here, before the ranks run, so a handler
+	// may reach any peer from the first message on. A rank's tasks are two
+	// sweeps × (the segments + the panel blocks it owns).
+	start := machine.WallNow()
+	ranks := make([]*solveRank, opt.Ranks)
+	for p := range ranks {
+		ranks[p] = &solveRank{
+			f: f, m2d: m2d, peers: ranks, y: y, rowPtr: rowPtr, rowBlk: rowBlk,
+			count: make([]int32, nsn), sent: make([]int32, opt.Ranks),
+		}
+	}
 	for bi := range st.Blocks {
 		bl := &st.Blocks[bi]
-		if !bl.IsDiag() {
-			blocksByRowSn[bl.RowSn] = append(blocksByRowSn[bl.RowSn], bl.ID)
+		owner := symbolic.OwnerOfBlock(m2d, bl)
+		if bl.IsDiag() {
+			owner = ranks[0].segOwner(bl.Snode)
 		}
+		ranks[owner].total += 2
 	}
-
-	engines := make([]*solveEngine, opt.Ranks)
-	start := machine.WallNow()
-	err = rt.Run(func(r *upcxx.Rank) {
-		e := newSolveEngine(r, f, m2d, bp, xp, blocksByRowSn, engines)
-		engines[r.ID] = e
-		e.setup()
-		if err := r.Barrier(); err != nil {
-			return
-		}
-		e.loop()
-		_ = r.Barrier()
-	})
-	if err != nil {
+	if err := rt.Run(func(r *upcxx.Rank) { ranks[r.ID].run(r) }); err != nil {
 		return nil, err
 	}
 	f.SolveStats.Wall = machine.WallSince(start)
 	f.SolveStats.ModelSeconds = 0
-	f.SolveStats.Faults.Add(runtimeFaultStats(rt))
-	// Fold the solve phase's communication into the job-wide registry.
-	// The projection goes through a scratch registry so Import's merge
-	// semantics apply (counters add, peak gauges take the max) instead of
-	// ExportStats clobbering the factorization's device gauges.
-	if f.Metrics != nil {
-		scratch := metrics.NewRegistry()
-		rt.ExportStats(scratch)
-		f.Metrics.Import(scratch.Snapshot())
-		f.Metrics.Import(rt.Metrics().Snapshot())
-	}
-	for _, e := range engines {
+	for _, e := range ranks {
 		if s := e.r.Elapsed(); s > f.SolveStats.ModelSeconds {
 			f.SolveStats.ModelSeconds = s
 		}
 	}
+	// The runtime's counters go through a scratch registry: it is where the
+	// fault stats are read from, and folding the solve phase's communication
+	// into the job-wide registry by Import gives merge semantics (counters
+	// add, peak gauges take the max) instead of ExportStats clobbering the
+	// factorization's device gauges.
+	scratch := metrics.NewRegistry()
+	rt.ExportStats(scratch)
+	f.SolveStats.Faults.Add(faultStatsFrom(scratch))
+	if f.Metrics != nil {
+		f.Metrics.Import(scratch.Snapshot())
+		f.Metrics.Import(rt.Metrics().Snapshot())
+	}
 	// Permute back to the original ordering.
 	x := make([]float64, n)
-	for k := 0; k < n; k++ {
-		x[st.Perm[k]] = xp[k]
+	for k, v := range y {
+		x[st.Perm[k]] = v
 	}
 	return x, nil
 }
@@ -121,330 +135,232 @@ func (f *Factor) SolveDistributedMulti(bs [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// solveTask identifies one unit of solve work on a rank.
+// solveTask is one unit of solve work on a rank, in either sweep (back
+// false: forward substitution, true: backward).
+//
+//	diagonal, id = supernode k:  forward y_k = L_kk⁻¹ y_k, backward y_k = L_kk⁻ᵀ y_k
+//	panel, id = block B_{i,k}:   forward c = L_{i,k}·y_k updates segment i,
+//	                             backward c = L_{i,k}ᵀ·y_i updates segment k
 type solveTask struct {
-	kind solveTaskKind
-	id   int32 // supernode for diag tasks, block id for panel tasks
+	panel, back bool
+	id          int32
 }
 
-type solveTaskKind uint8
-
-const (
-	fwdDiag solveTaskKind = iota // y_k = L_kk⁻¹ b_k
-	fwdBlk                       // contribution L_{i,k}·y_k → supernode i
-	bwdDiag                      // x_k = L_kkᵀ⁻¹ (y_k − Σ contributions)
-	bwdBlk                       // contribution L_{i,k}ᵀ·x_i → supernode k
-)
-
-type solveEngine struct {
+// solveRank is one rank's share of a distributed solve. A sweep is the same
+// dataflow in both directions: a segment whose updates have all arrived is
+// solved against its diagonal block and announced to the ranks owning the
+// blocks that read it; each such block turns it into a contribution to the
+// segment at its other end. Forward the readers of segment k are supernode
+// k's own column blocks and a block updates its row supernode; backward the
+// readers are the blocks whose rows lie in k and a block updates its column
+// supernode.
+type solveRank struct {
 	r     *upcxx.Rank
 	f     *Factor
-	st    *symbolic.Structure
 	m2d   symbolic.BlockMap
-	bp    []float64 // shared read-only permuted RHS
-	xp    []float64 // shared output (disjoint writes per diag owner)
-	byRow [][]int32
-	peers []*solveEngine
+	peers []*solveRank
 
-	// Diagonal-owner state, keyed by supernode.
-	bk       map[int32][]float64 // accumulating RHS segment
-	yk       map[int32][]float64 // forward solution segment
-	xk       map[int32][]float64 // backward solution segment
-	fwdCount map[int32]int32     // remaining incoming forward contributions
-	bwdCount map[int32]int32     // remaining contributions + own forward
+	y              []float64 // the permuted vector, shared by all ranks
+	rowPtr, rowBlk []int32   // off-diagonal block ids by row supernode (CSR)
 
-	// Panel-owner state: solved segments received for consumption.
-	ySeg map[int32][]float64 // supernode → y_k (for fwdBlk of column k)
-	xSeg map[int32][]float64 // supernode → x_i (for bwdBlk with RowSn i)
+	// count[k] is the number of updates segment k still waits for in the
+	// current sweep; only segOwner(k)'s entry is used.
+	count []int32
+	// sent[p] == stamp marks rank p as already told about the segment being
+	// fanned out (one message per rank, however many of its blocks read it).
+	sent  []int32
+	stamp int32
 
-	rtq   []solveTask
-	total int
-	done  int
+	// rtq is a FIFO with room for all of the rank's tasks, each of which is
+	// pushed exactly once; head counts the tasks done.
+	rtq         []solveTask
+	head, total int
 }
 
-// segOwner returns the rank owning supernode k's RHS segment. Segments are
-// distributed 1D-cyclically: the 2D block map would place every diagonal
-// block on the process grid's diagonal (few distinct ranks), serializing
-// the solve's diagonal chain.
-func (e *solveEngine) segOwner(k int32) int { return int(k) % len(e.peers) }
+// segOwner returns the rank owning supernode k's segment of the vector.
+// Segments are distributed 1D-cyclically: the 2D block map would place
+// every diagonal block on the process grid's diagonal (few distinct ranks),
+// serializing the solve's diagonal chain.
+func (e *solveRank) segOwner(k int32) int { return int(k) % len(e.peers) }
 
-func newSolveEngine(r *upcxx.Rank, f *Factor, m2d symbolic.BlockMap, bp, xp []float64, byRow [][]int32, peers []*solveEngine) *solveEngine {
-	return &solveEngine{
-		r: r, f: f, st: f.St, m2d: m2d, bp: bp, xp: xp, byRow: byRow, peers: peers,
-		bk: map[int32][]float64{}, yk: map[int32][]float64{}, xk: map[int32][]float64{},
-		fwdCount: map[int32]int32{}, bwdCount: map[int32]int32{},
-		ySeg: map[int32][]float64{}, xSeg: map[int32][]float64{},
+// readers returns the off-diagonal blocks that read segment k in a sweep,
+// as a span lo ≤ i < hi of positions that blockAt resolves: forward the
+// supernode's own column blocks (positions in St.Blocks), backward the
+// blocks whose rows lie in it (positions in rowBlk). The blocks that
+// update segment k in a sweep are the other direction's readers.
+func (e *solveRank) readers(k int32, back bool) (lo, hi int32) {
+	if back {
+		return e.rowPtr[k], e.rowPtr[k+1]
+	}
+	return e.f.St.BlockPtr[k] + 1, e.f.St.BlockPtr[k+1]
+}
+
+func (e *solveRank) blockAt(i int32, back bool) *symbolic.Block {
+	if back {
+		i = e.rowBlk[i]
+	}
+	return &e.f.St.Blocks[i]
+}
+
+// arm sets segment k's counter to the number of blocks that update it in
+// the given sweep, and schedules its diagonal solve at once when there are
+// none.
+func (e *solveRank) arm(k int32, back bool) {
+	lo, hi := e.readers(k, !back)
+	e.count[k] = hi - lo
+	if lo == hi {
+		e.push(solveTask{back: back, id: k})
 	}
 }
 
-// setup initializes counters and seeds ready tasks.
-func (e *solveEngine) setup() {
-	st := e.st
-	for k := 0; k < st.NumSupernodes(); k++ {
-		kk := int32(k)
-		ownDiag := e.segOwner(kk) == e.r.ID
-		nOff := len(st.SnodeBlocks(kk)) - 1
-		if ownDiag {
-			sn := &st.Snodes[k]
-			seg := make([]float64, sn.NCols())
-			copy(seg, e.bp[sn.FirstCol:int(sn.FirstCol)+sn.NCols()])
-			e.bk[kk] = seg
-			e.fwdCount[kk] = int32(len(e.byRow[k])) // blocks feeding this supernode
-			e.bwdCount[kk] = int32(nOff) + 1        // column blocks + own forward
-			e.total += 2                            // fwdDiag + bwdDiag
-			if e.fwdCount[kk] == 0 {
-				e.push(fwdDiag, kk)
-			}
+func (e *solveRank) push(t solveTask) { e.rtq = append(e.rtq, t) }
+
+// run is the rank's goroutine: it arms the forward sweep on the rank's own
+// segments, which seeds the ones nothing updates, then polls for messages
+// and executes ready tasks until all of the rank's tasks are done.
+func (e *solveRank) run(r *upcxx.Rank) {
+	e.r = r
+	e.rtq = make([]solveTask, 0, e.total)
+	for k := range e.count {
+		if e.segOwner(int32(k)) == r.ID {
+			e.arm(int32(k), false)
 		}
 	}
-	for bi := range st.Blocks {
-		bl := &st.Blocks[bi]
-		if bl.IsDiag() || symbolic.OwnerOfBlock(e.m2d, bl) != e.r.ID {
-			continue
-		}
-		e.total += 2 // fwdBlk + bwdBlk
-	}
-}
-
-func (e *solveEngine) push(kind solveTaskKind, id int32) {
-	e.rtq = append(e.rtq, solveTask{kind: kind, id: id})
-}
-
-func (e *solveEngine) loop() {
-	rt := e.r.Runtime()
-	idle := 0
-	for e.done < e.total {
-		if rt.ShouldAbort() {
-			return
-		}
-		e.r.Progress()
-		if len(e.rtq) == 0 {
+	rt := r.Runtime()
+	for idle := 0; e.head < e.total && !rt.ShouldAbort(); {
+		r.Progress()
+		if e.head == len(e.rtq) {
 			idle++
-			if idle > 256 {
-				machine.Backoff(20 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
+			idleWait(idle)
 			continue
 		}
 		idle = 0
-		t := e.rtq[0]
-		e.rtq = e.rtq[1:]
-		e.execute(t)
-		e.done++
+		t := e.rtq[e.head]
+		e.head++
+		if t.panel {
+			e.runPanel(t.id, t.back)
+		} else {
+			e.runDiag(t.id, t.back)
+		}
 	}
 }
 
-func (e *solveEngine) execute(t solveTask) {
-	switch t.kind {
-	case fwdDiag:
-		e.runFwdDiag(t.id)
-	case fwdBlk:
-		e.runFwdBlk(t.id)
-	case bwdDiag:
-		e.runBwdDiag(t.id)
-	case bwdBlk:
-		e.runBwdBlk(t.id)
-	}
-}
-
-// runFwdDiag solves y_k = L_kk⁻¹ b_k and fans y_k out to the owners of the
-// supernode's panel blocks.
-func (e *solveEngine) runFwdDiag(k int32) {
-	st := e.st
+// runDiag solves segment k against its diagonal block — every update of
+// this sweep is already folded in — and fans it out, one message per rank,
+// to the owners of the blocks that read it.
+func (e *solveRank) runDiag(k int32, back bool) {
+	st := e.f.St
 	sn := &st.Snodes[k]
 	nc := sn.NCols()
-	diag := e.f.Data[st.DiagBlock(k).ID]
-	seg := e.bk[k]
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, nc, 1, 1, diag, nc, seg, nc)
+	trans := blas.NoTrans
+	if back {
+		trans = blas.Transpose
+	}
+	blas.Trsm(blas.Left, blas.Lower, trans, nc, 1, 1,
+		e.f.Data[st.DiagBlock(k).ID], nc, e.y[sn.FirstCol:int(sn.FirstCol)+nc], nc)
 	e.r.Charge(e.f.Opt.Machine.CPUTime(int64(nc) * int64(nc)))
-	e.yk[k] = seg
-	// Local backward dependency: y_k is one of bwdDiag's inputs.
-	e.decBwd(k)
-	// Fan out to panel owners (dedup ranks; deliver locally without RPC).
-	blks := st.SnodeBlocks(k)
-	sent := map[int]bool{}
-	for bi := 1; bi < len(blks); bi++ {
-		owner := symbolic.OwnerOfBlock(e.m2d, &blks[bi])
-		if sent[owner] {
+	if !back {
+		// Re-arm the counter for the backward sweep before y_k leaves this
+		// rank: a backward update of k comes from a block B_{i,k} once x_i is
+		// known, x_i needs y_i, and y_i needs the forward contribution of
+		// that same block, which is computed from the y_k fanned out below.
+		e.arm(k, true)
+	}
+	e.stamp++
+	for i, hi := e.readers(k, back); i < hi; i++ {
+		owner := symbolic.OwnerOfBlock(e.m2d, e.blockAt(i, back))
+		if e.sent[owner] == e.stamp {
 			continue
 		}
-		sent[owner] = true
-		seg := seg
-		kk := k
+		e.sent[owner] = e.stamp
 		if owner == e.r.ID {
-			e.deliverY(kk, seg)
+			e.deliver(k, back)
 			continue
 		}
-		peers := e.peers
-		e.r.RPC(owner, func(tr *upcxx.Rank) {
-			peers[tr.ID].deliverY(kk, seg)
-		})
+		to := e.peers[owner]
+		e.r.RPC(owner, func(*upcxx.Rank) { to.deliver(k, back) })
 		chargeMsg(e.r, owner, int64(nc)*8)
 	}
 }
 
-// deliverY records a received forward segment and releases the local panel
-// blocks of column supernode k.
-func (e *solveEngine) deliverY(k int32, seg []float64) {
-	e.ySeg[k] = seg
-	blks := e.st.SnodeBlocks(k)
-	for bi := 1; bi < len(blks); bi++ {
-		if symbolic.OwnerOfBlock(e.m2d, &blks[bi]) == e.r.ID {
-			e.push(fwdBlk, blks[bi].ID)
+// deliver runs on a rank that owns readers of segment k once the segment
+// is final for the sweep, and releases those panel tasks.
+func (e *solveRank) deliver(k int32, back bool) {
+	for i, hi := e.readers(k, back); i < hi; i++ {
+		if bl := e.blockAt(i, back); symbolic.OwnerOfBlock(e.m2d, bl) == e.r.ID {
+			e.push(solveTask{panel: true, back: back, id: bl.ID})
 		}
 	}
 }
 
-// runFwdBlk computes c = L_{i,k}·y_k and sends it to supernode i's
-// diagonal owner as an aggregate vector.
-func (e *solveEngine) runFwdBlk(bid int32) {
-	st := e.st
+// runPanel computes block B_{i,k}'s contribution — forward c = L_{i,k}·y_k
+// for segment i, backward c = L_{i,k}ᵀ·y_i for segment k — and sends it to
+// the target segment's owner as an aggregate vector.
+func (e *solveRank) runPanel(bid int32, back bool) {
+	st := e.f.St
 	bl := &st.Blocks[bid]
 	sn := &st.Snodes[bl.Snode]
-	nc := sn.NCols()
-	m := int(bl.NRows)
+	nc, m := sn.NCols(), int(bl.NRows)
 	data := e.f.Data[bid]
-	y := e.ySeg[bl.Snode]
-	c := make([]float64, m)
-	for col := 0; col < nc; col++ {
-		t := y[col]
-		if t == 0 {
-			continue
-		}
-		colv := data[col*m : col*m+m]
-		for x := 0; x < m; x++ {
-			c[x] += colv[x] * t
-		}
-	}
-	e.r.Charge(e.f.Opt.Machine.CPUTime(2 * int64(m) * int64(nc)))
-	// Rows of the block relative to the target supernode's columns.
-	rows := sn.Rows[bl.RowOff : bl.RowOff+bl.NRows]
+	var c []float64
 	tgt := bl.RowSn
-	fcT := st.Snodes[tgt].FirstCol
-	pos := make([]int32, m)
-	for x, r := range rows {
-		pos[x] = r - fcT
-	}
-	owner := e.segOwner(tgt)
-	if owner == e.r.ID {
-		e.applyFwd(tgt, pos, c)
-		return
-	}
-	peers := e.peers
-	e.r.RPC(owner, func(tr *upcxx.Rank) {
-		peers[tr.ID].applyFwd(tgt, pos, c)
-	})
-	chargeMsg(e.r, owner, int64(m)*8)
-}
-
-// applyFwd folds a forward contribution into b_k and schedules the
-// diagonal solve when all contributions have arrived.
-func (e *solveEngine) applyFwd(k int32, pos []int32, c []float64) {
-	seg := e.bk[k]
-	for x := range c {
-		seg[pos[x]] -= c[x]
-	}
-	e.fwdCount[k]--
-	if e.fwdCount[k] == 0 {
-		e.push(fwdDiag, k)
-	}
-}
-
-// runBwdDiag computes x_k = L_kk⁻ᵀ y_k (contributions already folded in),
-// publishes it, and fans x_k out to the owners of every block whose rows
-// live in supernode k.
-func (e *solveEngine) runBwdDiag(k int32) {
-	st := e.st
-	sn := &st.Snodes[k]
-	nc := sn.NCols()
-	diag := e.f.Data[st.DiagBlock(k).ID]
-	seg := e.yk[k]
-	blas.Trsm(blas.Left, blas.Lower, blas.Transpose, nc, 1, 1, diag, nc, seg, nc)
-	e.r.Charge(e.f.Opt.Machine.CPUTime(int64(nc) * int64(nc)))
-	e.xk[k] = seg
-	copy(e.xp[sn.FirstCol:int(sn.FirstCol)+nc], seg)
-	// Fan out to the owners of blocks with RowSn == k.
-	sent := map[int]bool{}
-	for _, bid := range e.byRow[k] {
-		owner := symbolic.OwnerOfBlock(e.m2d, &st.Blocks[bid])
-		if sent[owner] {
-			continue
+	if back {
+		tgt = bl.Snode
+		rows := sn.Rows[bl.RowOff : bl.RowOff+bl.NRows]
+		c = make([]float64, nc)
+		for col := range c {
+			colv := data[col*m : col*m+m]
+			var s float64
+			for x, r := range rows {
+				s += colv[x] * e.y[r]
+			}
+			c[col] = s
 		}
-		sent[owner] = true
-		kk := k
-		if owner == e.r.ID {
-			e.deliverX(kk, seg)
-			continue
+	} else {
+		c = make([]float64, m)
+		for col, t := range e.y[sn.FirstCol : int(sn.FirstCol)+nc] {
+			if t == 0 {
+				continue
+			}
+			colv := data[col*m : col*m+m]
+			for x := range c {
+				c[x] += colv[x] * t
+			}
 		}
-		peers := e.peers
-		e.r.RPC(owner, func(tr *upcxx.Rank) {
-			peers[tr.ID].deliverX(kk, seg)
-		})
-		chargeMsg(e.r, owner, int64(nc)*8)
-	}
-}
-
-// deliverX records a received backward segment and releases the local
-// blocks whose rows live in supernode i.
-func (e *solveEngine) deliverX(i int32, seg []float64) {
-	e.xSeg[i] = seg
-	for _, bid := range e.byRow[i] {
-		if symbolic.OwnerOfBlock(e.m2d, &e.st.Blocks[bid]) == e.r.ID {
-			e.push(bwdBlk, bid)
-		}
-	}
-}
-
-// runBwdBlk computes c = L_{i,k}ᵀ·x_i and sends it to column supernode k's
-// diagonal owner.
-func (e *solveEngine) runBwdBlk(bid int32) {
-	st := e.st
-	bl := &st.Blocks[bid]
-	sn := &st.Snodes[bl.Snode]
-	nc := sn.NCols()
-	m := int(bl.NRows)
-	data := e.f.Data[bid]
-	rows := sn.Rows[bl.RowOff : bl.RowOff+bl.NRows]
-	fcI := st.Snodes[bl.RowSn].FirstCol
-	xi := e.xSeg[bl.RowSn]
-	c := make([]float64, nc)
-	for col := 0; col < nc; col++ {
-		colv := data[col*m : col*m+m]
-		var s float64
-		for x := 0; x < m; x++ {
-			s += colv[x] * xi[rows[x]-fcI]
-		}
-		c[col] = s
 	}
 	e.r.Charge(e.f.Opt.Machine.CPUTime(2 * int64(m) * int64(nc)))
-	tgt := bl.Snode
 	owner := e.segOwner(tgt)
 	if owner == e.r.ID {
-		e.applyBwd(tgt, c)
+		e.apply(bid, back, c)
 		return
 	}
-	peers := e.peers
-	e.r.RPC(owner, func(tr *upcxx.Rank) {
-		peers[tr.ID].applyBwd(tgt, c)
-	})
-	chargeMsg(e.r, owner, int64(nc)*8)
+	to := e.peers[owner]
+	e.r.RPC(owner, func(*upcxx.Rank) { to.apply(bid, back, c) })
+	chargeMsg(e.r, owner, int64(len(c))*8)
 }
 
-// applyBwd folds a backward contribution into y_k and schedules the
-// diagonal backsolve when everything has arrived.
-func (e *solveEngine) applyBwd(k int32, c []float64) {
-	seg := e.yk[k]
-	for i := range c {
-		seg[i] -= c[i]
+// apply runs on the target segment's owner: it subtracts block bid's
+// contribution — forward at the block's rows, backward at its supernode's
+// columns — and schedules the diagonal solve when it was the last one.
+func (e *solveRank) apply(bid int32, back bool, c []float64) {
+	st := e.f.St
+	bl := &st.Blocks[bid]
+	sn := &st.Snodes[bl.Snode]
+	k := bl.RowSn
+	if back {
+		k = bl.Snode
+		seg := e.y[sn.FirstCol:]
+		for i, v := range c {
+			seg[i] -= v
+		}
+	} else {
+		for x, r := range sn.Rows[bl.RowOff : bl.RowOff+bl.NRows] {
+			e.y[r] -= c[x]
+		}
 	}
-	e.decBwd(k)
-}
-
-func (e *solveEngine) decBwd(k int32) {
-	e.bwdCount[k]--
-	if e.bwdCount[k] == 0 {
-		e.push(bwdDiag, k)
+	e.count[k]--
+	if e.count[k] == 0 {
+		e.push(solveTask{back: back, id: k})
 	}
 }
 

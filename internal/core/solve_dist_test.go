@@ -11,33 +11,63 @@ import (
 
 func TestSolveDistributedMatchesSequential(t *testing.T) {
 	for name, a := range testProblems() {
-		for _, p := range []int{1, 2, 4, 7} {
-			f, err := Factorize(a, Options{Ranks: p})
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", name, p, err)
-			}
-			rng := rand.New(rand.NewSource(3))
-			b := make([]float64, a.N)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			seq, err := f.Solve(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := f.SolveDistributed(b)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", name, p, err)
-			}
-			for i := range seq {
-				if d := math.Abs(seq[i] - dist[i]); d > 1e-10*(1+math.Abs(seq[i])) {
-					t.Fatalf("%s p=%d: x[%d] differs by %g", name, p, i, d)
+		for _, mp := range []MappingKind{Map2DCyclic, Map1DCols, MapSubtree} {
+			for _, p := range []int{1, 2, 4, 7} {
+				f, err := Factorize(a, Options{Ranks: p, Mapping: mp})
+				if err != nil {
+					t.Fatalf("%s %v p=%d: %v", name, mp, p, err)
+				}
+				rng := rand.New(rand.NewSource(3))
+				b := make([]float64, a.N)
+				for i := range b {
+					b[i] = rng.NormFloat64()
+				}
+				seq, err := f.Solve(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dist, err := f.SolveDistributed(b)
+				if err != nil {
+					t.Fatalf("%s %v p=%d: %v", name, mp, p, err)
+				}
+				for i := range seq {
+					if d := math.Abs(seq[i] - dist[i]); d > 1e-10*(1+math.Abs(seq[i])) {
+						t.Fatalf("%s %v p=%d: x[%d] differs by %g", name, mp, p, i, d)
+					}
+				}
+				if r := ResidualNorm(a, dist, b); r > 1e-10 {
+					t.Fatalf("%s %v p=%d: residual %g", name, mp, p, r)
 				}
 			}
-			if r := ResidualNorm(a, dist, b); r > 1e-10 {
-				t.Fatalf("%s p=%d: residual %g", name, p, r)
-			}
 		}
+	}
+}
+
+// TestSolveDistributedAllocBudget pins what one distributed solve allocates.
+// Like the factor budget it is a function of the code and the problem, not
+// of the host. What remains per solve is by design: one closure per message,
+// one aggregate vector per panel block and sweep, and the runtime (≈ 350):
+// ≈ 5.6k here. A per-rank map, a private copy of a segment or an index
+// array per contribution costs thousands more and fails the budget.
+func TestSolveDistributedAllocBudget(t *testing.T) {
+	a := gen.Laplace3D(10, 10, 10)
+	f, err := Factorize(a, Options{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = 1
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := f.SolveDistributed(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 6500
+	t.Logf("%.0f allocs per solve (%d blocks, budget %d)", allocs, f.St.NumBlocks(), budget)
+	if allocs > budget {
+		t.Errorf("%.0f allocs per distributed solve, budget %d", allocs, budget)
 	}
 }
 

@@ -233,6 +233,29 @@ func Parse(spec string, seed int64) (Plan, error) {
 	return p, nil
 }
 
+// Resolve turns a command line's (explicit spec, chaos seed) flag pair into
+// an optional plan: a spec wins and is seeded by the chaos seed when that is
+// non-zero, else by specSeed; a chaos seed alone selects def(chaos), the
+// default plan of the kind in question; neither means no injection (nil).
+func Resolve(spec string, chaos, specSeed int64, def func(int64) Plan) (*Plan, error) {
+	var p Plan
+	switch {
+	case spec != "":
+		if chaos != 0 {
+			specSeed = chaos
+		}
+		var err error
+		if p, err = Parse(spec, specSeed); err != nil {
+			return nil, err
+		}
+	case chaos != 0:
+		p = def(chaos)
+	default:
+		return nil, nil
+	}
+	return &p, nil
+}
+
 // ---------------------------------------------------------------- Injector --
 
 // state is shared between an Injector and its Restrict views, so counters

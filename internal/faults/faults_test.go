@@ -242,6 +242,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestResolve pins the flag-pair rules the three CLIs share.
+func TestResolve(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		spec            string
+		chaos, specSeed int64
+		def             func(int64) Plan
+		want            *Plan
+	}{
+		{"neither flag", "", 0, 9, DefaultChaos, nil},
+		{"chaos alone: default plan", "", 5, 9, DefaultChaos, ptr(DefaultChaos(5))},
+		{"chaos alone: server plan", "", 5, 9, ServerChaos, ptr(ServerChaos(5))},
+		{"spec alone: seeded by specSeed", "drop=0.4", 0, 9, DefaultChaos, ptr(Plan{Seed: 9, Rate: rate(DropSignal, 0.4)})},
+		{"spec wins, seeded by chaos", "drop=0.4", 5, 9, DefaultChaos, ptr(Plan{Seed: 5, Rate: rate(DropSignal, 0.4)})},
+	} {
+		got, err := Resolve(tc.spec, tc.chaos, tc.specSeed, tc.def)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if (got == nil) != (tc.want == nil) || (got != nil && *got != *tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if p, err := Resolve("nosuch=1", 0, 1, DefaultChaos); err == nil || p != nil {
+		t.Errorf("malformed spec: got %v, %v; want nil and an error", p, err)
+	}
+}
+
+func ptr(p Plan) *Plan { return &p }
+
+func rate(c Class, r float64) (out [NumClasses]float64) {
+	out[c] = r
+	return out
+}
+
 func TestPlanActiveAndString(t *testing.T) {
 	var p Plan
 	if p.Active() || (&p).String() != "none" {

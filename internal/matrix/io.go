@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -17,6 +19,23 @@ import (
 
 // ErrFormat reports a malformed input file.
 var ErrFormat = errors.New("matrix: malformed file")
+
+// ReadFile reads a matrix from disk, choosing the format by the file name:
+// Rutherford-Boeing for ".rb" and that collection's type-code suffixes
+// (real or pattern, symmetric or unsymmetric, assembled), Matrix Market for
+// everything else.
+func ReadFile(path string) (*SparseSym, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer fh.Close()
+	switch filepath.Ext(path) {
+	case ".rb", ".rsa", ".rua", ".psa":
+		return ReadRutherfordBoeing(fh)
+	}
+	return ReadMatrixMarket(fh)
+}
 
 // ReadMatrixMarket parses a Matrix Market "coordinate real symmetric" (or
 // pattern/general-square-symmetric-content) stream into a SparseSym.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -337,6 +339,45 @@ func TestRutherfordBoeingRejectsUnsymmetric(t *testing.T) {
 	in := "title\n 1 1 1 1\nrua 2 2 1 0\n(fmt) (fmt) (fmt)\n1\n2\n2\n1\n1.0\n"
 	if _, err := ReadRutherfordBoeing(strings.NewReader(in)); err == nil {
 		t.Fatal("expected unsupported-type error for rua")
+	}
+}
+
+// TestReadFileChoosesReaderBySuffix writes the same matrix under every file
+// name the CLIs accept, in the format the name promises; the wrong reader
+// would reject the content.
+func TestReadFileChoosesReaderBySuffix(t *testing.T) {
+	s := randomSym(rand.New(rand.NewSource(8)), 9, 0.4)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		rb   bool
+	}{
+		{"m.mtx", false}, {"m.txt", false}, {"m", false}, {"rsa", false},
+		{"m.rb", true}, {"m.rsa", true}, {"m.rua", true}, {"m.psa", true},
+	} {
+		var buf bytes.Buffer
+		if tc.rb {
+			if err := WriteRutherfordBoeing(&buf, s, tc.name); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := WriteMatrixMarket(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Errorf("%s (rutherford-boeing=%v): %v", tc.name, tc.rb, err)
+			continue
+		}
+		if got.N != s.N || got.Nnz() != s.Nnz() {
+			t.Errorf("%s: n=%d nnz=%d, want n=%d nnz=%d", tc.name, got.N, got.Nnz(), s.N, s.Nnz())
+		}
+	}
+	if _, err := ReadFile(filepath.Join(dir, "absent.mtx")); err == nil {
+		t.Error("expected an error for a missing file")
 	}
 }
 

@@ -12,6 +12,7 @@ package ordering
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"sympack/internal/graph"
 	"sympack/internal/matrix"
@@ -47,18 +48,18 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a command-line style name ("SCOTCH", "ND", "AMD", ...)
-// into a Kind. The paper's driver accepts "-ordering SCOTCH"; we map that to
-// nested dissection.
+// ParseKind converts a command-line style name ("SCOTCH", "nd", "AMD", ...),
+// in any letter case, into a Kind. The paper's driver accepts "-ordering
+// SCOTCH"; we map that to nested dissection.
 func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "NATURAL", "natural", "NONE":
+	switch strings.ToUpper(s) {
+	case "NATURAL", "NONE":
 		return Natural, nil
-	case "RCM", "rcm":
+	case "RCM":
 		return RCM, nil
-	case "MINDEGREE", "MMD", "AMD", "amd", "md":
+	case "MINDEGREE", "MMD", "AMD", "MD":
 		return MinDegree, nil
-	case "SCOTCH", "scotch", "ND", "nd", "METIS":
+	case "SCOTCH", "ND", "METIS":
 		return NestedDissection, nil
 	default:
 		return Natural, fmt.Errorf("ordering: unknown kind %q", s)

@@ -132,19 +132,25 @@ func TestMinDegreeOnCliqueAndPath(t *testing.T) {
 }
 
 func TestParseKind(t *testing.T) {
-	cases := map[string]Kind{
-		"SCOTCH": NestedDissection, "ND": NestedDissection, "METIS": NestedDissection,
-		"AMD": MinDegree, "MMD": MinDegree,
-		"RCM": RCM, "NATURAL": Natural,
-	}
-	for s, want := range cases {
-		got, err := ParseKind(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseKind(%q) = %v, %v", s, got, err)
+	for _, tc := range []struct {
+		want  Kind
+		names []string
+	}{
+		{NestedDissection, []string{"SCOTCH", "scotch", "ND", "nd", "METIS", "Metis"}},
+		{MinDegree, []string{"MINDEGREE", "MinDegree", "MMD", "mmd", "AMD", "amd", "MD", "md"}},
+		{RCM, []string{"RCM", "rcm"}},
+		{Natural, []string{"NATURAL", "natural", "NONE", "none"}},
+	} {
+		for _, s := range tc.names {
+			if got, err := ParseKind(s); err != nil || got != tc.want {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, tc.want)
+			}
 		}
 	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Fatal("expected error for unknown kind")
+	for _, s := range []string{"bogus", "", "N D"} {
+		if _, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q): expected an error", s)
+		}
 	}
 }
 
