@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json lint-ratchet lint-baseline
+.PHONY: all build test race vet fmtcheck lint lint-json lint-ratchet lint-baseline
 
 all: build test lint
 
@@ -22,11 +22,17 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint is vet plus the custom sympacklint suite (determinism, atomicity,
-# future-error, lockset/guarded-by, suppression-audit, and wall-clock
-# invariants; see DESIGN.md §10). sympacklint exits 2 on any unsuppressed
-# finding.
-lint: vet
+# fmtcheck fails when gofmt would rewrite a file. The analyzers' testdata
+# trees are excluded: they hold deliberately odd sources.
+fmtcheck:
+	@out="$$(gofmt -l . | grep -v '/testdata/' || true)"; \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:" >&2; echo "$$out" >&2; exit 1; fi
+
+# lint is gofmt cleanliness and vet plus the custom sympacklint suite
+# (determinism, atomicity, future-error, lockset/guarded-by,
+# suppression-audit, and wall-clock invariants; see DESIGN.md §10).
+# sympacklint exits 2 on any unsuppressed finding.
+lint: fmtcheck vet
 	$(GO) run ./cmd/sympacklint ./...
 
 # lint-json emits the machine-readable report (one JSON object per line:

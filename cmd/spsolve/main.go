@@ -27,27 +27,27 @@ import (
 
 func main() {
 	var (
-		matPath = flag.String("A", "", "matrix file (.mtx or .rb)")
-		rhsPath = flag.String("b", "", "right-hand side file (one value per line; default: all ones)")
-		outPath = flag.String("o", "", "solution output file (default stdout)")
-		ranks   = flag.Int("ranks", 4, "simulated UPC++ processes")
-		workers = flag.Int("workers", 0, "goroutines per rank running tasks, the rank's own included (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
-		gpus    = flag.Int("gpus", 0, "GPUs per node (0 = CPU only)")
-		ordName = flag.String("ordering", "SCOTCH", "fill-reducing ordering")
-	formNm  = flag.String("formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")
-	mapNm   = flag.String("mapping", "2d-cyclic", "block→process mapping: 2d-cyclic|1d-cols|subtree")
+		matPath  = flag.String("A", "", "matrix file (.mtx or .rb)")
+		rhsPath  = flag.String("b", "", "right-hand side file (one value per line; default: all ones)")
+		outPath  = flag.String("o", "", "solution output file (default stdout)")
+		ranks    = flag.Int("ranks", 4, "simulated UPC++ processes")
+		workers  = flag.Int("workers", 0, "goroutines per rank running tasks, the rank's own included (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
+		gpus     = flag.Int("gpus", 0, "GPUs per node (0 = CPU only)")
+		ordName  = flag.String("ordering", "SCOTCH", "fill-reducing ordering")
+		formNm   = flag.String("formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")
+		mapNm    = flag.String("mapping", "2d-cyclic", "block→process mapping: 2d-cyclic|1d-cols|subtree")
 		solverNm = flag.String("solver", "direct", "solve strategy: direct|cg|pcg")
-		precNm   = flag.String("precision", "fp64", "factorization precision: fp64|fp32 (fp32 pairs with refinement)")
+		precNm   = flag.String("precision", "fp64", "factor storage: fp64|fp32 (fp32 = float32 storage and wire, fp64 arithmetic, rounded once per finalised block; pairs with refinement)")
 		icLevel  = flag.Int("ic-level", 1, "IC(k) fill level for -solver=pcg")
 		rtol     = flag.Float64("rtol", 1e-8, "relative tolerance for -solver=cg|pcg")
-		refine  = flag.Bool("refine", false, "apply iterative refinement")
-		saveFac = flag.String("save-factor", "", "write the factor to this file and exit if no rhs given")
-		loadFac = flag.String("load-factor", "", "load a factor instead of factoring")
-		selDiag = flag.String("selinv-diag", "", "write diag(A⁻¹) to this file (selected inversion)")
-		chaos   = flag.Int64("chaos", 0, "run under the default chaos fault plan with this seed (0 = off)")
-		faultsF = flag.String("faults", "", "explicit fault plan, e.g. drop=0.05,delay=0.1 (seeded by -chaos, default 1)")
-		metAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this host:port while factoring (use :0 for an ephemeral port)")
-		report  = flag.String("report", "", "write a machine-readable run report to this JSON file ('auto' = BENCH_spsolve_<timestamp>.json)")
+		refine   = flag.Bool("refine", false, "apply iterative refinement")
+		saveFac  = flag.String("save-factor", "", "write the factor to this file and exit if no rhs given")
+		loadFac  = flag.String("load-factor", "", "load a factor instead of factoring")
+		selDiag  = flag.String("selinv-diag", "", "write diag(A⁻¹) to this file (selected inversion)")
+		chaos    = flag.Int64("chaos", 0, "run under the default chaos fault plan with this seed (0 = off)")
+		faultsF  = flag.String("faults", "", "explicit fault plan, e.g. drop=0.05,delay=0.1 (seeded by -chaos, default 1)")
+		metAddr  = flag.String("metrics-addr", "", "serve /metrics and /healthz on this host:port while factoring (use :0 for an ephemeral port)")
+		report   = flag.String("report", "", "write a machine-readable run report to this JSON file ('auto' = BENCH_spsolve_<timestamp>.json)")
 	)
 	flag.Parse()
 	plan, err := faults.Resolve(*faultsF, *chaos, 1, faults.DefaultChaos)

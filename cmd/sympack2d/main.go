@@ -38,7 +38,7 @@ func main() {
 		formName = flag.String("formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")
 		mapName  = flag.String("mapping", "2d-cyclic", "block→process mapping: 2d-cyclic|1d-cols|subtree")
 		solverNm = flag.String("solver", "direct", "solve strategy: direct|cg|pcg")
-		precNm   = flag.String("precision", "fp64", "factorization precision: fp64|fp32 (fp32 direct solves auto-refine)")
+		precNm   = flag.String("precision", "fp64", "factor storage: fp64|fp32 (fp32 = float32 storage and wire, fp64 arithmetic, rounded once per finalised block; direct solves auto-refine)")
 		icLevel  = flag.Int("ic-level", 1, "IC(k) fill level for -solver=pcg")
 		rtol     = flag.Float64("rtol", 1e-8, "relative tolerance for -solver=cg|pcg")
 		ranks    = flag.Int("ranks", 4, "number of UPC++ processes to simulate")

@@ -61,3 +61,29 @@ func TestFactorAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestFP32AllocParity pins fp32 as a storage format: rounding a block in
+// place when it is finalised costs no memory, so an fp32 factorization
+// allocates what the fp64 one does (the slack absorbs what the differing
+// option value moves). The converting float32 kernel adapters this replaced
+// made up to three buffers per kernel call — six times the allocations here.
+func TestFP32AllocParity(t *testing.T) {
+	base := Options{}.withDefaults()
+	st, pa, err := symbolic.Analyze(gen.Laplace3D(10, 10, 10), base.Ordering, *base.Symbolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(p Precision) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 1, Precision: p}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const slack = 16
+	fp64, fp32 := allocs(PrecFP64), allocs(PrecFP32)
+	t.Logf("fp64 %.0f allocs, fp32 %.0f allocs", fp64, fp32)
+	if fp32 > fp64+slack {
+		t.Errorf("fp32 factorization: %.0f allocs, fp64 %.0f: want at most %d more", fp32, fp64, slack)
+	}
+}

@@ -93,16 +93,31 @@ func TestConformanceGridShape(t *testing.T) {
 // bit-identical to the fan-out/2D baseline factor — the strongest no
 // schedule-order-leak statement available: not merely reproducible per
 // variant, but the same bytes no matter which formulation computed each
-// update or which process owned each block.
+// update or which process owned each block. The first case runs once more
+// with float32 storage (residual ceiling at single-precision roundoff):
+// rounding a block when its D or F task finalises it must be as
+// schedule-blind as the rest.
 func TestConformanceProperty(t *testing.T) {
-	cases := propCases(6, 20260808)
+	type run struct {
+		propCase
+		base Options
+		grid ConformanceGrid
+	}
+	var runs []run
+	for _, c := range propCases(6, 20260808) {
+		runs = append(runs, run{c, c.options(1, 1), ConformanceGrid{Seed: c.seed}})
+	}
+	fp32 := runs[0]
+	fp32.base.Precision = PrecFP32
+	fp32.grid.MaxResidual = 1e-5
+	runs = append(runs, fp32)
 
 	// Baselines are computed once, before the parallel variant subtests
-	// fork: the canonical fan-out/2D sequential factor per case.
-	baselines := make([]*Factor, len(cases))
-	for ci, c := range cases {
+	// fork: the canonical fan-out/2D sequential factor per run.
+	baselines := make([]*Factor, len(runs))
+	for ci, c := range runs {
 		a := gen.RandomSPD(c.n, c.density, c.seed)
-		f, err := Factorize(a, Variant{FanOut, Map2DCyclic}.Apply(c.options(1, 1)))
+		f, err := Factorize(a, Variant{FanOut, Map2DCyclic}.Apply(c.base))
 		if err != nil {
 			t.Fatalf("case %d baseline: %v", ci, err)
 		}
@@ -113,11 +128,11 @@ func TestConformanceProperty(t *testing.T) {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			t.Parallel()
-			for ci, c := range cases {
+			for ci, c := range runs {
 				a := gen.RandomSPD(c.n, c.density, c.seed)
-				ref, err := ConformanceCheck(a, c.options(1, 1), v, ConformanceGrid{Seed: c.seed})
+				ref, err := ConformanceCheck(a, c.base, v, c.grid)
 				if err != nil {
-					t.Fatalf("case %d (n=%d d=%g sn=%d %s): %v", ci, c.n, c.density, c.maxSn, c.sched, err)
+					t.Fatalf("case %d (n=%d d=%g sn=%d %s %s): %v", ci, c.n, c.density, c.maxSn, c.sched, c.base.Precision, err)
 				}
 				if err := SameFactor(baselines[ci], ref); err != nil {
 					t.Fatalf("case %d: %s diverged from the fan-out/2d baseline: %v", ci, v, err)

@@ -67,12 +67,13 @@ type Options struct {
 	// Symbolic tunes supernode detection; zero value means
 	// symbolic.DefaultOptions.
 	Symbolic *symbolic.Options
-	// Precision selects the kernel arithmetic: PrecFP64 (default) or
-	// PrecFP32, the mixed-precision mode — single-precision POTRF / TRSM /
-	// SYRK / GEMM on the CPU with fp64 storage and half the modeled wire
-	// bytes, intended to be paired with SolveRefined's fp64 refinement.
-	// When the fp32 pivots break down on a matrix that is SPD in fp64,
-	// FactorizeAnalyzed transparently retries in fp64.
+	// Precision selects the factor's storage format: PrecFP64 (default) or
+	// PrecFP32, the mixed-precision mode — float32 storage and wire, fp64
+	// arithmetic, rounded once per finalised block (CPU kernels only, half
+	// the modeled wire bytes), intended to be paired with SolveRefined's
+	// fp64 refinement. When a pivot breaks down under the rounding on a
+	// matrix that is SPD in fp64, FactorizeAnalyzed transparently retries
+	// in fp64.
 	Precision Precision
 	// Scheduling selects the RTQ policy (paper §3.4 leaves this open:
 	// "the next task ... is whichever one is at the top of the queue";
@@ -329,9 +330,10 @@ func Factorize(a *matrix.SparseSym, opt Options) (*Factor, error) {
 // Reusing the analysis across factorizations of same-structure matrices is
 // the pattern of the paper's PEXSI use case (§5.3).
 //
-// Under Options.Precision == PrecFP32, a breakdown of the single-precision
-// pivots (ErrNotPositiveDefinite on a matrix that may well be SPD in fp64)
-// triggers one transparent retry at full precision; the fallback is counted
+// Under Options.Precision == PrecFP32, a pivot breakdown
+// (ErrNotPositiveDefinite — the float32-rounded blocks may have cancelled a
+// Schur complement that is positive in fp64) triggers one transparent retry
+// with fp64 storage; the fallback is counted
 // on the returned factor's registry as sympack_iter_fp32_fallbacks_total.
 func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options) (*Factor, error) {
 	f, err := factorizeAnalyzedOnce(st, pa, opt)

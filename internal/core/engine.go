@@ -189,7 +189,7 @@ type engine struct {
 	// avail caches source data this rank can consume, by item id (blocks,
 	// then delivered contributions). Guarded by e.mu; an entry is frozen
 	// once its ready flag is set, which is what licenses the two audited
-	// unlocked reads in hostOf and gpuTrsm.
+	// unlocked reads in hostOf and trsm.
 	avail []fetched
 
 	// blk holds the per-block ordered-apply state and parked[ui] the
@@ -964,20 +964,12 @@ func (e *engine) runDiag(bid int32, ls *laneScratch) {
 	b := &st.Blocks[bid]
 	data := e.owned[bid]
 	n, _ := blockDims(st, b)
-	var err error
-	switch {
-	case e.offload(machine.OpPotrf, n*n):
-		err = e.gpuPotrf(n, data)
-	case e.fp32():
-		e.chargeCPU(machine.OpPotrf, machine.KernelFlops(machine.OpPotrf, 0, n, 0))
-		err = potrf32(n, data)
-	default:
-		e.chargeCPU(machine.OpPotrf, machine.KernelFlops(machine.OpPotrf, 0, n, 0))
-		err = blas.Potrf(blas.Lower, n, data, n)
-	}
-	if err != nil {
+	if err := e.potrf(n, data); err != nil {
 		e.r.Runtime().Fail(fmt.Errorf("%w: supernode %d: %v", ErrNotPositiveDefinite, b.Snode, err))
 		return
+	}
+	if e.fp32() {
+		blas.Round32(data)
 	}
 	// Consumers: owners of the off-diagonal blocks of this supernode.
 	blks := st.SnodeBlocks(b.Snode)
@@ -994,11 +986,9 @@ func (e *engine) runFactor(bid int32, ls *laneScratch) {
 	b := &st.Blocks[bid]
 	data := e.owned[bid]
 	m, n := blockDims(st, b)
-	diagID := st.DiagBlock(b.Snode).ID
-	if e.offload(machine.OpTrsm, m*n) {
-		e.gpuTrsm(m, n, diagID, data)
-	} else {
-		e.cpuTrsm(m, n, diagID, data)
+	e.trsm(m, n, st.DiagBlock(b.Snode).ID, data)
+	if e.fp32() {
+		blas.Round32(data)
 	}
 	// Consumers: owners of the formulation's compute blocks of every
 	// update using this block — the target's owner under fan-out, a source
@@ -1035,31 +1025,11 @@ func (e *engine) runUpdate(ui int32, ls *laneScratch) {
 		scratch = e.scratch.get(mB * nA)
 	}
 
-	syrk := u.IsSyrk()
 	hostA := e.hostOf(u.BlkA)
-	if syrk {
-		switch {
-		case e.offload(machine.OpSyrk, mB*nA):
-			e.gpuSyrk(mB, w, hostA, scratch)
-		case e.fp32():
-			e.chargeCPU(machine.OpSyrk, machine.KernelFlops(machine.OpSyrk, mB, w, 0))
-			syrk32(mB, w, hostA, scratch)
-		default:
-			e.chargeCPU(machine.OpSyrk, machine.KernelFlops(machine.OpSyrk, mB, w, 0))
-			blas.Syrk(blas.Lower, blas.NoTrans, mB, w, 1, hostA, mB, 0, scratch, mB)
-		}
+	if u.IsSyrk() {
+		e.syrk(mB, w, hostA, scratch)
 	} else {
-		hostB := e.hostOf(u.BlkB)
-		switch {
-		case e.offload(machine.OpGemm, mB*nA):
-			e.gpuGemm(mB, nA, w, hostB, hostA, scratch)
-		case e.fp32():
-			e.chargeCPU(machine.OpGemm, machine.KernelFlops(machine.OpGemm, mB, nA, w))
-			gemm32(mB, nA, w, hostB, hostA, scratch)
-		default:
-			e.chargeCPU(machine.OpGemm, machine.KernelFlops(machine.OpGemm, mB, nA, w))
-			blas.Gemm(blas.NoTrans, blas.Transpose, mB, nA, w, 1, hostB, mB, hostA, nA, 0, scratch, mB)
-		}
+		e.gemm(mB, nA, w, e.hostOf(u.BlkB), hostA, scratch)
 	}
 
 	if deliver {
@@ -1207,10 +1177,11 @@ func (e *engine) offload(op machine.Op, elems int) bool {
 		return false
 	}
 	if e.fp32() {
-		// fp32 mode forces CPU kernels: the modeled device speaks fp64
-		// only, and routing some kernels through it would mix precisions
-		// within one factor. Count the offloads the threshold would have
-		// admitted as demotions so the cost of the policy is visible.
+		// fp32 mode keeps every kernel on the CPU: the device model has no
+		// fp32 rate or fp32 copy width, and modeled numbers must not move
+		// with a precision it cannot price. Count the offloads the
+		// threshold would have admitted as demotions so the cost of the
+		// policy is visible.
 		if e.opt.Thresholds.ShouldOffload(op, elems) {
 			e.met.fp32Demotions.Inc()
 		}
@@ -1256,153 +1227,128 @@ func (e *engine) fallbackCPU(err error) bool {
 	return true
 }
 
-func (e *engine) gpuPotrf(n int, data []float64) error {
-	d := e.r.Device()
-	buf, err := e.devAlloc(n * n)
-	if err != nil {
-		if !e.fallbackCPU(err) {
-			return nil // job is aborting
-		}
-		e.chargeCPU(machine.OpPotrf, machine.KernelFlops(machine.OpPotrf, 0, n, 0))
-		return blas.Potrf(blas.Lower, n, data, n)
-	}
-	defer d.Free(buf)
-	e.r.Charge(d.HostToDevice(buf, data))
-	dt, kerr := d.Potrf(n, buf, n)
-	e.r.Charge(dt)
-	if kerr != nil {
-		return kerr
-	}
-	e.r.Charge(d.DeviceToHost(data, buf))
-	e.noteGPU(machine.OpPotrf, dt)
-	return nil
+// operand is one array of a device kernel call: host data that onDevice
+// stages into a fresh buffer, or a buffer already resident on the device
+// (the diagonal a device-direct fetch placed there), which is neither
+// staged nor freed.
+type operand struct {
+	host     []float64
+	resident *gpu.Buffer
+	in, out  bool // host is copied to the device before the kernel / back after it
 }
 
-func (e *engine) gpuTrsm(m, n int, diagID int32, data []float64) {
+// onDevice runs one offloaded operation: a buffer per staged operand, in
+// order, through devAlloc; then the inputs host-to-device, the kernel, the
+// outputs device-to-host, each charged to the rank clock as it happens.
+// It reports whether the operation is settled. A failed allocation frees
+// what was staged and asks fallbackCPU: settled means the job is aborting,
+// unsettled means the caller runs the host kernel. A kernel error (POTRF
+// on a non-SPD block) settles the operation with that error.
+func (e *engine) onDevice(op machine.Op, ops []operand, kernel func(d *gpu.Device, b []*gpu.Buffer) (float64, error)) (bool, error) {
 	d := e.r.Device()
-	// Reuse a device-resident diagonal when the fetch already placed it
-	// there (GPU-blocks optimization); otherwise stage it now.
-	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal
-	fc := &e.avail[diagID]
-	var diagBuf *gpu.Buffer
-	ownDiag := false
-	if fc.dev != nil {
-		diagBuf = fc.dev
-	} else {
-		host := e.hostOf(diagID)
-		buf, err := e.devAlloc(len(host))
-		if err != nil {
-			if !e.fallbackCPU(err) {
-				return
+	bufs := make([]*gpu.Buffer, len(ops))
+	free := func() {
+		for i, buf := range bufs {
+			if buf != nil && ops[i].resident == nil {
+				d.Free(buf)
 			}
-			e.cpuTrsm(m, n, diagID, data)
-			return
 		}
-		diagBuf = buf
-		ownDiag = true
-		e.r.Charge(d.HostToDevice(buf, host))
 	}
-	bBuf, err := e.devAlloc(m * n)
-	if err != nil {
-		if ownDiag {
-			d.Free(diagBuf)
+	for i := range ops {
+		if bufs[i] = ops[i].resident; bufs[i] != nil {
+			continue
 		}
-		if !e.fallbackCPU(err) {
-			return
+		buf, err := e.devAlloc(len(ops[i].host))
+		if err != nil {
+			free()
+			return !e.fallbackCPU(err), nil
 		}
-		e.cpuTrsm(m, n, diagID, data)
-		return
+		bufs[i] = buf
 	}
-	e.r.Charge(d.HostToDevice(bBuf, data))
-	dt := d.Trsm(m, n, diagBuf, n, bBuf, m)
+	defer free()
+	for i := range ops {
+		if ops[i].in {
+			e.r.Charge(d.HostToDevice(bufs[i], ops[i].host))
+		}
+	}
+	dt, err := kernel(d, bufs)
 	e.r.Charge(dt)
-	e.r.Charge(d.DeviceToHost(data, bBuf))
-	d.Free(bBuf)
-	if ownDiag {
-		d.Free(diagBuf)
+	if err != nil {
+		return true, err
 	}
-	e.noteGPU(machine.OpTrsm, dt)
+	for i := range ops {
+		if ops[i].out {
+			e.r.Charge(d.DeviceToHost(ops[i].host, bufs[i]))
+		}
+	}
+	e.noteGPU(op, dt)
+	return true, nil
 }
 
-func (e *engine) cpuTrsm(m, n int, diagID int32, data []float64) {
+// The four dispatch functions, one per kernel (paper §3.2, §4.2): if
+// offload admits the operation and onDevice settles it, done; otherwise
+// charge the CPU and call the host kernel. They are the only callers of the
+// host kernels in this package.
+
+// potrf factors the n×n diagonal block in place.
+func (e *engine) potrf(n int, data []float64) error {
+	if e.offload(machine.OpPotrf, n*n) {
+		done, err := e.onDevice(machine.OpPotrf, []operand{{host: data, in: true, out: true}},
+			func(d *gpu.Device, b []*gpu.Buffer) (float64, error) { return d.Potrf(n, b[0], n) })
+		if done {
+			return err
+		}
+	}
+	e.chargeCPU(machine.OpPotrf, machine.KernelFlops(machine.OpPotrf, 0, n, 0))
+	return blas.Potrf(blas.Lower, n, data, n)
+}
+
+// trsm solves the m×n panel block against the supernode's factored
+// diagonal, reusing the device copy of the diagonal when the fetch already
+// placed it there (GPU-blocks optimization).
+func (e *engine) trsm(m, n int, diagID int32, data []float64) {
+	if e.offload(machine.OpTrsm, m*n) {
+		//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal
+		diag := operand{resident: e.avail[diagID].dev}
+		if diag.resident == nil {
+			diag = operand{host: e.hostOf(diagID), in: true}
+		}
+		done, _ := e.onDevice(machine.OpTrsm, []operand{diag, {host: data, in: true, out: true}},
+			func(d *gpu.Device, b []*gpu.Buffer) (float64, error) { return d.Trsm(m, n, b[0], n, b[1], m), nil })
+		if done {
+			return
+		}
+	}
 	e.chargeCPU(machine.OpTrsm, machine.KernelFlops(machine.OpTrsm, m, n, 0))
-	diag := e.hostOf(diagID)
-	if e.fp32() {
-		trsm32(m, n, diag, data)
-		return
-	}
-	blas.Trsm(blas.Right, blas.Lower, blas.Transpose, m, n, 1, diag, n, data, m)
+	blas.Trsm(blas.Right, blas.Lower, blas.Transpose, m, n, 1, e.hostOf(diagID), n, data, m)
 }
 
-func (e *engine) gpuSyrk(n, k int, a, scratch []float64) {
-	d := e.r.Device()
-	cpu := func() {
-		e.chargeCPU(machine.OpSyrk, machine.KernelFlops(machine.OpSyrk, n, k, 0))
-		blas.Syrk(blas.Lower, blas.NoTrans, n, k, 1, a, n, 0, scratch, n)
-	}
-	aBuf, err1 := e.devAlloc(len(a))
-	if err1 != nil {
-		if e.fallbackCPU(err1) {
-			cpu()
+// syrk computes the lower triangle of scratch = A·Aᵀ, A being n×k.
+func (e *engine) syrk(n, k int, a, scratch []float64) {
+	if e.offload(machine.OpSyrk, n*n) {
+		done, _ := e.onDevice(machine.OpSyrk, []operand{{host: a, in: true}, {host: scratch, out: true}},
+			func(d *gpu.Device, b []*gpu.Buffer) (float64, error) { return d.Syrk(n, k, b[0], n, b[1], n), nil })
+		if done {
+			return
 		}
-		return
 	}
-	cBuf, err2 := e.devAlloc(len(scratch))
-	if err2 != nil {
-		d.Free(aBuf)
-		if e.fallbackCPU(err2) {
-			cpu()
-		}
-		return
-	}
-	e.r.Charge(d.HostToDevice(aBuf, a))
-	dt := d.Syrk(n, k, aBuf, n, cBuf, n)
-	e.r.Charge(dt)
-	e.r.Charge(d.DeviceToHost(scratch, cBuf))
-	d.Free(aBuf)
-	d.Free(cBuf)
-	e.noteGPU(machine.OpSyrk, dt)
+	e.chargeCPU(machine.OpSyrk, machine.KernelFlops(machine.OpSyrk, n, k, 0))
+	blas.Syrk(blas.Lower, blas.NoTrans, n, k, 1, a, n, 0, scratch, n)
 }
 
-func (e *engine) gpuGemm(m, n, k int, b, a, scratch []float64) {
-	d := e.r.Device()
-	cpu := func() {
-		e.chargeCPU(machine.OpGemm, machine.KernelFlops(machine.OpGemm, m, n, k))
-		blas.Gemm(blas.NoTrans, blas.Transpose, m, n, k, 1, b, m, a, n, 0, scratch, m)
-	}
-	bBuf, err := e.devAlloc(len(b))
-	if err != nil {
-		if e.fallbackCPU(err) {
-			cpu()
+// gemm computes scratch = B·Aᵀ, B being m×k and A n×k.
+func (e *engine) gemm(m, n, k int, b, a, scratch []float64) {
+	if e.offload(machine.OpGemm, m*n) {
+		done, _ := e.onDevice(machine.OpGemm, []operand{{host: b, in: true}, {host: a, in: true}, {host: scratch, out: true}},
+			func(d *gpu.Device, bufs []*gpu.Buffer) (float64, error) {
+				return d.Gemm(m, n, k, bufs[0], m, bufs[1], n, bufs[2], m), nil
+			})
+		if done {
+			return
 		}
-		return
 	}
-	aBuf, err := e.devAlloc(len(a))
-	if err != nil {
-		d.Free(bBuf)
-		if e.fallbackCPU(err) {
-			cpu()
-		}
-		return
-	}
-	cBuf, err := e.devAlloc(len(scratch))
-	if err != nil {
-		d.Free(bBuf)
-		d.Free(aBuf)
-		if e.fallbackCPU(err) {
-			cpu()
-		}
-		return
-	}
-	e.r.Charge(d.HostToDevice(bBuf, b))
-	e.r.Charge(d.HostToDevice(aBuf, a))
-	dt := d.Gemm(m, n, k, bBuf, m, aBuf, n, cBuf, m)
-	e.r.Charge(dt)
-	e.r.Charge(d.DeviceToHost(scratch, cBuf))
-	d.Free(bBuf)
-	d.Free(aBuf)
-	d.Free(cBuf)
-	e.noteGPU(machine.OpGemm, dt)
+	e.chargeCPU(machine.OpGemm, machine.KernelFlops(machine.OpGemm, m, n, k))
+	blas.Gemm(blas.NoTrans, blas.Transpose, m, n, k, 1, b, m, a, n, 0, scratch, m)
 }
 
 // ErrInternal flags invariant violations.

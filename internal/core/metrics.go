@@ -59,9 +59,9 @@ type coreMetrics struct {
 
 	// fp32Demotions counts offloads the size threshold would have admitted
 	// that ran on the CPU instead because Options.Precision == PrecFP32
-	// forces single-precision CPU kernels (part of the sympack_iter_*
-	// mixed-precision namespace; the companion fp32-fallback counter is
-	// job-level and lives on the merged registry).
+	// keeps every kernel off the fp64-only device model (part of the
+	// sympack_iter_* mixed-precision namespace; the companion fp32-fallback
+	// counter is job-level and lives on the merged registry).
 	fp32Demotions *metrics.Counter
 }
 
@@ -119,7 +119,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 	m.oomFallbacks = reg.Counter("sympack_gpu_oom_fallbacks_total",
 		"operations run on the CPU after a failed device allocation")
 	m.fp32Demotions = reg.Counter("sympack_iter_fp32_demotions_total",
-		"GPU-eligible kernels demoted to fp32 CPU execution by Precision=fp32")
+		"GPU-eligible kernels kept on the CPU by Precision=fp32")
 	return m
 }
 

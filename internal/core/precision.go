@@ -3,27 +3,29 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"sympack/internal/blas"
 )
 
-// Precision selects the arithmetic the factorization kernels run in.
+// Precision selects the format the factor is stored and shipped in. The
+// kernels are fp64 either way.
 type Precision uint8
 
 const (
-	// PrecFP64 is the default: double-precision kernels throughout.
+	// PrecFP64 is the default: double-precision storage throughout.
 	PrecFP64 Precision = iota
-	// PrecFP32 runs POTRF/TRSM/SYRK/GEMM in single precision — every
-	// product, sum and square root rounded to float32 — while keeping fp64
-	// block storage and wire formats (values are fp32-rounded at each
-	// kernel boundary, and the communication model charges 4 bytes per
-	// element instead of 8). A factor computed this way carries ~1e-7
-	// relative error; pair it with Factor.SolveRefined, whose fp64
-	// residual loop restores double-precision accuracy — the classic
-	// mixed-precision factor-then-refine scheme. If the fp32 pivots break
-	// down on a matrix that is SPD in fp64, FactorizeAnalyzed retries the
-	// whole factorization in fp64 (counted by
-	// sympack_iter_fp32_fallbacks_total).
+	// PrecFP32 is float32 storage and wire, fp64 arithmetic, rounded once
+	// per finalised block: POTRF/TRSM/SYRK/GEMM and the update
+	// accumulation run in double precision, and each factor block is
+	// rounded through float32 (blas.Round32) when its D or F task
+	// finalises it, so every stored and shipped factor value is a float32
+	// value — held in the engine's []float64 blocks — and the
+	// communication model charges 4 bytes per element instead of 8. Such a
+	// factor carries ~1e-7 relative error; pair it with
+	// Factor.SolveRefined, whose fp64 residual loop restores
+	// double-precision accuracy — the classic mixed-precision
+	// factor-then-refine scheme. If a pivot breaks down because the blocks
+	// under it were rounded, on a matrix that is SPD in fp64,
+	// FactorizeAnalyzed retries the whole factorization in fp64 (counted
+	// by sympack_iter_fp32_fallbacks_total).
 	PrecFP32
 )
 
@@ -58,51 +60,6 @@ func (p Precision) elemBytes() int {
 	return 0 // default: 8
 }
 
-// fp32 reports whether this engine runs single-precision kernels.
+// fp32 reports whether this engine stores its factor blocks as float32
+// values.
 func (e *engine) fp32() bool { return e.opt.Precision == PrecFP32 }
-
-// The four fp32 kernel adapters: demote the fp64 staging buffers to
-// float32, run the single-precision kernel, promote the result back. The
-// conversion points ARE the precision semantics — values between kernels
-// live as fp32-rounded float64s, so the arithmetic matches an all-float32
-// implementation at every kernel boundary while the engine's storage,
-// scatter and wire formats stay unchanged. Conversions are deterministic
-// (round-to-nearest-even, element-wise), so the fp32 factor inherits the
-// engine's bit-identity across workers, ranks and schedules.
-
-func potrf32(n int, data []float64) error {
-	buf := make([]float32, len(data))
-	blas.To32(buf, data)
-	if err := blas.Potrf32(blas.Lower, n, buf, n); err != nil {
-		return err
-	}
-	blas.From32(data, buf)
-	return nil
-}
-
-func trsm32(m, n int, diag, data []float64) {
-	d32 := make([]float32, len(diag))
-	b32 := make([]float32, len(data))
-	blas.To32(d32, diag)
-	blas.To32(b32, data)
-	blas.Trsm32(blas.Right, blas.Lower, blas.Transpose, m, n, 1, d32, n, b32, m)
-	blas.From32(data, b32)
-}
-
-func syrk32(n, k int, a, scratch []float64) {
-	a32 := make([]float32, len(a))
-	c32 := make([]float32, len(scratch))
-	blas.To32(a32, a)
-	blas.Syrk32(blas.Lower, blas.NoTrans, n, k, 1, a32, n, 0, c32, n)
-	blas.From32(scratch, c32)
-}
-
-func gemm32(m, n, k int, b, a, scratch []float64) {
-	b32 := make([]float32, len(b))
-	a32 := make([]float32, len(a))
-	c32 := make([]float32, len(scratch))
-	blas.To32(b32, b)
-	blas.To32(a32, a)
-	blas.Gemm32(blas.NoTrans, blas.Transpose, m, n, k, 1, b32, m, a32, n, 0, c32, m)
-	blas.From32(scratch, c32)
-}

@@ -126,7 +126,9 @@ func TestSolveRefinedFP32Recovery(t *testing.T) {
 // TestSolveRefinedDeterministicAcrossWorkers: the refinement trajectory —
 // every sweep's iterate — must be bit-identical across worker and rank
 // counts, the factorization's determinism guarantee extended through the
-// mixed-precision solve path.
+// mixed-precision solve path. Every stored factor entry must also be a
+// float32 value: fp32 is the storage format, rounded once per finalised
+// block.
 func TestSolveRefinedDeterministicAcrossWorkers(t *testing.T) {
 	grid := []struct {
 		name string
@@ -149,6 +151,13 @@ func TestSolveRefinedDeterministicAcrossWorkers(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("%s r%dw%d: %v", g.name, cfg.ranks, cfg.workers, err)
+			}
+			for bid, blk := range f.Data {
+				for i, v := range blk {
+					if v != float64(float32(v)) {
+						t.Fatalf("%s r%dw%d: block %d elem %d = %v is not a float32 value", g.name, cfg.ranks, cfg.workers, bid, i, v)
+					}
+				}
 			}
 			x, rel, iters, err := f.SolveRefined(g.a, b, 1e-12, 10)
 			if err != nil {

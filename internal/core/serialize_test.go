@@ -190,12 +190,12 @@ func TestLoadFactorCorruptNeverPanics(t *testing.T) {
 	}{
 		{"bad magic", patch(0, 0xdeadbeef)},
 		{"bad version", patch(8, 99)},
-		{"huge n", patch(16, 1 << 40)},
+		{"huge n", patch(16, 1<<40)},
 		{"nsn > n", patch(24, uint64(n+1))},
 		{"nblk < nsn", patch(32, 0)},
-		{"huge nblk", patch(32, 1 << 40)},
-		{"snode range inverted", patch(snodeOff, 1 << 20)},
-		{"huge snode row count", patch(snodeOff+16, 1 << 40)},
+		{"huge nblk", patch(32, 1<<40)},
+		{"snode range inverted", patch(snodeOff, 1<<20)},
+		{"huge snode row count", patch(snodeOff+16, 1<<40)},
 		{"zero snode row count", patch(snodeOff+16, 0)},
 	}
 	for _, h := range hostile {

@@ -94,8 +94,8 @@ func TestResolution(t *testing.T) {
 	wants := []want{
 		{KindStatic, []string{"p.helper"}},
 		{KindFuncValue, []string{"p.helper"}},
-		{KindUnknown, nil},                           // g rebound
-		{KindUnknown, nil},                           // h address-taken
+		{KindUnknown, nil},                                          // g rebound
+		{KindUnknown, nil},                                          // h address-taken
 		{KindInterface, []string{"p.(bell).Ring", "p.(gong).Ring"}}, // r.Ring()
 		{KindStatic, []string{"p.(bell).Ring"}},
 		{KindUnknown, nil}, // fld.fn()

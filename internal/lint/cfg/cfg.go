@@ -78,9 +78,9 @@ func New(body *ast.BlockStmt) *Graph {
 // labelInfo resolves gotos and labeled break/continue against the blocks a
 // labeled statement introduces.
 type labelInfo struct {
-	target        *Block // the labeled statement itself (goto target)
-	breakTarget   *Block // set while the labeled loop/switch/select is open
-	contTarget    *Block // set while the labeled loop is open
+	target      *Block // the labeled statement itself (goto target)
+	breakTarget *Block // set while the labeled loop/switch/select is open
+	contTarget  *Block // set while the labeled loop is open
 }
 
 type builder struct {

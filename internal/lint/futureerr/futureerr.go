@@ -39,7 +39,7 @@
 //
 //     f := r.Rget(src, dst)
 //     if cond {
-//         return f.Err()        // the !cond path drops the error: reported
+//     return f.Err()        // the !cond path drops the error: reported
 //     }
 //
 // Cross-package wrappers are chased through Facts: analyzing a package

@@ -72,10 +72,10 @@ var Analyzer = &analysis.Analyzer{
 
 // Channel-use bits of one parameter, as seen from a caller.
 const (
-	useSend uint8 = 1 << iota // the callee may send on it
-	useRecv                   // the callee may receive from it (or range)
-	useClose                  // the callee may close it
-	useEscape                 // the callee leaks the reference onward
+	useSend   uint8 = 1 << iota // the callee may send on it
+	useRecv                     // the callee may receive from it (or range)
+	useClose                    // the callee may close it
+	useEscape                   // the callee leaks the reference onward
 )
 
 // chanUseFact summarizes a function's per-parameter channel behavior for

@@ -120,9 +120,10 @@ type SolveCGRequest struct {
 	// Solver is "cg" (unpreconditioned) or "pcg" (IC(k) preconditioned);
 	// default "pcg".
 	Solver string `json:"solver,omitempty"`
-	// Precision selects the preconditioner factorization precision:
-	// "fp64" (default) or "fp32" (single-precision kernels with
-	// transparent fp64 retry on breakdown).
+	// Precision selects the preconditioner factor's storage: "fp64"
+	// (default) or "fp32" (float32 storage and wire, fp64 arithmetic,
+	// rounded once per finalised block, with transparent fp64 retry on
+	// breakdown).
 	Precision string `json:"precision,omitempty"`
 	// ICLevel is the IC(k) fill level (pcg only; default 0).
 	ICLevel int `json:"ic_level,omitempty"`

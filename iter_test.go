@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"sympack/internal/symbolic"
 )
 
 // This file is the acceptance battery of the iterative-solve subsystem
@@ -158,6 +160,39 @@ func TestIterTrajectoryUnderChaos(t *testing.T) {
 				t.Fatalf("chaos seed %d iteration %d: trajectory bits differ from clean run", seed, i)
 			}
 		}
+	}
+}
+
+// TestIterFP32FallsBackToFP64 reaches the fp32 → fp64 retry: the matrix is
+// SPD in fp64 (Schur complement 2e-9), but with one column per supernode
+// L21 = 1−1e-9 is stored as float32(…) = 1 and the second pivot becomes
+// 1 − 1·1 = 0. The factorization must succeed on the retry, solve to fp64
+// accuracy and count exactly one fallback.
+func TestIterFP32FallsBackToFP64(t *testing.T) {
+	bld := NewBuilder(2)
+	bld.Add(0, 0, 1)
+	bld.Add(1, 0, 1-1e-9)
+	bld.Add(1, 1, 1)
+	a, err := bld.ToSym()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Factorize(a, Options{
+		Ordering: OrderNatural, Symbolic: &symbolic.Options{MaxSupernodeSize: 1}, Precision: PrecFP32,
+	})
+	if err != nil {
+		t.Fatalf("fp32 factorization did not fall back: %v", err)
+	}
+	b := []float64{1, -2}
+	x, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := ResidualNorm(a, x, b); rel > 1e-12 {
+		t.Fatalf("residual %g after the fp64 retry, want fp64 accuracy", rel)
+	}
+	if got := f.Metrics.Value("sympack_iter_fp32_fallbacks_total"); got != 1 {
+		t.Fatalf("sympack_iter_fp32_fallbacks_total = %v, want 1", got)
 	}
 }
 

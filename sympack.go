@@ -235,11 +235,12 @@ func SolveOnce(a *Matrix, b []float64, opt Options) ([]float64, error) {
 
 // ----------------------------------------------------- iterative solves ----
 
-// Precision selects the numeric working precision of the factorization
-// kernels for Options.Precision. PrecFP32 runs POTRF/TRSM/SYRK/GEMM in
-// single precision (CPU only — the modeled device is fp64) and transparently
-// retries in fp64 if a pivot breaks down under fp32 rounding; pair it with
-// Factor.SolveRefined or SolveCG to recover fp64-quality solutions.
+// Precision selects the format the factor is stored and shipped in, for
+// Options.Precision. PrecFP32 is float32 storage and wire, fp64 arithmetic,
+// rounded once per finalised block (CPU only — the device model prices
+// fp64), and transparently retries in fp64 if a pivot breaks down under the
+// rounding; pair it with Factor.SolveRefined or SolveCG to recover
+// fp64-quality solutions.
 type Precision = core.Precision
 
 // Precisions for Options.Precision.
