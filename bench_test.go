@@ -597,7 +597,7 @@ func BenchmarkAblationMapping(b *testing.B) {
 			b.Fatal(err)
 		}
 		t2d = r.FactorSeconds
-		cfg.Use1DMap = true
+		cfg.Mapping = symbolic.Map1DCols
 		r, err = des.Simulate(p.st, p.tg, cfg)
 		if err != nil {
 			b.Fatal(err)

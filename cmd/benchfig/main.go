@@ -29,13 +29,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"sympack"
 	"sympack/internal/des"
 	"sympack/internal/gen"
 	"sympack/internal/machine"
 	"sympack/internal/matrix"
+	"sympack/internal/metrics"
 	"sympack/internal/ordering"
 	"sympack/internal/simnet"
 	"sympack/internal/symbolic"
@@ -97,17 +97,12 @@ var figures []sympack.MetricsFigure
 // across revisions.
 func writeScalingReport(path string, scale int, figs []sympack.MetricsFigure) error {
 	rep := &sympack.RunReport{
-		Command:   "benchfig",
-		Timestamp: machine.WallNow().UTC().Format(time.RFC3339),
-		Matrix:    fmt.Sprintf("generated analogues, scale %d", scale),
-		Figures:   figs,
+		Command: "benchfig",
+		Matrix:  fmt.Sprintf("generated analogues, scale %d", scale),
+		Figures: figs,
 	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	return sympack.WriteRunReport(fh, rep)
+	_, err := metrics.WriteReportFile(path, rep, machine.WallNow())
+	return err
 }
 
 func header(name string) string {

@@ -319,26 +319,9 @@ func summarize(reg *metrics.Registry, results []outcome, wall time.Duration,
 	}
 
 	if report != "" {
-		now := machine.WallNow()
-		path := report
-		if path == "auto" {
-			path = metrics.ReportFilename("loadgen", now)
-		}
-		rep := &metrics.RunReport{
-			Command:     "loadgen",
-			Timestamp:   now.UTC().Format(time.RFC3339),
-			WallSeconds: wall.Seconds(),
-			Metrics:     reg.Snapshot().Series,
-		}
-		fh, err := os.Create(path)
+		rep := &metrics.RunReport{Command: "loadgen", WallSeconds: wall.Seconds(), Metrics: reg.Snapshot().Series}
+		path, err := metrics.WriteReportFile(report, rep, machine.WallNow())
 		if err != nil {
-			return false, err
-		}
-		if err := metrics.WriteRunReport(fh, rep); err != nil {
-			fh.Close()
-			return false, err
-		}
-		if err := fh.Close(); err != nil {
 			return false, err
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: report written to %s\n", path)

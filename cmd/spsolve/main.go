@@ -22,6 +22,7 @@ import (
 	"sympack"
 	"sympack/internal/faults"
 	"sympack/internal/matrix"
+	"sympack/internal/metrics"
 	"sympack/internal/ordering"
 )
 
@@ -177,13 +178,15 @@ func run(matPath, rhsPath, outPath string, ranks, workers, gpus int, ordName str
 		}
 		fmt.Fprintf(os.Stderr, "spsolve: factored n=%d nnz=%d in %v (nnz(L)=%d)\n",
 			a.N, a.NnzFull(), f.Stats.Wall, f.Stats.NnzL)
-		if f.Stats.Faults.Any() {
-			fmt.Fprintf(os.Stderr, "spsolve: faults injected/recovered: %s\n", f.Stats.Faults)
+		if line := sympack.FaultSummary(f.Metrics.Snapshot()); line != "" {
+			fmt.Fprintf(os.Stderr, "spsolve: faults injected/recovered: %s\n", line)
 		}
 		if report != "" {
-			if err := writeReport(report, matPath, a, f, ranks, gpus); err != nil {
+			path, err := metrics.WriteReportFile(report, f.RunReport("spsolve", matPath, a), time.Now())
+			if err != nil {
 				return err
 			}
+			fmt.Fprintf(os.Stderr, "spsolve: report written to %s\n", path)
 		}
 	default:
 		return fmt.Errorf("one of -A or -load-factor is required")
@@ -261,42 +264,6 @@ func run(matPath, rhsPath, outPath string, ranks, workers, gpus int, ordName str
 		}
 	}
 	return writeVector(outPath, x)
-}
-
-// writeReport dumps the merged metric registry plus run configuration as
-// one BENCH_*.json document.
-func writeReport(path, matName string, a *sympack.Matrix, f *sympack.Factor, ranks, gpus int) error {
-	now := time.Now()
-	if path == "auto" {
-		path = sympack.ReportFilename("spsolve", now)
-	}
-	st := &f.Stats
-	rep := &sympack.RunReport{
-		Command:      "spsolve",
-		Timestamp:    now.UTC().Format(time.RFC3339),
-		Matrix:       matName,
-		N:            a.N,
-		Nnz:          int64(a.NnzFull()),
-		Ranks:        ranks,
-		Workers:      st.Workers,
-		GPUs:         gpus,
-		WallSeconds:  st.Wall.Seconds(),
-		ModelSeconds: st.ModelSeconds,
-		Metrics:      f.Metrics.Snapshot().Series,
-	}
-	if st.ModelSeconds > 0 {
-		rep.GFlops = float64(st.FactorFlop) / st.ModelSeconds / 1e9
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	if err := sympack.WriteRunReport(fh, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "spsolve: report written to %s\n", path)
-	return nil
 }
 
 // readVector loads one float per line.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -65,6 +66,37 @@ func TestSolveEndToEnd(t *testing.T) {
 	}
 	if r := sympack.ResidualNorm(a, x, b); r > 1e-10 {
 		t.Fatalf("residual %g", r)
+	}
+}
+
+// TestRunReport drives -report: the document must decode as the shared
+// run-report schema and describe the run that wrote it.
+func TestRunReport(t *testing.T) {
+	dir := t.TempDir()
+	mat, a := writeTestMatrix(t, dir)
+	report := filepath.Join(dir, "report.json")
+	if err := run(mat, "", filepath.Join(dir, "x.txt"), 2, 1, 0, "SCOTCH", sympack.FanOut, sympack.Map2DCyclic, directIter(), false, "", "", "", nil, "", report); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep sympack.RunReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not a run report: %v\n%s", err, data)
+	}
+	if rep.Command != "spsolve" || rep.Matrix != mat || rep.N != a.N || rep.Nnz != int64(a.NnzFull()) {
+		t.Errorf("identity: command %q matrix %q n %d nnz %d", rep.Command, rep.Matrix, rep.N, rep.Nnz)
+	}
+	if rep.Ranks != 2 || rep.Workers != 1 || rep.GPUs != 0 {
+		t.Errorf("configuration: ranks %d workers %d gpus %d, want 2 1 0", rep.Ranks, rep.Workers, rep.GPUs)
+	}
+	if rep.WallSeconds <= 0 || rep.ModelSeconds <= 0 || rep.Timestamp == "" {
+		t.Errorf("clocks: wall %g model %g timestamp %q", rep.WallSeconds, rep.ModelSeconds, rep.Timestamp)
+	}
+	if len(rep.Metrics) == 0 {
+		t.Error("report carries no metric series")
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"sympack/internal/gpu"
 	"sympack/internal/machine"
 	"sympack/internal/matrix"
+	"sympack/internal/metrics"
 	"sympack/internal/ordering"
 	"sympack/internal/trace"
 )
@@ -144,11 +145,12 @@ func main() {
 		st.Wall, st.ModelSeconds, st.Supernodes, st.Blocks, st.Updates, st.Workers)
 	fmt.Printf("factor: nnz(L)=%d  flops=%.3g  fill=%.2fx\n",
 		st.NnzL, float64(st.FactorFlop), float64(st.NnzL)/float64(a.Nnz()))
-	if st.FallbacksOOM > 0 {
-		fmt.Printf("device OOM fallbacks to CPU: %d\n", st.FallbacksOOM)
+	if oom := f.Metrics.Value("sympack_gpu_oom_fallbacks_total"); oom > 0 {
+		fmt.Printf("device OOM fallbacks to CPU: %.0f\n", oom)
 	}
-	if st.Faults.Any() {
-		fmt.Printf("faults injected/recovered: %s\n", st.Faults)
+	factorFaults := sympack.FaultSummary(f.Metrics.Snapshot())
+	if factorFaults != "" {
+		fmt.Printf("faults injected/recovered: %s\n", factorFaults)
 	}
 
 	rng := rand.New(rand.NewSource(*seed + 100))
@@ -185,8 +187,10 @@ func main() {
 			r, wall, sympack.ResidualNorm(a, x, b))
 	}
 
-	if f.SolveStats.Faults.Any() {
-		fmt.Printf("solve faults injected/recovered: %s\n", f.SolveStats.Faults)
+	// A distributed solve counts on the factor's registry, so the line after
+	// the solves is cumulative; it is printed when the solves added to it.
+	if all := sympack.FaultSummary(f.Metrics.Snapshot()); all != factorFaults {
+		fmt.Printf("faults injected/recovered, solves included: %s\n", all)
 	}
 
 	if *gpuV {
@@ -194,10 +198,12 @@ func main() {
 	}
 
 	if *report != "" {
-		if err := writeReport(*report, name, a, f, *ranks, *gpus); err != nil {
+		path, err := metrics.WriteReportFile(*report, f.RunReport("sympack2d", name, a), time.Now())
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "sympack2d:", err)
 			os.Exit(1)
 		}
+		fmt.Printf("report: %s\n", path)
 	}
 
 	if *metHold > 0 && f.MetricsAddr() != "" {
@@ -254,42 +260,6 @@ func runIterative(a *sympack.Matrix, opt sympack.Options, solver string, icLevel
 		fmt.Printf("solve %d: %d iterations  %d matvecs  relative residual=%.3g\n",
 			r, res.Iterations, res.MatVecs, sympack.ResidualNorm(a, res.X, b))
 	}
-}
-
-// writeReport dumps the merged metric registry plus run configuration as
-// one BENCH_*.json document.
-func writeReport(path, name string, a *sympack.Matrix, f *sympack.Factor, ranks, gpus int) error {
-	now := time.Now()
-	if path == "auto" {
-		path = sympack.ReportFilename("sympack2d", now)
-	}
-	st := &f.Stats
-	rep := &sympack.RunReport{
-		Command:      "sympack2d",
-		Timestamp:    now.UTC().Format(time.RFC3339),
-		Matrix:       name,
-		N:            a.N,
-		Nnz:          int64(a.NnzFull()),
-		Ranks:        ranks,
-		Workers:      st.Workers,
-		GPUs:         gpus,
-		WallSeconds:  st.Wall.Seconds(),
-		ModelSeconds: st.ModelSeconds,
-		Metrics:      f.Metrics.Snapshot().Series,
-	}
-	if st.ModelSeconds > 0 {
-		rep.GFlops = float64(st.FactorFlop) / st.ModelSeconds / 1e9
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	if err := sympack.WriteRunReport(fh, rep); err != nil {
-		return err
-	}
-	fmt.Printf("report: %s\n", path)
-	return nil
 }
 
 // loadMatrix reads a file or builds a generated problem.

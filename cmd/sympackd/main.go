@@ -127,38 +127,16 @@ func run(addr string, inflight, queue int, cacheMB int64, deadline time.Duration
 		_ = sidecar.Close()
 	}
 	if report != "" {
-		if err := writeReport(report, s, ranks, workers, gpus); err != nil {
+		// The server's full registry in the standard run-report document,
+		// so a daemon's lifetime is greppable alongside the batch benchmarks.
+		rep := &metrics.RunReport{Command: "sympackd", Ranks: ranks, Workers: workers, GPUs: gpus,
+			Metrics: s.Registry().Snapshot().Series}
+		path, err := metrics.WriteReportFile(report, rep, machine.WallNow())
+		if err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "sympackd: report written to %s\n", path)
 	}
 	fmt.Fprintln(os.Stderr, "sympackd: drained cleanly")
-	return nil
-}
-
-// writeReport flushes the server's full metric registry as the standard
-// run-report document, so a daemon's lifetime is greppable alongside the
-// batch benchmarks.
-func writeReport(path string, s *server.Server, ranks, workers, gpus int) error {
-	now := machine.WallNow()
-	if path == "auto" {
-		path = metrics.ReportFilename("sympackd", now)
-	}
-	rep := &metrics.RunReport{
-		Command:   "sympackd",
-		Timestamp: now.UTC().Format(time.RFC3339),
-		Ranks:     ranks,
-		Workers:   workers,
-		GPUs:      gpus,
-		Metrics:   s.Registry().Snapshot().Series,
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	if err := metrics.WriteRunReport(fh, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sympackd: report written to %s\n", path)
 	return nil
 }

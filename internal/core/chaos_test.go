@@ -14,6 +14,7 @@ import (
 	"sympack/internal/gen"
 	"sympack/internal/gpu"
 	"sympack/internal/matrix"
+	"sympack/internal/metrics"
 )
 
 // chaosSeeds returns the seed set of the chaos suite. CI's chaos matrix job
@@ -206,14 +207,14 @@ func TestChaosLostSignalRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if f.Stats.Faults.DroppedSignals == 0 {
+		if f.Metrics.Value("sympack_upcxx_signals_dropped_total") == 0 {
 			t.Fatalf("seed %d: 0.6 drop rate injected nothing", seed)
 		}
-		if f.Stats.Faults.ReRequests > 0 {
+		if f.Metrics.Value("sympack_upcxx_rerequests_total") > 0 {
 			sawReRequest = true
-			if f.Stats.Faults.Redeliveries == 0 {
+			if f.Metrics.Value("sympack_upcxx_redeliveries_total") == 0 {
 				t.Fatalf("seed %d: re-requests without redeliveries: %s",
-					seed, f.Stats.Faults)
+					seed, FaultSummary(f.Metrics.Snapshot()))
 			}
 		}
 		if r := distSolveCheck(t, a, f, seed); r > 1e-10 {
@@ -267,8 +268,8 @@ func TestChaosDeviceFailureDemotesToCPU(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fallback=%v: mid-run device death must demote, got %v", fb, err)
 		}
-		if f.Stats.Faults.DeviceDemotions == 0 {
-			t.Fatalf("fallback=%v: no demotion recorded: %s", fb, f.Stats.Faults)
+		if f.Metrics.Value("sympack_gpu_demotions_total") == 0 {
+			t.Fatalf("fallback=%v: no demotion recorded: %s", fb, FaultSummary(f.Metrics.Snapshot()))
 		}
 		if e := reconstructError(t, f, a); e > 1e-8 {
 			t.Fatalf("fallback=%v: reconstruction error %g after demotion", fb, e)
@@ -293,8 +294,8 @@ func TestChaosTransientOOMNeverAborts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transient OOM must not abort under FallbackError: %v", err)
 	}
-	if f.Stats.Faults.AllocRetries == 0 {
-		t.Fatalf("no alloc retries recorded: %s", f.Stats.Faults)
+	if f.Metrics.Value("sympack_gpu_alloc_retries_total") == 0 {
+		t.Fatalf("no alloc retries recorded: %s", FaultSummary(f.Metrics.Snapshot()))
 	}
 	if e := reconstructError(t, f, a); e > 1e-8 {
 		t.Fatalf("reconstruction error %g", e)
@@ -325,14 +326,15 @@ func TestChaosGenuineOOMStillAborts(t *testing.T) {
 
 // TestChaosDeterministicCounters runs the same seeded single-rank plan
 // twice; with one rank and one worker the decision stream is fully ordered,
-// so the injection counters must match exactly. (Workers is pinned to 1:
+// so the injection counters — the whole fault line — must match exactly.
+// (Workers is pinned to 1:
 // the factor itself is deterministic under any pool size, but the *order*
 // in which concurrent workers consult the injector is not, so counter
 // equality is only guaranteed sequentially.)
 func TestChaosDeterministicCounters(t *testing.T) {
 	a := gen.Laplace2D(9, 8)
 	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
-	run := func() FaultStats {
+	run := func() string {
 		f, err := Factorize(a, Options{
 			Ranks: 1, Workers: 1, GPUsPerNode: 1, Thresholds: &th,
 			Faults:       planWith(11, faults.TransientOOM, 0.3),
@@ -341,35 +343,28 @@ func TestChaosDeterministicCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f.Stats.Faults
+		return FaultSummary(f.Metrics.Snapshot())
 	}
 	s1, s2 := run(), run()
 	if s1 != s2 {
-		t.Fatalf("same seed diverged: %s vs %s", s1, s2)
+		t.Fatalf("same seed diverged: %q vs %q", s1, s2)
 	}
-	if s1.AllocRetries == 0 {
-		t.Fatalf("0.3 OOM rate injected nothing: %s", s1)
+	if !strings.Contains(s1, "alloc-retries=") {
+		t.Fatalf("0.3 OOM rate injected nothing: %q", s1)
 	}
 }
 
-// TestChaosStatsStringAndAny covers the FaultStats presentation helpers.
-func TestChaosStatsStringAndAny(t *testing.T) {
-	var s FaultStats
-	if s.Any() || s.String() != "no faults" {
-		t.Fatalf("zero stats: Any=%v String=%q", s.Any(), s.String())
+// TestFaultSummary pins the fault line: empty on a perfect network, the
+// non-zero rows of the name table in table order otherwise.
+func TestFaultSummary(t *testing.T) {
+	reg := metrics.NewRegistry()
+	if got := FaultSummary(reg.Snapshot()); got != "" {
+		t.Fatalf("empty registry: %q", got)
 	}
-	s.DroppedSignals = 2
-	s.ReRequests = 1
-	if !s.Any() {
-		t.Fatal("non-zero stats must report Any")
-	}
-	var sum FaultStats
-	sum.Add(s)
-	sum.Add(s)
-	if sum.DroppedSignals != 4 || sum.ReRequests != 2 {
-		t.Fatalf("Add: %+v", sum)
-	}
-	if sum.String() == "no faults" {
-		t.Fatal("non-zero stats must render counters")
+	reg.Counter("sympack_upcxx_rerequests_total", "").Add(1)
+	reg.Counter("sympack_upcxx_signals_dropped_total", "").Add(2)
+	reg.Counter("sympack_upcxx_signals_sent_total", "").Add(7) // not a fault row
+	if got, want := FaultSummary(reg.Snapshot()), "dropped=2 re-requests=1"; got != want {
+		t.Fatalf("fault line %q, want %q", got, want)
 	}
 }

@@ -145,7 +145,7 @@ func TestConformanceProperty(t *testing.T) {
 // TestConformanceChaos crosses every variant with the signal-fault classes
 // on a four-rank pool: the faulted run must recover to a factor that is
 // bit-identical to the same variant's clean run — chaos may cost retries,
-// never bits. The plans must actually fire (FaultStats.Any()), so a
+// never bits. The plans must actually fire (a non-empty FaultSummary), so a
 // formulation that quietly stopped exercising the signal protocol would
 // fail here rather than vacuously pass.
 func TestConformanceChaos(t *testing.T) {
@@ -178,7 +178,7 @@ func TestConformanceChaos(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 					}
-					if !f.Stats.Faults.Any() {
+					if FaultSummary(f.Metrics.Snapshot()) == "" {
 						t.Fatalf("%s seed %d: plan injected nothing", tc.name, seed)
 					}
 					if err := SameFactor(clean, f); err != nil {

@@ -18,7 +18,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -232,24 +231,10 @@ type OpStats struct {
 	GPU [machine.NumOps]int64
 }
 
-// Add accumulates another counter set.
-func (s *OpStats) Add(o OpStats) {
-	for i := range s.CPU {
-		s.CPU[i] += o.CPU[i]
-		s.GPU[i] += o.GPU[i]
-	}
-}
-
-// Total returns the total op count.
-func (s *OpStats) Total() int64 {
-	var t int64
-	for i := range s.CPU {
-		t += s.CPU[i] + s.GPU[i]
-	}
-	return t
-}
-
-// Stats reports what a factorization did.
+// Stats reports what a factorization did that no metric registry holds:
+// the run's configuration and clocks, the structure's sizes, and the kernel
+// counts rank by rank. Every other count of the run — communication, faults
+// and recovery, GPU fallbacks — is a series of Factor.Metrics.
 type Stats struct {
 	PerRank []OpStats // kernel counts per rank (Fig. 6 plots rank 0)
 
@@ -265,10 +250,6 @@ type Stats struct {
 	Supernodes int
 	Blocks     int
 	Updates    int
-
-	FallbacksOOM int64 // device-OOM events that fell back to the CPU
-
-	Faults FaultStats // injected faults and the recovery work they caused
 }
 
 // Factor is a completed Cholesky factorization PAPᵀ = LLᵀ.
@@ -278,15 +259,19 @@ type Factor struct {
 	Data [][]float64 // per global block ID, column-major, ld = block rows
 
 	Stats Stats
-	// SolveStats is filled by SolveDistributed (Wall, ModelSeconds, Faults),
-	// which also folds its runtime's series into Metrics: it mutates the
-	// factor and so, unlike Solve, must not run concurrently on one Factor.
+	// SolveStats is filled by SolveDistributed (Wall and ModelSeconds of the
+	// last solve), which also imports its runtime's registry into Metrics: it
+	// mutates the factor and so, unlike Solve, must not run concurrently on
+	// one Factor.
 	SolveStats Stats
 
-	// Metrics is the merged job-wide metric registry: every rank's
-	// instrumentation bundle reduced across ranks (counters and histogram
-	// buckets summed, peak gauges maxed), plus the runtime, device, fault
-	// and trace projections. Nil only when the factorization failed.
+	// Metrics is the job's one registry: the runtime's communication, fault
+	// and device series, with every rank's engine registry imported in rank
+	// order (counters and histogram buckets summed, peak gauges maxed) and
+	// the device, injector and trace projections of the final gather. It is
+	// what the metrics endpoint serves once the factorization has returned,
+	// and a distributed solve adds its own communication to it. Nil on a
+	// factor restored by LoadFactor.
 	Metrics *metrics.Registry
 
 	msrv *metrics.Server // live /metrics endpoint; nil unless MetricsAddr was set
@@ -309,6 +294,29 @@ func (f *Factor) CloseMetrics() error {
 	err := f.msrv.Close()
 	f.msrv = nil
 	return err
+}
+
+// RunReport assembles the run-report document of this factorization of a
+// for the command cmd: problem identity, the configuration the run used,
+// its clocks and the snapshot of Metrics. The caller stamps and writes it.
+func (f *Factor) RunReport(cmd, matrixName string, a *matrix.SparseSym) *metrics.RunReport {
+	st := &f.Stats
+	rep := &metrics.RunReport{
+		Command:      cmd,
+		Matrix:       matrixName,
+		N:            a.N,
+		Nnz:          int64(a.NnzFull()),
+		Ranks:        f.Opt.Ranks,
+		Workers:      st.Workers,
+		GPUs:         f.Opt.GPUsPerNode,
+		WallSeconds:  st.Wall.Seconds(),
+		ModelSeconds: st.ModelSeconds,
+		Metrics:      f.Metrics.Snapshot().Series,
+	}
+	if st.ModelSeconds > 0 {
+		rep.GFlops = float64(st.FactorFlop) / st.ModelSeconds / 1e9
+	}
+	return rep
 }
 
 // ErrNotPositiveDefinite is re-exported for callers that only import core.
@@ -340,7 +348,7 @@ func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options
 	if err != nil && opt.Precision == PrecFP32 && errors.Is(err, ErrNotPositiveDefinite) {
 		opt.Precision = PrecFP64
 		f, err = factorizeAnalyzedOnce(st, pa, opt)
-		if err == nil && f.Metrics != nil {
+		if err == nil {
 			f.Metrics.Counter("sympack_iter_fp32_fallbacks_total",
 				"factorizations retried in fp64 after fp32 pivot breakdown").Inc()
 		}
@@ -378,17 +386,11 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 	// (item id = nBlocks + update index). Both ride the same signal / poll
 	// / Rget / re-request protocol.
 	dir := make([]upcxx.GlobalPtr, opt.Formulation.ItemCount(tg))
-	engines := make([]*engine, opt.Ranks)
-	// engMu orders engine-slot publication against the watchdog's health
-	// snapshots; the slots themselves are written once, before the first
-	// barrier.
-	var engMu sync.Mutex
+	led := &ledger{engines: make([]*engine, opt.Ranks), rt: rt, inj: inj, tr: opt.Trace}
 
 	var progress atomic.Int64
 	stopWatch := startWatchdog(rt, &progress, opt.StallTimeout, func() error {
-		engMu.Lock()
-		rep := snapshotHealth(engines, rt)
-		engMu.Unlock()
+		rep := led.health()
 		err := fmt.Errorf("no task completed for %v; %s", opt.StallTimeout, rep)
 		if rep.Waiting() && rep.ReRequested() {
 			// Ranks still owe source blocks after exercising the
@@ -399,43 +401,29 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 	})
 	defer stopWatch()
 
-	// The opt-in observability endpoint serves the live merged view while
-	// the factorization runs; it survives the run (gatherLive stays valid)
-	// until the caller invokes Factor.CloseMetrics.
+	// The opt-in observability endpoint serves the ledger's gather while the
+	// factorization runs and Factor.Metrics itself afterwards, until the
+	// caller invokes Factor.CloseMetrics.
 	var msrv *metrics.Server
 	if opt.MetricsAddr != "" {
 		msrv, err = metrics.Serve(opt.MetricsAddr,
-			func() metrics.Snapshot {
-				return gatherLive(&engMu, engines, rt, inj, opt.Trace)
-			},
+			func() metrics.Snapshot { return led.gather(false).Snapshot() },
 			func() (any, bool) {
-				engMu.Lock()
-				rep := snapshotHealth(engines, rt)
-				engMu.Unlock()
 				// An aborting job is not healthy: probes see 503 with
 				// the diagnosis body as soon as the first rank fails.
-				return rep, !rt.ShouldAbort()
+				return led.health(), !rt.ShouldAbort()
 			})
 		if err != nil {
 			return nil, fmt.Errorf("core: metrics endpoint: %w", err)
 		}
 	}
 
-	// merged is the cross-rank reduction of the per-rank registries,
-	// captured on rank 0 inside the run (the reduction is a collective
-	// over the runtime's AllReduce, so it must happen while all ranks are
-	// still executing). Zero-valued when the job aborted.
-	var mergedMu sync.Mutex
-	var merged metrics.Snapshot
-
 	start := machine.WallNow()
 	totalTasks := int64(opt.Formulation.TaskCount(tg))
 	err = rt.Run(func(r *upcxx.Rank) {
-		e := newEngine(r, st, tg, pa, m2d, &opt, dir, engines)
+		e := newEngine(r, st, tg, pa, m2d, &opt, dir, led.engines)
 		e.progress = &progress
-		engMu.Lock()
-		engines[r.ID] = e
-		engMu.Unlock()
+		led.publish(e)
 		e.setup()
 		if err := r.Barrier(); err != nil {
 			return
@@ -443,14 +431,8 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 		e.run()
 		// A rank that finishes early must keep serving RPCs until every
 		// rank is done: consumers whose announcements were lost direct
-		// re-requests at this rank, and the barrier does not drain queues.
+		// re-requests at this rank.
 		e.drainUntil(&progress, totalTasks)
-		if snap, rerr := r.ReduceSnapshot(e.met.reg.Snapshot()); rerr == nil && r.ID == 0 {
-			mergedMu.Lock()
-			merged = snap
-			mergedMu.Unlock()
-		}
-		_ = r.Barrier()
 	})
 	f.Stats.Wall = machine.WallSince(start)
 	if err != nil {
@@ -459,21 +441,10 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 		}
 		return nil, err
 	}
-	// Assemble the job-wide registry: the reduced per-rank view, the
-	// runtime's live series, and the export-time projections (runtime
-	// stats, devices, faults, trace). Stats.Faults is then re-read out of
-	// the registry — the metric names are the single source of truth.
-	f.Metrics = metrics.NewRegistry()
-	mergedMu.Lock()
-	f.Metrics.Import(merged)
-	mergedMu.Unlock()
-	f.Metrics.Import(rt.Metrics().Snapshot())
-	exportJob(f.Metrics, rt, inj, opt.Trace)
-	f.Stats.Faults = faultStatsFrom(f.Metrics)
+	f.Metrics = led.gather(true)
 	f.msrv = msrv
-	for _, e := range engines {
+	for _, e := range led.engines {
 		f.Stats.PerRank[e.r.ID] = e.opStats()
-		f.Stats.FallbacksOOM += int64(e.met.oomFallbacks.Value())
 		if s := e.r.Elapsed(); s > f.Stats.ModelSeconds {
 			f.Stats.ModelSeconds = s
 		}
@@ -560,32 +531,6 @@ func newInjector(opt Options) *faults.Injector {
 		actors = d
 	}
 	return faults.New(*opt.Faults, actors)
-}
-
-// snapshotHealth builds a HealthReport from the engines' metric gauges and
-// the runtime's fault counters. Gauge reads are single atomic loads, so
-// this is safe from the watchdog goroutine and the /healthz handler
-// mid-run; unpublished engine slots (nil) are skipped.
-func snapshotHealth(engines []*engine, rt *upcxx.Runtime) *HealthReport {
-	rep := &HealthReport{Faults: runtimeFaultStats(rt)}
-	for _, e := range engines {
-		if e == nil {
-			continue
-		}
-		rep.Faults.AllocRetries += int64(e.met.allocRetries.Value())
-		rep.Faults.DeviceDemotions += int64(e.met.gpuDemotions.Value())
-		rep.Ranks = append(rep.Ranks, RankHealth{
-			Rank:            e.r.ID,
-			Done:            int(e.met.tasksDone.Value()),
-			Total:           int(e.met.tasksTotal.Value()),
-			RTQDepth:        int(e.met.rtqDepth.Value()),
-			Inbox:           int(e.met.inboxDepth.Value()),
-			PendingRPCs:     e.r.PendingRPCs(),
-			OutstandingDeps: int(e.met.wantedBlocks.Value()),
-			ReRequests:      int64(e.met.reRequests.Value()),
-		})
-	}
-	return rep
 }
 
 // ErrStalled is returned when the watchdog detects a scheduling deadlock.

@@ -639,7 +639,7 @@ func (e *engine) reRequest(b int32) {
 	requester := e.r.ID
 	peers := e.peers
 	e.met.reRequests.Inc()
-	rt.Stats.ReRequests.Add(1)
+	rt.CountReRequest()
 	if tr := e.opt.Trace; tr != nil {
 		tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", b, owner))
 	}
@@ -655,7 +655,7 @@ func (e *engine) reRequest(b int32) {
 		if !done {
 			return
 		}
-		rt.Stats.Redeliveries.Add(1)
+		rt.CountRedelivery()
 		t.RPC(requester, func(c *upcxx.Rank) {
 			peers[c.ID].enqueueSignal(b)
 		})

@@ -37,64 +37,6 @@ var (
 	ErrCanceled = errors.New("core: canceled")
 )
 
-// FaultStats aggregates the fault-injection and recovery counters of one
-// factorization or solve phase. All zeros on a perfect network.
-type FaultStats struct {
-	DroppedSignals   int64 // producer announcements discarded by the injector
-	DupSignals       int64 // announcements delivered twice (absorbed idempotently)
-	DelayedSignals   int64 // announcements deferred by progress ticks
-	TransferRetries  int64 // Rget/Rput/Copy attempts that failed and retried
-	TransferFailures int64 // transfers whose retry budget ran out
-	Stalls           int64 // injected rank-stall windows
-	ReRequests       int64 // consumer re-requests for missing announcements
-	Redeliveries     int64 // producer re-announcements serving re-requests
-	AllocRetries     int64 // transient device-allocation failures retried
-	DeviceDemotions  int64 // ranks that permanently fell back to CPU kernels
-}
-
-// Any reports whether any fault or recovery event was recorded.
-func (s FaultStats) Any() bool { return s != FaultStats{} }
-
-// Add accumulates another counter set.
-func (s *FaultStats) Add(o FaultStats) {
-	s.DroppedSignals += o.DroppedSignals
-	s.DupSignals += o.DupSignals
-	s.DelayedSignals += o.DelayedSignals
-	s.TransferRetries += o.TransferRetries
-	s.TransferFailures += o.TransferFailures
-	s.Stalls += o.Stalls
-	s.ReRequests += o.ReRequests
-	s.Redeliveries += o.Redeliveries
-	s.AllocRetries += o.AllocRetries
-	s.DeviceDemotions += o.DeviceDemotions
-}
-
-func (s FaultStats) String() string {
-	if !s.Any() {
-		return "no faults"
-	}
-	var b strings.Builder
-	add := func(name string, v int64) {
-		if v != 0 {
-			if b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%s=%d", name, v)
-		}
-	}
-	add("dropped", s.DroppedSignals)
-	add("dup", s.DupSignals)
-	add("delayed", s.DelayedSignals)
-	add("xfer-retries", s.TransferRetries)
-	add("xfer-failures", s.TransferFailures)
-	add("stalls", s.Stalls)
-	add("re-requests", s.ReRequests)
-	add("redeliveries", s.Redeliveries)
-	add("alloc-retries", s.AllocRetries)
-	add("gpu-demotions", s.DeviceDemotions)
-	return b.String()
-}
-
 // RankHealth is one rank's progress snapshot inside a HealthReport.
 type RankHealth struct {
 	Rank            int
@@ -107,12 +49,12 @@ type RankHealth struct {
 }
 
 // HealthReport is the stall watchdog's structured diagnosis: per-rank queue
-// depths and dependency debt plus the job-wide fault counters, replacing the
-// old free-text "done/total" line. Snapshots are taken from per-engine
-// atomic mirrors so the watchdog can read them race-free mid-run.
+// depths and dependency debt, read from the engines' gauges (single atomic
+// loads, so the watchdog can take it race-free mid-run), plus the job-wide
+// fault line (FaultSummary) of a metrics gather taken at the same moment.
 type HealthReport struct {
 	Ranks  []RankHealth
-	Faults FaultStats
+	Faults string
 }
 
 // Waiting reports whether any rank is still owed source blocks — with

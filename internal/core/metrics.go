@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 
 	"sympack/internal/faults"
@@ -12,10 +14,8 @@ import (
 
 // coreMetrics is the per-rank instrumentation bundle. Every series is
 // registered eagerly in newCoreMetrics — including the GPU families on
-// CPU-only runs — so all ranks hold identically laid-out registries,
-// which is the precondition for the element-wise cross-rank reduction
-// (upcxx.Rank.ReduceSnapshot), and so /metrics exposes the full inventory
-// at zero rather than a shape that depends on the run.
+// CPU-only runs — so /metrics exposes the full inventory at zero rather
+// than a shape that depends on the run.
 //
 // Hot paths touch only the cached handles (one atomic per event); the
 // registry maps are never consulted after construction. Histograms
@@ -139,70 +139,123 @@ func (e *engine) noteGPU(op machine.Op, dt float64) {
 	e.met.taskSecs[op].Observe(dt)
 }
 
-// exportJob projects job-level state — runtime communication counters,
-// device occupancy, injector tallies and the trace event summary — into
-// reg. Callers pass a registry that does not yet hold these families
-// (fresh at live-gather time, the final merged registry once), so the
-// export never double-counts.
-func exportJob(reg *metrics.Registry, rt *upcxx.Runtime, inj *faults.Injector, tr *trace.Recorder) {
-	rt.ExportStats(reg)
-	injected := inj.Injected()
-	for c := faults.Class(0); c < faults.NumClasses; c++ {
-		reg.Counter("sympack_faults_injected_total",
-			"faults injected by class", "class", c.String()).Add(float64(injected[c]))
-	}
-	if tr != nil {
-		for _, ks := range tr.Summary() {
-			reg.Counter("sympack_trace_events_total",
-				"trace events recorded by kind", "kind", ks.Kind).Add(float64(ks.Count))
-		}
-	}
+// ledger is the one reader of a factorization's counters. Every event is
+// stored once — on the engine registry of the rank it happened on, or on the
+// runtime's registry — and gather is the only place those registries are
+// merged: it serves /metrics, the fault line of /healthz and of the stall
+// watchdog while the job runs, and its last call produces Factor.Metrics.
+type ledger struct {
+	mu      sync.Mutex
+	engines []*engine // slot r is published by rank r before its first task
+	rt      *upcxx.Runtime
+	inj     *faults.Injector
+	tr      *trace.Recorder
+	final   *metrics.Registry // the finished job's registry, once gathered
 }
 
-// faultStatsFrom reads the FaultStats projection out of a registry
-// holding the exported runtime and per-rank counters — the single path
-// behind Stats.Faults and the health report since the metrics subsystem
-// became the source of truth.
-func faultStatsFrom(reg *metrics.Registry) FaultStats {
-	v := func(name string) int64 { return int64(reg.Value(name)) }
-	return FaultStats{
-		DroppedSignals:   v("sympack_upcxx_signals_dropped_total"),
-		DupSignals:       v("sympack_upcxx_signals_duplicated_total"),
-		DelayedSignals:   v("sympack_upcxx_signals_delayed_total"),
-		TransferRetries:  v("sympack_upcxx_transfer_retries_total"),
-		TransferFailures: v("sympack_upcxx_transfer_failures_total"),
-		Stalls:           v("sympack_upcxx_rank_stalls_total"),
-		ReRequests:       v("sympack_upcxx_rerequests_total"),
-		Redeliveries:     v("sympack_upcxx_redeliveries_total"),
-		AllocRetries:     v("sympack_gpu_alloc_retries_total"),
-		DeviceDemotions:  v("sympack_gpu_demotions_total"),
+// publish makes rank r's engine visible to gather and health.
+func (l *ledger) publish(e *engine) {
+	l.mu.Lock()
+	l.engines[e.r.ID] = e
+	l.mu.Unlock()
+}
+
+// gather merges the job's registries by Import, per-rank registries in rank
+// order (so histogram sums are added in one order whatever the schedule
+// was), and adds the gather-time projections: device state, the injector's
+// tallies and the trace summary. It costs the factorization's modeled clock
+// nothing. Mid-run it fills a fresh registry from snapshots that may be torn
+// per series; the final gather, after every rank has returned, imports into
+// the runtime's own registry — already holding the communication and device
+// series — and from then on every reader is handed that registry, so no
+// event is counted twice.
+func (l *ledger) gather(final bool) *metrics.Registry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.final != nil {
+		return l.final
 	}
-}
-
-// runtimeFaultStats folds the runtime's counters into FaultStats through
-// a scratch registry (per-rank alloc-retry/demotion counters are added by
-// the caller where engines are in scope).
-func runtimeFaultStats(rt *upcxx.Runtime) FaultStats {
-	reg := metrics.NewRegistry()
-	rt.ExportStats(reg)
-	return faultStatsFrom(reg)
-}
-
-// gatherLive merges the current view of a running (or finished)
-// factorization: every engine's per-rank registry, the runtime's live
-// registry, and the export-time projections. It backs the /metrics
-// endpoint, so it must be safe concurrently with the run; engines is read
-// under mu, and per-series torn reads are acceptable mid-run.
-func gatherLive(mu *sync.Mutex, engines []*engine, rt *upcxx.Runtime, inj *faults.Injector, tr *trace.Recorder) metrics.Snapshot {
-	g := metrics.NewRegistry()
-	mu.Lock()
-	for _, e := range engines {
+	g := l.rt.Metrics()
+	if !final {
+		g = metrics.NewRegistry()
+		g.Import(l.rt.Metrics().Snapshot())
+	}
+	for _, e := range l.engines {
 		if e != nil {
 			g.Import(e.met.reg.Snapshot())
 		}
 	}
-	mu.Unlock()
-	g.Import(rt.Metrics().Snapshot())
-	exportJob(g, rt, inj, tr)
-	return g.Snapshot()
+	l.rt.ExportDevices(g)
+	injected := l.inj.Injected()
+	for c := faults.Class(0); c < faults.NumClasses; c++ {
+		g.Counter("sympack_faults_injected_total",
+			"faults injected by class", "class", c.String()).Add(float64(injected[c]))
+	}
+	if l.tr != nil {
+		for _, ks := range l.tr.Summary() {
+			g.Counter("sympack_trace_events_total",
+				"trace events recorded by kind", "kind", ks.Kind).Add(float64(ks.Count))
+		}
+	}
+	if final {
+		l.final = g
+	}
+	return g
+}
+
+// health builds a HealthReport from the engines' metric gauges and the
+// fault line of a gather. Gauge reads are single atomic loads, so this is
+// safe from the watchdog goroutine and the /healthz handler mid-run;
+// unpublished engine slots (nil) are skipped.
+func (l *ledger) health() *HealthReport {
+	rep := &HealthReport{Faults: FaultSummary(l.gather(false).Snapshot())}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range l.engines {
+		if e == nil {
+			continue
+		}
+		rep.Ranks = append(rep.Ranks, RankHealth{
+			Rank:            e.r.ID,
+			Done:            int(e.met.tasksDone.Value()),
+			Total:           int(e.met.tasksTotal.Value()),
+			RTQDepth:        int(e.met.rtqDepth.Value()),
+			Inbox:           int(e.met.inboxDepth.Value()),
+			PendingRPCs:     e.r.PendingRPCs(),
+			OutstandingDeps: int(e.met.wantedBlocks.Value()),
+			ReRequests:      int64(e.met.reRequests.Value()),
+		})
+	}
+	return rep
+}
+
+// faultRows names the series of the fault line: what the injector did to
+// the job and the recovery work that answered it.
+var faultRows = [...]struct{ label, series string }{
+	{"dropped", "sympack_upcxx_signals_dropped_total"},
+	{"dup", "sympack_upcxx_signals_duplicated_total"},
+	{"delayed", "sympack_upcxx_signals_delayed_total"},
+	{"xfer-retries", "sympack_upcxx_transfer_retries_total"},
+	{"xfer-failures", "sympack_upcxx_transfer_failures_total"},
+	{"stalls", "sympack_upcxx_rank_stalls_total"},
+	{"re-requests", "sympack_upcxx_rerequests_total"},
+	{"redeliveries", "sympack_upcxx_redeliveries_total"},
+	{"alloc-retries", "sympack_gpu_alloc_retries_total"},
+	{"gpu-demotions", "sympack_gpu_demotions_total"},
+}
+
+// FaultSummary renders the non-zero fault and recovery counters of a
+// snapshot as one line, "dropped=2 re-requests=1" — the line the CLIs, the
+// stall watchdog and /healthz print. It is "" on a perfect network.
+func FaultSummary(snap metrics.Snapshot) string {
+	var b strings.Builder
+	for _, row := range faultRows {
+		if v := int64(snap.Value(row.series)); v != 0 {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%d", row.label, v)
+		}
+	}
+	return b.String()
 }

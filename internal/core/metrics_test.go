@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,40 +16,51 @@ import (
 	"sympack/internal/metrics"
 )
 
-// TestMergedMetricsMatchPerRankStats checks the one-path property: the
-// cross-rank merged registry and the legacy Stats.PerRank view are
-// projections of the same counters, so the per-op task totals must agree
-// exactly.
+// TestMergedMetricsMatchPerRankStats ties Stats.PerRank to the merged
+// registry: both read the engines' task counters, so the per-op totals must
+// agree exactly, and each op's modeled-seconds histogram — observed once
+// per kernel, on either target — must hold as many observations as the
+// ranks ran kernels of that op.
 func TestMergedMetricsMatchPerRankStats(t *testing.T) {
 	a := gen.Laplace2D(12, 12)
-	f, err := Factorize(a, Options{Ranks: 3, RanksPerNode: 3, GPUsPerNode: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Metrics == nil {
-		t.Fatal("Factor.Metrics not populated")
-	}
-	snap := f.Metrics.Snapshot()
-	for op := 0; op < machine.NumOps; op++ {
-		var cpu, gpu int64
-		for r := range f.Stats.PerRank {
-			cpu += f.Stats.PerRank[r].CPU[op]
-			gpu += f.Stats.PerRank[r].GPU[op]
+	for _, ranks := range []int{1, 3, 4} {
+		f, err := Factorize(a, Options{Ranks: ranks, RanksPerNode: ranks, GPUsPerNode: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		name := machine.Op(op).String()
-		if got := snap.Value("sympack_core_tasks_total", name, "cpu"); got != float64(cpu) {
-			t.Errorf("%s cpu: merged %g, Stats sum %d", name, got, cpu)
+		if f.Metrics == nil {
+			t.Fatal("Factor.Metrics not populated")
 		}
-		if got := snap.Value("sympack_core_tasks_total", name, "gpu"); got != float64(gpu) {
-			t.Errorf("%s gpu: merged %g, Stats sum %d", name, got, gpu)
+		snap := f.Metrics.Snapshot()
+		hist := histograms(snap)
+		for op := 0; op < machine.NumOps; op++ {
+			var cpu, gpu int64
+			for r := range f.Stats.PerRank {
+				cpu += f.Stats.PerRank[r].CPU[op]
+				gpu += f.Stats.PerRank[r].GPU[op]
+			}
+			name := machine.Op(op).String()
+			if got := snap.Value("sympack_core_tasks_total", name, "cpu"); got != float64(cpu) {
+				t.Errorf("ranks=%d %s cpu: merged %g, Stats sum %d", ranks, name, got, cpu)
+			}
+			if got := snap.Value("sympack_core_tasks_total", name, "gpu"); got != float64(gpu) {
+				t.Errorf("ranks=%d %s gpu: merged %g, Stats sum %d", ranks, name, got, gpu)
+			}
+			var observed int64
+			for _, c := range hist["sympack_core_task_seconds{op="+name+"}"].Counts {
+				observed += c
+			}
+			if observed != cpu+gpu || observed == 0 {
+				t.Errorf("ranks=%d %s: %d kernel durations observed, %d kernels counted", ranks, name, observed, cpu+gpu)
+			}
 		}
-	}
-	if peak := snap.Value("sympack_core_rtq_peak"); peak < 1 {
-		t.Errorf("rtq peak %g, want >= 1", peak)
-	}
-	if done := snap.Value("sympack_core_tasks_done"); done != snap.Value("sympack_core_tasks_owned") {
-		t.Errorf("tasks done %g != owned %g after completion",
-			snap.Value("sympack_core_tasks_done"), snap.Value("sympack_core_tasks_owned"))
+		if peak := snap.Value("sympack_core_rtq_peak"); peak < 1 {
+			t.Errorf("ranks=%d: rtq peak %g, want >= 1", ranks, peak)
+		}
+		if done := snap.Value("sympack_core_tasks_done"); done != snap.Value("sympack_core_tasks_owned") {
+			t.Errorf("ranks=%d: tasks done %g != owned %g after completion",
+				ranks, done, snap.Value("sympack_core_tasks_owned"))
+		}
 	}
 }
 
@@ -110,10 +124,45 @@ func TestHistogramsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// scrape fetches /metrics and returns the body with its samples keyed the
+// way the exposition prints them: name{label="value",...}. The error is the
+// transport's (the endpoint is not up, or already closed).
+func scrape(t *testing.T, addr string) (string, map[string]float64, error) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return "", nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != metrics.ContentType {
+		t.Errorf("content type %q", ct)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		samples[line[:sp]] = v
+	}
+	return string(body), samples, nil
+}
+
 // TestMetricsEndpoint starts the opt-in HTTP listener on an ephemeral
 // port and checks the ISSUE acceptance shape: /metrics is a valid
 // Prometheus text exposition with at least 20 distinct families spanning
 // the core, upcxx, gpu and faults namespaces, and /healthz serves JSON.
+// It also pins what the endpoint is once Factorize has returned:
+// Factor.Metrics itself — every engine event counted once, scrape after
+// scrape.
 func TestMetricsEndpoint(t *testing.T) {
 	a := gen.Laplace2D(10, 10)
 	f, err := Factorize(a, Options{Ranks: 2, MetricsAddr: "127.0.0.1:0"})
@@ -126,19 +175,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("no metrics address resolved")
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
+	body, got, err := scrape(t, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != metrics.ContentType {
-		t.Errorf("content type %q", ct)
-	}
-	families, samples, err := metrics.ValidateExposition(strings.NewReader(string(body)))
+	families, samples, err := metrics.ValidateExposition(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("invalid exposition: %v", err)
 	}
@@ -149,12 +190,44 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("%d samples < %d families", samples, families)
 	}
 	for _, prefix := range []string{"sympack_core_", "sympack_upcxx_", "sympack_gpu_", "sympack_faults_"} {
-		if !strings.Contains(string(body), prefix) {
+		if !strings.Contains(body, prefix) {
 			t.Errorf("exposition lacks %s* series", prefix)
 		}
 	}
 
-	resp, err = http.Get("http://" + addr + "/healthz")
+	want := map[string]float64{
+		"sympack_core_dep_decrements_total": f.Metrics.Value("sympack_core_dep_decrements_total"),
+		"sympack_upcxx_signals_sent_total":  f.Metrics.Value("sympack_upcxx_signals_sent_total"),
+	}
+	for op := 0; op < machine.NumOps; op++ {
+		name := machine.Op(op).String()
+		for _, target := range []string{"cpu", "gpu"} {
+			want[fmt.Sprintf("sympack_core_tasks_total{op=%q,target=%q}", name, target)] =
+				f.Metrics.Value("sympack_core_tasks_total", "op", name, "target", target)
+		}
+	}
+	for k, se := range histograms(f.Metrics.Snapshot()) {
+		if k == "sympack_core_task_seconds{op=GEMM}" {
+			var n int64
+			for _, c := range se.Counts {
+				n += c
+			}
+			want[`sympack_core_task_seconds_count{op="GEMM"}`] = float64(n)
+		}
+	}
+	if len(want) != 2+2*machine.NumOps+1 || want["sympack_core_dep_decrements_total"] == 0 {
+		t.Fatalf("reference values from Factor.Metrics incomplete: %v", want)
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Errorf("scraped %s = %g (present %v), Factor.Metrics has %g", k, g, ok, w)
+		}
+	}
+	if again, _, _ := scrape(t, addr); again != body {
+		t.Error("a second scrape of the finished job differs from the first")
+	}
+
+	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,4 +251,69 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("endpoint still serving after CloseMetrics")
 	}
+}
+
+// TestMetricsEndpointDuringRun scrapes /metrics and /healthz from another
+// goroutine for as long as a factorization runs — the live gather racing the
+// engines' updates, the ranks publishing themselves and the final gather —
+// and checks the ledger's promise at every instant: a valid exposition in
+// which a counter never runs backwards and never exceeds what the finished
+// job's registry holds. Run it under -race.
+func TestMetricsEndpointDuringRun(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	type result struct {
+		f   *Factor
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		f, err := Factorize(gen.Laplace3D(12, 12, 12), Options{Ranks: 4, Workers: 2, MetricsAddr: addr})
+		done <- result{f, err}
+	}()
+
+	const name = "sympack_core_dep_decrements_total"
+	var last float64
+	scrapes := 0
+	check := func() {
+		body, samples, err := scrape(t, addr)
+		if err != nil {
+			return // endpoint not up yet
+		}
+		if _, _, err := metrics.ValidateExposition(strings.NewReader(body)); err != nil {
+			t.Errorf("scrape %d: invalid exposition: %v", scrapes, err)
+		}
+		if got := samples[name]; got < last {
+			t.Errorf("scrape %d: %s ran backwards, %g after %g", scrapes, name, got, last)
+		} else {
+			last = got
+		}
+		scrapes++
+		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+			resp.Body.Close()
+		}
+	}
+	var res result
+	for running := true; running; {
+		select {
+		case res = <-done:
+			running = false
+		default:
+			check()
+		}
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.f.CloseMetrics()
+	check()
+	if final := res.f.Metrics.Value(name); last != final || final == 0 {
+		t.Errorf("last scrape read %g, Factor.Metrics holds %g", last, final)
+	}
+	t.Logf("%d scrapes", scrapes)
 }

@@ -6,7 +6,6 @@ import (
 	"sympack/internal/blas"
 	"sympack/internal/faults"
 	"sympack/internal/machine"
-	"sympack/internal/metrics"
 	"sympack/internal/simnet"
 	"sympack/internal/symbolic"
 	"sympack/internal/upcxx"
@@ -101,16 +100,10 @@ func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 			f.SolveStats.ModelSeconds = s
 		}
 	}
-	// The runtime's counters go through a scratch registry: it is where the
-	// fault stats are read from, and folding the solve phase's communication
-	// into the job-wide registry by Import gives merge semantics (counters
-	// add, peak gauges take the max) instead of ExportStats clobbering the
-	// factorization's device gauges.
-	scratch := metrics.NewRegistry()
-	rt.ExportStats(scratch)
-	f.SolveStats.Faults.Add(faultStatsFrom(scratch))
+	// The solve's communication joins the factorization's in the one
+	// registry. Import merges (counters add, peak gauges take the maximum),
+	// so the factorization's device gauges stand.
 	if f.Metrics != nil {
-		f.Metrics.Import(scratch.Snapshot())
 		f.Metrics.Import(rt.Metrics().Snapshot())
 	}
 	// Permute back to the original ordering.

@@ -3,10 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"sympack/internal/gen"
+	"sympack/internal/gpu"
 )
 
 func TestSolveDistributedMatchesSequential(t *testing.T) {
@@ -71,9 +74,14 @@ func TestSolveDistributedAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSolveDistributedStats checks what a distributed solve leaves on the
+// factor: its clocks in SolveStats, and its communication added to the
+// factorization's in Metrics by one Import — counters grow by the solve's
+// own message count, the factorization's device gauges do not move.
 func TestSolveDistributedStats(t *testing.T) {
 	a := gen.Laplace3D(4, 4, 4)
-	f, err := Factorize(a, Options{Ranks: 4})
+	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
+	f, err := Factorize(a, Options{Ranks: 4, GPUsPerNode: 1, Thresholds: &th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +89,42 @@ func TestSolveDistributedStats(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	if _, err := f.SolveDistributed(b); err != nil {
-		t.Fatal(err)
+	gauges := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, se := range f.Metrics.Snapshot().Series {
+			if se.Kind == "gauge" && strings.HasPrefix(se.Name, "sympack_gpu_") {
+				out[se.Name+"/"+se.Labels[0].Value] = se.Value
+			}
+		}
+		return out
+	}
+	before := gauges()
+	if before["sympack_gpu_device_mem_peak_elements/0"] == 0 {
+		t.Fatalf("factorization left no device high-water mark to protect: %v", before)
+	}
+	sent := []float64{f.Metrics.Value("sympack_upcxx_signals_sent_total")}
+	received := []float64{f.Metrics.Value("sympack_upcxx_signals_received_total")}
+	for i := 0; i < 2; i++ {
+		if _, err := f.SolveDistributed(b); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, f.Metrics.Value("sympack_upcxx_signals_sent_total"))
+		received = append(received, f.Metrics.Value("sympack_upcxx_signals_received_total"))
 	}
 	if f.SolveStats.Wall <= 0 || f.SolveStats.ModelSeconds <= 0 {
 		t.Fatalf("solve stats not populated: %+v", f.SolveStats)
+	}
+	// Every message of a sweep is executed before its rank returns, and the
+	// message count is a property of the structure: both solves add the same.
+	grew := sent[1] - sent[0]
+	if grew <= 0 || received[1]-received[0] != grew {
+		t.Errorf("first solve: %g signals sent, %g received", grew, received[1]-received[0])
+	}
+	if sent[2]-sent[1] != grew || received[2]-received[1] != grew {
+		t.Errorf("second solve added %g sent / %g received, first %g", sent[2]-sent[1], received[2]-received[1], grew)
+	}
+	if after := gauges(); !reflect.DeepEqual(after, before) {
+		t.Errorf("device gauges moved across a solve:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

@@ -63,10 +63,6 @@ type Config struct {
 	// Mapping selects the block→process distribution (2D block-cyclic /
 	// 1D columns / proportional subtree). Mirrors core.Options.Mapping.
 	Mapping symbolic.MappingKind
-	// Use1DMap is the legacy spelling of Mapping == Map1DCols, kept for
-	// existing ablation callers; it applies only when Mapping is left at
-	// the 2D default.
-	Use1DMap bool
 	// ModelNICContention serializes each node's outbound transfers
 	// through its NICs (Perlmutter has four per node) instead of treating
 	// the fabric as infinitely parallel. Off by default: the paper's
@@ -79,14 +75,9 @@ type Config struct {
 // Ranks returns the total process count.
 func (c *Config) Ranks() int { return c.Nodes * c.RanksPerNode }
 
-// blockMap resolves the configured block distribution (honoring the legacy
-// Use1DMap spelling).
+// blockMap resolves the configured block distribution.
 func (c *Config) blockMap(st *symbolic.Structure) symbolic.BlockMap {
-	kind := c.Mapping
-	if c.Use1DMap && kind == symbolic.Map2DCyclic {
-		kind = symbolic.Map1DCols
-	}
-	return symbolic.NewBlockMap(kind, c.Ranks(), st)
+	return symbolic.NewBlockMap(c.Mapping, c.Ranks(), st)
 }
 
 // Result reports the modeled times of one run.

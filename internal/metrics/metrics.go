@@ -1,7 +1,7 @@
 // Package metrics is the solver-wide observability layer: a stdlib-only
 // typed metric registry (counters, gauges, histograms) with deterministic
-// snapshots, a Prometheus text-format (v0.0.4) encoder, cross-rank
-// aggregation helpers and a machine-readable run-report schema.
+// snapshots, a Prometheus text-format (v0.0.4) encoder, one way of merging
+// registries (Registry.Import) and a machine-readable run-report schema.
 //
 // Determinism contract. Histogram bucket bounds are fixed at registration
 // (log-spaced, see ExpBuckets), and in the solver namespaces
@@ -15,8 +15,8 @@
 // are service telemetry observing wall seconds, are never merged across
 // ranks, and make no determinism claim.
 // Snapshots emit families and series in sorted (name, label-values)
-// order, so the encoded exposition and the reduction vectors built from a
-// snapshot are deterministic too; the package sits in the wallclock and
+// order, so the encoded exposition and a merge that imports snapshots in
+// rank order are deterministic too; the package sits in the wallclock and
 // mapiterdeterminism analyzer scopes to keep both properties honest.
 //
 // Concurrency. Registration takes locks and should happen at setup time;

@@ -123,7 +123,10 @@ func TestSnapshotSortedAndMerge(t *testing.T) {
 		t.Fatalf("label order not sorted: %+v", s.Series[:2])
 	}
 
-	m := MergeSnapshots(mk(1), mk(2))
+	merged := NewRegistry()
+	merged.Import(mk(1))
+	merged.Import(mk(2))
+	m := merged.Snapshot()
 	if got := m.Value("zz_total"); got != 3 {
 		t.Fatalf("merged counter = %v, want 3", got)
 	}
@@ -142,61 +145,6 @@ func TestSnapshotSortedAndMerge(t *testing.T) {
 				t.Fatalf("merged histogram sum = %v", m.Series[i].Sum)
 			}
 		}
-	}
-}
-
-func TestVectorsRoundTrip(t *testing.T) {
-	mk := func(inc float64) Snapshot {
-		r := NewRegistry()
-		r.Counter("c_total", "").Add(inc)
-		r.Gauge("g", "", MergeSum).Set(inc)
-		r.Gauge("p", "", MergeMax).Set(inc * inc)
-		h := r.Histogram("h", "", []float64{1, 4})
-		h.Observe(inc)
-		return r.Snapshot()
-	}
-	a, b := mk(1), mk(3)
-	sumA, maxA := a.Vectors()
-	sumB, maxB := b.Vectors()
-	if len(sumA) != len(sumB) || len(maxA) != len(maxB) {
-		t.Fatalf("vector layouts differ: %d/%d vs %d/%d", len(sumA), len(maxA), len(sumB), len(maxB))
-	}
-	for i := range sumA {
-		sumA[i] += sumB[i]
-		if maxB[i] > maxA[i] {
-			maxA[i] = maxB[i]
-		}
-	}
-	merged, err := a.FromVectors(sumA, maxA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := MergeSnapshots(mk(1), mk(3))
-	if len(merged.Series) != len(ref.Series) {
-		t.Fatalf("series count %d vs %d", len(merged.Series), len(ref.Series))
-	}
-	for i := range ref.Series {
-		m, r := merged.Series[i], ref.Series[i]
-		if m.Name != r.Name || m.Value != r.Value || m.Sum != r.Sum {
-			t.Fatalf("series %d: %+v vs %+v", i, m, r)
-		}
-		for b := range r.Counts {
-			if m.Counts[b] != r.Counts[b] {
-				t.Fatalf("series %s bucket %d: %d vs %d", r.Name, b, m.Counts[b], r.Counts[b])
-			}
-		}
-	}
-}
-
-func TestFromVectorsLengthMismatch(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "")
-	s := r.Snapshot()
-	if _, err := s.FromVectors([]float64{}, []float64{}); err == nil {
-		t.Fatal("short vector accepted")
-	}
-	if _, err := s.FromVectors([]float64{1, 2}, []float64{0, 0}); err == nil {
-		t.Fatal("long vector accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 )
 
@@ -60,6 +61,26 @@ func WriteRunReport(w io.Writer, rep *RunReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
+}
+
+// WriteReportFile stamps rep with now and writes it to path — or, when path
+// is "auto", to ReportFilename(rep.Command, now) in the working directory —
+// and returns the path written. It is the one way a command's -report flag
+// produces its document.
+func WriteReportFile(path string, rep *RunReport, now time.Time) (string, error) {
+	if path == "auto" {
+		path = ReportFilename(rep.Command, now)
+	}
+	rep.Timestamp = now.UTC().Format(time.RFC3339)
+	fh, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if err := WriteRunReport(fh, rep); err != nil {
+		fh.Close()
+		return "", err
+	}
+	return path, fh.Close()
 }
 
 // ReportFilename returns the canonical BENCH_<cmd>_<ts>.json name for a

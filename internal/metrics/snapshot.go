@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -27,18 +26,9 @@ type Series struct {
 	Sum    float64   `json:"sum,omitempty"`
 }
 
-// key identifies a series across snapshots: family name + label values.
-func (se *Series) key() string {
-	k := se.Name
-	for _, l := range se.Labels {
-		k += "\x00" + l.Value
-	}
-	return k
-}
-
 // Snapshot is a point-in-time reading of a registry, sorted by
-// (name, label values) so iteration, encoding and reduction-vector
-// layout are deterministic.
+// (name, label values) so iteration, encoding and import order are
+// deterministic.
 type Snapshot struct {
 	Series []Series `json:"series"`
 }
@@ -96,8 +86,9 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Import folds a snapshot into the registry, creating families and series
 // as needed: counters and histograms accumulate, gauges combine per their
-// merge mode. It is the building block for merging per-rank, runtime and
-// export-time views into one registry.
+// merge mode. It is the one way registries are merged: per-rank views into
+// the job's registry (in rank order, which fixes the order histogram sums
+// are added in), a solve phase into its factor's.
 func (r *Registry) Import(snap Snapshot) {
 	for i := range snap.Series {
 		se := &snap.Series[i]
@@ -129,90 +120,6 @@ func (r *Registry) Import(snap Snapshot) {
 			h.s.addSum(se.Sum)
 		}
 	}
-}
-
-// MergeSnapshots combines per-rank snapshots into the global view:
-// counters and histogram buckets sum, gauges sum or max per their merge
-// mode. Series present in only some snapshots pass through.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	reg := NewRegistry()
-	for _, s := range snaps {
-		reg.Import(s)
-	}
-	return reg.Snapshot()
-}
-
-// slots returns the reduction-vector length of one series.
-func seriesSlots(se *Series) int {
-	if se.Kind == "histogram" {
-		return len(se.Counts) + 1 // buckets + sum
-	}
-	return 1
-}
-
-// Vectors flattens the snapshot into two parallel reduction vectors: sum
-// carries everything that sums (counters, histogram buckets and sums,
-// sum-mode gauges), max carries the max-mode gauge values (zero
-// elsewhere, the identity for both operators). Ranks holding snapshots of
-// identically registered metrics produce identical layouts, which is what
-// lets a pair of element-wise AllReduce calls merge them.
-func (s Snapshot) Vectors() (sum, max []float64) {
-	n := 0
-	for i := range s.Series {
-		n += seriesSlots(&s.Series[i])
-	}
-	sum = make([]float64, n)
-	max = make([]float64, n)
-	at := 0
-	for i := range s.Series {
-		se := &s.Series[i]
-		switch {
-		case se.Kind == "histogram":
-			for b, c := range se.Counts {
-				sum[at+b] = float64(c)
-			}
-			sum[at+len(se.Counts)] = se.Sum
-		case se.Kind == "gauge" && se.Merge == "max":
-			max[at] = se.Value
-		default:
-			sum[at] = se.Value
-		}
-		at += seriesSlots(se)
-	}
-	return sum, max
-}
-
-// FromVectors rebuilds a merged snapshot from reduced vectors laid out by
-// Vectors on a snapshot with the same series set.
-func (s Snapshot) FromVectors(sum, max []float64) (Snapshot, error) {
-	out := Snapshot{Series: make([]Series, len(s.Series))}
-	at := 0
-	for i := range s.Series {
-		se := s.Series[i] // copy
-		w := seriesSlots(&se)
-		if at+w > len(sum) || at+w > len(max) {
-			return Snapshot{}, fmt.Errorf("metrics: reduction vector too short (%d slots, need %d)", len(sum), at+w)
-		}
-		switch {
-		case se.Kind == "histogram":
-			se.Counts = make([]int64, len(s.Series[i].Counts))
-			for b := range se.Counts {
-				se.Counts[b] = int64(sum[at+b])
-			}
-			se.Bounds = append([]float64(nil), s.Series[i].Bounds...)
-			se.Sum = sum[at+len(se.Counts)]
-		case se.Kind == "gauge" && se.Merge == "max":
-			se.Value = max[at]
-		default:
-			se.Value = sum[at]
-		}
-		out.Series[i] = se
-		at += w
-	}
-	if at != len(sum) || at != len(max) {
-		return Snapshot{}, fmt.Errorf("metrics: reduction vector length %d, snapshot needs %d", len(sum), at)
-	}
-	return out, nil
 }
 
 // Value returns the reading of a counter or gauge series in the snapshot,

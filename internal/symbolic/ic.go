@@ -44,34 +44,18 @@ type ICOptions struct {
 // drop rule; supernodes here are strict pattern-equality groups, width-cap
 // aside.
 func AnalyzeIC(a *matrix.SparseSym, ord ordering.Kind, opt Options, ic ICOptions) (*Structure, *matrix.SparseSym, error) {
-	if a.N == 0 {
-		return nil, nil, ErrEmptyMatrix
-	}
 	if ic.Level < 0 {
 		ic.Level = 0
 	}
-	perm1, err := ordering.Compute(ord, a)
+	a2, perm, tree, err := orderAndPostorder(a, ord)
 	if err != nil {
 		return nil, nil, err
-	}
-	a1, err := a.Permute(perm1)
-	if err != nil {
-		return nil, nil, err
-	}
-	t1 := etree.Compute(a1)
-	post := t1.Postorder()
-	a2, err := a1.Permute(post)
-	if err != nil {
-		return nil, nil, err
-	}
-	perm := make([]int32, a.N)
-	for k := range perm {
-		perm[k] = perm1[post[k]]
 	}
 	if ic.DropTol > 0 {
+		// Dropping entries changes the pattern the tree describes.
 		a2 = dropFilter(a2, ic.DropTol)
+		tree = etree.Compute(a2)
 	}
-	tree := etree.Compute(a2)
 
 	st := &Structure{N: a.N, Perm: perm, Tree: tree, Incomplete: true}
 	pattern := icPattern(a2, ic.Level)

@@ -128,35 +128,47 @@ func (s *Structure) FindBlock(rowSn, snode int32) int32 {
 // ErrEmptyMatrix is returned for matrices with no columns.
 var ErrEmptyMatrix = errors.New("symbolic: empty matrix")
 
+// orderAndPostorder is the prelude Analyze and AnalyzeIC share: the
+// fill-reducing ordering, the elimination tree of the ordered matrix and its
+// postorder. It returns the postordered matrix, the composed new-to-old
+// permutation and the postordered matrix's elimination tree — which is the
+// first tree relabelled by the postorder, so it is not computed a second
+// time.
+func orderAndPostorder(a *matrix.SparseSym, ord ordering.Kind) (*matrix.SparseSym, []int32, *etree.Tree, error) {
+	if a.N == 0 {
+		return nil, nil, nil, ErrEmptyMatrix
+	}
+	perm1, err := ordering.Compute(ord, a)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	a1, err := a.Permute(perm1)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	t1 := etree.Compute(a1)
+	post := t1.Postorder()
+	a2, err := a1.Permute(post)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	perm := make([]int32, a.N)
+	for k := range perm {
+		perm[k] = perm1[post[k]]
+	}
+	return a2, perm, t1.Permute(post), nil
+}
+
 // Analyze runs the complete symbolic phase: fill-reducing ordering,
 // elimination tree + postorder, column counts, supernode partition (with
 // optional amalgamation and width capping), exact supernodal structure,
 // block partitioning, and the supernodal tree. It returns the structure and
 // the permuted matrix the numeric phase should factor.
 func Analyze(a *matrix.SparseSym, ord ordering.Kind, opt Options) (*Structure, *matrix.SparseSym, error) {
-	if a.N == 0 {
-		return nil, nil, ErrEmptyMatrix
-	}
-	perm1, err := ordering.Compute(ord, a)
+	a2, perm, tree, err := orderAndPostorder(a, ord)
 	if err != nil {
 		return nil, nil, err
 	}
-	a1, err := a.Permute(perm1)
-	if err != nil {
-		return nil, nil, err
-	}
-	t1 := etree.Compute(a1)
-	post := t1.Postorder()
-	a2, err := a1.Permute(post)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Composed new-to-old permutation.
-	perm := make([]int32, a.N)
-	for k := range perm {
-		perm[k] = perm1[post[k]]
-	}
-	tree := etree.Compute(a2)
 	if !tree.IsPostordered() {
 		return nil, nil, errors.New("symbolic: internal: postordered etree expected")
 	}

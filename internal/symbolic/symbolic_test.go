@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -447,6 +448,55 @@ func TestSupernodeRowsSlab(t *testing.T) {
 				if &grown[0] == &rows[0] {
 					t.Fatalf("%s opt=%+v: append to supernode %d rows did not reallocate", name, opt, k)
 				}
+			}
+		}
+	}
+}
+
+// TestPostorderedTreeIsRelabelledTree pins what orderAndPostorder relies on:
+// the elimination tree of the postordered matrix is the ordered matrix's tree
+// relabelled by the postorder (etree.Compute need not run twice), and
+// permuting once by the composed permutation gives the twice-permuted matrix.
+func TestPostorderedTreeIsRelabelledTree(t *testing.T) {
+	mats := map[string]*matrix.SparseSym{
+		"laplace3d": gen.Laplace3D(6, 5, 4),
+		"thermal":   gen.Thermal2D(20, 20, 4, 3),
+		"flan":      gen.Flan3D(3, 3, 3, 1),
+		"bone":      gen.Bone3D(6, 5, 5, 0.3, 2),
+		"random":    gen.RandomSPD(120, 0.05, 4),
+	}
+	for name, a := range mats {
+		for _, ord := range []ordering.Kind{ordering.Natural, ordering.RCM, ordering.MinDegree, ordering.NestedDissection} {
+			perm1, err := ordering.Compute(ord, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a1, err := a.Permute(perm1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1 := etree.Compute(a1)
+			post := t1.Postorder()
+			a2, err := a1.Permute(post)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(t1.Permute(post), etree.Compute(a2)) {
+				t.Errorf("%s/%v: relabelled tree differs from the postordered matrix's tree", name, ord)
+			}
+			got, perm, tree, err := orderAndPostorder(a, ord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, a2) || !reflect.DeepEqual(tree, etree.Compute(a2)) {
+				t.Errorf("%s/%v: orderAndPostorder departs from order, permute, postorder, permute", name, ord)
+			}
+			once, err := a.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(once, a2) {
+				t.Errorf("%s/%v: one permutation by perm1∘post differs from two", name, ord)
 			}
 		}
 	}

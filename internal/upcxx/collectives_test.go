@@ -139,3 +139,39 @@ func TestCollectiveSingleRank(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllReduceBackToBack is the regression test for the collective
+// staging-buffer race: the last arriver of one AllReduce could enter the
+// next AllReduce and overwrite the shared accumulator before the first
+// call's waiters had copied their result, handing them the second
+// reduction's values. A sum-then-max pair is exactly this shape, so the
+// test hammers back-to-back reductions with distinguishable operands.
+func TestAllReduceBackToBack(t *testing.T) {
+	const p = 8
+	rt := newRT(t, p)
+	err := rt.Run(func(r *Rank) {
+		for round := 0; round < 200; round++ {
+			sum := []float64{float64(r.ID + 1)}
+			if err := r.AllReduce(OpSum, sum); err != nil {
+				t.Error(err)
+				return
+			}
+			max := []float64{float64(1000 + r.ID)}
+			if err := r.AllReduce(OpMax, max); err != nil {
+				t.Error(err)
+				return
+			}
+			if sum[0] != 36 { // Σ 1..8
+				t.Errorf("rank %d round %d: sum = %g, want 36", r.ID, round, sum[0])
+				return
+			}
+			if max[0] != 1007 {
+				t.Errorf("rank %d round %d: max = %g, want 1007", r.ID, round, max[0])
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

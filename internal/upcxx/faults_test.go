@@ -71,8 +71,8 @@ func TestInjectedDropSignal(t *testing.T) {
 	if hits.Load() != 0 {
 		t.Fatalf("drop rate 1.0 delivered %d RPCs", hits.Load())
 	}
-	if rt.Stats.DroppedSignals.Load() != 5 {
-		t.Fatalf("dropped = %d, want 5", rt.Stats.DroppedSignals.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_signals_dropped_total"); got != 5 {
+		t.Fatalf("dropped = %g, want 5", got)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestInjectedDupSignal(t *testing.T) {
 	if hits.Load() != 10 {
 		t.Fatalf("dup rate 1.0 delivered %d RPCs, want 10", hits.Load())
 	}
-	if rt.Stats.DupSignals.Load() != 5 {
-		t.Fatalf("dup = %d, want 5", rt.Stats.DupSignals.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_signals_duplicated_total"); got != 5 {
+		t.Fatalf("dup = %g, want 5", got)
 	}
 }
 
@@ -137,8 +137,8 @@ func TestInjectedDelaySignal(t *testing.T) {
 	if hits.Load() != 5 {
 		t.Fatalf("delivered %d RPCs, want 5", hits.Load())
 	}
-	if rt.Stats.DelayedSignals.Load() != 5 {
-		t.Fatalf("delayed = %d, want 5", rt.Stats.DelayedSignals.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_signals_delayed_total"); got != 5 {
+		t.Fatalf("delayed = %g, want 5", got)
 	}
 }
 
@@ -164,11 +164,11 @@ func TestTransferRetrySucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.TransferRetries.Load() != 3 {
-		t.Fatalf("retries = %d, want 3", rt.Stats.TransferRetries.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_transfer_retries_total"); got != 3 {
+		t.Fatalf("retries = %g, want 3", got)
 	}
-	if rt.Stats.TransferFailures.Load() != 0 {
-		t.Fatalf("failures = %d, want 0", rt.Stats.TransferFailures.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_transfer_failures_total"); got != 0 {
+		t.Fatalf("failures = %g, want 0", got)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestTransferExhaustionLeavesDataUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.TransferFailures.Load() == 0 {
+	if rt.Metrics().Value("sympack_upcxx_transfer_failures_total") == 0 {
 		t.Fatal("no transfer failure recorded")
 	}
 }

@@ -87,34 +87,10 @@ type Runtime struct {
 	collOnce sync.Once
 	collSt   *collectiveState
 
-	Stats Stats
-
-	// reg/met are the runtime's live metric registry and hot-path handles
+	// reg is the job's one counter store and met its hot-path handles
 	// (see metrics.go); created unconditionally by NewRuntime.
 	reg *metrics.Registry
 	met *rtMetrics
-}
-
-// Stats aggregates communication counters across the job; all fields are
-// updated atomically and may be read after Run returns.
-type Stats struct {
-	RPCs    atomic.Int64
-	Rgets   atomic.Int64
-	Rputs   atomic.Int64
-	Copies  atomic.Int64
-	ByPath  [6]atomic.Int64 // transfer count per simnet.Path
-	Bytes   [6]atomic.Int64 // bytes per simnet.Path
-	Dropped atomic.Int64    // RPCs delivered after abort
-
-	// Fault-injection and recovery counters (zero on a perfect network).
-	DroppedSignals   atomic.Int64 // RPCs discarded by the injector
-	DupSignals       atomic.Int64 // RPCs delivered twice
-	DelayedSignals   atomic.Int64 // RPCs deferred by progress ticks
-	TransferRetries  atomic.Int64 // transfer attempts that failed and retried
-	TransferFailures atomic.Int64 // transfers whose retry budget ran out
-	Stalls           atomic.Int64 // injected rank-stall windows
-	ReRequests       atomic.Int64 // consumer re-requests for lost signals
-	Redeliveries     atomic.Int64 // producer re-announcements of done blocks
 }
 
 // NewRuntime creates a runtime with the given layout.
@@ -383,27 +359,27 @@ func FailedFuture(err error) Future { return Future{err: err} }
 func (r *Rank) RPC(target int, fn func(*Rank)) {
 	rt := r.rt
 	if rt.ShouldAbort() {
-		rt.Stats.Dropped.Add(1)
+		rt.met.droppedAbort.Inc()
 		return
 	}
-	rt.Stats.RPCs.Add(1)
+	rt.met.signalsSent.Inc()
 	// A small active message: charge its latency to the initiator.
 	r.Charge(rt.net.Time(simnet.PathHostHost, 64, rt.Node(r.ID) == rt.Node(target)))
 	inj := rt.cfg.Faults
 	if inj.DropSignal(r.ID) {
-		rt.Stats.DroppedSignals.Add(1)
+		rt.met.droppedSignals.Inc()
 		rt.traceFault(int32(r.ID), "fault:drop-signal", fmt.Sprintf("to=%d", target))
 		return
 	}
 	copies := 1
 	if inj.DupSignal(r.ID) {
 		copies = 2
-		rt.Stats.DupSignals.Add(1)
+		rt.met.dupSignals.Inc()
 		rt.traceFault(int32(r.ID), "fault:dup-signal", fmt.Sprintf("to=%d", target))
 	}
 	delay := inj.DelaySignalTicks(r.ID)
 	if delay > 0 {
-		rt.Stats.DelayedSignals.Add(1)
+		rt.met.delayedSignals.Inc()
 		rt.traceFault(int32(r.ID), "fault:delay-signal", fmt.Sprintf("to=%d ticks=%d", target, delay))
 	}
 	t := rt.ranks[target]
@@ -432,7 +408,7 @@ func (r *Rank) Progress() int {
 	r.progressMu.Lock()
 	defer r.progressMu.Unlock()
 	if w := r.rt.cfg.Faults.StallWindow(r.ID); w > 0 {
-		r.rt.Stats.Stalls.Add(1)
+		r.rt.met.stalls.Inc()
 		r.rt.traceFault(int32(r.ID), "fault:rank-stall", w.String())
 		machine.Backoff(w)
 		r.Charge(w.Seconds())
@@ -487,8 +463,8 @@ var ErrTransferFailed = fmt.Errorf("upcxx: transfer failed after retries: %w", f
 
 func (r *Rank) account(p simnet.Path, bytes int64, sameNode bool) float64 {
 	rt := r.rt
-	rt.Stats.ByPath[p].Add(1)
-	rt.Stats.Bytes[p].Add(bytes)
+	rt.met.pathTransfers[p].Inc()
+	rt.met.pathBytes[p].Add(float64(bytes))
 	dt := rt.net.Time(p, bytes, sameNode)
 	r.Charge(dt)
 	return dt
@@ -512,10 +488,10 @@ func (r *Rank) retryTransfer(kind string) (float64, error) {
 		if !inj.TransferFault(r.ID) {
 			return extra, nil
 		}
-		rt.Stats.TransferRetries.Add(1)
+		rt.met.transferRetries.Inc()
 		rt.traceFault(int32(r.ID), "fault:transfer-retry", fmt.Sprintf("%s attempt=%d", kind, attempt))
 		if attempt >= rt.cfg.TransferAttempts {
-			rt.Stats.TransferFailures.Add(1)
+			rt.met.transferFailures.Inc()
 			rt.traceFault(int32(r.ID), "fault:transfer-timeout", kind)
 			return extra, fmt.Errorf("%s: %w", kind, ErrTransferFailed)
 		}
@@ -532,7 +508,7 @@ func (r *Rank) Rget(src GlobalPtr, dst []float64) Future {
 	if len(dst) != src.Len() {
 		panic(fmt.Sprintf("upcxx: Rget length mismatch %d vs %d", len(dst), src.Len()))
 	}
-	r.rt.Stats.Rgets.Add(1)
+	r.rt.met.rgets.Inc()
 	extra, err := r.retryTransfer("rget")
 	if extra > 0 {
 		r.Charge(extra)
@@ -556,7 +532,7 @@ func (r *Rank) Rput(src []float64, dst GlobalPtr) Future {
 	if len(src) != dst.Len() {
 		panic(fmt.Sprintf("upcxx: Rput length mismatch %d vs %d", len(src), dst.Len()))
 	}
-	r.rt.Stats.Rputs.Add(1)
+	r.rt.met.rputs.Inc()
 	extra, err := r.retryTransfer("rput")
 	if extra > 0 {
 		r.Charge(extra)
@@ -579,7 +555,7 @@ func (r *Rank) Copy(src, dst GlobalPtr) Future {
 	if src.Len() != dst.Len() {
 		panic(fmt.Sprintf("upcxx: Copy length mismatch %d vs %d", src.Len(), dst.Len()))
 	}
-	r.rt.Stats.Copies.Add(1)
+	r.rt.met.copies.Inc()
 	extra, err := r.retryTransfer("copy")
 	if extra > 0 {
 		r.Charge(extra)

@@ -66,8 +66,8 @@ func TestRPCAndProgress(t *testing.T) {
 	if sum.Load() != 66 {
 		t.Fatalf("sum = %d", sum.Load())
 	}
-	if rt.Stats.RPCs.Load() != 3 {
-		t.Fatalf("rpc count = %d", rt.Stats.RPCs.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_signals_sent_total"); got != 3 {
+		t.Fatalf("rpc count = %g", got)
 	}
 }
 
@@ -102,8 +102,9 @@ func TestRgetRputRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Rgets.Load() != 2 || rt.Stats.Rputs.Load() != 2 {
-		t.Fatalf("stats: %d gets %d puts", rt.Stats.Rgets.Load(), rt.Stats.Rputs.Load())
+	gets, puts := rt.Metrics().Value("sympack_upcxx_rma_gets_total"), rt.Metrics().Value("sympack_upcxx_rma_puts_total")
+	if gets != 2 || puts != 2 {
+		t.Fatalf("stats: %g gets %g puts", gets, puts)
 	}
 	// Rank 0's slots 8..16 were overwritten by rank 1 with rank 0's data.
 	if ptrs[0].Data[8] != 0 {
@@ -158,7 +159,7 @@ func TestDeviceAllocAndCopyKinds(t *testing.T) {
 		t.Fatalf("device data = %g, want 1", devPtrs[1].Data[0])
 	}
 	// The transfer must have been classified GDR (native kinds).
-	if rt.Stats.ByPath[simnet.PathGDR].Load() == 0 {
+	if rt.Metrics().Value("sympack_upcxx_path_transfers_total", "path", simnet.PathGDR.String()) == 0 {
 		t.Fatal("expected a GDR-path transfer")
 	}
 	// OOM beyond capacity.
@@ -202,7 +203,7 @@ func TestCopyStagedWithoutGDR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.ByPath[simnet.PathStaged].Load() == 0 {
+	if rt.Metrics().Value("sympack_upcxx_path_transfers_total", "path", simnet.PathStaged.String()) == 0 {
 		t.Fatal("expected a staged-path transfer without GDR")
 	}
 }
@@ -288,8 +289,8 @@ func TestFailReleasesBarrierAndDropsRPCs(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if rt.Stats.Dropped.Load() != 1 {
-		t.Fatalf("dropped = %d", rt.Stats.Dropped.Load())
+	if got := rt.Metrics().Value("sympack_upcxx_rpcs_dropped_abort_total"); got != 1 {
+		t.Fatalf("dropped = %g", got)
 	}
 }
 

@@ -138,9 +138,12 @@ var ErrNotPositiveDefinite = core.ErrNotPositiveDefinite
 // testing of a factorization.
 type FaultPlan = faults.Plan
 
-// FaultStats aggregates the fault and recovery counters of a run (see
-// Stats.Faults and Factor.SolveStats.Faults).
-type FaultStats = core.FaultStats
+// FaultSummary renders the non-zero fault-injection and recovery counters
+// of a metrics snapshot — Factor.Metrics.Snapshot() after a factorization or
+// a distributed solve — as one line such as "dropped=2 re-requests=1"; it is
+// "" when nothing was injected. The counters themselves are the
+// sympack_upcxx_* and sympack_gpu_* series the line names.
+func FaultSummary(snap MetricsSnapshot) string { return core.FaultSummary(snap) }
 
 // HealthReport is the stall watchdog's structured per-rank diagnosis.
 type HealthReport = core.HealthReport
