@@ -108,7 +108,10 @@ type Options struct {
 	// solves): when it is canceled or its deadline expires, every rank
 	// stops pulling new tasks and the call returns an error wrapping
 	// ErrCanceled. Checks happen at task-pull boundaries, so the latency
-	// from cancellation to return is one task execution, not one job.
+	// from cancellation to return is one task execution — or, for an update
+	// that holds its target block's turn, that block's chain of deferred
+	// updates, which the turn holder computes one after another — not one
+	// job.
 	// Nil means no externally imposed bound (the stall watchdog still
 	// applies). The context is consulted only during the call it
 	// configures; long-lived holders of Options (caches, servers) should

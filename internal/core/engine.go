@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -63,9 +62,9 @@ type fetched struct {
 // floating-point subtraction is not associative, contributions must land in
 // a canonical order — ascending update index, the block's
 // TaskGraph.UpdatesByTarget list — for the factor to be bit-identical across
-// worker counts, rank counts and scheduling policies. A worker whose update
-// finishes out of turn parks the scratch buffer in engine.parked; the worker
-// that completes the preceding update drains what became applicable.
+// worker counts, rank counts and scheduling policies. An update popped out
+// of turn only marks itself in engine.arrived; the worker holding the turn
+// computes and scatters it when the cursor reaches it (see applyUpdate).
 type blockApply struct {
 	mu sync.Mutex
 	// next indexes the block's UpdatesByTarget list at the next update to
@@ -85,9 +84,12 @@ type awaited struct {
 
 // laneScratch is the reusable working memory of one executor goroutine
 // (lane), private to it, so the per-task path neither allocates nor locks
-// for it: scatterSub's row positions, sized for the tallest block, and the
-// consumer-rank set announce fans a finished item out to.
+// for it: under fan-out the update product, sized for the largest update
+// this rank computes; scatterSub's row positions, sized for the tallest
+// block; and the consumer-rank set announce fans a finished item out to.
 type laneScratch struct {
+	lane  int32 // index into engine.lanes, the trace lane
+	w     []float64
 	rpos  []int
 	mark  []bool // by rank: already in ranks
 	ranks []int
@@ -101,36 +103,6 @@ func (ls *laneScratch) consumer(rank int) {
 	}
 }
 
-// scratchPool recycles update scratch buffers in power-of-two size classes,
-// so a steady-state update allocates nothing. Its lock is a leaf: nothing
-// is acquired while holding it.
-type scratchPool struct {
-	mu   sync.Mutex
-	free [bits.UintSize][][]float64 // by log2(capacity); guarded by p.mu
-}
-
-// get returns a buffer of length n ≥ 1 with unspecified contents.
-func (p *scratchPool) get(n int) []float64 {
-	c := bits.Len(uint(n - 1))
-	p.mu.Lock()
-	if l := p.free[c]; len(l) > 0 {
-		buf := l[len(l)-1]
-		p.free[c] = l[:len(l)-1]
-		p.mu.Unlock()
-		return buf[:n]
-	}
-	p.mu.Unlock()
-	return make([]float64, n, 1<<c)
-}
-
-// put returns a buffer obtained from get.
-func (p *scratchPool) put(buf []float64) {
-	c := bits.TrailingZeros(uint(cap(buf)))
-	p.mu.Lock()
-	p.free[c] = append(p.free[c], buf)
-	p.mu.Unlock()
-}
-
 // engine is the per-rank state of the fan-out factorization.
 //
 // Concurrency: a rank is `workers` goroutines pulling tasks from the RTQ.
@@ -140,9 +112,9 @@ func (p *scratchPool) put(buf []float64) {
 // scheduler state: the RTQ heap, dependency counters, avail, inbox,
 // wanted/remote, produced and doneTasks. Numeric kernels run outside mu;
 // ordered application into target blocks is serialized per block by
-// blockApply. Lock order: blockApply.mu before engine.mu, never the
-// reverse; scratch.mu is a leaf, taken under blockApply.mu or under no lock
-// at all and never held across another acquisition.
+// blockApply, whose mutex guards only the cursor and the arrival marks: the
+// worker holding a block's turn computes and scatters with no lock held.
+// Lock order: blockApply.mu before engine.mu, never the reverse.
 type engine struct {
 	r   *upcxx.Rank
 	st  *symbolic.Structure
@@ -192,18 +164,17 @@ type engine struct {
 	// unlocked reads in hostOf and trsm.
 	avail []fetched
 
-	// blk holds the per-block ordered-apply state and parked[ui] the
-	// scratch of an update that finished before its turn (nil otherwise;
-	// guarded by the target's blk mutex). Together with the task graph's
-	// UpdatesByTarget lists they make the scatter-subtract order — and
-	// therefore the factor bits — independent of execution interleaving.
-	blk    []blockApply
-	parked [][]float64
+	// blk holds the per-block ordered-apply state and arrived[ui] marks an
+	// update popped before its turn and not yet applied (guarded by the
+	// target's blk mutex). Together with the task graph's UpdatesByTarget
+	// lists they make the scatter-subtract order — and therefore the factor
+	// bits — independent of execution interleaving.
+	blk     []blockApply
+	arrived []bool
 
-	// scratch recycles update scratch buffers (own leaf lock); lanes is
-	// each executor goroutine's private working memory, indexed by lane.
-	scratch scratchPool
-	lanes   []laneScratch
+	// lanes is each executor goroutine's private working memory, indexed
+	// by lane.
+	lanes []laneScratch
 
 	// signals received but not yet processed: item ids announced by
 	// producers via RPC. Guarded by e.mu.
@@ -260,7 +231,7 @@ func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a 
 		depUpdate: make([]int32, len(tg.Updates)),
 		avail:     make([]fetched, nItems),
 		blk:       make([]blockApply, len(st.Blocks)),
-		parked:    make([][]float64, len(tg.Updates)),
+		arrived:   make([]bool, len(tg.Updates)),
 		produced:  make([]bool, nItems),
 		wanted:    make([]bool, nItems),
 		workers:   max(opt.Workers, 1),
@@ -272,6 +243,7 @@ func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a 
 	e.lanes = make([]laneScratch, e.workers)
 	for i := range e.lanes {
 		e.lanes[i] = laneScratch{
+			lane:  int32(i),
 			rpos:  make([]int, maxRows),
 			mark:  make([]bool, m2d.P()),
 			ranks: make([]int, 0, m2d.P()),
@@ -335,8 +307,10 @@ func (e *engine) setup() {
 	// Update compute tasks execute at the owner of the formulation's
 	// compute block — the target under fan-out, a source operand under
 	// fan-in/fan-both. depUpdate stays zero for updates computed elsewhere,
-	// which is how acquire tells them apart.
+	// which is how acquire tells them apart. Under fan-out the largest
+	// product computed here sizes every lane's update buffer.
 	deliver := e.form.DeliversContributions()
+	maxW := 0
 	for ui := range tg.Updates {
 		u := &tg.Updates[ui]
 		if deliver && e.mine(&st.Blocks[u.Target]) {
@@ -356,6 +330,12 @@ func (e *engine) setup() {
 		e.want(u.BlkA)
 		e.want(u.BlkB)
 		e.totalTasks++
+		if !deliver {
+			maxW = max(maxW, e.contribLen(u))
+		}
+	}
+	for i := range e.lanes {
+		e.lanes[i].w = make([]float64, maxW)
 	}
 	for item, w := range e.wanted {
 		if w && e.itemProducer(int32(item)) != e.r.ID {
@@ -897,7 +877,9 @@ var (
 )
 
 // execute dispatches one ready task, recording it on the executing lane
-// when tracing is on. Runs outside e.mu; the caller accounts completion.
+// when tracing is on — except fan-out updates and apply tasks, which
+// applyUpdate records as it applies them. Runs outside e.mu; the caller
+// accounts completion.
 func (e *engine) execute(t task, lane int32) {
 	tr := e.opt.Trace
 	start := tr.Begin()
@@ -908,9 +890,14 @@ func (e *engine) execute(t task, lane int32) {
 	case taskFactor:
 		e.runFactor(t.id, ls)
 	case taskUpdate:
+		if !e.form.DeliversContributions() {
+			e.applyUpdate(t.id, ls)
+			return
+		}
 		e.runUpdate(t.id, ls)
 	case taskApply:
-		e.runApply(t.id, ls)
+		e.applyUpdate(t.id, ls)
+		return
 	}
 	if tr == nil {
 		return // a nil recorder drops the event, but only after its label was formatted
@@ -1000,54 +987,48 @@ func (e *engine) runFactor(bid int32, ls *laneScratch) {
 	e.announce(bid, ls)
 }
 
-// runUpdate executes U_{i,j,k}: W = B_{i,j}·B_{k,j}ᵀ (SYRK when the blocks
-// coincide), then commits the contribution — directly through the
-// ordered-apply path under fan-out, or by publishing it to the target's
-// owner under the contribution-delivering formulations.
+// runUpdate executes U_{i,j,k} under the contribution-delivering
+// formulations: compute the product into a fresh buffer — published, it
+// stays alive for the rest of the run — and ship it to the target's owner.
+// Under fan-out execute sends the update to applyUpdate instead.
 func (e *engine) runUpdate(ui int32, ls *laneScratch) {
+	u := &e.tg.Updates[ui]
+	e.publishContribution(ui, e.computeUpdate(ui, make([]float64, e.contribLen(u))), ls)
+}
+
+// contribLen is the length of update u's mB×nA contribution.
+func (e *engine) contribLen(u *symbolic.Update) int {
+	return int(e.st.Blocks[u.BlkB].NRows) * int(e.st.Blocks[u.BlkA].NRows)
+}
+
+// computeUpdate writes W = B_{i,j}·B_{k,j}ᵀ (SYRK when the blocks coincide,
+// lower triangle only) into the first mB×nA elements of w and returns them.
+// Every kernel overwrites the part of W that scatterSub reads.
+func (e *engine) computeUpdate(ui int32, w []float64) []float64 {
 	st := e.st
 	u := &e.tg.Updates[ui]
-	ba := &st.Blocks[u.BlkA] // B_{k,j}
-	bb := &st.Blocks[u.BlkB] // B_{i,j}
-
-	w := st.Snodes[u.SrcSn].NCols() // inner dimension
-	mB := int(bb.NRows)
-	nA := int(ba.NRows)
-	// A contribution that will be published keeps its buffer for the rest
-	// of the run (the shared segment adopts it); one applied here comes from
-	// the pool and goes back once scattered. Every kernel below overwrites
-	// the part of scratch that scatterSub reads.
-	deliver := e.form.DeliversContributions()
-	var scratch []float64
-	if deliver {
-		scratch = make([]float64, mB*nA)
-	} else {
-		scratch = e.scratch.get(mB * nA)
-	}
-
+	mB := int(st.Blocks[u.BlkB].NRows) // B_{i,j}
+	nA := int(st.Blocks[u.BlkA].NRows) // B_{k,j}
+	k := st.Snodes[u.SrcSn].NCols()    // inner dimension
+	w = w[:mB*nA]
 	hostA := e.hostOf(u.BlkA)
 	if u.IsSyrk() {
-		e.syrk(mB, w, hostA, scratch)
+		e.syrk(mB, k, hostA, w)
 	} else {
-		e.gemm(mB, nA, w, e.hostOf(u.BlkB), hostA, scratch)
+		e.gemm(mB, nA, k, e.hostOf(u.BlkB), hostA, w)
 	}
-
-	if deliver {
-		e.publishContribution(ui, scratch, ls)
-		return
-	}
-	e.applyUpdate(ui, scratch, ls)
+	return w
 }
 
 // publishContribution ships a computed contribution toward the target
-// block's owner under fan-in/fan-both: the scratch buffer is adopted into
-// this rank's shared segment, published in the item directory, and
-// announced exactly like a factored block — so a lost or duplicated
-// contribution signal is recovered by the same re-request protocol. The
-// target's apply task scatters it in the canonical order.
-func (e *engine) publishContribution(ui int32, scratch []float64, ls *laneScratch) {
+// block's owner under fan-in/fan-both: the buffer is adopted into this
+// rank's shared segment, published in the item directory, and announced
+// exactly like a factored block — so a lost or duplicated contribution
+// signal is recovered by the same re-request protocol. The target's apply
+// task scatters it in the canonical order.
+func (e *engine) publishContribution(ui int32, w []float64, ls *laneScratch) {
 	item := e.nBlocks + ui
-	g := e.r.NewArrayFrom(scratch)
+	g := e.r.NewArrayFrom(w)
 	e.mu.Lock()
 	e.dir[item] = g
 	e.mu.Unlock()
@@ -1056,53 +1037,60 @@ func (e *engine) publishContribution(ui int32, scratch []float64, ls *laneScratc
 	e.announce(item, ls)
 }
 
-// runApply executes A_{i,j,k}: scatter a delivered contribution into its
-// target block through the ordered-apply path. The numeric work already
-// happened at the compute rank; the separate task exists so the scatter
-// runs on the target's executor outside e.mu — blockApply.mu must be taken
-// strictly before engine.mu, so acquire (which holds e.mu) cannot apply
-// inline.
-func (e *engine) runApply(ui int32, ls *laneScratch) {
-	e.applyUpdate(ui, e.hostOf(e.nBlocks+ui), ls)
-}
-
-// applyUpdate commits a computed update contribution to its target block in
-// the canonical order (ascending update index: the target's UpdatesByTarget
-// list). An update finishing out of turn parks its scratch; the worker
-// completing the preceding update drains everything that became applicable.
-// Because every contribution lands in the same order no matter which worker,
-// rank or scheduling policy produced it — and floating-point subtraction is
-// not associative — the factor is bit-identical across all those dimensions.
-// Under fan-out the scratch is a pool buffer and returns there once
-// scattered; a delivered contribution stays published.
-func (e *engine) applyUpdate(ui int32, scratch []float64, ls *laneScratch) {
+// applyUpdate runs a fan-out update task, or an apply task A_{i,j,k} under
+// fan-in/fan-both, in its target's canonical order (ascending update index:
+// the target's UpdatesByTarget list). An update popped out of turn only
+// marks itself arrived. The worker holding the turn applies it — the kernel
+// into the lane's buffer under fan-out, the delivered item otherwise, then
+// the scatter — and then every arrived successor, with no lock held: only
+// the turn holder touches the target's data, and an update arriving
+// meanwhile finds the cursor short of it and marks itself, both sides
+// deciding under bs.mu, so no arrival is missed. Apply tasks exist because
+// blockApply.mu is taken strictly before engine.mu, so acquire (which holds
+// e.mu) cannot apply inline. Because every contribution lands in the same
+// order whichever worker, rank or scheduling policy produced it — and
+// floating-point subtraction is not associative — the factor is
+// bit-identical across all those dimensions.
+func (e *engine) applyUpdate(ui int32, ls *laneScratch) {
 	bid := e.tg.Updates[ui].Target
 	turn := e.tg.UpdatesByTarget[bid]
-	pooled := !e.form.DeliversContributions()
 	bs := &e.blk[bid]
 	bs.mu.Lock()
 	if turn[bs.next] != ui {
-		e.parked[ui] = scratch
+		e.arrived[ui] = true
 		bs.mu.Unlock()
 		e.met.updatesParked.Inc()
 		return
 	}
+	rt, tr := e.r.Runtime(), e.opt.Trace
+	deliver := e.form.DeliversContributions()
+	kind := taskUpdate
+	if deliver {
+		kind = taskApply
+	}
 	applied := int32(0)
 	for {
-		e.scatterSub(ui, scratch, ls.rpos)
-		if pooled {
-			e.scratch.put(scratch)
+		e.arrived[ui] = false
+		bs.mu.Unlock()
+		start := tr.Begin()
+		if deliver {
+			e.scatterSub(ui, e.hostOf(e.nBlocks+ui), ls.rpos)
+		} else {
+			e.scatterSub(ui, e.computeUpdate(ui, ls.w), ls.rpos)
 		}
+		if tr != nil {
+			tr.EndLane(int32(e.r.ID), ls.lane, traceKind[kind], start, fmt.Sprintf(traceLabel[kind], ui))
+		}
+		bs.mu.Lock()
 		bs.next++
 		applied++
 		if int(bs.next) == len(turn) {
 			break
 		}
 		ui = turn[bs.next]
-		if scratch = e.parked[ui]; scratch == nil {
+		if !e.arrived[ui] || rt.ShouldAbort() {
 			break
 		}
-		e.parked[ui] = nil
 	}
 	bs.mu.Unlock()
 	// Lock order: blockApply.mu strictly before engine.mu.
@@ -1111,12 +1099,13 @@ func (e *engine) applyUpdate(ui int32, scratch []float64, ls *laneScratch) {
 	e.mu.Unlock()
 }
 
-// scatterSub subtracts one update's scratch contribution from its target
-// block. Row positions come from the source row lists; column positions are
-// the A-block rows relative to the target supernode's first column; rpos is
-// the calling lane's row-position buffer. Callers hold the target's
-// blockApply mutex.
-func (e *engine) scatterSub(ui int32, scratch []float64, rpos []int) {
+// scatterSub subtracts one update's contribution w from its target block.
+// Row positions come from the source row lists; column positions are the
+// A-block rows relative to the target supernode's first column; rpos is the
+// calling lane's row-position buffer. Only the worker holding the target's
+// turn in applyUpdate calls it, with no lock held: the turn is what makes
+// it the block's only writer.
+func (e *engine) scatterSub(ui int32, w []float64, rpos []int) {
 	st := e.st
 	u := &e.tg.Updates[ui]
 	ba := &st.Blocks[u.BlkA]
@@ -1147,9 +1136,9 @@ func (e *engine) scatterSub(ui int32, scratch []float64, rpos []int) {
 	for y, c := range rowsA {
 		colT := int(c - snk.FirstCol)
 		colBase := colT * ldT
-		wcol := scratch[y*mB : y*mB+mB]
+		wcol := w[y*mB : y*mB+mB]
 		if syrk {
-			// Only the lower triangle of scratch is populated.
+			// Only the lower triangle of w is populated.
 			for x := y; x < mB; x++ {
 				if rpos[x] < 0 {
 					continue

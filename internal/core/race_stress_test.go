@@ -14,6 +14,7 @@ import (
 
 	"sympack/internal/gen"
 	"sympack/internal/gpu"
+	"sympack/internal/machine"
 	"sympack/internal/symbolic"
 )
 
@@ -62,35 +63,56 @@ func TestRaceStressGPUAdmission(t *testing.T) {
 	}
 }
 
-// TestRaceStressScratchPool hammers the update-scratch free list through
-// park and drain: four workers on one rank under fan-out, where every
-// contribution is a pool buffer. Narrow supernodes make most updates finish
-// out of turn, so a buffer taken by one lane is parked, scattered and
-// returned by another while the rest keep drawing from the same size
-// classes. The factor must still match the single-worker bits.
-func TestRaceStressScratchPool(t *testing.T) {
+// TestRaceStressDeferredApply hammers the ordered-apply drain: four workers
+// on one rank, where narrow supernodes make most updates pop out of turn, so
+// a pop that only marks its arrival races the worker holding the target's
+// turn, which computes and scatters that update later with no lock held.
+// Under fan-out the drained kernel runs into the drainer's lane buffer;
+// under fan-both the drain scatters delivered contributions; with a device
+// and thresholds of 1 every drained kernel goes through onDevice. The factor
+// must still match the single-worker bits.
+func TestRaceStressDeferredApply(t *testing.T) {
 	a := gen.Laplace3D(7, 7, 7)
 	sym := symbolic.DefaultOptions()
 	sym.MaxSupernodeSize = 2
 	sym.RelaxRatio = 0
-	ref, err := Factorize(a, Options{Ranks: 1, Workers: 1, Symbolic: &sym})
-	if err != nil {
-		t.Fatal(err)
+	thr := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"fanout", Options{Symbolic: &sym}},
+		{"fanboth", Options{Symbolic: &sym, Formulation: FanBoth}},
+		{"fanout-gpu", Options{Symbolic: &sym, GPUsPerNode: 1, Thresholds: &thr}},
 	}
-	for round := 0; round < 3; round++ {
-		f, err := Factorize(a, Options{Ranks: 1, Workers: 4, Symbolic: &sym})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parked := f.Metrics.Snapshot().Value("sympack_core_updates_parked_total"); parked == 0 {
-			t.Fatal("no update parked: the drain path was not exercised")
-		}
-		for bid := range f.Data {
-			for i, v := range f.Data[bid] {
-				if math.Float64bits(v) != math.Float64bits(ref.Data[bid][i]) {
-					t.Fatalf("round %d: block %d elem %d differs from the single-worker factor", round, bid, i)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opt := c.opt
+			opt.Ranks, opt.Workers = 1, 1
+			ref, err := Factorize(a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Workers = 4
+			for round := 0; round < 3; round++ {
+				f, err := Factorize(a, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if parked := f.Metrics.Snapshot().Value("sympack_core_updates_parked_total"); parked == 0 {
+					t.Fatal("no update arrived out of turn: the drain path was not exercised")
+				}
+				if opt.GPUsPerNode > 0 && f.Stats.PerRank[0].GPU[machine.OpGemm] == 0 {
+					t.Fatal("no GEMM ran on the device")
+				}
+				for bid := range f.Data {
+					for i, v := range f.Data[bid] {
+						if math.Float64bits(v) != math.Float64bits(ref.Data[bid][i]) {
+							t.Fatalf("round %d: block %d elem %d differs from the single-worker factor", round, bid, i)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

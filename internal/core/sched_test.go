@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -334,6 +335,43 @@ func TestFactorizationTracing(t *testing.T) {
 	}
 	if len(rec.RankUtilization()) == 0 {
 		t.Fatal("no utilization data")
+	}
+
+	// An update's event covers its kernel, which runs at the update's turn
+	// in its target's canonical order — not at the pop, which may only mark
+	// the update arrived. So at 1 × 1 every update is recorded exactly once
+	// and each target's U events come in ascending update index.
+	base := Options{}.withDefaults()
+	st, pa, err := symbolic.Analyze(gen.Thermal2D(40, 40, 3, 1), base.Ordering, *base.Symbolic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := symbolic.BuildTaskGraph(st)
+	rec = trace.New()
+	if _, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 1, Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, len(tg.Updates))
+	last := make([]int32, len(st.Blocks)) // by target: last update index recorded + 1
+	for _, ev := range rec.Events() {
+		if ev.Kind != "U" {
+			continue
+		}
+		var ui int32
+		if _, err := fmt.Sscanf(ev.Detail, "upd=%d", &ui); err != nil {
+			t.Fatalf("U event detail %q: %v", ev.Detail, err)
+		}
+		seen[ui]++
+		tgt := tg.Updates[ui].Target
+		if ui < last[tgt] {
+			t.Fatalf("target %d: update %d recorded after update %d", tgt, ui, last[tgt]-1)
+		}
+		last[tgt] = ui + 1
+	}
+	for ui, n := range seen {
+		if n != 1 {
+			t.Fatalf("update %d recorded %d times, want once", ui, n)
+		}
 	}
 }
 

@@ -200,3 +200,36 @@ func TestFacadeTrace(t *testing.T) {
 		t.Fatal("no events recorded")
 	}
 }
+
+// TestRefactorAllocBudget is the analyse-once, refactor-many shape of the
+// paper's PEXSI use case (§5.3) and of symbench's laplace_reuse_pool: one
+// Analyze, then Analysis.Factorize of a shifted matrix on one rank with two
+// workers. Allocation counts are a deterministic function of the code and
+// the problem, so the budget is a hard gate, and it is one constant for
+// every size: a refactorization allocates what it sets up once (task graph,
+// runtime, engine arrays, lane buffers, slab, metrics, the factor), and
+// nothing per update. With an update-scratch pool that started cold every
+// factorization it was 1.2k / 3.8k / 11.4k at n = 8 / 14 / 20.
+func TestRefactorAllocBudget(t *testing.T) {
+	const budget = 1000
+	for _, n := range []int{8, 14, 20} {
+		a := Laplace3D(n, n, n)
+		an, err := Analyze(a, Options{Ranks: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := a.ShiftDiag(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := an.Factorize(sh); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("laplace3d n=%d: %.0f allocs per refactorization (budget %d)", n, allocs, budget)
+		if allocs > budget {
+			t.Errorf("laplace3d n=%d: %.0f allocs per refactorization, budget %d", n, allocs, budget)
+		}
+	}
+}
