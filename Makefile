@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck lint lint-json lint-ratchet lint-baseline
+.PHONY: all build test race vet fmtcheck lint lint-gates lint-json lint-ratchet lint-baseline
 
 all: build test lint
 
@@ -34,6 +34,24 @@ fmtcheck:
 # sympacklint exits 2 on any unsuppressed finding.
 lint: fmtcheck vet
 	$(GO) run ./cmd/sympacklint ./...
+
+# lint-gates proves the analyzers still trip through the `go vet -vettool`
+# protocol: each module under cmd/sympacklint/testdata/gates/<analyzer>/
+# seeds one violation (see the README there), and vet over it must fail
+# with the phrase in its expect file. A pass means an analyzer, or the
+# facts its finding needs between packages, silently stopped working.
+lint-gates:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/sympacklint" ./cmd/sympacklint; \
+	for dir in cmd/sympacklint/testdata/gates/*/; do \
+		gate="$$(basename "$$dir")"; \
+		if (cd "$$dir" && $(GO) vet -vettool="$$tmp/sympacklint" ./... 2>"$$tmp/vet.err"); then \
+			echo "$$gate: seeded violation not flagged" >&2; exit 1; \
+		fi; \
+		grep -qF "$$(cat "$$dir/expect")" "$$tmp/vet.err" || \
+			{ echo "$$gate: vet failed for the wrong reason:" >&2; cat "$$tmp/vet.err" >&2; exit 1; }; \
+		echo "$$gate: flagged"; \
+	done
 
 # lint-json emits the machine-readable report (one JSON object per line:
 # file, line, analyzer, message, suppressed, note — audited suppressions

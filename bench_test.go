@@ -462,22 +462,6 @@ func BenchmarkSymbolicAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduling compares the engine's RTQ policies (the
-// paper's §3.4 flags scheduling-policy evaluation as future work) on a
-// real multi-rank factorization.
-func BenchmarkAblationScheduling(b *testing.B) {
-	a := gen.Bone3D(12, 12, 12, 0.35, 10)
-	for _, pol := range []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Factorize(a, Options{Ranks: 8, Scheduling: pol}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationAnalyticThresholds compares the brute-force-tuned
 // thresholds with the analytically derived ones (§6 future work) on a real
 // factorization.

@@ -18,10 +18,7 @@ func main() {
 	a := sympack.Laplace2D(48, 48)
 	fmt.Printf("system: n=%d, nnz=%d\n", a.N, a.NnzFull())
 
-	f, err := sympack.Factorize(a, sympack.Options{
-		Ranks:      4,
-		Scheduling: sympack.SchedCriticalPath,
-	})
+	f, err := sympack.Factorize(a, sympack.Options{Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

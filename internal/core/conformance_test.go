@@ -132,7 +132,7 @@ func TestConformanceProperty(t *testing.T) {
 				a := gen.RandomSPD(c.n, c.density, c.seed)
 				ref, err := ConformanceCheck(a, c.base, v, c.grid)
 				if err != nil {
-					t.Fatalf("case %d (n=%d d=%g sn=%d %s %s): %v", ci, c.n, c.density, c.maxSn, c.sched, c.base.Precision, err)
+					t.Fatalf("case %d (n=%d d=%g sn=%d %s): %v", ci, c.n, c.density, c.maxSn, c.base.Precision, err)
 				}
 				if err := SameFactor(baselines[ci], ref); err != nil {
 					t.Fatalf("case %d: %s diverged from the fan-out/2d baseline: %v", ci, v, err)

@@ -74,11 +74,6 @@ type Options struct {
 	// matrix that is SPD in fp64, FactorizeAnalyzed transparently retries
 	// in fp64.
 	Precision Precision
-	// Scheduling selects the RTQ policy (paper §3.4 leaves this open:
-	// "the next task ... is whichever one is at the top of the queue";
-	// evaluating policies was flagged as future work, so all three are
-	// provided). Default is FIFO.
-	Scheduling SchedulingPolicy
 	// Formulation selects the task formulation: which block's owner
 	// computes each update (fan-out — the paper's choice and the default —
 	// fan-in, or fan-both). All formulations produce bit-identical factors
@@ -153,41 +148,6 @@ const (
 	// sources fan out to it and contributions fan in to the target.
 	FanBoth = symbolic.FanBoth
 )
-
-// blockMapFor constructs the configured distribution (the subtree map
-// consults the supernodal tree, hence the structure parameter).
-func blockMapFor(kind MappingKind, p int, st *symbolic.Structure) symbolic.BlockMap {
-	return symbolic.NewBlockMap(kind, p, st)
-}
-
-// SchedulingPolicy orders the ready task queue.
-type SchedulingPolicy uint8
-
-const (
-	// SchedFIFO runs ready tasks oldest-first (the paper's default
-	// top-of-queue behaviour).
-	SchedFIFO SchedulingPolicy = iota
-	// SchedLIFO runs the most recently readied task first, improving
-	// cache locality at the cost of fairness.
-	SchedLIFO
-	// SchedCriticalPath runs the task whose supernode has the longest
-	// remaining ancestor chain first, prioritizing the DAG's critical
-	// path.
-	SchedCriticalPath
-)
-
-func (p SchedulingPolicy) String() string {
-	switch p {
-	case SchedFIFO:
-		return "fifo"
-	case SchedLIFO:
-		return "lifo"
-	case SchedCriticalPath:
-		return "critical-path"
-	default:
-		return "policy?"
-	}
-}
 
 func (o Options) withDefaults() Options {
 	if o.Ranks < 1 {
@@ -367,7 +327,7 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 		}
 	}
 	tg := symbolic.BuildTaskGraph(st)
-	m2d := blockMapFor(opt.Mapping, opt.Ranks, st)
+	m2d := symbolic.NewBlockMap(opt.Mapping, opt.Ranks, st)
 
 	inj := newInjector(opt)
 	rt, err := newRuntime(opt, inj)

@@ -168,6 +168,34 @@ func TestGPUOffloadSplit(t *testing.T) {
 	}
 }
 
+// A diagonal fetched straight into device memory must be freed once the
+// rank's last TRSM against it has run: on four ranks sharing one device most
+// diagonals are remote to the panel owners, and the device must end empty.
+func TestDeviceDirectDiagonalsFreed(t *testing.T) {
+	a := gen.Flan3D(6, 6, 6, 1)
+	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
+	f, err := Factorize(a, Options{Ranks: 4, RanksPerNode: 4, GPUsPerNode: 1, Thresholds: &th})
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := 0
+	for _, s := range f.Metrics.Snapshot().Series {
+		if s.Name != "sympack_gpu_mem_used_elements" {
+			continue
+		}
+		devices++
+		if s.Value != 0 {
+			t.Errorf("device %v: %g elements still in use after the factorization", s.Labels, s.Value)
+		}
+	}
+	if devices == 0 {
+		t.Fatal("no device memory gauge exported")
+	}
+	if r := solveCheck(t, a, f, 4); r > 1e-10 {
+		t.Fatalf("residual %g", r)
+	}
+}
+
 func TestDeviceOOMFallbackCPU(t *testing.T) {
 	a := gen.Flan3D(2, 2, 3, 1)
 	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1} // offload everything

@@ -34,15 +34,10 @@ const (
 	taskApply                  // A_{i,j,k}: scatter a delivered contribution
 )
 
-// task is one RTQ entry: a block id for D/F, an update index for U/A. The
-// seq and depth fields are the scheduling keys: seq is the push order
-// (FIFO/LIFO) and depth the critical-path priority, cached at push time so
-// the heap comparator never touches engine state.
+// task is one RTQ entry: a block id for D/F, an update index for U/A.
 type task struct {
-	kind  taskKind
-	id    int32
-	seq   int64
-	depth int32
+	kind taskKind
+	id   int32
 }
 
 // fetched caches a pulled (or locally produced) source block, optionally
@@ -50,19 +45,22 @@ type task struct {
 // acquire fills an entry and sets ready last, under e.mu; from then on the
 // entry is immutable except for once, which guards the lazy device→host
 // materialization in hostOf: several executor workers may consume the same
-// source block concurrently.
+// source block concurrently. A device mirror only ever holds a diagonal, and
+// devUses counts the local TRSMs that have yet to read it; the last one
+// frees it (runFactor).
 type fetched struct {
-	host  []float64
-	dev   *gpu.Buffer
-	once  sync.Once
-	ready bool
+	host    []float64
+	dev     *gpu.Buffer
+	devUses atomic.Int32
+	once    sync.Once
+	ready   bool
 }
 
 // blockApply sequences update applications into one target block. Because
 // floating-point subtraction is not associative, contributions must land in
 // a canonical order — ascending update index, the block's
 // TaskGraph.UpdatesByTarget list — for the factor to be bit-identical across
-// worker counts, rank counts and scheduling policies. An update popped out
+// worker counts, rank counts and formulations. An update popped out
 // of turn only marks itself in engine.arrived; the worker holding the turn
 // computes and scatters it when the cursor reaches it (see applyUpdate).
 type blockApply struct {
@@ -109,7 +107,7 @@ func (ls *laneScratch) consumer(rank int) {
 // The rank's own goroutine (factorLoop, lane 0) also owns upcxx.Progress,
 // inbox draining and the re-request protocol; the other workers-1 are
 // helpers (workerLoop) that only execute tasks. The mutex mu guards all
-// scheduler state: the RTQ heap, dependency counters, avail, inbox,
+// scheduler state: the RTQ, dependency counters, avail, inbox,
 // wanted/remote, produced and doneTasks. Numeric kernels run outside mu;
 // ordered application into target blocks is serialized per block by
 // blockApply, whose mutex guards only the cursor and the arrival marks: the
@@ -147,7 +145,6 @@ type engine struct {
 	// tell "helpers busy" from "rank starved" when deciding to suspect
 	// lost announcements. Guarded by e.mu.
 	inflight int
-	pushSeq  int64 // guarded by e.mu
 
 	// owned is, per block id, the storage of the blocks this rank owns:
 	// slices of one slab in the rank's shared segment (see setup).
@@ -180,14 +177,15 @@ type engine struct {
 	// producers via RPC. Guarded by e.mu.
 	inbox []int32
 
-	rtq readyQueue // guarded by e.mu
+	// rtq is the ready task queue, a FIFO (paper §3.4: the next task is
+	// whichever one is at the top of the queue): push appends, pop takes
+	// rtq[head]. setup gives it room for all of the rank's tasks, each of
+	// which is pushed exactly once. Guarded by e.mu.
+	rtq  []task
+	head int // guarded by e.mu
 	// progress counts executed tasks for the stall watchdog (shared
 	// across ranks; may be nil in tests constructing engines directly).
 	progress *atomic.Int64
-	// chainDepth[k] = number of supernodal-tree ancestors above supernode
-	// k, the critical-path priority (longer remaining chains run first).
-	// Guarded by e.mu.
-	chainDepth []int32
 
 	totalTasks int // guarded by e.mu
 	doneTasks  int // guarded by e.mu
@@ -250,7 +248,6 @@ func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a 
 		}
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.rtq.e = e
 	e.met = newCoreMetrics(metrics.NewRegistry())
 	return e
 }
@@ -266,9 +263,6 @@ func (e *engine) setup() {
 	// e.mu anyway: "scheduler state is touched under e.mu, always" is a
 	// checkable invariant, "except during setup" is not.
 	e.mu.Lock()
-	if e.opt.Scheduling == SchedCriticalPath {
-		e.chainDepth = chainDepths(st)
-	}
 	// Owned blocks live back to back in one slab of the shared segment,
 	// sized from the symbolic structure; each block publishes a pointer to
 	// its own range.
@@ -300,9 +294,6 @@ func (e *engine) setup() {
 		}
 		e.depBlock[b.ID] = dep
 		e.totalTasks++
-		if dep == 0 {
-			e.push(taskFor(b), b.ID)
-		}
 	}
 	// Update compute tasks execute at the owner of the formulation's
 	// compute block — the target under fan-out, a source operand under
@@ -336,6 +327,14 @@ func (e *engine) setup() {
 	}
 	for i := range e.lanes {
 		e.lanes[i].w = make([]float64, maxW)
+	}
+	// The RTQ is seeded, in block order, with the owned blocks nothing
+	// precedes: diagonals no update targets.
+	e.rtq = make([]task, 0, e.totalTasks)
+	for bi, data := range e.owned {
+		if data != nil && e.depBlock[bi] == 0 {
+			e.push(taskFor(&st.Blocks[bi]), int32(bi))
+		}
 	}
 	for item, w := range e.wanted {
 		if w && e.itemProducer(int32(item)) != e.r.ID {
@@ -422,51 +421,22 @@ func (e *engine) rowPosInBlockOrMissing(b *symbolic.Block, r int32) int {
 // worker. Callers hold e.mu (including setup, which runs single-threaded
 // but locks anyway to keep the guarded-field discipline uniform).
 func (e *engine) push(kind taskKind, id int32) {
-	t := task{kind: kind, id: id, seq: e.pushSeq}
-	e.pushSeq++
-	if e.chainDepth != nil {
-		t.depth = e.chainDepth[e.taskSupernode(t)]
-	}
-	e.rtq.push(t)
-	depth := float64(e.rtq.Len())
+	e.rtq = append(e.rtq, task{kind: kind, id: id})
+	depth := float64(len(e.rtq) - e.head)
 	e.met.rtqDepth.Set(depth)
 	e.met.rtqPeak.SetMax(depth)
 	e.cond.Signal()
 }
 
-// chainDepths returns, per supernode, the length of its ancestor chain in
-// the supernodal elimination tree.
-func chainDepths(st *symbolic.Structure) []int32 {
-	nsn := len(st.Snodes)
-	depth := make([]int32, nsn)
-	// Supernodal parents have higher indices, so a reverse sweep sees
-	// every parent before its children.
-	for k := nsn - 1; k >= 0; k-- {
-		if p := st.SnParent[k]; p != -1 {
-			depth[k] = depth[p] + 1
-		}
-	}
-	return depth
-}
-
-// taskSupernode returns the supernode a task advances, for prioritization.
-func (e *engine) taskSupernode(t task) int32 {
-	if t.kind == taskUpdate || t.kind == taskApply {
-		return e.st.Blocks[e.tg.Updates[t.id].Target].Snode
-	}
-	return e.st.Blocks[t.id].Snode
-}
-
-// pop removes the highest-priority task from the RTQ heap according to the
-// scheduling policy; callers hold e.mu. The comparator (see engine.before)
-// is a strict total order, so the pop sequence is deterministic for a given
-// push sequence — no tie-break depends on queue memory layout.
+// pop removes the oldest task from the RTQ, so tasks run in the order they
+// became ready; callers hold e.mu.
 func (e *engine) pop() (task, bool) {
-	if e.rtq.Len() == 0 {
+	if e.head == len(e.rtq) {
 		return task{}, false
 	}
-	t := e.rtq.pop()
-	e.met.rtqDepth.Set(float64(e.rtq.Len()))
+	t := e.rtq[e.head]
+	e.head++
+	e.met.rtqDepth.Set(float64(len(e.rtq) - e.head))
 	return t, true
 }
 
@@ -559,7 +529,7 @@ func idleWait(idle int) bool {
 // the /metrics endpoint read while the rank runs; callers hold e.mu.
 func (e *engine) mirrorHealth() {
 	e.met.tasksDone.Set(float64(e.doneTasks))
-	e.met.rtqDepth.Set(float64(e.rtq.Len()))
+	e.met.rtqDepth.Set(float64(len(e.rtq) - e.head))
 	e.met.inboxDepth.Set(float64(len(e.inbox)))
 	e.met.wantedBlocks.Set(float64(e.nWanted))
 }
@@ -735,9 +705,12 @@ func (e *engine) acquire(item int32) {
 	e.acquired(item)
 	if b.IsDiag() {
 		// Local panel blocks of this supernode lose their diagonal
-		// dependency.
+		// dependency; each one's TRSM is a use of the device mirror.
 		for _, fb := range e.st.SnodeBlocks(b.Snode)[1:] {
 			if e.owned[fb.ID] != nil {
+				if fc.dev != nil {
+					fc.devUses.Add(1)
+				}
 				e.decBlock(fb.ID)
 			}
 		}
@@ -973,7 +946,14 @@ func (e *engine) runFactor(bid int32, ls *laneScratch) {
 	b := &st.Blocks[bid]
 	data := e.owned[bid]
 	m, n := blockDims(st, b)
-	e.trsm(m, n, st.DiagBlock(b.Snode).ID, data)
+	diag := st.DiagBlock(b.Snode).ID
+	e.trsm(m, n, diag, data)
+	// Only the supernode's TRSMs read its diagonal, so once the last local
+	// one is done a device-direct mirror of it is dead memory.
+	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal and its use count
+	if fc := &e.avail[diag]; fc.dev != nil && fc.devUses.Add(-1) == 0 {
+		e.r.Device().Free(fc.dev)
+	}
 	if e.fp32() {
 		blas.Round32(data)
 	}
@@ -1048,7 +1028,7 @@ func (e *engine) publishContribution(ui int32, w []float64, ls *laneScratch) {
 // deciding under bs.mu, so no arrival is missed. Apply tasks exist because
 // blockApply.mu is taken strictly before engine.mu, so acquire (which holds
 // e.mu) cannot apply inline. Because every contribution lands in the same
-// order whichever worker, rank or scheduling policy produced it — and
+// order whichever worker, rank or formulation produced it — and
 // floating-point subtraction is not associative — the factor is
 // bit-identical across all those dimensions.
 func (e *engine) applyUpdate(ui int32, ls *laneScratch) {

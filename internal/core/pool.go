@@ -97,89 +97,3 @@ func (e *engine) complete() {
 		e.progress.Add(1)
 	}
 }
-
-// readyQueue is the RTQ as a binary min-heap under engine.before, the
-// scheduling policy's order. Priorities (seq, depth) are cached in the task
-// at push time, so the comparator is pure and the heap never reaches back
-// into mutable engine state; because before is a strict total order, the pop
-// sequence is a function of the pushed set alone.
-type readyQueue struct {
-	e     *engine
-	items []task
-}
-
-func (q *readyQueue) Len() int { return len(q.items) }
-
-// push inserts t, sifting it up from the new leaf.
-func (q *readyQueue) push(t task) {
-	q.items = append(q.items, t)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.e.before(t, q.items[parent]) {
-			break
-		}
-		q.items[i] = q.items[parent]
-		i = parent
-	}
-	q.items[i] = t
-}
-
-// pop removes the before-minimum of a non-empty queue: the last leaf takes
-// the root's place and sifts down.
-func (q *readyQueue) pop() task {
-	top := q.items[0]
-	n := len(q.items) - 1
-	t := q.items[n]
-	q.items = q.items[:n]
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if child+1 < n && q.e.before(q.items[child+1], q.items[child]) {
-			child++
-		}
-		if !q.e.before(q.items[child], t) {
-			break
-		}
-		q.items[i] = q.items[child]
-		i = child
-	}
-	if n > 0 {
-		q.items[i] = t
-	}
-	return top
-}
-
-// before is the strict total priority order between two ready tasks:
-//
-//	FIFO          — push order (seq ascending)
-//	LIFO          — reverse push order (seq descending)
-//	CriticalPath  — longer remaining ancestor chain first, ties broken by
-//	                task kind (diag before factor before update: finishing
-//	                a panel unblocks more than starting another update)
-//	                and then by id, so equal-depth tasks pop in a fixed
-//	                order instead of whatever the queue's memory layout
-//	                yielded.
-//
-// seq is unique per rank and (kind, id) identifies a task, so every branch
-// is a total order: two distinct tasks never compare equal, which makes the
-// pop sequence deterministic for a given push sequence.
-func (e *engine) before(a, b task) bool {
-	switch e.opt.Scheduling {
-	case SchedLIFO:
-		return a.seq > b.seq
-	case SchedCriticalPath:
-		if a.depth != b.depth {
-			return a.depth > b.depth
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.id < b.id
-	default: // SchedFIFO
-		return a.seq < b.seq
-	}
-}

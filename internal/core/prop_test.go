@@ -11,16 +11,16 @@ import (
 )
 
 // propCase is one randomized factorization problem: a random sparse SPD
-// matrix plus randomized supernode partitioning and scheduling policy, so
-// the harness sweeps block shapes from scalar to wide panels and update
-// fan-ins from none (diagonal matrices) to dense.
+// matrix plus randomized supernode partitioning, so the harness sweeps block
+// shapes from scalar to wide panels and update fan-ins from none (diagonal
+// matrices) to dense.
 type propCase struct {
 	n       int
 	density float64
 	seed    int64
 	maxSn   int
 	relax   float64
-	sched   SchedulingPolicy
+	tag     string
 }
 
 func propCases(count int, metaSeed int64) []propCase {
@@ -28,7 +28,10 @@ func propCases(count int, metaSeed int64) []propCase {
 	densities := []float64{0.02, 0.05, 0.1, 0.3, 1.0}
 	snSizes := []int{4, 8, 16, 32}
 	relaxes := []float64{0, 0.25}
-	scheds := []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath}
+	// The last draw once picked an RTQ policy. It stays so the next case's
+	// draws, and so every problem, are those the harness always generated;
+	// its old name only tags the case so the case names stay stable.
+	tags := []string{"fifo", "lifo", "critical-path"}
 	out := make([]propCase, count)
 	for i := range out {
 		out[i] = propCase{
@@ -37,7 +40,7 @@ func propCases(count int, metaSeed int64) []propCase {
 			seed:    rng.Int63(),
 			maxSn:   snSizes[rng.Intn(len(snSizes))],
 			relax:   relaxes[rng.Intn(len(relaxes))],
-			sched:   scheds[rng.Intn(len(scheds))],
+			tag:     tags[rng.Intn(len(tags))],
 		}
 	}
 	return out
@@ -47,7 +50,7 @@ func (c propCase) options(workers, ranks int) Options {
 	sym := symbolic.DefaultOptions()
 	sym.MaxSupernodeSize = c.maxSn
 	sym.RelaxRatio = c.relax
-	return Options{Ranks: ranks, Workers: workers, Symbolic: &sym, Scheduling: c.sched}
+	return Options{Ranks: ranks, Workers: workers, Symbolic: &sym}
 }
 
 // requireSameFactor asserts two factors are bit-identical, block by block.
@@ -81,7 +84,7 @@ func TestPropertyWorkersRanksDeterminism(t *testing.T) {
 	cases := propCases(50, 20260805)
 	for ci, c := range cases {
 		c := c
-		name := fmt.Sprintf("case%02d_n%d_d%g_sn%d_%s", ci, c.n, c.density, c.maxSn, c.sched)
+		name := fmt.Sprintf("case%02d_n%d_d%g_sn%d_%s", ci, c.n, c.density, c.maxSn, c.tag)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			a := gen.RandomSPD(c.n, c.density, c.seed)

@@ -21,7 +21,7 @@ import (
 // TestRaceStressWorkerPool hammers the workers with the worst scheduler shape:
 // width-2 supernodes over a 3D Laplacian produce thousands of tiny tasks
 // whose updates fan into shared target blocks, so workers continuously
-// contend on the RTQ heap, the per-block apply locks and the dependency
+// contend on the RTQ, the per-block apply locks and the dependency
 // counters while the rank goroutine's polling races them with RPC deliveries.
 func TestRaceStressWorkerPool(t *testing.T) {
 	a := gen.Laplace3D(6, 6, 6)

@@ -17,41 +17,10 @@ import (
 	"sympack/internal/upcxx"
 )
 
-// All scheduling policies must produce bit-identical factors: the policy
-// changes execution order, never the mathematics — and the ordered-apply
-// machinery pins the floating-point summation order, so "identical" here is
-// exact, not within a tolerance.
-func TestSchedulingPoliciesAgree(t *testing.T) {
-	a := gen.Bone3D(6, 6, 6, 0.3, 4)
-	var ref *Factor
-	for _, pol := range []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath} {
-		f, err := Factorize(a, Options{Ranks: 4, Scheduling: pol})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if ref == nil {
-			ref = f
-			continue
-		}
-		for bid := range f.Data {
-			for i := range f.Data[bid] {
-				if math.Float64bits(f.Data[bid][i]) != math.Float64bits(ref.Data[bid][i]) {
-					t.Fatalf("%v: block %d elem %d differs: %v vs %v",
-						pol, bid, i, f.Data[bid][i], ref.Data[bid][i])
-				}
-			}
-		}
-	}
-}
-
 // TestPopOrdering exercises engine.pop directly, under every task
-// formulation: for each policy, tasks pushed in a known order must pop in
-// the policy's order, and — the historical bug this pins down — the
-// critical-path order must be a strict total order independent of push
-// order, not a first-max scan whose tie-break leaked the queue's memory
-// layout. The delivering formulations add the apply kind to the ready set,
-// so the tie-break chain (depth, kind, id) is checked over all four task
-// kinds, not just the fan-out three.
+// formulation: every task of the problem, pushed in a known order, must pop
+// in that order. The delivering formulations add the apply kind to the
+// ready set, so all four task kinds pass through the queue.
 func TestPopOrdering(t *testing.T) {
 	a := gen.Laplace2D(6, 5)
 	base := Options{}.withDefaults()
@@ -83,76 +52,28 @@ func TestPopOrdering(t *testing.T) {
 				t.Fatalf("problem too small to exercise ordering: %d tasks", len(all))
 			}
 
-			drain := func(pol SchedulingPolicy, reversed bool) ([]task, *engine) {
-				o := Options{Scheduling: pol, Workers: 1, Formulation: form}
-				e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil, nil)
-				if pol == SchedCriticalPath {
-					e.chainDepth = chainDepths(st)
-				}
-				for i := range all {
-					k := i
-					if reversed {
-						k = len(all) - 1 - i
-					}
-					e.push(all[k].kind, all[k].id)
-				}
-				out := make([]task, 0, len(all))
-				for {
-					tk, ok := e.pop()
-					if !ok {
-						break
-					}
-					out = append(out, tk)
-				}
-				return out, e
+			o := Options{Workers: 1, Formulation: form}
+			e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil, nil)
+			for _, tk := range all {
+				e.push(tk.kind, tk.id)
 			}
-
-			sameTask := func(x, y task) bool { return x.kind == y.kind && x.id == y.id }
-
-			// FIFO pops in push order; LIFO in reverse push order.
-			fifo, _ := drain(SchedFIFO, false)
-			for i := range fifo {
-				if !sameTask(fifo[i], all[i]) {
-					t.Fatalf("FIFO pop %d = %+v, want %+v", i, fifo[i], all[i])
+			for i, want := range all {
+				got, ok := e.pop()
+				if !ok || got != want {
+					t.Fatalf("pop %d = %+v (ok=%v), want %+v", i, got, ok, want)
 				}
 			}
-			lifo, _ := drain(SchedLIFO, false)
-			for i := range lifo {
-				want := all[len(all)-1-i]
-				if !sameTask(lifo[i], want) {
-					t.Fatalf("LIFO pop %d = %+v, want %+v", i, lifo[i], want)
-				}
-			}
-
-			// Critical path: nonincreasing priority under the comparator —
-			// depth descending, ties broken by kind (diag < factor < update
-			// < apply) then id.
-			cp, e := drain(SchedCriticalPath, false)
-			for i := 1; i < len(cp); i++ {
-				prev, cur := cp[i-1], cp[i]
-				if e.before(cur, prev) {
-					t.Fatalf("critical-path pop %d out of order: %+v before %+v", i, cur, prev)
-				}
-				if prev.depth == cur.depth && prev.kind == cur.kind && prev.id >= cur.id {
-					t.Fatalf("tie-break violated at pop %d: %+v then %+v", i, prev, cur)
-				}
-			}
-			// ... and the same total order no matter how tasks were pushed.
-			cpRev, _ := drain(SchedCriticalPath, true)
-			for i := range cp {
-				if !sameTask(cp[i], cpRev[i]) {
-					t.Fatalf("critical-path order depends on push order at %d: %+v vs %+v",
-						i, cp[i], cpRev[i])
-				}
+			if tk, ok := e.pop(); ok {
+				t.Fatalf("queue not empty after draining: popped %+v", tk)
 			}
 		})
 	}
 }
 
-// TestRTQOrderProperty checks the typed heap against the definition of a
-// priority queue: under random interleavings of pushes and pops, for every
-// policy and with all four task kinds in flight, each pop returns the
-// before-minimum of what a plain reference slice holds at that moment.
+// TestRTQOrderProperty checks the head-index queue against a reference
+// FIFO: under random interleavings of pushes and pops, with all four task
+// kinds in flight, each pop returns the oldest task the reference holds at
+// that moment.
 func TestRTQOrderProperty(t *testing.T) {
 	a := gen.Laplace2D(6, 5)
 	base := Options{}.withDefaults()
@@ -171,95 +92,29 @@ func TestRTQOrderProperty(t *testing.T) {
 		all = append(all, task{kind: taskUpdate, id: int32(ui)}, task{kind: taskApply, id: int32(ui)})
 	}
 
-	for _, pol := range []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			o := Options{Scheduling: pol, Workers: 1, Formulation: FanBoth}
-			e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil, nil)
-			if pol == SchedCriticalPath {
-				e.chainDepth = chainDepths(st)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o := Options{Workers: 1, Formulation: FanBoth}
+		e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil, nil)
+		todo := append([]task(nil), all...)
+		rng.Shuffle(len(todo), func(i, j int) { todo[i], todo[j] = todo[j], todo[i] })
+		var ref []task
+		for len(todo) > 0 || len(ref) > 0 {
+			if len(todo) > 0 && (len(ref) == 0 || rng.Intn(3) > 0) {
+				next := todo[len(todo)-1]
+				todo = todo[:len(todo)-1]
+				e.push(next.kind, next.id)
+				ref = append(ref, next)
+				continue
 			}
-			todo := append([]task(nil), all...)
-			rng.Shuffle(len(todo), func(i, j int) { todo[i], todo[j] = todo[j], todo[i] })
-			var ref []task
-			for len(todo) > 0 || len(ref) > 0 {
-				if len(todo) > 0 && (len(ref) == 0 || rng.Intn(3) > 0) {
-					next := todo[len(todo)-1]
-					todo = todo[:len(todo)-1]
-					// push stamps the scheduling keys; the reference gets the same.
-					next.seq = e.pushSeq
-					if e.chainDepth != nil {
-						next.depth = e.chainDepth[e.taskSupernode(next)]
-					}
-					e.push(next.kind, next.id)
-					ref = append(ref, next)
-					continue
-				}
-				first := 0
-				for i := range ref {
-					if e.before(ref[i], ref[first]) {
-						first = i
-					}
-				}
-				got, ok := e.pop()
-				if !ok || got != ref[first] {
-					t.Fatalf("%v seed %d: pop = %+v (ok=%v), want %+v", pol, seed, got, ok, ref[first])
-				}
-				ref = append(ref[:first], ref[first+1:]...)
+			got, ok := e.pop()
+			if !ok || got != ref[0] {
+				t.Fatalf("seed %d: pop = %+v (ok=%v), want %+v", seed, got, ok, ref[0])
 			}
-			if _, ok := e.pop(); ok {
-				t.Fatalf("%v seed %d: queue not empty after draining", pol, seed)
-			}
+			ref = ref[1:]
 		}
-	}
-}
-
-func TestSchedulingPoliciesSolve(t *testing.T) {
-	a := gen.Thermal2D(20, 20, 2, 5)
-	rng := rand.New(rand.NewSource(6))
-	b := make([]float64, a.N)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	for _, pol := range []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath} {
-		f, err := Factorize(a, Options{Ranks: 3, Scheduling: pol})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		x, err := f.SolveDistributed(b)
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		if r := ResidualNorm(a, x, b); r > 1e-10 {
-			t.Fatalf("%v: residual %g", pol, r)
-		}
-	}
-}
-
-func TestChainDepths(t *testing.T) {
-	a := gen.Laplace2D(8, 8)
-	opt := Options{}.withDefaults()
-	st, _, err := symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depth := chainDepths(st)
-	for k := range st.Snodes {
-		p := st.SnParent[k]
-		if p == -1 {
-			if depth[k] != 0 {
-				t.Fatalf("root supernode %d has depth %d", k, depth[k])
-			}
-		} else if depth[k] != depth[p]+1 {
-			t.Fatalf("supernode %d depth %d, parent %d depth %d", k, depth[k], p, depth[p])
-		}
-	}
-}
-
-func TestSchedulingPolicyString(t *testing.T) {
-	for _, pol := range []SchedulingPolicy{SchedFIFO, SchedLIFO, SchedCriticalPath} {
-		if pol.String() == "policy?" {
-			t.Fatalf("missing name for %d", pol)
+		if _, ok := e.pop(); ok {
+			t.Fatalf("seed %d: queue not empty after draining", seed)
 		}
 	}
 }
@@ -348,8 +203,14 @@ func TestFactorizationTracing(t *testing.T) {
 	}
 	tg := symbolic.BuildTaskGraph(st)
 	rec = trace.New()
-	if _, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 1, Trace: rec}); err != nil {
+	f1, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 1, Trace: rec})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Even one worker pops updates out of turn in FIFO order, so this run
+	// also covers the deferred path: the turn holder computes them later.
+	if parked := f1.Metrics.Value("sympack_core_updates_parked_total"); parked == 0 {
+		t.Fatal("no update popped out of turn at 1 rank × 1 worker: the deferred apply path went unexercised")
 	}
 	seen := make([]int, len(tg.Updates))
 	last := make([]int32, len(st.Blocks)) // by target: last update index recorded + 1

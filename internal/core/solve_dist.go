@@ -38,7 +38,7 @@ func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	m2d := blockMapFor(opt.Mapping, opt.Ranks, st)
+	m2d := symbolic.NewBlockMap(opt.Mapping, opt.Ranks, st)
 
 	// The one vector of the solve, in factor ordering: b on entry, y after
 	// the forward sweep, x after the backward one. Segment k is written only

@@ -6,13 +6,13 @@
 // battery checks that dynamically, and the intraprocedural suite
 // (mapiterdeterminism, wallclock) polices the sources one function at a
 // time — but a map-ordered slice laundered through two helper calls into
-// the RTQ comparator or an AllReduce payload was invisible until now.
+// an RTQ entry or an AllReduce payload was invisible until now.
 //
 // Sources: map iteration order, wall clock readings (time.Now/Since and
 // the machine facade's WallNow/WallSince — any wall reading is
 // machine-local and therefore rank-nondeterministic), unseeded math/rand,
-// and %p pointer formatting. Sinks: RTQ comparator keys (writes to
-// core's task ordering fields), wire/signal payloads in internal/upcxx
+// and %p pointer formatting. Sinks: RTQ entries (writes to the fields of
+// core's task), wire/signal payloads in internal/upcxx
 // (RPC targets, Rput payloads, AllReduce staging buffers, NewArrayFrom
 // initializers), scheduling-queue elements (container/heap.Push), trace
 // ordering fields, and factor values entering internal/blas kernels.
@@ -44,7 +44,7 @@ const Name = "nondetflow"
 var Analyzer = &analysis.Analyzer{
 	Name: Name,
 	Doc: "detects nondeterministic values (map order, wall clock, math/rand, %p) " +
-		"flowing into schedule-critical sinks (RTQ keys, wire payloads, AllReduce " +
+		"flowing into schedule-critical sinks (RTQ entries, wire payloads, AllReduce " +
 		"buffers, trace ordering, factor values), across call and package boundaries",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*flowFact)(nil)},
@@ -299,10 +299,8 @@ func isFloatSlice(t types.Type) bool {
 // decide scheduling or trace order.
 var orderFields = map[string]map[string]string{
 	"internal/core|task": {
-		"seq":   "the RTQ comparator key task.seq",
-		"depth": "the RTQ comparator key task.depth",
-		"kind":  "the RTQ comparator key task.kind",
-		"id":    "the RTQ comparator key task.id",
+		"kind": "the RTQ entry field task.kind",
+		"id":   "the RTQ entry field task.id",
 	},
 	"internal/trace|Event": {
 		"Start": "the trace-ordering field Event.Start",

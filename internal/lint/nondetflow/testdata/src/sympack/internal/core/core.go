@@ -1,29 +1,30 @@
-// Package core is a stand-in defining the RTQ comparator fields the
-// analyzer treats as ordering sinks.
+// Package core is a stand-in defining the RTQ entry fields the analyzer
+// treats as ordering sinks.
 package core
 
 import "time"
 
+type taskKind uint8
+
 type task struct {
-	seq   uint64
-	depth uint64
-	id    int
+	kind taskKind
+	id   int32
 }
 
 func renumber(t *task) {
-	t.seq = uint64(time.Now().UnixNano()) // want "wall clock \\(time\\.Now\\)\\) flows into the RTQ comparator key task\\.seq"
+	t.id = int32(time.Now().UnixNano()) // want "wall clock \\(time\\.Now\\)\\) flows into the RTQ entry field task\\.id"
 }
 
 func fresh() task {
-	return task{seq: uint64(time.Now().UnixNano())} // want "wall clock \\(time\\.Now\\)\\) flows into the RTQ comparator key task\\.seq"
+	return task{kind: taskKind(time.Now().UnixNano())} // want "wall clock \\(time\\.Now\\)\\) flows into the RTQ entry field task\\.kind"
 }
 
 // renumberAudited proves the taint-kill path: the directive is consumed
 // by the engine (no diagnostic below), and the unusedignore audit must
 // still count it as used rather than stale.
 func renumberAudited(t *task) {
-	//lint:ignore nondetflow tie-breaker only; relative order fixed upstream by the seq ceiling
-	t.seq = uint64(time.Now().UnixNano())
+	//lint:ignore nondetflow tie-breaker only; queue position fixed upstream by the push order
+	t.id = int32(time.Now().UnixNano())
 }
 
 // reseed keeps the helpers referenced so the package type-checks without
@@ -32,6 +33,4 @@ func reseed(t *task) {
 	renumber(t)
 	renumberAudited(t)
 	_ = fresh()
-	_ = t.depth
-	_ = t.id
 }

@@ -81,16 +81,6 @@ const (
 // factorization with nested-dissection ordering.
 type Options = core.Options
 
-// SchedulingPolicy orders the engine's ready task queue (paper §3.4).
-type SchedulingPolicy = core.SchedulingPolicy
-
-// Scheduling policies for Options.Scheduling.
-const (
-	SchedFIFO         = core.SchedFIFO
-	SchedLIFO         = core.SchedLIFO
-	SchedCriticalPath = core.SchedCriticalPath
-)
-
 // Formulation selects the task formulation for Options.Formulation: where
 // each update's flops execute and whether computed contributions travel to
 // the target block's owner (fan-out computes at the target; fan-in at the
