@@ -1,21 +1,16 @@
 // Command sympacklint runs the sympack static-analysis suite: custom
 // analyzers that mechanically enforce the solver's determinism, atomicity,
-// and future-error invariants (see DESIGN.md §10). It is runnable two
-// ways:
+// and future-error invariants (see DESIGN.md §10):
 //
-//	go run ./cmd/sympacklint ./...          # standalone multichecker
-//	go vet -vettool=$(which sympacklint) ./...   # as a vet tool
+//	go run ./cmd/sympacklint [-json] ./...
 //
-// Standalone mode loads the enclosing module with the stdlib-only loader
-// (internal/lint/load) and exits 2 if any diagnostic survives the
-// //lint:ignore audit, so CI can gate on it. Vet-tool mode speaks the
-// cmd/go unitchecker protocol: a single <package>.cfg JSON argument,
-// export data supplied by the build system, plus the -V=full and -flags
-// handshakes (see vetmode.go).
+// It loads the enclosing module with the stdlib-only loader
+// (internal/lint/load), analyzes every package in dependency order against
+// one in-process fact store, and exits 2 if any diagnostic survives the
+// //lint:ignore audit, so CI can gate on it. Usage errors exit 1.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,78 +29,39 @@ func main() {
 }
 
 func run(args []string) int {
-	var opts options
-	var rest []string
-	takeValue := func(i *int, name, inline string) (string, bool) {
-		if inline != "" {
-			return inline, true
-		}
-		if *i+1 < len(args) {
-			*i++
-			return args[*i], true
-		}
-		fmt.Fprintf(os.Stderr, "sympacklint: %s requires a file argument\n", name)
-		return "", false
-	}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case strings.HasPrefix(a, "-V"):
-			printVersion()
+	jsonOut := false
+	for _, a := range args {
+		switch a {
+		case "-h":
+			help()
 			return 0
-		case a == "-flags":
-			// The vet driver asks which extra flags the tool accepts;
-			// the suite is configuration-free beyond the output mode.
-			fmt.Println("[]")
-			return 0
-		case a == "help" || a == "-h" || a == "-help" || a == "--help":
-			usage()
-			return 0
-		case a == "-json" || a == "--json":
-			opts.jsonOut = true
-		case a == "-baseline" || strings.HasPrefix(a, "-baseline="):
-			v, ok := takeValue(&i, "-baseline", strings.TrimPrefix(strings.TrimPrefix(a, "-baseline"), "="))
-			if !ok {
-				return 1
-			}
-			opts.baseline = v
-		case a == "-write-baseline" || strings.HasPrefix(a, "-write-baseline="):
-			v, ok := takeValue(&i, "-write-baseline", strings.TrimPrefix(strings.TrimPrefix(a, "-write-baseline"), "="))
-			if !ok {
-				return 1
-			}
-			opts.writeBaseline = v
+		case "-json":
+			jsonOut = true
+		case "./...":
+			// The only pattern: the whole enclosing module.
 		default:
-			rest = append(rest, a)
+			fmt.Fprintf(os.Stderr, "sympacklint: unexpected argument %q\n%s\n", a, usageLine)
+			return 1
 		}
 	}
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0], opts.jsonOut)
-	}
-	return runStandalone(rest, opts)
+	return lintModule(jsonOut)
 }
 
-// options collects the standalone-mode flags.
-type options struct {
-	jsonOut       bool
-	baseline      string // compare findings against this JSONL baseline
-	writeBaseline string // write the current findings here and exit 0
-}
+const usageLine = "usage: sympacklint [-json] [./...]"
 
-func usage() {
-	fmt.Printf("usage: sympacklint [-json] [-baseline file | -write-baseline file] [package pattern ...]   (default ./...)\n\nanalyzers:\n")
+func help() {
+	fmt.Printf("%s\n\nanalyzers:\n", usageLine)
 	for _, a := range lint.Analyzers() {
 		fmt.Printf("  %-20s %s\n", a.Name, a.Doc)
 	}
 	fmt.Printf("\nsuppress an audited finding with: //lint:ignore <analyzer> <reason>\n")
 	fmt.Printf("-json emits one diagnostic per line (file, line, analyzer, message,\nsuppressed, note) including audited suppressions; the exit code still\ncounts only unsuppressed findings\n")
-	fmt.Printf("-baseline compares findings against a JSONL baseline (ratchet mode):\nonly findings absent from the baseline gate the exit code;\n-write-baseline records the current findings and exits 0\n")
 }
 
 // jsonDiagnostic is the -json wire format: one object per line, stable
 // field set, so CI can archive and diff lint reports mechanically. File
-// is module-root-relative and slash-separated (the same normalization as
-// baselines), so reports diff cleanly across checkouts and platforms.
+// is module-root-relative and slash-separated, so reports diff cleanly
+// across checkouts and platforms.
 type jsonDiagnostic struct {
 	File       string `json:"file"`
 	Line       int    `json:"line"`
@@ -118,7 +74,7 @@ type jsonDiagnostic struct {
 func printJSON(w io.Writer, modRoot string, fset *token.FileSet, d analysis.Diagnostic) {
 	pos := fset.Position(d.Pos)
 	out, _ := json.Marshal(jsonDiagnostic{
-		File:       relFile(modRoot, fset, d),
+		File:       relFile(modRoot, pos.Filename),
 		Line:       pos.Line,
 		Analyzer:   d.Analyzer,
 		Message:    d.Message,
@@ -128,22 +84,16 @@ func printJSON(w io.Writer, modRoot string, fset *token.FileSet, d analysis.Diag
 	fmt.Fprintf(w, "%s\n", out)
 }
 
-// printVersion implements the `-V=full` handshake cmd/go uses to build a
-// cache key for the vet tool: name, a version token, and a content hash of
-// the executable so rebuilding the tool invalidates stale results.
-func printVersion() {
-	name := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
+// relFile renders a file path relative to the module root,
+// slash-separated, so -json reports are portable across checkouts.
+func relFile(modRoot, name string) string {
+	if rel, err := filepath.Rel(modRoot, name); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
 	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil)[:16])
+	return filepath.ToSlash(name)
 }
 
-func runStandalone(patterns []string, opts options) int {
+func lintModule(jsonOut bool) int {
 	wd, err := os.Getwd()
 	if err != nil {
 		return fail(err)
@@ -152,72 +102,28 @@ func runStandalone(patterns []string, opts options) int {
 	if err != nil {
 		return fail(err)
 	}
-
-	var diags []analysis.Diagnostic
-	var fset *token.FileSet
-	wantAll := len(patterns) == 0
-	var dirs []string
-	for _, p := range patterns {
-		if strings.HasSuffix(p, "...") {
-			// Any ellipsis pattern in this single-module repo means
-			// "the whole module": the walk is cheap and extra
-			// packages never add false findings.
-			wantAll = true
-			continue
-		}
-		dirs = append(dirs, p)
-	}
-	if wantAll {
-		diags, fset, err = lint.RunModule(modRoot, lint.Analyzers())
-	} else {
-		diags, fset, err = lint.RunDirs(modRoot, dirs, lint.Analyzers())
-	}
+	diags, fset, err := lint.RunModule(modRoot, lint.Analyzers())
 	if err != nil {
 		return fail(err)
-	}
-
-	if opts.writeBaseline != "" {
-		if err := writeBaseline(opts.writeBaseline, modRoot, fset, diags); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-	var base baseline
-	if opts.baseline != "" {
-		base, err = readBaseline(opts.baseline)
-		if err != nil {
-			return fail(err)
-		}
 	}
 
 	findings := 0
 	for _, d := range diags {
 		gates := !d.Suppressed && !d.Note
-		if gates && base != nil && base.has(modRoot, fset, d) {
-			// Ratchet mode: a pre-existing finding recorded in the
-			// baseline does not gate; only regressions do.
-			gates = false
-		}
 		switch {
-		case opts.jsonOut:
+		case jsonOut:
 			printJSON(os.Stdout, modRoot, fset, d)
 		case d.Note:
-			pos := fset.Position(d.Pos)
-			fmt.Printf("%s: note: [%s] %s\n", relTo(wd, pos), d.Analyzer, d.Message)
+			fmt.Printf("%s: note: [%s] %s\n", relTo(wd, fset.Position(d.Pos)), d.Analyzer, d.Message)
 		case gates:
-			pos := fset.Position(d.Pos)
-			fmt.Printf("%s: [%s] %s\n", relTo(wd, pos), d.Analyzer, d.Message)
+			fmt.Printf("%s: [%s] %s\n", relTo(wd, fset.Position(d.Pos)), d.Analyzer, d.Message)
 		}
 		if gates {
 			findings++
 		}
 	}
 	if findings > 0 {
-		if base != nil {
-			fmt.Fprintf(os.Stderr, "sympacklint: %d new finding(s) not in baseline\n", findings)
-		} else {
-			fmt.Fprintf(os.Stderr, "sympacklint: %d finding(s)\n", findings)
-		}
+		fmt.Fprintf(os.Stderr, "sympacklint: %d finding(s)\n", findings)
 		return 2
 	}
 	return 0

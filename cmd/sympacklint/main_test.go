@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // scratchModule writes a tiny sympack-named module with three findings:
 // an unsuppressed wallclock read, a suppressed one, and a stale
 // //lint:ignore that trips unusedignore. Deterministic input for the
-// -json schema and baseline-ratchet tests.
+// -json schema tests.
 func scratchModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -51,6 +51,24 @@ func fixedAlready() int {
 	return root
 }
 
+// chdir moves the test into dir and back to the original working
+// directory when it ends.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(old); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // capture runs f with os.Stdout redirected to a pipe and returns what it
 // printed alongside its return code.
 func capture(t *testing.T, f func() int) (string, int) {
@@ -80,7 +98,7 @@ func capture(t *testing.T, f func() int) (string, int) {
 // the rooted temp module proves no absolute path leaks into the report.
 func TestJSONGolden(t *testing.T) {
 	root := scratchModule(t)
-	t.Chdir(root)
+	chdir(t, root)
 	out, rc := capture(t, func() int { return run([]string{"-json", "./..."}) })
 	if rc != 2 {
 		t.Fatalf("exit code = %d, want 2 (unsuppressed findings present)", rc)
@@ -128,10 +146,10 @@ func TestJSONGolden(t *testing.T) {
 // TestJSONPathsRepoRelative runs -json from a subdirectory of a rooted
 // temp module: file paths must stay module-root-relative and
 // slash-separated (not cwd-relative, not absolute), the portability
-// contract baselines and archived CI reports rely on.
+// contract archived CI reports rely on.
 func TestJSONPathsRepoRelative(t *testing.T) {
 	root := scratchModule(t)
-	t.Chdir(filepath.Join(root, "internal", "core"))
+	chdir(t, filepath.Join(root, "internal", "core"))
 	out, rc := capture(t, func() int { return run([]string{"-json", "./..."}) })
 	if rc != 2 {
 		t.Fatalf("exit code = %d, want 2; out=%s", rc, out)
@@ -147,8 +165,8 @@ func TestJSONPathsRepoRelative(t *testing.T) {
 	}
 }
 
-// pkgDir is the package source directory, captured before any t.Chdir
-// moves the test into a temp module; the golden file lives under it.
+// pkgDir is the package source directory, captured before any chdir
+// moves the test into another module; testdata lives under it.
 var pkgDir string
 
 func TestMain(m *testing.M) {
@@ -166,56 +184,42 @@ func testdataDir(t *testing.T) string {
 	return filepath.Join(pkgDir, "testdata")
 }
 
-// TestBaselineRatchet covers -write-baseline / -baseline: recorded
-// findings stop gating, new findings still fail, and the committed empty
-// baseline format (comments and blank lines) parses.
-func TestBaselineRatchet(t *testing.T) {
-	root := scratchModule(t)
-	t.Chdir(root)
-	basePath := filepath.Join(root, "base.jsonl")
+// TestGates runs the driver in each seeded-violation module under
+// testdata/gates (see the README there): each must exit 2 with exactly
+// one finding, and that finding must contain the phrase in the module's
+// expect file. The futureerr, lockorder, nondetflow and errflow findings
+// span packages, so they exist only if facts flow through the driver's
+// store; a row that finds nothing means an analyzer silently stopped
+// working.
+func TestGates(t *testing.T) {
+	for _, gate := range []string{"ctxflow", "errflow", "futureerr", "goroutineleak", "lockorder", "nondetflow", "wallclock"} {
+		t.Run(gate, func(t *testing.T) {
+			dir := filepath.Join(testdataDir(t), "gates", gate)
+			expect, err := os.ReadFile(filepath.Join(dir, "expect"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			phrase := strings.TrimSpace(string(expect))
+			chdir(t, dir)
+			out, rc := capture(t, func() int { return run([]string{"./..."}) })
+			if rc != 2 {
+				t.Fatalf("exit code = %d, want 2 (seeded violation not flagged); out=%s", rc, out)
+			}
+			findings := strings.Split(strings.TrimSpace(out), "\n")
+			if len(findings) != 1 {
+				t.Fatalf("got %d findings, want exactly 1:\n%s", len(findings), out)
+			}
+			if !strings.Contains(findings[0], phrase) {
+				t.Errorf("finding %q does not contain %q", findings[0], phrase)
+			}
+		})
+	}
+}
 
-	if _, rc := capture(t, func() int { return run([]string{"-write-baseline", basePath, "./..."}) }); rc != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0", rc)
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("baseline has %d entries, want 2 (wallclock + unusedignore): %q", len(lines), data)
-	}
-	for _, l := range lines {
-		if strings.Contains(l, root) {
-			t.Errorf("baseline entry %q embeds the absolute module root; want relative paths", l)
-		}
-	}
-
-	// Everything is baselined: the ratchet passes.
-	if out, rc := capture(t, func() int { return run([]string{"-baseline", basePath, "./..."}) }); rc != 0 {
-		t.Fatalf("-baseline over recorded findings exit = %d, want 0; out=%s", rc, out)
-	}
-
-	// A new finding is not in the baseline: the ratchet fails.
-	newFile := filepath.Join(root, "internal", "core", "worse.go")
-	if err := os.WriteFile(newFile, []byte("package core\n\nimport \"time\"\n\nvar later = time.Now()\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	out, rc := capture(t, func() int { return run([]string{"-baseline", basePath, "./..."}) })
-	if rc != 2 {
-		t.Fatalf("-baseline with a new finding exit = %d, want 2; out=%s", rc, out)
-	}
-	if !strings.Contains(out, "worse.go") || strings.Contains(out, "bad.go") {
-		t.Errorf("ratchet output should report only the new finding, got:\n%s", out)
-	}
-
-	// The committed empty-baseline format (comment header only) parses
-	// and tolerates nothing.
-	empty := filepath.Join(root, "empty.jsonl")
-	if err := os.WriteFile(empty, []byte("# header comment\n\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, rc := capture(t, func() int { return run([]string{"-baseline", empty, "./..."}) }); rc != 2 {
-		t.Fatalf("-baseline with empty baseline exit = %d, want 2", rc)
+// TestUsageError pins the driver's single mode: any argument other than
+// -json, -h or ./... is a usage error.
+func TestUsageError(t *testing.T) {
+	if rc := run([]string{"./internal/core"}); rc != 1 {
+		t.Errorf("run(./internal/core) = %d, want 1", rc)
 	}
 }

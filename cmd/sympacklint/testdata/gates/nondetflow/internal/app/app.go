@@ -6,5 +6,5 @@ import (
 )
 
 func publish(m map[int]float64) {
-	upcxx.AllReduce(0, route.Weights(m))
+	upcxx.Rput(route.Weights(m), 0)
 }

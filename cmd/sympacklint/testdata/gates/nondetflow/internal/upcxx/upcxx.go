@@ -1,3 +1,3 @@
 package upcxx
 
-func AllReduce(rank int, buf []float64) {}
+func Rput(src []float64, dst int) {}

@@ -22,27 +22,6 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i+j*d.Stride] }
 // Set assigns element (i,j).
 func (d *Dense) Set(i, j int, v float64) { d.Data[i+j*d.Stride] = v }
 
-// Add accumulates v into element (i,j).
-func (d *Dense) Add(i, j int, v float64) { d.Data[i+j*d.Stride] += v }
-
-// Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	out := NewDense(d.Rows, d.Cols)
-	for j := 0; j < d.Cols; j++ {
-		copy(out.Data[j*out.Stride:j*out.Stride+d.Rows], d.Data[j*d.Stride:j*d.Stride+d.Rows])
-	}
-	return out
-}
-
-// Symmetrize copies the lower triangle onto the upper triangle.
-func (d *Dense) Symmetrize() {
-	for j := 0; j < d.Cols; j++ {
-		for i := j + 1; i < d.Rows; i++ {
-			d.Set(j, i, d.At(i, j))
-		}
-	}
-}
-
 // MulVec computes y = d*x.
 func (d *Dense) MulVec(x []float64) []float64 {
 	y := make([]float64, d.Rows)
@@ -73,20 +52,6 @@ func (d *Dense) CholSolve(b []float64) ([]float64, error) {
 	// Backward solve Lᵀ x = y.
 	Trsm(Left, Lower, Transpose, d.Rows, 1, 1, d.Data, d.Stride, x, d.Rows)
 	return x, nil
-}
-
-// MaxAbsDiff returns max |a-b| over the shared extent of two matrices.
-func MaxAbsDiff(a, b *Dense) float64 {
-	var m float64
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			d := math.Abs(a.At(i, j) - b.At(i, j))
-			if d > m {
-				m = d
-			}
-		}
-	}
-	return m
 }
 
 // Norm2 returns the Euclidean norm of a vector.

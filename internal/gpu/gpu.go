@@ -102,18 +102,6 @@ func NewDevice(id int, m machine.Machine, capElems int64) *Device {
 	return &Device{ID: id, M: m, capacity: capElems, admit: make(chan struct{}, DefaultAdmission)}
 }
 
-// SetAdmission resizes the per-op admission semaphore (n ≥ 1). It must be
-// called before the device is shared with concurrent users.
-func (d *Device) SetAdmission(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.admit = make(chan struct{}, n)
-}
-
-// Admission returns the concurrent-operation limit.
-func (d *Device) Admission() int { return cap(d.admit) }
-
 // begin blocks until an admission slot is free; end releases it. Every
 // kernel and host↔device copy runs inside a begin/end pair, so at most
 // cap(admit) device operations make progress at once regardless of how many
@@ -137,9 +125,6 @@ type Buffer struct {
 
 // Len returns the element count.
 func (b *Buffer) Len() int { return len(b.Data) }
-
-// Device returns the owning device.
-func (b *Buffer) Device() *Device { return b.dev }
 
 // SetFaults attaches a fault injector consulted on every allocation; nil
 // detaches it.
@@ -210,9 +195,6 @@ func (d *Device) Used() int64 {
 	defer d.mu.Unlock()
 	return d.used
 }
-
-// Capacity returns the device capacity in elements (0 = unbounded).
-func (d *Device) Capacity() int64 { return d.capacity }
 
 // BusySeconds returns accumulated modeled kernel time.
 func (d *Device) BusySeconds() float64 {

@@ -10,7 +10,7 @@
 //
 // The deliberate subset: no Requires graph (the analyzers are
 // independent) and no SSA. Facts — exportable per-object/per-package
-// state serialized between passes, which the flow-sensitive futureerr
+// state handed from one pass to the next, which the flow-sensitive futureerr
 // analyzer uses to chase futures through sympack-local wrappers
 // cross-package — follow the upstream contract (see facts.go).
 // Suppression via "//lint:ignore" comments is handled by the runner, not
@@ -26,7 +26,7 @@ import (
 
 // An Analyzer is one static check. Name is the identifier used in
 // diagnostics and in //lint:ignore directives; Doc is the human
-// description printed by `sympacklint help`.
+// description printed by `sympacklint -h`.
 type Analyzer struct {
 	Name string
 	Doc  string

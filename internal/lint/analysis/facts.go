@@ -1,48 +1,34 @@
 package analysis
 
-// Facts: serializable per-object and per-package state that one analyzer
-// pass exports for passes over downstream packages to import, mirroring
-// the Fact mechanism of golang.org/x/tools/go/analysis. An analyzer
-// declares the concrete fact types it uses in Analyzer.FactTypes; at run
-// time the driver installs the Export/Import functions on each Pass,
-// backed by a FactStore shared across the whole run.
+// Facts: per-object and per-package state that one analyzer pass exports
+// for passes over downstream packages to import, mirroring the Fact
+// mechanism of golang.org/x/tools/go/analysis. An analyzer declares the
+// concrete fact types it uses in Analyzer.FactTypes; at run time the
+// driver installs the Export/Import functions on each Pass, backed by a
+// FactStore shared across the whole run.
 //
-// In-process drivers (lint.RunModule, analysistest) analyze packages in
-// dependency order against one shared store, so facts flow by object
-// identity with no serialization. The vet-tool driver (cmd/sympacklint in
-// unitchecker mode) runs one process per package: there the store
-// round-trips through the .vetx files cmd/go threads between units —
-// EncodeVetx serializes this package's facts with gob, keyed by a
-// minimal object path (package-level name, or "Type.Method"), and
-// AddVetx/resolve decode dependency files against the type-checker's
-// imported package objects on first use. Facts on unexported or
-// function-local objects are never serialized; they cannot be referenced
-// across package boundaries.
+// The drivers (lint.RunModule, analysistest) analyze packages in
+// dependency order against one in-process store, so facts flow by object
+// identity with no serialization.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
 // A Fact is analyzer-private state attached to a package or to one of its
-// exported objects. Concrete fact types must be pointers to structs, be
-// gob-serializable, and carry the AFact marker method.
+// objects. Concrete fact types must be pointers to structs and carry the
+// AFact marker method.
 type Fact interface {
 	AFact() // dummy marker method
 }
 
-// A FactStore accumulates facts across the packages of one lint run and
-// round-trips them through vetx files in vet-tool mode. It is not safe
-// for concurrent use; the drivers run single-threaded.
+// A FactStore accumulates facts across the packages of one lint run. It
+// is not safe for concurrent use; the drivers run single-threaded.
 type FactStore struct {
-	obj     map[objFactKey]Fact
-	pkg     map[pkgFactKey]Fact
-	pending map[string][]byte // package path → undecoded vetx payload
+	obj map[objFactKey]Fact
+	pkg map[pkgFactKey]Fact
 }
 
 type objFactKey struct {
@@ -55,19 +41,9 @@ type pkgFactKey struct {
 	t   reflect.Type
 }
 
-// NewFactStore returns an empty store and registers every fact type the
-// given analyzers declare with gob, so vetx payloads can name them.
-func NewFactStore(analyzers []*Analyzer) *FactStore {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-	return &FactStore{
-		obj:     map[objFactKey]Fact{},
-		pkg:     map[pkgFactKey]Fact{},
-		pending: map[string][]byte{},
-	}
+// NewFactStore returns an empty store.
+func NewFactStore() *FactStore {
+	return &FactStore{obj: map[objFactKey]Fact{}, pkg: map[pkgFactKey]Fact{}}
 }
 
 // Bind installs the fact accessors on a pass. The pass's analyzer must
@@ -96,9 +72,6 @@ func (s *FactStore) Bind(pass *Pass) {
 		if obj == nil {
 			return false
 		}
-		if pkg := obj.Pkg(); pkg != nil {
-			s.resolve(pkg)
-		}
 		stored, ok := s.obj[objFactKey{obj, reflect.TypeOf(fact)}]
 		if !ok {
 			return false
@@ -116,7 +89,6 @@ func (s *FactStore) Bind(pass *Pass) {
 		if pkg == nil {
 			return false
 		}
-		s.resolve(pkg)
 		stored, ok := s.pkg[pkgFactKey{pkg, reflect.TypeOf(fact)}]
 		if !ok {
 			return false
@@ -134,138 +106,4 @@ func copyFact(dst, src Fact) {
 		panic(fmt.Sprintf("fact types must be pointers: %T, %T", dst, src))
 	}
 	dv.Elem().Set(sv.Elem())
-}
-
-// wireFact is one serialized fact: Object is the intra-package object
-// path ("" for a package-level fact) and Fact the registered concrete
-// value.
-type wireFact struct {
-	Object string
-	Fact   Fact
-}
-
-// EncodeVetx serializes the facts attached to pkg and to its exported
-// package-level objects, for handoff through a vet .vetx file. A nil pkg
-// (or one with no facts) encodes an empty, still-decodable payload.
-func (s *FactStore) EncodeVetx(pkg *types.Package) ([]byte, error) {
-	var wire []wireFact
-	if pkg != nil {
-		for k, f := range s.pkg {
-			if k.pkg == pkg {
-				wire = append(wire, wireFact{Object: "", Fact: f})
-			}
-		}
-		for k, f := range s.obj {
-			if k.obj.Pkg() != pkg {
-				continue
-			}
-			path, ok := objectPath(k.obj)
-			if !ok {
-				continue // local or unexported: unreachable cross-package
-			}
-			wire = append(wire, wireFact{Object: path, Fact: f})
-		}
-	}
-	// Deterministic payloads keep vet's content-addressed cache stable.
-	sort.Slice(wire, func(i, j int) bool {
-		if wire[i].Object != wire[j].Object {
-			return wire[i].Object < wire[j].Object
-		}
-		return fmt.Sprintf("%T", wire[i].Fact) < fmt.Sprintf("%T", wire[j].Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// AddVetx registers a dependency's raw vetx payload for lazy decoding the
-// first time a fact of that package is imported.
-func (s *FactStore) AddVetx(pkgPath string, data []byte) {
-	if len(data) > 0 {
-		s.pending[pkgPath] = data
-	}
-}
-
-// resolve decodes any pending vetx payload for pkg against its object
-// graph. Undecodable payloads (e.g. written by an older tool version) are
-// dropped: a missing fact only makes dependent analyzers more
-// conservative, never wrong.
-func (s *FactStore) resolve(pkg *types.Package) {
-	data, ok := s.pending[pkg.Path()]
-	if !ok {
-		return
-	}
-	delete(s.pending, pkg.Path())
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return
-	}
-	for _, w := range wire {
-		if w.Fact == nil {
-			continue
-		}
-		if w.Object == "" {
-			s.pkg[pkgFactKey{pkg, reflect.TypeOf(w.Fact)}] = w.Fact
-			continue
-		}
-		if obj := lookupObjectPath(pkg, w.Object); obj != nil {
-			s.obj[objFactKey{obj, reflect.TypeOf(w.Fact)}] = w.Fact
-		}
-	}
-}
-
-// objectPath renders the minimal cross-package address of an object: its
-// package-level name, or "Type.Method" for a method. Only exported
-// objects (with exported receivers, for methods) are addressable.
-func objectPath(obj types.Object) (string, bool) {
-	if fn, ok := obj.(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			named, ok := t.(*types.Named)
-			if !ok || !named.Obj().Exported() || !fn.Exported() {
-				return "", false
-			}
-			return named.Obj().Name() + "." + fn.Name(), true
-		}
-	}
-	if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() || !obj.Exported() {
-		return "", false
-	}
-	return obj.Name(), true
-}
-
-// lookupObjectPath inverts objectPath against an imported package.
-func lookupObjectPath(pkg *types.Package, path string) types.Object {
-	if tname, mname, ok := strings.Cut(path, "."); ok {
-		tobj := pkg.Scope().Lookup(tname)
-		if tobj == nil {
-			return nil
-		}
-		named, ok := tobj.Type().(*types.Named)
-		if !ok {
-			return nil
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == mname {
-				return m
-			}
-		}
-		return nil
-	}
-	return pkg.Scope().Lookup(path)
-}
-
-// AllObjectFacts returns every object fact currently in the store, for
-// debugging and tests.
-func (s *FactStore) AllObjectFacts() map[types.Object][]Fact {
-	out := map[types.Object][]Fact{}
-	for k, f := range s.obj {
-		out[k.obj] = append(out[k.obj], f)
-	}
-	return out
 }

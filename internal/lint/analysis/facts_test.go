@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// markFact is a minimal gob-serializable fact for the round-trip tests.
+// markFact is a minimal fact for the store tests.
 type markFact struct{ N int }
 
 func (*markFact) AFact() {}
@@ -21,18 +21,9 @@ var factTestAnalyzer = &Analyzer{
 	FactTypes: []Fact{(*markFact)(nil)},
 }
 
-func checkFactPkg(t *testing.T) (*types.Package, *token.FileSet) {
+func checkFactPkg(t *testing.T) *types.Package {
 	t.Helper()
-	const src = `package a
-
-type T struct{}
-
-func (T) M() {}
-
-func F() {}
-
-func hidden() {}
-`
+	const src = "package a\n\nfunc F() {}\n"
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "a.go", src, 0)
 	if err != nil {
@@ -43,7 +34,7 @@ func hidden() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg, fset
+	return pkg
 }
 
 func bind(t *testing.T, s *FactStore, pkg *types.Package) *Pass {
@@ -53,59 +44,11 @@ func bind(t *testing.T, s *FactStore, pkg *types.Package) *Pass {
 	return pass
 }
 
-// TestFactRoundTrip exercises the vetx path: facts exported on one side of
-// a serialization boundary must import on the other, with unexported
-// objects dropped (they are unreachable cross-package).
-func TestFactRoundTrip(t *testing.T) {
-	pkg, _ := checkFactPkg(t)
-	lookup := func(name string) types.Object {
-		obj := pkg.Scope().Lookup(name)
-		if obj == nil {
-			t.Fatalf("no object %q", name)
-		}
-		return obj
-	}
-	fobj := lookup("F")
-	hobj := lookup("hidden")
-	tobj := lookup("T")
-	mobj := tobj.Type().(*types.Named).Method(0)
-
-	producer := NewFactStore([]*Analyzer{factTestAnalyzer})
-	p := bind(t, producer, pkg)
-	p.ExportObjectFact(fobj, &markFact{N: 1})
-	p.ExportObjectFact(mobj, &markFact{N: 2})
-	p.ExportObjectFact(hobj, &markFact{N: 3})
-	p.ExportPackageFact(&markFact{N: 4})
-
-	data, err := producer.EncodeVetx(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	consumer := NewFactStore([]*Analyzer{factTestAnalyzer})
-	consumer.AddVetx("a", data)
-	c := bind(t, consumer, pkg)
-
-	var got markFact
-	if !c.ImportObjectFact(fobj, &got) || got.N != 1 {
-		t.Errorf("fact on F: got %+v, want {N:1}", got)
-	}
-	if !c.ImportObjectFact(mobj, &got) || got.N != 2 {
-		t.Errorf("fact on T.M: got %+v, want {N:2}", got)
-	}
-	if c.ImportObjectFact(hobj, &got) {
-		t.Error("fact on unexported object survived serialization; want dropped")
-	}
-	if !c.ImportPackageFact(pkg, &got) || got.N != 4 {
-		t.Errorf("package fact: got %+v, want {N:4}", got)
-	}
-}
-
-// TestFactInProcess covers the shared-store path the module driver uses:
-// no serialization, object identity carries the fact.
+// TestFactInProcess covers the shared store the drivers use: object
+// identity carries the fact.
 func TestFactInProcess(t *testing.T) {
-	pkg, _ := checkFactPkg(t)
-	store := NewFactStore([]*Analyzer{factTestAnalyzer})
+	pkg := checkFactPkg(t)
+	store := NewFactStore()
 	p := bind(t, store, pkg)
 	obj := pkg.Scope().Lookup("F")
 	var got markFact
@@ -115,18 +58,5 @@ func TestFactInProcess(t *testing.T) {
 	p.ExportObjectFact(obj, &markFact{N: 7})
 	if !p.ImportObjectFact(obj, &got) || got.N != 7 {
 		t.Errorf("in-process fact: got %+v, want {N:7}", got)
-	}
-}
-
-// TestFactBadVetx: an undecodable dependency payload must degrade to
-// "no facts", not fail the run.
-func TestFactBadVetx(t *testing.T) {
-	pkg, _ := checkFactPkg(t)
-	store := NewFactStore([]*Analyzer{factTestAnalyzer})
-	store.AddVetx("a", []byte("sympacklint\n")) // legacy placeholder payload
-	p := bind(t, store, pkg)
-	var got markFact
-	if p.ImportPackageFact(pkg, &got) {
-		t.Error("fact decoded from garbage payload")
 	}
 }

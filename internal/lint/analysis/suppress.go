@@ -188,9 +188,9 @@ func Audit(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran []str
 					}
 				}
 				if len(missing) > 0 {
-					// Sharded runs (CI variant matrices, RunDirs subsets)
-					// cannot judge this directive; say so instead of
-					// silently skipping the audit.
+					// A partial run (an analysistest suite of a few
+					// analyzers) cannot judge this directive; say so
+					// instead of silently skipping the audit.
 					out = append(out, Diagnostic{
 						Pos: dir.pos,
 						Message: "audit skipped: analyzers " + strings.Join(missing, ",") +

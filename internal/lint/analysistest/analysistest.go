@@ -13,8 +13,10 @@
 // dependencies ("sympack/internal/upcxx").
 //
 // RunSuite runs several analyzers together over packages analyzed in the
-// order given, sharing one fact store — list a dependency before its
-// importer and cross-package facts flow exactly as in the module runner.
+// order given, through the module runner's own per-package driver
+// (lint.RunPackageFacts) and one shared fact store — list a dependency
+// before its importer and cross-package facts flow exactly as in
+// lint.RunModule.
 // The unusedignore audit is active when that analyzer is in the suite.
 package analysistest
 
@@ -27,6 +29,7 @@ import (
 	"strings"
 	"testing"
 
+	"sympack/internal/lint"
 	"sympack/internal/lint/analysis"
 	"sympack/internal/lint/load"
 )
@@ -44,7 +47,7 @@ func RunSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer, imp
 	t.Helper()
 	srcRoot := filepath.Join(testdata, "src")
 	loader := load.NewTreeLoader(srcRoot)
-	store := analysis.NewFactStore(analyzers)
+	store := analysis.NewFactStore()
 	for _, path := range importPaths {
 		dir := filepath.Join(srcRoot, filepath.FromSlash(path))
 		pkg, err := loader.LoadDir(path, dir)
@@ -52,45 +55,15 @@ func RunSuite(t *testing.T, testdata string, analyzers []*analysis.Analyzer, imp
 			t.Errorf("loading %s: %v", path, err)
 			continue
 		}
-		diags := runSuite(t, analyzers, pkg, store)
-		check(t, pkg, diags)
+		diags, err := lint.RunPackageFacts(pkg, analyzers, store)
+		if err != nil {
+			t.Errorf("analyzing %s: %v", path, err)
+			continue
+		}
+		// Suppressed findings are invisible to want annotations, exactly
+		// as they are invisible to the production exit code.
+		check(t, pkg, analysis.Unsuppressed(diags))
 	}
-}
-
-func runSuite(t *testing.T, analyzers []*analysis.Analyzer, pkg *load.Package, store *analysis.FactStore) []analysis.Diagnostic {
-	t.Helper()
-	var diags []analysis.Diagnostic
-	var consumed []analysis.ConsumedIgnore
-	ran := make([]string, 0, len(analyzers))
-	auditUnused := false
-	for _, a := range analyzers {
-		ran = append(ran, a.Name)
-		if a.Name == "unusedignore" {
-			auditUnused = true
-		}
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		store.Bind(pass)
-		name := a.Name
-		pass.Report = func(d analysis.Diagnostic) {
-			d.Analyzer = name
-			diags = append(diags, d)
-		}
-		pass.MarkIgnoreUsed = func(pos token.Pos, analyzer string) {
-			consumed = append(consumed, analysis.ConsumedIgnore{Pos: pos, Analyzer: analyzer})
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Errorf("%s on %s: %v", a.Name, pkg.Path, err)
-		}
-	}
-	// Suppressed findings are invisible to want annotations, exactly as
-	// they are invisible to the production exit code.
-	return analysis.Unsuppressed(analysis.Audit(pkg.Fset, pkg.Files, diags, ran, auditUnused, consumed))
 }
 
 // expectation is one unmatched want regexp at a file:line.

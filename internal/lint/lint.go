@@ -13,12 +13,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"sympack/internal/lint/analysis"
 	"sympack/internal/lint/atomicconsistency"
@@ -52,28 +49,11 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// RunPackage applies the analyzers to one package with a private fact
-// store (no cross-package facts), honors //lint:ignore suppressions, and
-// returns diagnostics — suppressed ones marked, not removed — in
-// deterministic position order. Single-package drivers (vet mode seeds
-// its store from vetx files first) use RunPackageFacts directly.
-func RunPackage(p *load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	return RunPackageFacts(p, analyzers, analysis.NewFactStore(analyzers))
-}
-
-// RunPackageFacts is RunPackage against a caller-owned fact store, which
-// both receives this package's exported facts and answers imports from
-// previously analyzed (or vetx-decoded) dependencies.
+// RunPackageFacts applies the analyzers to one package against a
+// caller-owned fact store, which both receives this package's exported
+// facts and answers imports from previously analyzed dependencies. It
+// honors //lint:ignore suppressions and returns diagnostics — suppressed
+// ones marked, not removed — in deterministic position order.
 func RunPackageFacts(p *load.Package, analyzers []*analysis.Analyzer, store *analysis.FactStore) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
 	var consumed []analysis.ConsumedIgnore
@@ -130,7 +110,7 @@ func RunModule(modRoot string, analyzers []*analysis.Analyzer) ([]analysis.Diagn
 		}
 		pkgs = append(pkgs, p)
 	}
-	store := analysis.NewFactStore(analyzers)
+	store := analysis.NewFactStore()
 	var all []analysis.Diagnostic
 	for _, p := range dependencyOrder(pkgs) {
 		ds, err := RunPackageFacts(p, analyzers, store)
@@ -170,53 +150,6 @@ func dependencyOrder(pkgs []*load.Package) []*load.Package {
 		visit(p)
 	}
 	return out
-}
-
-// RunDirs lints only the packages in the given directories (which must
-// lie inside the module rooted at modRoot). Dependencies outside the
-// listed set are type-checked but not analyzed, so cross-package facts
-// are absent and fact-dependent analyzers fall back to their conservative
-// (quieter) behavior; the whole-module RunModule has no such gap.
-func RunDirs(modRoot string, dirs []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet, error) {
-	loader, err := load.NewModuleLoader(modRoot)
-	if err != nil {
-		return nil, nil, err
-	}
-	modPath, err := load.ModulePath(modRoot)
-	if err != nil {
-		return nil, nil, err
-	}
-	pkgs := make([]*load.Package, 0, len(dirs))
-	for _, dir := range dirs {
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		rel, err := filepath.Rel(modRoot, abs)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return nil, nil, fmt.Errorf("lint: %s is outside module %s", dir, modRoot)
-		}
-		ip := modPath
-		if rel != "." {
-			ip = modPath + "/" + filepath.ToSlash(rel)
-		}
-		p, err := loader.LoadDir(ip, abs)
-		if err != nil {
-			return nil, nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	store := analysis.NewFactStore(analyzers)
-	var all []analysis.Diagnostic
-	for _, p := range dependencyOrder(pkgs) {
-		ds, err := RunPackageFacts(p, analyzers, store)
-		if err != nil {
-			return nil, nil, err
-		}
-		all = append(all, ds...)
-	}
-	sortDiagnostics(loader.Fset, all)
-	return all, loader.Fset, nil
 }
 
 func sortDiagnostics(fset *token.FileSet, diags []analysis.Diagnostic) {

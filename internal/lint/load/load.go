@@ -93,11 +93,6 @@ func NewTreeLoader(srcRoot string) *Loader {
 	})
 }
 
-// ModulePath returns the module path declared by modRoot's go.mod.
-func ModulePath(modRoot string) (string, error) {
-	return modulePath(filepath.Join(modRoot, "go.mod"))
-}
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

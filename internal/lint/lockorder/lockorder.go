@@ -379,9 +379,8 @@ func isSyncLock(v *types.Var) bool {
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
-// exportFacts publishes the per-function acquire sets (exported symbols
-// only survive the vetx round-trip, which is exactly the set callable
-// cross-package) and the package's merged edge graph.
+// exportFacts publishes the per-function acquire sets, for importers'
+// calls into this package, and the package's merged edge graph.
 func (w *walker) exportFacts(fns []*fnInfo) {
 	for _, fi := range fns {
 		if fi.obj == nil {

@@ -6,15 +6,15 @@
 // battery checks that dynamically, and the intraprocedural suite
 // (mapiterdeterminism, wallclock) polices the sources one function at a
 // time — but a map-ordered slice laundered through two helper calls into
-// an RTQ entry or an AllReduce payload was invisible until now.
+// an RTQ entry or an Rput payload was invisible until now.
 //
 // Sources: map iteration order, wall clock readings (time.Now/Since and
 // the machine facade's WallNow/WallSince — any wall reading is
 // machine-local and therefore rank-nondeterministic), unseeded math/rand,
 // and %p pointer formatting. Sinks: RTQ entries (writes to the fields of
 // core's task), wire/signal payloads in internal/upcxx
-// (RPC targets, Rput payloads, AllReduce staging buffers, NewArrayFrom
-// initializers), scheduling-queue elements (container/heap.Push), trace
+// (RPC targets, Rput payloads, NewArrayFrom initializers),
+// scheduling-queue elements (container/heap.Push), trace
 // ordering fields, and factor values entering internal/blas kernels.
 //
 // Taint dies only two ways: an explicit sort (sort.* / slices.Sort*) of
@@ -23,9 +23,9 @@
 // so the unusedignore audit treats the directive as live.
 //
 // Flows are chased across function and package boundaries through
-// sympack/internal/lint/taint summaries exported as Facts (flowFact), so
-// `go vet -vettool` units compose: a helper whose parameter reaches an
-// AllReduce in package A is reported at its call site in package B.
+// sympack/internal/lint/taint summaries exported as Facts (flowFact) into
+// the driver's in-process store: a helper whose parameter reaches an Rput
+// in package A is reported at its call site in package B.
 package nondetflow
 
 import (
@@ -44,8 +44,8 @@ const Name = "nondetflow"
 var Analyzer = &analysis.Analyzer{
 	Name: Name,
 	Doc: "detects nondeterministic values (map order, wall clock, math/rand, %p) " +
-		"flowing into schedule-critical sinks (RTQ entries, wire payloads, AllReduce " +
-		"buffers, trace ordering, factor values), across call and package boundaries",
+		"flowing into schedule-critical sinks (RTQ entries, wire payloads, trace ordering, " +
+		"factor values), across call and package boundaries",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*flowFact)(nil)},
 }
@@ -233,10 +233,6 @@ func callSinks(pass *analysis.Pass, call *ast.CallExpr) []taint.SinkUse {
 	switch {
 	case strings.HasSuffix(path, "internal/upcxx"):
 		switch fn.Name() {
-		case "AllReduce":
-			if a, ok := arg(1); ok {
-				return []taint.SinkUse{{Value: a, Desc: "an AllReduce staging buffer"}}
-			}
 		case "Rput":
 			if a, ok := arg(0); ok {
 				return []taint.SinkUse{{Value: a, Desc: "an Rput wire payload"}}

@@ -14,13 +14,13 @@ import (
 	"sympack/internal/upcxx"
 )
 
-// gather launders map iteration order into an AllReduce payload.
+// gather launders map iteration order into an Rput payload.
 func gather(r *upcxx.Rank, parts map[int][]float64) {
 	var buf []float64
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
-	r.AllReduce(0, buf) // want "map iteration order\\) flows into an AllReduce staging buffer"
+	r.Rput(buf, 0) // want "map iteration order\\) flows into an Rput wire payload"
 }
 
 // gatherSorted is the blessed shape: the key order is made explicit
@@ -35,7 +35,7 @@ func gatherSorted(r *upcxx.Rank, parts map[int][]float64) {
 	for _, k := range keys {
 		buf = append(buf, parts[k]...)
 	}
-	r.AllReduce(0, buf)
+	r.Rput(buf, 0)
 }
 
 // stamp puts a wall-clock-derived value on the wire.
@@ -85,7 +85,7 @@ func broadcast(r *upcxx.Rank, weights map[string]float64) {
 	for _, w := range weights {
 		vals = append(vals, w)
 	}
-	route.Publish(r, vals) // want "map iteration order\\) flows into an AllReduce staging buffer via route\\.Publish"
+	route.Publish(r, vals) // want "map iteration order\\) flows into an Rput wire payload via route\\.Publish"
 }
 
 // pick routes an RPC to a map-order-dependent rank.
@@ -114,9 +114,9 @@ func reseeded(r *upcxx.Rank) {
 
 // clean shows a kill on a parameter: after the sort the slice order is
 // explicit, so not even a conditional (summary) sink survives.
-func clean(r *upcxx.Rank, data []float64) error {
+func clean(r *upcxx.Rank, data []float64) {
 	sort.Float64s(data)
-	return r.AllReduce(0, data)
+	r.Rput(data, 0)
 }
 
 func use(r *upcxx.Rank, q *pq) {
@@ -130,5 +130,5 @@ func use(r *upcxx.Rank, q *pq) {
 	relay(r, nil)
 	broadcast(r, nil)
 	pick(r, nil)
-	_ = clean(r, nil)
+	clean(r, nil)
 }

@@ -15,9 +15,9 @@
 // excused with //lint:ignore unusedignore <reason> while a flaky finding
 // stabilizes) like any other; its Run contributes no diagnostics of its
 // own. A directive is only judged when every analyzer it names actually
-// ran, so partial runs (analysistest, RunDirs subsets, CI variant-matrix
-// shards) cannot flag directives that are doing their job in the full
-// suite — but they no longer stay silent either: each unjudgeable
+// ran, so partial runs (analysistest suites of a few analyzers) cannot
+// flag directives that are doing their job in the full suite — but they
+// no longer stay silent either: each unjudgeable
 // directive produces an informational note ("audit skipped: analyzers X
 // did not run") that shows in the report without gating the build.
 package unusedignore

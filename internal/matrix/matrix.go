@@ -45,9 +45,6 @@ func (c *COO) Add(i, j int, v float64) {
 	c.Vals = append(c.Vals, v)
 }
 
-// Nnz returns the number of accumulated triplets (before deduplication).
-func (c *COO) Nnz() int { return len(c.Vals) }
-
 // SparseSym is a symmetric sparse matrix stored as the lower triangle
 // (diagonal included) in compressed sparse column format. Row indices within
 // each column are strictly increasing. This is the input format of the
@@ -346,19 +343,4 @@ func (s *SparseSym) NormFro() float64 {
 		}
 	}
 	return math.Sqrt(sum)
-}
-
-// LowerAdjacency returns, for each column j, the off-diagonal lower row
-// indices — the adjacency structure consumed by the ordering and symbolic
-// phases.
-func (s *SparseSym) LowerAdjacency() [][]int32 {
-	adj := make([][]int32, s.N)
-	for j := 0; j < s.N; j++ {
-		for p := s.ColPtr[j]; p < s.ColPtr[j+1]; p++ {
-			if i := s.RowInd[p]; int(i) != j {
-				adj[j] = append(adj[j], i)
-			}
-		}
-	}
-	return adj
 }

@@ -91,9 +91,6 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 // first use).
 var serverEndpoints = []string{"analyze", "factor", "solve", "solvebatch"}
 
-// Registry returns the registry the bundle registers on.
-func (m *ServerMetrics) Registry() *Registry { return m.reg }
-
 // Request returns the request counter for an (endpoint, HTTP status code)
 // pair, registering the series on first use.
 func (m *ServerMetrics) Request(endpoint, code string) *Counter {

@@ -162,9 +162,6 @@ func ParseMapping(s string) (MappingKind, error) {
 	return Map2DCyclic, fmt.Errorf("symbolic: unknown mapping %q (want 2d|1d|subtree)", s)
 }
 
-// MappingKinds lists every mapping kind, in declaration order.
-func MappingKinds() []MappingKind { return []MappingKind{Map2DCyclic, Map1DCols, MapSubtree} }
-
 // NewBlockMap constructs the selected distribution over p processes. The
 // structure is consulted only by MapSubtree (which needs the supernodal
 // tree and work weights); a nil structure falls back to the 2D map so

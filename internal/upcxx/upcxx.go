@@ -84,9 +84,6 @@ type Runtime struct {
 	failMu  sync.Mutex
 	failErr error
 
-	collOnce sync.Once
-	collSt   *collectiveState
-
 	// reg is the job's one counter store and met its hot-path handles
 	// (see metrics.go); created unconditionally by NewRuntime.
 	reg *metrics.Registry
@@ -160,7 +157,6 @@ func (rt *Runtime) Fail(err error) {
 	rt.failMu.Unlock()
 	rt.aborted.Store(true)
 	rt.bar.abort()
-	rt.abortCollectives()
 }
 
 // Err returns the recorded failure, if any.
@@ -256,9 +252,6 @@ type GlobalPtr struct {
 	Kind simnet.MemKind
 	Data []float64 // aliases the owner's storage
 }
-
-// IsNil reports whether the pointer is null.
-func (g GlobalPtr) IsNil() bool { return g.Data == nil }
 
 // Len returns the referenced element count.
 func (g GlobalPtr) Len() int { return len(g.Data) }
