@@ -69,12 +69,12 @@ func main() {
 	run("table1", table1)
 	run("5", fig5)
 	run("6", fig6)
-	run("7", scaling("Flan_1565 analogue", buildFlan, false))
-	run("8", scaling("Flan_1565 analogue", buildFlan, true))
-	run("9", scaling("boneS10 analogue", buildBone, false))
-	run("10", scaling("boneS10 analogue", buildBone, true))
-	run("11", scaling("thermal2 analogue", buildThermal, false))
-	run("12", scaling("thermal2 analogue", buildThermal, true))
+	run("7", scaling("Flan_1565 analogue", flan.Build, false))
+	run("8", scaling("Flan_1565 analogue", flan.Build, true))
+	run("9", scaling("boneS10 analogue", bone.Build, false))
+	run("10", scaling("boneS10 analogue", bone.Build, true))
+	run("11", scaling("thermal2 analogue", thermal.Build, false))
+	run("12", scaling("thermal2 analogue", thermal.Build, true))
 	run("variants", variantsFig)
 	run("iter", iterFig)
 
@@ -87,6 +87,12 @@ func main() {
 		fmt.Printf("scaling report written to %s\n", path)
 	}
 }
+
+// The figures factor the matrices Table 1 describes.
+var (
+	problems            = gen.Table1Problems()
+	flan, bone, thermal = problems[0], problems[1], problems[2]
+)
 
 // figures accumulates one entry per strong-scaling run for the
 // BENCH_scaling.json run report (Figs. 7–12).
@@ -153,7 +159,7 @@ func writeCSV(name string, rows [][]string) error {
 
 func table1(scale int) error {
 	fmt.Printf("%-12s %-45s %10s %14s\n", "Name", "Description", "n", "nnz")
-	for _, p := range gen.Table1Problems() {
+	for _, p := range problems {
 		m := p.Build(scale)
 		st := gen.StatsOf(p.Name, p.Description, m)
 		fmt.Printf("%-12s %-45s %10d %14d\n", st.Name, st.Description, st.N, st.Nnz)
@@ -202,7 +208,7 @@ func sizeName(b int64) string {
 // fig6 runs a real factorization + solve of the Flan analogue with 4 ranks
 // and 4 GPUs and prints rank 0's per-operation CPU/GPU call counts.
 func fig6(scale int) error {
-	a := buildFlan(scale)
+	a := flan.Build(scale)
 	f, err := sympack.Factorize(a, sympack.Options{
 		Ranks: 4, RanksPerNode: 4, GPUsPerNode: 4,
 	})
@@ -223,21 +229,6 @@ func fig6(scale int) error {
 		fmt.Printf("%-8s %12d %12d\n", machine.Op(op), r0.CPU[op], r0.GPU[op])
 	}
 	return nil
-}
-
-func buildFlan(scale int) *matrix.SparseSym {
-	s := 4 + 3*scale
-	return gen.Flan3D(s, s, s, 1565)
-}
-
-func buildBone(scale int) *matrix.SparseSym {
-	s := 8 + 6*scale
-	return gen.Bone3D(s, s, s, 0.35, 10)
-}
-
-func buildThermal(scale int) *matrix.SparseSym {
-	s := 64 + 96*scale
-	return gen.Thermal2D(s, s, s/16, 2)
 }
 
 // scaling returns a figure runner for one matrix: strong scaling of
@@ -328,7 +319,7 @@ func iterFig(int) error {
 	}
 	rows := [][]string{{"scale", "solver", "iterations", "matvecs", "wall_seconds", "residual"}}
 	for _, scale := range []int{1, 2} {
-		a := buildThermal(scale)
+		a := thermal.Build(scale)
 		// A seeded random RHS: the all-ones vector is nearly an eigenvector
 		// of the thermal problem and converges in one CG step, which says
 		// nothing about the solvers.
@@ -391,7 +382,7 @@ func iterFig(int) error {
 func variantsFig(int) error {
 	forms := symbolic.Formulations()
 	for _, scale := range []int{1, 2} {
-		a := buildFlan(scale)
+		a := flan.Build(scale)
 		st, _, err := symbolic.Analyze(a, ordering.NestedDissection, symbolic.DefaultOptions())
 		if err != nil {
 			return err

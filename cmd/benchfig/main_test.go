@@ -46,7 +46,7 @@ func TestScalingRunnerSmallScale(t *testing.T) {
 	// One factor figure on the smallest matrix keeps this quick while
 	// driving the full sweep code path.
 	figures = nil
-	if err := scaling("bone test", buildBone, false)(0); err != nil {
+	if err := scaling("bone test", bone.Build, false)(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(figures) != 1 || len(figures[0].Points) == 0 {
@@ -59,7 +59,7 @@ func TestScalingRunnerSmallScale(t *testing.T) {
 // round-trip through encoding/json with its curves intact.
 func TestScalingReportRoundTrip(t *testing.T) {
 	figures = nil
-	if err := scaling("bone test", buildBone, false)(0); err != nil {
+	if err := scaling("bone test", bone.Build, false)(0); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_scaling.json")
@@ -115,18 +115,6 @@ func TestVariantsRunner(t *testing.T) {
 			if strings.Contains(fig.Name, "fan-out") && p.Seconds != p.Baseline {
 				t.Fatalf("figure %s: fan-out must be its own baseline, got %+v", fig.Name, p)
 			}
-		}
-	}
-}
-
-func TestBuilders(t *testing.T) {
-	for name, m := range map[string]interface{ Validate() error }{
-		"flan":    buildFlan(1),
-		"bone":    buildBone(1),
-		"thermal": buildThermal(1),
-	} {
-		if err := m.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

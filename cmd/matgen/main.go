@@ -1,18 +1,18 @@
 // Command matgen generates the synthetic analogues of the paper's test
 // matrices (Table 1) and writes them to disk in Matrix Market or
 // Rutherford-Boeing format, the two formats the paper's experiments consume
-// (AD/AE §A.2.4).
+// (AD/AE §A.2.4). `benchfig -fig table1` prints Table 1 itself.
 //
 // Usage:
 //
 //	matgen -kind flan -scale 4 -format rb -o flan.rb
 //	matgen -kind thermal -scale 6 -format mm -o thermal.mtx
-//	matgen -table1 -scale 2            # print Table 1 statistics only
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sympack"
@@ -26,78 +26,39 @@ func main() {
 		format = flag.String("format", "rb", "output format: rb|mm")
 		out    = flag.String("o", "", "output path (default stdout)")
 		seed   = flag.Int64("seed", 1, "generator seed")
-		table1 = flag.Bool("table1", false, "print the paper's Table 1 for the three analogues and exit")
 	)
 	flag.Parse()
-
-	if *table1 {
-		printTable1(*scale)
-		return
-	}
-
-	a, err := build(*kind, *scale, *seed)
-	if err != nil {
+	if err := write(*kind, *scale, *seed, *format, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "matgen:", err)
 		os.Exit(1)
 	}
-	w := os.Stdout
-	if *out != "" {
-		fh, err := os.Create(*out)
+}
+
+func write(kind string, scale int, seed int64, format, out string) error {
+	a, err := gen.Build(kind, scale, seed)
+	if err != nil {
+		return err
+	}
+	var w io.Writer = os.Stdout
+	if out != "" {
+		fh, err := os.Create(out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "matgen:", err)
-			os.Exit(1)
+			return err
 		}
 		defer fh.Close()
 		w = fh
 	}
-	switch *format {
+	switch format {
 	case "rb":
-		err = sympack.WriteRutherfordBoeing(w, a, fmt.Sprintf("%s scale %d", *kind, *scale))
+		err = sympack.WriteRutherfordBoeing(w, a, fmt.Sprintf("%s scale %d", kind, scale))
 	case "mm":
 		err = sympack.WriteMatrixMarket(w, a)
 	default:
-		err = fmt.Errorf("unknown format %q", *format)
+		err = fmt.Errorf("unknown format %q", format)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "matgen:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "matgen: %s scale %d: n=%d nnz=%d\n", *kind, *scale, a.N, a.NnzFull())
-}
-
-func build(kind string, scale int, seed int64) (*sympack.Matrix, error) {
-	if scale < 1 {
-		return nil, fmt.Errorf("scale must be ≥ 1, got %d", scale)
-	}
-	switch kind {
-	case "flan":
-		s := 2 + scale
-		return sympack.Flan3D(s, s, s, seed), nil
-	case "bone":
-		s := 4 + 2*scale
-		return sympack.Bone3D(s, s, s, 0.35, seed), nil
-	case "thermal":
-		s := 8 + 8*scale
-		return sympack.Thermal2D(s, s, scale, seed), nil
-	case "laplace2d":
-		s := 8 + 8*scale
-		return sympack.Laplace2D(s, s), nil
-	case "laplace3d":
-		s := 3 + scale
-		return sympack.Laplace3D(s, s, s), nil
-	case "random":
-		return sympack.RandomSPD(50*scale, 0.05, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q", kind)
-	}
-}
-
-func printTable1(scale int) {
-	fmt.Println("Matrices from the synthetic generator (paper Table 1 analogues)")
-	fmt.Printf("%-12s %-45s %10s %14s\n", "Name", "Description", "n", "nnz")
-	for _, p := range gen.Table1Problems() {
-		m := p.Build(scale)
-		st := gen.StatsOf(p.Name, p.Description, m)
-		fmt.Printf("%-12s %-45s %10d %14d\n", st.Name, st.Description, st.N, st.Nnz)
-	}
+	fmt.Fprintf(os.Stderr, "matgen: %s scale %d: n=%d nnz=%d\n", kind, scale, a.N, a.NnzFull())
+	return nil
 }

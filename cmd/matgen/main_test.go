@@ -1,28 +1,35 @@
 package main
 
-import "testing"
+import (
+	"path/filepath"
+	"reflect"
+	"testing"
 
-func TestBuildAllKinds(t *testing.T) {
-	for _, kind := range []string{"flan", "bone", "thermal", "laplace2d", "laplace3d", "random"} {
-		a, err := build(kind, 1, 7)
+	"sympack/internal/gen"
+	"sympack/internal/matrix"
+)
+
+// TestWriteReadsBack writes each format and reads it back as the matrix
+// gen.Build produced.
+func TestWriteReadsBack(t *testing.T) {
+	want, err := gen.Build("bone", 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for format, file := range map[string]string{"mm": "a.mtx", "rb": "a.rb"} {
+		path := filepath.Join(t.TempDir(), file)
+		if err := write("bone", 1, 7, format, path); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		got, err := matrix.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", format, err)
 		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
+		if got.N != want.N || !reflect.DeepEqual(got.ColPtr, want.ColPtr) || !reflect.DeepEqual(got.RowInd, want.RowInd) {
+			t.Fatalf("%s: read back a different pattern", format)
 		}
 	}
-}
-
-func TestBuildErrors(t *testing.T) {
-	if _, err := build("nosuch", 1, 1); err == nil {
-		t.Fatal("expected unknown-kind error")
+	if err := write("bone", 1, 7, "csv", filepath.Join(t.TempDir(), "a")); err == nil {
+		t.Fatal("expected unknown-format error")
 	}
-	if _, err := build("flan", 0, 1); err == nil {
-		t.Fatal("expected scale error")
-	}
-}
-
-func TestPrintTable1(t *testing.T) {
-	printTable1(1) // smoke: must not panic
 }

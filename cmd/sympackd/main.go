@@ -2,7 +2,7 @@
 // service over the sparse Cholesky engine with admission control, request
 // deadlines, a circuit breaker, a byte-budgeted Analysis/Factor cache and
 // graceful drain on SIGTERM — the serving counterpart of the one-shot
-// spsolve CLI.
+// sympack2d CLI.
 //
 // Usage:
 //

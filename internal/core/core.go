@@ -288,12 +288,20 @@ var ErrNotPositiveDefinite = errors.New("core: matrix is not positive definite")
 // Factorize computes the sparse Cholesky factorization of the SPD matrix a
 // using the fan-out distributed algorithm.
 func Factorize(a *matrix.SparseSym, opt Options) (*Factor, error) {
-	opt = opt.withDefaults()
-	st, pa, err := symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
+	st, pa, err := Analyze(a, opt)
 	if err != nil {
 		return nil, err
 	}
 	return FactorizeAnalyzed(st, pa, opt)
+}
+
+// Analyze runs the symbolic phase under opt's analysis settings: nested
+// dissection unless Ordering is set, symbolic.DefaultOptions unless
+// Symbolic is set. It returns the structure and the permuted matrix that
+// FactorizeAnalyzed takes.
+func Analyze(a *matrix.SparseSym, opt Options) (*symbolic.Structure, *matrix.SparseSym, error) {
+	opt = opt.withDefaults()
+	return symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
 }
 
 // FactorizeAnalyzed factors a matrix whose symbolic analysis is already

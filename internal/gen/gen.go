@@ -21,6 +21,7 @@
 package gen
 
 import (
+	"fmt"
 	"math/rand"
 
 	"sympack/internal/matrix"
@@ -301,15 +302,16 @@ type Table1Problem struct {
 }
 
 // Table1Problems returns generators for the three evaluation matrices at a
-// given integer scale (≥1). Scale 1 is sized for CI-speed tests; larger
-// scales approach the structural regime of the originals.
+// given integer scale; scale 1 is sized for CI-speed tests. This is the one
+// ladder: Table 1 describes, and Figs. 6–12 factor, these matrices (the
+// committed BENCH_scaling.json was produced from them at scale 2).
 func Table1Problems() []Table1Problem {
 	return []Table1Problem{
 		{
 			Name:        "Flan_1565",
 			Description: "3D model of a steel flange (synthetic analogue)",
 			Build: func(scale int) *matrix.SparseSym {
-				s := 4 + 2*scale
+				s := 4 + 3*scale
 				return Flan3D(s, s, s, 1565)
 			},
 		},
@@ -317,7 +319,7 @@ func Table1Problems() []Table1Problem {
 			Name:        "boneS10",
 			Description: "3D trabecular bone (synthetic analogue)",
 			Build: func(scale int) *matrix.SparseSym {
-				s := 6 + 3*scale
+				s := 8 + 6*scale
 				return Bone3D(s, s, s, 0.35, 10)
 			},
 		},
@@ -325,10 +327,39 @@ func Table1Problems() []Table1Problem {
 			Name:        "thermal2",
 			Description: "steady state thermal (synthetic analogue)",
 			Build: func(scale int) *matrix.SparseSym {
-				s := 16 + 8*scale
-				return Thermal2D(s, s, s/4, 2)
+				s := 64 + 96*scale
+				return Thermal2D(s, s, s/16, 2)
 			},
 		},
+	}
+}
+
+// Build generates the problem a command line names by kind and integer
+// scale (≥ 1): the smaller ladder matgen and sympack2d -gen share.
+func Build(kind string, scale int, seed int64) (*matrix.SparseSym, error) {
+	if scale < 1 {
+		return nil, fmt.Errorf("scale must be ≥ 1, got %d", scale)
+	}
+	switch kind {
+	case "flan":
+		s := 2 + scale
+		return Flan3D(s, s, s, seed), nil
+	case "bone":
+		s := 4 + 2*scale
+		return Bone3D(s, s, s, 0.35, seed), nil
+	case "thermal":
+		s := 8 + 8*scale
+		return Thermal2D(s, s, scale, seed), nil
+	case "laplace2d":
+		s := 8 + 8*scale
+		return Laplace2D(s, s), nil
+	case "laplace3d":
+		s := 3 + scale
+		return Laplace3D(s, s, s), nil
+	case "random":
+		return RandomSPD(50*scale, 0.05, seed), nil
+	default:
+		return nil, fmt.Errorf("unknown kind %q (want flan, bone, thermal, laplace2d, laplace3d or random)", kind)
 	}
 }
 

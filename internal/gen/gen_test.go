@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -181,6 +182,49 @@ func TestTable1Problems(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("missing problem %s", want)
 		}
+	}
+}
+
+// TestTable1Grids pins the ladder Figs. 6–12 factor and Table 1 describes:
+// at scale 1 each problem is its generator on the stated grid and seed.
+func TestTable1Grids(t *testing.T) {
+	want := map[string]*matrix.SparseSym{
+		"Flan_1565": Flan3D(7, 7, 7, 1565),
+		"boneS10":   Bone3D(14, 14, 14, 0.35, 10),
+		"thermal2":  Thermal2D(160, 160, 10, 2),
+	}
+	for _, p := range Table1Problems() {
+		if got := p.Build(1); !reflect.DeepEqual(got, want[p.Name]) {
+			t.Errorf("%s at scale 1: n=%d, not the figures' grid", p.Name, got.N)
+		}
+	}
+}
+
+func TestBuildAllKinds(t *testing.T) {
+	for _, kind := range []string{"flan", "bone", "thermal", "laplace2d", "laplace3d", "random"} {
+		a, err := Build(kind, 1, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		again, _ := Build(kind, 1, 7)
+		if !reflect.DeepEqual(a, again) {
+			t.Fatalf("%s: same kind, scale and seed built different matrices", kind)
+		}
+	}
+	if a, _ := Build("laplace3d", 2, 1); a.N != 5*5*5 {
+		t.Fatalf("laplace3d:2 has n=%d, want 125", a.N)
+	}
+}
+
+func TestBuildErrors(t *testing.T) {
+	if _, err := Build("nosuch", 1, 1); err == nil {
+		t.Fatal("expected unknown-kind error")
+	}
+	if _, err := Build("flan", 0, 1); err == nil {
+		t.Fatal("expected scale error")
 	}
 }
 

@@ -15,7 +15,7 @@
 //     identifier, or launched via go/defer.
 //
 //     r.Rget(src, dst)          // Future discarded
-//     f.Then(func() { ... })    // chained Future discarded
+//     go r.Copy(src, dst)       // Future discarded by go
 //     _ = r.Copy(src, dst)      // explicitly discarded
 //
 //   - Bound-but-unconsulted futures (flow-sensitive): a future bound to a

@@ -209,6 +209,3 @@ func (c *Clock) Advance(dt float64) {
 
 // Seconds returns the accumulated time.
 func (c *Clock) Seconds() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.bits.Store(0) }

@@ -26,7 +26,6 @@ import (
 	"sympack/internal/faults"
 	"sympack/internal/matrix"
 	"sympack/internal/metrics"
-	"sympack/internal/ordering"
 	"sympack/internal/symbolic"
 )
 
@@ -118,26 +117,14 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	met := metrics.NewServerMetrics(cfg.Registry)
 	s := &Server{
-		cfg:   cfg,
-		met:   met,
-		adm:   newAdmission(cfg.InflightCap, cfg.QueueCap, met),
-		brk:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, met),
-		cache: newCache(cfg.CacheBudget, met),
-		ring:  &latencyRing{},
-		factorFn: func(st *symbolic.Structure, pa *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
-			return core.FactorizeAnalyzed(st, pa, opt)
-		},
-		analyzeFn: func(a *matrix.SparseSym, opt core.Options) (*symbolic.Structure, *matrix.SparseSym, error) {
-			ord := opt.Ordering
-			if ord == 0 {
-				ord = ordering.NestedDissection
-			}
-			sopt := symbolic.DefaultOptions()
-			if opt.Symbolic != nil {
-				sopt = *opt.Symbolic
-			}
-			return symbolic.Analyze(a, ord, sopt)
-		},
+		cfg:       cfg,
+		met:       met,
+		adm:       newAdmission(cfg.InflightCap, cfg.QueueCap, met),
+		brk:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, met),
+		cache:     newCache(cfg.CacheBudget, met),
+		ring:      &latencyRing{},
+		factorFn:  core.FactorizeAnalyzed,
+		analyzeFn: core.Analyze,
 	}
 	if cfg.Chaos != nil && cfg.Chaos.Active() {
 		// Actor streams fold modulo the count, so 1024 gives distinct

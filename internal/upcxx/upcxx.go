@@ -237,9 +237,6 @@ func (r *Rank) Charge(dt float64) { r.clock.Advance(dt) }
 // Elapsed returns the rank's accumulated virtual seconds.
 func (r *Rank) Elapsed() float64 { return r.clock.Seconds() }
 
-// ResetClock zeroes the rank's virtual clock (between phases).
-func (r *Rank) ResetClock() { r.clock.Reset() }
-
 // Barrier blocks until every rank arrives (or the job aborts).
 func (r *Rank) Barrier() error { return r.rt.bar.await(r.rt) }
 
@@ -293,20 +290,12 @@ func (r *Rank) DeviceAlloc(n int) (GlobalPtr, *gpu.Buffer, error) {
 	return GlobalPtr{Rank: int32(r.ID), Kind: simnet.Device, Data: buf.Data}, buf, nil
 }
 
-// DeviceFree releases a device allocation.
-func (r *Rank) DeviceFree(buf *gpu.Buffer) {
-	if r.device == nil || buf == nil {
-		return
-	}
-	r.device.Free(buf)
-}
-
 // ------------------------------------------------------------- futures ----
 
 // Future represents a (already internally completed) asynchronous
 // operation, carrying its modeled duration and, since the runtime tolerates
-// injected faults, its completion state. Callers chain work with Then and
-// synchronize with Wait, mirroring upcxx::future.
+// injected faults, its completion state. Callers synchronize with Wait and
+// check Err, mirroring upcxx::future.
 type Future struct {
 	seconds float64
 	err     error
@@ -326,20 +315,6 @@ func (f Future) Err() error { return f.err }
 
 // OK reports whether the operation completed successfully.
 func (f Future) OK() bool { return f.err == nil }
-
-// Then runs fn after successful completion and returns the future for
-// chaining. A failed future propagates its error without running fn, so
-// continuations never observe data a faulted transfer did not deliver.
-func (f Future) Then(fn func()) Future {
-	if f.err == nil {
-		fn()
-	}
-	return f
-}
-
-// FailedFuture returns a future carrying an error, for layers that detect
-// failure before issuing the underlying operation.
-func FailedFuture(err error) Future { return Future{err: err} }
 
 // ------------------------------------------------------------------ RPC ----
 

@@ -14,10 +14,10 @@
 //	x, err := f.Solve(b)
 //
 // The package also exposes the right-looking baseline solver used in the
-// paper's evaluation (SolveOnce with UseBaseline), matrix generators for
-// the paper's three test-problem regimes, Matrix Market / Rutherford-Boeing
-// I/O, and the strong-scaling performance model that regenerates the
-// paper's figures (see cmd/benchfig).
+// paper's evaluation (FactorizeBaseline), matrix generators for the paper's
+// three test-problem regimes, Matrix Market / Rutherford-Boeing I/O, and
+// the strong-scaling performance model that regenerates the paper's
+// figures (see cmd/benchfig).
 package sympack
 
 import (
@@ -179,15 +179,7 @@ type Analysis struct {
 
 // Analyze runs the symbolic phase once for a matrix's sparsity pattern.
 func Analyze(a *Matrix, opt Options) (*Analysis, error) {
-	ord := opt.Ordering
-	if ord == 0 {
-		ord = ordering.NestedDissection
-	}
-	sopt := symbolic.DefaultOptions()
-	if opt.Symbolic != nil {
-		sopt = *opt.Symbolic
-	}
-	st, _, err := symbolic.Analyze(a, ord, sopt)
+	st, _, err := core.Analyze(a, opt)
 	if err != nil {
 		return nil, err
 	}
