@@ -1,11 +1,28 @@
 // Package blas provides the dense linear-algebra kernels that symPACK's
 // numeric factorization is built on: GEMM, SYRK, TRSM and POTRF, in the
-// variants the paper uses (§3.2). The implementations are pure Go.
+// variants the paper uses (§3.2).
 //
 // Matrices are stored column-major, matching the LAPACK convention the paper
 // assumes, as flat []float64 slices with an explicit leading dimension (ld).
 // Element (i,j) of an m×n matrix a with leading dimension ld lives at
 // a[i+j*ld], 0-indexed.
+//
+// Every loop of the form y[i] ± t·x[i] or x[i] *= d — gemmNN, gemmNT, Syrk
+// NoTrans, the Trsm cases whose inner loop runs down a column, unblocked
+// Potrf Lower and the β/α scalings — runs on two primitives, axpy and scal
+// (vec.go). On amd64 CPUs with AVX2 they are assembly (vec_amd64.s); on
+// other architectures, under the purego build tag and on older CPUs they
+// are Go loops, which are also the tests' oracle. The two give identical
+// bits: the vector code rounds the product, then the sum, lane by lane —
+// the scalar sequence, never an FMA — and each element's updates arrive in
+// the same order. Every product that feeds a sum in this package is written
+// float64(x*y), which forbids gc to fuse it, so the Go loops compute the
+// same bits on arm64, where gc would otherwise emit FMADDD.
+//
+// The dot-shaped loops stay scalar Go: dot, gemmTN, gemmTT, Syrk Transpose,
+// the Left/Transpose Trsm cases and Potrf Upper. Vectorising a reduction
+// splits one running sum into several and reorders the additions, which
+// changes the bits.
 //
 // Each kernel has a straightforward reference implementation (ref.go) used
 // by the tests to validate the production kernels.
@@ -124,10 +141,7 @@ func scaleRect(m, n int, beta float64, c []float64, ldc int) {
 		return
 	}
 	for j := 0; j < n; j++ {
-		col := c[j*ldc : j*ldc+m]
-		for i := range col {
-			col[i] *= beta
-		}
+		scal(beta, c[j*ldc:j*ldc+m])
 	}
 }
 
@@ -175,7 +189,7 @@ func gemmTN(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb i
 		bj := b[j*ldb : j*ldb+k]
 		for i := 0; i < m; i++ {
 			ai := a[i*lda : i*lda+k]
-			cj[i] += alpha * dot(ai, bj)
+			cj[i] += float64(alpha * dot(ai, bj))
 		}
 	}
 }
@@ -188,20 +202,10 @@ func gemmTT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb i
 			ai := a[i*lda : i*lda+k]
 			var s float64
 			for l := 0; l < k; l++ {
-				s += ai[l] * b[j+l*ldb]
+				s += float64(ai[l] * b[j+l*ldb])
 			}
-			cj[i] += alpha * s
+			cj[i] += float64(alpha * s)
 		}
-	}
-}
-
-// axpy computes y += t*x over equal-length slices. The length equality is
-// established by the callers slicing both operands to the same extent; the
-// explicit bounds help the compiler eliminate per-element checks.
-func axpy(t float64, x, y []float64) {
-	_ = y[len(x)-1]
-	for i, xv := range x {
-		y[i] += t * xv
 	}
 }
 
@@ -209,7 +213,7 @@ func dot(x, y []float64) float64 {
 	_ = y[len(x)-1]
 	var s float64
 	for i, xv := range x {
-		s += xv * y[i]
+		s += float64(xv * y[i])
 	}
 	return s
 }
@@ -239,9 +243,7 @@ func Syrk(uplo Uplo, trans Trans, n, k int, alpha float64, a []float64, lda int,
 					col[i] = 0
 				}
 			} else {
-				for i := lo; i < hi; i++ {
-					col[i] *= beta
-				}
+				scal(beta, col[lo:hi])
 			}
 		}
 	}
@@ -259,13 +261,9 @@ func Syrk(uplo Uplo, trans Trans, n, k int, alpha float64, a []float64, lda int,
 				}
 				col := c[j*ldc:]
 				if uplo == Lower {
-					for i := j; i < n; i++ {
-						col[i] += t * al[i]
-					}
+					axpy(t, al[j:n], col[j:n])
 				} else {
-					for i := 0; i <= j; i++ {
-						col[i] += t * al[i]
-					}
+					axpy(t, al[:j+1], col[:j+1])
 				}
 			}
 		}
@@ -277,11 +275,11 @@ func Syrk(uplo Uplo, trans Trans, n, k int, alpha float64, a []float64, lda int,
 		col := c[j*ldc:]
 		if uplo == Lower {
 			for i := j; i < n; i++ {
-				col[i] += alpha * dot(a[i*lda:i*lda+k], aj)
+				col[i] += float64(alpha * dot(a[i*lda:i*lda+k], aj))
 			}
 		} else {
 			for i := 0; i <= j; i++ {
-				col[i] += alpha * dot(a[i*lda:i*lda+k], aj)
+				col[i] += float64(alpha * dot(a[i*lda:i*lda+k], aj))
 			}
 		}
 	}
@@ -318,10 +316,7 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				if t == 0 {
 					continue
 				}
-				ai := a[i*lda:]
-				for r := i + 1; r < m; r++ {
-					bj[r] -= t * ai[r]
-				}
+				axpy(-t, a[i*lda+i+1:i*lda+m], bj[i+1:])
 			}
 		}
 	case side == Left && uplo == Lower && trans == Transpose:
@@ -332,7 +327,7 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				ai := a[i*lda:]
 				s := bj[i]
 				for r := i + 1; r < m; r++ {
-					s -= ai[r] * bj[r]
+					s -= float64(ai[r] * bj[r])
 				}
 				bj[i] = s / ai[i]
 			}
@@ -347,10 +342,7 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				if t == 0 {
 					continue
 				}
-				ai := a[i*lda:]
-				for r := 0; r < i; r++ {
-					bj[r] -= t * ai[r]
-				}
+				axpy(-t, a[i*lda:i*lda+i], bj)
 			}
 		}
 	case side == Left && uplo == Upper && trans == Transpose:
@@ -361,7 +353,7 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				ai := a[i*lda:]
 				s := bj[i]
 				for r := 0; r < i; r++ {
-					s -= ai[r] * bj[r]
+					s -= float64(ai[r] * bj[r])
 				}
 				bj[i] = s / ai[i]
 			}
@@ -377,15 +369,10 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				if t == 0 {
 					continue
 				}
-				br := b[r*ldb : r*ldb+m]
-				for i := 0; i < m; i++ {
-					bj[i] -= t * br[i]
-				}
+				axpy(-t, b[r*ldb:r*ldb+m], bj)
 			}
 			d := 1 / aj[j]
-			for i := 0; i < m; i++ {
-				bj[i] *= d
-			}
+			scal(d, bj)
 		}
 	case side == Right && uplo == Lower && trans == Transpose:
 		// Solve X*Lᵀ = B, columns first to last:
@@ -397,15 +384,10 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				if t == 0 {
 					continue
 				}
-				br := b[r*ldb : r*ldb+m]
-				for i := 0; i < m; i++ {
-					bj[i] -= t * br[i]
-				}
+				axpy(-t, b[r*ldb:r*ldb+m], bj)
 			}
 			d := 1 / a[j+j*lda]
-			for i := 0; i < m; i++ {
-				bj[i] *= d
-			}
+			scal(d, bj)
 		}
 	case side == Right && uplo == Upper && trans == NoTrans:
 		// Solve X*U = B, columns first to last.
@@ -417,15 +399,10 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				if t == 0 {
 					continue
 				}
-				br := b[r*ldb : r*ldb+m]
-				for i := 0; i < m; i++ {
-					bj[i] -= t * br[i]
-				}
+				axpy(-t, b[r*ldb:r*ldb+m], bj)
 			}
 			d := 1 / aj[j]
-			for i := 0; i < m; i++ {
-				bj[i] *= d
-			}
+			scal(d, bj)
 		}
 	default: // Right, Upper, Transpose
 		// Solve X*Uᵀ = B, columns last to first.
@@ -436,15 +413,10 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 				if t == 0 {
 					continue
 				}
-				br := b[r*ldb : r*ldb+m]
-				for i := 0; i < m; i++ {
-					bj[i] -= t * br[i]
-				}
+				axpy(-t, b[r*ldb:r*ldb+m], bj)
 			}
 			d := 1 / a[j+j*lda]
-			for i := 0; i < m; i++ {
-				bj[i] *= d
-			}
+			scal(d, bj)
 		}
 	}
 }
@@ -498,7 +470,7 @@ func potrfUnblocked(uplo Uplo, n int, a []float64, lda int) error {
 			d := aj[j]
 			for r := 0; r < j; r++ {
 				ljr := a[j+r*lda]
-				d -= ljr * ljr
+				d -= float64(ljr * ljr)
 			}
 			if d <= 0 || math.IsNaN(d) {
 				return fmt.Errorf("%w (pivot %d, value %g)", ErrNotPositiveDefinite, j, d)
@@ -512,15 +484,9 @@ func potrfUnblocked(uplo Uplo, n int, a []float64, lda int) error {
 				if t == 0 {
 					continue
 				}
-				ar := a[r*lda:]
-				for i := j + 1; i < n; i++ {
-					aj[i] -= t * ar[i]
-				}
+				axpy(-t, a[r*lda+j+1:r*lda+n], aj[j+1:n])
 			}
-			inv := 1 / d
-			for i := j + 1; i < n; i++ {
-				aj[i] *= inv
-			}
+			scal(1/d, aj[j+1:n])
 		}
 		return nil
 	}
@@ -531,7 +497,7 @@ func potrfUnblocked(uplo Uplo, n int, a []float64, lda int) error {
 		d := aj[j]
 		for r := 0; r < j; r++ {
 			urj := aj[r]
-			d -= urj * urj
+			d -= float64(urj * urj)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w (pivot %d, value %g)", ErrNotPositiveDefinite, j, d)
@@ -543,7 +509,7 @@ func potrfUnblocked(uplo Uplo, n int, a []float64, lda int) error {
 			ai := a[i*lda:]
 			s := ai[j]
 			for r := 0; r < j; r++ {
-				s -= aj[r] * ai[r]
+				s -= float64(aj[r] * ai[r])
 			}
 			ai[j] = s * inv
 		}

@@ -30,10 +30,7 @@ func (d *Dense) MulVec(x []float64) []float64 {
 		if xj == 0 {
 			continue
 		}
-		col := d.Data[j*d.Stride : j*d.Stride+d.Rows]
-		for i, v := range col {
-			y[i] += v * xj
-		}
+		axpy(xj, d.Data[j*d.Stride:j*d.Stride+d.Rows], y)
 	}
 	return y
 }
@@ -58,7 +55,7 @@ func (d *Dense) CholSolve(b []float64) ([]float64, error) {
 func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -22,9 +22,9 @@ func RefGemm(ta, tb Trans, m, n, k int, alpha float64, a []float64, lda int, b [
 		for i := 0; i < m; i++ {
 			var s float64
 			for l := 0; l < k; l++ {
-				s += at(i, l) * bt(l, j)
+				s += float64(at(i, l) * bt(l, j))
 			}
-			c[i+j*ldc] = alpha*s + beta*c[i+j*ldc]
+			c[i+j*ldc] = float64(alpha*s) + float64(beta*c[i+j*ldc])
 		}
 	}
 }
@@ -47,9 +47,9 @@ func RefSyrk(uplo Uplo, trans Trans, n, k int, alpha float64, a []float64, lda i
 		for i := lo; i < hi; i++ {
 			var s float64
 			for l := 0; l < k; l++ {
-				s += at(i, l) * at(j, l)
+				s += float64(at(i, l) * at(j, l))
 			}
-			c[i+j*ldc] = alpha*s + beta*c[i+j*ldc]
+			c[i+j*ldc] = float64(alpha*s) + float64(beta*c[i+j*ldc])
 		}
 	}
 }

@@ -1,0 +1,48 @@
+package blas
+
+// vectorMin is the shortest operand axpy and scal hand to the assembly
+// kernels; below it the call costs more than the Go loop it replaces
+// (EXPERIMENTS.md "Vector axpy", cutoff sweep of BenchmarkAxpy).
+const vectorMin = 4
+
+// axpy computes y += t*x over the first len(x) elements of y. Every
+// axpy-shaped loop in the package runs through it; y − t·x is axpy(−t, x, y),
+// which is the same bits, since negation is exact and y + (−p) ≡ y − p in
+// IEEE 754. Bounds are checked here, so the assembly never needs to.
+func axpy(t float64, x, y []float64) {
+	if len(x) == 0 {
+		return
+	}
+	y = y[:len(x)]
+	if useVector && len(x) >= vectorMin {
+		axpyVec(t, x, y)
+		return
+	}
+	axpyGo(t, x, y)
+}
+
+// scal computes x *= d.
+func scal(d float64, x []float64) {
+	if useVector && len(x) >= vectorMin {
+		scalVec(d, x)
+		return
+	}
+	scalGo(d, x)
+}
+
+// axpyGo is the portable axpy and the oracle the assembly is tested
+// against. The conversion keeps the product rounded on its own: without it
+// gc fuses the multiply and the add into one FMA on arm64, and the factor
+// would differ in bits from the amd64 one.
+func axpyGo(t float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xv := range x {
+		y[i] += float64(t * xv)
+	}
+}
+
+func scalGo(d float64, x []float64) {
+	for i := range x {
+		x[i] *= d
+	}
+}
