@@ -87,11 +87,19 @@ func (t Trans) String() string {
 
 // checkDims panics with a descriptive message when a kernel is invoked with
 // an impossible geometry. Dimension errors are programming errors in the
-// solver, not data errors, so a panic is appropriate.
-func checkDims(cond bool, format string, args ...any) {
-	if !cond {
-		panic(fmt.Sprintf("blas: "+format, args...))
+// solver, not data errors, so a panic is appropriate. The dimensions are
+// boxed for the message only once the check has failed: boxing an int
+// allocates from 256 on, and a leading dimension of n would otherwise cost
+// every kernel call an allocation.
+func checkDims(cond bool, format string, dims ...int) {
+	if cond {
+		return
 	}
+	args := make([]any, len(dims))
+	for i, d := range dims {
+		args[i] = d
+	}
+	panic(fmt.Sprintf("blas: "+format, args...))
 }
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C where op is identity or

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -435,5 +436,60 @@ func TestPotrfBlockedMatchesUnblocked(t *testing.T) {
 		t.Fatal("expected failure")
 	} else if !errorsIs(err, ErrNotPositiveDefinite) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestKernelsDoNotAllocate runs every Gemm, Syrk, Trsm and Potrf variant at
+// leading dimensions on both sides of 256, the first int that boxing into an
+// interface allocates for, and requires zero allocations: the supernodal
+// solve calls Trsm and Gemm with ld = n on every block.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const m, n, k = 9, 7, 8
+	for _, ld := range []int{255, 256, 4096} {
+		a := randSlice(rng, ld*max(m, n, k))
+		b := randSlice(rng, ld*max(m, n, k))
+		c := randSlice(rng, ld*max(m, n, k))
+		for i := 0; i < max(m, n); i++ {
+			a[i+i*ld] = 4
+		}
+		expect := func(name string, run func()) {
+			t.Helper()
+			if got := testing.AllocsPerRun(5, run); got != 0 {
+				t.Errorf("%s at ld=%d: %.0f allocations per call, want 0", name, ld, got)
+			}
+		}
+		for _, ta := range []Trans{NoTrans, Transpose} {
+			for _, tb := range []Trans{NoTrans, Transpose} {
+				expect(fmt.Sprintf("Gemm(%v,%v)", ta, tb), func() {
+					Gemm(ta, tb, m, n, k, -1, a, ld, b, ld, 1, c, ld)
+				})
+			}
+		}
+		for _, uplo := range []Uplo{Lower, Upper} {
+			for _, trans := range []Trans{NoTrans, Transpose} {
+				expect(fmt.Sprintf("Syrk(%v,%v)", uplo, trans), func() {
+					Syrk(uplo, trans, n, k, -1, a, ld, 1, c, ld)
+				})
+				for _, side := range []Side{Left, Right} {
+					expect(fmt.Sprintf("Trsm(%v,%v,%v)", side, uplo, trans), func() {
+						Trsm(side, uplo, trans, m, n, 1, a, ld, b, ld)
+					})
+				}
+			}
+			// 8 runs the unblocked kernel, 70 the blocked Lower one.
+			for _, order := range []int{8, 70} {
+				spd := randSPD(rng, order)
+				work := make([]float64, ld*order)
+				expect(fmt.Sprintf("Potrf(%v,%d)", uplo, order), func() {
+					for j := 0; j < order; j++ {
+						copy(work[j*ld:j*ld+order], spd[j*order:j*order+order])
+					}
+					if err := Potrf(uplo, order, work, ld); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }

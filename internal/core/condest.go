@@ -122,7 +122,7 @@ func norm1Vec(v []float64) float64 {
 func dot1(z, x []float64) float64 {
 	var s float64
 	for i := range z {
-		s += z[i] * x[i]
+		s += float64(z[i] * x[i])
 	}
 	return math.Abs(s)
 }

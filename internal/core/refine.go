@@ -32,8 +32,8 @@ func (f *Factor) SolveRefined(a *matrix.SparseSym, b []float64, tol float64, max
 		var rr, bb float64
 		for i := range b {
 			r[i] = b[i] - ax[i]
-			rr += r[i] * r[i]
-			bb += b[i] * b[i]
+			rr += float64(r[i] * r[i])
+			bb += float64(b[i] * b[i])
 		}
 		if bb == 0 {
 			return math.Sqrt(rr)

@@ -113,14 +113,14 @@ func (f *Factor) SelectedInverse() (*SelInv, error) {
 				if a < b {
 					a, b = b, a
 				}
-				sum += l1[q] * zAt(a, b)
+				sum += float64(l1[q] * zAt(a, b))
 			}
 			s.z[p] = -sum
 		}
 		// Diagonal, using this column's freshly computed entries.
 		var sum float64
 		for q := lo + 1; q < hi; q++ {
-			sum += l1[q] * s.z[q]
+			sum += float64(l1[q] * s.z[q])
 		}
 		s.z[lo] = dinv[j] - sum
 	}

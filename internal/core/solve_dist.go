@@ -305,7 +305,7 @@ func (e *solveRank) runPanel(bid int32, back bool) {
 			colv := data[col*m : col*m+m]
 			var s float64
 			for x, r := range rows {
-				s += colv[x] * e.y[r]
+				s += float64(colv[x] * e.y[r])
 			}
 			c[col] = s
 		}
@@ -317,7 +317,7 @@ func (e *solveRank) runPanel(bid int32, back bool) {
 			}
 			colv := data[col*m : col*m+m]
 			for x := range c {
-				c[x] += colv[x] * t
+				c[x] += float64(colv[x] * t)
 			}
 		}
 	}
