@@ -70,7 +70,7 @@ func register(fs *flag.FlagSet, c *config) {
 	fs.StringVar(&c.in, "in", "", "input matrix file (.mtx MatrixMarket or .rb Rutherford-Boeing)")
 	fs.StringVar(&c.gen, "gen", "", "generate a matrix instead: kind[:S] with kind flan|bone|thermal|laplace2d|laplace3d|random and integer scale S ≥ 1 (default 3), as matgen -kind/-scale")
 	fs.IntVar(&c.nrhs, "nrhs", 1, "number of random right-hand sides to solve (b = A·x, x seeded by -seed)")
-	fs.StringVar(&c.ordering, "ordering", "SCOTCH", "fill-reducing ordering: SCOTCH|AMD|RCM|NATURAL")
+	fs.StringVar(&c.ordering, "ordering", "SCOTCH", "fill-reducing ordering of the direct factorization: SCOTCH|AMD|RCM|NATURAL (pcg's IC(k) always orders naturally)")
 	fs.StringVar(&c.formulation, "formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")
 	fs.StringVar(&c.mapping, "mapping", "2d-cyclic", "block→process mapping: 2d-cyclic|1d-cols|subtree")
 	fs.StringVar(&c.solver, "solver", "direct", "solve strategy: direct|cg|pcg")
@@ -256,10 +256,11 @@ func options(c config) (sympack.Options, error) {
 	form, errForm := sympack.ParseFormulation(c.formulation)
 	bmap, errMap := sympack.ParseMapping(c.mapping)
 	prec, errPrec := sympack.ParsePrecision(c.precision)
+	fallback, errFallback := gpu.ParseFallback(c.fallback)
 	// An explicit -faults spec is seeded by -chaos when given, else by the
 	// run seed; -chaos alone selects the default chaos plan.
 	plan, errPlan := faults.Resolve(c.faults, c.chaos, c.seed, faults.DefaultChaos)
-	if err := errors.Join(errOrd, errForm, errMap, errPrec, errPlan); err != nil {
+	if err := errors.Join(errOrd, errForm, errMap, errPrec, errFallback, errPlan); err != nil {
 		return sympack.Options{}, err
 	}
 	opt := sympack.Options{
@@ -271,14 +272,12 @@ func options(c config) (sympack.Options, error) {
 		Formulation:  form,
 		Mapping:      bmap,
 		Precision:    prec,
+		Fallback:     fallback,
 		Faults:       plan,
 		MetricsAddr:  c.metricsAddr,
 	}
 	if c.deviceMem > 0 {
 		opt.DeviceCapacity = c.deviceMem * (1 << 20) / 8
-	}
-	if c.fallback == "error" {
-		opt.Fallback = gpu.FallbackError
 	}
 	if c.trace != "" {
 		opt.Trace = trace.New()

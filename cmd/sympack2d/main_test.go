@@ -12,11 +12,11 @@ import (
 	"testing"
 
 	"sympack"
+	"sympack/internal/gpu"
 )
 
-// runArgs parses args as the command line does and runs them, returning
-// what the run printed.
-func runArgs(t *testing.T, args ...string) (string, error) {
+// parseArgs parses args as the command line does.
+func parseArgs(t *testing.T, args ...string) config {
 	t.Helper()
 	var c config
 	fs := flag.NewFlagSet("sympack2d", flag.ContinueOnError)
@@ -24,8 +24,15 @@ func runArgs(t *testing.T, args ...string) (string, error) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// runArgs parses args as the command line does and runs them, returning
+// what the run printed.
+func runArgs(t *testing.T, args ...string) (string, error) {
+	t.Helper()
 	var out bytes.Buffer
-	err := run(c, &out)
+	err := run(parseArgs(t, args...), &out)
 	return out.String(), err
 }
 
@@ -85,6 +92,32 @@ func TestSolveEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "relative residual=") {
 		t.Fatalf("no residual line:\n%s", stdout)
+	}
+}
+
+// TestOrderingFlag: -ordering NATURAL factors in the natural order
+// (Laplace2D 9×9: nnz(L) 843), not in the default nested dissection (652).
+func TestOrderingFlag(t *testing.T) {
+	mat, _ := writeTestMatrix(t, t.TempDir())
+	for ord, want := range map[string]string{"NATURAL": "nnz(L)=843 ", "SCOTCH": "nnz(L)=652 "} {
+		stdout, err := runArgs(t, "-in", mat, "-ordering", ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-ordering %s: want %q in\n%s", ord, want, stdout)
+		}
+	}
+}
+
+// TestFallbackFlag: -fallback selects the policy it names (TestRunErrors
+// rejects a name the policy does not print).
+func TestFallbackFlag(t *testing.T) {
+	for flagVal, want := range map[string]gpu.FallbackPolicy{"cpu": gpu.FallbackCPU, "error": gpu.FallbackError} {
+		opt, err := options(parseArgs(t, "-fallback="+flagVal))
+		if err != nil || opt.Fallback != want {
+			t.Errorf("-fallback=%s: Fallback %v, %v; want %v", flagVal, opt.Fallback, err, want)
+		}
 	}
 }
 
@@ -229,6 +262,7 @@ func TestRunErrors(t *testing.T) {
 		"no input":              {},
 		"missing file":          {"-in", "/nonexistent.mtx"},
 		"bad ordering":          {"-in", mat, "-ordering", "BOGUS"},
+		"bad fallback":          {"-in", mat, "-fallback=err"},
 		"bad solver":            {"-in", mat, "-solver", "lu"},
 		"-b with -nrhs 2":       {"-in", mat, "-b", rhs, "-nrhs", "2"},
 		"short rhs":             {"-in", mat, "-b", short},

@@ -20,12 +20,6 @@ import (
 	"sympack/internal/symbolic"
 )
 
-// Options configures the baseline factorization.
-type Options struct {
-	Ordering ordering.Kind
-	Symbolic *symbolic.Options
-}
-
 // Factor holds a completed baseline factorization, storing each supernode
 // as one dense trapezoid (PaStiX's column-block layout) rather than
 // symPACK's per-block storage.
@@ -36,16 +30,11 @@ type Factor struct {
 	Panels [][]float64
 }
 
-// Factorize computes the right-looking supernodal factorization.
-func Factorize(a *matrix.SparseSym, opt Options) (*Factor, error) {
-	if opt.Ordering == 0 {
-		opt.Ordering = ordering.NestedDissection
-	}
-	if opt.Symbolic == nil {
-		s := symbolic.DefaultOptions()
-		opt.Symbolic = &s
-	}
-	st, pa, err := symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
+// Factorize analyses a under the ordering ord (nested dissection when
+// zero) and symbolic.DefaultOptions, then computes the right-looking
+// supernodal factorization.
+func Factorize(a *matrix.SparseSym, ord ordering.Kind) (*Factor, error) {
+	st, pa, err := symbolic.Analyze(a, ord, symbolic.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

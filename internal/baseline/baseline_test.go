@@ -3,6 +3,7 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"sympack/internal/gen"
 	"sympack/internal/matrix"
 	"sympack/internal/ordering"
+	"sympack/internal/symbolic"
 )
 
 func problems() map[string]*matrix.SparseSym {
@@ -27,7 +29,7 @@ func problems() map[string]*matrix.SparseSym {
 func TestBaselineSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for name, a := range problems() {
-		f, err := Factorize(a, Options{})
+		f, err := Factorize(a, ordering.NestedDissection)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -48,23 +50,33 @@ func TestBaselineSolves(t *testing.T) {
 
 // Cross-validation: the right-looking baseline and the fan-out solver are
 // independent implementations; with identical orderings their factors must
-// agree entry for entry.
+// agree entry for entry. Every kind reaches the analysis as given.
 func TestBaselineMatchesCore(t *testing.T) {
+	kinds := []ordering.Kind{ordering.NestedDissection, ordering.Natural, ordering.RCM, ordering.MinDegree}
 	for name, a := range problems() {
-		bf, err := Factorize(a, Options{Ordering: ordering.NestedDissection})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cf, err := core.Factorize(a, core.Options{Ranks: 3, Ordering: ordering.NestedDissection})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		n := int32(a.N)
-		for j := int32(0); j < n; j++ {
-			for i := j; i < n; i++ {
-				if d := math.Abs(bf.L(i, j) - cf.L(i, j)); d > 1e-9 {
-					t.Fatalf("%s: L(%d,%d) differs by %g (baseline %g vs core %g)",
-						name, i, j, d, bf.L(i, j), cf.L(i, j))
+		for _, ord := range kinds {
+			bf, err := Factorize(a, ord)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, ord, err)
+			}
+			want, _, err := symbolic.Analyze(a, ord, symbolic.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(bf.St.Perm, want.Perm) {
+				t.Fatalf("%s %v: baseline permutation is not the %v analysis'", name, ord, ord)
+			}
+			cf, err := core.Factorize(a, core.Options{Ranks: 3, Ordering: ord})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, ord, err)
+			}
+			n := int32(a.N)
+			for j := int32(0); j < n; j++ {
+				for i := j; i < n; i++ {
+					if d := math.Abs(bf.L(i, j) - cf.L(i, j)); d > 1e-9 {
+						t.Fatalf("%s %v: L(%d,%d) differs by %g (baseline %g vs core %g)",
+							name, ord, i, j, d, bf.L(i, j), cf.L(i, j))
+					}
 				}
 			}
 		}
@@ -78,14 +90,14 @@ func TestBaselineNotPositiveDefinite(t *testing.T) {
 	coo.Add(2, 2, 1)
 	coo.Add(1, 0, 4)
 	a, _ := coo.ToSym()
-	if _, err := Factorize(a, Options{}); err == nil {
+	if _, err := Factorize(a, ordering.NestedDissection); err == nil {
 		t.Fatal("expected failure on indefinite matrix")
 	}
 }
 
 func TestBaselineRHSLengthError(t *testing.T) {
 	a := gen.Laplace2D(4, 4)
-	f, err := Factorize(a, Options{})
+	f, err := Factorize(a, ordering.NestedDissection)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +112,7 @@ func TestBaselineProperty(t *testing.T) {
 		n := int(nRaw%25) + 1
 		a := gen.RandomSPD(n, float64(dRaw%10)/15, seed)
 		ords := []ordering.Kind{ordering.Natural, ordering.MinDegree, ordering.NestedDissection}
-		fac, err := Factorize(a, Options{Ordering: ords[int(ordPick)%len(ords)]})
+		fac, err := Factorize(a, ords[int(ordPick)%len(ords)])
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"sympack/internal/gen"
 	"sympack/internal/gpu"
 	"sympack/internal/machine"
+	"sympack/internal/matrix"
 	"sympack/internal/ordering"
 	"sympack/internal/symbolic"
 )
@@ -20,7 +23,10 @@ import (
 // randomized SPD property grid, the chaos grid, and the DES sweep, and must
 // hold the guarantees the fan-out/2D baseline earned. CI's variant-matrix
 // job shards the battery by exporting CONFORMANCE_FORMULATION and/or
-// CONFORMANCE_MAPPING; locally the full grid runs.
+// CONFORMANCE_MAPPING; locally the full grid runs. The helpers below —
+// Variant, ConformanceGrid, SameFactor, ConformanceCheck — are the contract
+// itself: bit-identical factors across worker and rank counts, residuals at
+// direct-solver accuracy, and no schedule-order leak into the numerics.
 
 // conformanceVariants returns the variant grid, narrowed by the
 // CONFORMANCE_FORMULATION / CONFORMANCE_MAPPING environment variables when
@@ -301,4 +307,138 @@ func TestConformanceTaskAccounting(t *testing.T) {
 	if fmt.Sprint(symbolic.Formulations()) != "[fan-out fan-in fan-both]" {
 		t.Fatalf("Formulations() = %v", symbolic.Formulations())
 	}
+}
+
+// Variant names one point in the scheduling-variant space.
+type Variant struct {
+	Formulation Formulation
+	Mapping     MappingKind
+}
+
+func (v Variant) String() string {
+	return v.Formulation.String() + "/" + v.Mapping.String()
+}
+
+// Apply returns opt with the variant's formulation and mapping selected.
+func (v Variant) Apply(opt Options) Options {
+	opt.Formulation = v.Formulation
+	opt.Mapping = v.Mapping
+	return opt
+}
+
+// Variants returns the full formulation × mapping grid, in deterministic
+// order.
+func Variants() []Variant {
+	fs := []Formulation{FanOut, FanIn, FanBoth}
+	ms := []MappingKind{Map2DCyclic, Map1DCols, MapSubtree}
+	out := make([]Variant, 0, len(fs)*len(ms))
+	for _, f := range fs {
+		for _, m := range ms {
+			out = append(out, Variant{Formulation: f, Mapping: m})
+		}
+	}
+	return out
+}
+
+// ConformanceGrid is the execution grid a variant is checked over.
+type ConformanceGrid struct {
+	Workers     []int   // worker-pool sizes; nil means {1, 2, 4}
+	Ranks       []int   // rank counts; nil means {1, 4}
+	MaxResidual float64 // per-run ‖Ax−b‖/‖b‖ ceiling; 0 means 1e-10
+	Seed        int64   // rhs seed for the residual checks; 0 means 1
+}
+
+func (g ConformanceGrid) withDefaults() ConformanceGrid {
+	if g.Workers == nil {
+		g.Workers = []int{1, 2, 4}
+	}
+	if g.Ranks == nil {
+		g.Ranks = []int{1, 4}
+	}
+	if g.MaxResidual == 0 {
+		g.MaxResidual = 1e-10
+	}
+	if g.Seed == 0 {
+		g.Seed = 1
+	}
+	return g
+}
+
+// SameFactor reports whether two factors are identical at the IEEE-754 bit
+// level, block by block. Plain == would conflate 0 and -0; the determinism
+// contract is about reproducible bytes, not numeric closeness.
+func SameFactor(ref, f *Factor) error {
+	if len(ref.Data) != len(f.Data) {
+		return fmt.Errorf("factor shape: %d vs %d blocks", len(ref.Data), len(f.Data))
+	}
+	for bid := range ref.Data {
+		a, b := ref.Data[bid], f.Data[bid]
+		if len(a) != len(b) {
+			return fmt.Errorf("block %d: %d vs %d elements", bid, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return fmt.Errorf("block %d elem %d: %v vs %v (bits %x vs %x)",
+					bid, i, a[i], b[i], math.Float64bits(a[i]), math.Float64bits(b[i]))
+			}
+		}
+	}
+	return nil
+}
+
+// conformanceResidual factors nothing — it solves A·x = b for a seeded
+// random exact solution and returns the relative residual.
+func conformanceResidual(a *matrix.SparseSym, f *Factor, seed int64) (float64, error) {
+	rng := rand.New(rand.NewSource(seed))
+	xTrue := make([]float64, a.N)
+	for i := range xTrue {
+		xTrue[i] = rng.NormFloat64()
+	}
+	b := a.MulVec(xTrue)
+	x, err := f.Solve(b)
+	if err != nil {
+		return math.Inf(1), err
+	}
+	return ResidualNorm(a, x, b), nil
+}
+
+// ConformanceCheck verifies the conformance contract for one variant on
+// one matrix: the matrix is factored at every (workers × ranks) point of
+// the grid, every run must solve to the residual ceiling, and every factor
+// must be bit-identical to the grid's first point (the reference, normally
+// workers=1 ranks=1 — the sequential schedule). The returned reference
+// factor lets callers make cross-variant assertions on top. Any violation
+// returns a descriptive error naming the offending grid point.
+func ConformanceCheck(a *matrix.SparseSym, base Options, v Variant, grid ConformanceGrid) (*Factor, error) {
+	grid = grid.withDefaults()
+	opt := v.Apply(base)
+	var ref *Factor
+	for _, ranks := range grid.Ranks {
+		for _, workers := range grid.Workers {
+			o := opt
+			o.Ranks = ranks
+			o.Workers = workers
+			f, err := Factorize(a, o)
+			if err != nil {
+				return nil, fmt.Errorf("%s workers=%d ranks=%d: %w", v, workers, ranks, err)
+			}
+			r, err := conformanceResidual(a, f, grid.Seed)
+			if err != nil {
+				return nil, fmt.Errorf("%s workers=%d ranks=%d: solve: %w", v, workers, ranks, err)
+			}
+			if r > grid.MaxResidual {
+				return nil, fmt.Errorf("%s workers=%d ranks=%d: residual %g > %g",
+					v, workers, ranks, r, grid.MaxResidual)
+			}
+			if ref == nil {
+				ref = f
+				continue
+			}
+			if err := SameFactor(ref, f); err != nil {
+				return nil, fmt.Errorf("%s workers=%d ranks=%d diverged from reference: %w",
+					v, workers, ranks, err)
+			}
+		}
+	}
+	return ref, nil
 }

@@ -60,8 +60,11 @@ type Options struct {
 	Thresholds *gpu.Thresholds
 	// Machine is the platform cost model; zero value means Perlmutter.
 	Machine *machine.Machine
-	// Ordering selects the fill-reducing ordering (default: nested
-	// dissection, the Scotch stand-in).
+	// Ordering selects the fill-reducing ordering of the direct
+	// factorization. The zero value is nested dissection, the Scotch
+	// stand-in; every other kind is honoured as given. The IC(k)
+	// preconditioner (internal/precond) ignores it and always orders
+	// naturally.
 	Ordering ordering.Kind
 	// Symbolic tunes supernode detection; zero value means
 	// symbolic.DefaultOptions.
@@ -91,8 +94,8 @@ type Options struct {
 	// load-balance analysis (Chrome trace-event export).
 	Trace *trace.Recorder
 	// StallTimeout aborts the factorization when no rank completes a task
-	// for this long — a watchdog against scheduling deadlocks. Zero means
-	// the 30s default; negative disables the watchdog.
+	// for this long — a watchdog against scheduling deadlocks. The
+	// watchdog is always armed; any value ≤ 0 means the 30s default.
 	StallTimeout time.Duration
 	// Faults, when non-nil and active, enables deterministic fault
 	// injection: the plan's seed fixes every drop/dup/delay/transfer/OOM
@@ -109,8 +112,7 @@ type Options struct {
 	// job.
 	// Nil means no externally imposed bound (the stall watchdog still
 	// applies). The context is consulted only during the call it
-	// configures; long-lived holders of Options (caches, servers) should
-	// clear it before reuse.
+	// configures: the returned Factor's Opt.Context is nil.
 	Context context.Context
 	// MetricsAddr, when non-empty, serves the live metrics registry over
 	// HTTP for the duration of the factorization and afterwards (until
@@ -178,10 +180,7 @@ func (o Options) withDefaults() Options {
 		s := symbolic.DefaultOptions()
 		o.Symbolic = &s
 	}
-	if o.Ordering == 0 {
-		o.Ordering = ordering.NestedDissection
-	}
-	if o.StallTimeout == 0 {
+	if o.StallTimeout <= 0 {
 		o.StallTimeout = 30 * time.Second
 	}
 	return o
@@ -295,10 +294,10 @@ func Factorize(a *matrix.SparseSym, opt Options) (*Factor, error) {
 	return FactorizeAnalyzed(st, pa, opt)
 }
 
-// Analyze runs the symbolic phase under opt's analysis settings: nested
-// dissection unless Ordering is set, symbolic.DefaultOptions unless
-// Symbolic is set. It returns the structure and the permuted matrix that
-// FactorizeAnalyzed takes.
+// Analyze runs the symbolic phase under opt's analysis settings: the
+// ordering opt.Ordering names (nested dissection when zero) and
+// symbolic.DefaultOptions unless Symbolic is set. It returns the structure
+// and the permuted matrix that FactorizeAnalyzed takes.
 func Analyze(a *matrix.SparseSym, opt Options) (*symbolic.Structure, *matrix.SparseSym, error) {
 	opt = opt.withDefaults()
 	return symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
@@ -314,6 +313,8 @@ func Analyze(a *matrix.SparseSym, opt Options) (*symbolic.Structure, *matrix.Spa
 // Schur complement that is positive in fp64) triggers one transparent retry
 // with fp64 storage; the fallback is counted
 // on the returned factor's registry as sympack_iter_fp32_fallbacks_total.
+// The returned factor's Opt.Context is nil: the context bounds this call
+// only.
 func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options) (*Factor, error) {
 	f, err := factorizeAnalyzedOnce(st, pa, opt)
 	if err != nil && opt.Precision == PrecFP32 && errors.Is(err, ErrNotPositiveDefinite) {
@@ -324,7 +325,11 @@ func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options
 				"factorizations retried in fp64 after fp32 pivot breakdown").Inc()
 		}
 	}
-	return f, err
+	if err != nil {
+		return nil, err
+	}
+	f.Opt.Context = nil
+	return f, nil
 }
 
 func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Options) (*Factor, error) {
@@ -436,16 +441,13 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 }
 
 // startWatchdog monitors a progress counter and fails the runtime when it
-// stalls for longer than `timeout`. It returns a stop function; a
-// non-positive timeout disables the watchdog entirely. The diag callback
+// stalls for longer than `timeout` (positive: Options.withDefaults
+// resolves the default). It returns a stop function. The diag callback
 // builds the diagnosis error at trip time; it is wrapped in ErrStalled, so
 // a diag may add further sentinel errors (ErrLostSignal) for callers to
 // branch on. Engines publish health through atomic mirrors, so the snapshot
 // is race-free even mid-run.
 func startWatchdog(rt *upcxx.Runtime, progress *atomic.Int64, timeout time.Duration, diag func() error) func() {
-	if timeout <= 0 {
-		return func() {}
-	}
 	done := make(chan struct{})
 	go func() {
 		last := progress.Load()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -331,8 +332,13 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestOrderingsAllWork: every kind reaches the analysis as given — the
+// factor's permutation is the one symbolic.Analyze produces for it — and
+// the zero value is nested dissection. On Laplace2D 9×9 the natural order
+// fills to nnz(L) 843 and nested dissection to 652.
 func TestOrderingsAllWork(t *testing.T) {
 	a := gen.Laplace2D(9, 9)
+	wantNnz := map[ordering.Kind]int64{ordering.Natural: 843, ordering.NestedDissection: 652}
 	for _, ord := range []ordering.Kind{ordering.Natural, ordering.RCM, ordering.MinDegree, ordering.NestedDissection} {
 		f, err := Factorize(a, Options{Ranks: 2, Ordering: ord})
 		if err != nil {
@@ -341,6 +347,20 @@ func TestOrderingsAllWork(t *testing.T) {
 		if r := solveCheck(t, a, f, 11); r > 1e-10 {
 			t.Fatalf("%v: residual %g", ord, r)
 		}
+		want, _, err := symbolic.Analyze(a, ord, symbolic.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(f.St.Perm, want.Perm) {
+			t.Fatalf("%v: factor permutation is not the %v analysis'", ord, ord)
+		}
+		if n, ok := wantNnz[ord]; ok && f.St.NnzL != n {
+			t.Fatalf("%v: nnz(L) = %d, want %d", ord, f.St.NnzL, n)
+		}
+	}
+	var zero Options
+	if zero.Ordering != ordering.NestedDissection {
+		t.Fatalf("zero Options order with %v, want nested dissection", zero.Ordering)
 	}
 }
 

@@ -266,11 +266,10 @@ func TestWatchdog(t *testing.T) {
 		t.Fatal("watchdog tripped despite progress")
 	}
 
-	// Disabled watchdog is a no-op.
-	rt3, _ := upcxx.NewRuntime(upcxx.Config{Ranks: 1, Machine: machine.Perlmutter()})
-	stop3 := startWatchdog(rt3, &p2, -1, func() error { return nil })
-	stop3()
-	if rt3.ShouldAbort() {
-		t.Fatal("disabled watchdog aborted")
+	// There is no disabled mode: a non-positive timeout means the default.
+	for _, d := range []time.Duration{0, -1} {
+		if got := (Options{StallTimeout: d}).withDefaults().StallTimeout; got != 30*time.Second {
+			t.Errorf("StallTimeout %v resolves to %v, want the 30s default", d, got)
+		}
 	}
 }

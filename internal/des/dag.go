@@ -376,7 +376,6 @@ func simulateSolve(st *symbolic.Structure, cfg *Config, net *simnet.Network, isB
 		}
 	}
 	s := newSched(tasks, net, p, cfg.RanksPerNode, cfg.Nodes*max(cfg.GPUsPerNode, 1))
-	s.enableNICContention(cfg)
 	forward := s.run()
 	return 2 * forward
 }

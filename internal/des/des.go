@@ -63,13 +63,6 @@ type Config struct {
 	// Mapping selects the block→process distribution (2D block-cyclic /
 	// 1D columns / proportional subtree). Mirrors core.Options.Mapping.
 	Mapping symbolic.MappingKind
-	// ModelNICContention serializes each node's outbound transfers
-	// through its NICs (Perlmutter has four per node) instead of treating
-	// the fabric as infinitely parallel. Off by default: the paper's
-	// flat-MPI runs rarely saturate the NICs, and the uncontended model
-	// is what the calibrated figures use; turn it on to study
-	// communication-bound configurations.
-	ModelNICContention bool
 }
 
 // Ranks returns the total process count.
@@ -159,10 +152,6 @@ type sched struct {
 	rpn    int
 	rankAt []float64
 	devAt  []float64
-	// nicAt, when non-nil, holds each node's NIC-availability time
-	// (aggregate across its NICs); cross-node sends serialize through it.
-	nicAt []float64
-	nicBW float64
 	// Two-level ready queues per rank: waitQs orders not-yet-ready tasks
 	// by ready time; runQs orders currently-runnable tasks by priority
 	// (bottom level, descending). When a rank picks work it drains waitQ
@@ -269,17 +258,7 @@ func (s *sched) run() float64 {
 			arrive := finish
 			if e.bytes > 0 && st.owner != t.owner {
 				sameNode := int(st.owner)/s.rpn == int(t.owner)/s.rpn
-				sendAt := finish
-				if s.nicAt != nil && !sameNode {
-					// The message waits for a free NIC slot on the source
-					// node, then occupies it for its wire time.
-					node := int(t.owner) / s.rpn
-					if s.nicAt[node] > sendAt {
-						sendAt = s.nicAt[node]
-					}
-					s.nicAt[node] = sendAt + float64(e.bytes)/s.nicBW
-				}
-				arrive = sendAt + s.net.Time(e.path, e.bytes, sameNode)
+				arrive = finish + s.net.Time(e.path, e.bytes, sameNode)
 				s.bytes += e.bytes
 			}
 			if arrive > st.ready {
@@ -350,7 +329,6 @@ func Simulate(st *symbolic.Structure, tg *symbolic.TaskGraph, cfg Config) (Resul
 	case SymPACK:
 		tasks, gpuShare := buildSymPACKFactorDAG(st, tg, &cfg)
 		s := newSched(tasks, net, cfg.Ranks(), cfg.RanksPerNode, cfg.Nodes*max(cfg.GPUsPerNode, 1))
-		s.enableNICContention(&cfg)
 		factor = s.run()
 		r.Tasks = len(tasks)
 		r.CommBytes = s.bytes
@@ -359,7 +337,6 @@ func Simulate(st *symbolic.Structure, tg *symbolic.TaskGraph, cfg Config) (Resul
 	case Baseline:
 		tasks, gpuShare := buildBaselineFactorDAG(st, tg, &cfg)
 		s := newSched(tasks, net, cfg.Ranks(), cfg.RanksPerNode, cfg.Nodes*max(cfg.GPUsPerNode, 1))
-		s.enableNICContention(&cfg)
 		factor = s.run()
 		r.Tasks = len(tasks)
 		r.CommBytes = s.bytes
@@ -372,16 +349,6 @@ func Simulate(st *symbolic.Structure, tg *symbolic.TaskGraph, cfg Config) (Resul
 	r.FactorSeconds = factor
 	r.SolveSeconds = solve
 	return r, nil
-}
-
-// enableNICContention arms the per-node NIC occupancy model.
-func (s *sched) enableNICContention(cfg *Config) {
-	if !cfg.ModelNICContention {
-		return
-	}
-	nodes := (s.ranks + s.rpn - 1) / s.rpn
-	s.nicAt = make([]float64, nodes)
-	s.nicBW = cfg.Machine.NICBandwidth * float64(max(cfg.Machine.NICsPerNode, 1))
 }
 
 // Per-task runtime overhead of the two software stacks. symPACK's LTQ/RTQ

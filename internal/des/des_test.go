@@ -201,26 +201,3 @@ func TestSolverString(t *testing.T) {
 		t.Fatal("solver names")
 	}
 }
-
-// NIC contention must slow communication-heavy runs and leave single-node
-// runs untouched.
-func TestNICContention(t *testing.T) {
-	st, tg := analyzed(t, gen.Flan3D(6, 6, 6, 1))
-	base := baseCfg(SymPACK, 8, 8) // many ranks per node → shared NICs
-	free := simOne(t, st, tg, base)
-	cont := base
-	cont.ModelNICContention = true
-	shared := simOne(t, st, tg, cont)
-	if shared.FactorSeconds < free.FactorSeconds {
-		t.Fatalf("contention cannot speed things up: %.4g vs %.4g",
-			shared.FactorSeconds, free.FactorSeconds)
-	}
-	// Single node: all traffic is intra-node; contention must be a no-op.
-	one := baseCfg(SymPACK, 1, 4)
-	a := simOne(t, st, tg, one)
-	one.ModelNICContention = true
-	b := simOne(t, st, tg, one)
-	if a.FactorSeconds != b.FactorSeconds {
-		t.Fatalf("single-node times must match: %.6g vs %.6g", a.FactorSeconds, b.FactorSeconds)
-	}
-}

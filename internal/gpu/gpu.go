@@ -290,6 +290,17 @@ func (p FallbackPolicy) String() string {
 	return "error"
 }
 
+// ParseFallback converts a name FallbackPolicy.String prints ("cpu",
+// "error") back into the policy; anything else is an error.
+func ParseFallback(s string) (FallbackPolicy, error) {
+	for _, p := range []FallbackPolicy{FallbackCPU, FallbackError} {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return FallbackCPU, fmt.Errorf("gpu: unknown fallback policy %q (want cpu or error)", s)
+}
+
 // Thresholds holds the per-operation minimum problem sizes (in elements of
 // the output buffer) above which an operation is offloaded to the GPU. Each
 // operation gets its own threshold because each has a different

@@ -224,9 +224,21 @@ func TestThresholds(t *testing.T) {
 	}
 }
 
+// TestFallbackPolicyString: the names round-trip through ParseFallback,
+// which rejects every other string.
 func TestFallbackPolicyString(t *testing.T) {
 	if FallbackCPU.String() != "cpu" || FallbackError.String() != "error" {
 		t.Fatal("policy names")
+	}
+	for _, p := range []FallbackPolicy{FallbackCPU, FallbackError} {
+		if got, err := ParseFallback(p.String()); err != nil || got != p {
+			t.Errorf("ParseFallback(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, s := range []string{"", "err", "ERROR", "gpu"} {
+		if _, err := ParseFallback(s); err == nil {
+			t.Errorf("ParseFallback(%q): expected an error", s)
+		}
 	}
 }
 

@@ -27,46 +27,6 @@ import (
 	"sympack/internal/lint/analysis"
 )
 
-// deterministicPackages are the packages whose schedules or numerics feed
-// factor bits (ISSUE: internal/core, internal/symbolic, internal/blas,
-// internal/des).
-var deterministicPackages = map[string]bool{
-	"sympack/internal/core":     true,
-	"sympack/internal/symbolic": true,
-	"sympack/internal/blas":     true,
-	"sympack/internal/des":      true,
-	"sympack/internal/metrics":  true,
-	// The iterative-solve subsystem promises bit-identical residual
-	// trajectories across worker and rank counts; a map-ordered traversal
-	// anywhere in the CG/PCG drivers or the IC(k) preconditioner build
-	// would break that contract silently.
-	"sympack/internal/krylov":  true,
-	"sympack/internal/precond": true,
-	// The PGAS runtime delivers the announcements whose arrival order the
-	// engine's ordered-apply machinery must be immune to; map-ordered RPC
-	// emission would hide exactly the schedule-order leaks the conformance
-	// battery (internal/core/conformance_test.go) exists to exclude.
-	"sympack/internal/upcxx": true,
-	// benchfig emits the committed BENCH_scaling.json artifact; its series
-	// order must be stable across runs for diffable reports.
-	"sympack/cmd/benchfig": true,
-	// The service layer: cache iteration order must never decide what is
-	// evicted or reported, and loadgen's taxonomy output must be stable
-	// across runs for diffable reports.
-	"sympack/internal/server": true,
-	"sympack/cmd/sympackd":    true,
-	"sympack/cmd/loadgen":     true,
-	// The lint suite lints itself: CFG block layout and dataflow fixpoint
-	// results must be identical run to run, or analyzer diagnostics (and
-	// the // want tests pinning them) would flap with map order.
-	"sympack/internal/lint/cfg":      true,
-	"sympack/internal/lint/dataflow": true,
-	// The interprocedural layer doubly so: callgraph resolution order and
-	// taint label propagation decide which diagnostics exist at all.
-	"sympack/internal/lint/callgraph": true,
-	"sympack/internal/lint/taint":     true,
-}
-
 var Analyzer = &analysis.Analyzer{
 	Name: "mapiterdeterminism",
 	Doc: "flags map iteration in deterministic packages, where Go's randomized " +
@@ -75,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !deterministicPackages[pass.Pkg.Path()] {
+	if !analysis.DeterministicPackages[pass.Pkg.Path()] {
 		return nil, nil
 	}
 	pass.Preorder(func(n ast.Node) {

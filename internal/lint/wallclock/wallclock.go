@@ -29,41 +29,6 @@ import (
 	"sympack/internal/lint/analysis"
 )
 
-// deterministicPackages must not consult the host clock directly. The set
-// covers the numeric/scheduling core plus the runtime layers whose
-// behavior the chaos and property harnesses replay deterministically.
-var deterministicPackages = map[string]bool{
-	"sympack/internal/core":     true,
-	"sympack/internal/symbolic": true,
-	"sympack/internal/blas":     true,
-	"sympack/internal/des":      true,
-	"sympack/internal/upcxx":    true,
-	"sympack/internal/gpu":      true,
-	"sympack/internal/trace":    true,
-	"sympack/internal/metrics":  true,
-	// The iterative-solve subsystem times preconditioner application and
-	// convergence through the machine facade only; a direct clock read
-	// would desynchronize the replayed chaos harness from the solver.
-	"sympack/internal/krylov":  true,
-	"sympack/internal/precond": true,
-	// The service layer is wall-clock-adjacent by nature (latency rings,
-	// breaker cooldowns, backoff), which is exactly why it sits in scope:
-	// every host-clock touchpoint must go through the machine facade so
-	// the pacing/measurement surface stays enumerable and auditable.
-	"sympack/internal/server": true,
-	"sympack/cmd/sympackd":    true,
-	"sympack/cmd/loadgen":     true,
-	// benchfig regenerates committed benchmark artifacts from the
-	// deterministic performance model; the report timestamp is its only
-	// legitimate wall-clock read and routes through machine.WallNow.
-	"sympack/cmd/benchfig": true,
-	// The lint suite lints itself: graph construction and fixpoint
-	// solving are pure functions of the AST and must never consult the
-	// host clock (a time-bounded solver would make diagnostics flap).
-	"sympack/internal/lint/cfg":      true,
-	"sympack/internal/lint/dataflow": true,
-}
-
 // bannedTime are the time functions that read or wait on the host clock.
 var bannedTime = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
@@ -87,7 +52,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !deterministicPackages[pass.Pkg.Path()] {
+	if !analysis.DeterministicPackages[pass.Pkg.Path()] {
 		return nil, nil
 	}
 	pass.Preorder(func(n ast.Node) {

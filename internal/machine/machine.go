@@ -23,7 +23,6 @@ type Machine struct {
 	// Node shape.
 	CoresPerNode int
 	GPUsPerNode  int
-	NICsPerNode  int
 
 	// Compute rates in FLOP/s. CPUFlops is per core (the paper runs
 	// flat, one process per core); GPUFlops is per GPU at asymptotic
@@ -62,7 +61,6 @@ func Perlmutter() Machine {
 		Name:              "perlmutter-gpu",
 		CoresPerNode:      64,
 		GPUsPerNode:       4,
-		NICsPerNode:       4,
 		CPUFlops:          35e9,   // one Milan core, dense DGEMM
 		GPUFlops:          15e12,  // A100 FP64 (sustained, no tensor cores for TRSM/POTRF mix)
 		GPULaunchOverhead: 8e-6,   // CUDA launch + sync
@@ -86,7 +84,6 @@ func Frontier() Machine {
 		Name:              "frontier",
 		CoresPerNode:      64,
 		GPUsPerNode:       4, // MI250X counted as one device here
-		NICsPerNode:       4,
 		CPUFlops:          32e9,
 		GPUFlops:          24e12, // MI250X FP64 vector (both dies)
 		GPULaunchOverhead: 11e-6, // HIP launch + sync, a touch above CUDA

@@ -4,7 +4,7 @@ import "testing"
 
 func TestPerlmutterShape(t *testing.T) {
 	m := Perlmutter()
-	if m.CoresPerNode != 64 || m.GPUsPerNode != 4 || m.NICsPerNode != 4 {
+	if m.CoresPerNode != 64 || m.GPUsPerNode != 4 {
 		t.Fatalf("node shape wrong: %+v", m)
 	}
 	if !m.GDR {

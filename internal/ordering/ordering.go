@@ -18,19 +18,20 @@ import (
 	"sympack/internal/matrix"
 )
 
-// Kind selects an ordering algorithm.
+// Kind selects an ordering algorithm. The zero value is nested
+// dissection, the default of every caller.
 type Kind int
 
 const (
+	// NestedDissection is recursive graph bisection with vertex
+	// separators ordered last — the Scotch-equivalent default.
+	NestedDissection Kind = iota
 	// Natural is the identity ordering (no permutation).
-	Natural Kind = iota
+	Natural
 	// RCM is reverse Cuthill–McKee (bandwidth reducing).
 	RCM
 	// MinDegree is quotient-graph minimum degree.
 	MinDegree
-	// NestedDissection is recursive graph bisection with vertex
-	// separators ordered last — the Scotch-equivalent default.
-	NestedDissection
 )
 
 func (k Kind) String() string {
@@ -62,7 +63,7 @@ func ParseKind(s string) (Kind, error) {
 	case "SCOTCH", "ND", "METIS":
 		return NestedDissection, nil
 	default:
-		return Natural, fmt.Errorf("ordering: unknown kind %q", s)
+		return 0, fmt.Errorf("ordering: unknown kind %q", s)
 	}
 }
 

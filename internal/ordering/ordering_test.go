@@ -148,9 +148,12 @@ func TestParseKind(t *testing.T) {
 		}
 	}
 	for _, s := range []string{"bogus", "", "N D"} {
-		if _, err := ParseKind(s); err == nil {
-			t.Errorf("ParseKind(%q): expected an error", s)
+		if got, err := ParseKind(s); err == nil || got != 0 {
+			t.Errorf("ParseKind(%q) = %v, %v; want the zero Kind and an error", s, got, err)
 		}
+	}
+	if k := Kind(0); k != NestedDissection {
+		t.Errorf("zero Kind is %v; nested dissection is the default", k)
 	}
 }
 

@@ -10,7 +10,11 @@
 // Incomplete factorizations of SPD matrices can break down (a dropped
 // contribution leaves a pivot ≤ 0); NewIC retries with a Manteuffel-style
 // diagonal shift, σ escalating geometrically, until the factorization
-// succeeds or the attempt budget runs out.
+// succeeds or maxShiftAttempts run out.
+//
+// IC(k) always uses the natural ordering: a fill-reducing ordering makes
+// the incomplete factor a worse approximation and costs PCG iterations
+// (EXPERIMENTS.md, "IC ordering"), so Core.Ordering is not consulted.
 package precond
 
 import (
@@ -20,6 +24,7 @@ import (
 
 	"sympack/internal/core"
 	"sympack/internal/matrix"
+	"sympack/internal/ordering"
 	"sympack/internal/symbolic"
 )
 
@@ -63,14 +68,16 @@ type Options struct {
 	// DropTol, when positive, magnitude-filters the matrix before level
 	// expansion (see symbolic.ICOptions).
 	DropTol float64
-	// MaxShiftAttempts bounds the diagonal-shift retry loop on breakdown
-	// (0 = default 8).
-	MaxShiftAttempts int
 	// Core configures the factorization engine used to compute the
 	// incomplete factor: ranks, workers, formulation, mapping, precision —
 	// the full distributed surface applies to the preconditioner build.
+	// Its Ordering does not: IC(k) always orders naturally.
 	Core core.Options
 }
+
+// maxShiftAttempts bounds the diagonal-shift retry loop on breakdown: the
+// last shift tried is 1e-3 · 4⁶ ≈ 4.1 times the mean diagonal.
+const maxShiftAttempts = 8
 
 // ICFactor is a ready incomplete-Cholesky preconditioner.
 type ICFactor struct {
@@ -87,19 +94,16 @@ type ICFactor struct {
 // ErrBreakdown is returned when every shifted attempt failed.
 var ErrBreakdown = errors.New("precond: incomplete factorization broke down at every shift")
 
-// NewIC analyzes and factors the IC(k) preconditioner for a. The symbolic
-// phase runs once; breakdowns retry the numeric phase on a diagonally
-// shifted copy (σ starting at 1e-3 of the mean diagonal, ×4 per attempt).
+// NewIC analyzes, in the natural ordering, and factors the IC(k)
+// preconditioner for a. The symbolic phase runs once; breakdowns retry the
+// numeric phase on a diagonally shifted copy (σ starting at 1e-3 of the
+// mean diagonal, ×4 per attempt).
 func NewIC(a *matrix.SparseSym, opt Options) (*ICFactor, error) {
-	attempts := opt.MaxShiftAttempts
-	if attempts <= 0 {
-		attempts = 8
-	}
 	symOpt := symbolic.DefaultOptions()
 	if opt.Core.Symbolic != nil {
 		symOpt = *opt.Core.Symbolic
 	}
-	st, pa, err := symbolic.AnalyzeIC(a, opt.Core.Ordering, symOpt,
+	st, pa, err := symbolic.AnalyzeIC(a, ordering.Natural, symOpt,
 		symbolic.ICOptions{Level: opt.Level, DropTol: opt.DropTol})
 	if err != nil {
 		return nil, err
@@ -117,7 +121,7 @@ func NewIC(a *matrix.SparseSym, opt Options) (*ICFactor, error) {
 	shift := 0.0
 	next := 1e-3 * mean
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < maxShiftAttempts; i++ {
 		ic.Attempts++
 		m := pa
 		if shift > 0 {

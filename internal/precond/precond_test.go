@@ -2,13 +2,18 @@ package precond
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"sympack/internal/core"
 	"sympack/internal/gen"
 	"sympack/internal/krylov"
 	"sympack/internal/matrix"
+	"sympack/internal/ordering"
+	"sympack/internal/symbolic"
 )
 
 func TestParseKind(t *testing.T) {
@@ -144,11 +149,40 @@ func TestNewICShiftRetry(t *testing.T) {
 	}
 }
 
+// TestNewICBreakdownExhaustsShifts: a negated Laplacian (diagonal −4, so
+// the shifts are scaled by 1 and end at ≈ 4.1) stays indefinite at every
+// shift of the sequence, and NewIC must give up with ErrBreakdown.
 func TestNewICBreakdownExhaustsShifts(t *testing.T) {
-	a := indefiniteTestMatrix(t)
-	_, err := NewIC(a, Options{Level: 1, MaxShiftAttempts: 2})
+	a := gen.Laplace2D(6, 6)
+	for i := range a.Val {
+		a.Val[i] = -a.Val[i]
+	}
+	_, err := NewIC(a, Options{Level: 1})
 	if !errors.Is(err, ErrBreakdown) {
-		t.Fatalf("want ErrBreakdown with a 2-attempt budget, got %v", err)
+		t.Fatalf("want ErrBreakdown, got %v", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxShiftAttempts)) {
+		t.Fatalf("want all %d attempts spent: %v", maxShiftAttempts, err)
+	}
+}
+
+// TestNewICOrdersNaturally: IC(k) analyses in the natural ordering whatever
+// Core.Ordering says — the zero value (nested dissection for a direct
+// factorization) included.
+func TestNewICOrdersNaturally(t *testing.T) {
+	a := gen.Laplace2D(9, 9)
+	want, _, err := symbolic.AnalyzeIC(a, ordering.Natural, symbolic.DefaultOptions(), symbolic.ICOptions{Level: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ord := range []ordering.Kind{0, ordering.NestedDissection, ordering.MinDegree} {
+		ic, err := NewIC(a, Options{Level: 1, Core: core.Options{Ordering: ord}})
+		if err != nil {
+			t.Fatalf("Core.Ordering %v: %v", ord, err)
+		}
+		if !slices.Equal(ic.F.St.Perm, want.Perm) {
+			t.Fatalf("Core.Ordering %v: permutation is not the natural analysis'", ord)
+		}
 	}
 }
 

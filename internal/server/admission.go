@@ -97,15 +97,6 @@ func (a *admission) leave() {
 	a.mu.Unlock()
 }
 
-// saturated reports whether the wait queue is full — the readiness signal
-// /healthz keys on: a saturated server is up but should not receive new
-// traffic.
-func (a *admission) saturated() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.waiters) >= a.queueCap
-}
-
 // occupancy returns the current (inflight, queued) counts.
 func (a *admission) occupancy() (inflight, queued int) {
 	a.mu.Lock()

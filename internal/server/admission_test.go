@@ -30,8 +30,8 @@ func TestAdmissionCapacityAndShed(t *testing.T) {
 	if err := a.enter(ctx); !errors.Is(err, errShed) {
 		t.Fatalf("4th enter = %v, want errShed", err)
 	}
-	if !a.saturated() {
-		t.Fatal("queue full but not saturated")
+	if _, queued := a.occupancy(); queued < a.queueCap {
+		t.Fatalf("queued %d after a shed, want the full queue of %d", queued, a.queueCap)
 	}
 	// Leaving transfers the slot to the queued waiter, not to new arrivals.
 	a.leave()

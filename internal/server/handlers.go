@@ -442,8 +442,8 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 		return nil, s.engineError(ctx, err)
 	}
 	// The cached Factor outlives this request: drop the request-scoped
-	// context and fault plan before anyone else can see it.
-	f.Opt.Context = nil
+	// fault plan before anyone else can see it (the factorization has
+	// already dropped the context).
 	f.Opt.Faults = nil
 	_ = f.CloseMetrics()
 	_, frel := s.cache.put(fkey, f, factorBytes(f.Data))
@@ -561,8 +561,8 @@ func (s *Server) precondFor(ctx context.Context, a *matrix.SparseSym, id string,
 		}
 	}
 	// The cached preconditioner outlives this request: drop the
-	// request-scoped context and fault plan before anyone else can see it.
-	ic.F.Opt.Context = nil
+	// request-scoped fault plan before anyone else can see it (the
+	// factorization has already dropped the context).
 	ic.F.Opt.Faults = nil
 	_ = ic.F.CloseMetrics()
 	v, rel := s.cache.put(key, ic, ic.Bytes())

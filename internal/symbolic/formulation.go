@@ -13,7 +13,7 @@ package symbolic
 // Both the real runtime (internal/core) and the performance model
 // (internal/des) consume these, so a variant runs identically in both
 // worlds. Every (formulation × mapping) pair must pass the conformance
-// harness (internal/core/conformance.go) before it may be raced.
+// harness (internal/core/conformance_test.go) before it may be raced.
 
 import "fmt"
 

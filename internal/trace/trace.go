@@ -142,23 +142,27 @@ type KindSummary struct {
 	Busy  time.Duration
 }
 
-// Summary returns per-kind aggregates sorted by descending busy time.
+// Summary returns per-kind aggregates sorted by descending busy time, kinds
+// of equal busy time by name.
 func (r *Recorder) Summary() []KindSummary {
-	agg := map[string]*KindSummary{}
+	var out []KindSummary
+	idx := map[string]int{}
 	for _, e := range r.Events() {
-		s := agg[e.Kind]
-		if s == nil {
-			s = &KindSummary{Kind: e.Kind}
-			agg[e.Kind] = s
+		i, ok := idx[e.Kind]
+		if !ok {
+			i = len(out)
+			idx[e.Kind] = i
+			out = append(out, KindSummary{Kind: e.Kind})
 		}
-		s.Count++
-		s.Busy += e.End - e.Start
+		out[i].Count++
+		out[i].Busy += e.End - e.Start
 	}
-	out := make([]KindSummary, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Busy > out[j].Busy })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Busy != out[j].Busy {
+			return out[i].Busy > out[j].Busy
+		}
+		return out[i].Kind < out[j].Kind
+	})
 	return out
 }
 
@@ -178,6 +182,7 @@ func (r *Recorder) RankUtilization() map[int32]float64 {
 		}
 	}
 	out := make(map[int32]float64, len(busy))
+	//lint:ignore mapiterdeterminism keyed copy: each entry is written once from its own key, the result is independent of visit order
 	for rank, b := range busy {
 		out[rank] = float64(b) / float64(makespan)
 	}

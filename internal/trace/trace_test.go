@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 )
@@ -120,5 +121,24 @@ func TestSummaryAndUtilization(t *testing.T) {
 	}
 	if util[0] <= util[1] {
 		t.Fatalf("rank 0 (busier) should have higher utilization: %v", util)
+	}
+}
+
+// TestSummaryTiesByKind: kinds of equal busy time come out by name, not in
+// map order.
+func TestSummaryTiesByKind(t *testing.T) {
+	r := New()
+	for i, kind := range []string{"TRSM", "GEMM", "SYRK", "POTRF"} {
+		start := time.Duration(i) * time.Second
+		r.events = append(r.events, Event{Kind: kind, Start: start, End: start + time.Millisecond})
+	}
+	for trial := 0; trial < 10; trial++ {
+		var got []string
+		for _, s := range r.Summary() {
+			got = append(got, s.Kind)
+		}
+		if want := []string{"GEMM", "POTRF", "SYRK", "TRSM"}; !slices.Equal(got, want) {
+			t.Fatalf("summary order %v, want %v", got, want)
+		}
 	}
 }

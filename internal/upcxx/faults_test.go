@@ -135,7 +135,7 @@ func TestInjectedDelaySignal(t *testing.T) {
 }
 
 func TestTransferRetrySucceeds(t *testing.T) {
-	// Limit 3 < TransferAttempts 8: the first three attempts fail, the
+	// Limit 3 < transferAttempts 8: the first three attempts fail, the
 	// fourth succeeds, and the data must arrive intact.
 	rt := newFaultyRT(t, 1, planOf(7, faults.TransientTransfer, 1.0, 3))
 	err := rt.Run(func(r *Rank) {

@@ -49,13 +49,6 @@ type Config struct {
 	// Trace, when non-nil, receives instant fault/recovery events so
 	// Chrome traces show them alongside task events.
 	Trace *trace.Recorder
-	// TransferAttempts bounds the retry loop of a transiently failing
-	// Rget/Rput/Copy (0 = default 8).
-	TransferAttempts int
-	// TransferBackoff is the modeled seconds charged for the first retry
-	// wait; it doubles per attempt, so TransferAttempts × TransferBackoff
-	// defines the per-operation timeout (0 = default 2µs).
-	TransferBackoff float64
 	// ElemBytes is the modeled width of one transferred element in bytes
 	// (0 = 8, the float64 default). Mixed-precision factorizations pass 4:
 	// the wire cost model then charges half the bytes per Rget/Rput/Copy,
@@ -63,6 +56,15 @@ type Config struct {
 	// stays []float64 either way — only the byte accounting changes.
 	ElemBytes int
 }
+
+// The retry loop of a transiently failing Rget/Rput/Copy makes at most
+// transferAttempts attempts; the modeled wait before the first retry is
+// transferBackoff seconds and doubles per attempt, which defines the
+// per-operation timeout.
+const (
+	transferAttempts = 8
+	transferBackoff  = 2e-6
+)
 
 // elemBytes resolves the configured element width.
 func (c *Config) elemBytes() int64 {
@@ -97,12 +99,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = cfg.Ranks
-	}
-	if cfg.TransferAttempts <= 0 {
-		cfg.TransferAttempts = 8
-	}
-	if cfg.TransferBackoff <= 0 {
-		cfg.TransferBackoff = 2e-6
 	}
 	rt := &Runtime{
 		cfg: cfg,
@@ -275,21 +271,6 @@ func (r *Rank) NewArrayFrom(data []float64) GlobalPtr {
 	return GlobalPtr{Rank: int32(r.ID), Kind: simnet.Host, Data: data}
 }
 
-// DeviceAlloc allocates n elements on this rank's device via the device
-// allocator (upcxx::device_allocator). It returns gpu.ErrOutOfMemory when
-// the device is full — the trigger for the solver's fallback options — and
-// an error when the job has no devices.
-func (r *Rank) DeviceAlloc(n int) (GlobalPtr, *gpu.Buffer, error) {
-	if r.device == nil {
-		return GlobalPtr{}, nil, errors.New("upcxx: rank has no device")
-	}
-	buf, err := r.device.Alloc(n)
-	if err != nil {
-		return GlobalPtr{}, nil, err
-	}
-	return GlobalPtr{Rank: int32(r.ID), Kind: simnet.Device, Data: buf.Data}, buf, nil
-}
-
 // ------------------------------------------------------------- futures ----
 
 // Future represents a (already internally completed) asynchronous
@@ -441,7 +422,7 @@ func (r *Rank) account(p simnet.Path, bytes int64, sameNode bool) float64 {
 // retryTransfer runs the injector's transfer-fault gauntlet for one RMA
 // operation: each failed attempt charges an exponentially growing backoff
 // to the rank's virtual clock, and the attempt cap bounds the operation's
-// modeled timeout (TransferAttempts × doubling TransferBackoff). It returns
+// modeled timeout (transferAttempts × doubling transferBackoff). It returns
 // the modeled seconds burned on retries and ErrTransferFailed when the
 // budget runs out, in which case the caller must not move the data.
 func (r *Rank) retryTransfer(kind string) (float64, error) {
@@ -451,14 +432,14 @@ func (r *Rank) retryTransfer(kind string) (float64, error) {
 		return 0, nil
 	}
 	var extra float64
-	backoff := rt.cfg.TransferBackoff
+	backoff := transferBackoff
 	for attempt := 1; ; attempt++ {
 		if !inj.TransferFault(r.ID) {
 			return extra, nil
 		}
 		rt.met.transferRetries.Inc()
 		rt.traceFault(int32(r.ID), "fault:transfer-retry", fmt.Sprintf("%s attempt=%d", kind, attempt))
-		if attempt >= rt.cfg.TransferAttempts {
+		if attempt >= transferAttempts {
 			rt.met.transferFailures.Inc()
 			rt.traceFault(int32(r.ID), "fault:transfer-timeout", kind)
 			return extra, fmt.Errorf("%s: %w", kind, ErrTransferFailed)

@@ -112,6 +112,16 @@ func TestRgetRputRoundTrip(t *testing.T) {
 	}
 }
 
+// deviceArray allocates n elements on r's device and returns a global
+// pointer to them, as the engine publishes a device-resident block.
+func deviceArray(r *Rank, n int) (GlobalPtr, error) {
+	buf, err := r.Device().Alloc(n)
+	if err != nil {
+		return GlobalPtr{}, err
+	}
+	return GlobalPtr{Rank: int32(r.ID), Kind: simnet.Device, Data: buf.Data}, nil
+}
+
 func TestDeviceAllocAndCopyKinds(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Ranks: 2, RanksPerNode: 1, GPUsPerNode: 1,
@@ -122,20 +132,18 @@ func TestDeviceAllocAndCopyKinds(t *testing.T) {
 	}
 	hostPtrs := make([]GlobalPtr, 2)
 	devPtrs := make([]GlobalPtr, 2)
-	bufs := make([]*gpu.Buffer, 2)
 	err = rt.Run(func(r *Rank) {
 		h := r.NewArray(32)
 		for i := range h.Data {
 			h.Data[i] = float64(r.ID + 1)
 		}
 		hostPtrs[r.ID] = h
-		d, buf, err := r.DeviceAlloc(32)
+		d, err := deviceArray(r, 32)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		devPtrs[r.ID] = d
-		bufs[r.ID] = buf
 		if err := r.Barrier(); err != nil {
 			t.Error(err)
 			return
@@ -165,7 +173,7 @@ func TestDeviceAllocAndCopyKinds(t *testing.T) {
 	// OOM beyond capacity.
 	err = rt.Run(func(r *Rank) {
 		if r.ID == 0 {
-			if _, _, err := r.DeviceAlloc(2000); !errors.Is(err, gpu.ErrOutOfMemory) {
+			if _, err := deviceArray(r, 2000); !errors.Is(err, gpu.ErrOutOfMemory) {
 				t.Errorf("expected OOM, got %v", err)
 			}
 		}
@@ -185,7 +193,7 @@ func TestCopyStagedWithoutGDR(t *testing.T) {
 	}
 	devPtrs := make([]GlobalPtr, 2)
 	err = rt.Run(func(r *Rank) {
-		d, _, err := r.DeviceAlloc(8)
+		d, err := deviceArray(r, 8)
 		if err != nil {
 			t.Error(err)
 			return
@@ -216,7 +224,7 @@ func TestLocalHostDeviceCopy(t *testing.T) {
 	err = rt.Run(func(r *Rank) {
 		h := r.NewArray(4)
 		h.Data[2] = 7
-		d, _, err := r.DeviceAlloc(4)
+		d, err := deviceArray(r, 4)
 		if err != nil {
 			t.Error(err)
 			return

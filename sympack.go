@@ -55,10 +55,10 @@ type OrderingKind = ordering.Kind
 
 // Ordering names re-exported for Options.
 const (
+	OrderNestedDissection = ordering.NestedDissection // the Scotch stand-in; the zero value
 	OrderNatural          = ordering.Natural
 	OrderRCM              = ordering.RCM
 	OrderMinDegree        = ordering.MinDegree
-	OrderNestedDissection = ordering.NestedDissection // the Scotch stand-in
 )
 
 // Thresholds are the per-operation GPU offload sizes (§4.2 of the paper).
@@ -77,8 +77,12 @@ const (
 	FallbackError = gpu.FallbackError
 )
 
-// Options configures Factorize. The zero value runs a single-rank CPU
-// factorization with nested-dissection ordering.
+// Options configures Factorize. The zero value of every field is its
+// default: the zero Options runs a single-rank, fan-out, 2D-cyclic, fp64
+// CPU factorization with nested-dissection ordering, under the always-armed
+// 30 s stall watchdog. Ordering is honoured as given (OrderNatural means
+// no permutation); it configures the direct factorization only, since the
+// IC(k) preconditioner always orders naturally.
 type Options = core.Options
 
 // Formulation selects the task formulation for Options.Formulation: where
@@ -259,7 +263,9 @@ type CGOptions struct {
 	Rtol    float64
 	Atol    float64
 	MaxIter int
-	// Precond selects the preconditioner (default PrecondNone).
+	// Precond selects the preconditioner (default PrecondNone). The IC(k)
+	// factor always uses the natural ordering, whatever Options.Ordering
+	// says.
 	Precond PrecondKind
 	// ICLevel is the IC(k) fill level when Precond is PrecondIC.
 	ICLevel int
@@ -283,7 +289,9 @@ type ICPreconditioner = precond.ICFactor
 
 // NewICPreconditioner analyzes and factors an IC(k) preconditioner for a.
 // The engine surface in opt (ranks, workers, formulation, mapping,
-// precision) applies to the preconditioner's factorization.
+// precision) applies to the preconditioner's factorization; opt.Ordering
+// does not: IC(k) always orders naturally, since a fill-reducing ordering
+// costs PCG iterations (EXPERIMENTS.md, "IC ordering").
 func NewICPreconditioner(a *Matrix, level int, dropTol float64, opt Options) (*ICPreconditioner, error) {
 	return precond.NewIC(a, precond.Options{Level: level, DropTol: dropTol, Core: opt})
 }
@@ -302,8 +310,9 @@ var (
 )
 
 // SolveCG solves A·x = b by (preconditioned) conjugate gradients. With
-// cg.Precond = PrecondIC it builds a blocked IC(cg.ICLevel) factor through
-// the distributed engine configured by opt and applies it each iteration;
+// cg.Precond = PrecondIC it builds a blocked IC(cg.ICLevel) factor, in the
+// natural ordering, through the distributed engine configured by opt and
+// applies it each iteration;
 // with PrecondNone opt only supplies the cancellation context. Residual
 // trajectories are bit-identical across worker and rank counts.
 func SolveCG(a *Matrix, b []float64, opt Options, cg CGOptions) (*CGResult, error) {
@@ -331,9 +340,11 @@ func SolveCG(a *Matrix, b []float64, opt Options, cg CGOptions) (*CGResult, erro
 // solver (the PaStiX-like comparator of the paper's §5.3).
 type BaselineFactor = baseline.Factor
 
-// FactorizeBaseline runs the right-looking baseline solver.
-func FactorizeBaseline(a *Matrix, ord ordering.Kind) (*BaselineFactor, error) {
-	return baseline.Factorize(a, baseline.Options{Ordering: ord})
+// FactorizeBaseline runs the right-looking baseline solver under the
+// ordering ord — the zero value is nested dissection, as for Options — and
+// the default supernode detection.
+func FactorizeBaseline(a *Matrix, ord OrderingKind) (*BaselineFactor, error) {
+	return baseline.Factorize(a, ord)
 }
 
 // ------------------------------------------------------------- metrics ----

@@ -100,6 +100,35 @@ func TestBaselineAgreesWithCore(t *testing.T) {
 	}
 }
 
+// TestOrderNaturalHonoured: OrderNatural reaches the analysis from every
+// entry point — Factorize, Analyze and FactorizeBaseline — while the zero
+// value still orders by nested dissection. Laplace2D 9×9 fills to nnz(L)
+// 843 in the natural order and to 652 under nested dissection.
+func TestOrderNaturalHonoured(t *testing.T) {
+	a := Laplace2D(9, 9)
+	for _, tc := range []struct {
+		ord  OrderingKind
+		nnzL int64
+	}{{OrderNatural, 843}, {0, 652}, {OrderNestedDissection, 652}} {
+		f, err := Factorize(a, Options{Ordering: tc.ord})
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := Analyze(a, Options{Ordering: tc.ord})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bf, err := FactorizeBaseline(a, tc.ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.St.NnzL != tc.nnzL || an.NnzFactor() != tc.nnzL || bf.St.NnzL != tc.nnzL {
+			t.Fatalf("%v: nnz(L) Factorize %d, Analyze %d, FactorizeBaseline %d; want %d",
+				tc.ord, f.St.NnzL, an.NnzFactor(), bf.St.NnzL, tc.nnzL)
+		}
+	}
+}
+
 func TestIORoundTripThroughFacade(t *testing.T) {
 	a := RandomSPD(15, 0.3, 4)
 	var mm, rb bytes.Buffer
