@@ -6,9 +6,11 @@
 // Each rank owns the blocks the 2D block-cyclic map assigns to it, holds a
 // local task queue (LTQ) of those blocks' tasks with dependency counters,
 // and a ready task queue (RTQ). Completed diagonal and panel factorizations
-// notify consumer ranks with an RPC carrying a global pointer; consumers
-// poll, pull the data with a one-sided get, decrement dependencies, and
-// move newly satisfied tasks to the RTQ — the protocol of paper Figs. 3–4.
+// notify consumer ranks with a fixed-size signal naming the item, whose
+// global pointer a shared directory holds; consumers poll, pull the data
+// with a one-sided get into a slot sized at setup, decrement dependencies,
+// and move newly satisfied tasks to the RTQ — the protocol of paper
+// Figs. 3–4.
 package core
 
 import (
@@ -237,6 +239,7 @@ type Factor struct {
 	Metrics *metrics.Registry
 
 	msrv *metrics.Server // live /metrics endpoint; nil unless MetricsAddr was set
+	dist *distSolve      // SolveDistributed's reusable state; nil until its first call
 }
 
 // MetricsAddr returns the bound address of the metrics endpoint ("" when
@@ -396,8 +399,11 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 
 	start := machine.WallNow()
 	totalTasks := int64(opt.Formulation.TaskCount(tg))
+	// Rank r publishes its engine before the barrier that precedes every
+	// signal, and only rank r's Progress runs the handler for r.
+	rt.Handle(func(r *upcxx.Rank, m upcxx.Msg) { led.engines[r.ID].handle(m) })
 	err = rt.Run(func(r *upcxx.Rank) {
-		e := newEngine(r, st, tg, pa, m2d, &opt, dir, led.engines)
+		e := newEngine(r, st, tg, pa, m2d, &opt, dir)
 		e.progress = &progress
 		led.publish(e)
 		e.setup()
@@ -405,9 +411,9 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 			return
 		}
 		e.run()
-		// A rank that finishes early must keep serving RPCs until every
-		// rank is done: consumers whose announcements were lost direct
-		// re-requests at this rank.
+		// A rank that finishes early must keep handling signals until
+		// every rank is done: consumers whose announcements were lost
+		// direct re-requests at this rank.
 		e.drainUntil(&progress, totalTasks)
 	})
 	f.Stats.Wall = machine.WallSince(start)

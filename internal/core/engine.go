@@ -128,12 +128,6 @@ type engine struct {
 	form    symbolic.Formulation
 	nBlocks int32
 	dir     []upcxx.GlobalPtr // shared global directory of item pointers
-	// peers is the per-factorization engine registry (index = rank).
-	// Producer RPC closures use it to reach the consumer's inbox; the
-	// closure executes on the consumer's rank goroutine inside Progress()
-	// and goes through the locked enqueueSignal, because the consumer's
-	// helpers share the engine state.
-	peers []*engine
 
 	// mu guards the scheduler state listed above; cond wakes idle helpers
 	// when a task is pushed or the run ends.
@@ -158,7 +152,9 @@ type engine struct {
 	// avail caches source data this rank can consume, by item id (blocks,
 	// then delivered contributions). Guarded by e.mu; an entry is frozen
 	// once its ready flag is set, which is what licenses the two audited
-	// unlocked reads in hostOf and trsm.
+	// unlocked reads in hostOf and trsm. The entry of an item another rank
+	// produces starts out holding its slot of the receive slab (setup),
+	// which acquire's get fills.
 	avail []fetched
 
 	// blk holds the per-block ordered-apply state and arrived[ui] marks an
@@ -174,7 +170,7 @@ type engine struct {
 	lanes []laneScratch
 
 	// signals received but not yet processed: item ids announced by
-	// producers via RPC. Guarded by e.mu.
+	// producers (msgAnnounce). Guarded by e.mu.
 	inbox []int32
 
 	// rtq is the ready task queue, a FIFO (paper §3.4: the next task is
@@ -194,8 +190,8 @@ type engine struct {
 	// produced[item] is set by this rank once it has produced and announced
 	// the item (a factored block, or a computed contribution under
 	// fan-in/fan-both); writers are whichever workers ran the task and the
-	// reader is the re-request RPC handler on the rank goroutine, so both
-	// sides go through mu. Guarded by e.mu.
+	// reader is the re-request handler on the rank goroutine, so both sides
+	// go through mu. Guarded by e.mu.
 	produced []bool
 	// wanted marks the source items this rank's remaining tasks still
 	// await (nWanted of them); marks clear on acquire. Guarded by e.mu.
@@ -218,10 +214,10 @@ type engine struct {
 	met *coreMetrics
 }
 
-func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a *matrix.SparseSym, m2d symbolic.BlockMap, opt *Options, dir []upcxx.GlobalPtr, peers []*engine) *engine {
+func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a *matrix.SparseSym, m2d symbolic.BlockMap, opt *Options, dir []upcxx.GlobalPtr) *engine {
 	nItems := opt.Formulation.ItemCount(tg)
 	e := &engine{
-		r: r, st: st, tg: tg, a: a, m2d: m2d, opt: opt, dir: dir, peers: peers,
+		r: r, st: st, tg: tg, a: a, m2d: m2d, opt: opt, dir: dir,
 		form:      opt.Formulation,
 		nBlocks:   int32(len(st.Blocks)),
 		owned:     make([][]float64, len(st.Blocks)),
@@ -256,7 +252,8 @@ func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a 
 func (e *engine) mine(b *symbolic.Block) bool { return symbolic.OwnerOfBlock(e.m2d, b) == e.r.ID }
 
 // setup allocates and assembles owned blocks, publishes their global
-// pointers, and initializes all dependency counters and queues.
+// pointers, sizes the receive slab, and initializes all dependency counters
+// and queues.
 func (e *engine) setup() {
 	st, tg := e.st, e.tg
 	// No helper has started yet, so this is single-threaded — but take
@@ -336,14 +333,44 @@ func (e *engine) setup() {
 			e.push(taskFor(&st.Blocks[bi]), int32(bi))
 		}
 	}
-	for item, w := range e.wanted {
-		if w && e.itemProducer(int32(item)) != e.r.ID {
-			e.remote = append(e.remote, awaited{item: int32(item)})
-		}
-	}
+	e.receiveSlab()
 	e.met.tasksTotal.Set(float64(e.totalTasks))
 	e.mu.Unlock()
 	e.assemble()
+}
+
+// receiveSlab lists the wanted items other ranks produce in e.remote,
+// ascending by item id, and gives each one its slot of one slab as its
+// avail entry's host buffer: every remote item this rank will fetch, with
+// its size, is known before the first task runs, so the gets of the run
+// write into memory allocated once (as owned blocks live in one slab). A
+// failed get leaves its slot to the retry, and a duplicate announcement
+// finds the entry ready, so a slot is written by one successful get at
+// most. Callers hold e.mu.
+func (e *engine) receiveSlab() {
+	total := 0
+	for item, w := range e.wanted {
+		if w && e.itemProducer(int32(item)) != e.r.ID {
+			e.remote = append(e.remote, awaited{item: int32(item)})
+			total += e.itemLen(int32(item))
+		}
+	}
+	slab := make([]float64, total)
+	for _, w := range e.remote {
+		sz := e.itemLen(w.item)
+		e.avail[w.item].host = slab[:sz:sz]
+		slab = slab[sz:]
+	}
+}
+
+// itemLen is the element count of an item: a block's dense storage, or an
+// update's contribution.
+func (e *engine) itemLen(item int32) int {
+	if item < e.nBlocks {
+		m, n := blockDims(e.st, &e.st.Blocks[item])
+		return m * n
+	}
+	return e.contribLen(&e.tg.Updates[item-e.nBlocks])
 }
 
 // want marks an item as awaited by this rank's tasks; callers hold e.mu.
@@ -534,10 +561,10 @@ func (e *engine) mirrorHealth() {
 	e.met.wantedBlocks.Set(float64(e.nWanted))
 }
 
-// drainUntil keeps executing incoming RPCs after this rank's own tasks are
-// done, until the job-wide progress counter reaches total (or the job
+// drainUntil keeps handling incoming signals after this rank's own tasks
+// are done, until the job-wide progress counter reaches total (or the job
 // aborts). Without it a finished producer parked in the final barrier would
-// never run the re-request RPCs other ranks aim at it.
+// never answer the re-requests other ranks aim at it.
 func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
 	rt := e.r.Runtime()
 	idle := 0
@@ -557,13 +584,13 @@ func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
 // the item yet ignores the request (the real announcement will come); one
 // whose announcement was dropped re-signals, and the consumer's normal
 // poll path takes it from there. Per-item exponential backoff keeps the
-// recovery traffic bounded, and the request/redeliver RPCs are themselves
-// subject to injection — the protocol only assumes the network delivers
-// eventually, not reliably.
+// recovery traffic bounded, and the request/redeliver signals are
+// themselves subject to injection — the protocol only assumes the network
+// delivers eventually, not reliably.
 func (e *engine) reRequestLost() {
 	// Callers hold e.mu (wanted/remote are scheduler state).
 	now := machine.WallNow().UnixNano()
-	// e.remote ascends by item id: the recovery RPCs race the normal
+	// e.remote ascends by item id: the recovery signals race the normal
 	// announcement path, so their order must be a function of the items,
 	// not of when each was first awaited.
 	kept := e.remote[:0]
@@ -581,35 +608,50 @@ func (e *engine) reRequestLost() {
 	e.remote = kept
 }
 
-// reRequest asks an item's producer to re-announce it if already produced;
-// callers hold e.mu.
+// reRequest asks an item's producer to re-announce it if already produced
+// (msgReRequest); callers hold e.mu.
 func (e *engine) reRequest(b int32) {
-	rt := e.r.Runtime()
 	owner := e.itemProducer(b)
-	requester := e.r.ID
-	peers := e.peers
 	e.met.reRequests.Inc()
-	rt.CountReRequest()
+	e.r.Runtime().CountReRequest()
 	if tr := e.opt.Trace; tr != nil {
 		tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", b, owner))
 	}
-	e.r.RPC(owner, func(t *upcxx.Rank) {
-		// Runs on the producer's rank goroutine: if the item is done,
-		// re-announce it to the requester; duplicates are absorbed by
-		// acquire. produced is written by the producer's workers, so
-		// read it under the producer's mu.
-		pe := peers[t.ID]
-		pe.mu.Lock()
-		done := pe.produced[b]
-		pe.mu.Unlock()
+	e.r.Signal(owner, upcxx.Msg{Kind: msgReRequest, ID: b})
+}
+
+// The kinds of upcxx.Msg. The factorization's handler (engine.handle)
+// takes the first two, the distributed solve's (solveRank.handle) the
+// other two; each run registers one handler.
+const (
+	msgAnnounce  uint8 = iota // item ID is produced: fetch it (Fig. 4 step 1)
+	msgReRequest              // re-announce item ID to From if already produced
+	msgSegment                // segment ID is final for sweep Back: run its readers
+	msgContrib                // block ID's sweep-Back contribution is in its slot
+)
+
+// handle is the factorization's signal handler. It runs on this rank's
+// goroutine inside Progress, so it reaches scheduler state only through
+// e.mu: the rank's helpers share it.
+func (e *engine) handle(m upcxx.Msg) {
+	switch m.Kind {
+	case msgAnnounce:
+		e.enqueueSignal(m.ID)
+	case msgReRequest:
+		// If the item is done, re-announce it to the requester; duplicates
+		// are absorbed by acquire. produced is written by this rank's
+		// workers, so read it under mu.
+		e.mu.Lock()
+		done := e.produced[m.ID]
+		e.mu.Unlock()
 		if !done {
 			return
 		}
-		rt.CountRedelivery()
-		t.RPC(requester, func(c *upcxx.Rank) {
-			peers[c.ID].enqueueSignal(b)
-		})
-	})
+		e.r.Runtime().CountRedelivery()
+		e.r.Signal(int(m.From), upcxx.Msg{Kind: msgAnnounce, ID: m.ID})
+	default:
+		panic(fmt.Sprintf("core: factorization signal of kind %d", m.Kind))
+	}
 }
 
 // retryNow clears a remote item's re-request backoff after a failed fetch,
@@ -622,7 +664,7 @@ func (e *engine) retryNow(item int32) {
 }
 
 // enqueueSignal records an announced block id for the next poll. It is the
-// only inbox writer and runs inside RPC closures on this rank's own
+// only inbox writer and runs inside the signal handler on this rank's own
 // goroutine; the lock orders it against the poll drain and against health
 // snapshots taken while helpers run.
 func (e *engine) enqueueSignal(bid int32) {
@@ -631,7 +673,7 @@ func (e *engine) enqueueSignal(bid int32) {
 	e.mu.Unlock()
 }
 
-// poll drains the RPC queue (which enqueues announced block ids into the
+// poll drains the signal queue (which enqueues announced block ids into the
 // inbox) and then fetches each announced block with a one-sided get,
 // updating dependency counters — paper Fig. 4 steps 2–6. Only the rank
 // goroutine (factorLoop) calls it.
@@ -647,15 +689,16 @@ func (e *engine) poll() {
 	e.mu.Unlock()
 }
 
-// acquire makes a source item locally available (fetching it if remote)
-// and propagates dependency decrements: a block readies the F/U tasks
-// consuming it, a contribution item readies its apply task. It is
-// idempotent — duplicated announcements return early — and fault-tolerant:
-// a transfer whose retry budget ran out leaves the item in the wanted set,
-// where the re-request protocol triggers a fresh announcement and a fresh
-// fetch. Callers hold e.mu; the mutex release at the subsequent pop is the
-// happens-before edge that lets workers read avail entries unlocked
-// afterwards (acquire never rewrites a ready entry).
+// acquire makes a source item locally available (fetching it if remote,
+// into its receive-slab slot) and propagates dependency decrements: a block
+// readies the F/U tasks consuming it, a contribution item readies its apply
+// task. It is idempotent — duplicated announcements return early — and
+// fault-tolerant: a transfer whose retry budget ran out leaves the item in
+// the wanted set, where the re-request protocol triggers a fresh
+// announcement and a fresh fetch into the same slot. Callers hold e.mu; the
+// mutex release at the subsequent pop is the happens-before edge that lets
+// workers read avail entries unlocked afterwards (acquire never rewrites a
+// ready entry).
 func (e *engine) acquire(item int32) {
 	fc := &e.avail[item]
 	if fc.ready {
@@ -690,8 +733,7 @@ func (e *engine) acquire(item int32) {
 			}
 		}
 		if fc.dev == nil {
-			host := make([]float64, src.Len())
-			if f := e.r.Rget(src, host); !f.OK() {
+			if f := e.r.Rget(src, fc.host); !f.OK() {
 				// Retries exhausted: keep the block wanted and let the
 				// re-request path re-signal it; a later acquire retries
 				// the get with a fresh attempt budget.
@@ -699,7 +741,6 @@ func (e *engine) acquire(item int32) {
 				e.retryNow(bid)
 				return
 			}
-			fc.host = host
 		}
 	}
 	e.acquired(item)
@@ -749,18 +790,15 @@ func (e *engine) acquired(item int32) {
 // first. Callers hold e.mu.
 func (e *engine) acquireContribution(item int32) {
 	src := e.dir[item]
-	// Computed on this rank (the compute owner is also the target owner):
-	// the published buffer is directly readable.
-	host := src.Data
-	if int(src.Rank) != e.r.ID {
-		host = make([]float64, src.Len())
-		if f := e.r.Rget(src, host); !f.OK() {
-			e.met.fetchFailures.Inc()
-			e.retryNow(item)
-			return
-		}
+	if int(src.Rank) == e.r.ID {
+		// Computed on this rank (the compute owner is also the target
+		// owner): the published buffer is directly readable.
+		e.avail[item].host = src.Data
+	} else if f := e.r.Rget(src, e.avail[item].host); !f.OK() {
+		e.met.fetchFailures.Inc()
+		e.retryNow(item)
+		return
 	}
-	e.avail[item].host = host
 	e.acquired(item)
 	e.push(taskApply, item-e.nBlocks)
 }
@@ -889,8 +927,8 @@ func (e *engine) execute(t task, lane int32) {
 // produced so the re-request protocol can serve consumers whose
 // notification the network lost. The producing worker's write to the item
 // data happens-before every consumer read: locally via e.mu (acquire under
-// the same lock the consuming pop takes), remotely via the RPC queue lock
-// followed by the consumer's inbox drain under its mu.
+// the same lock the consuming pop takes), remotely via the consumer's
+// signal queue lock followed by its inbox drain under its mu.
 func (e *engine) announce(bid int32, ls *laneScratch) {
 	e.mu.Lock()
 	e.produced[bid] = true
@@ -906,13 +944,9 @@ func (e *engine) announce(bid int32, ls *laneScratch) {
 		if rank == e.r.ID {
 			continue
 		}
-		b := bid
-		peers := e.peers
-		e.r.RPC(rank, func(target *upcxx.Rank) {
-			// Runs on the consumer's rank goroutine inside Progress():
-			// record the notification; the consumer's poll does the get.
-			peers[target.ID].enqueueSignal(b)
-		})
+		// The consumer's handler records the notification; its poll does
+		// the get.
+		e.r.Signal(rank, upcxx.Msg{Kind: msgAnnounce, ID: bid})
 	}
 	ls.ranks = ls.ranks[:0]
 }

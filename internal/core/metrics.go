@@ -221,7 +221,7 @@ func (l *ledger) health() *HealthReport {
 			Total:           int(e.met.tasksTotal.Value()),
 			RTQDepth:        int(e.met.rtqDepth.Value()),
 			Inbox:           int(e.met.inboxDepth.Value()),
-			PendingRPCs:     e.r.PendingRPCs(),
+			PendingSignals:  e.r.PendingSignals(),
 			OutstandingDeps: int(e.met.wantedBlocks.Value()),
 			ReRequests:      int64(e.met.reRequests.Value()),
 		})

@@ -14,14 +14,16 @@ import (
 // SolveDistributed solves A·x = b with the supernodal triangular solves
 // executed across the factorization's rank layout: forward substitution
 // fans each solved supernode segment out to its panel-block owners, whose
-// contributions fan in (as aggregate vectors, §2.3's second message kind)
-// to the segment owners of the target supernodes; the backward pass is the
-// same sweep with the roles of a block's row and column supernode swapped.
-// Communication uses the same RPC-notification machinery as the
-// factorization.
+// contributions fan in (§2.3's second message kind) to the segment owners
+// of the target supernodes; the backward pass is the same sweep with the
+// roles of a block's row and column supernode swapped. Communication uses
+// the same typed signals as the factorization; a contribution travels in
+// its block's slot of a slab both ends share, the signal only names it.
 //
-// Unlike Solve it writes to the factor (SolveStats, Metrics), so calls on
-// one Factor must not overlap.
+// The state the pattern determines is built by the first call and reused
+// by the later ones (see distSolve). Unlike Solve it writes to the factor
+// (that state, SolveStats, Metrics), so calls on one Factor must not
+// overlap.
 func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 	st := f.St
 	n := st.N
@@ -29,8 +31,8 @@ func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("core: rhs length %d, want %d", len(b), n)
 	}
 	opt := f.Opt
-	// The solve's one-shot aggregate-vector RPCs are not idempotent the way
-	// the factorization's announcements are, so only generic faults (delays,
+	// A contribution signal is consumed once, not idempotent the way the
+	// factorization's announcements are, so only generic faults (delays,
 	// failing transfers, rank stalls) are injected; drop/dup target the
 	// factor-announcement protocol and would wedge or corrupt a solve.
 	rt, err := newRuntime(opt, newInjector(opt).Restrict(
@@ -38,64 +40,25 @@ func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	m2d := symbolic.NewBlockMap(opt.Mapping, opt.Ranks, st)
-
+	d := f.distSolve()
 	// The one vector of the solve, in factor ordering: b on entry, y after
 	// the forward sweep, x after the backward one. Segment k is written only
-	// by segOwner(k); another rank reads it only after the owner's RPC told
-	// it the segment is final for the sweep.
-	y := make([]float64, n)
-	for k := range y {
-		y[k] = b[st.Perm[k]]
+	// by segOwner(k); another rank reads it only after the owner's signal
+	// told it the segment is final for the sweep.
+	for k := range d.y {
+		d.y[k] = b[st.Perm[k]]
 	}
-
-	// Off-diagonal block ids grouped by row supernode (the backward sweep's
-	// fan-out), as a CSR filled in block-id order. Counting at i+2 leaves
-	// rowPtr[i+1] at the start of row i after the prefix sum, so the fill's
-	// cursor increments turn it into the end of row i — the start of i+1.
-	nsn := st.NumSupernodes()
-	rowPtr := make([]int32, nsn+2)
-	for bi := range st.Blocks {
-		if bl := &st.Blocks[bi]; !bl.IsDiag() {
-			rowPtr[bl.RowSn+2]++
-		}
+	for _, e := range d.solvers {
+		e.reset()
 	}
-	for i := 2; i < len(rowPtr); i++ {
-		rowPtr[i] += rowPtr[i-1]
-	}
-	rowBlk := make([]int32, rowPtr[nsn+1])
-	for bi := range st.Blocks {
-		if bl := &st.Blocks[bi]; !bl.IsDiag() {
-			rowBlk[rowPtr[bl.RowSn+1]] = bl.ID
-			rowPtr[bl.RowSn+1]++
-		}
-	}
-
-	// Every rank's share is set up here, before the ranks run, so a handler
-	// may reach any peer from the first message on. A rank's tasks are two
-	// sweeps × (the segments + the panel blocks it owns).
 	start := machine.WallNow()
-	ranks := make([]*solveRank, opt.Ranks)
-	for p := range ranks {
-		ranks[p] = &solveRank{
-			f: f, m2d: m2d, peers: ranks, y: y, rowPtr: rowPtr, rowBlk: rowBlk,
-			count: make([]int32, nsn), sent: make([]int32, opt.Ranks),
-		}
-	}
-	for bi := range st.Blocks {
-		bl := &st.Blocks[bi]
-		owner := symbolic.OwnerOfBlock(m2d, bl)
-		if bl.IsDiag() {
-			owner = ranks[0].segOwner(bl.Snode)
-		}
-		ranks[owner].total += 2
-	}
-	if err := rt.Run(func(r *upcxx.Rank) { ranks[r.ID].run(r) }); err != nil {
+	rt.Handle(d.handler)
+	if err := rt.Run(func(r *upcxx.Rank) { d.solvers[r.ID].run(r) }); err != nil {
 		return nil, err
 	}
 	f.SolveStats.Wall = machine.WallSince(start)
 	f.SolveStats.ModelSeconds = 0
-	for _, e := range ranks {
+	for _, e := range d.solvers {
 		if s := e.r.Elapsed(); s > f.SolveStats.ModelSeconds {
 			f.SolveStats.ModelSeconds = s
 		}
@@ -108,10 +71,93 @@ func (f *Factor) SolveDistributed(b []float64) ([]float64, error) {
 	}
 	// Permute back to the original ordering.
 	x := make([]float64, n)
-	for k, v := range y {
+	for k, v := range d.y {
 		x[st.Perm[k]] = v
 	}
 	return x, nil
+}
+
+// distSolve is what a distributed solve needs beyond the vector it solves:
+// all of it follows from the factor's structure and its rank layout, so
+// the first SolveDistributed on a Factor builds it and the later ones
+// reuse it, for the Ranks and Mapping it was built with.
+type distSolve struct {
+	nranks  int
+	mapping MappingKind
+
+	y []float64 // the permuted vector, shared by all ranks
+	// contrib holds, per off-diagonal block, its forward contribution
+	// (NRows elements) followed by its backward one (its supernode's
+	// NCols), from offset off[bid]: the sender writes the slot, the signal
+	// names it, the target segment's owner reads it.
+	contrib []float64
+	off     []int
+
+	solvers []*solveRank
+	handler upcxx.Handler // dispatches a signal to its rank's solveRank
+}
+
+// distSolve returns the factor's distributed-solve state, building it on
+// first use or when the rank layout changed since.
+func (f *Factor) distSolve() *distSolve {
+	if d := f.dist; d != nil && d.nranks == f.Opt.Ranks && d.mapping == f.Opt.Mapping {
+		return d
+	}
+	st := f.St
+	p := f.Opt.Ranks
+	m2d := symbolic.NewBlockMap(f.Opt.Mapping, p, st)
+	d := &distSolve{nranks: p, mapping: f.Opt.Mapping, y: make([]float64, st.N), off: make([]int, len(st.Blocks))}
+
+	// Off-diagonal block ids grouped by row supernode (the backward sweep's
+	// fan-out), as a CSR filled in block-id order. Counting at i+2 leaves
+	// rowPtr[i+1] at the start of row i after the prefix sum, so the fill's
+	// cursor increments turn it into the end of row i — the start of i+1.
+	nsn := st.NumSupernodes()
+	rowPtr := make([]int32, nsn+2)
+	size := 0
+	for bi := range st.Blocks {
+		if bl := &st.Blocks[bi]; !bl.IsDiag() {
+			rowPtr[bl.RowSn+2]++
+			d.off[bi] = size
+			size += int(bl.NRows) + st.Snodes[bl.Snode].NCols()
+		}
+	}
+	d.contrib = make([]float64, size)
+	for i := 2; i < len(rowPtr); i++ {
+		rowPtr[i] += rowPtr[i-1]
+	}
+	rowBlk := make([]int32, rowPtr[nsn+1])
+	for bi := range st.Blocks {
+		if bl := &st.Blocks[bi]; !bl.IsDiag() {
+			rowBlk[rowPtr[bl.RowSn+1]] = bl.ID
+			rowPtr[bl.RowSn+1]++
+		}
+	}
+
+	// Every rank's share is set up before the ranks run, so a handler may
+	// reach any peer from the first message on. A rank's tasks are two
+	// sweeps × (the segments + the panel blocks it owns).
+	d.solvers = make([]*solveRank, p)
+	for q := range d.solvers {
+		d.solvers[q] = &solveRank{
+			f: f, d: d, m2d: m2d, rowPtr: rowPtr, rowBlk: rowBlk,
+			count: make([]int32, nsn), sent: make([]int32, p),
+		}
+	}
+	for bi := range st.Blocks {
+		bl := &st.Blocks[bi]
+		owner := symbolic.OwnerOfBlock(m2d, bl)
+		if bl.IsDiag() {
+			owner = d.solvers[0].segOwner(bl.Snode)
+		}
+		d.solvers[owner].total += 2
+	}
+	for _, e := range d.solvers {
+		e.rtq = make([]solveTask, 0, e.total)
+	}
+	d.handler = func(r *upcxx.Rank, m upcxx.Msg) { d.solvers[r.ID].handle(m) }
+	f.dist = d
+	return d
 }
 
 // SolveDistributedMulti runs the distributed solve for several right-hand
@@ -148,13 +194,12 @@ type solveTask struct {
 // readers are the blocks whose rows lie in k and a block updates its column
 // supernode.
 type solveRank struct {
-	r     *upcxx.Rank
-	f     *Factor
-	m2d   symbolic.BlockMap
-	peers []*solveRank
+	r   *upcxx.Rank
+	f   *Factor
+	d   *distSolve
+	m2d symbolic.BlockMap
 
-	y              []float64 // the permuted vector, shared by all ranks
-	rowPtr, rowBlk []int32   // off-diagonal block ids by row supernode (CSR)
+	rowPtr, rowBlk []int32 // off-diagonal block ids by row supernode (CSR)
 
 	// count[k] is the number of updates segment k still waits for in the
 	// current sweep; only segOwner(k)'s entry is used.
@@ -165,16 +210,33 @@ type solveRank struct {
 	stamp int32
 
 	// rtq is a FIFO with room for all of the rank's tasks, each of which is
-	// pushed exactly once; head counts the tasks done.
+	// pushed exactly once per solve; head counts the tasks done.
 	rtq         []solveTask
 	head, total int
+}
+
+// reset readies the rank for another solve.
+func (e *solveRank) reset() {
+	e.rtq, e.head, e.stamp = e.rtq[:0], 0, 0
+	clear(e.sent)
+}
+
+// slot returns block bid's contribution slot for a sweep.
+func (e *solveRank) slot(bid int32, back bool) []float64 {
+	st := e.f.St
+	bl := &st.Blocks[bid]
+	lo, n := e.d.off[bid], int(bl.NRows)
+	if back {
+		lo, n = lo+n, st.Snodes[bl.Snode].NCols()
+	}
+	return e.d.contrib[lo : lo+n : lo+n]
 }
 
 // segOwner returns the rank owning supernode k's segment of the vector.
 // Segments are distributed 1D-cyclically: the 2D block map would place
 // every diagonal block on the process grid's diagonal (few distinct ranks),
 // serializing the solve's diagonal chain.
-func (e *solveRank) segOwner(k int32) int { return int(k) % len(e.peers) }
+func (e *solveRank) segOwner(k int32) int { return int(k) % e.d.nranks }
 
 // readers returns the off-diagonal blocks that read segment k in a sweep,
 // as a span lo ≤ i < hi of positions that blockAt resolves: forward the
@@ -213,7 +275,6 @@ func (e *solveRank) push(t solveTask) { e.rtq = append(e.rtq, t) }
 // and executes ready tasks until all of the rank's tasks are done.
 func (e *solveRank) run(r *upcxx.Rank) {
 	e.r = r
-	e.rtq = make([]solveTask, 0, e.total)
 	for k := range e.count {
 		if e.segOwner(int32(k)) == r.ID {
 			e.arm(int32(k), false)
@@ -238,6 +299,21 @@ func (e *solveRank) run(r *upcxx.Rank) {
 	}
 }
 
+// handle is the solve's signal handler, run on the target rank inside
+// Progress: a segment final for a sweep releases the rank's readers of it
+// (msgSegment), a contribution in its slot is folded into its segment
+// (msgContrib).
+func (e *solveRank) handle(m upcxx.Msg) {
+	switch m.Kind {
+	case msgSegment:
+		e.deliver(m.ID, m.Back)
+	case msgContrib:
+		e.apply(m.ID, m.Back)
+	default:
+		panic(fmt.Sprintf("core: solve signal of kind %d", m.Kind))
+	}
+}
+
 // runDiag solves segment k against its diagonal block — every update of
 // this sweep is already folded in — and fans it out, one message per rank,
 // to the owners of the blocks that read it.
@@ -250,7 +326,7 @@ func (e *solveRank) runDiag(k int32, back bool) {
 		trans = blas.Transpose
 	}
 	blas.Trsm(blas.Left, blas.Lower, trans, nc, 1, 1,
-		e.f.Data[st.DiagBlock(k).ID], nc, e.y[sn.FirstCol:int(sn.FirstCol)+nc], nc)
+		e.f.Data[st.DiagBlock(k).ID], nc, e.d.y[sn.FirstCol:int(sn.FirstCol)+nc], nc)
 	e.r.Charge(e.f.Opt.Machine.CPUTime(int64(nc) * int64(nc)))
 	if !back {
 		// Re-arm the counter for the backward sweep before y_k leaves this
@@ -270,8 +346,7 @@ func (e *solveRank) runDiag(k int32, back bool) {
 			e.deliver(k, back)
 			continue
 		}
-		to := e.peers[owner]
-		e.r.RPC(owner, func(*upcxx.Rank) { to.deliver(k, back) })
+		e.r.Signal(owner, upcxx.Msg{Kind: msgSegment, Back: back, ID: k})
 		chargeMsg(e.r, owner, int64(nc)*8)
 	}
 }
@@ -287,31 +362,33 @@ func (e *solveRank) deliver(k int32, back bool) {
 }
 
 // runPanel computes block B_{i,k}'s contribution — forward c = L_{i,k}·y_k
-// for segment i, backward c = L_{i,k}ᵀ·y_i for segment k — and sends it to
-// the target segment's owner as an aggregate vector.
+// for segment i, backward c = L_{i,k}ᵀ·y_i for segment k — into the block's
+// slot for the sweep and signals the target segment's owner. The slot is
+// written here and read by apply, on this rank or, after the signal has
+// passed through the target's queue lock, on the target.
 func (e *solveRank) runPanel(bid int32, back bool) {
 	st := e.f.St
 	bl := &st.Blocks[bid]
 	sn := &st.Snodes[bl.Snode]
 	nc, m := sn.NCols(), int(bl.NRows)
 	data := e.f.Data[bid]
-	var c []float64
+	y := e.d.y
+	c := e.slot(bid, back)
 	tgt := bl.RowSn
 	if back {
 		tgt = bl.Snode
 		rows := sn.Rows[bl.RowOff : bl.RowOff+bl.NRows]
-		c = make([]float64, nc)
 		for col := range c {
 			colv := data[col*m : col*m+m]
 			var s float64
 			for x, r := range rows {
-				s += float64(colv[x] * e.y[r])
+				s += float64(colv[x] * y[r])
 			}
 			c[col] = s
 		}
 	} else {
-		c = make([]float64, m)
-		for col, t := range e.y[sn.FirstCol : int(sn.FirstCol)+nc] {
+		clear(c)
+		for col, t := range y[sn.FirstCol : int(sn.FirstCol)+nc] {
 			if t == 0 {
 				continue
 			}
@@ -324,31 +401,33 @@ func (e *solveRank) runPanel(bid int32, back bool) {
 	e.r.Charge(e.f.Opt.Machine.CPUTime(2 * int64(m) * int64(nc)))
 	owner := e.segOwner(tgt)
 	if owner == e.r.ID {
-		e.apply(bid, back, c)
+		e.apply(bid, back)
 		return
 	}
-	to := e.peers[owner]
-	e.r.RPC(owner, func(*upcxx.Rank) { to.apply(bid, back, c) })
+	e.r.Signal(owner, upcxx.Msg{Kind: msgContrib, Back: back, ID: bid})
 	chargeMsg(e.r, owner, int64(len(c))*8)
 }
 
 // apply runs on the target segment's owner: it subtracts block bid's
-// contribution — forward at the block's rows, backward at its supernode's
-// columns — and schedules the diagonal solve when it was the last one.
-func (e *solveRank) apply(bid int32, back bool, c []float64) {
+// contribution for the sweep, read from its slot — forward at the block's
+// rows, backward at its supernode's columns — and schedules the diagonal
+// solve when it was the last one.
+func (e *solveRank) apply(bid int32, back bool) {
 	st := e.f.St
 	bl := &st.Blocks[bid]
 	sn := &st.Snodes[bl.Snode]
+	y := e.d.y
+	c := e.slot(bid, back)
 	k := bl.RowSn
 	if back {
 		k = bl.Snode
-		seg := e.y[sn.FirstCol:]
+		seg := y[sn.FirstCol:]
 		for i, v := range c {
 			seg[i] -= v
 		}
 	} else {
 		for x, r := range sn.Rows[bl.RowOff : bl.RowOff+bl.NRows] {
-			e.y[r] -= c[x]
+			y[r] -= c[x]
 		}
 	}
 	e.count[k]--
@@ -357,8 +436,8 @@ func (e *solveRank) apply(bid int32, back bool, c []float64) {
 	}
 }
 
-// chargeMsg accounts the modeled cost of an aggregate-vector message on
-// the sending rank (host-resident payloads move on the host-host path).
+// chargeMsg accounts the modeled cost of a contribution or segment payload
+// on the sending rank (host-resident payloads move on the host-host path).
 func chargeMsg(r *upcxx.Rank, owner int, bytes int64) {
 	rt := r.Runtime()
 	r.Charge(rt.Network().Time(simnet.PathHostHost, bytes, rt.Node(r.ID) == rt.Node(owner)))

@@ -301,7 +301,7 @@ func New(plan Plan, actors int) *Injector {
 // Restrict returns a view of the injector limited to the given classes; the
 // underlying counters and sequences are shared. The solve phase uses this to
 // keep generic faults (delays, transfer failures, stalls) while excluding
-// the announcement-protocol faults its one-shot RPCs cannot recover from.
+// the announcement-protocol faults its one-shot signals cannot recover from.
 func (in *Injector) Restrict(classes ...Class) *Injector {
 	if in == nil {
 		return nil

@@ -13,7 +13,7 @@
 // machine-local and therefore rank-nondeterministic), unseeded math/rand,
 // and %p pointer formatting. Sinks: RTQ entries (writes to the fields of
 // core's task), wire/signal payloads in internal/upcxx
-// (RPC targets, Rput payloads, NewArrayFrom initializers),
+// (Signal targets and messages, Rput payloads, NewArrayFrom initializers),
 // scheduling-queue elements (container/heap.Push), trace
 // ordering fields, and factor values entering internal/blas kernels.
 //
@@ -241,10 +241,18 @@ func callSinks(pass *analysis.Pass, call *ast.CallExpr) []taint.SinkUse {
 			if a, ok := arg(0); ok {
 				return []taint.SinkUse{{Value: a, Desc: "a wire-visible array initialization"}}
 			}
-		case "RPC":
+		case "Signal":
+			// A signal is the runtime's remote procedure call: the rank it
+			// goes to and the message it carries (kind, id, sweep bit) both
+			// decide what runs where.
+			var uses []taint.SinkUse
 			if a, ok := arg(0); ok {
-				return []taint.SinkUse{{Value: a, Desc: "an RPC target rank"}}
+				uses = append(uses, taint.SinkUse{Value: a, Desc: "an RPC target rank"})
 			}
+			if a, ok := arg(1); ok {
+				uses = append(uses, taint.SinkUse{Value: a, Desc: "a signal payload"})
+			}
+			return uses
 		}
 	case path == "container/heap" && fn.Name() == "Push":
 		if a, ok := arg(1); ok {

@@ -88,14 +88,24 @@ func broadcast(r *upcxx.Rank, weights map[string]float64) {
 	route.Publish(r, vals) // want "map iteration order\\) flows into an Rput wire payload via route\\.Publish"
 }
 
-// pick routes an RPC to a map-order-dependent rank.
+// pick routes a signal to a map-order-dependent rank.
 func pick(r *upcxx.Rank, owners map[int]bool) {
 	target := 0
 	for o := range owners {
 		target = o
 		break
 	}
-	r.RPC(target, func(peer *upcxx.Rank) { _ = peer }) // want "map iteration order\\) flows into an RPC target rank"
+	r.Signal(target, upcxx.Msg{ID: 1}) // want "map iteration order\\) flows into an RPC target rank"
+}
+
+// announceFirst names a map-order-dependent item in a signal.
+func announceFirst(r *upcxx.Rank, items map[int32]bool) {
+	var id int32
+	for it := range items {
+		id = it
+		break
+	}
+	r.Signal(1, upcxx.Msg{Kind: 0, ID: id}) // want "map iteration order\\) flows into a signal payload"
 }
 
 // seeded shows the constructor exclusion: an explicitly seeded generator

@@ -4,7 +4,14 @@ package upcxx
 
 type Rank struct{}
 
-func (r *Rank) Rput(src []float64, dst int)    {}
-func (r *Rank) RPC(target int, fn func(*Rank)) {}
+type Msg struct {
+	Kind uint8
+	Back bool
+	From int32
+	ID   int32
+}
+
+func (r *Rank) Rput(src []float64, dst int) {}
+func (r *Rank) Signal(target int, m Msg)    {}
 
 func NewArrayFrom(vals []float64) []float64 { return vals }

@@ -40,20 +40,27 @@ func TestFutureErrorPropagation(t *testing.T) {
 	}
 }
 
+// countHits registers a handler that counts the signals delivered.
+func countHits(rt *Runtime) *atomic.Int64 {
+	var hits atomic.Int64
+	rt.Handle(func(*Rank, Msg) { hits.Add(1) })
+	return &hits
+}
+
 func TestInjectedDropSignal(t *testing.T) {
 	rt := newFaultyRT(t, 2, planOf(7, faults.DropSignal, 1.0, 0))
-	var hits atomic.Int64
+	hits := countHits(rt)
 	err := rt.Run(func(r *Rank) {
 		if r.ID == 0 {
 			for i := 0; i < 5; i++ {
-				r.RPC(1, func(*Rank) { hits.Add(1) })
+				r.Signal(1, Msg{ID: int32(i)})
 			}
 		}
 		if err := r.Barrier(); err != nil {
 			t.Error(err)
 			return
 		}
-		for r.PendingRPCs() > 0 {
+		for r.PendingSignals() > 0 {
 			r.Progress()
 		}
 	})
@@ -61,7 +68,7 @@ func TestInjectedDropSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hits.Load() != 0 {
-		t.Fatalf("drop rate 1.0 delivered %d RPCs", hits.Load())
+		t.Fatalf("drop rate 1.0 delivered %d signals", hits.Load())
 	}
 	if got := rt.Metrics().Value("sympack_upcxx_signals_dropped_total"); got != 5 {
 		t.Fatalf("dropped = %g, want 5", got)
@@ -70,18 +77,18 @@ func TestInjectedDropSignal(t *testing.T) {
 
 func TestInjectedDupSignal(t *testing.T) {
 	rt := newFaultyRT(t, 2, planOf(7, faults.DupSignal, 1.0, 0))
-	var hits atomic.Int64
+	hits := countHits(rt)
 	err := rt.Run(func(r *Rank) {
 		if r.ID == 0 {
 			for i := 0; i < 5; i++ {
-				r.RPC(1, func(*Rank) { hits.Add(1) })
+				r.Signal(1, Msg{ID: int32(i)})
 			}
 		}
 		if err := r.Barrier(); err != nil {
 			t.Error(err)
 			return
 		}
-		for r.PendingRPCs() > 0 {
+		for r.PendingSignals() > 0 {
 			r.Progress()
 		}
 	})
@@ -89,7 +96,7 @@ func TestInjectedDupSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hits.Load() != 10 {
-		t.Fatalf("dup rate 1.0 delivered %d RPCs, want 10", hits.Load())
+		t.Fatalf("dup rate 1.0 delivered %d signals, want 10", hits.Load())
 	}
 	if got := rt.Metrics().Value("sympack_upcxx_signals_duplicated_total"); got != 5 {
 		t.Fatalf("dup = %g, want 5", got)
@@ -98,11 +105,11 @@ func TestInjectedDupSignal(t *testing.T) {
 
 func TestInjectedDelaySignal(t *testing.T) {
 	rt := newFaultyRT(t, 2, planOf(7, faults.DelaySignal, 1.0, 0))
-	var hits atomic.Int64
+	hits := countHits(rt)
 	err := rt.Run(func(r *Rank) {
 		if r.ID == 0 {
 			for i := 0; i < 5; i++ {
-				r.RPC(1, func(*Rank) { hits.Add(1) })
+				r.Signal(1, Msg{ID: int32(i)})
 			}
 		}
 		if err := r.Barrier(); err != nil {
@@ -110,14 +117,14 @@ func TestInjectedDelaySignal(t *testing.T) {
 			return
 		}
 		if r.ID == 1 {
-			// Delayed RPCs sit in the delay queue and only run after
+			// Delayed signals sit in the delay queue and only run after
 			// enough progress ticks age them out.
 			rounds := 0
-			for r.PendingRPCs() > 0 {
+			for r.PendingSignals() > 0 {
 				r.Progress()
 				rounds++
 				if rounds > 100 {
-					t.Error("delayed RPCs never matured")
+					t.Error("delayed signals never matured")
 					return
 				}
 			}
@@ -127,7 +134,7 @@ func TestInjectedDelaySignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hits.Load() != 5 {
-		t.Fatalf("delivered %d RPCs, want 5", hits.Load())
+		t.Fatalf("delivered %d signals, want 5", hits.Load())
 	}
 	if got := rt.Metrics().Value("sympack_upcxx_signals_delayed_total"); got != 5 {
 		t.Fatalf("delayed = %g, want 5", got)

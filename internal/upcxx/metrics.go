@@ -22,7 +22,7 @@ type rtMetrics struct {
 	rgets        *metrics.Counter
 	rputs        *metrics.Counter
 	copies       *metrics.Counter
-	droppedAbort *metrics.Counter // RPCs issued after abort
+	droppedAbort *metrics.Counter // signals sent after abort
 
 	// Fault-injection and recovery counters (zero on a perfect network).
 	droppedSignals   *metrics.Counter
@@ -43,22 +43,22 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 		progressIters: reg.Counter("sympack_upcxx_progress_iterations_total",
 			"Progress() calls across all ranks"),
 		signalsReceived: reg.Counter("sympack_upcxx_signals_received_total",
-			"RPC handlers executed by Progress() across all ranks"),
+			"signals handled by Progress() across all ranks"),
 		rgetBytes: reg.Histogram("sympack_upcxx_rma_get_bytes",
 			"payload size of successful one-sided gets", metrics.BytesBuckets()),
 		rgetSeconds: reg.Histogram("sympack_upcxx_rma_get_seconds",
 			"modeled duration of successful one-sided gets (retry backoff included)",
 			metrics.SecondsBuckets()),
 
-		signalsSent:  reg.Counter("sympack_upcxx_signals_sent_total", "RPC notifications issued (paper Fig. 4 step 1)"),
+		signalsSent:  reg.Counter("sympack_upcxx_signals_sent_total", "signals sent (paper Fig. 4 step 1)"),
 		rgets:        reg.Counter("sympack_upcxx_rma_gets_total", "one-sided gets issued"),
 		rputs:        reg.Counter("sympack_upcxx_rma_puts_total", "one-sided puts issued"),
 		copies:       reg.Counter("sympack_upcxx_rma_copies_total", "memory-kinds copies issued"),
-		droppedAbort: reg.Counter("sympack_upcxx_rpcs_dropped_abort_total", "RPCs discarded because the job was aborting"),
+		droppedAbort: reg.Counter("sympack_upcxx_rpcs_dropped_abort_total", "signals discarded because the job was aborting"),
 
-		droppedSignals:   reg.Counter("sympack_upcxx_signals_dropped_total", "RPCs discarded by the fault injector"),
-		dupSignals:       reg.Counter("sympack_upcxx_signals_duplicated_total", "RPCs delivered twice by the fault injector"),
-		delayedSignals:   reg.Counter("sympack_upcxx_signals_delayed_total", "RPCs deferred by injected progress-tick delays"),
+		droppedSignals:   reg.Counter("sympack_upcxx_signals_dropped_total", "signals discarded by the fault injector"),
+		dupSignals:       reg.Counter("sympack_upcxx_signals_duplicated_total", "signals delivered twice by the fault injector"),
+		delayedSignals:   reg.Counter("sympack_upcxx_signals_delayed_total", "signals deferred by injected progress-tick delays"),
 		transferRetries:  reg.Counter("sympack_upcxx_transfer_retries_total", "transfer attempts that failed and retried"),
 		transferFailures: reg.Counter("sympack_upcxx_transfer_failures_total", "transfers whose retry budget ran out"),
 		stalls:           reg.Counter("sympack_upcxx_rank_stalls_total", "injected rank-stall windows"),
@@ -84,7 +84,7 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
 
 // CountReRequest and CountRedelivery record the two recovery events of the
-// lost-signal protocol, which the engine implements on top of RPC: a
+// lost-signal protocol, which the engine implements on top of Signal: a
 // consumer asking a producer to re-announce an item, and the producer
 // doing so.
 func (rt *Runtime) CountReRequest()  { rt.met.reRequests.Inc() }

@@ -5,8 +5,9 @@
 //   - ranks with private memory and global pointers carrying affinity;
 //   - one-sided RMA (Rget/Rput) that moves data without involving the
 //     remote rank's execution stream;
-//   - remote procedure calls enqueued on the target and executed when the
-//     target calls Progress() — the paper's signal(ptr,meta) notification;
+//   - typed signals: a fixed-size message value (Msg) enqueued on the
+//     target and handed to the job's one handler when the target calls
+//     Progress() — the paper's signal(ptr,meta) notification;
 //   - memory kinds: global pointers to device memory allocated from a
 //     per-rank device allocator, and a device-aware Copy() that models the
 //     zero-copy GPUDirect path (or the staged reference path) between any
@@ -43,7 +44,7 @@ type Config struct {
 	// (0 = unbounded). All ranks bound to a device share its capacity,
 	// as on a real node.
 	DeviceCapacity int64
-	// Faults, when non-nil, is consulted on every RPC, transfer, and
+	// Faults, when non-nil, is consulted on every signal, transfer, and
 	// device allocation; nil means a perfect network.
 	Faults *faults.Injector
 	// Trace, when non-nil, receives instant fault/recovery events so
@@ -85,6 +86,9 @@ type Runtime struct {
 	aborted atomic.Bool
 	failMu  sync.Mutex
 	failErr error
+
+	// handler interprets every delivered signal; set by Handle before Run.
+	handler Handler
 
 	// reg is the job's one counter store and met its hot-path handles
 	// (see metrics.go); created unconditionally by NewRuntime.
@@ -193,16 +197,22 @@ var ErrAborted = errors.New("upcxx: job aborted")
 
 // Rank is one simulated UPC++ process. A rank may host several goroutines
 // executing tasks (the engine's rank goroutine and its helpers); the clock
-// is charge-safe from any of them, while Progress is serialized so RPC
-// handlers keep the single-threaded execution guarantee of the real
+// is charge-safe from any of them, while Progress is serialized so signal
+// handling keeps the single-threaded execution guarantee of the real
 // library's progress engine.
 type Rank struct {
 	ID int
 	rt *Runtime
 
+	// inq receives signals (Signal appends under qmu); delayq is the
+	// injected-delay holding pen, matured by Progress. runq is the batch
+	// Progress is handling, touched only under progressMu: Progress swaps
+	// it with inq under qmu, so both backing arrays are reused and a drain
+	// neither allocates nor races an enqueue.
 	qmu    sync.Mutex
-	rpcq   []func(*Rank)
-	delayq []delayedRPC // injected-delay holding pen, matured by Progress
+	inq    []Msg
+	delayq []delayedMsg
+	runq   []Msg
 
 	// progressMu serializes Progress so handler execution is
 	// single-threaded per rank even if more than one goroutine polls.
@@ -212,10 +222,10 @@ type Rank struct {
 	clock  machine.Clock
 }
 
-// delayedRPC is an enqueued RPC the injector deferred by `ticks` progress
-// calls on the target.
-type delayedRPC struct {
-	fn    func(*Rank)
+// delayedMsg is a signal the injector deferred by `ticks` progress calls on
+// the target.
+type delayedMsg struct {
+	m     Msg
 	ticks int
 }
 
@@ -297,22 +307,41 @@ func (f Future) Err() error { return f.err }
 // OK reports whether the operation completed successfully.
 func (f Future) OK() bool { return f.err == nil }
 
-// ------------------------------------------------------------------ RPC ----
+// --------------------------------------------------------------- signals ----
 
-// RPC enqueues fn for execution on the target rank the next time it calls
-// Progress(). This is the paper's producer-side notification (Fig. 4 step
-// 1): fire-and-forget, no reply. Under fault injection the message may be
-// dropped (never enqueued), duplicated (enqueued twice — handlers must be
-// idempotent), or delayed (held until later Progress calls); the sender is
-// charged the wire latency in every case, as it would be on a real NIC.
-func (r *Rank) RPC(target int, fn func(*Rank)) {
+// Msg is the runtime's one message: a fixed-size value, the paper's
+// signal(ptr, meta). The pointer is implied — ID names an entry of a
+// directory both sides share — so a message carries no payload the
+// runtime must keep alive, and sending one allocates nothing.
+type Msg struct {
+	Kind uint8 // what the handler is to do; upcxx does not interpret it
+	Back bool  // sweep bit: which pass of a two-pass protocol sent it
+	From int32 // sending rank, set by Signal
+	ID   int32 // item, block or supernode id
+}
+
+// Handler interprets a delivered signal on the target rank, inside its
+// Progress call.
+type Handler func(r *Rank, m Msg)
+
+// Handle registers the job's one signal handler. Call it before Run; it
+// holds for every rank and every later Run on this runtime.
+func (rt *Runtime) Handle(h Handler) { rt.handler = h }
+
+// Signal enqueues m for the target rank's handler, run the next time the
+// target calls Progress(). This is the paper's producer-side notification
+// (Fig. 4 step 1): fire-and-forget, no reply. Under fault injection the
+// message may be dropped (never enqueued), duplicated (enqueued twice —
+// handlers must be idempotent), or delayed (held until later Progress
+// calls); the sender is charged the wire latency of a 64-byte active
+// message in every case, as it would be on a real NIC.
+func (r *Rank) Signal(target int, m Msg) {
 	rt := r.rt
 	if rt.ShouldAbort() {
 		rt.met.droppedAbort.Inc()
 		return
 	}
 	rt.met.signalsSent.Inc()
-	// A small active message: charge its latency to the initiator.
 	r.Charge(rt.net.Time(simnet.PathHostHost, 64, rt.Node(r.ID) == rt.Node(target)))
 	inj := rt.cfg.Faults
 	if inj.DropSignal(r.ID) {
@@ -331,28 +360,30 @@ func (r *Rank) RPC(target int, fn func(*Rank)) {
 		rt.met.delayedSignals.Inc()
 		rt.traceFault(int32(r.ID), "fault:delay-signal", fmt.Sprintf("to=%d ticks=%d", target, delay))
 	}
+	m.From = int32(r.ID)
 	t := rt.ranks[target]
 	t.qmu.Lock()
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
-			t.delayq = append(t.delayq, delayedRPC{fn: fn, ticks: delay})
+			t.delayq = append(t.delayq, delayedMsg{m: m, ticks: delay})
 		} else {
-			t.rpcq = append(t.rpcq, fn)
+			t.inq = append(t.inq, m)
 		}
 	}
 	t.qmu.Unlock()
 }
 
-// Progress executes all RPCs currently queued on this rank (Fig. 4 steps
-// 2–4) and returns how many ran. It also ages injector-delayed messages
-// (each Progress call is one tick) and serves as the injection point for
-// rank-stall windows, which freeze the rank in real time the way an OS
-// scheduler hiccup or congested progress thread would.
+// Progress hands every signal queued on this rank to the handler (Fig. 4
+// steps 2–4) and returns how many it handled. It also ages injector-delayed
+// messages (each Progress call is one tick) and serves as the injection
+// point for rank-stall windows, which freeze the rank in real time the way
+// an OS scheduler hiccup or congested progress thread would.
 //
 // Handlers run serialized: concurrent Progress calls queue behind one
-// another, so RPC closures may treat themselves as the only code running on
-// the rank's progress stream (they must still lock any state shared with
-// the rank's executor workers).
+// another, so a handler may treat itself as the only code running on the
+// rank's progress stream (it must still lock any state shared with the
+// rank's executor workers). A sender's writes before Signal happen-before
+// the handler's reads: the message passes through qmu.
 func (r *Rank) Progress() int {
 	r.progressMu.Lock()
 	defer r.progressMu.Unlock()
@@ -368,18 +399,19 @@ func (r *Rank) Progress() int {
 		for i := range r.delayq {
 			r.delayq[i].ticks--
 			if r.delayq[i].ticks <= 0 {
-				r.rpcq = append(r.rpcq, r.delayq[i].fn)
+				r.inq = append(r.inq, r.delayq[i].m)
 			} else {
 				kept = append(kept, r.delayq[i])
 			}
 		}
 		r.delayq = kept
 	}
-	q := r.rpcq
-	r.rpcq = nil
+	q := r.inq
+	r.inq, r.runq = r.runq[:0], q
 	r.qmu.Unlock()
-	for _, fn := range q {
-		fn(r)
+	h := r.rt.handler
+	for _, m := range q {
+		h(r, m)
 	}
 	r.rt.met.progressIters.Inc()
 	if len(q) > 0 {
@@ -388,12 +420,12 @@ func (r *Rank) Progress() int {
 	return len(q)
 }
 
-// PendingRPCs reports the queued-but-unexecuted RPC count, including
+// PendingSignals reports the queued-but-unhandled signal count, including
 // injector-delayed messages that have not matured yet.
-func (r *Rank) PendingRPCs() int {
+func (r *Rank) PendingSignals() int {
 	r.qmu.Lock()
 	defer r.qmu.Unlock()
-	return len(r.rpcq) + len(r.delayq)
+	return len(r.inq) + len(r.delayq)
 }
 
 // traceFault records an instant fault/recovery event when tracing is on.

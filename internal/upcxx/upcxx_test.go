@@ -39,11 +39,16 @@ func TestRunExecutesEveryRank(t *testing.T) {
 func TestRPCAndProgress(t *testing.T) {
 	rt := newRT(t, 4)
 	var sum atomic.Int64
+	rt.Handle(func(me *Rank, m Msg) {
+		if m.From != 0 || m.Kind != 3 || !m.Back {
+			t.Errorf("rank %d: delivered %+v", me.ID, m)
+		}
+		sum.Add(int64(m.ID) + int64(me.ID))
+	})
 	err := rt.Run(func(r *Rank) {
 		if r.ID == 0 {
 			for tgt := 1; tgt < 4; tgt++ {
-				v := int64(tgt * 10)
-				r.RPC(tgt, func(me *Rank) { sum.Add(v + int64(me.ID)) })
+				r.Signal(tgt, Msg{Kind: 3, Back: true, ID: int32(tgt * 10)})
 			}
 		}
 		if err := r.Barrier(); err != nil {
@@ -51,8 +56,8 @@ func TestRPCAndProgress(t *testing.T) {
 			return
 		}
 		if r.ID != 0 {
-			if r.PendingRPCs() != 1 {
-				t.Errorf("rank %d: pending = %d", r.ID, r.PendingRPCs())
+			if r.PendingSignals() != 1 {
+				t.Errorf("rank %d: pending = %d", r.ID, r.PendingSignals())
 			}
 			if n := r.Progress(); n != 1 {
 				t.Errorf("rank %d: progress ran %d", r.ID, n)
@@ -67,7 +72,7 @@ func TestRPCAndProgress(t *testing.T) {
 		t.Fatalf("sum = %d", sum.Load())
 	}
 	if got := rt.Metrics().Value("sympack_upcxx_signals_sent_total"); got != 3 {
-		t.Fatalf("rpc count = %g", got)
+		t.Fatalf("signal count = %g", got)
 	}
 }
 
@@ -287,7 +292,7 @@ func TestFailReleasesBarrierAndDropsRPCs(t *testing.T) {
 	err := rt.Run(func(r *Rank) {
 		if r.ID == 0 {
 			rt.Fail(errors.New("synthetic"))
-			r.RPC(1, func(*Rank) {}) // dropped after abort
+			r.Signal(1, Msg{}) // dropped after abort
 			return
 		}
 		if err := r.Barrier(); !errors.Is(err, ErrAborted) {
@@ -367,13 +372,29 @@ func TestRgetLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// Stress: a storm of concurrent RPCs and one-sided gets across ranks must
-// deliver every message exactly once (run with -race to check memory
+// Stress: a storm of concurrent signals and one-sided gets across ranks must
+// deliver every message exactly once, and the messages of one sender to one
+// target in the order they were sent (run with -race to check memory
 // safety).
 func TestRPCStorm(t *testing.T) {
 	const p, msgs = 8, 400
 	rt := newRT(t, p)
 	var delivered [p]atomic.Int64
+	// last[target][sender] is the sequence number of the latest message
+	// handled; only the target's serialized Progress touches its row.
+	var last [p][p]int32
+	for i := range last {
+		for j := range last[i] {
+			last[i][j] = -1
+		}
+	}
+	rt.Handle(func(me *Rank, m Msg) {
+		if m.ID <= last[me.ID][m.From] {
+			t.Errorf("rank %d: message %d from %d after %d", me.ID, m.ID, m.From, last[me.ID][m.From])
+		}
+		last[me.ID][m.From] = m.ID
+		delivered[me.ID].Add(1)
+	})
 	err := rt.Run(func(r *Rank) {
 		src := r.NewArray(64)
 		for i := range src.Data {
@@ -385,7 +406,7 @@ func TestRPCStorm(t *testing.T) {
 		}
 		for m := 0; m < msgs; m++ {
 			tgt := (r.ID + m + 1) % p
-			r.RPC(tgt, func(me *Rank) { delivered[me.ID].Add(1) })
+			r.Signal(tgt, Msg{ID: int32(m)})
 			if m%16 == 0 {
 				dst := make([]float64, 64)
 				r.Rget(src, dst)
@@ -398,7 +419,7 @@ func TestRPCStorm(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		for r.PendingRPCs() > 0 {
+		for r.PendingSignals() > 0 {
 			r.Progress()
 		}
 		if err := r.Barrier(); err != nil {
@@ -414,5 +435,28 @@ func TestRPCStorm(t *testing.T) {
 	}
 	if total != p*msgs {
 		t.Fatalf("delivered %d of %d messages", total, p*msgs)
+	}
+}
+
+// TestSignalDoesNotAllocate pins the typed protocol's point: once the two
+// queues have grown to a rank's traffic, sending and handling a signal
+// allocates nothing — Progress swaps the queues instead of dropping one.
+func TestSignalDoesNotAllocate(t *testing.T) {
+	rt := newRT(t, 2)
+	var hits int
+	rt.Handle(func(*Rank, Msg) { hits++ })
+	r0, r1 := rt.ranks[0], rt.ranks[1]
+	round := func() {
+		for i := 0; i < 8; i++ {
+			r0.Signal(1, Msg{ID: int32(i)})
+		}
+		r1.Progress()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocations per 8 signals and a drain, want 0", allocs)
+	}
+	if hits != 8*102 {
+		t.Errorf("handled %d signals, want %d", hits, 8*102)
 	}
 }
