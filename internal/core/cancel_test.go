@@ -76,18 +76,33 @@ func TestFactorizeDeadlineMidRun(t *testing.T) {
 // symbolic analysis untouched, so a follow-up factorization from the same
 // analysis succeeds and solves correctly.
 func TestCanceledRunLeavesAnalysisReusable(t *testing.T) {
-	a := gen.Laplace2D(12, 12)
+	const (
+		stall    = 2 * time.Millisecond
+		deadline = 50 * time.Millisecond
+	)
+	// At one rank small bottom subtrees run as one task each, so the problem
+	// must be large enough to leave many tasks: Laplace3D 10³ keeps 252.
+	a := gen.Laplace3D(10, 10, 10)
 	st, pa, err := symbolic.Analyze(a, ordering.NestedDissection, symbolic.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One rank, no helpers: every task pull is preceded by a stalled
+	// Progress, so the slowed run lasts at least tasks × stall. Default
+	// Workers would add unstalled helpers that finish first. A clean run
+	// counts the tasks; twice the deadline is the margin.
+	clean, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := clean.Metrics.Value("sympack_core_tasks_owned")
+	if floor := time.Duration(tasks) * stall; floor < 2*deadline {
+		t.Fatalf("%g tasks × %v = %v: the slowed run would not provably outlast its %v deadline", tasks, stall, floor, deadline)
+	}
 	plan := planWith(2, faults.RankStall, 1)
-	plan.StallWindow = 2 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	plan.StallWindow = stall
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	// One rank, no helpers: every task pull is preceded by a 2ms stalled
-	// Progress, which for this task count is far more than 50ms on any host.
-	// Default Workers would add unstalled helpers that finish first.
 	slowed := Options{Ranks: 1, Workers: 1, Faults: plan, Context: ctx}
 	if _, err := FactorizeAnalyzed(st, pa, slowed); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("slowed run: err=%v, want ErrCanceled", err)

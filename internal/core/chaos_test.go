@@ -66,29 +66,42 @@ func TestChaosMatrix(t *testing.T) {
 	a := gen.Laplace2D(9, 8)
 	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
 	cases := []struct {
-		name string
-		c    faults.Class
-		rate float64
-		gpus int
+		name    string
+		c       faults.Class
+		rate    float64
+		gpus    int
+		subtree bool // add MapSubtree at 4 ranks
 	}{
-		{"drop", faults.DropSignal, 0.3, 0},
-		{"dup", faults.DupSignal, 0.3, 0},
-		{"delay", faults.DelaySignal, 0.4, 0},
-		{"transfer", faults.TransientTransfer, 0.3, 0},
-		{"oom", faults.TransientOOM, 0.5, 1},
-		{"stall", faults.RankStall, 0.02, 0},
+		{"drop", faults.DropSignal, 0.3, 0, true},
+		{"dup", faults.DupSignal, 0.3, 0, true},
+		{"delay", faults.DelaySignal, 0.4, 0, true},
+		{"transfer", faults.TransientTransfer, 0.3, 0, true},
+		{"oom", faults.TransientOOM, 0.5, 1, false},
+		{"stall", faults.RankStall, 0.02, 0, false},
+	}
+	type layout struct {
+		name  string
+		ranks int
+		kind  MappingKind
 	}
 	// The workers axis crosses every fault class with helper goroutines:
 	// recovery must hold when the rank goroutine's polling races helpers
-	// executing tasks, not just when the rank runs alone.
+	// executing tasks, not just when the rank runs alone. The MapSubtree
+	// layout puts subtree tasks on every rank, whose blocks reach the ranks
+	// computing the updates that leave them through the faulted signals.
 	for _, tc := range cases {
+		layouts := []layout{{"p1", 1, Map2DCyclic}, {"p4", 4, Map2DCyclic}, {"p8", 8, Map2DCyclic}}
+		if tc.subtree {
+			layouts = append(layouts, layout{"p4-subtree", 4, MapSubtree})
+		}
 		for _, seed := range chaosSeeds(t) {
-			for _, ranks := range []int{1, 4, 8} {
+			for _, l := range layouts {
 				for _, workers := range []int{1, 4} {
-					t.Run(fmt.Sprintf("%s/seed%d/p%d/w%d", tc.name, seed, ranks, workers), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/seed%d/%s/w%d", tc.name, seed, l.name, workers), func(t *testing.T) {
 						opt := Options{
-							Ranks:        ranks,
+							Ranks:        l.ranks,
 							Workers:      workers,
+							Mapping:      l.kind,
 							Faults:       planWith(seed, tc.c, tc.rate),
 							StallTimeout: 20 * time.Second,
 						}
@@ -99,6 +112,9 @@ func TestChaosMatrix(t *testing.T) {
 						f, err := Factorize(a, opt)
 						if err != nil {
 							t.Fatalf("factorize under %s faults: %v", tc.name, err)
+						}
+						if l.kind == MapSubtree && !folded(f) {
+							t.Fatal("no subtree task under MapSubtree")
 						}
 						if r := distSolveCheck(t, a, f, seed); r > 1e-10 {
 							t.Fatalf("residual %g under %s faults", r, tc.name)

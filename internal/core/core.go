@@ -108,10 +108,11 @@ type Options struct {
 	// solves): when it is canceled or its deadline expires, every rank
 	// stops pulling new tasks and the call returns an error wrapping
 	// ErrCanceled. Checks happen at task-pull boundaries, so the latency
-	// from cancellation to return is one task execution — or, for an update
-	// that holds its target block's turn, that block's chain of deferred
-	// updates, which the turn holder computes one after another — not one
-	// job.
+	// from cancellation to return is one task execution — or, for a
+	// subtree task, one supernode of it (its kernels check the context
+	// between supernodes), and for an update that holds its target block's
+	// turn, that block's chain of deferred updates, which the turn holder
+	// computes one after another — not one job.
 	// Nil means no externally imposed bound (the stall watchdog still
 	// applies). The context is consulted only during the call it
 	// configures: the returned Factor's Opt.Context is nil.
@@ -398,7 +399,6 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 	}
 
 	start := machine.WallNow()
-	totalTasks := int64(opt.Formulation.TaskCount(tg))
 	// Rank r publishes its engine before the barrier that precedes every
 	// signal, and only rank r's Progress runs the handler for r.
 	rt.Handle(func(r *upcxx.Rank, m upcxx.Msg) { led.engines[r.ID].handle(m) })
@@ -410,11 +410,14 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 		if err := r.Barrier(); err != nil {
 			return
 		}
+		// Every rank has counted its tasks at setup, subtree tasks as one
+		// each, so past the barrier the job-wide total is final.
+		total := led.tasks()
 		e.run()
 		// A rank that finishes early must keep handling signals until
 		// every rank is done: consumers whose announcements were lost
 		// direct re-requests at this rank.
-		e.drainUntil(&progress, totalTasks)
+		e.drainUntil(&progress, total)
 	})
 	f.Stats.Wall = machine.WallSince(start)
 	if err != nil {

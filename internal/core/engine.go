@@ -22,19 +22,35 @@ import (
 )
 
 // taskKind enumerates the paper's three task types (§3.2), plus the apply
-// task the fan-in/fan-both formulations add: when an update is computed
+// task the fan-in/fan-both formulations add — when an update is computed
 // away from its target's owner, the delivered contribution is scattered
-// into the target by a separate A task at the target's rank.
+// into the target by a separate A task at the target's rank — and the
+// subtree task, which runs every D, F and U of a small bottom subtree of
+// the supernodal elimination tree in one plain loop (runSubtree).
 type taskKind uint8
 
 const (
-	taskDiag   taskKind = iota // D_k: POTRF of a diagonal block
-	taskFactor                 // F_{i,k}: TRSM of an off-diagonal block
-	taskUpdate                 // U_{i,j,k}: SYRK/GEMM update
-	taskApply                  // A_{i,j,k}: scatter a delivered contribution
+	taskDiag    taskKind = iota // D_k: POTRF of a diagonal block
+	taskFactor                  // F_{i,k}: TRSM of an off-diagonal block
+	taskUpdate                  // U_{i,j,k}: SYRK/GEMM update
+	taskApply                   // A_{i,j,k}: scatter a delivered contribution
+	taskSubtree                 // S: the D/F/U tasks of a bottom subtree
 )
 
-// task is one RTQ entry: a block id for D/F, an update index for U/A.
+// subtreeFlop bounds the modeled work (the FactorFlop formula) of a bottom
+// subtree that runs as one task, and subtreeMin is the fewest supernodes
+// such a subtree has. A lone leaf keeps its own D and F tasks: under the
+// 2D-cyclic map at several ranks a leaf's blocks may all land on one rank,
+// but a child and its parent share all their owners only when their
+// indices agree modulo both grid dimensions, so next to nothing folds
+// there. Both values come from the sweep in EXPERIMENTS "Subtree tasks".
+const (
+	subtreeFlop = 1e6
+	subtreeMin  = 2
+)
+
+// task is one RTQ entry: a block id for D/F, an update index for U/A, an
+// index into engine.subtrees for S.
 type task struct {
 	kind taskKind
 	id   int32
@@ -47,7 +63,7 @@ type task struct {
 // materialization in hostOf: several executor workers may consume the same
 // source block concurrently. A device mirror only ever holds a diagonal, and
 // devUses counts the local TRSMs that have yet to read it; the last one
-// frees it (runFactor).
+// frees it (factorPanel).
 type fetched struct {
 	host    []float64
 	dev     *gpu.Buffer
@@ -82,9 +98,10 @@ type awaited struct {
 
 // laneScratch is the reusable working memory of one executor goroutine
 // (lane), private to it, so the per-task path neither allocates nor locks
-// for it: under fan-out the update product, sized for the largest update
-// this rank computes; scatterSub's row positions, sized for the tallest
-// block; and the consumer-rank set announce fans a finished item out to.
+// for it: the update product, sized for the largest update this rank
+// computes into it (every update under fan-out, those inside subtree tasks
+// otherwise); scatterSub's row positions, sized for the tallest block; and
+// the consumer-rank set announce fans a finished item out to.
 type laneScratch struct {
 	lane  int32 // index into engine.lanes, the trace lane
 	w     []float64
@@ -168,6 +185,13 @@ type engine struct {
 	// lanes is each executor goroutine's private working memory, indexed
 	// by lane.
 	lanes []laneScratch
+
+	// subtrees lists this rank's subtree tasks, ascending; folded marks
+	// the supernodes they cover. Both are fixed at setup. The blocks of a
+	// folded supernode have no D/F task, and an update into one has no
+	// U or A task: the subtree task runs them all (runSubtree).
+	subtrees []symbolic.SubtreeRange
+	folded   []bool
 
 	// signals received but not yet processed: item ids announced by
 	// producers (msgAnnounce). Guarded by e.mu.
@@ -260,6 +284,7 @@ func (e *engine) setup() {
 	// e.mu anyway: "scheduler state is touched under e.mu, always" is a
 	// checkable invariant, "except during setup" is not.
 	e.mu.Lock()
+	e.selectSubtrees()
 	// Owned blocks live back to back in one slab of the shared segment,
 	// sized from the symbolic structure; each block publishes a pointer to
 	// its own range.
@@ -281,6 +306,11 @@ func (e *engine) setup() {
 		off += m * n
 		e.owned[b.ID] = g.Data
 		e.dir[b.ID] = g
+		if e.folded[b.Snode] {
+			// Its subtree task reads it through avail from the start.
+			e.avail[b.ID].host = g.Data
+			continue
+		}
 		// D/F dependency counter: updates targeting the block, plus the
 		// diagonal factor for off-diagonal blocks.
 		dep := tg.InUpdates[b.ID]
@@ -292,15 +322,21 @@ func (e *engine) setup() {
 		e.depBlock[b.ID] = dep
 		e.totalTasks++
 	}
+	e.totalTasks += len(e.subtrees)
 	// Update compute tasks execute at the owner of the formulation's
 	// compute block — the target under fan-out, a source operand under
-	// fan-in/fan-both. depUpdate stays zero for updates computed elsewhere,
-	// which is how acquire tells them apart. Under fan-out the largest
-	// product computed here sizes every lane's update buffer.
+	// fan-in/fan-both. depUpdate stays zero for updates computed elsewhere
+	// and for updates inside a subtree, which is how acquire tells them
+	// apart. The largest product computed into a lane's buffer — every
+	// update under fan-out, those inside subtrees otherwise — sizes it.
 	deliver := e.form.DeliversContributions()
 	maxW := 0
 	for ui := range tg.Updates {
 		u := &tg.Updates[ui]
+		if e.folded[st.Blocks[u.Target].Snode] {
+			maxW = max(maxW, e.contribLen(u))
+			continue
+		}
 		if deliver && e.mine(&st.Blocks[u.Target]) {
 			// The apply task scatters the delivered contribution into the
 			// target; it becomes ready when the contribution item arrives.
@@ -326,17 +362,63 @@ func (e *engine) setup() {
 		e.lanes[i].w = make([]float64, maxW)
 	}
 	// The RTQ is seeded, in block order, with the owned blocks nothing
-	// precedes: diagonals no update targets.
+	// precedes — diagonals no update targets — and the subtree tasks,
+	// each at its first block: nothing outside a subtree feeds it.
 	e.rtq = make([]task, 0, e.totalTasks)
+	next := 0 // into e.subtrees
 	for bi, data := range e.owned {
-		if data != nil && e.depBlock[bi] == 0 {
-			e.push(taskFor(&st.Blocks[bi]), int32(bi))
+		switch b := &st.Blocks[bi]; {
+		case data == nil:
+		case e.folded[b.Snode]:
+			if next < len(e.subtrees) && int32(bi) == st.BlockPtr[e.subtrees[next].First] {
+				e.push(taskSubtree, int32(next))
+				next++
+			}
+		case e.depBlock[bi] == 0:
+			e.push(taskFor(b), int32(bi))
 		}
 	}
 	e.receiveSlab()
 	e.met.tasksTotal.Set(float64(e.totalTasks))
 	e.mu.Unlock()
 	e.assemble()
+}
+
+// selectSubtrees fixes this rank's subtree tasks and marks the supernodes
+// they cover; callers hold e.mu.
+func (e *engine) selectSubtrees() {
+	e.subtrees = subtreeTasks(e.st, e.m2d, e.r.ID)
+	e.folded = make([]bool, len(e.st.Snodes))
+	for _, s := range e.subtrees {
+		for k := s.First; k <= s.Root; k++ {
+			e.folded[k] = true
+		}
+	}
+}
+
+// subtreeTasks returns the subtree tasks of rank under map m: the maximal
+// bottom subtrees of the supernodal elimination tree, of at least
+// subtreeMin supernodes, whose modeled flop sum to at most subtreeFlop and
+// whose blocks rank owns, every one of them. At one rank every small
+// subtree qualifies, under MapSubtree the leaves of each rank's range do,
+// and under the 2D-cyclic map at several ranks next to nothing does. A
+// root of the tree never folds: a tree under the bound keeps its root's
+// tasks, so every factorization, however small, still runs its updates
+// into the root through the scheduler — dependency counters, out-of-turn
+// arrivals, helpers — at the cost of one supernode's tasks.
+func subtreeTasks(st *symbolic.Structure, m symbolic.BlockMap, rank int) []symbolic.SubtreeRange {
+	return st.BottomSubtrees(subtreeFlop, subtreeMin, func(k int32) bool {
+		if st.SnParent[k] == -1 {
+			return false
+		}
+		blks := st.SnodeBlocks(k)
+		for i := range blks {
+			if symbolic.OwnerOfBlock(m, &blks[i]) != rank {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // receiveSlab lists the wanted items other ranks produce in e.remote,
@@ -881,7 +963,9 @@ func (e *engine) devAlloc(n int) (*gpu.Buffer, error) {
 	}
 }
 
-// traceKind and traceLabel name a task on the timeline.
+// traceKind and traceLabel name a task on the timeline. A subtree task has
+// no event of its own: runSubtree records each of its kernels as the D, F
+// or U task it replaces.
 var (
 	traceKind  = [...]string{taskDiag: "D", taskFactor: "F", taskUpdate: "U", taskApply: "A"}
 	traceLabel = [...]string{taskDiag: "sn=%d", taskFactor: "blk=%d", taskUpdate: "upd=%d", taskApply: "upd=%d"}
@@ -889,7 +973,8 @@ var (
 
 // execute dispatches one ready task, recording it on the executing lane
 // when tracing is on — except fan-out updates and apply tasks, which
-// applyUpdate records as it applies them. Runs outside e.mu; the caller
+// applyUpdate records as it applies them, and subtree tasks, which
+// runSubtree records kernel by kernel. Runs outside e.mu; the caller
 // accounts completion.
 func (e *engine) execute(t task, lane int32) {
 	tr := e.opt.Trace
@@ -909,15 +994,25 @@ func (e *engine) execute(t task, lane int32) {
 	case taskApply:
 		e.applyUpdate(t.id, ls)
 		return
-	}
-	if tr == nil {
-		return // a nil recorder drops the event, but only after its label was formatted
+	case taskSubtree:
+		e.runSubtree(t.id, ls)
+		return
 	}
 	arg := t.id
 	if t.kind == taskDiag {
 		arg = e.st.Blocks[t.id].Snode
 	}
-	tr.EndLane(int32(e.r.ID), lane, traceKind[t.kind], start, fmt.Sprintf(traceLabel[t.kind], arg))
+	e.traceTask(lane, t.kind, start, arg)
+}
+
+// traceTask records the event of a task of the given kind that ran on lane
+// from start until now, when tracing is on; arg is its label's number (the
+// supernode of a D, the block of an F, the update of a U or A). A nil
+// recorder would drop the event only after its label was formatted.
+func (e *engine) traceTask(lane int32, kind taskKind, start time.Duration, arg int32) {
+	if tr := e.opt.Trace; tr != nil {
+		tr.EndLane(int32(e.r.ID), lane, traceKind[kind], start, fmt.Sprintf(traceLabel[kind], arg))
+	}
 }
 
 // announce notifies every rank holding tasks that consume an item — a
@@ -954,33 +1049,41 @@ func (e *engine) announce(bid int32, ls *laneScratch) {
 // runDiag executes D_k: POTRF of the diagonal block, then fan-out to the
 // panel owners.
 func (e *engine) runDiag(bid int32, ls *laneScratch) {
-	st := e.st
-	b := &st.Blocks[bid]
-	data := e.owned[bid]
-	n, _ := blockDims(st, b)
-	if err := e.potrf(n, data); err != nil {
-		e.r.Runtime().Fail(fmt.Errorf("%w: supernode %d: %v", ErrNotPositiveDefinite, b.Snode, err))
-		return
+	if e.factorDiag(bid) {
+		e.announceBlock(bid, ls)
 	}
-	if e.fp32() {
-		blas.Round32(data)
-	}
-	// Consumers: owners of the off-diagonal blocks of this supernode.
-	blks := st.SnodeBlocks(b.Snode)
-	for i := 1; i < len(blks); i++ {
-		ls.consumer(symbolic.OwnerOfBlock(e.m2d, &blks[i]))
-	}
-	e.announce(bid, ls)
 }
 
 // runFactor executes F_{i,k}: TRSM of an off-diagonal panel block against
 // the supernode's factorized diagonal, then fan-out to update owners.
 func (e *engine) runFactor(bid int32, ls *laneScratch) {
-	st := e.st
-	b := &st.Blocks[bid]
+	e.factorPanel(bid)
+	e.announceBlock(bid, ls)
+}
+
+// factorDiag runs the kernel of D_k, POTRF of the diagonal block. It
+// reports false, with the job failed, when the pivot breaks down.
+func (e *engine) factorDiag(bid int32) bool {
+	b := &e.st.Blocks[bid]
 	data := e.owned[bid]
-	m, n := blockDims(st, b)
-	diag := st.DiagBlock(b.Snode).ID
+	n, _ := blockDims(e.st, b)
+	if err := e.potrf(n, data); err != nil {
+		e.r.Runtime().Fail(fmt.Errorf("%w: supernode %d: %v", ErrNotPositiveDefinite, b.Snode, err))
+		return false
+	}
+	if e.fp32() {
+		blas.Round32(data)
+	}
+	return true
+}
+
+// factorPanel runs the kernel of F_{i,k}, TRSM of an off-diagonal panel
+// block against the supernode's factorized diagonal.
+func (e *engine) factorPanel(bid int32) {
+	b := &e.st.Blocks[bid]
+	data := e.owned[bid]
+	m, n := blockDims(e.st, b)
+	diag := e.st.DiagBlock(b.Snode).ID
 	e.trsm(m, n, diag, data)
 	// Only the supernode's TRSMs read its diagonal, so once the last local
 	// one is done a device-direct mirror of it is dead memory.
@@ -991,14 +1094,80 @@ func (e *engine) runFactor(bid int32, ls *laneScratch) {
 	if e.fp32() {
 		blas.Round32(data)
 	}
-	// Consumers: owners of the formulation's compute blocks of every
-	// update using this block — the target's owner under fan-out, a source
-	// operand's owner under fan-in/fan-both.
-	for _, ui := range e.tg.UpdatesBySource[bid] {
-		u := &e.tg.Updates[ui]
-		ls.consumer(symbolic.OwnerOfBlock(e.m2d, &st.Blocks[e.form.ComputeBlock(u)]))
+}
+
+// announceBlock announces a factored block to the ranks holding its
+// consumers: for a diagonal, the owners of the supernode's off-diagonal
+// blocks; for a panel block, the owners of the formulation's compute blocks
+// of every update using it — the target's owner under fan-out, a source
+// operand's owner under fan-in/fan-both.
+func (e *engine) announceBlock(bid int32, ls *laneScratch) {
+	st := e.st
+	b := &st.Blocks[bid]
+	if b.IsDiag() {
+		blks := st.SnodeBlocks(b.Snode)
+		for i := 1; i < len(blks); i++ {
+			ls.consumer(symbolic.OwnerOfBlock(e.m2d, &blks[i]))
+		}
+	} else {
+		for _, ui := range e.tg.UpdatesBySource[bid] {
+			u := &e.tg.Updates[ui]
+			ls.consumer(symbolic.OwnerOfBlock(e.m2d, &st.Blocks[e.form.ComputeBlock(u)]))
+		}
 	}
 	e.announce(bid, ls)
+}
+
+// runSubtree executes a subtree task: the right-looking loop over the
+// subtree's supernodes, in ascending order — POTRF of the diagonal, TRSM of
+// each panel block, then every update whose source is this supernode and
+// whose target lies inside the subtree, computed into the lane's buffer and
+// scattered at once. Every update into a block of the subtree comes from
+// inside it, and taking sources in ascending order applies each target's
+// updates in ascending update index, the canonical order of applyUpdate, so
+// the bits are those of the D/F/U tasks the subtree replaces; every kernel
+// goes through the same dispatch functions. When the loop is done, each of
+// the subtree's panel blocks is announced as its F task would have: the
+// updates leaving the subtree take their formulation's ordinary path. A
+// diagonal is not announced: its consumers are its own panel blocks, which
+// the loop has factored.
+// Cancellation and aborts are checked at every supernode, so a subtree
+// answers them within one supernode's kernels.
+func (e *engine) runSubtree(id int32, ls *laneScratch) {
+	st, tg := e.st, e.tg
+	s := e.subtrees[id]
+	rt, tr := e.r.Runtime(), e.opt.Trace
+	// Updates are listed by ascending source supernode.
+	ui, _ := slices.BinarySearchFunc(tg.Updates, s.First, func(u symbolic.Update, k int32) int { return cmp.Compare(u.SrcSn, k) })
+	for k := s.First; k <= s.Root; k++ {
+		if rt.ShouldAbort() || e.checkCanceled() {
+			return
+		}
+		blks := st.SnodeBlocks(k)
+		start := tr.Begin()
+		if !e.factorDiag(blks[0].ID) {
+			return
+		}
+		e.traceTask(ls.lane, taskDiag, start, k)
+		for i := 1; i < len(blks); i++ {
+			start := tr.Begin()
+			e.factorPanel(blks[i].ID)
+			e.traceTask(ls.lane, taskFactor, start, blks[i].ID)
+		}
+		for ; ui < len(tg.Updates) && tg.Updates[ui].SrcSn == k; ui++ {
+			if !e.folded[st.Blocks[tg.Updates[ui].Target].Snode] {
+				continue // leaves the subtree
+			}
+			start := tr.Begin()
+			e.scatterSub(int32(ui), e.computeUpdate(int32(ui), ls.w), ls.rpos)
+			e.traceTask(ls.lane, taskUpdate, start, int32(ui))
+		}
+	}
+	for bid := st.BlockPtr[s.First]; bid < st.BlockPtr[s.Root+1]; bid++ {
+		if !st.Blocks[bid].IsDiag() {
+			e.announceBlock(bid, ls)
+		}
+	}
 }
 
 // runUpdate executes U_{i,j,k} under the contribution-delivering
@@ -1092,9 +1261,7 @@ func (e *engine) applyUpdate(ui int32, ls *laneScratch) {
 		} else {
 			e.scatterSub(ui, e.computeUpdate(ui, ls.w), ls.rpos)
 		}
-		if tr != nil {
-			tr.EndLane(int32(e.r.ID), ls.lane, traceKind[kind], start, fmt.Sprintf(traceLabel[kind], ui))
-		}
+		e.traceTask(ls.lane, kind, start, ui)
 		bs.mu.Lock()
 		bs.next++
 		applied++

@@ -153,6 +153,20 @@ type ledger struct {
 	final   *metrics.Registry // the finished job's registry, once gathered
 }
 
+// tasks returns the job-wide count of scheduled tasks, the sum of the
+// engines' shares; it is final once every rank is past setup.
+func (l *ledger) tasks() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for _, e := range l.engines {
+		e.mu.Lock()
+		n += int64(e.totalTasks)
+		e.mu.Unlock()
+	}
+	return n
+}
+
 // publish makes rank r's engine visible to gather and health.
 func (l *ledger) publish(e *engine) {
 	l.mu.Lock()

@@ -70,9 +70,10 @@ func TestRaceStressGPUAdmission(t *testing.T) {
 // Under fan-out the drained kernel runs into the drainer's lane buffer;
 // under fan-both the drain scatters delivered contributions; with a device
 // and thresholds of 1 every drained kernel goes through onDevice. The factor
-// must still match the single-worker bits.
+// must still match the single-worker bits. At 9³ the two halves below the
+// top separator run as subtree tasks and the separator's ≈ 30k tasks stay.
 func TestRaceStressDeferredApply(t *testing.T) {
-	a := gen.Laplace3D(7, 7, 7)
+	a := gen.Laplace3D(9, 9, 9)
 	sym := symbolic.DefaultOptions()
 	sym.MaxSupernodeSize = 2
 	sym.RelaxRatio = 0
@@ -110,6 +111,47 @@ func TestRaceStressDeferredApply(t *testing.T) {
 						if math.Float64bits(v) != math.Float64bits(ref.Data[bid][i]) {
 							t.Fatalf("round %d: block %d elem %d differs from the single-worker factor", round, bid, i)
 						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRaceStressSubtreeTasks races the subtree tasks: their kernels run on
+// one lane with no lock held while other lanes run the rest of the task
+// graph, and their blocks are published through acquire (one rank) or
+// through signals to the ranks computing the updates that leave them
+// (MapSubtree at four ranks). The factor must match the one-rank,
+// one-worker bits, and the run must have folded something.
+func TestRaceStressSubtreeTasks(t *testing.T) {
+	a := gen.Thermal2D(64, 64, 4, 2)
+	ref, err := Factorize(a, Options{Ranks: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"r1w4", Options{Ranks: 1, Workers: 4}},
+		{"r1w4-fanboth", Options{Ranks: 1, Workers: 4, Formulation: FanBoth}},
+		{"subtree-r4w1", Options{Ranks: 4, Workers: 1, Mapping: MapSubtree}},
+		{"subtree-r4w2", Options{Ranks: 4, Workers: 2, Mapping: MapSubtree}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := Factorize(a, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !folded(f) {
+				t.Fatal("nothing folded")
+			}
+			for bid := range f.Data {
+				for i, v := range f.Data[bid] {
+					if math.Float64bits(v) != math.Float64bits(ref.Data[bid][i]) {
+						t.Fatalf("block %d elem %d differs from the one-rank, one-worker factor", bid, i)
 					}
 				}
 			}

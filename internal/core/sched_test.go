@@ -20,7 +20,8 @@ import (
 // TestPopOrdering exercises engine.pop directly, under every task
 // formulation: every task of the problem, pushed in a known order, must pop
 // in that order. The delivering formulations add the apply kind to the
-// ready set, so all four task kinds pass through the queue.
+// ready set, and a subtree task joins every run, so all five task kinds
+// pass through the queue.
 func TestPopOrdering(t *testing.T) {
 	a := gen.Laplace2D(6, 5)
 	base := Options{}.withDefaults()
@@ -48,6 +49,7 @@ func TestPopOrdering(t *testing.T) {
 					all = append(all, task{kind: taskApply, id: int32(ui)})
 				}
 			}
+			all = append(all, task{kind: taskSubtree, id: 0})
 			if len(all) < 10 {
 				t.Fatalf("problem too small to exercise ordering: %d tasks", len(all))
 			}
@@ -194,10 +196,13 @@ func TestFactorizationTracing(t *testing.T) {
 
 	// An update's event covers its kernel, which runs at the update's turn
 	// in its target's canonical order — not at the pop, which may only mark
-	// the update arrived. So at 1 × 1 every update is recorded exactly once
-	// and each target's U events come in ascending update index.
+	// the update arrived — or inside its subtree task. So at 1 × 1 every
+	// update is recorded exactly once and each target's U events come in
+	// ascending update index. At one rank the bottom subtrees run as subtree
+	// tasks; the problem is large enough (2.7 Mflop, 461 tasks) for the
+	// updates leaving them into the top separators to be popped out of turn.
 	base := Options{}.withDefaults()
-	st, pa, err := symbolic.Analyze(gen.Thermal2D(40, 40, 3, 1), base.Ordering, *base.Symbolic)
+	st, pa, err := symbolic.Analyze(gen.Thermal2D(64, 64, 4, 2), base.Ordering, *base.Symbolic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +216,11 @@ func TestFactorizationTracing(t *testing.T) {
 	// also covers the deferred path: the turn holder computes them later.
 	if parked := f1.Metrics.Value("sympack_core_updates_parked_total"); parked == 0 {
 		t.Fatal("no update popped out of turn at 1 rank × 1 worker: the deferred apply path went unexercised")
+	}
+	// Subtree tasks record their kernels as the D, F and U tasks they
+	// replace, on the lane that ran them: one event per kernel still.
+	if got, want := rec.Len(), st.NumBlocks()+len(tg.Updates); got != want {
+		t.Fatalf("1 × 1: trace has %d events, want %d", got, want)
 	}
 	seen := make([]int, len(tg.Updates))
 	last := make([]int32, len(st.Blocks)) // by target: last update index recorded + 1

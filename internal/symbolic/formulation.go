@@ -94,10 +94,11 @@ func (f Formulation) ComputeBlock(u *Update) int32 {
 // place and applies directly.
 func (f Formulation) DeliversContributions() bool { return f != FanOut }
 
-// TaskCount returns the job-wide executed-task count of the formulation:
-// one D/F per block and one compute task per update, plus — when
+// TaskCount returns the job-wide task count of the formulation's task
+// graph: one D/F per block and one compute task per update, plus — when
 // contributions are delivered — one apply task per update at the target's
-// owner.
+// owner. The engine schedules fewer when it runs small bottom subtrees as
+// one task each; it still runs every one of their kernels.
 func (f Formulation) TaskCount(tg *TaskGraph) int {
 	n := tg.St.NumBlocks() + len(tg.Updates)
 	if f.DeliversContributions() {
@@ -201,9 +202,7 @@ func NewSubtreeMap(st *Structure, p int) *SubtreeMap {
 	}
 	nsn := len(st.Snodes)
 	m := &SubtreeMap{NP: p, base: make([]int32, nsn), cnt: make([]int32, nsn)}
-	// Per-supernode work weight, then subtree sums. Supernodal parents
-	// have higher indices, so one ascending sweep accumulates children
-	// into parents.
+	// Per-supernode work weight, then subtree sums.
 	sub := make([]int64, nsn)
 	for k := 0; k < nsn; k++ {
 		nc := int64(st.Snodes[k].NCols())
@@ -224,11 +223,7 @@ func NewSubtreeMap(st *Structure, p int) *SubtreeMap {
 			roots = append(roots, int32(k))
 		}
 	}
-	for k := 0; k < nsn; k++ {
-		if par := st.SnParent[k]; par != -1 {
-			sub[par] += sub[k]
-		}
-	}
+	st.subtreeSums(sub)
 	// Iterative proportional range assignment (explicit stack: supernodal
 	// chains can be deep). Children carve contiguous sub-ranges of the
 	// parent's range sized by subtree weight, every child at least one

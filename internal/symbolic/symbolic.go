@@ -486,13 +486,77 @@ func (st *Structure) computeCosts() {
 		below := int64(sn.NRows()) - nc
 		// Dense trapezoid: triangle + rectangle.
 		nnz += nc*(nc+1)/2 + below*nc
-		// POTRF of the diagonal + TRSM of the panel + outer-product updates.
-		flop += nc * nc * nc / 3
-		flop += below * nc * nc
-		flop += below * below * nc
+		flop += sn.Flop()
 	}
 	st.NnzL = nnz
 	st.FactorFlop = flop
+}
+
+// Flop is the supernode's share of FactorFlop: POTRF of the diagonal, TRSM
+// of the panel and the outer-product updates it sends to its ancestors.
+func (sn *Supernode) Flop() int64 {
+	nc := int64(sn.NCols())
+	below := int64(sn.NRows()) - nc
+	return nc*nc*nc/3 + below*nc*nc + below*below*nc
+}
+
+// subtreeSums turns per-supernode weights into subtree totals in place:
+// afterwards w[k] is the sum of the weights of supernode k and all its
+// descendants. Supernodal parents have higher indices, so one ascending
+// sweep accumulates each child into its parent after the child's own
+// subtree is complete.
+func (st *Structure) subtreeSums(w []int64) {
+	for k, par := range st.SnParent {
+		if par != -1 {
+			w[par] += w[k]
+		}
+	}
+}
+
+// SubtreeRange is a closed subtree of the supernodal elimination tree: the
+// supernodes First..Root, which are Root and all of its descendants.
+type SubtreeRange struct{ First, Root int32 }
+
+// BottomSubtrees returns, ascending, the maximal subtrees of the supernodal
+// elimination tree whose supernodes all pass keep and whose shares of
+// FactorFlop sum to at most maxFlop, leaving out those of fewer than
+// minSnodes supernodes.
+//
+// A subtree is a contiguous range because a complete structure's
+// supernodes are postordered, and it is closed under updates: every update
+// into a block of supernode k comes from a descendant of k, so a bottom
+// subtree receives nothing from outside. Incomplete structures give no
+// ranges — the fill IC(k) drops breaks both properties.
+func (st *Structure) BottomSubtrees(maxFlop int64, minSnodes int32, keep func(k int32) bool) []SubtreeRange {
+	if st.Incomplete {
+		return nil
+	}
+	// A supernode keep rejects weighs more than maxFlop alone, so no
+	// subtree holding it qualifies.
+	w := make([]int64, len(st.Snodes))
+	for k := range st.Snodes {
+		w[k] = maxFlop + 1
+		if keep(int32(k)) {
+			w[k] = st.Snodes[k].Flop()
+		}
+	}
+	st.subtreeSums(w)
+	var out []SubtreeRange
+	for k, par := range st.SnParent {
+		if w[k] > maxFlop || (par != -1 && w[par] <= maxFlop) {
+			continue // too heavy, or inside a larger qualifying subtree
+		}
+		// In postorder the descendants of k are the supernodes just below
+		// it whose parents lie in (j, k].
+		first := int32(k)
+		for first > 0 && st.SnParent[first-1] != -1 && st.SnParent[first-1] <= int32(k) {
+			first--
+		}
+		if int32(k)-first+1 >= minSnodes {
+			out = append(out, SubtreeRange{First: first, Root: int32(k)})
+		}
+	}
+	return out
 }
 
 // Validate checks the structural invariants the numeric phase depends on.

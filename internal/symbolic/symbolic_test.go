@@ -501,3 +501,65 @@ func TestPostorderedTreeIsRelabelledTree(t *testing.T) {
 		}
 	}
 }
+
+// BottomSubtrees returns closed, maximal, disjoint subtrees within the flop
+// bound: Root and exactly its descendants, whose parent (if any) would take
+// the sum over the bound. With the whole factorization as the bound every
+// tree of the forest is one range; an incomplete structure gives none.
+func TestBottomSubtrees(t *testing.T) {
+	st, _ := analyze(t, gen.Thermal2D(48, 48, 3, 1), ordering.NestedDissection, DefaultOptions())
+	size := make([]int64, len(st.Snodes))
+	flop := make([]int64, len(st.Snodes))
+	for k := range st.Snodes {
+		size[k], flop[k] = 1, st.Snodes[k].Flop()
+	}
+	st.subtreeSums(size)
+	st.subtreeSums(flop)
+	all := func(int32) bool { return true }
+	for _, limit := range []int64{1e4, 1e5, 1e6, st.FactorFlop} {
+		ranges := st.BottomSubtrees(limit, 1, all)
+		if len(ranges) == 0 {
+			t.Fatalf("limit %d: no subtree", limit)
+		}
+		for i, s := range ranges {
+			if i > 0 && s.First <= ranges[i-1].Root {
+				t.Fatalf("limit %d: %v overlaps %v", limit, s, ranges[i-1])
+			}
+			if int64(s.Root-s.First+1) != size[s.Root] {
+				t.Fatalf("limit %d: %v holds %d supernodes, the subtree %d", limit, s, s.Root-s.First+1, size[s.Root])
+			}
+			for k := s.First; k < s.Root; k++ {
+				if p := st.SnParent[k]; p <= k || p > s.Root {
+					t.Fatalf("limit %d: %v: supernode %d has parent %d", limit, s, k, p)
+				}
+			}
+			if flop[s.Root] > limit {
+				t.Fatalf("limit %d: %v weighs %d", limit, s, flop[s.Root])
+			}
+			if p := st.SnParent[s.Root]; p != -1 && flop[p] <= limit {
+				t.Fatalf("limit %d: %v is not maximal", limit, s)
+			}
+		}
+		if limit == st.FactorFlop {
+			roots := 0
+			for _, p := range st.SnParent {
+				if p == -1 {
+					roots++
+				}
+			}
+			if len(ranges) != roots {
+				t.Fatalf("whole-factorization bound: %d ranges, %d trees", len(ranges), roots)
+			}
+		}
+	}
+	if got := st.BottomSubtrees(st.FactorFlop, 1, func(k int32) bool { return k != 0 }); len(got) != 0 && got[0].First == 0 {
+		t.Fatalf("supernode 0 rejected by keep, yet in %v", got[0])
+	}
+	ic, _, err := AnalyzeIC(gen.Laplace2D(8, 8), ordering.Natural, DefaultOptions(), ICOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ic.BottomSubtrees(ic.FactorFlop, 1, all); got != nil {
+		t.Fatalf("incomplete structure: %v, want none", got)
+	}
+}
