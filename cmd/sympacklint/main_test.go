@@ -187,12 +187,12 @@ func testdataDir(t *testing.T) string {
 // TestGates runs the driver in each seeded-violation module under
 // testdata/gates (see the README there): each must exit 2 with exactly
 // one finding, and that finding must contain the phrase in the module's
-// expect file. The futureerr, lockorder, nondetflow and errflow findings
+// expect file. The discard, lockorder, nondetflow and errflow findings
 // span packages, so they exist only if facts flow through the driver's
 // store; a row that finds nothing means an analyzer silently stopped
 // working.
 func TestGates(t *testing.T) {
-	for _, gate := range []string{"ctxflow", "errflow", "futureerr", "goroutineleak", "lockorder", "nondetflow", "wallclock"} {
+	for _, gate := range []string{"ctxflow", "discard", "errflow", "goroutineleak", "lockorder", "nondetflow", "wallclock"} {
 		t.Run(gate, func(t *testing.T) {
 			dir := filepath.Join(testdataDir(t), "gates", gate)
 			expect, err := os.ReadFile(filepath.Join(dir, "expect"))

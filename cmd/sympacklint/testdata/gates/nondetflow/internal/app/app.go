@@ -5,6 +5,6 @@ import (
 	"sympack/internal/upcxx"
 )
 
-func publish(m map[int]float64) {
-	upcxx.Rput(route.Weights(m), 0)
+func publish(r *upcxx.Rank, m map[int]float64) []float64 {
+	return r.NewArrayFrom(route.Weights(m))
 }

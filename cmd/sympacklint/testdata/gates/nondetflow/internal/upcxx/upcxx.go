@@ -1,3 +1,5 @@
 package upcxx
 
-func Rput(src []float64, dst int) {}
+type Rank struct{}
+
+func (r *Rank) NewArrayFrom(data []float64) []float64 { return data }

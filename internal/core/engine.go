@@ -803,7 +803,7 @@ func (e *engine) acquire(item int32) {
 		m, n := blockDims(e.st, b)
 		if e.gpuEnabled() && b.IsDiag() && e.opt.Thresholds.ShouldOffload(machine.OpTrsm, m*n) {
 			if buf, err := e.devAlloc(m * n); err == nil {
-				if f := e.r.Copy(src, upcxx.GlobalPtr{Rank: int32(e.r.ID), Kind: simnet.Device, Data: buf.Data}); f.OK() {
+				if err := e.r.Copy(src, upcxx.GlobalPtr{Rank: int32(e.r.ID), Kind: simnet.Device, Data: buf.Data}); err == nil {
 					fc.dev = buf
 				} else {
 					// Device-direct fetch failed in transit: release the
@@ -815,7 +815,7 @@ func (e *engine) acquire(item int32) {
 			}
 		}
 		if fc.dev == nil {
-			if f := e.r.Rget(src, fc.host); !f.OK() {
+			if err := e.r.Rget(src, fc.host); err != nil {
 				// Retries exhausted: keep the block wanted and let the
 				// re-request path re-signal it; a later acquire retries
 				// the get with a fresh attempt budget.
@@ -876,7 +876,7 @@ func (e *engine) acquireContribution(item int32) {
 		// Computed on this rank (the compute owner is also the target
 		// owner): the published buffer is directly readable.
 		e.avail[item].host = src.Data
-	} else if f := e.r.Rget(src, e.avail[item].host); !f.OK() {
+	} else if err := e.r.Rget(src, e.avail[item].host); err != nil {
 		e.met.fetchFailures.Inc()
 		e.retryNow(item)
 		return

@@ -39,7 +39,7 @@ const (
 	DupSignal
 	// DelaySignal defers an RPC's delivery by several progress ticks.
 	DelaySignal
-	// TransientTransfer fails an Rget/Rput/Copy attempt; the runtime
+	// TransientTransfer fails an Rget/Copy attempt; the runtime
 	// retries with exponential backoff.
 	TransientTransfer
 	// TransientOOM fails a device allocation once; the next attempt may

@@ -10,9 +10,9 @@
 //
 // The deliberate subset: no Requires graph (the analyzers are
 // independent) and no SSA. Facts — exportable per-object/per-package
-// state handed from one pass to the next, which the flow-sensitive futureerr
-// analyzer uses to chase futures through sympack-local wrappers
-// cross-package — follow the upstream contract (see facts.go).
+// state handed from one pass to the next, which the interprocedural
+// analyzers use to carry function summaries across packages — follow the
+// upstream contract (see facts.go).
 // Suppression via "//lint:ignore" comments is handled by the runner, not
 // by individual analyzers (see suppress.go).
 package analysis

@@ -211,17 +211,3 @@ func Audit(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran []str
 	}
 	return out
 }
-
-// ApplySuppressions filters diags through the files' lint:ignore
-// directives and appends a diagnostic for every malformed directive. It is
-// the pre-audit interface, kept for callers that only need the surviving
-// findings.
-func ApplySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	var kept []Diagnostic
-	for _, d := range Audit(fset, files, diags, nil, false, nil) {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}

@@ -44,6 +44,13 @@ func b() {
 func use() {}
 `
 
+// audited runs the audit without the unused-directive check and returns
+// the diagnostics it leaves unsuppressed, malformed-directive reports
+// included.
+func audited(fset *token.FileSet, f *ast.File, diags []Diagnostic) []Diagnostic {
+	return Unsuppressed(Audit(fset, []*ast.File{f}, diags, nil, false, nil))
+}
+
 func TestApplySuppressions(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", suppressSrc, parser.ParseComments)
@@ -55,7 +62,7 @@ func TestApplySuppressions(t *testing.T) {
 		return Diagnostic{Pos: file.LineStart(line), Message: "finding", Analyzer: analyzer}
 	}
 
-	got := ApplySuppressions(fset, []*ast.File{f}, []Diagnostic{
+	got := audited(fset, f, []Diagnostic{
 		at(5, "check1"),  // next-line suppression
 		at(5, "check2"),  // same line, different analyzer: kept
 		at(6, "check1"),  // beyond the one-line reach: kept
@@ -108,7 +115,7 @@ func TestSuppressionWhitespaceAndAdjacency(t *testing.T) {
 	at := func(line int) Diagnostic {
 		return Diagnostic{Pos: file.LineStart(line), Message: "finding", Analyzer: "check1"}
 	}
-	got := ApplySuppressions(fset, []*ast.File{f}, []Diagnostic{
+	got := audited(fset, f, []Diagnostic{
 		at(5),  // under a tab-indented directive: suppressed
 		at(7),  // under a space-indented directive: suppressed
 		at(13), // blank line between directive and code: kept

@@ -2,7 +2,7 @@
 // mirroring the shape (and deliberately a subset of the semantics) of
 // golang.org/x/tools/go/cfg, which the stdlib-only build cannot vendor
 // (DESIGN.md §2). The suite's flow-sensitive analyzers — mutexguard's
-// lockset meet, futureerr's consulted-on-all-paths check, ctxflow's
+// lockset meet, the taint engine's per-path state, ctxflow's
 // context-derivation tracking, goroutineleak's path reachability — all
 // reason over these graphs instead of walking statements in source order,
 // which is what makes their verdicts sound at path merges.
@@ -14,10 +14,8 @@
 // (if/else, for, range, switch, type switch, select), unstructured
 // control flow (break/continue/goto, labeled or not, and fallthrough),
 // returns, and calls of the panic builtin (an edge to Exit with the
-// block marked PanicExit, so analyzers can excuse error paths). Deferred
-// statements run at every function exit; the builder records them in
-// Graph.Defers, in source order, for analyzers that model return-time
-// effects.
+// block marked PanicExit, so analyzers can excuse error paths). A defer
+// statement is a straight-line node where it appears.
 //
 // The builder is purely syntactic: it needs no *types.Info, so graphs can
 // be built for any parsed function (including testdata that does not
@@ -39,7 +37,6 @@ type Graph struct {
 	Blocks []*Block // in creation order; Blocks[0] == Entry
 	Entry  *Block
 	Exit   *Block
-	Defers []*ast.DeferStmt // every defer in the body, in source order
 }
 
 // A Block is a basic block: a maximal sequence of nodes with one entry
@@ -142,10 +139,6 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.current.PanicExit = true
 			b.jump(b.graph.Exit)
 		}
-
-	case *ast.DeferStmt:
-		b.graph.Defers = append(b.graph.Defers, s)
-		b.add(s)
 
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -293,8 +286,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 
 	default:
-		// Assignments, declarations, sends, inc/dec, go, empty: straight-
-		// line nodes.
+		// Assignments, declarations, sends, inc/dec, go, defer, empty:
+		// straight-line nodes.
 		if s != nil {
 			if _, ok := s.(*ast.EmptyStmt); ok {
 				return

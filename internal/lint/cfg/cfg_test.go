@@ -377,13 +377,6 @@ func TestRangeLoop(t *testing.T) {
 	}
 }
 
-func TestDefersRecorded(t *testing.T) {
-	g, _ := build(t, "defer close(nil)\ndefer func() {}()\nreturn")
-	if len(g.Defers) != 2 {
-		t.Fatalf("Defers = %d, want 2", len(g.Defers))
-	}
-}
-
 func TestReachableExcludesDeadBlocks(t *testing.T) {
 	g, _ := build(t, "return\n_ = 1")
 	for _, b := range g.Reachable() {

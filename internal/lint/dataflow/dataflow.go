@@ -2,7 +2,7 @@
 // graphs: the one fixpoint loop every flow-sensitive analyzer in the
 // suite shares, instead of each hand-rolling its own iteration (the
 // source-order walks the v2 analyzers used, whose merge behavior was
-// documented as unsound — see mutexguard's and futureerr's package docs).
+// documented as unsound — see mutexguard's package doc).
 //
 // An analysis picks a direction, a lattice (join + equality + clone over
 // its state type), a boundary state for the entry (forward) or exit
@@ -127,7 +127,7 @@ func Solve[T any](g *cfg.Graph, lat Lattice[T], dir Direction, boundary T, trans
 
 // SetLattice is the ready-made lattice over string-keyed sets, the domain
 // every current analysis uses (lock identities, context-derived
-// variables, consulted futures). Union joins express may-analyses,
+// variables, taint labels). Union joins express may-analyses,
 // intersection joins must-analyses.
 type SetLattice struct {
 	// Intersect selects must-semantics (join = set intersection);

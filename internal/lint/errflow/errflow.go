@@ -22,7 +22,12 @@
 //     wrapping breaks them where errors.As would not;
 //   - the swallow shape `if err != nil { return nil }` on a
 //     sentinel-derived error with no errors.Is/errors.As consult — the
-//     taxonomy verdict is dropped without being read.
+//     taxonomy verdict is dropped without being read;
+//   - a discarded sentinel-derived error: a call with an error result
+//     used as a bare statement, assigned wholly to _, or run by go or
+//     defer. A transfer (upcxx.Rank.Rget, Copy) whose retries ran out
+//     returns such an error and has not moved its data, so a discard
+//     hides a block that never arrived.
 //
 // A justified erasure is audited with //lint:ignore errflow <reason>,
 // which the engine consumes (counting for the unusedignore audit) when
@@ -48,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: Name,
 	Doc: "detects fault-taxonomy errors (ErrTransient, ErrLostSignal, ...) losing " +
 		"errors.Is compatibility through %v rewraps, errors.New re-creation, type " +
-		"assertions, or nil-swallowing, across call and package boundaries",
+		"assertions, nil-swallowing, or discarding, across call and package boundaries",
 	Run:       run,
 	FactTypes: []analysis.Fact{(*flowFact)(nil)},
 }
@@ -92,9 +97,9 @@ type swallowSite struct {
 func run(pass *analysis.Pass) (interface{}, error) {
 	consults := consultedParams(pass)
 	swallows := indexSwallowSites(pass)
-	// reported dedups swallow findings: the same condition node can be
+	// reported dedups swallow and discard findings: the same node can be
 	// revisited when a loop header is shared between replayed blocks.
-	reported := map[*ast.IfStmt]bool{}
+	reported := map[ast.Node]bool{}
 
 	spec := taint.Spec{
 		Analyzer: Name,
@@ -125,6 +130,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return taint.Summary{}, false
 		},
 		Visit: func(n ast.Node, taintOf func(e ast.Expr) []string) {
+			if call, how := discardedCall(pass.TypesInfo, n); call != nil {
+				if src := sourceOf(taintOf(call)); src != "" && !reported[n] {
+					reported[n] = true
+					pass.Reportf(call.Pos(), "taxonomy error (%s) discarded by a %s: "+
+						"check the error or propagate it", src, how)
+				}
+				return
+			}
 			cond, ok := n.(ast.Expr)
 			if !ok {
 				return
@@ -386,6 +399,52 @@ func assertSinks(pass *analysis.Pass, n *ast.TypeAssertExpr) []taint.SinkUse {
 		desc = "a type switch (wrapping breaks it; use errors.As)"
 	}
 	return []taint.SinkUse{{Value: n.X, Desc: desc}}
+}
+
+// discardedCall returns the call of a statement that throws away every
+// result of a call with an error result — a bare call, an assignment of
+// all results to _, or a go or defer — and names the shape.
+func discardedCall(info *types.Info, n ast.Node) (*ast.CallExpr, string) {
+	var call *ast.CallExpr
+	var how string
+	switch n := n.(type) {
+	case *ast.ExprStmt:
+		call, _ = ast.Unparen(n.X).(*ast.CallExpr)
+		how = "bare call"
+	case *ast.AssignStmt:
+		if len(n.Rhs) != 1 {
+			return nil, ""
+		}
+		for _, lhs := range n.Lhs {
+			if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+				return nil, ""
+			}
+		}
+		call, _ = ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+		how = "blank assignment"
+	case *ast.GoStmt:
+		call, how = n.Call, "go statement"
+	case *ast.DeferStmt:
+		call, how = n.Call, "defer statement"
+	}
+	if call == nil || !returnsError(info, call) {
+		return nil, ""
+	}
+	return call, how
+}
+
+// returnsError reports whether one of call's results is an error.
+func returnsError(info *types.Info, call *ast.CallExpr) bool {
+	t := info.TypeOf(call)
+	if tuple, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tuple.Len(); i++ {
+			if isErrorType(tuple.At(i).Type()) {
+				return true
+			}
+		}
+		return false
+	}
+	return t != nil && isErrorType(t)
 }
 
 // indexSwallowSites maps `if <expr> != nil` conditions over error values

@@ -8,9 +8,10 @@ import (
 	"sympack/internal/lint/errflow"
 )
 
-// Packages are listed dependency-first so prod's %w result-flow summary
-// fact is in the store by the time app's erasure sites are judged.
+// Packages are listed dependency-first so upcxx's and prod's result-flow
+// summary facts are in the store by the time app's erasure and discard
+// sites are judged.
 func TestErrFlow(t *testing.T) {
 	analysistest.RunSuite(t, "testdata", []*analysis.Analyzer{errflow.Analyzer},
-		"sympack/internal/faults", "prod", "app")
+		"sympack/internal/faults", "sympack/internal/upcxx", "prod", "app")
 }

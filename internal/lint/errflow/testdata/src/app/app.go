@@ -132,17 +132,3 @@ func opaque(err error) error {
 	}
 	return errors.New("fresh")
 }
-
-func use() {
-	_ = rewrap()
-	_ = wrapOK()
-	_ = recreate()
-	_ = swallow()
-	_ = retryOK()
-	_ = retryViaHelper()
-	_ = retryViaFact()
-	_ = assert()
-	_ = classify()
-	_ = relabelLocal()
-	_ = opaque(nil)
-}

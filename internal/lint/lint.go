@@ -1,14 +1,14 @@
 // Package lint assembles the sympacklint analyzer suite and runs it over
 // type-checked packages. The suite mechanically enforces the solver's
 // headline invariants — deterministic schedules, atomic-only shared
-// counters, never-dropped future errors, virtualized wall clocks,
+// counters, never-discarded transfer errors, virtualized wall clocks,
 // mutex-guarded scheduler state, and live suppressions — that PRs 1–2
 // established by hand (see DESIGN.md §10 for the mapping from each
 // analyzer to the paper invariant it guards).
 //
 // Packages are analyzed in dependency order against one shared
 // analysis.FactStore, so facts exported by a pass over an imported
-// package (e.g. futureerr's consumption facts) are visible to passes
+// package (e.g. errflow's taint summaries) are visible to passes
 // over its importers.
 package lint
 
@@ -21,7 +21,6 @@ import (
 	"sympack/internal/lint/atomicconsistency"
 	"sympack/internal/lint/ctxflow"
 	"sympack/internal/lint/errflow"
-	"sympack/internal/lint/futureerr"
 	"sympack/internal/lint/goroutineleak"
 	"sympack/internal/lint/load"
 	"sympack/internal/lint/lockorder"
@@ -38,7 +37,6 @@ func Analyzers() []*analysis.Analyzer {
 		atomicconsistency.Analyzer,
 		ctxflow.Analyzer,
 		errflow.Analyzer,
-		futureerr.Analyzer,
 		goroutineleak.Analyzer,
 		lockorder.Analyzer,
 		mapiterdeterminism.Analyzer,

@@ -6,14 +6,14 @@
 // battery checks that dynamically, and the intraprocedural suite
 // (mapiterdeterminism, wallclock) polices the sources one function at a
 // time — but a map-ordered slice laundered through two helper calls into
-// an RTQ entry or an Rput payload was invisible until now.
+// an RTQ entry or a published array was invisible until now.
 //
 // Sources: map iteration order, wall clock readings (time.Now/Since and
 // the machine facade's WallNow/WallSince — any wall reading is
 // machine-local and therefore rank-nondeterministic), unseeded math/rand,
 // and %p pointer formatting. Sinks: RTQ entries (writes to the fields of
 // core's task), wire/signal payloads in internal/upcxx
-// (Signal targets and messages, Rput payloads, NewArrayFrom initializers),
+// (Signal targets and messages, NewArrayFrom initializers),
 // scheduling-queue elements (container/heap.Push), trace
 // ordering fields, and factor values entering internal/blas kernels.
 //
@@ -24,8 +24,8 @@
 //
 // Flows are chased across function and package boundaries through
 // sympack/internal/lint/taint summaries exported as Facts (flowFact) into
-// the driver's in-process store: a helper whose parameter reaches an Rput
-// in package A is reported at its call site in package B.
+// the driver's in-process store: a helper whose parameter reaches a
+// NewArrayFrom in package A is reported at its call site in package B.
 package nondetflow
 
 import (
@@ -233,10 +233,6 @@ func callSinks(pass *analysis.Pass, call *ast.CallExpr) []taint.SinkUse {
 	switch {
 	case strings.HasSuffix(path, "internal/upcxx"):
 		switch fn.Name() {
-		case "Rput":
-			if a, ok := arg(0); ok {
-				return []taint.SinkUse{{Value: a, Desc: "an Rput wire payload"}}
-			}
 		case "NewArrayFrom":
 			if a, ok := arg(0); ok {
 				return []taint.SinkUse{{Value: a, Desc: "a wire-visible array initialization"}}

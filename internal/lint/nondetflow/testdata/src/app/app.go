@@ -14,13 +14,13 @@ import (
 	"sympack/internal/upcxx"
 )
 
-// gather launders map iteration order into an Rput payload.
+// gather launders map iteration order into a published array.
 func gather(r *upcxx.Rank, parts map[int][]float64) {
 	var buf []float64
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
-	r.Rput(buf, 0) // want "map iteration order\\) flows into an Rput wire payload"
+	r.NewArrayFrom(buf) // want "map iteration order\\) flows into a wire-visible array initialization"
 }
 
 // gatherSorted is the blessed shape: the key order is made explicit
@@ -35,19 +35,19 @@ func gatherSorted(r *upcxx.Rank, parts map[int][]float64) {
 	for _, k := range keys {
 		buf = append(buf, parts[k]...)
 	}
-	r.Rput(buf, 0)
+	r.NewArrayFrom(buf)
 }
 
 // stamp puts a wall-clock-derived value on the wire.
 func stamp(r *upcxx.Rank) {
 	jitter := float64(time.Now().UnixNano() % 3)
-	r.Rput([]float64{jitter}, 1) // want "wall clock \\(time\\.Now\\)\\) flows into an Rput wire payload"
+	r.NewArrayFrom([]float64{jitter}) // want "wall clock \\(time\\.Now\\)\\) flows into a wire-visible array initialization"
 }
 
 // scatter seeds a wire-visible array from the global rand stream.
-func scatter() []float64 {
+func scatter(r *upcxx.Rank) []float64 {
 	v := rand.Float64()
-	return upcxx.NewArrayFrom([]float64{v}) // want "unseeded math/rand \\(Float64\\)\\) flows into a wire-visible array initialization"
+	return r.NewArrayFrom([]float64{v}) // want "unseeded math/rand \\(Float64\\)\\) flows into a wire-visible array initialization"
 }
 
 type pq []string
@@ -67,7 +67,7 @@ func enqueue(q *pq, r *upcxx.Rank) {
 // send is a local helper whose parameter reaches the wire; callers with
 // tainted arguments are reported at the call site with a via chain.
 func send(r *upcxx.Rank, xs []float64) {
-	r.Rput(xs, 0)
+	r.NewArrayFrom(xs)
 }
 
 func relay(r *upcxx.Rank, parts map[int][]float64) {
@@ -75,7 +75,7 @@ func relay(r *upcxx.Rank, parts map[int][]float64) {
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
-	send(r, buf) // want "map iteration order\\) flows into an Rput wire payload via app\\.send"
+	send(r, buf) // want "map iteration order\\) flows into a wire-visible array initialization via app\\.send"
 }
 
 // broadcast reaches the sink only through route.Publish's exported
@@ -85,7 +85,7 @@ func broadcast(r *upcxx.Rank, weights map[string]float64) {
 	for _, w := range weights {
 		vals = append(vals, w)
 	}
-	route.Publish(r, vals) // want "map iteration order\\) flows into an Rput wire payload via route\\.Publish"
+	route.Publish(r, vals) // want "map iteration order\\) flows into a wire-visible array initialization via route\\.Publish"
 }
 
 // pick routes a signal to a map-order-dependent rank.
@@ -112,28 +112,28 @@ func announceFirst(r *upcxx.Rank, items map[int32]bool) {
 // is reproducible, so nothing fires.
 func seeded(r *upcxx.Rank) {
 	rng := rand.New(rand.NewSource(7))
-	r.Rput([]float64{rng.NormFloat64()}, 2)
+	r.NewArrayFrom([]float64{rng.NormFloat64()})
 }
 
 // reseeded launders the clock through a generator seed: the wall-clock
 // taint rides through NewSource and New into every draw.
 func reseeded(r *upcxx.Rank) {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	r.Rput([]float64{rng.NormFloat64()}, 3) // want "wall clock \\(time\\.Now\\)\\) flows into an Rput wire payload"
+	r.NewArrayFrom([]float64{rng.NormFloat64()}) // want "wall clock \\(time\\.Now\\)\\) flows into a wire-visible array initialization"
 }
 
 // clean shows a kill on a parameter: after the sort the slice order is
 // explicit, so not even a conditional (summary) sink survives.
 func clean(r *upcxx.Rank, data []float64) {
 	sort.Float64s(data)
-	r.Rput(data, 0)
+	r.NewArrayFrom(data)
 }
 
 func use(r *upcxx.Rank, q *pq) {
 	gather(r, nil)
 	gatherSorted(r, nil)
 	stamp(r)
-	_ = scatter()
+	_ = scatter(r)
 	seeded(r)
 	reseeded(r)
 	enqueue(q, r)

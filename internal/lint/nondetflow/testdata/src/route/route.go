@@ -5,5 +5,5 @@ package route
 import "sympack/internal/upcxx"
 
 func Publish(r *upcxx.Rank, data []float64) {
-	r.Rput(data, 0)
+	r.NewArrayFrom(data)
 }

@@ -11,7 +11,5 @@ type Msg struct {
 	ID   int32
 }
 
-func (r *Rank) Rput(src []float64, dst int) {}
-func (r *Rank) Signal(target int, m Msg)    {}
-
-func NewArrayFrom(vals []float64) []float64 { return vals }
+func (r *Rank) NewArrayFrom(data []float64) []float64 { return data }
+func (r *Rank) Signal(target int, m Msg)              {}

@@ -24,8 +24,7 @@
 // source order to a summary fixpoint (summaries only grow, so iteration
 // terminates), then replays every function once more to report findings
 // deterministically. Across packages the client's Lookup/fact plumbing
-// supplies summaries for imported functions, exactly mirroring how
-// futureerr's consumption facts travel.
+// supplies summaries for imported functions as object facts.
 //
 // Suppression is taint-aware: an //lint:ignore <analyzer> directive
 // covering a source or an assignment kills the taint at that point — and

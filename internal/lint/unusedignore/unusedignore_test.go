@@ -11,7 +11,7 @@ import (
 
 // TestUnusedIgnore runs the full suite over a small module with one live
 // and one stale //lint:ignore directive. The live one suppresses a real
-// futureerr finding (which must stay out of the unsuppressed stream); the
+// errflow finding (which must stay out of the unsuppressed stream); the
 // stale one must come back as an unusedignore finding at its own line.
 func TestUnusedIgnore(t *testing.T) {
 	root := t.TempDir()
@@ -28,27 +28,25 @@ func TestUnusedIgnore(t *testing.T) {
 	write("go.mod", "module sympack\n\ngo 1.22\n")
 	write("internal/upcxx/upcxx.go", `package upcxx
 
-type Future struct{ err error }
+import "errors"
 
-func (f Future) Err() error { return f.err }
+var ErrTransferFailed = errors.New("upcxx: transfer failed")
 
-func Start() Future { return Future{} }
+func Rget() error { return ErrTransferFailed }
 `)
 	write("internal/app/app.go", `package app
 
 import "sympack/internal/upcxx"
 
 func live() error {
-	//lint:ignore futureerr deliberate fire-and-forget prefetch
-	upcxx.Start()
-	f := upcxx.Start()
-	return f.Err()
+	//lint:ignore errflow deliberate fire-and-forget prefetch
+	upcxx.Rget()
+	return upcxx.Rget()
 }
 
 func stale() error {
-	//lint:ignore futureerr nothing on the next line needs ignoring
-	g := upcxx.Start()
-	return g.Err()
+	//lint:ignore errflow nothing on the next line needs ignoring
+	return upcxx.Rget()
 }
 `)
 	diags, fset, err := lint.RunModule(root, lint.Analyzers())
@@ -59,16 +57,16 @@ func stale() error {
 	for _, d := range diags {
 		switch {
 		case d.Suppressed:
-			if d.Analyzer != "futureerr" {
-				t.Errorf("suppressed diagnostic from %s, want futureerr", d.Analyzer)
+			if d.Analyzer != "errflow" {
+				t.Errorf("suppressed diagnostic from %s, want errflow", d.Analyzer)
 			}
 			suppressed++
 		case d.Analyzer == "unusedignore":
 			if !strings.Contains(d.Message, "suppresses no diagnostic") {
 				t.Errorf("unusedignore message = %q", d.Message)
 			}
-			if line := fset.Position(d.Pos).Line; line != 13 {
-				t.Errorf("unusedignore reported at line %d, want 13 (the stale directive)", line)
+			if line := fset.Position(d.Pos).Line; line != 12 {
+				t.Errorf("unusedignore reported at line %d, want 12 (the stale directive)", line)
 			}
 			unused++
 		default:

@@ -29,17 +29,6 @@ func planOf(seed int64, c faults.Class, rate float64, limit int64) faults.Plan {
 	return p
 }
 
-func TestFutureErrorPropagation(t *testing.T) {
-	f := Future{err: errors.New("synthetic")}
-	if f.OK() || f.Err() == nil {
-		t.Fatalf("failed future reports OK=%v Err=%v", f.OK(), f.Err())
-	}
-	ok := Future{seconds: 2}
-	if !ok.OK() || ok.Err() != nil {
-		t.Fatal("clean future must report OK")
-	}
-}
-
 // countHits registers a handler that counts the signals delivered.
 func countHits(rt *Runtime) *atomic.Int64 {
 	var hits atomic.Int64
@@ -151,9 +140,8 @@ func TestTransferRetrySucceeds(t *testing.T) {
 			src.Data[i] = float64(i)
 		}
 		dst := make([]float64, 16)
-		f := r.Rget(src, dst)
-		if !f.OK() {
-			t.Errorf("rget failed despite retry budget: %v", f.Err())
+		if err := r.Rget(src, dst); err != nil {
+			t.Errorf("rget failed despite retry budget: %v", err)
 			return
 		}
 		if dst[15] != 15 {
@@ -172,7 +160,7 @@ func TestTransferRetrySucceeds(t *testing.T) {
 }
 
 func TestTransferExhaustionLeavesDataUntouched(t *testing.T) {
-	// Unlimited faults exhaust the retry budget; the future must carry
+	// Unlimited faults exhaust the retry budget; the error must wrap
 	// ErrTransferFailed (a transient), and the destination stays unwritten.
 	rt := newFaultyRT(t, 1, planOf(7, faults.TransientTransfer, 1.0, 0))
 	err := rt.Run(func(r *Rank) {
@@ -181,16 +169,16 @@ func TestTransferExhaustionLeavesDataUntouched(t *testing.T) {
 			src.Data[i] = 1
 		}
 		dst := make([]float64, 8)
-		f := r.Rget(src, dst)
-		if f.OK() {
+		err := r.Rget(src, dst)
+		if err == nil {
 			t.Error("rget succeeded under total transfer loss")
 			return
 		}
-		if !errors.Is(f.Err(), ErrTransferFailed) {
-			t.Errorf("err = %v, want ErrTransferFailed", f.Err())
+		if !errors.Is(err, ErrTransferFailed) {
+			t.Errorf("err = %v, want ErrTransferFailed", err)
 		}
-		if !errors.Is(f.Err(), faults.ErrTransient) {
-			t.Errorf("err = %v, want transient classification", f.Err())
+		if !errors.Is(err, faults.ErrTransient) {
+			t.Errorf("err = %v, want transient classification", err)
 		}
 		for i, v := range dst {
 			if v != 0 {

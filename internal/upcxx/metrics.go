@@ -20,7 +20,6 @@ type rtMetrics struct {
 
 	signalsSent  *metrics.Counter
 	rgets        *metrics.Counter
-	rputs        *metrics.Counter
 	copies       *metrics.Counter
 	droppedAbort *metrics.Counter // signals sent after abort
 
@@ -52,7 +51,6 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 
 		signalsSent:  reg.Counter("sympack_upcxx_signals_sent_total", "signals sent (paper Fig. 4 step 1)"),
 		rgets:        reg.Counter("sympack_upcxx_rma_gets_total", "one-sided gets issued"),
-		rputs:        reg.Counter("sympack_upcxx_rma_puts_total", "one-sided puts issued"),
 		copies:       reg.Counter("sympack_upcxx_rma_copies_total", "memory-kinds copies issued"),
 		droppedAbort: reg.Counter("sympack_upcxx_rpcs_dropped_abort_total", "signals discarded because the job was aborting"),
 

@@ -3,8 +3,9 @@
 // communication paradigm is written against:
 //
 //   - ranks with private memory and global pointers carrying affinity;
-//   - one-sided RMA (Rget/Rput) that moves data without involving the
-//     remote rank's execution stream;
+//   - one-sided RMA (Rget, Copy) that moves data without involving the
+//     remote rank's execution stream and returns once it has finished, with
+//     an error when its retries ran out;
 //   - typed signals: a fixed-size message value (Msg) enqueued on the
 //     target and handed to the job's one handler when the target calls
 //     Progress() — the paper's signal(ptr,meta) notification;
@@ -52,13 +53,13 @@ type Config struct {
 	Trace *trace.Recorder
 	// ElemBytes is the modeled width of one transferred element in bytes
 	// (0 = 8, the float64 default). Mixed-precision factorizations pass 4:
-	// the wire cost model then charges half the bytes per Rget/Rput/Copy,
+	// the wire cost model then charges half the bytes per Rget/Copy,
 	// matching an implementation that ships fp32 payloads. Host storage
 	// stays []float64 either way — only the byte accounting changes.
 	ElemBytes int
 }
 
-// The retry loop of a transiently failing Rget/Rput/Copy makes at most
+// The retry loop of a transiently failing Rget/Copy makes at most
 // transferAttempts attempts; the modeled wait before the first retry is
 // transferBackoff seconds and doubles per attempt, which defines the
 // per-operation timeout.
@@ -281,32 +282,6 @@ func (r *Rank) NewArrayFrom(data []float64) GlobalPtr {
 	return GlobalPtr{Rank: int32(r.ID), Kind: simnet.Host, Data: data}
 }
 
-// ------------------------------------------------------------- futures ----
-
-// Future represents a (already internally completed) asynchronous
-// operation, carrying its modeled duration and, since the runtime tolerates
-// injected faults, its completion state. Callers synchronize with Wait and
-// check Err, mirroring upcxx::future.
-type Future struct {
-	seconds float64
-	err     error
-}
-
-// Wait blocks until the operation is complete (a no-op in-process) and
-// returns its modeled duration. Check Err for the completion state.
-func (f Future) Wait() float64 { return f.seconds }
-
-// Seconds returns the modeled duration without waiting.
-func (f Future) Seconds() float64 { return f.seconds }
-
-// Err returns the operation's failure, if any. A transfer whose retry
-// budget ran out reports an error wrapping faults.ErrTransient; its data
-// must be treated as not moved.
-func (f Future) Err() error { return f.err }
-
-// OK reports whether the operation completed successfully.
-func (f Future) OK() bool { return f.err == nil }
-
 // --------------------------------------------------------------- signals ----
 
 // Msg is the runtime's one message: a fixed-size value, the paper's
@@ -437,7 +412,7 @@ func (rt *Runtime) traceFault(rank int32, kind, detail string) {
 
 // -------------------------------------------------------------- RMA ops ----
 
-// ErrTransferFailed is carried by the future of a transfer whose bounded
+// ErrTransferFailed is wrapped by the error of a transfer whose bounded
 // retry budget was exhausted. It wraps faults.ErrTransient: callers that
 // can re-request the data later should; callers that cannot may escalate.
 var ErrTransferFailed = fmt.Errorf("upcxx: transfer failed after retries: %w", faults.ErrTransient)
@@ -483,9 +458,9 @@ func (r *Rank) retryTransfer(kind string) (float64, error) {
 
 // Rget copies Len elements from a (possibly remote) source into local host
 // memory — upcxx::rget, the one-sided pull of Fig. 4 step 5. Transient
-// injected faults are retried internally; a future with a non-nil Err means
-// the destination was not written.
-func (r *Rank) Rget(src GlobalPtr, dst []float64) Future {
+// injected faults are retried internally; a non-nil error wraps
+// ErrTransferFailed and means the destination was not written.
+func (r *Rank) Rget(src GlobalPtr, dst []float64) error {
 	if len(dst) != src.Len() {
 		panic(fmt.Sprintf("upcxx: Rget length mismatch %d vs %d", len(dst), src.Len()))
 	}
@@ -495,7 +470,7 @@ func (r *Rank) Rget(src GlobalPtr, dst []float64) Future {
 		r.Charge(extra)
 	}
 	if err != nil {
-		return Future{seconds: extra, err: err}
+		return err
 	}
 	copy(dst, src.Data)
 	same := src.Rank == int32(r.ID)
@@ -504,27 +479,7 @@ func (r *Rank) Rget(src GlobalPtr, dst []float64) Future {
 	sec := extra + r.account(p, bytes, r.sameNode(src.Rank))
 	r.rt.met.rgetBytes.Observe(float64(bytes))
 	r.rt.met.rgetSeconds.Observe(sec)
-	return Future{seconds: sec}
-}
-
-// Rput copies local host data into a (possibly remote) destination —
-// upcxx::rput. Retry semantics match Rget.
-func (r *Rank) Rput(src []float64, dst GlobalPtr) Future {
-	if len(src) != dst.Len() {
-		panic(fmt.Sprintf("upcxx: Rput length mismatch %d vs %d", len(src), dst.Len()))
-	}
-	r.rt.met.rputs.Inc()
-	extra, err := r.retryTransfer("rput")
-	if extra > 0 {
-		r.Charge(extra)
-	}
-	if err != nil {
-		return Future{seconds: extra, err: err}
-	}
-	copy(dst.Data, src)
-	same := dst.Rank == int32(r.ID)
-	p := r.rt.net.Classify(simnet.Host, dst.Kind, same, r.sameNode(dst.Rank))
-	return Future{seconds: extra + r.account(p, int64(len(src))*r.rt.cfg.elemBytes(), r.sameNode(dst.Rank))}
+	return nil
 }
 
 // Copy moves data between any two global pointers regardless of kind or
@@ -532,7 +487,7 @@ func (r *Rank) Rput(src []float64, dst GlobalPtr) Future {
 // enabled a host→remote-device copy is zero-copy; without it the transfer
 // stages through host memory, exactly the difference Fig. 5 measures.
 // Retry semantics match Rget.
-func (r *Rank) Copy(src, dst GlobalPtr) Future {
+func (r *Rank) Copy(src, dst GlobalPtr) error {
 	if src.Len() != dst.Len() {
 		panic(fmt.Sprintf("upcxx: Copy length mismatch %d vs %d", src.Len(), dst.Len()))
 	}
@@ -542,24 +497,21 @@ func (r *Rank) Copy(src, dst GlobalPtr) Future {
 		r.Charge(extra)
 	}
 	if err != nil {
-		return Future{seconds: extra, err: err}
+		return err
 	}
 	copy(dst.Data, src.Data)
-	same := src.Rank == dst.Rank
+	bytes := int64(src.Len()) * r.rt.cfg.elemBytes()
 	sameNode := r.rt.Node(int(src.Rank)) == r.rt.Node(int(dst.Rank))
-	var p simnet.Path
-	if same {
-		if src.Kind != dst.Kind {
-			// Host↔device within one process: PCIe copy.
-			dt := r.rt.cfg.Machine.HostDeviceCopyTime(int64(src.Len()) * r.rt.cfg.elemBytes())
-			r.Charge(dt)
-			return Future{seconds: extra + dt}
-		}
-		p = simnet.PathLocal
-	} else {
-		p = r.rt.net.Classify(src.Kind, dst.Kind, false, sameNode)
+	switch {
+	case src.Rank != dst.Rank:
+		r.account(r.rt.net.Classify(src.Kind, dst.Kind, false, sameNode), bytes, sameNode)
+	case src.Kind != dst.Kind:
+		// Host↔device within one process: PCIe copy.
+		r.Charge(r.rt.cfg.Machine.HostDeviceCopyTime(bytes))
+	default:
+		r.account(simnet.PathLocal, bytes, sameNode)
 	}
-	return Future{seconds: extra + r.account(p, int64(src.Len())*r.rt.cfg.elemBytes(), sameNode)}
+	return nil
 }
 
 func (r *Rank) sameNode(other int32) bool {

@@ -76,6 +76,9 @@ func TestRPCAndProgress(t *testing.T) {
 	}
 }
 
+// TestRgetRputRoundTrip pulls the other rank's array with Rget and puts
+// half of it back into the other rank's memory with Copy, the put of this
+// runtime.
 func TestRgetRputRoundTrip(t *testing.T) {
 	rt := newRT(t, 2)
 	ptrs := make([]GlobalPtr, 2)
@@ -91,8 +94,12 @@ func TestRgetRputRoundTrip(t *testing.T) {
 		}
 		other := 1 - r.ID
 		dst := make([]float64, 16)
-		f := r.Rget(ptrs[other], dst)
-		if f.Wait() <= 0 {
+		before := r.Elapsed()
+		if err := r.Rget(ptrs[other], dst); err != nil {
+			t.Error(err)
+			return
+		}
+		if r.Elapsed() <= before {
 			t.Error("rget must model positive time")
 		}
 		for i, v := range dst {
@@ -101,19 +108,25 @@ func TestRgetRputRoundTrip(t *testing.T) {
 				return
 			}
 		}
-		// Rput into the other rank's second half.
-		r.Rput(dst[:8], ptrs[other].Slice(8, 16))
+		// Put into the other rank's second half.
+		before = r.Elapsed()
+		if err := r.Copy(r.NewArrayFrom(dst[:8]), ptrs[other].Slice(8, 16)); err != nil {
+			t.Error(err)
+		}
+		if r.Elapsed() <= before {
+			t.Error("copy must model positive time")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gets, puts := rt.Metrics().Value("sympack_upcxx_rma_gets_total"), rt.Metrics().Value("sympack_upcxx_rma_puts_total")
-	if gets != 2 || puts != 2 {
-		t.Fatalf("stats: %g gets %g puts", gets, puts)
+	gets, copies := rt.Metrics().Value("sympack_upcxx_rma_gets_total"), rt.Metrics().Value("sympack_upcxx_rma_copies_total")
+	if gets != 2 || copies != 2 {
+		t.Fatalf("stats: %g gets %g copies", gets, copies)
 	}
 	// Rank 0's slots 8..16 were overwritten by rank 1 with rank 0's data.
 	if ptrs[0].Data[8] != 0 {
-		t.Fatalf("rput result = %g, want 0 (rank 0 element 0)", ptrs[0].Data[8])
+		t.Fatalf("put result = %g, want 0 (rank 0 element 0)", ptrs[0].Data[8])
 	}
 }
 
@@ -156,8 +169,11 @@ func TestDeviceAllocAndCopyKinds(t *testing.T) {
 		if r.ID == 0 {
 			// Remote host → local... rather: host on rank 0 to device on
 			// rank 1 — the direct GDR path of §4.2.
-			f := r.Copy(hostPtrs[0], devPtrs[1])
-			if f.Seconds() <= 0 {
+			before := r.Elapsed()
+			if err := r.Copy(hostPtrs[0], devPtrs[1]); err != nil {
+				t.Error(err)
+			}
+			if r.Elapsed() <= before {
 				t.Error("copy must model positive time")
 			}
 		}
@@ -209,8 +225,9 @@ func TestCopyStagedWithoutGDR(t *testing.T) {
 			return
 		}
 		if r.ID == 0 {
-			src := r.NewArray(8)
-			r.Copy(src, devPtrs[1])
+			if err := r.Copy(r.NewArray(8), devPtrs[1]); err != nil {
+				t.Error(err)
+			}
 		}
 	})
 	if err != nil {
@@ -234,11 +251,12 @@ func TestLocalHostDeviceCopy(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		r.Copy(h, d)
-		if d.Data[2] != 7 {
-			t.Error("local host→device copy failed")
+		if err := r.Copy(h, d); err != nil || d.Data[2] != 7 {
+			t.Errorf("local host→device copy failed: %v", err)
 		}
-		r.Copy(d, h)
+		if err := r.Copy(d, h); err != nil {
+			t.Error(err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +360,9 @@ func TestVirtualClockAccumulates(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		dst := make([]float64, 1<<16)
-		r.Rget(ptr[1-r.ID], dst)
+		if err := r.Rget(ptr[1-r.ID], make([]float64, 1<<16)); err != nil {
+			t.Error(err)
+		}
 		elapsed[r.ID] = r.Elapsed()
 	})
 	if err != nil {
@@ -408,8 +427,9 @@ func TestRPCStorm(t *testing.T) {
 			tgt := (r.ID + m + 1) % p
 			r.Signal(tgt, Msg{ID: int32(m)})
 			if m%16 == 0 {
-				dst := make([]float64, 64)
-				r.Rget(src, dst)
+				if err := r.Rget(src, make([]float64, 64)); err != nil {
+					t.Error(err)
+				}
 				r.Progress()
 			}
 		}
