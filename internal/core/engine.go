@@ -44,10 +44,11 @@ const (
 // but a child and its parent share all their owners only when their
 // indices agree modulo both grid dimensions, so next to nothing folds
 // there. Both values come from the sweep in EXPERIMENTS "Subtree tasks".
-const (
-	subtreeFlop = 1e6
-	subtreeMin  = 2
-)
+// subtreeFlop is a variable only so that TestSubtreeFoldBits can set it to
+// 0, which folds nothing.
+var subtreeFlop int64 = 1e6
+
+const subtreeMin = 2
 
 // task is one RTQ entry: a block id for D/F, an update index for U/A, an
 // index into engine.subtrees for S.
@@ -98,14 +99,23 @@ type awaited struct {
 
 // laneScratch is the reusable working memory of one executor goroutine
 // (lane), private to it, so the per-task path neither allocates nor locks
-// for it: the update product, sized for the largest update this rank
-// computes into it (every update under fan-out, those inside subtree tasks
-// otherwise); scatterSub's row positions, sized for the tallest block; and
-// the consumer-rank set announce fans a finished item out to.
+// for it. setup sizes all of it from the rank's tasks, as it sizes the
+// receive slab:
+//   - w, the update product: every update this rank computes into it (all
+//     of them under fan-out), and the stacked product of every supernode
+//     pair inside its subtree tasks (updatePair);
+//   - rpos, scatterSub's row positions in a target block and updatePair's
+//     relative indices in a target supernode;
+//   - arena, the trapezoids of the largest subtree task's supernodes, back
+//     to back (engine.trapOff), and diag, the view of a trapezoid's
+//     diagonal that runSubtree hands trsm;
+//   - the consumer-rank set announce fans a finished item out to.
 type laneScratch struct {
 	lane  int32 // index into engine.lanes, the trace lane
 	w     []float64
 	rpos  []int
+	arena []float64
+	diag  fetched
 	mark  []bool // by rank: already in ranks
 	ranks []int
 }
@@ -187,11 +197,14 @@ type engine struct {
 	lanes []laneScratch
 
 	// subtrees lists this rank's subtree tasks, ascending; folded marks
-	// the supernodes they cover. Both are fixed at setup. The blocks of a
-	// folded supernode have no D/F task, and an update into one has no
-	// U or A task: the subtree task runs them all (runSubtree).
+	// the supernodes they cover, and trapOff places each one's trapezoid in
+	// the arena of the lane that runs its subtree. All three are fixed at
+	// setup. The blocks of a folded supernode have no D/F task, and an
+	// update into one has no U or A task: the subtree task runs them all
+	// (runSubtree).
 	subtrees []symbolic.SubtreeRange
 	folded   []bool
+	trapOff  []int32
 
 	// signals received but not yet processed: item ids announced by
 	// producers (msgAnnounce). Guarded by e.mu.
@@ -254,15 +267,10 @@ func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a 
 		wanted:    make([]bool, nItems),
 		workers:   max(opt.Workers, 1),
 	}
-	var maxRows int32
-	for bi := range st.Blocks {
-		maxRows = max(maxRows, st.Blocks[bi].NRows)
-	}
 	e.lanes = make([]laneScratch, e.workers)
 	for i := range e.lanes {
 		e.lanes[i] = laneScratch{
 			lane:  int32(i),
-			rpos:  make([]int, maxRows),
 			mark:  make([]bool, m2d.P()),
 			ranks: make([]int, 0, m2d.P()),
 		}
@@ -284,13 +292,15 @@ func (e *engine) setup() {
 	// e.mu anyway: "scheduler state is touched under e.mu, always" is a
 	// checkable invariant, "except during setup" is not.
 	e.mu.Lock()
-	e.selectSubtrees()
+	arena, maxW, maxPos := e.selectSubtrees()
 	// Owned blocks live back to back in one slab of the shared segment,
 	// sized from the symbolic structure; each block publishes a pointer to
 	// its own range.
 	total := 0
 	for bi := range st.Blocks {
-		if b := &st.Blocks[bi]; e.mine(b) {
+		b := &st.Blocks[bi]
+		maxPos = max(maxPos, int(b.NRows))
+		if e.mine(b) {
 			m, n := blockDims(st, b)
 			total += m * n
 		}
@@ -307,9 +317,7 @@ func (e *engine) setup() {
 		e.owned[b.ID] = g.Data
 		e.dir[b.ID] = g
 		if e.folded[b.Snode] {
-			// Its subtree task reads it through avail from the start.
-			e.avail[b.ID].host = g.Data
-			continue
+			continue // its subtree task factors it
 		}
 		// D/F dependency counter: updates targeting the block, plus the
 		// diagonal factor for off-diagonal blocks.
@@ -328,13 +336,12 @@ func (e *engine) setup() {
 	// fan-in/fan-both. depUpdate stays zero for updates computed elsewhere
 	// and for updates inside a subtree, which is how acquire tells them
 	// apart. The largest product computed into a lane's buffer — every
-	// update under fan-out, those inside subtrees otherwise — sizes it.
+	// update under fan-out, and the supernode pairs inside subtrees — sizes
+	// it.
 	deliver := e.form.DeliversContributions()
-	maxW := 0
 	for ui := range tg.Updates {
 		u := &tg.Updates[ui]
 		if e.folded[st.Blocks[u.Target].Snode] {
-			maxW = max(maxW, e.contribLen(u))
 			continue
 		}
 		if deliver && e.mine(&st.Blocks[u.Target]) {
@@ -359,7 +366,10 @@ func (e *engine) setup() {
 		}
 	}
 	for i := range e.lanes {
-		e.lanes[i].w = make([]float64, maxW)
+		ls := &e.lanes[i]
+		ls.w = make([]float64, maxW)
+		ls.rpos = make([]int, maxPos)
+		ls.arena = make([]float64, arena)
 	}
 	// The RTQ is seeded, in block order, with the owned blocks nothing
 	// precedes — diagonals no update targets — and the subtree tasks,
@@ -384,16 +394,33 @@ func (e *engine) setup() {
 	e.assemble()
 }
 
-// selectSubtrees fixes this rank's subtree tasks and marks the supernodes
-// they cover; callers hold e.mu.
-func (e *engine) selectSubtrees() {
-	e.subtrees = subtreeTasks(e.st, e.m2d, e.r.ID)
-	e.folded = make([]bool, len(e.st.Snodes))
+// selectSubtrees fixes this rank's subtree tasks, marks the supernodes
+// they cover and places each one's trapezoid in the lane arena, the
+// subtree's supernodes back to back. It returns what a lane needs to run
+// any of the tasks: the arena's length, and the longest stacked product and
+// relative-index list of a supernode pair (updatePair). Callers hold e.mu.
+func (e *engine) selectSubtrees() (arena, prod, rel int) {
+	st := e.st
+	e.subtrees = subtreeTasks(st, e.m2d, e.r.ID)
+	e.folded = make([]bool, len(st.Snodes))
+	e.trapOff = make([]int32, len(st.Snodes))
 	for _, s := range e.subtrees {
+		off := 0
 		for k := s.First; k <= s.Root; k++ {
 			e.folded[k] = true
+			e.trapOff[k] = int32(off)
+			sn := &st.Snodes[k]
+			off += sn.NRows() * sn.NCols()
+			blks := st.SnodeBlocks(k)
+			for i := 1; i < len(blks) && blks[i].RowSn <= s.Root; i++ {
+				m := sn.NRows() - int(blks[i].RowOff)
+				prod = max(prod, m*int(blks[i].NRows))
+				rel = max(rel, m)
+			}
 		}
+		arena = max(arena, off)
 	}
+	return arena, prod, rel
 }
 
 // subtreeTasks returns the subtree tasks of rank under map m: the maximal
@@ -470,11 +497,16 @@ func taskFor(b *symbolic.Block) taskKind {
 	return taskFactor
 }
 
-// assemble scatters the permuted matrix entries into the owned blocks.
+// assemble scatters the permuted matrix entries into the owned blocks. A
+// folded supernode's entries go into its trapezoid instead, when its
+// subtree task runs (assembleTrapezoid).
 func (e *engine) assemble() {
 	st, a := e.st, e.a
 	for j := 0; j < a.N; j++ {
 		k := st.SnOf[j]
+		if e.folded[k] {
+			continue
+		}
 		sn := &st.Snodes[k]
 		col := int(int32(j) - sn.FirstCol)
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
@@ -902,7 +934,13 @@ func (e *engine) itemProducer(item int32) int {
 // item race to materialize; once serializes.
 func (e *engine) hostOf(item int32) []float64 {
 	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this task happens-after acquire published the entry (see acquire's doc)
-	fc := &e.avail[item]
+	return e.host(&e.avail[item])
+}
+
+// host returns the host copy of a ready avail entry (hostOf), or of a
+// lane's view of a trapezoid's diagonal (laneScratch.diag), which has no
+// device mirror.
+func (e *engine) host(fc *fetched) []float64 {
 	if fc.dev != nil {
 		fc.once.Do(func() {
 			fc.host = make([]float64, fc.dev.Len())
@@ -964,8 +1002,7 @@ func (e *engine) devAlloc(n int) (*gpu.Buffer, error) {
 }
 
 // traceKind and traceLabel name a task on the timeline. A subtree task has
-// no event of its own: runSubtree records each of its kernels as the D, F
-// or U task it replaces.
+// no event of its own: runSubtree records each of its kernels (traceFolded).
 var (
 	traceKind  = [...]string{taskDiag: "D", taskFactor: "F", taskUpdate: "U", taskApply: "A"}
 	traceLabel = [...]string{taskDiag: "sn=%d", taskFactor: "blk=%d", taskUpdate: "upd=%d", taskApply: "upd=%d"}
@@ -1015,6 +1052,22 @@ func (e *engine) traceTask(lane int32, kind taskKind, start time.Duration, arg i
 	}
 }
 
+// traceFolded records a kernel of a subtree task that ran on lane from
+// start until now, when tracing is on: the POTRF (D) or the TRSM (F) of
+// supernode src, labelled sn=src, or the update (U) of src into its
+// ancestor tgt, labelled sn=src->tgt.
+func (e *engine) traceFolded(lane int32, kind taskKind, start time.Duration, src, tgt int32) {
+	tr := e.opt.Trace
+	if tr == nil {
+		return
+	}
+	label := fmt.Sprintf("sn=%d", src)
+	if kind == taskUpdate {
+		label = fmt.Sprintf("sn=%d->%d", src, tgt)
+	}
+	tr.EndLane(int32(e.r.ID), lane, traceKind[kind], start, label)
+}
+
 // announce notifies every rank holding tasks that consume an item — a
 // factored block (paper Fig. 4 step 1) or a computed contribution under
 // fan-in/fan-both; the caller collected them in ls (laneScratch.consumer),
@@ -1049,7 +1102,8 @@ func (e *engine) announce(bid int32, ls *laneScratch) {
 // runDiag executes D_k: POTRF of the diagonal block, then fan-out to the
 // panel owners.
 func (e *engine) runDiag(bid int32, ls *laneScratch) {
-	if e.factorDiag(bid) {
+	k := e.st.Blocks[bid].Snode
+	if e.factorDiag(k, e.owned[bid], e.st.Snodes[k].NCols()) {
 		e.announceBlock(bid, ls)
 	}
 }
@@ -1061,19 +1115,17 @@ func (e *engine) runFactor(bid int32, ls *laneScratch) {
 	e.announceBlock(bid, ls)
 }
 
-// factorDiag runs the kernel of D_k, POTRF of the diagonal block. It
-// reports false, with the job failed, when the pivot breaks down.
-func (e *engine) factorDiag(bid int32) bool {
-	b := &e.st.Blocks[bid]
-	data := e.owned[bid]
-	n, _ := blockDims(e.st, b)
-	if err := e.potrf(n, data); err != nil {
-		e.r.Runtime().Fail(fmt.Errorf("%w: supernode %d: %v", ErrNotPositiveDefinite, b.Snode, err))
+// factorDiag runs the kernel of D_k, POTRF of supernode k's diagonal,
+// stored with leading dimension lda in a — its diagonal block, or the top
+// of its trapezoid — and rounds it under fp32. It reports false, with the
+// job failed, when the pivot breaks down.
+func (e *engine) factorDiag(k int32, a []float64, lda int) bool {
+	n := e.st.Snodes[k].NCols()
+	if err := e.potrf(n, a, lda); err != nil {
+		e.r.Runtime().Fail(fmt.Errorf("%w: supernode %d: %v", ErrNotPositiveDefinite, k, err))
 		return false
 	}
-	if e.fp32() {
-		blas.Round32(data)
-	}
+	e.round32(n, n, a, lda)
 	return true
 }
 
@@ -1083,17 +1135,15 @@ func (e *engine) factorPanel(bid int32) {
 	b := &e.st.Blocks[bid]
 	data := e.owned[bid]
 	m, n := blockDims(e.st, b)
-	diag := e.st.DiagBlock(b.Snode).ID
-	e.trsm(m, n, diag, data)
+	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal and its use count
+	fc := &e.avail[e.st.DiagBlock(b.Snode).ID]
+	e.trsm(m, n, fc, n, data, m)
 	// Only the supernode's TRSMs read its diagonal, so once the last local
 	// one is done a device-direct mirror of it is dead memory.
-	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal and its use count
-	if fc := &e.avail[diag]; fc.dev != nil && fc.devUses.Add(-1) == 0 {
+	if fc.dev != nil && fc.devUses.Add(-1) == 0 {
 		e.r.Device().Free(fc.dev)
 	}
-	if e.fp32() {
-		blas.Round32(data)
-	}
+	e.round32(m, n, data, m)
 }
 
 // announceBlock announces a factored block to the ranks holding its
@@ -1118,54 +1168,137 @@ func (e *engine) announceBlock(bid int32, ls *laneScratch) {
 	e.announce(bid, ls)
 }
 
-// runSubtree executes a subtree task: the right-looking loop over the
-// subtree's supernodes, in ascending order — POTRF of the diagonal, TRSM of
-// each panel block, then every update whose source is this supernode and
-// whose target lies inside the subtree, computed into the lane's buffer and
-// scattered at once. Every update into a block of the subtree comes from
-// inside it, and taking sources in ascending order applies each target's
-// updates in ascending update index, the canonical order of applyUpdate, so
-// the bits are those of the D/F/U tasks the subtree replaces; every kernel
-// goes through the same dispatch functions. When the loop is done, each of
-// the subtree's panel blocks is announced as its F task would have: the
-// updates leaving the subtree take their formulation's ordinary path. A
-// diagonal is not announced: its consumers are its own panel blocks, which
-// the loop has factored.
-// Cancellation and aborts are checked at every supernode, so a subtree
-// answers them within one supernode's kernels.
+// runSubtree executes a subtree task supernode by supernode (DESIGN §9
+// "Subtree tasks"). It gathers each supernode's blocks into its trapezoid
+// in the lane's arena — column-major, leading dimension len(Rows) — and
+// takes the supernodes in ascending order: one POTRF of the diagonal, one
+// TRSM of all the panel rows below it, then one updatePair per ancestor
+// inside the subtree, and the trapezoid goes back to its blocks. Every
+// update into the subtree comes from inside it, and ascending sources land
+// each target element's contributions in ascending update index, the
+// canonical order of applyUpdate. The kernels accumulate each element over
+// the inner dimension one column at a time, and a TRSM's rows are
+// independent, so stacking rows moves no bit: the factor is that of the
+// D/F/U tasks the subtree stands for. When the loop is done, each block
+// in the columns of a supernode outside the subtree is announced as its F
+// task would have been: the updates leaving the subtree take their
+// formulation's ordinary path. The other blocks are not announced: every
+// update that reads a block B_{p,k} targets the columns of p or of a
+// supernode below p, so when p is inside the subtree the loop has run all
+// of them. Cancellation and aborts are checked at every supernode, so a
+// subtree answers them within one supernode's kernels.
 func (e *engine) runSubtree(id int32, ls *laneScratch) {
-	st, tg := e.st, e.tg
+	st := e.st
 	s := e.subtrees[id]
 	rt, tr := e.r.Runtime(), e.opt.Trace
-	// Updates are listed by ascending source supernode.
-	ui, _ := slices.BinarySearchFunc(tg.Updates, s.First, func(u symbolic.Update, k int32) int { return cmp.Compare(u.SrcSn, k) })
+	for k := s.First; k <= s.Root; k++ {
+		e.assembleTrapezoid(k, e.trapezoid(k, ls))
+	}
 	for k := s.First; k <= s.Root; k++ {
 		if rt.ShouldAbort() || e.checkCanceled() {
 			return
 		}
-		blks := st.SnodeBlocks(k)
+		n, ld := st.Snodes[k].NCols(), st.Snodes[k].NRows()
+		t := e.trapezoid(k, ls)
 		start := tr.Begin()
-		if !e.factorDiag(blks[0].ID) {
+		if !e.factorDiag(k, t, ld) {
 			return
 		}
-		e.traceTask(ls.lane, taskDiag, start, k)
-		for i := 1; i < len(blks); i++ {
+		e.traceFolded(ls.lane, taskDiag, start, k, k)
+		if m := ld - n; m > 0 {
 			start := tr.Begin()
-			e.factorPanel(blks[i].ID)
-			e.traceTask(ls.lane, taskFactor, start, blks[i].ID)
+			ls.diag.host = t[:span(n, n, ld)]
+			e.trsm(m, n, &ls.diag, ld, t[n:], ld)
+			e.round32(m, n, t[n:], ld)
+			e.traceFolded(ls.lane, taskFactor, start, k, k)
 		}
-		for ; ui < len(tg.Updates) && tg.Updates[ui].SrcSn == k; ui++ {
-			if !e.folded[st.Blocks[tg.Updates[ui].Target].Snode] {
-				continue // leaves the subtree
-			}
+		blks := st.SnodeBlocks(k)
+		for i := 1; i < len(blks) && blks[i].RowSn <= s.Root; i++ {
 			start := tr.Begin()
-			e.scatterSub(int32(ui), e.computeUpdate(int32(ui), ls.w), ls.rpos)
-			e.traceTask(ls.lane, taskUpdate, start, int32(ui))
+			e.updatePair(k, &blks[i], ls)
+			e.traceFolded(ls.lane, taskUpdate, start, k, blks[i].RowSn)
 		}
+		e.writeBack(k, t)
 	}
 	for bid := st.BlockPtr[s.First]; bid < st.BlockPtr[s.Root+1]; bid++ {
-		if !st.Blocks[bid].IsDiag() {
+		if st.Blocks[bid].RowSn > s.Root {
 			e.announceBlock(bid, ls)
+		}
+	}
+}
+
+// trapezoid returns folded supernode k's trapezoid in the lane's arena.
+func (e *engine) trapezoid(k int32, ls *laneScratch) []float64 {
+	sn := &e.st.Snodes[k]
+	off := int(e.trapOff[k])
+	return ls.arena[off : off+sn.NRows()*sn.NCols()]
+}
+
+// assembleTrapezoid is assemble for folded supernode k: it zeroes the
+// supernode's trapezoid t and puts each entry of its columns at its row's
+// position in the supernode's row list.
+func (e *engine) assembleTrapezoid(k int32, t []float64) {
+	a, sn := e.a, &e.st.Snodes[k]
+	clear(t)
+	for j := sn.FirstCol; j <= sn.LastCol; j++ {
+		col := t[int(j-sn.FirstCol)*sn.NRows():]
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i, ok := slices.BinarySearch(sn.Rows, a.RowInd[p])
+			if !ok {
+				panic(fmt.Sprintf("core: entry (%d,%d) outside symbolic structure", a.RowInd[p], j))
+			}
+			col[i] = a.Val[p]
+		}
+	}
+}
+
+// writeBack copies folded supernode k's trapezoid t into its blocks, once
+// the supernode is factored: block b takes rows RowOff… of every column.
+func (e *engine) writeBack(k int32, t []float64) {
+	n, ld := e.st.Snodes[k].NCols(), e.st.Snodes[k].NRows()
+	for _, b := range e.st.SnodeBlocks(k) {
+		data, m := e.owned[b.ID], int(b.NRows)
+		for j := range n {
+			copy(data[j*m:(j+1)*m], t[j*ld+int(b.RowOff):])
+		}
+	}
+}
+
+// updatePair subtracts folded supernode k's contribution to its ancestor
+// p = b.RowSn, b being k's block in p's columns, from p's trapezoid. One
+// GEMM computes W = L(b…,:)·L(b,:)ᵀ over the m rows of k from b's first row
+// down: its top square is the SYRK update of b into p's diagonal block and
+// the rows below it are the GEMM updates of k's later blocks against b,
+// with each element's products, zero skips and start from 0 those of the
+// separate kernels. The lower part of W is then subtracted through relative
+// indices (CHOLMOD's relaind): the position of each of those rows in p's
+// row list, from one merge of the two sorted lists. Fill closure puts all
+// of them in p's list; IC structures, which drop fill, fold nothing.
+func (e *engine) updatePair(k int32, b *symbolic.Block, ls *laneScratch) {
+	sk, sp := &e.st.Snodes[k], &e.st.Snodes[b.RowSn]
+	ld, ldp := sk.NRows(), sp.NRows()
+	off, nb := int(b.RowOff), int(b.NRows)
+	m := ld - off
+	t := e.trapezoid(k, ls)[off:]
+	w := ls.w[:m*nb]
+	e.gemm(m, nb, sk.NCols(), t, ld, t, ld, w)
+	rel := ls.rpos[:m]
+	// p's rows start with its own columns, so the walk starts at the first
+	// row's column.
+	j := int(sk.Rows[off] - sp.FirstCol)
+	for x, r := range sk.Rows[off:] {
+		for sp.Rows[j] != r {
+			j++
+		}
+		rel[x] = j
+	}
+	tp := e.trapezoid(b.RowSn, ls)
+	for y := range nb {
+		// A row of b has its column's index as its relative index.
+		col := tp[rel[y]*ldp:]
+		wcol := w[y*m : y*m+m]
+		for x := y; x < m; x++ {
+			col[rel[x]] -= wcol[x]
 		}
 	}
 }
@@ -1198,7 +1331,7 @@ func (e *engine) computeUpdate(ui int32, w []float64) []float64 {
 	if u.IsSyrk() {
 		e.syrk(mB, k, hostA, w)
 	} else {
-		e.gemm(mB, nA, k, e.hostOf(u.BlkB), hostA, w)
+		e.gemm(mB, nA, k, e.hostOf(u.BlkB), mB, hostA, nA, w)
 	}
 	return w
 }
@@ -1458,39 +1591,50 @@ func (e *engine) onDevice(op machine.Op, ops []operand, kernel func(d *gpu.Devic
 // The four dispatch functions, one per kernel (paper §3.2, §4.2): if
 // offload admits the operation and onDevice settles it, done; otherwise
 // charge the CPU and call the host kernel. They are the only callers of the
-// host kernels in this package.
+// host kernels in this package. POTRF, TRSM and GEMM take leading
+// dimensions, for a subtree task's trapezoids; a strided operand is staged
+// on the device as its span.
 
-// potrf factors the n×n diagonal block in place.
-func (e *engine) potrf(n int, data []float64) error {
+// span is the element count of an m×n column-major matrix with leading
+// dimension ld, from its first element to its last.
+func span(m, n, ld int) int { return ld*(n-1) + m }
+
+// potrf factors the n×n diagonal a (leading dimension lda) in place.
+func (e *engine) potrf(n int, a []float64, lda int) error {
+	a = a[:span(n, n, lda)]
 	if e.offload(machine.OpPotrf, n*n) {
-		done, err := e.onDevice(machine.OpPotrf, []operand{{host: data, in: true, out: true}},
-			func(d *gpu.Device, b []*gpu.Buffer) (float64, error) { return d.Potrf(n, b[0], n) })
+		done, err := e.onDevice(machine.OpPotrf, []operand{{host: a, in: true, out: true}},
+			func(d *gpu.Device, b []*gpu.Buffer) (float64, error) { return d.Potrf(n, b[0], lda) })
 		if done {
 			return err
 		}
 	}
 	e.chargeCPU(machine.OpPotrf, machine.KernelFlops(machine.OpPotrf, 0, n, 0))
-	return blas.Potrf(blas.Lower, n, data, n)
+	return blas.Potrf(blas.Lower, n, a, lda)
 }
 
-// trsm solves the m×n panel block against the supernode's factored
-// diagonal, reusing the device copy of the diagonal when the fetch already
-// placed it there (GPU-blocks optimization).
-func (e *engine) trsm(m, n int, diagID int32, data []float64) {
+// trsm solves the m×n panel b (leading dimension ldb) in place against the
+// factored n×n diagonal in l (leading dimension ldl): a diagonal block's
+// avail entry, whose device copy the device path reuses when the fetch
+// already placed it there (GPU-blocks optimization), or a lane's view of a
+// trapezoid's diagonal.
+func (e *engine) trsm(m, n int, l *fetched, ldl int, b []float64, ldb int) {
+	b = b[:span(m, n, ldb)]
 	if e.offload(machine.OpTrsm, m*n) {
-		//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal
-		diag := operand{resident: e.avail[diagID].dev}
+		diag := operand{resident: l.dev}
 		if diag.resident == nil {
-			diag = operand{host: e.hostOf(diagID), in: true}
+			diag = operand{host: l.host, in: true}
 		}
-		done, _ := e.onDevice(machine.OpTrsm, []operand{diag, {host: data, in: true, out: true}},
-			func(d *gpu.Device, b []*gpu.Buffer) (float64, error) { return d.Trsm(m, n, b[0], n, b[1], m), nil })
+		done, _ := e.onDevice(machine.OpTrsm, []operand{diag, {host: b, in: true, out: true}},
+			func(d *gpu.Device, bufs []*gpu.Buffer) (float64, error) {
+				return d.Trsm(m, n, bufs[0], ldl, bufs[1], ldb), nil
+			})
 		if done {
 			return
 		}
 	}
 	e.chargeCPU(machine.OpTrsm, machine.KernelFlops(machine.OpTrsm, m, n, 0))
-	blas.Trsm(blas.Right, blas.Lower, blas.Transpose, m, n, 1, e.hostOf(diagID), n, data, m)
+	blas.Trsm(blas.Right, blas.Lower, blas.Transpose, m, n, 1, e.host(l), ldl, b, ldb)
 }
 
 // syrk computes the lower triangle of scratch = A·Aᵀ, A being n×k.
@@ -1506,19 +1650,22 @@ func (e *engine) syrk(n, k int, a, scratch []float64) {
 	blas.Syrk(blas.Lower, blas.NoTrans, n, k, 1, a, n, 0, scratch, n)
 }
 
-// gemm computes scratch = B·Aᵀ, B being m×k and A n×k.
-func (e *engine) gemm(m, n, k int, b, a, scratch []float64) {
+// gemm computes the m×n product scratch = B·Aᵀ (leading dimension m), B
+// being m×k with leading dimension ldb and A n×k with leading dimension
+// lda.
+func (e *engine) gemm(m, n, k int, b []float64, ldb int, a []float64, lda int, scratch []float64) {
+	b, a, scratch = b[:span(m, k, ldb)], a[:span(n, k, lda)], scratch[:m*n]
 	if e.offload(machine.OpGemm, m*n) {
 		done, _ := e.onDevice(machine.OpGemm, []operand{{host: b, in: true}, {host: a, in: true}, {host: scratch, out: true}},
 			func(d *gpu.Device, bufs []*gpu.Buffer) (float64, error) {
-				return d.Gemm(m, n, k, bufs[0], m, bufs[1], n, bufs[2], m), nil
+				return d.Gemm(m, n, k, bufs[0], ldb, bufs[1], lda, bufs[2], m), nil
 			})
 		if done {
 			return
 		}
 	}
 	e.chargeCPU(machine.OpGemm, machine.KernelFlops(machine.OpGemm, m, n, k))
-	blas.Gemm(blas.NoTrans, blas.Transpose, m, n, k, 1, b, m, a, n, 0, scratch, m)
+	blas.Gemm(blas.NoTrans, blas.Transpose, m, n, k, 1, b, ldb, a, lda, 0, scratch, m)
 }
 
 // ErrInternal flags invariant violations.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"sympack/internal/blas"
 )
 
 // Precision selects the format the factor is stored and shipped in. The
@@ -63,3 +65,16 @@ func (p Precision) elemBytes() int {
 // fp32 reports whether this engine stores its factor blocks as float32
 // values.
 func (e *engine) fp32() bool { return e.opt.Precision == PrecFP32 }
+
+// round32 rounds the m×n matrix a (leading dimension lda) through float32
+// when the engine stores its factor as fp32: a D or F task's block, or the
+// diagonal or the panel of a subtree supernode's trapezoid, once its kernel
+// has run.
+func (e *engine) round32(m, n int, a []float64, lda int) {
+	if !e.fp32() {
+		return
+	}
+	for j := range n {
+		blas.Round32(a[j*lda : j*lda+m])
+	}
+}

@@ -217,15 +217,64 @@ func TestFactorizationTracing(t *testing.T) {
 	if parked := f1.Metrics.Value("sympack_core_updates_parked_total"); parked == 0 {
 		t.Fatal("no update popped out of turn at 1 rank × 1 worker: the deferred apply path went unexercised")
 	}
-	// Subtree tasks record their kernels as the D, F and U tasks they
-	// replace, on the lane that ran them: one event per kernel still.
-	if got, want := rec.Len(), st.NumBlocks()+len(tg.Updates); got != want {
+	// A subtree task records its kernels: a D and an F per supernode,
+	// labelled sn=k, and a U per (source, target) supernode pair, labelled
+	// sn=k->p, for each ancestor p inside the subtree. Every other task
+	// records one event.
+	subtrees := subtreeTasks(st, symbolic.NewBlockMap(f1.Opt.Mapping, 1, st), 0)
+	in := make([]int32, len(st.Snodes)) // by supernode: its subtree's root + 1, or 0
+	for _, s := range subtrees {
+		for k := s.First; k <= s.Root; k++ {
+			in[k] = s.Root + 1
+		}
+	}
+	want = 0
+	for k := range st.Snodes {
+		blks := st.SnodeBlocks(int32(k))
+		if in[k] == 0 {
+			want += len(blks)
+			continue
+		}
+		want++ // POTRF
+		if len(blks) > 1 {
+			want++ // TRSM
+		}
+		for _, b := range blks[1:] {
+			if b.RowSn < in[k] {
+				want++ // GEMM into b.RowSn
+			}
+		}
+	}
+	for _, u := range tg.Updates {
+		if in[st.Blocks[u.Target].Snode] == 0 {
+			want++
+		}
+	}
+	if got := rec.Len(); got != want {
 		t.Fatalf("1 × 1: trace has %d events, want %d", got, want)
 	}
+	// Every update is recorded exactly once, by its own U event or by the
+	// pair event of its supernodes, and each target — a block for an
+	// update event, a supernode for a pair event — records them in
+	// ascending order: update index, or source supernode.
 	seen := make([]int, len(tg.Updates))
-	last := make([]int32, len(st.Blocks)) // by target: last update index recorded + 1
+	last := make([]int32, len(st.Blocks)) // by target block: last update index recorded + 1
+	pairs := map[[2]int32]int{}           // by (source, target) supernode: events recorded
+	lastSrc := make([]int32, len(st.Snodes))
 	for _, ev := range rec.Events() {
 		if ev.Kind != "U" {
+			continue
+		}
+		var src, tgt int32
+		if _, err := fmt.Sscanf(ev.Detail, "sn=%d->%d", &src, &tgt); err == nil {
+			if in[src] == 0 || in[tgt] != in[src] || tgt <= src {
+				t.Fatalf("pair event %q outside a subtree", ev.Detail)
+			}
+			if src < lastSrc[tgt] {
+				t.Fatalf("target supernode %d: source %d recorded after source %d", tgt, src, lastSrc[tgt]-1)
+			}
+			lastSrc[tgt] = src + 1
+			pairs[[2]int32{src, tgt}]++
 			continue
 		}
 		var ui int32
@@ -233,15 +282,18 @@ func TestFactorizationTracing(t *testing.T) {
 			t.Fatalf("U event detail %q: %v", ev.Detail, err)
 		}
 		seen[ui]++
-		tgt := tg.Updates[ui].Target
-		if ui < last[tgt] {
-			t.Fatalf("target %d: update %d recorded after update %d", tgt, ui, last[tgt]-1)
+		bt := tg.Updates[ui].Target
+		if ui < last[bt] {
+			t.Fatalf("target %d: update %d recorded after update %d", bt, ui, last[bt]-1)
 		}
-		last[tgt] = ui + 1
+		last[bt] = ui + 1
 	}
-	for ui, n := range seen {
-		if n != 1 {
-			t.Fatalf("update %d recorded %d times, want once", ui, n)
+	for ui, u := range tg.Updates {
+		if tsn := st.Blocks[u.Target].Snode; in[tsn] != 0 {
+			seen[ui] += pairs[[2]int32{u.SrcSn, tsn}]
+		}
+		if seen[ui] != 1 {
+			t.Fatalf("update %d recorded %d times, want once", ui, seen[ui])
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"sympack/internal/gen"
+	"sympack/internal/gpu"
 	"sympack/internal/matrix"
 	"sympack/internal/symbolic"
 )
@@ -89,6 +91,25 @@ func TestSubtreeTasks(t *testing.T) {
 		t.Error("every factorization sent re-requests; signals never checked")
 	})
 
+	// A subtree task runs one POTRF, one TRSM and one GEMM per supernode
+	// pair. Run block by block, one kernel per block and per block pair,
+	// this problem took 17 259 kernel calls.
+	t.Run("thermal64-kernel-calls", func(t *testing.T) {
+		const blockCalls = 17259
+		f, err := Factorize(thermal, Options{Ranks: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls int64
+		for _, n := range f.Stats.PerRank[0].CPU {
+			calls += n
+		}
+		t.Logf("%d kernel calls (block by block: %d)", calls, blockCalls)
+		if calls > blockCalls*6/10 {
+			t.Errorf("%d kernel calls, want at most 0.6 × %d", calls, blockCalls)
+		}
+	})
+
 	// Every range subtreeTasks selects, on every rank, is a closed subtree
 	// within the flop bound whose blocks that rank owns.
 	for _, c := range []struct {
@@ -129,6 +150,65 @@ func TestSubtreeTasks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSubtreeFoldBits checks that folding bottom subtrees into subtree
+// tasks moves no bit of the factor: each case saves the factor with
+// folding on and with it off (subtreeFlop = 0, which folds nothing) and
+// compares the bytes. The cases cover both worker counts, fp32 storage, the
+// device path of every kernel (thresholds of 1) and MapSubtree at 4 ranks,
+// where folded panel blocks are announced to other ranks.
+func TestSubtreeFoldBits(t *testing.T) {
+	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
+	opts := []struct {
+		name string
+		opt  Options
+	}{
+		{"r1w1", Options{Ranks: 1, Workers: 1}},
+		{"r1w2", Options{Ranks: 1, Workers: 2}},
+		{"fp32", Options{Ranks: 1, Workers: 1, Precision: PrecFP32}},
+		{"gpu-th1", Options{Ranks: 1, Workers: 1, GPUsPerNode: 1, Thresholds: &th}},
+		{"subtree-r4", Options{Ranks: 4, Workers: 1, Mapping: MapSubtree}},
+	}
+	mats := []struct {
+		name string
+		a    *matrix.SparseSym
+	}{
+		{"thermal64", gen.Thermal2D(64, 64, 4, 2)},
+		{"laplace12", gen.Laplace3D(12, 12, 12)},
+		{"flan10", gen.Flan3D(10, 10, 10, 1)},
+	}
+	save := func(t *testing.T, a *matrix.SparseSym, opt Options) ([]byte, *Factor) {
+		t.Helper()
+		f, err := Factorize(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := f.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), f
+	}
+	for _, m := range mats {
+		for _, o := range opts {
+			t.Run(m.name+"-"+o.name, func(t *testing.T) {
+				on, f := save(t, m.a, o.opt)
+				if !folded(f) {
+					t.Fatal("nothing folded")
+				}
+				defer func(v int64) { subtreeFlop = v }(subtreeFlop)
+				subtreeFlop = 0
+				off, f := save(t, m.a, o.opt)
+				if folded(f) {
+					t.Fatal("subtreeFlop = 0 still folded")
+				}
+				if !bytes.Equal(on, off) {
+					t.Error("the folded factor differs from the unfolded one")
+				}
+			})
+		}
 	}
 }
 
