@@ -9,12 +9,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sympack/internal/lint"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // scratchModule writes a tiny sympack-named module with three findings:
-// an unsuppressed wallclock read, a suppressed one, and a stale
+// an unsuppressed clock read, a suppressed one, and a stale
 // //lint:ignore that trips unusedignore. Deterministic input for the
 // -json schema tests.
 func scratchModule(t *testing.T) string {
@@ -35,16 +37,16 @@ func scratchModule(t *testing.T) string {
 
 import "time"
 
-// The raw clock read the wallclock analyzer exists to stop.
+// The raw clock read nondetflow's direct rule exists to stop.
 var epoch = time.Now()
 
 func human() time.Time {
-	//lint:ignore wallclock operator-facing timestamp, never schedules work
+	//lint:ignore nondetflow operator-facing timestamp, never schedules work
 	return time.Now()
 }
 
 func fixedAlready() int {
-	//lint:ignore wallclock stale: the clock read below was removed
+	//lint:ignore nondetflow stale: the clock read below was removed
 	return 1
 }
 `)
@@ -190,11 +192,20 @@ func testdataDir(t *testing.T) string {
 // expect file. The discard, lockorder, nondetflow and errflow findings
 // span packages, so they exist only if facts flow through the driver's
 // store; a row that finds nothing means an analyzer silently stopped
-// working.
+// working. Every analyzer of the suite must own at least one gate, except
+// unusedignore, which TestUnusedIgnore drives through the same runner.
 func TestGates(t *testing.T) {
-	for _, gate := range []string{"ctxflow", "discard", "errflow", "goroutineleak", "lockorder", "nondetflow", "wallclock"} {
-		t.Run(gate, func(t *testing.T) {
-			dir := filepath.Join(testdataDir(t), "gates", gate)
+	gates, err := os.ReadDir(filepath.Join(testdataDir(t), "gates"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := map[string]bool{"unusedignore": true}
+	for _, gate := range gates {
+		if !gate.IsDir() {
+			continue
+		}
+		t.Run(gate.Name(), func(t *testing.T) {
+			dir := filepath.Join(testdataDir(t), "gates", gate.Name())
 			expect, err := os.ReadFile(filepath.Join(dir, "expect"))
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +223,17 @@ func TestGates(t *testing.T) {
 			if !strings.Contains(findings[0], phrase) {
 				t.Errorf("finding %q does not contain %q", findings[0], phrase)
 			}
+			// "file:line:col: [analyzer] message"
+			if _, rest, ok := strings.Cut(findings[0], " ["); ok {
+				name, _, _ := strings.Cut(rest, "]")
+				gated[name] = true
+			}
 		})
+	}
+	for _, a := range lint.Analyzers() {
+		if !gated[a.Name] {
+			t.Errorf("analyzer %s has no seeded-violation gate under testdata/gates", a.Name)
+		}
 	}
 }
 

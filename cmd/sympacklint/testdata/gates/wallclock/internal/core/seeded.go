@@ -3,5 +3,5 @@ package core
 import "time"
 
 // A schedule decision derived from the host clock: the exact violation
-// the wallclock analyzer exists to stop.
+// nondetflow's direct rule exists to stop.
 var epoch = time.Now()

@@ -131,7 +131,10 @@ func TestChaosMatrix(t *testing.T) {
 // payloads (per-update contribution buffers) through the same resilient
 // announce/poll/re-request protocol, so a faulted run must land on exactly
 // the clean run's factor bits at every rank count — including ranks=1,
-// where self-delivery bypasses the wire entirely.
+// where self-delivery bypasses the wire entirely. At the transfer-exhaust
+// rate a get runs out of retries often enough that the engine's recovery
+// from a failed fetch (count it, re-request at once, fetch again) runs
+// on every seed at four ranks; one rank fetches nothing.
 func TestChaosFormulationMatrix(t *testing.T) {
 	a := gen.Laplace2D(9, 8)
 	classes := []struct {
@@ -143,6 +146,7 @@ func TestChaosFormulationMatrix(t *testing.T) {
 		{"dup", faults.DupSignal, 0.3},
 		{"delay", faults.DelaySignal, 0.4},
 		{"transfer", faults.TransientTransfer, 0.3},
+		{"transfer-exhaust", faults.TransientTransfer, 0.8},
 	}
 	for _, form := range []Formulation{FanOut, FanBoth} {
 		form := form
@@ -169,6 +173,12 @@ func TestChaosFormulationMatrix(t *testing.T) {
 						}
 						requireSameFactor(t, clean, f,
 							fmt.Sprintf("%s faults, p%d seed %d vs clean run", tc.name, ranks, seed))
+						if tc.name == "transfer-exhaust" {
+							failed := f.Metrics.Value("sympack_core_fetch_failures_total")
+							if (ranks > 1) != (failed > 0) {
+								t.Fatalf("%s/p%d/seed%d: %v fetch failures", tc.name, ranks, seed, failed)
+							}
+						}
 						if r := distSolveCheck(t, a, f, seed); r > 1e-10 {
 							t.Fatalf("%s/p%d/seed%d: residual %g", tc.name, ranks, seed, r)
 						}

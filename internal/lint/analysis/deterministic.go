@@ -1,10 +1,10 @@
 package analysis
 
-// DeterministicPackages is the scope of the per-package determinism
-// analyzers (mapiterdeterminism, wallclock): the packages whose results
-// must be a pure function of their inputs, so that neither Go's randomized
-// map order nor the host clock may reach them. The two analyzers share the
-// one list so that their scopes cannot drift apart.
+// DeterministicPackages is the scope of nondetflow's direct rule: the
+// packages whose results must be a pure function of their inputs, so that
+// neither Go's randomized map order, nor the host clock, nor unseeded
+// randomness may appear in them at all. It is the one list of these
+// packages; documents name it instead of copying it.
 var DeterministicPackages = map[string]bool{
 	// The numeric and scheduling core: schedules and numerics feed factor
 	// bits, which must be identical for any worker or rank count.

@@ -24,7 +24,8 @@ import (
 // diagnostics instead of deleting them, and — when the unusedignore
 // analyzer is in the run — reports every directive that suppressed
 // nothing, staticcheck-style, so stale escape hatches cannot linger after
-// the finding they once justified is gone.
+// the finding they once justified is gone, and, in a full run, every
+// directive naming an analyzer the suite does not have.
 
 type ignoreDirective struct {
 	pos       token.Pos
@@ -137,18 +138,20 @@ func (d *ignoreDirective) matches(analyzer string, line int) bool {
 
 // Audit applies the files' lint:ignore directives to diags: matching
 // diagnostics are marked Suppressed (not removed), every malformed
-// directive is appended as a "lint" finding, and — when auditUnused is
-// set — every directive that suppressed nothing is appended as an
-// "unusedignore" finding. ran lists the analyzers that actually executed:
-// a directive is only judged unused when every analyzer it names ran (or
-// it is the wildcard), since a directive for an analyzer outside the run
-// may be doing its job invisibly. An unjudgeable directive yields an
+// directive is appended as a "lint" finding, and — when the unusedignore
+// analyzer is among ran, the analyzers that executed — every directive
+// that suppressed nothing is appended as an "unusedignore" finding. A
+// directive is only judged unused when every analyzer it names ran (or it
+// is the wildcard), since a directive for an analyzer outside the run may
+// be doing its job invisibly. In a partial run such a directive yields an
 // informational note ("audit skipped: ...") rather than nothing, so
-// sharded runs cannot silently drop the audit. consumed lists directives
-// analyzers honored mid-analysis (Pass.MarkIgnoreUsed) — a taint kill
-// produces no diagnostic to suppress, yet its directive is live, not
-// stale.
-func Audit(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran []string, auditUnused bool, consumed []ConsumedIgnore) []Diagnostic {
+// sharded runs cannot silently drop the audit; in a full run (full: the
+// whole suite ran) an analyzer that did not run does not exist, and the
+// directive naming it is a finding, used or not. consumed lists
+// directives analyzers honored mid-analysis (Pass.MarkIgnoreUsed) — a
+// taint kill produces no diagnostic to suppress, yet its directive is
+// live, not stale.
+func Audit(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran []string, full bool, consumed []ConsumedIgnore) []Diagnostic {
 	ignores, malformed := collectIgnores(fset, files)
 	for _, c := range consumed {
 		pos := fset.Position(c.Pos)
@@ -171,35 +174,43 @@ func Audit(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran []str
 		out = append(out, d)
 	}
 	out = append(out, malformed...)
-	if auditUnused {
-		ranSet := map[string]bool{"*": true}
-		for _, name := range ran {
-			ranSet[name] = true
-		}
-		for _, dirs := range ignores {
-			for _, dir := range dirs {
-				if dir.used {
-					continue
+	ranSet := map[string]bool{"*": true}
+	for _, name := range ran {
+		ranSet[name] = true
+	}
+	if !ranSet["unusedignore"] {
+		return out
+	}
+	for _, dirs := range ignores {
+		for _, dir := range dirs {
+			var missing []string
+			for _, a := range dir.analyzers {
+				if !ranSet[a] {
+					missing = append(missing, a)
 				}
-				var missing []string
-				for _, a := range dir.analyzers {
-					if !ranSet[a] {
-						missing = append(missing, a)
-					}
-				}
-				if len(missing) > 0 {
-					// A partial run (an analysistest suite of a few
-					// analyzers) cannot judge this directive; say so
-					// instead of silently skipping the audit.
-					out = append(out, Diagnostic{
-						Pos: dir.pos,
-						Message: "audit skipped: analyzers " + strings.Join(missing, ",") +
-							" did not run — this //lint:ignore cannot be judged stale or live in this shard",
-						Analyzer: "unusedignore",
-						Note:     true,
-					})
-					continue
-				}
+			}
+			switch {
+			case full && len(missing) > 0:
+				out = append(out, Diagnostic{
+					Pos: dir.pos,
+					Message: "//lint:ignore names " + strings.Join(missing, ",") +
+						", which is no analyzer of the suite; name the check the directive overrides",
+					Analyzer: "unusedignore",
+				})
+			case dir.used:
+				// Live: it suppressed or killed something.
+			case len(missing) > 0:
+				// A partial run (an analysistest suite of a few
+				// analyzers) cannot judge this directive; say so
+				// instead of silently skipping the audit.
+				out = append(out, Diagnostic{
+					Pos: dir.pos,
+					Message: "audit skipped: analyzers " + strings.Join(missing, ",") +
+						" did not run — this //lint:ignore cannot be judged stale or live in this shard",
+					Analyzer: "unusedignore",
+					Note:     true,
+				})
+			default:
 				out = append(out, Diagnostic{
 					Pos: dir.pos,
 					Message: "//lint:ignore " + strings.Join(dir.analyzers, ",") +

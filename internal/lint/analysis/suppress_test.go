@@ -145,7 +145,7 @@ func TestAuditUnusedDirectives(t *testing.T) {
 	// silence, and never as a gating unusedignore finding.
 	got := Audit(fset, []*ast.File{f}, []Diagnostic{
 		{Pos: file.LineStart(5), Message: "finding", Analyzer: "check1"},
-	}, []string{"check1"}, true, nil)
+	}, []string{"check1", "unusedignore"}, false, nil)
 	var unused, notes []Diagnostic
 	for _, d := range got {
 		if d.Analyzer != "unusedignore" {
@@ -176,7 +176,7 @@ func TestAuditUnusedDirectives(t *testing.T) {
 	// and unused.
 	got = Audit(fset, []*ast.File{f}, []Diagnostic{
 		{Pos: file.LineStart(5), Message: "finding", Analyzer: "check1"},
-	}, []string{"check1", "check2"}, true, nil)
+	}, []string{"check1", "check2", "unusedignore"}, false, nil)
 	unused = nil
 	for _, d := range got {
 		if d.Analyzer == "unusedignore" {
@@ -219,20 +219,20 @@ func TestAuditConsumedIgnores(t *testing.T) {
 	file := fset.File(f.Pos())
 	// No diagnostics at all; both analyzers ran. Without consumption the
 	// line-4 and line-10 directives are stale.
-	got := Audit(fset, []*ast.File{f}, nil, []string{"check1", "check2"}, true, nil)
+	got := Audit(fset, []*ast.File{f}, nil, []string{"check1", "check2", "unusedignore"}, false, nil)
 	if n := countUnused(got); n != 2 {
 		t.Fatalf("unused with no consumption = %d, want 2: %+v", n, got)
 	}
 	// Consuming at line 5 (the code under the line-4 directive) for check1
 	// marks that directive live; the trailing line-10 one stays stale.
-	got = Audit(fset, []*ast.File{f}, nil, []string{"check1", "check2"}, true,
+	got = Audit(fset, []*ast.File{f}, nil, []string{"check1", "check2", "unusedignore"}, false,
 		[]ConsumedIgnore{{Pos: file.LineStart(5), Analyzer: "check1"}})
 	if n := countUnused(got); n != 1 {
 		t.Fatalf("unused after consumption = %d, want 1: %+v", n, got)
 	}
 	// A consumption for an analyzer the directive does not name changes
 	// nothing.
-	got = Audit(fset, []*ast.File{f}, nil, []string{"check1", "check2"}, true,
+	got = Audit(fset, []*ast.File{f}, nil, []string{"check1", "check2", "unusedignore"}, false,
 		[]ConsumedIgnore{{Pos: file.LineStart(5), Analyzer: "check2"}})
 	if n := countUnused(got); n != 2 {
 		t.Fatalf("unused after mismatched consumption = %d, want 2: %+v", n, got)

@@ -1,142 +1,48 @@
-// Package atomicconsistency flags variables that are accessed through
-// sync/atomic in one place and by plain load or store in another — the
-// class of torn-counter bug the worker-pool migration (PR 2, DESIGN.md §9)
-// fixed by hand when the engine's clock, op counters, and demotion flag
-// became shared between executor goroutines. A field that is atomic
-// anywhere must be atomic everywhere: a single plain read can observe a
-// torn or stale value, and a single plain write can lose a concurrent
-// atomic increment.
+// Package atomicconsistency keeps shared counters on typed atomics. A
+// field accessed through sync/atomic in one place and by plain load or
+// store in another is the torn-counter bug the worker-pool migration
+// (PR 2, DESIGN.md §9) fixed by hand when the engine's clock, op counters
+// and demotion flag became shared between executor goroutines: a single
+// plain read can observe a stale value, and a single plain write can lose
+// a concurrent atomic increment.
 //
-// The analyzer collects every field or package-level variable whose
-// address is passed to one of the old-style sync/atomic functions
-// (atomic.AddInt64(&x.f, ...), atomic.LoadUint32(&x.g), ...), then reports
-// every other syntactic use of the same object in the package. Typed
-// atomics (atomic.Int64 et al.) are immune by construction — their value
-// is unreachable except through methods — which is why the engine uses
-// them; this check exists to keep the old style from creeping back in
-// half-migrated form. Use //lint:ignore atomicconsistency <reason> for the
-// rare single-goroutine initialization window that is provably unshared.
+// Typed atomics (atomic.Int64 et al.) are immune by construction, since
+// their value is unreachable except through methods, and the tree uses
+// nothing else. So the analyzer reports every call of an old-style,
+// pointer-taking sync/atomic function (atomic.AddInt64(&x.f, 1),
+// atomic.LoadUint32(&g), ...): a field only ever reached that way can be
+// a typed atomic, and a field also reached plainly is the bug itself.
 package atomicconsistency
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"sympack/internal/lint/analysis"
+	"sympack/internal/lint/callgraph"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicconsistency",
-	Doc: "flags variables accessed both through sync/atomic and by plain " +
-		"load/store, which can tear counters and lose updates",
+	Doc: "flags old-style sync/atomic functions taking a raw pointer; shared " +
+		"counters must be typed atomics, which no plain load or store can tear",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	// Phase 1: find objects whose address feeds a sync/atomic call, and
-	// remember the identifiers that appear inside those calls so phase 2
-	// does not report the atomic accesses themselves.
-	atomicObjs := map[types.Object]token.Pos{}
-	sanctioned := map[*ast.Ident]bool{}
-
 	pass.Preorder(func(n ast.Node) {
-		// Composite-literal keys construct a fresh, unshared value
-		// (`counters{done: 0}`); treat them like declarations, not
-		// accesses. Wholesale reset of a live struct is out of scope
-		// for a syntactic pass and covered by the race detector.
-		if cl, ok := n.(*ast.CompositeLit); ok {
-			for _, elt := range cl.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						sanctioned[id] = true
-					}
-				}
-			}
-			return
-		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isAtomicFn(pass, call) {
+		if !ok {
 			return
 		}
-		for _, arg := range call.Args {
-			un, ok := arg.(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				continue
-			}
-			id := baseIdent(un.X)
-			if id == nil {
-				continue
-			}
-			obj := pass.TypesInfo.Uses[id]
-			if obj == nil {
-				continue
-			}
-			if _, ok := obj.(*types.Var); !ok {
-				continue
-			}
-			if _, seen := atomicObjs[obj]; !seen {
-				atomicObjs[obj] = id.Pos()
-			}
-			sanctioned[id] = true
+		fn, path := callgraph.Callee(pass.TypesInfo, call)
+		if path != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+			return // methods of typed atomics take no raw pointers
 		}
-	})
-	if len(atomicObjs) == 0 {
-		return nil, nil
-	}
-
-	// Phase 2: every other use of those objects is a plain access.
-	pass.Preorder(func(n ast.Node) {
-		id, ok := n.(*ast.Ident)
-		if !ok || sanctioned[id] {
-			return
-		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return
-		}
-		if first, ok := atomicObjs[obj]; ok {
-			pass.Reportf(id.Pos(),
-				"%s is accessed with sync/atomic at %s but by plain load/store here; "+
-					"every access must be atomic (or migrate the field to a typed atomic)",
-				obj.Name(), pass.Fset.Position(first))
-		}
+		pass.Reportf(call.Pos(),
+			"atomic.%s takes a raw pointer, so the same variable can also be read or "+
+				"written plainly; make it a typed atomic (atomic.Int64 and friends)",
+			fn.Name())
 	})
 	return nil, nil
-}
-
-// isAtomicFn reports whether call invokes an old-style pointer-taking
-// sync/atomic function.
-func isAtomicFn(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	switch {
-	case fn.Type().(*types.Signature).Recv() != nil:
-		return false // methods of typed atomics take no raw pointers
-	default:
-		return true // AddT, LoadT, StoreT, SwapT, CompareAndSwapT
-	}
-}
-
-// baseIdent peels selectors off an addressable expression and returns the
-// identifier naming the field or variable whose address is taken:
-// &s.f → f, &x → x, &s.a.b → b. Index expressions (&arr[i]) return nil —
-// per-element atomicity over slices is tracked by element, which a purely
-// syntactic pass cannot do soundly.
-func baseIdent(e ast.Expr) *ast.Ident {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e
-	case *ast.SelectorExpr:
-		return e.Sel
-	case *ast.ParenExpr:
-		return baseIdent(e.X)
-	}
-	return nil
 }

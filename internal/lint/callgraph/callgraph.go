@@ -7,7 +7,8 @@
 //
 //  1. Static: the callee is a named function or a concrete method,
 //     resolved directly through go/types (including qualified
-//     identifiers, pkg.Fn).
+//     identifiers, pkg.Fn). Callee is this step on its own, for the
+//     analyzers that only ask which function a call names.
 //  2. Function value: the callee is a local variable bound exactly once
 //     to a statically known function ("f := helper; ...; f(x)"). A
 //     variable reassigned, address-taken, or bound to anything but a
@@ -290,6 +291,25 @@ func (r *Resolver) indexImplCandidates() {
 	}
 }
 
+// Callee returns the function a call names statically — a package-level
+// function, a qualified pkg.Fn, or a concrete or interface method — and
+// the path of its package ("" for a universe method such as error.Error).
+// A call through a variable or field, a builtin or a conversion names no
+// function and yields nil.
+func Callee(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
+	var fn *types.Func
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil || fn.Pkg() == nil {
+		return fn, ""
+	}
+	return fn, fn.Pkg().Path()
+}
+
 // Callees resolves a call expression. For KindStatic and KindFuncValue
 // the slice has exactly one element; for KindInterface zero or more, in
 // deterministic order; for KindUnknown it is nil.
@@ -300,48 +320,22 @@ func (r *Resolver) Callees(call *ast.CallExpr) ([]*types.Func, Kind) {
 	if tv, ok := r.info.Types[fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
 		return nil, KindUnknown
 	}
-
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		switch obj := r.info.Uses[fun].(type) {
-		case *types.Func:
-			return []*types.Func{obj}, KindStatic
-		case *types.Var:
-			if fn, ok := r.funcVals[obj]; ok {
+	if fn, _ := Callee(r.info, call); fn != nil {
+		if sel, ok := fun.(*ast.SelectorExpr); ok {
+			if s, ok := r.info.Selections[sel]; ok && types.IsInterface(s.Recv()) {
+				return r.interfaceImpls(fn, s.Recv()), KindInterface
+			}
+		}
+		return []*types.Func{fn}, KindStatic
+	}
+	if id, ok := fun.(*ast.Ident); ok {
+		if v, ok := r.info.Uses[id].(*types.Var); ok {
+			if fn, ok := r.funcVals[v]; ok {
 				return []*types.Func{fn}, KindFuncValue
 			}
 		}
-		return nil, KindUnknown
-
-	case *ast.SelectorExpr:
-		if sel, ok := r.info.Selections[fun]; ok {
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
-				// Function-typed field: dynamic.
-				return nil, KindUnknown
-			}
-			if types.IsInterface(sel.Recv()) {
-				return r.interfaceImpls(fn, sel.Recv()), KindInterface
-			}
-			return []*types.Func{fn}, KindStatic
-		}
-		// Qualified identifier pkg.Fn.
-		if fn, ok := r.info.Uses[fun.Sel].(*types.Func); ok {
-			return []*types.Func{fn}, KindStatic
-		}
-		return nil, KindUnknown
 	}
 	return nil, KindUnknown
-}
-
-// Static returns the single statically resolved callee (KindStatic or
-// KindFuncValue), or nil.
-func (r *Resolver) Static(call *ast.CallExpr) *types.Func {
-	callees, kind := r.Callees(call)
-	if (kind == KindStatic || kind == KindFuncValue) && len(callees) == 1 {
-		return callees[0]
-	}
-	return nil
 }
 
 // interfaceImpls resolves an interface method to the corresponding

@@ -41,6 +41,7 @@ import (
 	"strings"
 
 	"sympack/internal/lint/analysis"
+	"sympack/internal/lint/callgraph"
 	"sympack/internal/lint/cfg"
 	"sympack/internal/lint/dataflow"
 )
@@ -320,8 +321,8 @@ func (w *walker) checkCall(call *ast.CallExpr, seed map[types.Object]bool, deriv
 // checkCtxVariant reports a call to f when an fCtx sibling taking a
 // context exists in the same package (or on the same receiver type).
 func (w *walker) checkCtxVariant(call *ast.CallExpr) {
-	fn := calleeFunc(w.pass, call)
-	if fn == nil || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "sympack/") {
+	fn, path := callgraph.Callee(w.pass.TypesInfo, call)
+	if !strings.HasPrefix(path, "sympack/") {
 		return
 	}
 	if strings.HasSuffix(fn.Name(), "Ctx") || signatureHasContext(fn) {
@@ -364,16 +365,4 @@ func signatureHasContext(fn *types.Func) bool {
 		}
 	}
 	return false
-}
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

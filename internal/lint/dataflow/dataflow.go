@@ -1,8 +1,6 @@
 // Package dataflow is a generic worklist solver over internal/lint/cfg
 // graphs: the one fixpoint loop every flow-sensitive analyzer in the
-// suite shares, instead of each hand-rolling its own iteration (the
-// source-order walks the v2 analyzers used, whose merge behavior was
-// documented as unsound — see mutexguard's package doc).
+// suite shares, instead of each hand-rolling its own iteration.
 //
 // An analysis picks a direction, a lattice (join + equality + clone over
 // its state type), a boundary state for the entry (forward) or exit
@@ -141,7 +139,7 @@ type Set map[string]bool
 func (l SetLattice) Join(a, b Set) Set {
 	if l.Intersect {
 		out := Set{}
-		//lint:ignore mapiterdeterminism set intersection: membership-only writes, result independent of visit order
+		//lint:ignore nondetflow set intersection: membership-only writes, result independent of visit order
 		for k := range a {
 			if b[k] {
 				out[k] = true
@@ -150,11 +148,11 @@ func (l SetLattice) Join(a, b Set) Set {
 		return out
 	}
 	out := make(Set, len(a)+len(b))
-	//lint:ignore mapiterdeterminism set union: membership-only writes, result independent of visit order
+	//lint:ignore nondetflow set union: membership-only writes, result independent of visit order
 	for k := range a {
 		out[k] = true
 	}
-	//lint:ignore mapiterdeterminism set union: membership-only writes, result independent of visit order
+	//lint:ignore nondetflow set union: membership-only writes, result independent of visit order
 	for k := range b {
 		out[k] = true
 	}
@@ -165,7 +163,7 @@ func (SetLattice) Equal(a, b Set) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	//lint:ignore mapiterdeterminism subset test: boolean conjunction over members, order-insensitive
+	//lint:ignore nondetflow subset test: boolean conjunction over members, order-insensitive
 	for k := range a {
 		if !b[k] {
 			return false
@@ -176,7 +174,7 @@ func (SetLattice) Equal(a, b Set) bool {
 
 func (SetLattice) Clone(a Set) Set {
 	out := make(Set, len(a))
-	//lint:ignore mapiterdeterminism set copy: membership-only writes, result independent of visit order
+	//lint:ignore nondetflow set copy: membership-only writes, result independent of visit order
 	for k := range a {
 		out[k] = true
 	}

@@ -43,6 +43,7 @@ import (
 	"strings"
 
 	"sympack/internal/lint/analysis"
+	"sympack/internal/lint/callgraph"
 	"sympack/internal/lint/taint"
 )
 
@@ -219,48 +220,24 @@ func sourceOf(labels []string) string {
 	return ""
 }
 
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-func pkgPath(fn *types.Func) string {
-	if p := fn.Pkg(); p != nil {
-		return p.Path()
-	}
-	return ""
-}
-
 // transferCall models the stdlib error-plumbing calls the summaries
 // cannot see into.
 func transferCall(info *types.Info, call *ast.CallExpr) ([][]ast.Expr, bool) {
-	fn := calleeOf(info, call)
+	fn, path := callgraph.Callee(info, call)
 	if fn == nil {
 		return nil, false
 	}
-	path := pkgPath(fn)
 	switch {
 	case path == "fmt" && fn.Name() == "Errorf":
-		verbs, ok := formatVerbs(call)
+		verbs, ok := analysis.FormatVerbs(call)
 		if !ok {
 			// Dynamic format: be conservative, everything may wrap.
 			return [][]ast.Expr{call.Args[1:]}, true
 		}
 		var wrapped []ast.Expr
-		for i, v := range verbs {
-			if v == 'w' && 1+i < len(call.Args) {
-				wrapped = append(wrapped, call.Args[1+i])
+		for _, v := range verbs {
+			if v.Verb == 'w' && 1+v.Arg < len(call.Args) {
+				wrapped = append(wrapped, call.Args[1+v.Arg])
 			}
 		}
 		return [][]ast.Expr{wrapped}, true
@@ -301,73 +278,28 @@ func isErrorMethod(fn *types.Func) bool {
 	return ok && b.Kind() == types.String
 }
 
-// formatVerbs returns the arg-consuming verbs of a literal format string
-// in order, or ok=false for dynamic or indexed ([n]) formats.
-func formatVerbs(call *ast.CallExpr) ([]byte, bool) {
-	if len(call.Args) == 0 {
-		return nil, false
-	}
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok {
-		return nil, false
-	}
-	s := lit.Value
-	var verbs []byte
-	for i := 0; i < len(s); i++ {
-		if s[i] != '%' {
-			continue
-		}
-		i++
-		if i < len(s) && s[i] == '%' {
-			continue
-		}
-		for i < len(s) && strings.IndexByte("+-# 0123456789.", s[i]) >= 0 {
-			i++
-		}
-		if i >= len(s) {
-			break
-		}
-		if s[i] == '[' {
-			return nil, false // indexed args: give up, treat as dynamic
-		}
-		if s[i] == '*' {
-			verbs = append(verbs, '*') // the width consumes an argument
-			i++
-			for i < len(s) && strings.IndexByte("0123456789.", s[i]) >= 0 {
-				i++
-			}
-			if i >= len(s) {
-				break
-			}
-		}
-		verbs = append(verbs, s[i])
-	}
-	return verbs, true
-}
-
 // callSinks flags taxonomy-erasing call arguments.
 func callSinks(pass *analysis.Pass, call *ast.CallExpr) []taint.SinkUse {
-	fn := calleeOf(pass.TypesInfo, call)
+	fn, path := callgraph.Callee(pass.TypesInfo, call)
 	if fn == nil {
 		return nil
 	}
-	path := pkgPath(fn)
 	switch {
 	case path == "fmt" && fn.Name() == "Errorf":
-		verbs, ok := formatVerbs(call)
+		verbs, ok := analysis.FormatVerbs(call)
 		if !ok {
 			return nil
 		}
 		var uses []taint.SinkUse
-		for i, v := range verbs {
-			if v == 'w' || 1+i >= len(call.Args) {
+		for _, v := range verbs {
+			if v.Verb == 'w' || v.Verb == '*' || 1+v.Arg >= len(call.Args) {
 				continue
 			}
-			arg := call.Args[1+i]
+			arg := call.Args[1+v.Arg]
 			if tv, ok := pass.TypesInfo.Types[arg]; ok && isErrorType(tv.Type) {
 				uses = append(uses, taint.SinkUse{
 					Value: arg,
-					Desc:  fmt.Sprintf("a %%%c rewrap (severs errors.Is; use %%w)", v),
+					Desc:  fmt.Sprintf("a %%%c rewrap (severs errors.Is; use %%w)", v.Verb),
 				})
 			}
 		}
@@ -554,7 +486,7 @@ func consultsTaxonomy(pass *analysis.Pass, local map[*types.Func][]int, site *sw
 			if errObj == nil {
 				return true
 			}
-			callee := calleeOf(pass.TypesInfo, n)
+			callee, _ := callgraph.Callee(pass.TypesInfo, n)
 			if callee == nil {
 				return true
 			}
@@ -603,18 +535,9 @@ func consultedParams(pass *analysis.Pass) map[*types.Func][]int {
 				continue
 			}
 			paramIdx := map[types.Object]int{}
-			i := 0
-			for _, field := range fd.Type.Params.List {
-				if len(field.Names) == 0 {
-					i++
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						paramIdx[obj] = i
-					}
-					i++
-				}
+			sig := fn.Type().(*types.Signature)
+			for i := 0; i < sig.Params().Len(); i++ {
+				paramIdx[sig.Params().At(i)] = i
 			}
 			seen := map[int]bool{}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -625,8 +548,8 @@ func consultedParams(pass *analysis.Pass) map[*types.Func][]int {
 				if !ok || len(call.Args) == 0 {
 					return true
 				}
-				callee := calleeOf(pass.TypesInfo, call)
-				if callee == nil || pkgPath(callee) != "errors" ||
+				callee, path := callgraph.Callee(pass.TypesInfo, call)
+				if path != "errors" ||
 					(callee.Name() != "Is" && callee.Name() != "As") {
 					return true
 				}

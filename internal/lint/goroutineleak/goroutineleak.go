@@ -1,7 +1,7 @@
 // Package goroutineleak flags goroutines that can block forever on a
-// channel operation with no escape. The fan-out engine launches a
-// goroutine per update batch and per RPC reply; each one that parks on
-// an unbuffered channel whose other end is conditional leaks a stack and
+// channel operation with no escape. The engine runs a goroutine per rank
+// and per helper worker, and sympackd one per request; each one that parks
+// on an unbuffered channel whose other end is conditional leaks a stack and
 // an OS-thread slot for the life of the process — the classic slow leak
 // that only shows up as RSS creep under sustained load.
 //

@@ -1,7 +1,7 @@
 // Package lint assembles the sympacklint analyzer suite and runs it over
 // type-checked packages. The suite mechanically enforces the solver's
-// headline invariants — deterministic schedules, atomic-only shared
-// counters, never-discarded transfer errors, virtualized wall clocks,
+// headline invariants — deterministic schedules and virtualized wall
+// clocks, typed-atomic shared counters, never-discarded transfer errors,
 // mutex-guarded scheduler state, and live suppressions — that PRs 1–2
 // established by hand (see DESIGN.md §10 for the mapping from each
 // analyzer to the paper invariant it guards).
@@ -15,6 +15,7 @@ package lint
 import (
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 
 	"sympack/internal/lint/analysis"
@@ -24,11 +25,9 @@ import (
 	"sympack/internal/lint/goroutineleak"
 	"sympack/internal/lint/load"
 	"sympack/internal/lint/lockorder"
-	"sympack/internal/lint/mapiterdeterminism"
 	"sympack/internal/lint/mutexguard"
 	"sympack/internal/lint/nondetflow"
 	"sympack/internal/lint/unusedignore"
-	"sympack/internal/lint/wallclock"
 )
 
 // Analyzers returns the full suite, in reporting order.
@@ -39,11 +38,9 @@ func Analyzers() []*analysis.Analyzer {
 		errflow.Analyzer,
 		goroutineleak.Analyzer,
 		lockorder.Analyzer,
-		mapiterdeterminism.Analyzer,
 		mutexguard.Analyzer,
 		nondetflow.Analyzer,
 		unusedignore.Analyzer,
-		wallclock.Analyzer,
 	}
 }
 
@@ -56,12 +53,8 @@ func RunPackageFacts(p *load.Package, analyzers []*analysis.Analyzer, store *ana
 	var diags []analysis.Diagnostic
 	var consumed []analysis.ConsumedIgnore
 	ran := make([]string, 0, len(analyzers))
-	auditUnused := false
 	for _, a := range analyzers {
 		ran = append(ran, a.Name)
-		if a.Name == unusedignore.Name {
-			auditUnused = true
-		}
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      p.Fset,
@@ -82,9 +75,21 @@ func RunPackageFacts(p *load.Package, analyzers []*analysis.Analyzer, store *ana
 			return nil, err
 		}
 	}
-	diags = analysis.Audit(p.Fset, p.Files, diags, ran, auditUnused, consumed)
+	diags = analysis.Audit(p.Fset, p.Files, diags, ran, fullSuite(ran), consumed)
 	sortDiagnostics(p.Fset, diags)
 	return diags, nil
+}
+
+// fullSuite reports whether every analyzer of the suite ran: only then
+// does a directive naming an analyzer that did not run name no analyzer
+// at all.
+func fullSuite(ran []string) bool {
+	for _, a := range Analyzers() {
+		if !slices.Contains(ran, a.Name) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunModule loads every buildable package under modRoot and applies the

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"sympack/internal/lint/analysis"
+	"sympack/internal/lint/callgraph"
 	"sympack/internal/lint/cfg"
 	"sympack/internal/lint/dataflow"
 )
@@ -163,8 +164,8 @@ func (w *walker) solveAcquires(fns []*fnInfo) {
 // the local fixpoint table for same-package functions, imported Facts
 // for cross-package ones, empty (conservatively silent) otherwise.
 func (w *walker) calleeAcquires(call *ast.CallExpr) map[string]bool {
-	fn := w.calleeFunc(call)
-	if fn == nil || fn.Pkg() == nil {
+	fn, path := callgraph.Callee(w.pass.TypesInfo, call)
+	if path == "" {
 		return nil
 	}
 	if fn.Pkg() == w.pass.Pkg {
@@ -179,18 +180,6 @@ func (w *walker) calleeAcquires(call *ast.CallExpr) map[string]bool {
 		set[l] = true
 	}
 	return set
-}
-
-func (w *walker) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := w.pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := w.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // collectEdges runs the held-set may-analysis over one body and records
@@ -332,28 +321,11 @@ func (w *walker) recordAcquire(held dataflow.Set, id string, pos token.Pos) {
 // sync.Mutex/RWMutex field of a named type, returning the type-level lock
 // id and whether the call acquires.
 func (w *walker) lockOp(call *ast.CallExpr) (string, bool, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	mu, locks := analysis.MutexOp(w.pass.TypesInfo, call)
+	if mu == nil {
 		return "", false, false
 	}
-	var locks bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		locks = true
-	case "Unlock", "RUnlock":
-		locks = false
-	default:
-		return "", false, false
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return "", false, false
-	}
-	muVar, ok := w.pass.TypesInfo.Uses[inner.Sel].(*types.Var)
-	if !ok || !isSyncLock(muVar) {
-		return "", false, false
-	}
-	tv, ok := w.pass.TypesInfo.Types[inner.X]
+	tv, ok := w.pass.TypesInfo.Types[mu.X]
 	if !ok {
 		return "", false, false
 	}
@@ -362,21 +334,11 @@ func (w *walker) lockOp(call *ast.CallExpr) (string, bool, bool) {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj() == nil || named.Obj().Pkg() == nil {
+	if !ok || named.Obj().Pkg() == nil {
 		return "", false, false
 	}
-	id := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + inner.Sel.Name
+	id := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + mu.Sel.Name
 	return id, locks, true
-}
-
-func isSyncLock(v *types.Var) bool {
-	named, ok := v.Type().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // exportFacts publishes the per-function acquire sets, for importers'

@@ -18,11 +18,9 @@
 // the set of (base variable, mutex field) pairs provably held, the
 // transfer function applies base.mu.Lock()/Unlock() calls, and the join
 // at merge points is set intersection — a lock is held after a merge only
-// if it is held on *every* incoming path. That fixes both documented
-// unsoundness classes of the v2 source-order walk: an unlock on one arm
-// of a branch no longer leaves the fallthrough path marked held (false
-// negative), and a lock acquired on all arms is now known held after the
-// join (false positive). Three escape valves keep it false-positive-poor:
+// if it is held on *every* incoming path, so an unlock on one arm of a
+// branch leaves the code after the merge unprotected, and a lock taken on
+// all arms protects it. Three escape valves keep it false-positive-poor:
 //
 //   - A function documented "callers hold <name>.<mu>" (doc comment or a
 //     comment before the first statement) starts with that pair seeded,
@@ -596,48 +594,20 @@ func (w *walker) checkAccess(sel *ast.SelectorExpr, ls lockset) {
 }
 
 // lockOp recognizes base.mu.Lock/RLock/Unlock/RUnlock() on a sync mutex
-// field, returning the lockset key and whether the op acquires.
+// field reached through a variable, returning the lockset key and whether
+// the op acquires.
 func (w *walker) lockOp(call *ast.CallExpr) (lockKey, bool, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	mu, locks := analysis.MutexOp(w.pass.TypesInfo, call)
+	if mu == nil {
 		return lockKey{}, false, false
 	}
-	var locks bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		locks = true
-	case "Unlock", "RUnlock":
-		locks = false
-	default:
-		return lockKey{}, false, false
-	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return lockKey{}, false, false
-	}
-	base, ok := ast.Unparen(inner.X).(*ast.Ident)
+	base, ok := ast.Unparen(mu.X).(*ast.Ident)
 	if !ok {
 		return lockKey{}, false, false
 	}
 	obj := w.pass.TypesInfo.Uses[base]
-	if obj == nil || !isSyncLock(w.pass, inner) {
+	if obj == nil {
 		return lockKey{}, false, false
 	}
-	return lockKey{obj, inner.Sel.Name}, locks, true
-}
-
-// isSyncLock reports whether the selected mutex field has a sync lock
-// type, so an unrelated Lock() method cannot alias into the lockset.
-func isSyncLock(pass *analysis.Pass, inner *ast.SelectorExpr) bool {
-	v, ok := pass.TypesInfo.Uses[inner.Sel].(*types.Var)
-	if !ok {
-		return false
-	}
-	named, ok := v.Type().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
+	return lockKey{obj, mu.Sel.Name}, locks, true
 }

@@ -78,7 +78,7 @@ func (e *eng) wrongLock(other *eng) {
 }
 
 // Merge soundness: an unlock on one branch arm means the lock is NOT
-// provably held after the join — the v2 source-order walk missed this.
+// provably held after the join.
 func (e *eng) unlockOneArm(c bool) {
 	e.mu.Lock()
 	if c {

@@ -1,4 +1,4 @@
-// Testdata for the wallclock analyzer: direct host-clock and unseeded
+// Testdata for nondetflow's direct rule: host-clock and unseeded
 // randomness use inside a deterministic package.
 package core
 
@@ -41,6 +41,6 @@ func budget(d time.Duration) time.Duration { return 3 * d / 2 }
 
 // Audited escape hatch.
 func pacing() {
-	//lint:ignore wallclock idle backoff paces the host scheduler only; never feeds factor bits
+	//lint:ignore nondetflow idle backoff paces the host scheduler only; never feeds factor bits
 	time.Sleep(time.Microsecond)
 }

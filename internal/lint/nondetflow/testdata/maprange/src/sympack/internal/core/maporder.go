@@ -1,6 +1,6 @@
-// Testdata for the mapiterdeterminism analyzer: package path matches the
-// deterministic set, so map ranges here are flagged unless they follow a
-// blessed idiom or carry an audited suppression.
+// Testdata for nondetflow's direct rule on map ranges: the package path is
+// in the deterministic set, so map ranges here are flagged unless they
+// follow a blessed idiom or carry an audited suppression.
 package core
 
 import "sort"
@@ -56,7 +56,7 @@ func count(wanted map[int32]bool) int {
 // Audited escape hatch: writes land in disjoint slots, so order cannot
 // matter; the suppression records the reasoning.
 func scatter(blocks map[int32]float64, out []float64) {
-	//lint:ignore mapiterdeterminism writes to disjoint out[i] slots; order-insensitive
+	//lint:ignore nondetflow writes to disjoint out[i] slots; order-insensitive
 	for i, v := range blocks {
 		out[i] = v
 	}

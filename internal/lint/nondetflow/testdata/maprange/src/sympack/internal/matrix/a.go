@@ -1,6 +1,6 @@
 // Package matrix is outside the deterministic set, so map iteration here
-// is not the analyzer's business (I/O and assembly layers re-sort their
-// outputs explicitly).
+// that reaches no sink is not flagged (I/O and assembly layers re-sort
+// their outputs explicitly).
 package matrix
 
 func histogram(entries map[int]float64) float64 {

@@ -122,6 +122,20 @@ func reseeded(r *upcxx.Rank) {
 	r.NewArrayFrom([]float64{rng.NormFloat64()}) // want "wall clock \\(time\\.Now\\)\\) flows into a wire-visible array initialization"
 }
 
+// since returns a source call's result directly, the shape of
+// trace.Recorder.Begin: its summary must carry the clock to callers.
+func since(t0 time.Time) time.Duration { return time.Since(t0) }
+
+func stampSince(r *upcxx.Rank, t0 time.Time) {
+	r.NewArrayFrom([]float64{float64(since(t0))}) // want "wall clock \\(time\\.Since\\)\\) flows into a wire-visible array initialization"
+}
+
+// drawn binds a source call's results one by one: each carries the source.
+func drawn(r *upcxx.Rank, buf []byte) {
+	n, _ := rand.Read(buf)
+	r.NewArrayFrom([]float64{float64(n)}) // want "unseeded math/rand \\(Read\\)\\) flows into a wire-visible array initialization"
+}
+
 // clean shows a kill on a parameter: after the sort the slice order is
 // explicit, so not even a conditional (summary) sink survives.
 func clean(r *upcxx.Rank, data []float64) {

@@ -1,5 +1,7 @@
 // Package core is a stand-in defining the RTQ entry fields the analyzer
-// treats as ordering sinks.
+// treats as ordering sinks. Its path is in the deterministic set, so a
+// clock read here is reported by the direct rule as well as where it
+// flows.
 package core
 
 import "time"
@@ -12,16 +14,16 @@ type task struct {
 }
 
 func renumber(t *task) {
-	t.id = int32(time.Now().UnixNano()) // want "wall clock \\(time\\.Now\\)\\) flows into the RTQ entry field task\\.id"
+	t.id = int32(time.Now().UnixNano()) // want "direct time\\.Now" "wall clock \\(time\\.Now\\)\\) flows into the RTQ entry field task\\.id"
 }
 
 func fresh() task {
-	return task{kind: taskKind(time.Now().UnixNano())} // want "wall clock \\(time\\.Now\\)\\) flows into the RTQ entry field task\\.kind"
+	return task{kind: taskKind(time.Now().UnixNano())} // want "direct time\\.Now" "wall clock \\(time\\.Now\\)\\) flows into the RTQ entry field task\\.kind"
 }
 
-// renumberAudited proves the taint-kill path: the directive is consumed
-// by the engine (no diagnostic below), and the unusedignore audit must
-// still count it as used rather than stale.
+// renumberAudited proves that one directive on a source answers both
+// rules: it suppresses the direct finding and kills the taint, and the
+// unusedignore audit counts it as used rather than stale.
 func renumberAudited(t *task) {
 	//lint:ignore nondetflow tie-breaker only; queue position fixed upstream by the push order
 	t.id = int32(time.Now().UnixNano())

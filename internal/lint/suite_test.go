@@ -48,7 +48,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 
 // TestAnalyzerNames pins the suite's membership and reporting order.
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{"atomicconsistency", "ctxflow", "errflow", "goroutineleak", "lockorder", "mapiterdeterminism", "mutexguard", "nondetflow", "unusedignore", "wallclock"}
+	want := []string{"atomicconsistency", "ctxflow", "errflow", "goroutineleak", "lockorder", "mutexguard", "nondetflow", "unusedignore"}
 	var got []string
 	for _, a := range lint.Analyzers() {
 		got = append(got, a.Name)

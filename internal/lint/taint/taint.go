@@ -41,11 +41,12 @@
 package taint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -126,64 +127,19 @@ type Summary struct {
 func (s Summary) Empty() bool { return len(s.Results) == 0 && len(s.Sinks) == 0 }
 
 func (s *Summary) normalize() {
-	sort.Slice(s.Results, func(i, j int) bool {
-		if s.Results[i].From != s.Results[j].From {
-			return s.Results[i].From < s.Results[j].From
-		}
-		if s.Results[i].Result != s.Results[j].Result {
-			return s.Results[i].Result < s.Results[j].Result
-		}
-		return s.Results[i].Field < s.Results[j].Field
+	slices.SortFunc(s.Results, func(a, b ResultFlow) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Result, b.Result), cmp.Compare(a.Field, b.Field))
 	})
-	s.Results = compactResults(s.Results)
-	sort.Slice(s.Sinks, func(i, j int) bool {
-		if s.Sinks[i].From != s.Sinks[j].From {
-			return s.Sinks[i].From < s.Sinks[j].From
-		}
-		if s.Sinks[i].Sink != s.Sinks[j].Sink {
-			return s.Sinks[i].Sink < s.Sinks[j].Sink
-		}
-		return s.Sinks[i].Via < s.Sinks[j].Via
+	s.Results = slices.Compact(s.Results)
+	slices.SortFunc(s.Sinks, func(a, b SinkFlow) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Sink, b.Sink), cmp.Compare(a.Via, b.Via))
 	})
-	s.Sinks = compactSinks(s.Sinks)
-}
-
-func compactResults(in []ResultFlow) []ResultFlow {
-	var out []ResultFlow
-	for i, r := range in {
-		if i == 0 || r != in[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func compactSinks(in []SinkFlow) []SinkFlow {
-	var out []SinkFlow
-	for i, s := range in {
-		if i == 0 || s != in[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	s.Sinks = slices.Compact(s.Sinks)
 }
 
 // Equal reports whether two normalized summaries are identical.
 func (s Summary) Equal(o Summary) bool {
-	if len(s.Results) != len(o.Results) || len(s.Sinks) != len(o.Sinks) {
-		return false
-	}
-	for i := range s.Results {
-		if s.Results[i] != o.Results[i] {
-			return false
-		}
-	}
-	for i := range s.Sinks {
-		if s.Sinks[i] != o.Sinks[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.Results, o.Results) && slices.Equal(s.Sinks, o.Sinks)
 }
 
 // A SinkUse declares that the value of one expression flows into a sink.
@@ -281,7 +237,7 @@ func Run(pass *analysis.Pass, spec Spec) *Result {
 	for round := 0; round < maxFixpointRounds; round++ {
 		changed := false
 		for _, node := range eng.graph.Nodes {
-			sum := eng.analyze(node.Decl.Body, eng.funcParams(node.Decl), nil)
+			sum := eng.analyze(node.Decl.Body, params(node.Func.Type().(*types.Signature)), nil)
 			sum.normalize()
 			if !sum.Equal(eng.summaries[node.Func]) {
 				eng.summaries[node.Func] = sum
@@ -296,12 +252,12 @@ func Run(pass *analysis.Pass, spec Spec) *Result {
 	// Phase 2: replay with reporting — declared functions, then every
 	// function literal as its own closed function.
 	for _, node := range eng.graph.Nodes {
-		eng.analyze(node.Decl.Body, eng.funcParams(node.Decl), eng.report)
+		eng.analyze(node.Decl.Body, params(node.Func.Type().(*types.Signature)), eng.report)
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				eng.analyze(lit.Body, eng.litParams(lit), eng.report)
+				eng.analyze(lit.Body, params(pass.TypesInfo.TypeOf(lit).(*types.Signature)), eng.report)
 			}
 			return true
 		})
@@ -330,54 +286,20 @@ func (e *engine) report(f Finding) {
 	e.findings = append(e.findings, f)
 }
 
-// param seeds the boundary state for one declared function: receiver and
+// param seeds the boundary state for one function: receiver and
 // parameters labeled with their own provenance.
 type param struct {
 	obj   types.Object
 	label string
 }
 
-func (e *engine) funcParams(decl *ast.FuncDecl) []param {
+func params(sig *types.Signature) []param {
 	var out []param
-	if decl.Recv != nil {
-		for _, f := range decl.Recv.List {
-			for _, name := range f.Names {
-				if obj := e.pass.TypesInfo.Defs[name]; obj != nil {
-					out = append(out, param{obj, RecvLabel})
-				}
-			}
-		}
+	if recv := sig.Recv(); recv != nil {
+		out = append(out, param{recv, RecvLabel})
 	}
-	i := 0
-	for _, f := range decl.Type.Params.List {
-		if len(f.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range f.Names {
-			if obj := e.pass.TypesInfo.Defs[name]; obj != nil {
-				out = append(out, param{obj, ParamLabel(i)})
-			}
-			i++
-		}
-	}
-	return out
-}
-
-func (e *engine) litParams(lit *ast.FuncLit) []param {
-	var out []param
-	i := 0
-	for _, f := range lit.Type.Params.List {
-		if len(f.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range f.Names {
-			if obj := e.pass.TypesInfo.Defs[name]; obj != nil {
-				out = append(out, param{obj, ParamLabel(i)})
-			}
-			i++
-		}
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, param{sig.Params().At(i), ParamLabel(i)})
 	}
 	return out
 }
@@ -469,7 +391,7 @@ func (fe *fnEval) labelsAt(prefix string) map[string]bool {
 	var out map[string]bool
 	// Collect matching keys; the result is a set, so visit order cannot
 	// leak into it.
-	//lint:ignore mapiterdeterminism membership scan into a set: result independent of visit order
+	//lint:ignore nondetflow membership scan into a set: result independent of visit order
 	for k := range fe.state {
 		if strings.HasPrefix(k, prefix) {
 			if out == nil {
@@ -503,7 +425,7 @@ func (fe *fnEval) clearField(obj types.Object, field string) {
 
 func (fe *fnEval) clearPrefix(prefix string) {
 	var stale []string
-	//lint:ignore mapiterdeterminism key collection before delete: order-insensitive
+	//lint:ignore nondetflow key collection before delete: order-insensitive
 	for k := range fe.state {
 		if strings.HasPrefix(k, prefix) {
 			stale = append(stale, k)
@@ -518,7 +440,7 @@ func (fe *fnEval) addLabels(obj types.Object, labels map[string]bool) {
 	if obj == nil || len(labels) == 0 {
 		return
 	}
-	//lint:ignore mapiterdeterminism set union into state: membership-only writes
+	//lint:ignore nondetflow set union into state: membership-only writes
 	for l := range labels {
 		fe.state[stateKey(obj, l)] = true
 	}
@@ -530,7 +452,7 @@ func (fe *fnEval) addFieldLabels(obj types.Object, field string, labels map[stri
 		return
 	}
 	prefix := fieldPrefix(obj, field)
-	//lint:ignore mapiterdeterminism set union into state: membership-only writes
+	//lint:ignore nondetflow set union into state: membership-only writes
 	for l := range labels {
 		fe.state[prefix+l] = true
 	}
@@ -555,7 +477,7 @@ func sortedLabels(m map[string]bool) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -567,11 +489,11 @@ func union(a, b map[string]bool) map[string]bool {
 		return a
 	}
 	out := make(map[string]bool, len(a)+len(b))
-	//lint:ignore mapiterdeterminism set union: membership-only writes
+	//lint:ignore nondetflow set union: membership-only writes
 	for k := range a {
 		out[k] = true
 	}
-	//lint:ignore mapiterdeterminism set union: membership-only writes
+	//lint:ignore nondetflow set union: membership-only writes
 	for k := range b {
 		out[k] = true
 	}
@@ -689,7 +611,7 @@ func (fe *fnEval) assign(n *ast.AssignStmt) {
 	case len(n.Rhs) == 1:
 		// Multi-value: x, y := f() — per-result taint.
 		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-			results := fe.callResults(call)
+			results := fe.callTaints(call)
 			for i, lhs := range n.Lhs {
 				var t map[string]bool
 				if i < len(results) {
@@ -718,7 +640,7 @@ func (fe *fnEval) valueSpec(vs *ast.ValueSpec) {
 		return
 	}
 	if call, ok := ast.Unparen(vs.Values[0]).(*ast.CallExpr); ok && len(vs.Values) == 1 {
-		results := fe.callResults(call)
+		results := fe.callTaints(call)
 		for i, name := range vs.Names {
 			var t map[string]bool
 			if i < len(results) {
@@ -845,7 +767,7 @@ func (fe *fnEval) fieldRead(root types.Object, field string) map[string]bool {
 		return labels
 	}
 	out := make(map[string]bool, len(labels))
-	//lint:ignore mapiterdeterminism label rewrite into a set: membership-only writes
+	//lint:ignore nondetflow label rewrite into a set: membership-only writes
 	for l := range labels {
 		if l == RecvLabel {
 			out[RecvFieldLabel(field)] = true
@@ -885,7 +807,7 @@ func (fe *fnEval) returns(n *ast.ReturnStmt) {
 		var t map[string]bool
 		if call, ok := ast.Unparen(res).(*ast.CallExpr); ok && len(n.Results) == 1 {
 			// return f(): spread multi-result taint positionally.
-			for j, rt := range fe.callResults(call) {
+			for j, rt := range fe.callTaints(call) {
 				for _, l := range sortedLabels(rt) {
 					fe.sum.Results = append(fe.sum.Results, ResultFlow{From: l, Result: j})
 				}
@@ -906,13 +828,8 @@ func (fe *fnEval) taintOf(e ast.Expr) map[string]bool {
 		return nil
 	}
 	e = ast.Unparen(e)
-	if fe.spec.SourceExpr != nil {
-		if desc := fe.spec.SourceExpr(e); desc != "" {
-			if fe.covered(e.Pos()) {
-				return nil
-			}
-			return map[string]bool{SourceLabel(desc): true}
-		}
+	if t, ok := fe.source(e); ok {
+		return t
 	}
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -958,6 +875,37 @@ func (fe *fnEval) taintOf(e ast.Expr) map[string]bool {
 		return fe.taintOf(e.Value)
 	}
 	return nil
+}
+
+// source classifies e with the client's SourceExpr: ok reports a source,
+// whose taint is its label, or nil when an ignore directive covers it.
+func (fe *fnEval) source(e ast.Expr) (map[string]bool, bool) {
+	if fe.spec.SourceExpr == nil {
+		return nil, false
+	}
+	desc := fe.spec.SourceExpr(e)
+	if desc == "" {
+		return nil, false
+	}
+	if fe.covered(e.Pos()) {
+		return nil, true
+	}
+	return map[string]bool{SourceLabel(desc): true}, true
+}
+
+// callTaints is the per-result taint of a call whose results are bound
+// one by one (x, y := f(); return f()): a source call taints every result
+// with its own label, any other call transfers through callResults.
+func (fe *fnEval) callTaints(call *ast.CallExpr) []map[string]bool {
+	t, ok := fe.source(call)
+	if !ok {
+		return fe.callResults(call)
+	}
+	results := make([]map[string]bool, fe.numResults(call))
+	for i := range results {
+		results[i] = t
+	}
+	return results
 }
 
 // callResults computes per-result taint of a call and applies its side

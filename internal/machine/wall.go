@@ -1,5 +1,5 @@
 // Wall-time facade. The solver's deterministic packages are forbidden (and
-// mechanically prevented, by sympacklint's wallclock analyzer) from calling
+// mechanically prevented, by sympacklint's nondetflow analyzer) from calling
 // time.Now/time.Sleep directly: modeled time lives in Clock, and anything
 // that reads the host clock could leak schedule timing into numeric state.
 // The few legitimate host-clock uses — idle backoff that paces a spinning

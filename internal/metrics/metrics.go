@@ -16,8 +16,8 @@
 // ranks, and make no determinism claim.
 // Snapshots emit families and series in sorted (name, label-values)
 // order, so the encoded exposition and a merge that imports snapshots in
-// rank order are deterministic too; the package sits in the wallclock and
-// mapiterdeterminism analyzer scopes to keep both properties honest.
+// rank order are deterministic too; the package sits in nondetflow's
+// deterministic scope to keep both properties honest.
 //
 // Concurrency. Registration takes locks and should happen at setup time;
 // Inc/Add/Set/Observe on the returned handles are lock-free atomics and

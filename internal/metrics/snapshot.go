@@ -34,8 +34,8 @@ type Snapshot struct {
 }
 
 // Snapshot reads every series atomically and returns them in sorted
-// order. Map iteration collects keys first and sorts them, per the
-// mapiterdeterminism contract.
+// order. Map iteration collects keys first and sorts them, per
+// nondetflow's map-range rule.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.fams))

@@ -38,8 +38,8 @@ func New() *Recorder {
 	// The recorder is the one component whose job is real wall time:
 	// Chrome-trace timestamps profile the host execution, by design, and
 	// never feed solver state. The suppressions below are the audited
-	// false positives of sympacklint's wallclock analyzer (DESIGN.md §10).
-	//lint:ignore wallclock trace timestamps profile host wall time by design; never feed factor bits
+	// false positives of sympacklint's nondetflow analyzer (DESIGN.md §10).
+	//lint:ignore nondetflow trace timestamps profile host wall time by design; never feed factor bits
 	return &Recorder{t0: time.Now()}
 }
 
@@ -48,7 +48,7 @@ func (r *Recorder) Begin() time.Duration {
 	if r == nil {
 		return 0
 	}
-	//lint:ignore wallclock trace timestamps profile host wall time by design; never feed factor bits
+	//lint:ignore nondetflow trace timestamps profile host wall time by design; never feed factor bits
 	return time.Since(r.t0)
 }
 
@@ -66,7 +66,7 @@ func (r *Recorder) EndLane(rank, lane int32, kind string, start time.Duration, d
 	if r == nil {
 		return
 	}
-	//lint:ignore wallclock,nondetflow trace timestamps profile host wall time by design; never feed factor bits
+	//lint:ignore nondetflow trace timestamps profile host wall time by design; never feed factor bits
 	now := time.Since(r.t0)
 	r.mu.Lock()
 	r.events = append(r.events, Event{Rank: rank, Lane: lane, Kind: kind, Start: start, End: now, Detail: detail})
@@ -182,7 +182,7 @@ func (r *Recorder) RankUtilization() map[int32]float64 {
 		}
 	}
 	out := make(map[int32]float64, len(busy))
-	//lint:ignore mapiterdeterminism keyed copy: each entry is written once from its own key, the result is independent of visit order
+	//lint:ignore nondetflow keyed copy: each entry is written once from its own key, the result is independent of visit order
 	for rank, b := range busy {
 		out[rank] = float64(b) / float64(makespan)
 	}
