@@ -14,6 +14,7 @@ package sympack
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -365,26 +366,90 @@ func BenchmarkAblationRelaxation(b *testing.B) {
 
 // --------------------------------------------------------- microbenches ----
 
+// kernelData returns n kernel operands: normally distributed, or with
+// zeros planted, v[i] = i%p − p/2 (one element in p is zero, and the
+// tile's per-column skip path runs whenever a multiplier is one of them).
+func kernelData(rng *rand.Rand, n, p int, zeros bool) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		if zeros {
+			v[i] = float64(i%p - p/2)
+		} else {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+func reportGflops(b *testing.B, flop int) {
+	b.ReportMetric(float64(flop)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+}
+
 // BenchmarkKernelGemm measures the host GEMM kernel (NoTrans × Transpose,
-// the engine's update) at a block size typical of the solver's update
-// tasks. It runs the AVX2 axpy on amd64 and the Go loop under -tags purego.
+// the engine's update) at block sizes of the solver's update tasks:
+// 96×64×64 (typical), the cubes 64³ and 128³ (the 128-column cap of
+// Flan3D's supernodes), 40×24×32 and 16×8×8 (small supernodes; 8 columns
+// is one register tile). Each shape runs on dense random data and with
+// zeros planted in A (every seventh element) and B (every fifth), so the
+// cost of the zero-skip path shows. It runs whichever path the package
+// selected — the AVX-512 tile, the AVX2 axpy or the Go loops; go test -v
+// -run TestKernelPath ./internal/blas names it.
 func BenchmarkKernelGemm(b *testing.B) {
-	const m, n, k = 96, 64, 64
-	a := make([]float64, m*k)
-	bb := make([]float64, n*k)
-	c := make([]float64, m*n)
-	for i := range a {
-		a[i] = float64(i%7) - 3
+	for _, s := range []struct{ m, n, k int }{{96, 64, 64}, {64, 64, 64}, {128, 128, 128}, {40, 24, 32}, {16, 8, 8}} {
+		for _, zeros := range []bool{false, true} {
+			data := "dense"
+			if zeros {
+				data = "zeros"
+			}
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.n, s.k, data), func(b *testing.B) {
+				m, n, k := s.m, s.n, s.k
+				rng := rand.New(rand.NewSource(1))
+				a, bb := kernelData(rng, m*k, 7, zeros), kernelData(rng, n*k, 5, zeros)
+				c := make([]float64, m*n)
+				b.SetBytes(int64(8 * (m*k + n*k + m*n)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					blas.Gemm(blas.NoTrans, blas.Transpose, m, n, k, 1, a, m, bb, n, 0, c, m)
+				}
+				reportGflops(b, 2*m*n*k)
+			})
+		}
 	}
-	for i := range bb {
-		bb[i] = float64(i%5) - 2
-	}
-	b.SetBytes(int64(8 * (m*k + n*k + m*n)))
+}
+
+// BenchmarkKernelSyrk measures the engine's diagonal update, Syrk
+// Lower/NoTrans with alpha 1 and beta 0, at n = k = 128, dense data.
+func BenchmarkKernelSyrk(b *testing.B) {
+	const n, k = 128, 128
+	rng := rand.New(rand.NewSource(1))
+	a := kernelData(rng, n*k, 0, false)
+	c := make([]float64, n*n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blas.Gemm(blas.NoTrans, blas.Transpose, m, n, k, 1, a, m, bb, n, 0, c, m)
+		blas.Syrk(blas.Lower, blas.NoTrans, n, k, 1, a, n, 0, c, n)
 	}
-	b.ReportMetric(float64(2*m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+	reportGflops(b, int(blas.FlopsSyrk(n, k)))
+}
+
+// BenchmarkKernelTrsm measures the engine's off-diagonal factorization,
+// Trsm Right/Lower/Transpose, on a 128×64 block against a 64×64 factor,
+// dense data. The right-hand side is restored from a copy before every
+// call (a 64 KiB copy, inside the timing), so the values do not drift.
+func BenchmarkKernelTrsm(b *testing.B) {
+	const m, n = 128, 64
+	rng := rand.New(rand.NewSource(1))
+	l := kernelData(rng, n*n, 0, false)
+	for j := 0; j < n; j++ {
+		l[j+j*n] = 4 + rng.Float64()
+	}
+	rhs := kernelData(rng, m*n, 0, false)
+	x := make([]float64, m*n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, rhs)
+		blas.Trsm(blas.Right, blas.Lower, blas.Transpose, m, n, 1, l, n, x, m)
+	}
+	reportGflops(b, int(blas.FlopsTrsm(blas.Right, m, n)))
 }
 
 // BenchmarkFactorizeEndToEnd measures a complete real factorization (the

@@ -9,15 +9,33 @@
 //
 // Every loop of the form y[i] ± t·x[i] or x[i] *= d — gemmNN, gemmNT, Syrk
 // NoTrans, the Trsm cases whose inner loop runs down a column, unblocked
-// Potrf Lower and the β/α scalings — runs on two primitives, axpy and scal
-// (vec.go). On amd64 CPUs with AVX2 they are assembly (vec_amd64.s); on
-// other architectures, under the purego build tag and on older CPUs they
-// are Go loops, which are also the tests' oracle. The two give identical
-// bits: the vector code rounds the product, then the sum, lane by lane —
-// the scalar sequence, never an FMA — and each element's updates arrive in
-// the same order. Every product that feeds a sum in this package is written
-// float64(x*y), which forbids gc to fuse it, so the Go loops compute the
-// same bits on arm64, where gc would otherwise emit FMADDD.
+// Potrf Lower and the β/α scalings — runs on three primitives (vec.go):
+// axpy and scal, which on amd64 CPUs with AVX2 are assembly
+// (vec_amd64.s), and the register tile, which on CPUs with AVX-512F holds a
+// 16-row × 8-column block of C in ZMM registers across the whole inner
+// dimension. Without AVX-512 the tile's columns run the axpy loops; on
+// other architectures, under the purego build tag and on CPUs without AVX2
+// everything is Go loops, which are also the tests' oracle. All give
+// identical bits: the vector code rounds the product, then the sum, lane
+// by lane — the scalar sequence, never an FMA, with gc's operand order, so
+// even a NaN's payload survives the same way — and each element's updates
+// arrive in the same order. Every product that feeds a sum in this package
+// is written float64(x*y), which forbids gc to fuse it, so the Go loops
+// compute the same bits on arm64, where gc would otherwise emit FMADDD.
+//
+// The tile runs under three kernels, per group of 8 columns of C; the last
+// 1–7 columns run the axpy loops. An element (i, j) of C sees one update
+// per step l, in ascending l, with the multiplier t the Go loop computes
+// (alpha·b[j,l], or −L[j,r] in Trsm), and no update at a step where t is
+// ±0 — the axpy sequence, only regrouped:
+//   - gemmNT: each group through the tile over all k.
+//   - Syrk Lower/NoTrans: the group's 8×8 diagonal block through the tile
+//     in a copy, of which only the lower triangle is written back, then the
+//     rectangle below it in place. The upper triangle is never written.
+//   - Trsm Right/Lower/Transpose: column j takes the updates from columns
+//     r < j in ascending r, then the scaling by 1/L[j,j]. The tile applies
+//     those from the columns left of j's group; the in-group ones and the
+//     scaling follow through axpy and scal as before.
 //
 // The dot-shaped loops stay scalar Go: dot, gemmTN, gemmTT, Syrk Transpose,
 // the Left/Transpose Trsm cases and Potrf Upper. Vectorising a reduction
@@ -173,12 +191,19 @@ func gemmNN(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb i
 }
 
 // gemmNT: C += alpha * A(m×k) * Bᵀ where B is n×k. b[j,l] multiplies column
-// l of A into column j of C.
+// l of A into column j of C. Under the register tile each full group of
+// tileN columns runs through it and the last 1–7 columns through axpy.
 func gemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	j0 := 0
+	if useTile {
+		for ; j0+tileN <= n; j0 += tileN {
+			tile(m, k, alpha, false, a, lda, b[j0:], ldb, c[j0*ldc:], ldc)
+		}
+	}
 	for l := 0; l < k; l++ {
 		al := a[l*lda : l*lda+m]
 		bl := b[l*ldb:]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			t := alpha * bl[j]
 			if t == 0 {
 				continue
@@ -259,10 +284,30 @@ func Syrk(uplo Uplo, trans Trans, n, k int, alpha float64, a []float64, lda int,
 		return
 	}
 	if trans == NoTrans {
-		// C += alpha * A*Aᵀ, A is n×k.
+		// C += alpha * A*Aᵀ, A is n×k. Under the register tile, Lower runs
+		// per group of tileN columns, both parts through the tile: the
+		// group's diagonal block in a copy, of which only the lower
+		// triangle is written back (the upper triangle stays untouched),
+		// then the rectangle below it in place. The last 1–7 columns run
+		// the loop below.
+		j0 := 0
+		if uplo == Lower && useTile {
+			var diag [tileN * tileN]float64
+			for ; j0+tileN <= n; j0 += tileN {
+				g := j0 + tileN
+				for j := 0; j < tileN; j++ {
+					copy(diag[j*tileN:(j+1)*tileN], c[j0+(j0+j)*ldc:g+(j0+j)*ldc])
+				}
+				tile(tileN, k, alpha, false, a[j0:], lda, a[j0:], lda, diag[:], tileN)
+				for j := 0; j < tileN; j++ {
+					copy(c[j0+j+(j0+j)*ldc:g+(j0+j)*ldc], diag[j*tileN+j:(j+1)*tileN])
+				}
+				tile(n-g, k, alpha, false, a[g:], lda, a[j0:], lda, c[g+j0*ldc:], ldc)
+			}
+		}
 		for l := 0; l < k; l++ {
 			al := a[l*lda : l*lda+n]
-			for j := 0; j < n; j++ {
+			for j := j0; j < n; j++ {
 				t := alpha * al[j]
 				if t == 0 {
 					continue
@@ -385,9 +430,19 @@ func Trsm(side Side, uplo Uplo, trans Trans, m, n int, alpha float64, a []float6
 	case side == Right && uplo == Lower && trans == Transpose:
 		// Solve X*Lᵀ = B, columns first to last:
 		// X[:,j] = (B[:,j] - sum_{r<j} X[:,r]*L[j,r]) / L[j,j].
+		// Under the register tile, a full group of tileN columns first
+		// takes the updates from the columns left of it through the tile
+		// (t = −L[j,r]); the in-group ones and the scaling follow.
 		for j := 0; j < n; j++ {
 			bj := b[j*ldb : j*ldb+m]
-			for r := 0; r < j; r++ {
+			r0 := 0
+			if g := j - j%tileN; useTile && g+tileN <= n {
+				if j == g {
+					tile(m, g, 0, true, b, ldb, a[g:], lda, b[g*ldb:], ldb)
+				}
+				r0 = g
+			}
+			for r := r0; r < j; r++ {
 				t := a[j+r*lda]
 				if t == 0 {
 					continue

@@ -442,10 +442,12 @@ func TestPotrfBlockedMatchesUnblocked(t *testing.T) {
 // TestKernelsDoNotAllocate runs every Gemm, Syrk, Trsm and Potrf variant at
 // leading dimensions on both sides of 256, the first int that boxing into an
 // interface allocates for, and requires zero allocations: the supernodal
-// solve calls Trsm and Gemm with ld = n on every block.
+// solve calls Trsm and Gemm with ld = n on every block. The shapes are wide
+// enough (n = 17: two 8-column groups and a remainder) for the register
+// tile, and every kernel path the host has runs.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	const m, n, k = 9, 7, 8
+	const m, n, k = 19, 17, 9
 	for _, ld := range []int{255, 256, 4096} {
 		a := randSlice(rng, ld*max(m, n, k))
 		b := randSlice(rng, ld*max(m, n, k))
@@ -455,8 +457,15 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		}
 		expect := func(name string, run func()) {
 			t.Helper()
-			if got := testing.AllocsPerRun(5, run); got != 0 {
-				t.Errorf("%s at ld=%d: %.0f allocations per call, want 0", name, ld, got)
+			for _, p := range kernelPaths {
+				if !p.onHost() {
+					continue
+				}
+				var got float64
+				p.run(func() { got = testing.AllocsPerRun(5, run) })
+				if got != 0 {
+					t.Errorf("%s at ld=%d on the %s path: %.0f allocations per call, want 0", name, ld, p.name, got)
+				}
 			}
 		}
 		for _, ta := range []Trans{NoTrans, Transpose} {

@@ -7,11 +7,19 @@ package blas
 // which flip it to compare the two paths.
 var useVector = hasAVX2()
 
+// useTile selects the AVX-512 register tile of vec_amd64.s under gemmNT,
+// the Syrk Lower rectangle and the Right/Lower/Transpose Trsm. Like
+// useVector it is set once, from the CPU, and flipped only by the tests.
+var useTile = hasAVX512()
+
 //go:noescape
 func axpyVec(t float64, x, y []float64)
 
 //go:noescape
 func scalVec(d float64, x []float64)
+
+//go:noescape
+func tileVec(m, k int, alpha float64, neg bool, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -33,4 +41,19 @@ func hasAVX2() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// hasAVX512 reports whether the CPU has AVX-512F and the OS saves the
+// opmask and ZMM state too: hasAVX2, XCR0 opmask, ZMM_Hi256 and Hi16_ZMM
+// on top of SSE and AVX (XCR0 & 0xE6), and CPUID.7:EBX AVX512F.
+func hasAVX512() bool {
+	if !hasAVX2() {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
 }

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// hostVector records whether this build and CPU run the assembly kernels.
-// The tests only switch useVector on where it was on at init: elsewhere the
-// assembly is absent or would fault.
-var hostVector = useVector
+// hostVector and hostTile record whether this build and CPU run the AVX2
+// primitives and the AVX-512 register tile. The tests only switch useVector
+// and useTile on where they were on at init: elsewhere the assembly is
+// absent or would fault.
+var hostVector, hostTile = useVector, useTile
 
 // withVector runs f with the vector path on or off and restores it after.
 func withVector(on bool, f func()) {
@@ -18,6 +19,42 @@ func withVector(on bool, f func()) {
 	useVector = on && hostVector
 	defer func() { useVector = old }()
 	f()
+}
+
+// withTile runs f with the register tile on or off and restores it after.
+func withTile(on bool, f func()) {
+	old := useTile
+	useTile = on && hostTile
+	defer func() { useTile = old }()
+	f()
+}
+
+// kernelPath is one of the three paths a build can select: the Go loops,
+// the AVX2 axpy under them, and the AVX-512 tile over the axpy.
+type kernelPath struct {
+	name         string
+	vector, tile bool
+}
+
+var kernelPaths = []kernelPath{{"Go", false, false}, {"AVX2 axpy", true, false}, {"AVX-512 tile", true, true}}
+
+// onHost reports whether this build and CPU have the path.
+func (p kernelPath) onHost() bool { return (!p.vector || hostVector) && (!p.tile || hostTile) }
+
+// run runs f on the path.
+func (p kernelPath) run(f func()) { withVector(p.vector, func() { withTile(p.tile, f) }) }
+
+// TestKernelPath logs the kernel path this build and CPU run, so a green
+// run that never exercised the assembly is visible in the log.
+func TestKernelPath(t *testing.T) {
+	path := "Go loops"
+	switch {
+	case hostTile:
+		path = "AVX-512 tile (AVX2 axpy for remainders)"
+	case hostVector:
+		path = "AVX2 axpy"
+	}
+	t.Logf("kernel path: %s", path)
 }
 
 // specials are the values a bit-identity test must get right: signed zeros,
@@ -104,8 +141,35 @@ func TestAxpyScalBitsMatchGo(t *testing.T) {
 
 // TestKernelsVectorEqualsGo runs every Gemm, Syrk, Trsm and Potrf variant at
 // random shapes and padded leading dimensions, with zeros planted among the
-// multipliers, once on each path, and requires identical bits.
+// multipliers, on each kernel path the host has — the Go loops, the AVX2
+// axpy and the AVX-512 tile — and requires identical bits. Its "tile"
+// subtest sweeps the three routed kernels (gemmNT, Syrk Lower/NoTrans, Trsm
+// Right/Lower/Transpose) over every row and column remainder of the tile.
 func TestKernelsVectorEqualsGo(t *testing.T) {
+	t.Run("random", testKernelsRandom)
+	t.Run("tile", testKernelsTile)
+}
+
+// samePaths runs run on a fresh copy of out on every kernel path the host
+// has and requires the bits of the Go loops from each.
+func samePaths(t *testing.T, name string, out []float64, run func(out []float64)) {
+	t.Helper()
+	want := append([]float64(nil), out...)
+	kernelPaths[0].run(func() { run(want) })
+	for _, p := range kernelPaths[1:] {
+		if !p.onHost() {
+			continue
+		}
+		got := append([]float64(nil), out...)
+		p.run(func() { run(got) })
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("%s: element %d is %x on the %s path, %x in Go", name, i,
+				math.Float64bits(got[i]), p.name, math.Float64bits(want[i]))
+		}
+	}
+}
+
+func testKernelsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	// plant zeroes a quarter of s, half of them negative zeros, so the
 	// kernels' t == 0 skips are taken.
@@ -121,17 +185,6 @@ func TestKernelsVectorEqualsGo(t *testing.T) {
 		return s
 	}
 	dim := func() int { return rng.Intn(40) + 1 }
-	check := func(name string, out []float64, run func(out []float64)) {
-		t.Helper()
-		vec := append([]float64(nil), out...)
-		scalar := append([]float64(nil), out...)
-		withVector(true, func() { run(vec) })
-		withVector(false, func() { run(scalar) })
-		if i := sameBits(vec, scalar); i >= 0 {
-			t.Fatalf("%s: element %d is %x on the vector path, %x in Go", name, i,
-				math.Float64bits(vec[i]), math.Float64bits(scalar[i]))
-		}
-	}
 	alphas := []float64{1, -1, 0.75, 0}
 	for trial := 0; trial < 12; trial++ {
 		for _, ta := range []Trans{NoTrans, Transpose} {
@@ -148,7 +201,7 @@ func TestKernelsVectorEqualsGo(t *testing.T) {
 				lda, ldb, ldc := ra+rng.Intn(3), rb+rng.Intn(3), m+rng.Intn(3)
 				a, b := plant(randSlice(rng, lda*ca)), plant(randSlice(rng, ldb*cb))
 				alpha, beta := alphas[trial%4], []float64{0, 1, -0.5}[trial%3]
-				check(fmt.Sprintf("Gemm(%v,%v,%d,%d,%d)", ta, tb, m, n, k), randSlice(rng, ldc*n), func(c []float64) {
+				samePaths(t, fmt.Sprintf("Gemm(%v,%v,%d,%d,%d)", ta, tb, m, n, k), randSlice(rng, ldc*n), func(c []float64) {
 					Gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 				})
 			}
@@ -163,7 +216,7 @@ func TestKernelsVectorEqualsGo(t *testing.T) {
 				lda, ldc := ra+rng.Intn(3), n+rng.Intn(3)
 				a := plant(randSlice(rng, lda*ca))
 				alpha, beta := alphas[trial%4], []float64{0, 1, 2}[trial%3]
-				check(fmt.Sprintf("Syrk(%v,%v,%d,%d)", uplo, trans, n, k), randSlice(rng, ldc*n), func(c []float64) {
+				samePaths(t, fmt.Sprintf("Syrk(%v,%v,%d,%d)", uplo, trans, n, k), randSlice(rng, ldc*n), func(c []float64) {
 					Syrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
 				})
 			}
@@ -183,7 +236,7 @@ func TestKernelsVectorEqualsGo(t *testing.T) {
 					}
 					b := plant(randSlice(rng, ldb*n))
 					alpha := []float64{1, 0.5}[trial%2]
-					check(fmt.Sprintf("Trsm(%v,%v,%v,%d,%d)", side, uplo, trans, m, n), b, func(x []float64) {
+					samePaths(t, fmt.Sprintf("Trsm(%v,%v,%v,%d,%d)", side, uplo, trans, m, n), b, func(x []float64) {
 						Trsm(side, uplo, trans, m, n, alpha, a, lda, x, ldb)
 					})
 				}
@@ -193,10 +246,132 @@ func TestKernelsVectorEqualsGo(t *testing.T) {
 			// Up to 100 so the blocked Lower path (n ≥ 64) runs too.
 			n := rng.Intn(100) + 1
 			spd := randSPD(rng, n)
-			check(fmt.Sprintf("Potrf(%v,%d)", uplo, n), spd, func(a []float64) {
+			samePaths(t, fmt.Sprintf("Potrf(%v,%d)", uplo, n), spd, func(a []float64) {
 				if err := Potrf(uplo, n, a, n); err != nil {
 					t.Fatal(err)
 				}
+			})
+		}
+	}
+}
+
+// guard is the value the tile sweep puts in every cell a kernel must not
+// write: padding rows, columns past n and Syrk's upper triangle. It is a
+// signalling NaN no input uses, so any arithmetic on it would show too.
+var guard = math.Float64frombits(0x7ff000000000dead)
+
+// testKernelsTile sweeps the kernels the register tile runs under: every
+// row remainder 1–15 of its 16-row blocks, every column remainder 1–7 of
+// its 8-column groups, k from 0 to 130, padded leading dimensions, ±0
+// multipliers at every step (a column is skipped where one lands) and a
+// few ±Inf, subnormals and NaNs of distinct payload and sign in both
+// operands. Each case must give the Go loops' bits on every path and leave
+// the guard cells alone.
+func testKernelsTile(t *testing.T) {
+	if !hostTile {
+		t.Skip("the CPU lacks AVX-512F or the OS does not save the ZMM state (or this is a purego or non-amd64 build): the register tile is not exercised")
+	}
+	rng := rand.New(rand.NewSource(40))
+	// operand is an r×c matrix with leading dimension ld: normal values,
+	// one in eight ±0, a few specials, guard in the padding.
+	operand := func(r, c, ld int) []float64 {
+		s := make([]float64, ld*c)
+		for j := 0; j < c; j++ {
+			for i := 0; i < ld; i++ {
+				v := guard
+				if i < r {
+					switch v = rng.NormFloat64(); rng.Intn(16) {
+					case 0:
+						v = 0
+					case 1:
+						v = math.Copysign(0, -1)
+					}
+				}
+				s[i+j*ld] = v
+			}
+		}
+		for n := 0; n < 3; n++ {
+			s[rng.Intn(r)+rng.Intn(c)*ld] = specials[rng.Intn(len(specials))]
+		}
+		return s
+	}
+	// output is an r×c operand with a column of guards past c.
+	output := func(r, c, ld int) []float64 {
+		s := operand(r, c, ld)
+		for i := 0; i < ld; i++ {
+			s = append(s, guard)
+		}
+		return s
+	}
+	// expectGuards checks the padding rows of c's first cols columns, the
+	// guard column after them and, with upper, the strict upper triangle.
+	expectGuards := func(name string, c []float64, ld, r, cols int, upper bool) {
+		t.Helper()
+		for i, v := range c {
+			row, col := i%ld, i/ld
+			if (row >= r || col >= cols || upper && row < col) && math.Float64bits(v) != math.Float64bits(guard) {
+				t.Fatalf("%s: guard cell (%d,%d) is %x", name, row, col, math.Float64bits(v))
+			}
+		}
+	}
+	// rows has every remainder 1–15 of the 16-row blocks alone, and some
+	// after one or two full blocks; cols every remainder 1–7 of the
+	// 8-column groups after one full group, and some alone or after more.
+	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 47}
+	cols := []int{1, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 31, 40}
+	depths := []int{0, 1, 2, 3, 8, 17, 64, 130}
+	alphas := []float64{1, -1, 0.75, math.Float64frombits(0x7ff8000000000042)}
+	cases := 0
+	for _, m := range rows {
+		for _, n := range cols {
+			for _, k := range depths {
+				cases++
+				lda, ldb, ldc := m+rng.Intn(3), n+rng.Intn(3), m+rng.Intn(3)
+				a, b := operand(m, max(k, 1), lda), operand(n, max(k, 1), ldb)
+				c := output(m, n, ldc)
+				alpha, beta := alphas[cases%len(alphas)], []float64{0, 1}[cases%2]
+				name := fmt.Sprintf("Gemm(NoTrans,Transpose,%d,%d,%d,α=%v,β=%v)", m, n, k, alpha, beta)
+				samePaths(t, name, c, func(c []float64) {
+					Gemm(NoTrans, Transpose, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+					expectGuards(name, c, ldc, m, n, false)
+				})
+			}
+		}
+	}
+	for _, n := range []int{1, 7, 8, 9, 12, 15, 16, 17, 24, 31, 33, 40, 47} {
+		for _, k := range depths {
+			for _, alpha := range []float64{1, -1} {
+				for _, beta := range []float64{0, 1} {
+					lda, ldc := n+rng.Intn(3), n+rng.Intn(3)
+					a := operand(n, max(k, 1), lda)
+					c := output(n, n, ldc)
+					for j := 0; j < n; j++ {
+						for i := 0; i < j; i++ {
+							c[i+j*ldc] = guard
+						}
+					}
+					name := fmt.Sprintf("Syrk(Lower,NoTrans,%d,%d,α=%v,β=%v)", n, k, alpha, beta)
+					samePaths(t, name, c, func(c []float64) {
+						Syrk(Lower, NoTrans, n, k, alpha, a, lda, beta, c, ldc)
+						expectGuards(name, c, ldc, n, n, true)
+					})
+				}
+			}
+		}
+	}
+	for _, m := range rows {
+		for _, n := range append(cols, 48, 65) {
+			lda, ldb := n+rng.Intn(3), m+rng.Intn(3)
+			l := operand(n, n, lda)
+			for j := 0; j < n; j++ {
+				l[j+j*lda] = 2 + math.Abs(rng.NormFloat64())
+			}
+			b := output(m, n, ldb)
+			alpha := []float64{1, 0.5}[n%2]
+			name := fmt.Sprintf("Trsm(Right,Lower,Transpose,%d,%d,α=%v)", m, n, alpha)
+			samePaths(t, name, b, func(b []float64) {
+				Trsm(Right, Lower, Transpose, m, n, alpha, l, lda, b, ldb)
+				expectGuards(name, b, ldb, m, n, false)
 			})
 		}
 	}
