@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck lint lint-json
+.PHONY: all build test race vet fmtcheck lint lint-json bits
 
 all: build test lint
 
@@ -15,6 +15,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bits runs the bit-contract tests — the pinned factor and solution hashes
+# (complete and IC), folded ≡ unfolded factor bytes and the protocol's
+# counts — on the kernel path this host selects, then again under
+# -tags purego (Go loops instead of the assembly), plus the kernels'
+# vector ≡ Go tests under purego. Any moved bit fails it.
+BITS = Golden|SubtreeFoldBits|ProtocolCounts
+bits:
+	$(GO) test -count=1 -run '$(BITS)' ./internal/core
+	$(GO) test -count=1 -tags purego -run '$(BITS)' ./internal/core
+	$(GO) test -count=1 -tags purego ./internal/blas
 
 # vet runs the standard analyzer set — which includes the -copylocks class
 # of checks that guards the engine's typed atomics and mutex-holding
@@ -28,9 +39,10 @@ fmtcheck:
 	@out="$$(gofmt -l . | grep -v '/testdata/' || true)"; \
 	if [ -n "$$out" ]; then echo "gofmt would rewrite:" >&2; echo "$$out" >&2; exit 1; fi
 
-# lint is gofmt cleanliness and vet plus the custom sympacklint suite
-# (determinism, atomicity, future-error, lockset/guarded-by,
-# suppression-audit, and wall-clock invariants; see DESIGN.md §10).
+# lint is gofmt cleanliness and vet plus the custom sympacklint suite,
+# the eight analyzers of DESIGN.md §10: atomicconsistency, ctxflow,
+# errflow, goroutineleak, lockorder, mutexguard, nondetflow and
+# unusedignore.
 # sympacklint exits 2 on any unsuppressed finding. The seeded-violation
 # gates that prove each analyzer still trips run in `go test
 # ./cmd/sympacklint` (TestGates).

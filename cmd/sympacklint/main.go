@@ -1,6 +1,7 @@
-// Command sympacklint runs the sympack static-analysis suite: custom
-// analyzers that mechanically enforce the solver's determinism, atomicity,
-// and future-error invariants (see DESIGN.md §10):
+// Command sympacklint runs the sympack static-analysis suite, the eight
+// analyzers of DESIGN.md §10 that mechanically enforce the solver's
+// determinism, atomicity, context, error, goroutine and locking
+// invariants:
 //
 //	go run ./cmd/sympacklint [-json] ./...
 //

@@ -319,25 +319,6 @@ func TestPotrfMatchesTrsmSyrkBlocked(t *testing.T) {
 	}
 }
 
-func TestDenseCholSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 15
-	spd := randSPD(rng, n)
-	d := NewDense(n, n)
-	copy(d.Data, spd)
-	orig := NewDense(n, n)
-	copy(orig.Data, spd)
-	xTrue := randSlice(rng, n)
-	b := orig.MulVec(xTrue)
-	x, err := d.CholSolve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := ResidualNorm(orig, x, b); r > 1e-10 {
-		t.Fatalf("residual %g too large", r)
-	}
-}
-
 // Property-based: Potrf of B·Bᵀ+cI succeeds and reconstructs for arbitrary B.
 func TestPotrfProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {

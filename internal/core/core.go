@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -538,20 +539,9 @@ func (f *Factor) L(i, j int32) float64 {
 	}
 	b := &st.Blocks[bid]
 	sn := &st.Snodes[k]
-	rows := sn.Rows[b.RowOff : b.RowOff+b.NRows]
-	// binary search row i
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rows[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(rows) || rows[lo] != i {
+	p, ok := slices.BinarySearch(sn.Rows[b.RowOff:b.RowOff+b.NRows], i)
+	if !ok {
 		return 0
 	}
-	col := int(j - sn.FirstCol)
-	return f.Data[bid][lo+col*int(b.NRows)]
+	return f.Data[bid][p+int(j-sn.FirstCol)*int(b.NRows)]
 }

@@ -6,10 +6,13 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sympack/internal/gen"
 	"sympack/internal/matrix"
+	"sympack/internal/ordering"
+	"sympack/internal/symbolic"
 )
 
 // TestFactorBitsGolden pins the saved factor of four problems to fixed
@@ -111,4 +114,65 @@ func TestSolveBitsGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestICFactorBitsGolden pins the saved incomplete factor of two IC(k)
+// problems, so the scatter's discard path — a source row its target block
+// lacks drops its contribution — keeps its bits. Each structure is checked
+// to have at least one such update first, so the path is known to run.
+func TestICFactorBitsGolden(t *testing.T) {
+	cases := []struct {
+		name  string
+		a     *matrix.SparseSym
+		ord   ordering.Kind
+		level int
+		want  string
+	}{
+		{"Thermal2D(64,64,4,2) IC(2)", gen.Thermal2D(64, 64, 4, 2), ordering.NestedDissection, 2, "f83985f0f34c0c64"},
+		{"Laplace3D(12,12,12) IC(0)", gen.Laplace3D(12, 12, 12), ordering.Natural, 0, "48af36cd1edb5235"},
+	}
+	for _, c := range cases {
+		st, pa, err := symbolic.AnalyzeIC(c.a, c.ord, symbolic.DefaultOptions(), symbolic.ICOptions{Level: c.level})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n := droppingUpdates(st)
+		if n == 0 {
+			t.Fatalf("%s: no update has a source row missing from its target; the discard path is not run", c.name)
+		}
+		t.Logf("%s: %d updates drop a row", c.name, n)
+		for _, ranks := range []int{1, 3} {
+			f, err := FactorizeAnalyzed(st, pa, Options{Ranks: ranks, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s, %d ranks: %v", c.name, ranks, err)
+			}
+			h := sha256.New()
+			if err := f.Save(h); err != nil {
+				t.Fatalf("%s, %d ranks: save: %v", c.name, ranks, err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)[:8]); got != c.want {
+				t.Errorf("%s, %d ranks: factor SHA-256 starts %s, want %s", c.name, ranks, got, c.want)
+			}
+		}
+	}
+}
+
+// droppingUpdates counts the updates of st with a row of their B operand
+// that their target block lacks, by brute force over the row lists.
+func droppingUpdates(st *symbolic.Structure) int {
+	rows := func(b *symbolic.Block) []int32 {
+		return st.Snodes[b.Snode].Rows[b.RowOff : b.RowOff+b.NRows]
+	}
+	n := 0
+	tg := symbolic.BuildTaskGraph(st)
+	for _, u := range tg.Updates {
+		tgt := rows(&st.Blocks[u.Target])
+		for _, r := range rows(&st.Blocks[u.BlkB]) {
+			if !slices.Contains(tgt, r) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }

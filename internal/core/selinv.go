@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SelInv holds the selected inverse of a factored matrix: the entries of
@@ -86,17 +87,9 @@ func (f *Factor) SelectedInverse() (*SelInv, error) {
 
 	// zAt returns Z(i,k) with i ≥ k via binary search in column k.
 	zAt := func(i, k int32) float64 {
-		lo, hi := s.colPtr[k], s.colPtr[k+1]
-		for lo < hi {
-			mid := (lo + hi) / 2
-			switch {
-			case s.rowInd[mid] < i:
-				lo = mid + 1
-			case s.rowInd[mid] > i:
-				hi = mid
-			default:
-				return s.z[mid]
-			}
+		lo := s.colPtr[k]
+		if p, ok := slices.BinarySearch(s.rowInd[lo:s.colPtr[k+1]], i); ok {
+			return s.z[lo+int64(p)]
 		}
 		return 0 // structurally absent (cannot happen for in-pattern queries)
 	}
@@ -151,17 +144,9 @@ func (s *SelInv) At(i, j int) (float64, bool) {
 	if pi < pj {
 		pi, pj = pj, pi
 	}
-	lo, hi := s.colPtr[pj], s.colPtr[pj+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case int(s.rowInd[mid]) < pi:
-			lo = mid + 1
-		case int(s.rowInd[mid]) > pi:
-			hi = mid
-		default:
-			return s.z[mid], true
-		}
+	lo := s.colPtr[pj]
+	if p, ok := slices.BinarySearch(s.rowInd[lo:s.colPtr[pj+1]], int32(pi)); ok {
+		return s.z[lo+int64(p)], true
 	}
 	return 0, false
 }

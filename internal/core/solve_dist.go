@@ -160,20 +160,6 @@ func (f *Factor) distSolve() *distSolve {
 	return d
 }
 
-// SolveDistributedMulti runs the distributed solve for several right-hand
-// sides in sequence, reusing the factor.
-func (f *Factor) SolveDistributedMulti(bs [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(bs))
-	for i, b := range bs {
-		x, err := f.SolveDistributed(b)
-		if err != nil {
-			return nil, fmt.Errorf("core: rhs %d: %w", i, err)
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
 // solveTask is one unit of solve work on a rank, in either sweep (back
 // false: forward substitution, true: backward).
 //

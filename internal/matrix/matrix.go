@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -127,17 +128,9 @@ func (s *SparseSym) At(i, j int) float64 {
 	if i < j {
 		i, j = j, i
 	}
-	lo, hi := int(s.ColPtr[j]), int(s.ColPtr[j+1])
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case int(s.RowInd[mid]) < i:
-			lo = mid + 1
-		case int(s.RowInd[mid]) > i:
-			hi = mid
-		default:
-			return s.Val[mid]
-		}
+	lo := int(s.ColPtr[j])
+	if p, ok := slices.BinarySearch(s.RowInd[lo:s.ColPtr[j+1]], int32(i)); ok {
+		return s.Val[lo+p]
 	}
 	return 0
 }

@@ -18,6 +18,7 @@ package symbolic
 
 import (
 	"math"
+	"slices"
 
 	"sympack/internal/etree"
 	"sympack/internal/matrix"
@@ -149,7 +150,7 @@ func icPattern(a *matrix.SparseSym, k int) [][]int32 {
 			}
 		}
 		hitCols[j], hitLev[j] = nil, nil
-		sortInt32(touched)
+		slices.Sort(touched)
 		rows := make([]int32, len(touched))
 		lvls := make([]int32, len(touched))
 		copy(rows, touched)

@@ -8,6 +8,7 @@ package symbolic
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sympack/internal/etree"
 	"sympack/internal/matrix"
@@ -110,6 +111,9 @@ func (s *Structure) DiagBlock(k int32) *Block { return &s.Blocks[s.BlockPtr[k]] 
 // the structure has no such block. Blocks within a supernode are sorted by
 // RowSn, so a binary search suffices.
 func (s *Structure) FindBlock(rowSn, snode int32) int32 {
+	// Hand-written: slices.BinarySearchFunc calls its comparison closure at
+	// every step, which made this lookup, run once per block pair by
+	// BuildTaskGraph, about four times as costly.
 	lo, hi := s.BlockPtr[snode], s.BlockPtr[snode+1]
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -385,7 +389,7 @@ func (st *Structure) buildSupernodeRows(a *matrix.SparseSym, sizeHint int) {
 				}
 			}
 		}
-		sortInt32(slab[off:])
+		slices.Sort(slab[off:])
 		rowPtr[k+1] = int32(len(slab))
 		if off < len(slab) {
 			p := st.SnOf[slab[off]]
@@ -395,21 +399,6 @@ func (st *Structure) buildSupernodeRows(a *matrix.SparseSym, sizeHint int) {
 	}
 	for k := range st.Snodes {
 		st.Snodes[k].Rows = slab[rowPtr[k]:rowPtr[k+1]:rowPtr[k+1]]
-	}
-}
-
-func sortInt32(a []int32) {
-	// Shell sort: avoids sort.Slice allocations in this hot path.
-	gaps := []int{701, 301, 132, 57, 23, 10, 4, 1}
-	for _, gap := range gaps {
-		for i := gap; i < len(a); i++ {
-			x := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > x; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = x
-		}
 	}
 }
 

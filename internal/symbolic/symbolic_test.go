@@ -302,7 +302,7 @@ func TestMap2DBalance(t *testing.T) {
 		mp := NewMap2D(p)
 		count := make([]int, p)
 		for bi := range st.Blocks {
-			count[mp.OwnerOf(&st.Blocks[bi])]++
+			count[OwnerOfBlock(mp, &st.Blocks[bi])]++
 		}
 		for r, c := range count {
 			if c == 0 {

@@ -173,9 +173,6 @@ func (m Map2D) Owner(i, k int32) int {
 	return int(i)%m.Pr*m.Pc + int(k)%m.Pc
 }
 
-// OwnerOf returns the process owning a block value.
-func (m Map2D) OwnerOf(b *Block) int { return m.Owner(b.RowSn, b.Snode) }
-
 // Map1D is the 1D column-cyclic distribution: every block of supernode k
 // lives on process k mod P — the layout whose serial bottlenecks the 2D
 // map exists to avoid (§3.3).
