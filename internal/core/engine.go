@@ -503,13 +503,25 @@ func taskFor(b *symbolic.Block) taskKind {
 
 // assemble puts the permuted matrix entries into the owned blocks. A
 // folded supernode's entries go into its trapezoid instead, when its
-// subtree task runs.
+// subtree task runs, and a supernode this rank owns no block of is skipped:
+// the ranks that own its blocks assemble it (and panic on an entry outside
+// its structure).
 func (e *engine) assemble() {
 	for k := range e.st.Snodes {
-		if !e.folded[k] {
+		if !e.folded[k] && e.ownsBlockOf(int32(k)) {
 			e.assembleSnode(int32(k), nil, e.lanes[0].rpos)
 		}
 	}
+}
+
+// ownsBlockOf reports whether this rank owns any block of supernode k.
+func (e *engine) ownsBlockOf(k int32) bool {
+	for _, b := range e.st.SnodeBlocks(k) {
+		if e.owned[b.ID] != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // assembleSnode puts the entries of supernode k's columns at their rows'

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -67,6 +68,9 @@ func ReadMatrixMarket(r io.Reader) (*SparseSym, error) {
 			return nil, fmt.Errorf("%w: bad size line %q", ErrFormat, line)
 		}
 		break
+	}
+	if !indexable(m) || !indexable(n) || !indexable(nnz) {
+		return nil, fmt.Errorf("%w: bad sizes %d×%d with %d entries", ErrFormat, m, n, nnz)
 	}
 	if m != n {
 		return nil, ErrNotSquare
@@ -177,7 +181,7 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 	}
 	// Bound allocations against hostile headers: a symmetric assembled
 	// matrix cannot carry more than a full lower triangle.
-	if ncol < 0 || nnz < 0 || int64(nnz) > int64(ncol)*(int64(ncol)+1)/2 {
+	if !indexable(ncol) || !indexable(nnz) || int64(nnz) > int64(ncol)*(int64(ncol)+1)/2 {
 		return nil, fmt.Errorf("%w: implausible RB sizes n=%d nnz=%d", ErrFormat, ncol, nnz)
 	}
 	if _, err := readLine(); err != nil { // line 4: formats
@@ -206,6 +210,11 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 		v, err := nextInt()
 		if err != nil {
 			return nil, err
+		}
+		// Pointers are 1-based, start at 1, never decrease and stay
+		// within the nnz+1 the header promised.
+		if (j == 0 && v != 1) || (j > 0 && v-1 < int(colPtr[j-1])) || v > nnz+1 {
+			return nil, fmt.Errorf("%w: bad RB column pointer %d at column %d", ErrFormat, v, j)
 		}
 		colPtr[j] = int32(v - 1)
 	}
@@ -248,6 +257,10 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 	}
 	return s, nil
 }
+
+// indexable reports whether a dimension fits the int32 index type with
+// its n+1 column pointers.
+func indexable(n int) bool { return n >= 0 && n < math.MaxInt32 }
 
 // WriteRutherfordBoeing writes s as an "rsa" Rutherford-Boeing file.
 func WriteRutherfordBoeing(w io.Writer, s *SparseSym, title string) error {

@@ -294,14 +294,18 @@ func (s *SparseSym) Dense() []float64 {
 // indices per column, indices in [j, n), monotone ColPtr. It returns a
 // descriptive error for the first violation found.
 func (s *SparseSym) Validate() error {
-	if len(s.ColPtr) != s.N+1 {
-		return fmt.Errorf("matrix: ColPtr length %d != N+1", len(s.ColPtr))
+	if s.N < 0 || s.N >= math.MaxInt32 || len(s.ColPtr) != s.N+1 {
+		return fmt.Errorf("matrix: ColPtr length %d != N+1 (N = %d)", len(s.ColPtr), s.N)
 	}
 	if s.ColPtr[0] != 0 {
 		return errors.New("matrix: ColPtr[0] != 0")
 	}
+	if int(s.ColPtr[s.N]) != len(s.RowInd) || len(s.RowInd) != len(s.Val) {
+		return errors.New("matrix: inconsistent array lengths")
+	}
 	for j := 0; j < s.N; j++ {
-		if s.ColPtr[j+1] < s.ColPtr[j] {
+		// Bounded by ColPtr[N] = len(RowInd), so RowInd[p] below is in range.
+		if s.ColPtr[j+1] < s.ColPtr[j] || s.ColPtr[j+1] > s.ColPtr[s.N] {
 			return fmt.Errorf("matrix: ColPtr not monotone at column %d", j)
 		}
 		prev := int32(j) - 1
@@ -315,9 +319,6 @@ func (s *SparseSym) Validate() error {
 			}
 			prev = r
 		}
-	}
-	if int(s.ColPtr[s.N]) != len(s.RowInd) || len(s.RowInd) != len(s.Val) {
-		return errors.New("matrix: inconsistent array lengths")
 	}
 	return nil
 }
