@@ -72,15 +72,8 @@ type Pass struct {
 	// line — rather than by suppressing a reported diagnostic. The audit
 	// counts such directives as live, so unusedignore does not flag an
 	// escape hatch whose entire effect was to stop a finding from ever
-	// being produced. Nil when the runner does not audit suppressions.
+	// being produced.
 	MarkIgnoreUsed func(pos token.Pos, analyzer string)
-}
-
-// ConsumeIgnore is the nil-safe form of MarkIgnoreUsed.
-func (p *Pass) ConsumeIgnore(pos token.Pos, analyzer string) {
-	if p.MarkIgnoreUsed != nil {
-		p.MarkIgnoreUsed(pos, analyzer)
-	}
 }
 
 // Reportf reports a formatted diagnostic at pos.

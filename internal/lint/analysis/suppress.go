@@ -98,8 +98,8 @@ type ConsumedIgnore struct {
 // an //lint:ignore directive for a given analyzer covers a position. The
 // coverage rule is identical to diagnostic suppression: the directive's
 // own line or the line immediately below it. Analyzers that kill work
-// through a covering directive must also call Pass.MarkIgnoreUsed (or
-// ConsumeIgnore) so the audit sees the directive as live.
+// through a covering directive must also call Pass.MarkIgnoreUsed so the
+// audit sees the directive as live.
 type IgnoreIndex struct {
 	fset   *token.FileSet
 	byFile map[string][]*ignoreDirective

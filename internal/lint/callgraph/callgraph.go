@@ -1,9 +1,10 @@
 // Package callgraph builds a type-driven call graph over one type-checked
-// package, the resolution layer under the suite's interprocedural
-// analyzers (taint propagation in nondetflow/errflow, callee summaries in
-// goroutineleak and mutexguard). It answers the one question those
-// analyzers share: "which function(s) can this call expression reach?" —
-// with three resolution strategies, applied in order:
+// package and solves per-function summaries on it: the layer under the
+// suite's interprocedural analyzers (taint summaries in nondetflow and
+// errflow, channel-use summaries in goroutineleak, lock summaries in
+// mutexguard and lockorder). It answers the question those analyzers
+// share — "which function(s) can this call expression reach?" — with three
+// resolution strategies, applied in order:
 //
 //  1. Static: the callee is a named function or a concrete method,
 //     resolved directly through go/types (including qualified
@@ -23,9 +24,14 @@
 // Everything else — builtins, conversions, calls of function-typed fields
 // or parameters, immediately invoked literals — resolves to no callees
 // with KindUnknown, and callers fall back to whatever conservative
-// treatment their analysis needs. The graph itself (Build) lists every
-// declared function in source order with its resolved call sites, which
-// is the iteration order the taint engine's fixpoint uses.
+// treatment their analysis needs.
+//
+// The graph (Build) lists every declared function in source order. Solve
+// is the suite's one summary fixpoint: it visits callees before callers,
+// so a chain of helpers of any depth converges in one round, and only
+// recursion takes more. Summaries keeps an analyzer's summaries, answers
+// for a callee from the package's own or from the fact an imported
+// package exported, and exports the package's own.
 package callgraph
 
 import (
@@ -33,6 +39,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"sympack/internal/lint/analysis"
 )
 
 // Kind classifies how a call site was resolved.
@@ -54,81 +62,144 @@ const (
 	KindInterface
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindStatic:
-		return "static"
-	case KindFuncValue:
-		return "funcvalue"
-	case KindInterface:
-		return "interface"
-	default:
-		return "unknown"
-	}
-}
-
-// A Call is one resolved call site.
-type Call struct {
-	Site    *ast.CallExpr
-	Callees []*types.Func // nil for KindUnknown; sorted for KindInterface
-	Kind    Kind
-}
-
-// A Node is one declared function with its outgoing calls, in source
-// order (calls inside nested function literals included — the literal
-// body belongs to the declaring function's node).
+// A Node is one declared function with a body.
 type Node struct {
-	Func  *types.Func
-	Decl  *ast.FuncDecl
-	Calls []Call
+	Func *types.Func
+	Decl *ast.FuncDecl
 }
 
 // A Graph is the call graph of one package: every function declaration in
-// file-then-position order.
+// file-then-position order, and the resolver that finds the calls between
+// them.
 type Graph struct {
 	Nodes    []*Node
 	Resolver *Resolver
-
-	byFunc map[*types.Func]*Node
 }
-
-// NodeOf returns the node declaring fn, or nil for functions declared
-// elsewhere (imported, or synthesized).
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFunc[fn] }
 
 // Build constructs the package's call graph.
 func Build(pkg *types.Package, info *types.Info, files []*ast.File) *Graph {
-	r := NewResolver(pkg, info, files)
-	g := &Graph{Resolver: r, byFunc: map[*types.Func]*Node{}}
+	g := &Graph{Resolver: NewResolver(pkg, info, files)}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, _ := info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
+			if fn, _ := info.Defs[fd.Name].(*types.Func); fn != nil {
+				g.Nodes = append(g.Nodes, &Node{Func: fn, Decl: fd})
 			}
-			node := &Node{Func: fn, Decl: fd}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				// Conversions are not calls; keep them out of the graph.
-				if tv, ok := info.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() {
-					return true
-				}
-				callees, kind := r.Callees(call)
-				node.Calls = append(node.Calls, Call{Site: call, Callees: callees, Kind: kind})
-				return true
-			})
-			g.Nodes = append(g.Nodes, node)
-			g.byFunc[fn] = node
 		}
 	}
 	return g
+}
+
+// maxRounds bounds Solve. An acyclic call graph converges in its first
+// round, and the second changes nothing; only recursion needs more, and
+// there a summary can grow each time round the cycle (a taint Via chain
+// does), so the bound is what ends it.
+const maxRounds = 32
+
+// Solve is the one per-function summary fixpoint of the suite: update
+// recomputes node n's summary from its body and its callees' summaries and
+// reports whether it changed. Each round visits callees before callers — a
+// postorder of the package's call graph entered from its functions in
+// source order, so the order is deterministic — and rounds repeat until
+// none changes a summary.
+func (g *Graph) Solve(update func(n *Node) bool) {
+	order := g.postorder()
+	for round := 0; round < maxRounds; round++ {
+		changed := false
+		for _, n := range order {
+			if update(n) {
+				changed = true
+			}
+		}
+		if !changed {
+			return
+		}
+	}
+}
+
+// postorder lists the nodes callees first, by a depth-first walk of the
+// calls each body makes (nested function literals included) to functions
+// of the package.
+func (g *Graph) postorder() []*Node {
+	byFunc := make(map[*types.Func]*Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		byFunc[n.Func] = n
+	}
+	seen := make(map[*Node]bool, len(g.Nodes))
+	order := make([]*Node, 0, len(g.Nodes))
+	var visit func(n *Node)
+	visit = func(n *Node) {
+		seen[n] = true
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				callees, _ := g.Resolver.Callees(call)
+				for _, fn := range callees {
+					if c := byFunc[fn]; c != nil && !seen[c] {
+						visit(c)
+					}
+				}
+			}
+			return true
+		})
+		order = append(order, n)
+	}
+	for _, n := range g.Nodes {
+		if !seen[n] {
+			visit(n)
+		}
+	}
+	return order
+}
+
+// Summaries holds one summary per function, of an analyzer's fact type
+// F: Local for the package's own functions, which the analyzer fills
+// through Solve, and for any other function the fact an earlier pass
+// exported.
+type Summaries[F analysis.Fact] struct {
+	*Graph
+	Local map[*types.Func]F
+	pass  *analysis.Pass
+	fresh func() F
+}
+
+// NewSummaries builds the package's call graph with an empty summary
+// table of fact type *T.
+func NewSummaries[T any, F interface {
+	*T
+	analysis.Fact
+}](pass *analysis.Pass) *Summaries[F] {
+	return &Summaries[F]{
+		Graph: Build(pass.Pkg, pass.TypesInfo, pass.Files),
+		Local: map[*types.Func]F{},
+		pass:  pass,
+		fresh: func() F { return new(T) },
+	}
+}
+
+// Of returns fn's summary: the local one, or the imported fact.
+func (s *Summaries[F]) Of(fn *types.Func) (F, bool) {
+	if f, ok := s.Local[fn]; ok {
+		return f, true
+	}
+	f := s.fresh()
+	if s.pass.ImportObjectFact(fn, f) {
+		return f, true
+	}
+	var none F
+	return none, false
+}
+
+// Export publishes, for importing packages, the local summaries keep
+// accepts.
+func (s *Summaries[F]) Export(keep func(F) bool) {
+	for _, n := range s.Nodes {
+		if f, ok := s.Local[n.Func]; ok && keep(f) {
+			s.pass.ExportObjectFact(n.Func, f)
+		}
+	}
 }
 
 // A Resolver resolves call expressions of one package to callee

@@ -35,7 +35,6 @@
 package ctxflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -120,33 +119,12 @@ func isContext(t types.Type) bool {
 // checkFunc applies all three rules to one request-path function.
 func (w *walker) checkFunc(fd *ast.FuncDecl, seed map[types.Object]bool) {
 	g := cfg.New(fd.Body)
-	res := dataflow.Solve(g, dataflow.SetLattice{Intersect: true}, dataflow.Forward, dataflow.Set{},
-		func(b *cfg.Block, in dataflow.Set) dataflow.Set {
-			for _, n := range b.Nodes {
-				w.applyNode(n, seed, in)
-			}
-			return in
-		})
-	for _, b := range g.Reachable() {
-		in, ok := res.In[b]
-		if !ok {
-			continue
-		}
-		derived := dataflow.Set{}
-		for k := range in {
-			derived[k] = true
-		}
-		for _, n := range b.Nodes {
-			w.checkNode(n, seed, derived)
-			w.applyNode(n, seed, derived)
-		}
-	}
-}
-
-// objKey is the dataflow-set key of a context variable: name plus
-// declaration position, unique and deterministic within a file set.
-func objKey(obj types.Object) string {
-	return fmt.Sprintf("%s#%d", obj.Name(), obj.Pos())
+	step := func(n ast.Node, derived dataflow.Set) { w.applyNode(n, seed, derived) }
+	res := dataflow.Solve(g, dataflow.SetLattice{Intersect: true}, dataflow.Forward, dataflow.Set{}, dataflow.Steps(step))
+	dataflow.Replay(g, res, func(n ast.Node, derived dataflow.Set) {
+		w.checkNode(n, seed, derived)
+		step(n, derived)
+	})
 }
 
 // applyNode is the transfer function: context-typed assignments gen
@@ -194,9 +172,9 @@ func (w *walker) applySpec(vs *ast.ValueSpec, seed map[types.Object]bool, derive
 			ok = w.derivedExpr(vs.Values[0], seed, derived)
 		}
 		if ok {
-			derived[objKey(obj)] = true
+			derived[dataflow.Key(obj)] = true
 		} else {
-			delete(derived, objKey(obj))
+			delete(derived, dataflow.Key(obj))
 		}
 	}
 }
@@ -214,9 +192,9 @@ func (w *walker) setDerived(lhs ast.Expr, ok bool, derived dataflow.Set) {
 		return
 	}
 	if ok {
-		derived[objKey(obj)] = true
+		derived[dataflow.Key(obj)] = true
 	} else {
-		delete(derived, objKey(obj))
+		delete(derived, dataflow.Key(obj))
 	}
 }
 
@@ -227,7 +205,7 @@ func (w *walker) derivedExpr(e ast.Expr, seed map[types.Object]bool, derived dat
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := w.pass.TypesInfo.Uses[e]
-		return obj != nil && (seed[obj] || derived[objKey(obj)])
+		return obj != nil && (seed[obj] || derived[dataflow.Key(obj)])
 	case *ast.CallExpr:
 		sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr)
 		if !ok {
@@ -302,7 +280,7 @@ func (w *walker) checkCall(call *ast.CallExpr, seed map[types.Object]bool, deriv
 			if _, isVar := obj.(*types.Var); !isVar {
 				continue // e.g. the nil ident
 			}
-			if seed[obj] || derived[objKey(obj)] {
+			if seed[obj] || derived[dataflow.Key(obj)] {
 				continue
 			}
 			w.pass.Reportf(a.Pos(),

@@ -17,6 +17,10 @@
 package dataflow
 
 import (
+	"go/ast"
+	"go/types"
+	"strconv"
+
 	"sympack/internal/lint/cfg"
 )
 
@@ -121,6 +125,41 @@ func Solve[T any](g *cfg.Graph, lat Lattice[T], dir Direction, boundary T, trans
 		}
 	}
 	return res
+}
+
+// Steps makes a block transfer of a node step, which applies one node's
+// effect to the state in place.
+func Steps(step func(n ast.Node, s Set)) func(b *cfg.Block, s Set) Set {
+	return func(b *cfg.Block, s Set) Set {
+		for _, n := range b.Nodes {
+			step(n, s)
+		}
+		return s
+	}
+}
+
+// Replay is the second half of every flow-sensitive check: it visits each
+// block reachable from g's entry once, in index order, from a copy of its
+// solved in-state, and visit sees the block's nodes in order and advances
+// the state past each itself. Reports belong here, not in the transfer
+// function, which the solver may run several times per block.
+func Replay(g *cfg.Graph, res Result[Set], visit func(n ast.Node, s Set)) {
+	for _, b := range g.Reachable() {
+		in, ok := res.In[b]
+		if !ok {
+			continue
+		}
+		s := SetLattice{}.Clone(in)
+		for _, n := range b.Nodes {
+			visit(n, s)
+		}
+	}
+}
+
+// Key is the set key of a variable or other object: its name and its
+// declaration position, unique and stable within one file set.
+func Key(obj types.Object) string {
+	return obj.Name() + "#" + strconv.Itoa(int(obj.Pos()))
 }
 
 // SetLattice is the ready-made lattice over string-keyed sets, the domain

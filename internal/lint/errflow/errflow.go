@@ -56,25 +56,15 @@ var Analyzer = &analysis.Analyzer{
 		"errors.Is compatibility through %v rewraps, errors.New re-creation, type " +
 		"assertions, nil-swallowing, or discarding, across call and package boundaries",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*flowFact)(nil)},
+	FactTypes: []analysis.Fact{(*taint.Fact[int])(nil)},
 }
 
-// flowFact carries a function's taint summary plus its consulted error
-// parameters — parameter indexes the function checks with errors.Is or
-// errors.As — to importing packages. The consult set recognizes the
-// classifier-helper shape (`func retryable(err error) bool`) so a branch
-// that keys on the helper's verdict is not reported as a swallow even
-// though the errors.Is lives one frame down.
-type flowFact struct {
-	S        taint.Summary
-	Consults []int
-}
-
-func (*flowFact) AFact() {}
-
-func (f *flowFact) String() string {
-	return fmt.Sprintf("errflow(results=%d sinks=%d consults=%d)", len(f.S.Results), len(f.S.Sinks), len(f.Consults))
-}
+// A function's taint.Fact carries, beside its summary, its consulted
+// error parameters: the parameter indexes it checks with errors.Is or
+// errors.As. The consult set recognizes the classifier-helper shape
+// (`func retryable(err error) bool`) so a branch that keys on the helper's
+// verdict is not reported as a swallow even though the errors.Is lives one
+// frame down.
 
 // sentinels are the taxonomy roots every degradation decision keys on.
 var sentinels = map[string]bool{
@@ -102,8 +92,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// revisited when a loop header is shared between replayed blocks.
 	reported := map[ast.Node]bool{}
 
-	spec := taint.Spec{
-		Analyzer: Name,
+	taint.Run(pass, taint.Spec{
+		What: "taxonomy error",
+		Fix:  "preserve errors.Is (wrap with %w)",
 		SourceExpr: func(e ast.Expr) string {
 			obj := sentinelObj(pass.TypesInfo, e)
 			if obj == nil {
@@ -122,13 +113,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return assertSinks(pass, n)
 			}
 			return nil
-		},
-		Lookup: func(fn *types.Func) (taint.Summary, bool) {
-			var f flowFact
-			if pass.ImportObjectFact(fn, &f) {
-				return f.S, true
-			}
-			return taint.Summary{}, false
 		},
 		Visit: func(n ast.Node, taintOf func(e ast.Expr) []string) {
 			if call, how := discardedCall(pass.TypesInfo, n); call != nil {
@@ -160,28 +144,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				"taxonomy error (%s) swallowed: checked against nil then discarded without "+
 					"an errors.Is/errors.As consult; handle the class or propagate the error", src)
 		},
-	}
-
-	res := taint.Run(pass, spec)
-
-	for _, f := range res.Findings {
-		msg := fmt.Sprintf("taxonomy error (%s) flows into %s", f.Source, f.Sink)
-		if f.Via != "" {
-			msg += " via " + f.Via
-		}
-		msg += "; preserve errors.Is (wrap with %w) or justify with //lint:ignore errflow"
-		pass.Reportf(f.Pos, "%s", msg)
-	}
-
-	for _, node := range res.Graph.Nodes {
-		sum := res.Summaries[node.Func]
-		cp := consults[node.Func]
-		if sum.Empty() && len(cp) == 0 {
-			continue
-		}
-		fact := flowFact{S: sum, Consults: cp}
-		pass.ExportObjectFact(node.Func, &fact)
-	}
+	}, func(fn *types.Func) []int { return consults[fn] })
 	return nil, nil
 }
 
@@ -511,11 +474,9 @@ func consultIndexes(pass *analysis.Pass, local map[*types.Func][]int, fn *types.
 	if fn.Pkg() == pass.Pkg {
 		return local[fn]
 	}
-	var f flowFact
-	if pass.ImportObjectFact(fn, &f) {
-		return f.Consults
-	}
-	return nil
+	var f taint.Fact[int]
+	pass.ImportObjectFact(fn, &f)
+	return f.X
 }
 
 // consultedParams maps each declared function to the sorted parameter

@@ -49,6 +49,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 
 	"sympack/internal/lint/analysis"
@@ -76,6 +77,7 @@ const (
 	useRecv                     // the callee may receive from it (or range)
 	useClose                    // the callee may close it
 	useEscape                   // the callee leaks the reference onward
+	useOther                    // any other mention (classifier only)
 )
 
 // chanUseFact summarizes a function's per-parameter channel behavior for
@@ -88,15 +90,8 @@ func (*chanUseFact) AFact() {}
 func (f *chanUseFact) String() string { return "chanuse" }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	graph := callgraph.Build(pass.Pkg, pass.TypesInfo, pass.Files)
-	w := &walker{pass: pass, graph: graph}
-	w.masks = w.computeMasks()
-	for _, node := range graph.Nodes {
-		if m, ok := w.masks[node.Func]; ok && anyNonzero(m) {
-			fact := chanUseFact{Masks: m}
-			pass.ExportObjectFact(node.Func, &fact)
-		}
-	}
+	w := &walker{pass: pass, sums: callgraph.NewSummaries[chanUseFact](pass)}
+	w.computeMasks()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -107,170 +102,124 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-func anyNonzero(m []uint8) bool {
-	for _, b := range m {
-		if b != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 type walker struct {
-	pass  *analysis.Pass
-	graph *callgraph.Graph
-	masks map[*types.Func][]uint8
+	pass *analysis.Pass
+	sums *callgraph.Summaries[*chanUseFact]
 }
 
-// computeMasks runs the intra-package summary fixpoint: masks only gain
-// bits, so iteration is monotone and bounded.
-func (w *walker) computeMasks() map[*types.Func][]uint8 {
-	masks := map[*types.Func][]uint8{}
-	w.masks = masks
-	for _, n := range w.graph.Nodes {
-		sig, ok := n.Func.Type().(*types.Signature)
-		if !ok {
-			continue
-		}
-		masks[n.Func] = make([]uint8, sig.Params().Len())
+// computeMasks solves the per-parameter channel summaries. Every function
+// starts with no use of any parameter, and masks only gain bits, so a
+// recursive call reads the summary of the round before.
+func (w *walker) computeMasks() {
+	for _, n := range w.sums.Nodes {
+		w.sums.Local[n.Func] = &chanUseFact{Masks: make([]uint8, n.Func.Type().(*types.Signature).Params().Len())}
 	}
-	for round := 0; round < 32; round++ {
-		changed := false
-		for _, n := range w.graph.Nodes {
-			if w.updateMask(n, masks) {
-				changed = true
+	w.sums.Solve(func(n *callgraph.Node) bool {
+		params := n.Func.Type().(*types.Signature).Params()
+		old := w.sums.Local[n.Func].Masks
+		next := slices.Clone(old)
+		w.chanUses(n.Decl.Body, nil, func(obj types.Object, bits uint8) {
+			for i := 0; i < params.Len(); i++ {
+				if params.At(i) == obj {
+					if bits&useOther != 0 {
+						bits = useEscape // a channel parameter anywhere else escapes
+					}
+					next[i] |= bits
+				}
+			}
+		})
+		w.sums.Local[n.Func] = &chanUseFact{Masks: next}
+		return !slices.Equal(old, next)
+	})
+	w.sums.Export(func(f *chanUseFact) bool { return slices.ContainsFunc(f.Masks, func(b uint8) bool { return b != 0 }) })
+}
+
+// chanUses is the one classifier of channel operations: it calls fn for
+// every mention of a channel variable under root with the use bits of that
+// mention — useSend, useRecv (a receive or a range), useClose, none for
+// len, cap and make, argMask for an argument of a call, useEscape for a
+// value sent, assigned, returned, put in a composite literal or passed to
+// another builtin, and useOther for any other mention. enter, if non-nil,
+// says whether to descend into a node below root.
+func (w *walker) chanUses(root ast.Node, enter func(ast.Node) bool, fn func(obj types.Object, bits uint8)) {
+	info := w.pass.TypesInfo
+	classified := map[*ast.Ident]bool{}
+	use := func(e ast.Expr, bits func() uint8) {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok && info.Uses[id] != nil {
+			if _, isChan := info.Uses[id].Type().Underlying().(*types.Chan); isChan {
+				classified[id] = true
+				fn(info.Uses[id], bits())
 			}
 		}
-		if !changed {
-			break
-		}
 	}
-	return masks
-}
-
-// updateMask recomputes one function's per-parameter mask from its body,
-// reporting whether any bit was added.
-func (w *walker) updateMask(node *callgraph.Node, masks map[*types.Func][]uint8) bool {
-	sig, ok := node.Func.Type().(*types.Signature)
-	if !ok || node.Decl.Body == nil {
-		return false
-	}
-	paramIdx := map[types.Object]int{}
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		if _, isChan := p.Type().Underlying().(*types.Chan); isChan {
-			paramIdx[p] = i
+	bits := func(b uint8) func() uint8 { return func() uint8 { return b } }
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n != root && enter != nil && n != nil && !enter(n) {
+			return false
 		}
-	}
-	if len(paramIdx) == 0 {
-		return false
-	}
-	cur := masks[node.Func]
-	next := append([]uint8(nil), cur...)
-
-	// handled marks the exact ident nodes whose use is classified; every
-	// other mention of a channel parameter is an escape.
-	handled := map[*ast.Ident]bool{}
-	mark := func(e ast.Expr, bits uint8) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := w.pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return
-		}
-		if i, ok := paramIdx[obj]; ok {
-			handled[id] = true
-			next[i] |= bits
-		}
-	}
-	ast.Inspect(node.Decl.Body, func(nn ast.Node) bool {
-		switch nn := nn.(type) {
+		switch n := n.(type) {
 		case *ast.SendStmt:
-			mark(nn.Chan, useSend)
+			use(n.Chan, bits(useSend))
+			use(n.Value, bits(useEscape))
 		case *ast.UnaryExpr:
-			if nn.Op == token.ARROW {
-				mark(nn.X, useRecv)
+			if n.Op == token.ARROW {
+				use(n.X, bits(useRecv))
 			}
 		case *ast.RangeStmt:
-			mark(nn.X, useRecv)
+			use(n.X, bits(useRecv))
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(nn.Fun).(*ast.Ident); ok {
-				if b, ok := w.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "close":
-						if len(nn.Args) == 1 {
-							mark(nn.Args[0], useClose)
-						}
-					case "len", "cap":
-						for _, a := range nn.Args {
-							mark(a, 0) // pure observation
-						}
-					}
-					return true
+			b := w.builtin(n)
+			for i, a := range n.Args {
+				switch {
+				case b == "close" && len(n.Args) == 1:
+					use(a, bits(useClose))
+				case b == "len" || b == "cap" || b == "make":
+					use(a, bits(0))
+				case b != "":
+					use(a, bits(useEscape))
+				default:
+					use(a, func() uint8 { return w.argMask(n, i) })
 				}
 			}
-			for ai, a := range nn.Args {
-				id, ok := ast.Unparen(a).(*ast.Ident)
-				if !ok {
-					continue
+		case *ast.AssignStmt:
+			for _, r := range n.Rhs {
+				use(r, bits(useEscape)) // aliasing: ch2 := ch
+			}
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				use(r, bits(useEscape))
+			}
+		case *ast.CompositeLit:
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					e = kv.Value
 				}
-				obj := w.pass.TypesInfo.Uses[id]
-				if obj == nil {
-					continue
-				}
-				if _, isParam := paramIdx[obj]; !isParam {
-					continue
-				}
-				mark(a, w.argMask(nn, ai))
+				use(e, bits(useEscape))
+			}
+		case *ast.Ident:
+			if !classified[n] {
+				use(n, bits(useOther))
 			}
 		}
 		return true
 	})
-	ast.Inspect(node.Decl.Body, func(nn ast.Node) bool {
-		id, ok := nn.(*ast.Ident)
-		if !ok || handled[id] {
-			return true
-		}
-		obj := w.pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if i, ok := paramIdx[obj]; ok {
-			next[i] |= useEscape
-		}
-		return true
-	})
-
-	changed := false
-	for i := range next {
-		if next[i] != cur[i] {
-			changed = true
-		}
-	}
-	masks[node.Func] = next
-	return changed
 }
 
-// masksFor returns a callee's per-parameter masks, from the in-package
-// fixpoint or (cross-package) an imported fact.
-func (w *walker) masksFor(fn *types.Func) ([]uint8, bool) {
-	if m, ok := w.masks[fn]; ok {
-		return m, true
+// builtin returns the name of the builtin a call invokes, or "".
+func (w *walker) builtin(call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := w.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
 	}
-	var f chanUseFact
-	if w.pass.ImportObjectFact(fn, &f) {
-		return f.Masks, true
-	}
-	return nil, false
+	return ""
 }
 
 // argMask returns what the call may do to its i-th argument: the union
 // over resolved callees' parameter masks, or useEscape when any callee
 // is unknown, unsummarized, or takes the argument variadically.
 func (w *walker) argMask(call *ast.CallExpr, i int) uint8 {
-	callees, kind := w.graph.Resolver.Callees(call)
+	callees, kind := w.sums.Resolver.Callees(call)
 	if kind == callgraph.KindUnknown || len(callees) == 0 {
 		return useEscape
 	}
@@ -283,12 +232,12 @@ func (w *walker) argMask(call *ast.CallExpr, i int) uint8 {
 		if sig.Variadic() && i >= sig.Params().Len()-1 {
 			return useEscape
 		}
-		m, ok := w.masksFor(fn)
+		f, ok := w.sums.Of(fn)
 		if !ok {
 			return useEscape
 		}
-		if i < len(m) {
-			mask |= m[i]
+		if i < len(f.Masks) {
+			mask |= f.Masks[i]
 		}
 	}
 	return mask
@@ -405,51 +354,10 @@ func (w *walker) isUnbufferedMake(e ast.Expr) bool {
 // chanUseFact) is not an escape unless the summary says so; its send/
 // receive/close behavior is credited at the call site instead.
 func (w *walker) dropEscaping(body *ast.BlockStmt, cands map[types.Object]string) {
-	kill := func(e ast.Expr) {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-			if obj := w.pass.TypesInfo.Uses[id]; obj != nil {
-				delete(cands, obj)
-			}
+	w.chanUses(body, nil, func(obj types.Object, bits uint8) {
+		if bits&useEscape != 0 {
+			delete(cands, obj)
 		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := w.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "close", "len", "cap", "make":
-						return true // builtins don't capture the channel
-					}
-				}
-			}
-			for i, a := range n.Args {
-				if w.argMask(n, i)&useEscape != 0 {
-					kill(a)
-				}
-			}
-		case *ast.AssignStmt:
-			for _, r := range n.Rhs {
-				if _, isMake := ast.Unparen(r).(*ast.CallExpr); !isMake {
-					kill(r) // aliasing: ch2 := ch
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				kill(r)
-			}
-		case *ast.CompositeLit:
-			for _, e := range n.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					kill(kv.Value)
-				} else {
-					kill(e)
-				}
-			}
-		case *ast.SendStmt:
-			kill(n.Value) // a channel sent over a channel escapes
-		}
-		return true
 	})
 }
 
@@ -500,71 +408,28 @@ func (w *walker) checkLaunch(fname string, g *cfg.Graph, goBlock *cfg.Block, goI
 // bare operation too: the goroutine parks inside the callee.
 func (w *walker) bareOps(lit *ast.FuncLit, cands map[types.Object]string) []launchOp {
 	var ops []launchOp
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(nn ast.Node) bool {
-			switch nn := nn.(type) {
-			case *ast.SelectStmt:
-				return false // a select arm has an escape; not bare
-			case *ast.FuncLit:
-				if nn != lit {
-					return false
-				}
-			case *ast.SendStmt:
-				if obj, name, ok := w.candChan(nn.Chan, cands); ok {
-					ops = append(ops, launchOp{obj, name, opSend})
-				}
-			case *ast.UnaryExpr:
-				if nn.Op.String() == "<-" {
-					if obj, name, ok := w.candChan(nn.X, cands); ok {
-						ops = append(ops, launchOp{obj, name, opRecv})
-					}
-				}
-			case *ast.RangeStmt:
-				if obj, name, ok := w.candChan(nn.X, cands); ok {
-					ops = append(ops, launchOp{obj, name, opRecv})
-				}
-			case *ast.CallExpr:
-				if id, ok := ast.Unparen(nn.Fun).(*ast.Ident); ok {
-					if _, isBuiltin := w.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-						return true // close/len/cap never block
-					}
-				}
-				for i, a := range nn.Args {
-					obj, name, ok := w.candChan(a, cands)
-					if !ok {
-						continue
-					}
-					mask := w.argMask(nn, i)
-					if mask&useEscape != 0 {
-						continue // dropEscaping already disqualified it
-					}
-					if mask&useSend != 0 {
-						ops = append(ops, launchOp{obj, name, opSend})
-					}
-					if mask&useRecv != 0 {
-						ops = append(ops, launchOp{obj, name, opRecv})
-					}
-				}
-			}
-			return true
-		})
+	enter := func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.SelectStmt: // a select arm has an escape; not bare
+			return false
+		case *ast.FuncLit:
+			return false
+		}
+		return true
 	}
-	walk(lit.Body)
+	w.chanUses(lit.Body, enter, func(obj types.Object, bits uint8) {
+		name, ok := cands[obj]
+		if !ok || bits&useEscape != 0 {
+			return // dropEscaping already disqualified an escaping one
+		}
+		if bits&useSend != 0 {
+			ops = append(ops, launchOp{obj, name, opSend})
+		}
+		if bits&useRecv != 0 {
+			ops = append(ops, launchOp{obj, name, opRecv})
+		}
+	})
 	return ops
-}
-
-func (w *walker) candChan(e ast.Expr, cands map[types.Object]string) (types.Object, string, bool) {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil, "", false
-	}
-	obj := w.pass.TypesInfo.Uses[id]
-	if obj == nil {
-		return nil, "", false
-	}
-	name, ok := cands[obj]
-	return obj, name, ok
 }
 
 // usedInOtherFuncLit reports whether the channel is touched inside a
@@ -632,65 +497,23 @@ func (w *walker) consumedOnAllPaths(g *cfg.Graph, goBlock *cfg.Block, goIdx int,
 // receive. Function literals are skipped (handled by usedInOtherFuncLit)
 // and a range header only contributes its channel expression.
 func (w *walker) nodeConsumes(n ast.Node, op launchOp) bool {
+	want := useRecv
+	if op.kind == opRecv {
+		want = useSend | useClose
+	}
+	var body ast.Node
 	if r, ok := n.(*ast.RangeStmt); ok {
-		if op.kind == opSend {
-			if id, ok := ast.Unparen(r.X).(*ast.Ident); ok && w.pass.TypesInfo.Uses[id] == op.obj {
-				return true // ranging over the channel receives
-			}
-		}
-		return false // the body's statements live in their own blocks
+		body = r.Body // the body's statements live in their own blocks
 	}
 	found := false
-	ast.Inspect(n, func(nn ast.Node) bool {
-		if found {
-			return false
+	enter := func(m ast.Node) bool {
+		_, lit := m.(*ast.FuncLit)
+		return !found && !lit && m != body
+	}
+	w.chanUses(n, enter, func(obj types.Object, bits uint8) {
+		if obj == op.obj && bits&useEscape == 0 && bits&want != 0 {
+			found = true
 		}
-		switch nn := nn.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if op.kind == opSend && nn.Op.String() == "<-" {
-				if id, ok := ast.Unparen(nn.X).(*ast.Ident); ok && w.pass.TypesInfo.Uses[id] == op.obj {
-					found = true
-				}
-			}
-		case *ast.SendStmt:
-			if op.kind == opRecv {
-				if id, ok := ast.Unparen(nn.Chan).(*ast.Ident); ok && w.pass.TypesInfo.Uses[id] == op.obj {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if fid, ok := ast.Unparen(nn.Fun).(*ast.Ident); ok {
-				if b, ok := w.pass.TypesInfo.Uses[fid].(*types.Builtin); ok {
-					if op.kind == opRecv && b.Name() == "close" && len(nn.Args) == 1 {
-						if id, ok := ast.Unparen(nn.Args[0]).(*ast.Ident); ok && w.pass.TypesInfo.Uses[id] == op.obj {
-							found = true
-						}
-					}
-					return !found
-				}
-			}
-			// A summarized callee that performs the matching operation on
-			// the passed channel unblocks the goroutine.
-			for i, a := range nn.Args {
-				id, ok := ast.Unparen(a).(*ast.Ident)
-				if !ok || w.pass.TypesInfo.Uses[id] != op.obj {
-					continue
-				}
-				mask := w.argMask(nn, i)
-				if mask&useEscape != 0 {
-					continue
-				}
-				if op.kind == opSend && mask&useRecv != 0 {
-					found = true
-				}
-				if op.kind == opRecv && mask&(useSend|useClose) != 0 {
-					found = true
-				}
-			}
-		}
-		return !found
 	})
 	return found
 }

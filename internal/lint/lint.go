@@ -24,8 +24,7 @@ import (
 	"sympack/internal/lint/errflow"
 	"sympack/internal/lint/goroutineleak"
 	"sympack/internal/lint/load"
-	"sympack/internal/lint/lockorder"
-	"sympack/internal/lint/mutexguard"
+	"sympack/internal/lint/locks"
 	"sympack/internal/lint/nondetflow"
 	"sympack/internal/lint/unusedignore"
 )
@@ -37,8 +36,8 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		errflow.Analyzer,
 		goroutineleak.Analyzer,
-		lockorder.Analyzer,
-		mutexguard.Analyzer,
+		locks.LockOrder,
+		locks.MutexGuard,
 		nondetflow.Analyzer,
 		unusedignore.Analyzer,
 	}

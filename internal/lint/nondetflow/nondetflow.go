@@ -33,7 +33,7 @@
 //     (container/heap.Push), trace ordering fields, and factor values
 //     entering internal/blas kernels. Flows are chased across function
 //     and package boundaries through taint summaries exported as Facts
-//     (flowFact): a helper whose parameter reaches a NewArrayFrom in
+//     (taint.Fact): a helper whose parameter reaches a NewArrayFrom in
 //     package A is reported at its call site in package B.
 //
 // Taint dies only two ways: an explicit sort (sort.* / slices.Sort*) of
@@ -45,7 +45,6 @@
 package nondetflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -65,16 +64,7 @@ var Analyzer = &analysis.Analyzer{
 		"sinks (RTQ entries, wire payloads, trace ordering, factor values) across call " +
 		"and package boundaries",
 	Run:       run,
-	FactTypes: []analysis.Fact{(*flowFact)(nil)},
-}
-
-// flowFact carries a function's taint summary to importing packages.
-type flowFact struct{ S taint.Summary }
-
-func (*flowFact) AFact() {}
-
-func (f *flowFact) String() string {
-	return fmt.Sprintf("nondetflow(results=%d sinks=%d)", len(f.S.Results), len(f.S.Sinks))
+	FactTypes: []analysis.Fact{(*taint.Fact[struct{}])(nil)},
 }
 
 // clockReads are the time functions that read the host clock.
@@ -231,8 +221,9 @@ func isKeyCollection(rs *ast.RangeStmt) bool {
 func flow(pass *analysis.Pass) {
 	inMachine := strings.HasSuffix(pass.Pkg.Path(), "internal/machine")
 
-	spec := taint.Spec{
-		Analyzer:         Name,
+	taint.Run[struct{}](pass, taint.Spec{
+		What:             "nondeterministic value",
+		Fix:              "order explicitly (sort)",
 		PropagateUnknown: true,
 		SourceExpr: func(e ast.Expr) string {
 			call, ok := e.(*ast.CallExpr)
@@ -280,33 +271,7 @@ func flow(pass *analysis.Pass) {
 			}
 			return nil
 		},
-		Lookup: func(fn *types.Func) (taint.Summary, bool) {
-			var f flowFact
-			if pass.ImportObjectFact(fn, &f) {
-				return f.S, true
-			}
-			return taint.Summary{}, false
-		},
-	}
-
-	res := taint.Run(pass, spec)
-
-	for _, f := range res.Findings {
-		msg := fmt.Sprintf("nondeterministic value (%s) flows into %s", f.Source, f.Sink)
-		if f.Via != "" {
-			msg += " via " + f.Via
-		}
-		msg += "; order explicitly (sort) or justify with //lint:ignore nondetflow"
-		pass.Reportf(f.Pos, "%s", msg)
-	}
-
-	// Export summaries in deterministic (source) order.
-	for _, node := range res.Graph.Nodes {
-		if sum, ok := res.Summaries[node.Func]; ok && !sum.Empty() {
-			fact := flowFact{S: sum}
-			pass.ExportObjectFact(node.Func, &fact)
-		}
-	}
+	}, nil)
 }
 
 // callSinks classifies call arguments that feed wire payloads, scheduling

@@ -23,6 +23,12 @@ func TestNondetFlow(t *testing.T) {
 		"sympack/internal/upcxx", "sympack/internal/core", "route", "app")
 }
 
+// A source 40 helpers deep still reaches its sink: summaries are solved
+// callees first, not for a bounded number of rounds in source order.
+func TestDeepChain(t *testing.T) {
+	analysistest.RunSuite(t, "testdata", suite, "sympack/internal/upcxx", "chain")
+}
+
 // The direct rule on clock reads, timers and unseeded randomness: core is
 // in the deterministic set (positives, idioms, suppression); ordering is
 // not, and stays silent.

@@ -20,11 +20,12 @@
 // arrives at the sink with its provenance intact — the hole the
 // intraprocedural suite could not close.
 //
-// Within one package the engine iterates the callgraph's functions in
-// source order to a summary fixpoint (summaries only grow, so iteration
-// terminates), then replays every function once more to report findings
-// deterministically. Across packages the client's Lookup/fact plumbing
-// supplies summaries for imported functions as object facts.
+// Within one package the engine solves the summaries with the call
+// graph's fixpoint (callgraph.Graph.Solve), callees before callers, then
+// replays every function once more to report findings deterministically.
+// Across packages the summaries travel as the client's Fact: Run exports
+// the package's and imports its dependencies'. Findings are reported in
+// the one message shape every client shares (Spec.What, Spec.Fix).
 //
 // Suppression is taint-aware: an //lint:ignore <analyzer> directive
 // covering a source or an assignment kills the taint at that point — and
@@ -158,11 +159,23 @@ type Finding struct {
 	Via    string // call chain, "" when the sink is in the reported function
 }
 
-// Spec configures one client analysis.
+// Fact carries a function's summary to importing packages, and in X
+// whatever else the client derives per function (errflow: the parameters
+// it consults). A client declares (*Fact[E])(nil) in its FactTypes; its
+// own E keeps its facts apart from another client's.
+type Fact[E any] struct {
+	S Summary
+	X []E
+}
+
+func (*Fact[E]) AFact() {}
+
+// Spec configures one client analysis. A finding is reported as
+// "<What> (<source>) flows into <sink>[ via <chain>]; <Fix> or justify
+// with //lint:ignore <analyzer>"; an //lint:ignore for the client's
+// analyzer kills taint where it covers a source or an assignment.
 type Spec struct {
-	// Analyzer is the client's analyzer name, used to honor
-	// //lint:ignore <Analyzer> taint kills.
-	Analyzer string
+	What, Fix string
 
 	// SourceExpr classifies an expression (typically a call or a
 	// selector) as an intrinsic taint source, returning a short
@@ -198,10 +211,6 @@ type Spec struct {
 	// clean bool).
 	PropagateUnknown bool
 
-	// Lookup returns the summary of a function not defined in the
-	// package under analysis — the client's fact import. May be nil.
-	Lookup func(fn *types.Func) (Summary, bool)
-
 	// Visit, if non-nil, is called for every replayed node with a taint
 	// query valid at that program point, for client checks that do not
 	// fit the source/sink mold. The query returns the sorted provenance
@@ -209,48 +218,40 @@ type Spec struct {
 	Visit func(n ast.Node, taintOf func(e ast.Expr) []string)
 }
 
-// Result is the outcome of Run: deterministic findings plus the final
-// summaries of every function declared in the package, for the client to
-// export as Facts.
-type Result struct {
-	Findings  []Finding
-	Summaries map[*types.Func]Summary
-	Graph     *callgraph.Graph
-}
-
-// maxFixpointRounds bounds the intra-package summary iteration; summaries
-// grow monotonically, so the bound only guards against bugs.
-const maxFixpointRounds = 32
-
-// Run executes the analysis over one package.
-func Run(pass *analysis.Pass, spec Spec) *Result {
+// Run executes the analysis over one package: it solves every declared
+// function's summary, reports each source-to-sink flow, and exports the
+// summaries that carry a flow or client data, extra's (which may be nil).
+func Run[E any](pass *analysis.Pass, spec Spec, extra func(fn *types.Func) []E) {
+	sums := callgraph.NewSummaries[Fact[E]](pass)
 	eng := &engine{
-		pass:      pass,
-		spec:      spec,
-		graph:     callgraph.Build(pass.Pkg, pass.TypesInfo, pass.Files),
-		ignores:   analysis.NewIgnoreIndex(pass.Fset, pass.Files),
-		summaries: map[*types.Func]Summary{},
-		reported:  map[string]bool{},
-	}
-
-	// Phase 1: summary fixpoint over declared functions in source order.
-	for round := 0; round < maxFixpointRounds; round++ {
-		changed := false
-		for _, node := range eng.graph.Nodes {
-			sum := eng.analyze(node.Decl.Body, params(node.Func.Type().(*types.Signature)), nil)
-			sum.normalize()
-			if !sum.Equal(eng.summaries[node.Func]) {
-				eng.summaries[node.Func] = sum
-				changed = true
+		pass:     pass,
+		spec:     spec,
+		graph:    sums.Graph,
+		ignores:  analysis.NewIgnoreIndex(pass.Fset, pass.Files),
+		reported: map[string]bool{},
+		// An empty summary says nothing, in this package as in a fact
+		// (none is exported), so the call it answers is an unknown one.
+		summary: func(fn *types.Func) (Summary, bool) {
+			f, ok := sums.Of(fn)
+			if !ok || f.S.Empty() {
+				return Summary{}, false
 			}
-		}
-		if !changed {
-			break
-		}
+			return f.S, true
+		},
 	}
 
-	// Phase 2: replay with reporting — declared functions, then every
-	// function literal as its own closed function.
+	sums.Solve(func(node *callgraph.Node) bool {
+		f := &Fact[E]{S: eng.analyze(node.Decl.Body, params(node.Func.Type().(*types.Signature)), nil)}
+		if extra != nil {
+			f.X = extra(node.Func)
+		}
+		old, ok := sums.Local[node.Func]
+		sums.Local[node.Func] = f
+		return !ok || !f.S.Equal(old.S)
+	})
+
+	// Replay with reporting: declared functions, then every function
+	// literal as its own closed function.
 	for _, node := range eng.graph.Nodes {
 		eng.analyze(node.Decl.Body, params(node.Func.Type().(*types.Signature)), eng.report)
 	}
@@ -262,28 +263,31 @@ func Run(pass *analysis.Pass, spec Spec) *Result {
 			return true
 		})
 	}
-
-	return &Result{Findings: eng.findings, Summaries: eng.summaries, Graph: eng.graph}
+	sums.Export(func(f *Fact[E]) bool { return !f.S.Empty() || len(f.X) > 0 })
 }
 
 type engine struct {
-	pass      *analysis.Pass
-	spec      Spec
-	graph     *callgraph.Graph
-	ignores   *analysis.IgnoreIndex
-	summaries map[*types.Func]Summary
-	findings  []Finding
-	reported  map[string]bool
+	pass     *analysis.Pass
+	spec     Spec
+	graph    *callgraph.Graph
+	ignores  *analysis.IgnoreIndex
+	summary  func(fn *types.Func) (Summary, bool)
+	reported map[string]bool
 }
 
-// report appends a deduplicated finding.
+// report reports a finding once.
 func (e *engine) report(f Finding) {
 	key := fmt.Sprintf("%d|%s|%s|%s", f.Pos, f.Source, f.Sink, f.Via)
 	if e.reported[key] {
 		return
 	}
 	e.reported[key] = true
-	e.findings = append(e.findings, f)
+	via := ""
+	if f.Via != "" {
+		via = " via " + f.Via
+	}
+	e.pass.Reportf(f.Pos, "%s (%s) flows into %s%s; %s or justify with //lint:ignore %s",
+		e.spec.What, f.Source, f.Sink, via, e.spec.Fix, e.pass.Analyzer.Name)
 }
 
 // param seeds the boundary state for one function: receiver and
@@ -304,13 +308,8 @@ func params(sig *types.Signature) []param {
 	return out
 }
 
-// objKey renders a stable state key for one object.
-func objKey(obj types.Object) string {
-	return obj.Name() + "#" + strconv.Itoa(int(obj.Pos()))
-}
-
 func stateKey(obj types.Object, label string) string {
-	return objKey(obj) + "\x00" + label
+	return dataflow.Key(obj) + "\x00" + label
 }
 
 // fieldPrefix is the state-key prefix of one first-level field of an
@@ -319,7 +318,7 @@ func stateKey(obj types.Object, label string) string {
 // identifiers cannot contain '#' or '.', so the prefixes never collide
 // with another object's whole-object keys.
 func fieldPrefix(obj types.Object, field string) string {
-	return objKey(obj) + "." + field + "\x00"
+	return dataflow.Key(obj) + "." + field + "\x00"
 }
 
 // analyze runs the dataflow solve over one body and replays it, building
@@ -335,26 +334,17 @@ func (e *engine) analyze(body *ast.BlockStmt, params []param, report func(Findin
 		boundary[stateKey(p.obj, p.label)] = true
 	}
 	fe := &fnEval{engine: e, params: params}
-	lat := dataflow.SetLattice{Intersect: false}
-	res := dataflow.Solve(g, lat, dataflow.Forward, boundary,
-		func(b *cfg.Block, in dataflow.Set) dataflow.Set {
-			fe.state = in
-			for _, n := range b.Nodes {
-				fe.node(n)
-			}
-			return fe.state
-		})
+	step := func(n ast.Node, s dataflow.Set) {
+		fe.state = s
+		fe.node(n)
+	}
+	res := dataflow.Solve(g, dataflow.SetLattice{}, dataflow.Forward, boundary, dataflow.Steps(step))
 
-	// Replay in block-index order from the solved in-states: summary
-	// collection and reporting happen here, against fixpoint facts.
+	// Summary collection and reporting happen in the replay, against
+	// fixpoint facts.
 	fe.sum = &Summary{}
 	fe.reportFn = report
-	for _, b := range g.Reachable() {
-		fe.state = lat.Clone(res.In[b])
-		for _, n := range b.Nodes {
-			fe.node(n)
-		}
-	}
+	dataflow.Replay(g, res, step)
 	sum := *fe.sum
 	sum.normalize()
 	return sum
@@ -376,7 +366,7 @@ func (fe *fnEval) labelsOf(obj types.Object) map[string]bool {
 	if obj == nil {
 		return nil
 	}
-	return fe.labelsAt(objKey(obj) + "\x00")
+	return fe.labelsAt(dataflow.Key(obj) + "\x00")
 }
 
 // fieldLabels returns the labels stored for one first-level field.
@@ -409,8 +399,8 @@ func (fe *fnEval) setLabels(obj types.Object, labels map[string]bool) {
 	if obj == nil {
 		return
 	}
-	fe.clearPrefix(objKey(obj) + "\x00")
-	fe.clearPrefix(objKey(obj) + ".")
+	fe.clearPrefix(dataflow.Key(obj) + "\x00")
+	fe.clearPrefix(dataflow.Key(obj) + ".")
 	fe.addLabels(obj, labels)
 }
 
@@ -461,10 +451,10 @@ func (fe *fnEval) addFieldLabels(obj types.Object, field string, labels map[stri
 // covered reports whether an //lint:ignore for the client analyzer covers
 // pos, consuming the directive so the audit sees it as live.
 func (fe *fnEval) covered(pos token.Pos) bool {
-	if !fe.ignores.Covers(pos, fe.spec.Analyzer) {
+	if !fe.ignores.Covers(pos, fe.pass.Analyzer.Name) {
 		return false
 	}
-	fe.pass.ConsumeIgnore(pos, fe.spec.Analyzer)
+	fe.pass.MarkIgnoreUsed(pos, fe.pass.Analyzer.Name)
 	return true
 }
 
@@ -983,7 +973,7 @@ func (fe *fnEval) callResults(call *ast.CallExpr) []map[string]bool {
 	callees, _ := fe.graph.Resolver.Callees(call)
 	applied := false
 	for _, callee := range callees {
-		if sum, ok := fe.summaryOf(callee); ok {
+		if sum, ok := fe.summary(callee); ok {
 			fe.applySummary(call, callee, sum, results)
 			applied = true
 		}
@@ -1001,19 +991,6 @@ func (fe *fnEval) callResults(call *ast.CallExpr) []map[string]bool {
 		}
 	}
 	return results
-}
-
-// summaryOf finds a callee's summary: the in-progress fixpoint for
-// functions of this package, the client's fact import otherwise.
-func (fe *fnEval) summaryOf(fn *types.Func) (Summary, bool) {
-	if fn.Pkg() == fe.pass.Pkg {
-		sum, ok := fe.summaries[fn]
-		return sum, ok
-	}
-	if fe.spec.Lookup != nil {
-		return fe.spec.Lookup(fn)
-	}
-	return Summary{}, false
 }
 
 // receiverExpr returns the receiver expression of a method call, or nil.
