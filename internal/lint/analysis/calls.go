@@ -3,46 +3,9 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strconv"
 	"strings"
 )
-
-// MutexOp recognizes a lock operation x.mu.Lock(), RLock(), Unlock() or
-// RUnlock() on a field mu of type sync.Mutex or sync.RWMutex, the one
-// shape mutexguard and lockorder track. It returns the x.mu selector and
-// whether the call acquires; mu is nil for any other call, so an
-// unrelated Lock method cannot pass for a mutex.
-func MutexOp(info *types.Info, call *ast.CallExpr) (mu *ast.SelectorExpr, acquires bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		acquires = true
-	case "Unlock", "RUnlock":
-	default:
-		return nil, false
-	}
-	mu, ok = ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	v, ok := info.Uses[mu.Sel].(*types.Var)
-	if !ok {
-		return nil, false
-	}
-	named, ok := v.Type().(*types.Named)
-	if !ok {
-		return nil, false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || (obj.Name() != "Mutex" && obj.Name() != "RWMutex") {
-		return nil, false
-	}
-	return mu, acquires
-}
 
 // A Verb is one operand-consuming piece of a printf format: the verb
 // letter, or '*' for a star width or precision, and the index of the

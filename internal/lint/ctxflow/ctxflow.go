@@ -211,19 +211,29 @@ func (w *walker) derivedExpr(e ast.Expr, seed map[types.Object]bool, derived dat
 		if !ok {
 			return false
 		}
-		if pkgID, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			if pn, ok := w.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok && pn.Imported().Path() == "context" {
-				switch sel.Sel.Name {
-				case "WithCancel", "WithTimeout", "WithDeadline", "WithValue":
-					return len(e.Args) > 0 && w.derivedExpr(e.Args[0], seed, derived)
-				}
-				return false // Background, TODO: fresh by definition
-			}
+		switch w.contextFunc(e) {
+		case "":
+			// req.Context(): the canonical request root.
+			return sel.Sel.Name == "Context" && len(e.Args) == 0
+		case "WithCancel", "WithTimeout", "WithDeadline", "WithValue":
+			return len(e.Args) > 0 && w.derivedExpr(e.Args[0], seed, derived)
 		}
-		// req.Context(): the canonical request root.
-		return sel.Sel.Name == "Context" && len(e.Args) == 0
+		return false // Background, TODO: fresh by definition
 	}
 	return false
+}
+
+// contextFunc returns the name of the package context function a call
+// makes, or "".
+func (w *walker) contextFunc(call *ast.CallExpr) string {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if pkgID, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+			if pn, ok := w.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok && pn.Imported().Path() == "context" {
+				return sel.Sel.Name
+			}
+		}
+	}
+	return ""
 }
 
 // checkNode applies the reporting rules to one CFG node with the derived
@@ -248,18 +258,11 @@ func (w *walker) checkNode(n ast.Node, seed map[types.Object]bool, derived dataf
 
 func (w *walker) checkCall(call *ast.CallExpr, seed map[types.Object]bool, derived dataflow.Set) {
 	// Rule 1: no fresh contexts downstream of a request.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if pkgID, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			if pn, ok := w.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok && pn.Imported().Path() == "context" {
-				if sel.Sel.Name == "Background" || sel.Sel.Name == "TODO" {
-					w.pass.Reportf(call.Pos(),
-						"context.%s() materialized downstream of a request — a canceled "+
-							"request can never reach this subtree; derive from the request context instead",
-						sel.Sel.Name)
-					return
-				}
-			}
-		}
+	if f := w.contextFunc(call); f == "Background" || f == "TODO" {
+		w.pass.Reportf(call.Pos(),
+			"context.%s() materialized downstream of a request — a canceled "+
+				"request can never reach this subtree; derive from the request context instead", f)
+		return
 	}
 
 	// Rule 2: prefer the Ctx variant when one exists.

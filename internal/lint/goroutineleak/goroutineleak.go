@@ -87,8 +87,6 @@ type chanUseFact struct{ Masks []uint8 }
 
 func (*chanUseFact) AFact() {}
 
-func (f *chanUseFact) String() string { return "chanuse" }
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	w := &walker{pass: pass, sums: callgraph.NewSummaries[chanUseFact](pass)}
 	w.computeMasks()
@@ -142,77 +140,80 @@ func (w *walker) computeMasks() {
 // another builtin, and useOther for any other mention. enter, if non-nil,
 // says whether to descend into a node below root.
 func (w *walker) chanUses(root ast.Node, enter func(ast.Node) bool, fn func(obj types.Object, bits uint8)) {
-	info := w.pass.TypesInfo
-	classified := map[*ast.Ident]bool{}
-	use := func(e ast.Expr, bits func() uint8) {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok && info.Uses[id] != nil {
-			if _, isChan := info.Uses[id].Type().Underlying().(*types.Chan); isChan {
-				classified[id] = true
-				fn(info.Uses[id], bits())
-			}
+	classified := map[ast.Expr]bool{}
+	use := func(e ast.Expr, bits uint8) {
+		if obj := w.chanVar(e); obj != nil {
+			classified[ast.Unparen(e)] = true
+			fn(obj, bits)
 		}
 	}
-	bits := func(b uint8) func() uint8 { return func() uint8 { return b } }
 	ast.Inspect(root, func(n ast.Node) bool {
 		if n != root && enter != nil && n != nil && !enter(n) {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			use(n.Chan, bits(useSend))
-			use(n.Value, bits(useEscape))
+			use(n.Chan, useSend)
+			use(n.Value, useEscape)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				use(n.X, bits(useRecv))
+				use(n.X, useRecv)
 			}
 		case *ast.RangeStmt:
-			use(n.X, bits(useRecv))
+			use(n.X, useRecv)
 		case *ast.CallExpr:
-			b := w.builtin(n)
+			var b string
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
+				if bi, ok := w.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+					b = bi.Name()
+				}
+			}
 			for i, a := range n.Args {
+				bits := useEscape
 				switch {
 				case b == "close" && len(n.Args) == 1:
-					use(a, bits(useClose))
+					bits = useClose
 				case b == "len" || b == "cap" || b == "make":
-					use(a, bits(0))
-				case b != "":
-					use(a, bits(useEscape))
-				default:
-					use(a, func() uint8 { return w.argMask(n, i) })
+					bits = 0
+				case b == "" && w.chanVar(a) != nil:
+					bits = w.argMask(n, i)
 				}
+				use(a, bits)
 			}
 		case *ast.AssignStmt:
 			for _, r := range n.Rhs {
-				use(r, bits(useEscape)) // aliasing: ch2 := ch
+				use(r, useEscape) // aliasing: ch2 := ch
 			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
-				use(r, bits(useEscape))
+				use(r, useEscape)
 			}
 		case *ast.CompositeLit:
 			for _, e := range n.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
 					e = kv.Value
 				}
-				use(e, bits(useEscape))
+				use(e, useEscape)
 			}
 		case *ast.Ident:
 			if !classified[n] {
-				use(n, bits(useOther))
+				use(n, useOther)
 			}
 		}
 		return true
 	})
 }
 
-// builtin returns the name of the builtin a call invokes, or "".
-func (w *walker) builtin(call *ast.CallExpr) string {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := w.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-			return b.Name()
+// chanVar returns the channel variable an expression names, or nil.
+func (w *walker) chanVar(e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if obj := w.pass.TypesInfo.Uses[id]; obj != nil {
+			if _, isChan := obj.Type().Underlying().(*types.Chan); isChan {
+				return obj
+			}
 		}
 	}
-	return ""
+	return nil
 }
 
 // argMask returns what the call may do to its i-th argument: the union

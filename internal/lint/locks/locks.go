@@ -51,10 +51,28 @@ type lockOp struct {
 	acquires bool
 }
 
-// recognise returns the lock operation a call performs, if it is one.
+// recognise returns the lock operation a call performs, if it is one: an
+// unrelated Lock method cannot pass for a mutex's.
 func recognise(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
-	mu, acquires := analysis.MutexOp(info, call)
-	if mu == nil {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return lockOp{}, false
+	}
+	acquires := sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock"
+	if !acquires && sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock" {
+		return lockOp{}, false
+	}
+	mu, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return lockOp{}, false
+	}
+	v, ok := info.Uses[mu.Sel].(*types.Var)
+	if !ok {
+		return lockOp{}, false
+	}
+	named, ok := v.Type().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" ||
+		(named.Obj().Name() != "Mutex" && named.Obj().Name() != "RWMutex") {
 		return lockOp{}, false
 	}
 	f := mu.Sel.Name

@@ -949,22 +949,12 @@ func (fe *fnEval) callResults(call *ast.CallExpr) []map[string]bool {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := fe.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
-			case "append":
+			case "append", "min", "max":
 				var all map[string]bool
 				for _, arg := range call.Args {
 					all = union(all, fe.taintOf(arg))
 				}
-				if nres > 0 {
-					results[0] = all
-				}
-			case "min", "max":
-				var all map[string]bool
-				for _, arg := range call.Args {
-					all = union(all, fe.taintOf(arg))
-				}
-				if nres > 0 {
-					results[0] = all
-				}
+				results[0] = all
 			}
 			return results
 		}
