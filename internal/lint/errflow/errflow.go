@@ -59,13 +59,6 @@ var Analyzer = &analysis.Analyzer{
 	FactTypes: []analysis.Fact{(*taint.Fact[int])(nil)},
 }
 
-// A function's taint.Fact carries, beside its summary, its consulted
-// error parameters: the parameter indexes it checks with errors.Is or
-// errors.As. The consult set recognizes the classifier-helper shape
-// (`func retryable(err error) bool`) so a branch that keys on the helper's
-// verdict is not reported as a swallow even though the errors.Is lives one
-// frame down.
-
 // sentinels are the taxonomy roots every degradation decision keys on.
 var sentinels = map[string]bool{
 	"ErrTransient":      true,
@@ -482,7 +475,11 @@ func consultIndexes(pass *analysis.Pass, local map[*types.Func][]int, fn *types.
 // consultedParams maps each declared function to the sorted parameter
 // indexes it checks with errors.Is or errors.As. Consults inside nested
 // function literals are conditional on the closure running, so they do
-// not count.
+// not count. The indexes travel to importers in the function's
+// taint.Fact (X) and recognize the classifier-helper shape (`func
+// retryable(err error) bool`): a branch that keys on the helper's verdict
+// is not reported as a swallow even though the errors.Is lives one frame
+// down.
 func consultedParams(pass *analysis.Pass) map[*types.Func][]int {
 	out := map[*types.Func][]int{}
 	for _, f := range pass.Files {

@@ -1,8 +1,7 @@
 // Package chain launders the clock through a chain of 40 helpers,
 // declared caller first: each fi returns f(i+1)(), and only the last reads
-// time.Now. The summary fixpoint visits callees before callers, so the
-// source reaches top's sink however deep the chain; visited in source
-// order with a round cap, it did not.
+// time.Now. The source must reach top's sink however deep the chain, and
+// however many rounds a caller-first visit would need.
 package chain
 
 import (

@@ -150,9 +150,9 @@ type SinkUse struct {
 	Desc  string
 }
 
-// A Finding is one source-to-sink flow, reported at the sink (or at the
+// A finding is one source-to-sink flow, reported at the sink (or at the
 // call forwarding into the sink, with the chain in Via).
-type Finding struct {
+type finding struct {
 	Pos    token.Pos
 	Source string // source description (no "src:" prefix)
 	Sink   string
@@ -276,7 +276,7 @@ type engine struct {
 }
 
 // report reports a finding once.
-func (e *engine) report(f Finding) {
+func (e *engine) report(f finding) {
 	key := fmt.Sprintf("%d|%s|%s|%s", f.Pos, f.Source, f.Sink, f.Via)
 	if e.reported[key] {
 		return
@@ -324,7 +324,7 @@ func fieldPrefix(obj types.Object, field string) string {
 // analyze runs the dataflow solve over one body and replays it, building
 // the function's summary; when report is non-nil, source-to-sink flows
 // are also emitted as findings.
-func (e *engine) analyze(body *ast.BlockStmt, params []param, report func(Finding)) Summary {
+func (e *engine) analyze(body *ast.BlockStmt, params []param, report func(finding)) Summary {
 	if body == nil {
 		return Summary{}
 	}
@@ -356,7 +356,7 @@ type fnEval struct {
 	params   []param
 	state    dataflow.Set
 	sum      *Summary      // non-nil during replay
-	reportFn func(Finding) // non-nil during the reporting replay
+	reportFn func(finding) // non-nil during the reporting replay
 }
 
 // labelsOf returns the state's whole-object labels for one object
@@ -575,7 +575,7 @@ func (fe *fnEval) sinkUse(use SinkUse, via string) {
 	for _, l := range sortedLabels(labels) {
 		if desc := sourceDesc(l); desc != "" {
 			if fe.reportFn != nil {
-				fe.reportFn(Finding{Pos: use.Value.Pos(), Source: desc, Sink: use.Desc, Via: via})
+				fe.reportFn(finding{Pos: use.Value.Pos(), Source: desc, Sink: use.Desc, Via: via})
 			}
 			continue
 		}
@@ -1079,7 +1079,7 @@ func (fe *fnEval) applySummary(call *ast.CallExpr, callee *types.Func, sum Summa
 		for _, l := range sortedLabels(t) {
 			if desc := sourceDesc(l); desc != "" {
 				if fe.reportFn != nil {
-					fe.reportFn(Finding{Pos: pos, Source: desc, Sink: sf.Sink, Via: via})
+					fe.reportFn(finding{Pos: pos, Source: desc, Sink: sf.Sink, Via: via})
 				}
 				continue
 			}
