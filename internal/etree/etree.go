@@ -25,7 +25,13 @@ func (t *Tree) N() int { return len(t.Parent) }
 
 // Compute builds the elimination tree of a symmetric matrix using Liu's
 // algorithm with path compression, O(nnz·α(n)).
-func Compute(a *matrix.SparseSym) *Tree {
+func Compute(a *matrix.SparseSym) *Tree { return ComputePermuted(a, nil) }
+
+// ComputePermuted builds the elimination tree of P·A·Pᵀ for the new-to-old
+// permutation perm (nil for the identity) — the tree Compute returns for
+// a.Permute(perm) — straight from a's pattern, without forming the
+// permuted matrix. perm must be a permutation of 0..n-1.
+func ComputePermuted(a *matrix.SparseSym, perm []int32) *Tree {
 	n := a.N
 	parent := make([]int32, n)
 	ancestor := make([]int32, n)
@@ -36,12 +42,28 @@ func Compute(a *matrix.SparseSym) *Tree {
 	// Liu's algorithm requires visiting rows in ascending order, with all
 	// below-diagonal entries of row i available together. Our storage is
 	// lower-triangle CSC (entries of row i scattered over columns j < i),
-	// so first bucket entries by row.
+	// so first bucket entries by row: entry (r, c) of A is entry
+	// (max(inv[r], inv[c]), min(inv[r], inv[c])) of the permuted lower
+	// triangle. The tree does not depend on the order of a row's entries.
+	var inv []int32
+	if perm != nil {
+		inv = make([]int32, n)
+		for k, old := range perm {
+			inv[old] = int32(k)
+		}
+	}
+	at := func(r, c int32) (int32, int32) {
+		if inv != nil {
+			r, c = inv[r], inv[c]
+		}
+		return max(r, c), min(r, c)
+	}
 	rowPtr := make([]int32, n+1)
-	for j := 0; j < n; j++ {
+	for j := int32(0); int(j) < n; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if i := a.RowInd[p]; int(i) != j {
-				rowPtr[i+1]++
+			if i := a.RowInd[p]; i != j {
+				r, _ := at(i, j)
+				rowPtr[r+1]++
 			}
 		}
 	}
@@ -50,11 +72,12 @@ func Compute(a *matrix.SparseSym) *Tree {
 	}
 	rowCols := make([]int32, rowPtr[n])
 	pos := append([]int32(nil), rowPtr[:n]...)
-	for j := 0; j < n; j++ {
+	for j := int32(0); int(j) < n; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if i := a.RowInd[p]; int(i) != j {
-				rowCols[pos[i]] = int32(j)
-				pos[i]++
+			if i := a.RowInd[p]; i != j {
+				r, c := at(i, j)
+				rowCols[pos[r]] = c
+				pos[r]++
 			}
 		}
 	}

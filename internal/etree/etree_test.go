@@ -1,6 +1,7 @@
 package etree
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +118,32 @@ func TestPermuteConsistentWithMatrixPermute(t *testing.T) {
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("parent[%d]: permuted-tree %d vs tree-of-permuted %d", j, got[j], want[j])
+		}
+	}
+}
+
+// ComputePermuted(a, perm) is the tree of a.Permute(perm), for arbitrary
+// (not topological) permutations, without forming the permuted matrix.
+func TestComputePermutedMatchesPermutedMatrix(t *testing.T) {
+	for _, m := range []*matrix.SparseSym{
+		gen.Laplace2D(9, 7), gen.Laplace3D(5, 4, 3), gen.Thermal2D(20, 20, 2, 3), gen.RandomSPD(80, 0.05, 4),
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			perm := make([]int32, m.N)
+			for i, v := range rand.New(rand.NewSource(seed)).Perm(m.N) {
+				perm[i] = int32(v)
+			}
+			pm, err := m.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Compute(pm).Parent
+			got := ComputePermuted(m, perm).Parent
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("n=%d, seed %d: parent[%d] = %d, tree of the permuted matrix %d", m.N, seed, j, got[j], want[j])
+				}
+			}
 		}
 	}
 }

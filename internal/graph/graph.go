@@ -110,6 +110,18 @@ func NewWorkspace(n int) *Workspace {
 	return &Workspace{mark: make([]int32, n), order: make([]int32, n), levels: make([]int32, n+1)}
 }
 
+// Fork returns a workspace for traversals of sets of at most n vertices
+// that may run concurrently with ws's. It shares ws's visit stamps and
+// continues from ws's current stamp, so every mark a vertex carries stays
+// below the stamps either workspace hands out next; the queue and the level
+// offsets are its own. A traversal writes the mark of every vertex it
+// reaches and reads the marks of their neighbours, so concurrent traversals
+// must reach disjoint sets with no edge between them.
+func (ws *Workspace) Fork(n int) *Workspace {
+	buf := make([]int32, 2*n+1)
+	return &Workspace{mark: ws.mark, stamp: ws.stamp, order: buf[:n:n], levels: buf[n:]}
+}
+
 // LevelStructure holds a BFS layering rooted at some vertex, restricted to
 // the vertices of one labelled set. Its slices are views into the workspace
 // that produced it and are overwritten by that workspace's next traversal.

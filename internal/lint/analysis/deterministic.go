@@ -13,6 +13,13 @@ var DeterministicPackages = map[string]bool{
 	"sympack/internal/blas":     true,
 	"sympack/internal/des":      true,
 	"sympack/internal/metrics":  true,
+	// The analysis the factorization replays: the fill-reducing ordering
+	// and the graph and elimination-tree machinery under it decide the
+	// permutation, hence every supernode, task and factor bit, whatever
+	// GOMAXPROCS lets nested dissection fork.
+	"sympack/internal/ordering": true,
+	"sympack/internal/graph":    true,
+	"sympack/internal/etree":    true,
 	// The PGAS runtime and the simulated devices deliver the announcements
 	// and transfers whose order the engine's ordered-apply machinery must
 	// be immune to, and the chaos harness replays them deterministically;

@@ -30,11 +30,11 @@ func TestDeepChain(t *testing.T) {
 }
 
 // The direct rule on clock reads, timers and unseeded randomness: core is
-// in the deterministic set (positives, idioms, suppression); ordering is
-// not, and stays silent.
+// in the deterministic set (positives, idioms, suppression); gen is not,
+// and stays silent.
 func TestDirectClock(t *testing.T) {
 	analysistest.RunSuite(t, "testdata/clock", suite,
-		"sympack/internal/core", "sympack/internal/ordering")
+		"sympack/internal/core", "sympack/internal/gen")
 }
 
 // The direct rule on map ranges: core is in the deterministic set

@@ -143,6 +143,18 @@ func clean(r *upcxx.Rank, data []float64) {
 	r.NewArrayFrom(data)
 }
 
+// zero is a local helper whose result carries none of its argument: its
+// summary is empty, and an empty local summary launders nothing.
+func zero(x float64) float64 { return 0 }
+
+// zeroed publishes only zero's constant result, so map order never
+// reaches the array.
+func zeroed(r *upcxx.Rank, m map[int]float64) {
+	for _, v := range m {
+		r.NewArrayFrom([]float64{zero(v)})
+	}
+}
+
 func use(r *upcxx.Rank, q *pq) {
 	gather(r, nil)
 	gatherSorted(r, nil)
@@ -155,4 +167,5 @@ func use(r *upcxx.Rank, q *pq) {
 	broadcast(r, nil)
 	pick(r, nil)
 	clean(r, nil)
+	zeroed(r, nil)
 }

@@ -229,9 +229,14 @@ func Run[E any](pass *analysis.Pass, spec Spec, extra func(fn *types.Func) []E) 
 		graph:    sums.Graph,
 		ignores:  analysis.NewIgnoreIndex(pass.Fset, pass.Files),
 		reported: map[string]bool{},
-		// An empty summary says nothing, in this package as in a fact
-		// (none is exported), so the call it answers is an unknown one.
+		// A summary solved in this package is all there is to know about
+		// its function, so an empty one launders nothing. Empty summaries
+		// are not exported, so an imported function without a fact, or
+		// with an empty one, says nothing: its call is an unknown one.
 		summary: func(fn *types.Func) (Summary, bool) {
+			if f, ok := sums.Local[fn]; ok {
+				return f.S, true
+			}
 			f, ok := sums.Of(fn)
 			if !ok || f.S.Empty() {
 				return Summary{}, false

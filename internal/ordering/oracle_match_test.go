@@ -90,6 +90,10 @@ func oracleInputs() []namedMatrix {
 		add(fmt.Sprintf("random/400/%d", seed), gen.RandomSPD(400, 0.01, seed))
 	}
 
+	// Both halves of the top dissection reach forkMin, so with more than
+	// one P the first half is ordered on a helper goroutine.
+	add("thermal/96x96/1 (forks)", gen.Thermal2D(96, 96, 4, 1))
+
 	add("n=1", gen.Laplace2D(1, 1))
 	add("diagonal", fromEdges(70, nil, nil))
 	add("path", gen.Laplace2D(200, 1))
@@ -116,8 +120,10 @@ func oracleInputs() []namedMatrix {
 }
 
 // The in-place ordering code returns, for every kind and every input, the
-// permutation the copying code returned.
+// permutation the copying code returned. It runs at GOMAXPROCS 4, so that
+// nested dissection forks on the inputs large enough, whatever the host.
 func TestOrderingMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, in := range oracleInputs() {
 		g := graph.FromSparse(in.m)
 		for _, k := range allKinds() {

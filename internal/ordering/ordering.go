@@ -11,6 +11,7 @@ package ordering
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -201,6 +202,60 @@ func newMinDegreeWorkspace(n int) *minDegreeWorkspace {
 		degree: make([]int32, n), eliminated: make([]bool, n),
 		marker: make([]int32, n), covered: make([]int32, n),
 	}
+}
+
+// fork returns a workspace for minimum-degree runs on vertices of verts,
+// which may go on concurrently with m's runs on vertices that no vertex of
+// verts neighbours. It shares m's per-vertex arrays and continues from m's
+// marker stamp and element count, so no stale mark in them can be mistaken
+// for one of its own; its per-run buffers are its own, sized for any leaf
+// of verts.
+func (m *minDegreeWorkspace) fork(g *graph.Graph, verts []int32) *minDegreeWorkspace {
+	h := &minDegreeWorkspace{
+		ptr: m.ptr, vlen: m.vlen, elen: m.elen, degree: m.degree, eliminated: m.eliminated,
+		marker: m.marker, stamp: m.stamp, covered: m.covered, nformed: m.nformed,
+	}
+	h.reserve(g, verts)
+	return h
+}
+
+// heapRoom bounds the heap of a run on ndLeafSize vertices: one push per
+// vertex, then at most ndLeafSize−1 per pivot.
+const heapRoom = ndLeafSize * ndLeafSize
+
+// reserve sizes the per-run buffers for any run of at most ndLeafSize of
+// verts, so that nested dissection's leaves never grow them. Only a run on
+// a set that failed to bisect can be longer.
+func (m *minDegreeWorkspace) reserve(g *graph.Graph, verts []int32) {
+	// A run loads at most the adjacency of its vertices: no more than the
+	// ndLeafSize largest degrees of verts add up to.
+	var top [ndLeafSize]int // the largest degrees seen, unordered
+	low := 0                // where the smallest of them is
+	for _, v := range verts {
+		if d := g.Degree(v); d > top[low] {
+			top[low] = d
+			for i := range top {
+				if top[i] < top[low] {
+					low = i
+				}
+			}
+		}
+	}
+	room := 0
+	for _, d := range top {
+		room += d
+	}
+	// One allocation, carved with capped slices: a buffer that outgrows its
+	// piece is reallocated by grown or append, never spills into the next.
+	buf := make([]int32, 3*room+2*ndLeafSize+2*heapRoom)
+	carve := func(n int) []int32 {
+		piece := buf[:0:n]
+		buf = buf[n:]
+		return piece
+	}
+	m.adj, m.arena = carve(room), carve(2*room)
+	m.elemPtr, m.elemLen = carve(ndLeafSize), carve(ndLeafSize)
+	m.heap = degHeap{deg: carve(heapRoom), v: carve(heapRoom)}
 }
 
 // grown returns buf resized to n, reallocating (contents dropped) only when
@@ -421,6 +476,11 @@ const (
 	sideB   int8 = 2
 )
 
+// forkMin is the size both halves of a dissection must reach before the
+// first half is handed to a helper goroutine. Below it a goroutine and its
+// buffers cost more than the half takes to order.
+const forkMin = 1024
+
 // dissector is the state of one nested dissection. Nothing is copied out
 // of the graph: the vertex set a recursion step works on is a sub-range of
 // verts whose vertices all carry one label, and every step reorders its
@@ -433,6 +493,11 @@ const (
 // Position in the range is therefore order-isomorphic to vertex id, and
 // walking g.Neighbors(v) while skipping label[w] != cur visits neighbors
 // in the order a renumbered copy of the induced subgraph would list them.
+//
+// The two halves of a dissection may be ordered at the same time, each by
+// its own dissector (see order). The arrays indexed by vertex — label,
+// side, the visit stamps in ws and md's per-vertex arrays — and verts are
+// shared; the rest belongs to one goroutine.
 type dissector struct {
 	g       *graph.Graph
 	ws      *graph.Workspace
@@ -442,21 +507,27 @@ type dissector struct {
 	next    int32   // first label not yet handed out
 	side    []int8  // bisection side, valid for the range being bisected
 	scratch []int32 // target of the stable side partition
+	forks   int     // helper goroutines this dissector may still start
 }
 
+// nestedDissection orders g with up to GOMAXPROCS-1 helper goroutines. The
+// permutation does not depend on how many there are.
 func nestedDissection(g *graph.Graph) []int32 {
 	d := newDissector(g)
+	d.forks = runtime.GOMAXPROCS(0) - 1
 	d.orderSet(0, g.N, 0)
 	return d.verts
 }
 
 func newDissector(g *graph.Graph) *dissector {
 	n := g.N
-	return &dissector{
+	d := &dissector{
 		g: g, ws: graph.NewWorkspace(n), md: newMinDegreeWorkspace(n),
 		verts: identity(n), label: make([]int32, n), next: 1,
 		side: make([]int8, n), scratch: make([]int32, n),
 	}
+	d.md.reserve(g, d.verts)
+	return d
 }
 
 // orderSet splits verts[lo:hi] (label cur) into its connected components,
@@ -478,6 +549,13 @@ func (d *dissector) orderSet(lo, hi int, cur int32) {
 
 // order orders verts[lo:hi] (label cur, one connected set): first the two
 // halves (recursively), then the separator.
+//
+// While the dissector may fork and both halves reach forkMin, a helper
+// orders the first half while d orders the second. Neither half has an
+// edge into the other, so each reads only its own vertices and the
+// separators of its ancestors, which nothing writes any more, and writes
+// only its own vertices and its own range of verts. The separator is left
+// where partition put it, after both halves.
 func (d *dissector) order(lo, hi int, cur int32) {
 	if hi-lo <= ndLeafSize {
 		d.md.order(d.g, d.verts[lo:hi], d.label, cur)
@@ -490,8 +568,45 @@ func (d *dissector) order(lo, hi int, cur int32) {
 		return
 	}
 	la, lb := d.partition(d.verts[lo:hi], na, nb)
-	d.orderSet(lo, lo+na, la)
+	if d.forks == 0 || min(na, nb) < forkMin {
+		d.orderSet(lo, lo+na, la)
+		d.orderSet(lo+na, lo+na+nb, lb)
+		return
+	}
+	h, limit := d.fork(lo, na)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.orderSet(lo, lo+na, la)
+	}()
 	d.orderSet(lo+na, lo+na+nb, lb)
+	<-done
+	if h.next > limit {
+		panic("ordering: a helper used more labels than its range was given")
+	}
+}
+
+// setLabels bounds the labels orderSet hands out on a set of n ≥ 1
+// vertices: 4n−3. By induction, with T(m) ≤ 4m−4 for order on m vertices:
+// a leaf takes none; a bisection takes 2 plus its halves' 4na−3 and 4nb−3,
+// and na+nb ≤ m; a set of k components takes k plus 4c−4 per component of
+// c vertices, 4n−3k in all.
+func setLabels(n int) int32 { return int32(4*n - 3) }
+
+// fork returns a dissector for the n vertices at verts[lo:lo+n] that runs
+// concurrently with d, and the first label it must not reach. It takes the
+// next setLabels(n) labels from d, one helper from d's allowance, and half
+// of what is left of that allowance; its buffers are sized for its range.
+func (d *dissector) fork(lo, n int) (*dissector, int32) {
+	hf := (d.forks - 1) / 2
+	d.forks -= 1 + hf
+	h := &dissector{
+		g: d.g, ws: d.ws.Fork(n), md: d.md.fork(d.g, d.verts[lo:lo+n]),
+		verts: d.verts, label: d.label, next: d.next,
+		side: d.side, scratch: make([]int32, n), forks: hf,
+	}
+	d.next += setLabels(n)
+	return h, d.next
 }
 
 // partition reorders vs by the side marks into A | B | separator, each part

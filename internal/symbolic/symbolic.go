@@ -137,7 +137,10 @@ var ErrEmptyMatrix = errors.New("symbolic: empty matrix")
 // postorder. It returns the postordered matrix, the composed new-to-old
 // permutation and the postordered matrix's elimination tree — which is the
 // first tree relabelled by the postorder, so it is not computed a second
-// time.
+// time. The first tree comes straight from a's pattern and the ordering,
+// so a is permuted once, by the composed permutation: values only move
+// under a symmetric permutation, so that is the matrix two permutations in
+// turn would give.
 func orderAndPostorder(a *matrix.SparseSym, ord ordering.Kind) (*matrix.SparseSym, []int32, *etree.Tree, error) {
 	if a.N == 0 {
 		return nil, nil, nil, ErrEmptyMatrix
@@ -146,19 +149,15 @@ func orderAndPostorder(a *matrix.SparseSym, ord ordering.Kind) (*matrix.SparseSy
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	a1, err := a.Permute(perm1)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	t1 := etree.Compute(a1)
+	t1 := etree.ComputePermuted(a, perm1)
 	post := t1.Postorder()
-	a2, err := a1.Permute(post)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	perm := make([]int32, a.N)
 	for k := range perm {
 		perm[k] = perm1[post[k]]
+	}
+	a2, err := a.Permute(perm)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return a2, perm, t1.Permute(post), nil
 }

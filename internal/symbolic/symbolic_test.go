@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -420,6 +421,47 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 	}
 }
 
+// mallocsPerAnalyze counts, with runtime.MemStats, the heap allocations
+// of one Analyze of m at GOMAXPROCS p: the mean of runs after a warm-up.
+// Unlike testing.AllocsPerRun it leaves GOMAXPROCS at p.
+func mallocsPerAnalyze(t *testing.T, m *matrix.SparseSym, p, runs int) float64 {
+	t.Helper()
+	old := runtime.GOMAXPROCS(p)
+	defer runtime.GOMAXPROCS(old)
+	run := func() {
+		if _, _, err := Analyze(m, ordering.NestedDissection, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(runs)
+}
+
+// TestAnalyzeAllocBudget's budget where nested dissection forks.
+// testing.AllocsPerRun sets GOMAXPROCS to 1, where it never does; at 2,
+// Thermal2D 128²'s top dissection orders one half on a helper goroutine
+// with buffers of its own, which must not cost one allocation per grown
+// buffer.
+func TestAnalyzeAllocBudgetForked(t *testing.T) {
+	const budget, runs = 400, 3
+	m := gen.Thermal2D(128, 128, 6, 1)
+	one := mallocsPerAnalyze(t, m, 1, runs)
+	two := mallocsPerAnalyze(t, m, 2, runs)
+	t.Logf("thermal2d/128x128: %.0f allocs per Analyze at GOMAXPROCS 1, %.0f at 2", one, two)
+	if two <= one {
+		t.Errorf("GOMAXPROCS 2 allocates %.0f, no more than GOMAXPROCS 1's %.0f: the dissection did not fork", two, one)
+	}
+	if two > budget {
+		t.Errorf("%.0f allocs per Analyze at GOMAXPROCS 2, budget %d", two, budget)
+	}
+}
+
 // Supernode row lists are views of one slab: in supernode order, back to
 // back, each clipped to its own length so that growing one copies it out
 // instead of overwriting the next.
@@ -561,5 +603,29 @@ func TestBottomSubtrees(t *testing.T) {
 	}
 	if got := ic.BottomSubtrees(ic.FactorFlop, 1, all); got != nil {
 		t.Fatalf("incomplete structure: %v, want none", got)
+	}
+}
+
+// BenchmarkAnalyze times Analyze on the problems whose nested-dissection
+// permutations internal/ordering pins; -cpu 1,2 compares one goroutine
+// with a forked dissection.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		m    *matrix.SparseSym
+	}{
+		{"thermal2d/256x256", gen.Thermal2D(256, 256, 12, 1)},
+		{"thermal2d/96x96", gen.Thermal2D(96, 96, 4, 1)},
+		{"flan/14x14x14", gen.Flan3D(14, 14, 14, 1)},
+		{"laplace3d/24x24x24", gen.Laplace3D(24, 24, 24)},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Analyze(in.m, ordering.NestedDissection, DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
