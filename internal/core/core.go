@@ -77,7 +77,7 @@ type Options struct {
 	// arithmetic, rounded once per finalised block (CPU kernels only, half
 	// the modeled wire bytes), intended to be paired with SolveRefined's
 	// fp64 refinement. When a pivot breaks down under the rounding on a
-	// matrix that is SPD in fp64, FactorizeAnalyzed transparently retries
+	// matrix that is SPD in fp64, the factorization transparently retries
 	// in fp64.
 	Precision Precision
 	// Formulation selects the task formulation: which block's owner
@@ -292,26 +292,60 @@ var ErrNotPositiveDefinite = errors.New("core: matrix is not positive definite")
 // Factorize computes the sparse Cholesky factorization of the SPD matrix a
 // using the fan-out distributed algorithm.
 func Factorize(a *matrix.SparseSym, opt Options) (*Factor, error) {
-	st, pa, err := Analyze(a, opt)
+	opt = opt.withDefaults()
+	p, err := Analyze(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	return FactorizeAnalyzed(st, pa, opt)
+	return factorize(p, a, opt)
 }
 
-// Analyze runs the symbolic phase under opt's analysis settings: the
+// Analyze runs the symbolic phase under opt's analysis settings — the
 // ordering opt.Ordering names (nested dissection when zero) and
-// symbolic.DefaultOptions unless Symbolic is set. It returns the structure
-// and the permuted matrix that FactorizeAnalyzed takes.
-func Analyze(a *matrix.SparseSym, opt Options) (*symbolic.Structure, *matrix.SparseSym, error) {
+// symbolic.DefaultOptions unless Symbolic is set — and builds the Plan that
+// every factorization of a's pattern under opt's Ranks, Mapping and
+// Formulation shares.
+func Analyze(a *matrix.SparseSym, opt Options) (*Plan, error) {
 	opt = opt.withDefaults()
-	return symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
+	st, pa, err := symbolic.Analyze(a, opt.Ordering, *opt.Symbolic)
+	if err != nil {
+		return nil, err
+	}
+	asm, err := analysedAssembly(st, a, pa)
+	if err != nil {
+		return nil, err
+	}
+	return newPlan(st, asm, opt), nil
 }
 
-// FactorizeAnalyzed factors a matrix whose symbolic analysis is already
-// available (pa must be the permuted matrix returned by symbolic.Analyze).
-// Reusing the analysis across factorizations of same-structure matrices is
-// the pattern of the paper's PEXSI use case (§5.3).
+// Factorize factors a, a matrix with the pattern of the one the plan was
+// analysed from, under opt; the plan's layout serves when opt has its Ranks,
+// Mapping and Formulation, and one is derived for this call otherwise. The
+// plan's structure stands for opt's Ordering and Symbolic, which are not
+// consulted. A matrix with another pattern is an error. Reusing one
+// analysis across factorizations of same-pattern matrices is the paper's
+// PEXSI use case (§5.3).
+func (p *Plan) Factorize(a *matrix.SparseSym, opt Options) (*Factor, error) {
+	if err := p.asm.check(p.st, a); err != nil {
+		return nil, err
+	}
+	return factorize(p, a, opt)
+}
+
+// FactorizeAnalyzed factors the permuted matrix pa against st, the
+// structure symbolic.Analyze returned with it: a one-shot plan of pa, whose
+// assembly map takes pa's entries in place, and one factorization. An entry
+// of pa outside the structure is an error.
+func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options) (*Factor, error) {
+	asm, err := identityAssembly(st, pa)
+	if err != nil {
+		return nil, err
+	}
+	opt = opt.withDefaults()
+	return factorize(newPlan(st, asm, opt), pa, opt)
+}
+
+// factorize runs one factorization of a through the plan.
 //
 // Under Options.Precision == PrecFP32, a pivot breakdown
 // (ErrNotPositiveDefinite — the float32-rounded blocks may have cancelled a
@@ -320,11 +354,13 @@ func Analyze(a *matrix.SparseSym, opt Options) (*symbolic.Structure, *matrix.Spa
 // on the returned factor's registry as sympack_iter_fp32_fallbacks_total.
 // The returned factor's Opt.Context is nil: the context bounds this call
 // only.
-func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options) (*Factor, error) {
-	f, err := factorizeAnalyzedOnce(st, pa, opt)
+func factorize(p *Plan, a *matrix.SparseSym, opt Options) (*Factor, error) {
+	opt = opt.withDefaults()
+	lay := p.layoutFor(opt)
+	f, err := factorizeOnce(p, lay, a, opt)
 	if err != nil && opt.Precision == PrecFP32 && errors.Is(err, ErrNotPositiveDefinite) {
 		opt.Precision = PrecFP64
-		f, err = factorizeAnalyzedOnce(st, pa, opt)
+		f, err = factorizeOnce(p, lay, a, opt)
 		if err == nil {
 			f.Metrics.Counter("sympack_iter_fp32_fallbacks_total",
 				"factorizations retried in fp64 after fp32 pivot breakdown").Inc()
@@ -337,30 +373,25 @@ func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options
 	return f, nil
 }
 
-func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Options) (*Factor, error) {
-	opt = opt.withDefaults()
+// factorizeOnce is one factorization of a through plan p and its layout
+// lay for opt's shape.
+func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Factor, error) {
 	if ctx := opt.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
 		}
 	}
-	tg := symbolic.BuildTaskGraph(st)
-	m2d := symbolic.NewBlockMap(opt.Mapping, opt.Ranks, st)
-
+	st, tg := p.st, p.tg
 	inj := newInjector(opt)
 	rt, err := newRuntime(opt, inj)
 	if err != nil {
 		return nil, err
 	}
 
-	f := &Factor{St: st, Opt: opt, Data: make([][]float64, len(st.Blocks))}
-	f.Stats.PerRank = make([]OpStats, opt.Ranks)
-	f.Stats.Workers = opt.Workers
-	f.Stats.NnzL = st.NnzL
-	f.Stats.FactorFlop = st.FactorFlop
-	f.Stats.Supernodes = st.NumSupernodes()
-	f.Stats.Blocks = st.NumBlocks()
-	f.Stats.Updates = len(tg.Updates)
+	f := &Factor{St: st, Opt: opt, Data: make([][]float64, len(st.Blocks)), Stats: Stats{
+		PerRank: make([]OpStats, opt.Ranks), Workers: opt.Workers, NnzL: st.NnzL, FactorFlop: st.FactorFlop,
+		Supernodes: st.NumSupernodes(), Blocks: st.NumBlocks(), Updates: len(tg.Updates),
+	}}
 
 	// The item directory covers blocks and — under contribution-delivering
 	// formulations — one slot per update for the computed contribution
@@ -404,7 +435,7 @@ func factorizeAnalyzedOnce(st *symbolic.Structure, pa *matrix.SparseSym, opt Opt
 	// signal, and only rank r's Progress runs the handler for r.
 	rt.Handle(func(r *upcxx.Rank, m upcxx.Msg) { led.engines[r.ID].handle(m) })
 	err = rt.Run(func(r *upcxx.Rank) {
-		e := newEngine(r, st, tg, pa, m2d, &opt, dir)
+		e := newEngine(r, p, lay, a, &opt, dir)
 		e.progress = &progress
 		led.publish(e)
 		e.setup()

@@ -99,15 +99,15 @@ type awaited struct {
 
 // laneScratch is the reusable working memory of one executor goroutine
 // (lane), private to it, so the per-task path neither allocates nor locks
-// for it. setup sizes all of it from the rank's tasks, as it sizes the
-// receive slab:
+// for it. setup allocates all of it at the sizes the plan's layout fixed
+// from the rank's tasks, as it allocates the receive slab:
 //   - w, the update product: every update this rank computes into it (all
 //     of them under fan-out), and the stacked product of every supernode
 //     pair inside its subtree tasks (updatePair);
 //   - rpos, the row positions relIndex writes: a contribution's in its
-//     target block or supernode, a column's entries' in its supernode;
+//     target block or supernode;
 //   - arena, the trapezoids of the largest subtree task's supernodes, back
-//     to back (engine.trapOff), and diag, the view of a trapezoid's
+//     to back (layout.trapOff), and diag, the view of a trapezoid's
 //     diagonal that runSubtree hands trsm;
 //   - the consumer-rank set announce fans a finished item out to.
 type laneScratch struct {
@@ -141,11 +141,15 @@ func (ls *laneScratch) consumer(rank int) {
 // worker holding a block's turn computes and scatters with no lock held.
 // Lock order: blockApply.mu before engine.mu, never the reverse.
 type engine struct {
-	r   *upcxx.Rank
+	r *upcxx.Rank
+	// pl and lay are the shared, read-only plan and its layout for this
+	// job's shape; st, tg and m2d are theirs, kept at hand.
+	pl  *Plan
+	lay *layout
 	st  *symbolic.Structure
 	tg  *symbolic.TaskGraph
-	a   *matrix.SparseSym
 	m2d symbolic.BlockMap
+	a   *matrix.SparseSym // the matrix to factor, read through pl.asm
 	opt *Options
 	// form is the task formulation (cached from opt). The protocol below
 	// speaks in *items*: item ids < nBlocks are blocks, and — under
@@ -196,15 +200,11 @@ type engine struct {
 	// by lane.
 	lanes []laneScratch
 
-	// subtrees lists this rank's subtree tasks, ascending; folded marks
-	// the supernodes they cover, and trapOff places each one's trapezoid in
-	// the arena of the lane that runs its subtree. All three are fixed at
-	// setup. The blocks of a folded supernode have no D/F task, and an
-	// update into one has no U or A task: the subtree task runs them all
-	// (runSubtree).
+	// subtrees lists this rank's subtree tasks, ascending (the layout's).
+	// The blocks of a supernode one of them covers (layout.folded) have no
+	// D/F task, and an update into one has no U or A task: the subtree
+	// task runs them all (runSubtree).
 	subtrees []symbolic.SubtreeRange
-	folded   []bool
-	trapOff  []int32
 
 	// signals received but not yet processed: item ids announced by
 	// producers (msgAnnounce). Guarded by e.mu.
@@ -251,10 +251,11 @@ type engine struct {
 	met *coreMetrics
 }
 
-func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a *matrix.SparseSym, m2d symbolic.BlockMap, opt *Options, dir []upcxx.GlobalPtr) *engine {
+func newEngine(r *upcxx.Rank, p *Plan, lay *layout, a *matrix.SparseSym, opt *Options, dir []upcxx.GlobalPtr) *engine {
+	st, tg, m2d := p.st, p.tg, lay.m2d
 	nItems := opt.Formulation.ItemCount(tg)
 	e := &engine{
-		r: r, st: st, tg: tg, a: a, m2d: m2d, opt: opt, dir: dir,
+		r: r, pl: p, lay: lay, st: st, tg: tg, m2d: m2d, a: a, opt: opt, dir: dir,
 		form:      opt.Formulation,
 		nBlocks:   int32(len(st.Blocks)),
 		owned:     make([][]float64, len(st.Blocks)),
@@ -280,217 +281,76 @@ func newEngine(r *upcxx.Rank, st *symbolic.Structure, tg *symbolic.TaskGraph, a 
 	return e
 }
 
-// mine reports whether this rank owns a block.
-func (e *engine) mine(b *symbolic.Block) bool { return symbolic.OwnerOfBlock(e.m2d, b) == e.r.ID }
-
-// setup allocates and assembles owned blocks, publishes their global
-// pointers, sizes the receive slab, and initializes all dependency counters
-// and queues.
+// setup gives the rank what a factorization needs beside the plan, which
+// fixed everything the pattern decides: it allocates the slab of owned
+// blocks and publishes their pointers in dir, copies the initial dependency
+// counters and awaited items, seeds the RTQ, allocates the lane buffers and
+// the receive slab at the layout's sizes, and assembles the matrix's values
+// through the plan's assembly map.
 func (e *engine) setup() {
-	st, tg := e.st, e.tg
+	rl := &e.lay.rank[e.r.ID]
+	st := e.st
 	// No helper has started yet, so this is single-threaded — but take
 	// e.mu anyway: "scheduler state is touched under e.mu, always" is a
 	// checkable invariant, "except during setup" is not.
 	e.mu.Lock()
-	arena, maxW := e.selectSubtrees()
-	// A row-position list never outgrows its supernode's rows: a block's,
-	// a column's entries, a supernode pair's relative indices.
-	maxPos := 0
-	for k := range st.Snodes {
-		maxPos = max(maxPos, st.Snodes[k].NRows())
-	}
-	// Owned blocks live back to back in one slab of the shared segment,
-	// sized from the symbolic structure; each block publishes a pointer to
-	// its own range.
-	total := 0
-	for bi := range st.Blocks {
-		b := &st.Blocks[bi]
-		if e.mine(b) {
-			m, n := blockDims(st, b)
-			total += m * n
-		}
-	}
-	slab, off := e.r.NewArray(total), 0
-	for bi := range st.Blocks {
-		b := &st.Blocks[bi]
-		if !e.mine(b) {
-			continue
-		}
-		m, n := blockDims(st, b)
+	e.subtrees = rl.subtrees
+	// Owned blocks live back to back in one slab of the shared segment;
+	// each block publishes a pointer to its own range.
+	slab, off := e.r.NewArray(rl.slabLen), 0
+	for x, bid := range rl.blocks {
+		m, n := blockDims(st, &st.Blocks[bid])
 		g := slab.Slice(off, off+m*n)
 		off += m * n
-		e.owned[b.ID] = g.Data
-		e.dir[b.ID] = g
-		if e.folded[b.Snode] {
-			continue // its subtree task factors it
-		}
-		// D/F dependency counter: updates targeting the block, plus the
-		// diagonal factor for off-diagonal blocks.
-		dep := tg.InUpdates[b.ID]
-		if !b.IsDiag() {
-			dep++
-			// The panel factorization awaits the supernode's diagonal.
-			e.want(st.DiagBlock(b.Snode).ID)
-		}
-		e.depBlock[b.ID] = dep
-		e.totalTasks++
+		e.owned[bid] = g.Data
+		e.dir[bid] = g
+		e.depBlock[bid] = rl.deps[x]
 	}
-	e.totalTasks += len(e.subtrees)
-	// Update compute tasks execute at the owner of the formulation's
-	// compute block — the target under fan-out, a source operand under
-	// fan-in/fan-both. depUpdate stays zero for updates computed elsewhere
-	// and for updates inside a subtree, which is how acquire tells them
-	// apart. The largest product computed into a lane's buffer — every
-	// update under fan-out, and the supernode pairs inside subtrees — sizes
-	// it.
-	deliver := e.form.DeliversContributions()
-	for ui := range tg.Updates {
-		u := &tg.Updates[ui]
-		if e.folded[st.Blocks[u.Target].Snode] {
-			continue
-		}
-		if deliver && e.mine(&st.Blocks[u.Target]) {
-			// The apply task scatters the delivered contribution into the
-			// target; it becomes ready when the contribution item arrives.
-			e.want(e.nBlocks + int32(ui))
-			e.totalTasks++
-		}
-		if !e.mine(&st.Blocks[e.form.ComputeBlock(u)]) {
-			continue
-		}
-		deps := int32(2)
-		if u.IsSyrk() {
-			deps = 1
-		}
-		e.depUpdate[int32(ui)] = deps
-		e.want(u.BlkA)
-		e.want(u.BlkB)
-		e.totalTasks++
-		if !deliver {
-			maxW = max(maxW, e.contribLen(u))
+	// An update computed elsewhere, or inside a subtree, keeps a zero
+	// counter, which is how acquire tells them apart.
+	for _, ui := range rl.updates {
+		e.depUpdate[ui] = 2
+		if e.tg.Updates[ui].IsSyrk() {
+			e.depUpdate[ui] = 1
 		}
 	}
+	for _, item := range rl.wanted {
+		e.wanted[item] = true
+	}
+	e.nWanted = len(rl.wanted)
+	e.totalTasks = rl.tasks
 	for i := range e.lanes {
 		ls := &e.lanes[i]
-		ls.w = make([]float64, maxW)
-		ls.rpos = make([]int, maxPos)
-		ls.arena = make([]float64, arena)
+		ls.w = make([]float64, rl.maxW)
+		ls.rpos = make([]int, e.lay.maxPos)
+		ls.arena = make([]float64, rl.arena)
 	}
-	// The RTQ is seeded, in block order, with the owned blocks nothing
-	// precedes — diagonals no update targets — and the subtree tasks,
-	// each at its first block: nothing outside a subtree feeds it.
-	e.rtq = make([]task, 0, e.totalTasks)
-	next := 0 // into e.subtrees
-	for bi, data := range e.owned {
-		switch b := &st.Blocks[bi]; {
-		case data == nil:
-		case e.folded[b.Snode]:
-			if next < len(e.subtrees) && int32(bi) == st.BlockPtr[e.subtrees[next].First] {
-				e.push(taskSubtree, int32(next))
-				next++
-			}
-		case e.depBlock[bi] == 0:
-			e.push(taskFor(b), int32(bi))
-		}
-	}
-	e.receiveSlab()
+	// The RTQ has room for all of the rank's tasks, each pushed once.
+	e.rtq = append(make([]task, 0, rl.tasks), rl.seed...)
+	e.met.rtqDepth.Set(float64(len(e.rtq)))
+	e.met.rtqPeak.SetMax(float64(len(e.rtq)))
+	e.receiveSlab(rl)
 	e.met.tasksTotal.Set(float64(e.totalTasks))
 	e.mu.Unlock()
 	e.assemble()
 }
 
-// selectSubtrees fixes this rank's subtree tasks, marks the supernodes
-// they cover and places each one's trapezoid in the lane arena, the
-// subtree's supernodes back to back. It returns what a lane needs to run
-// any of the tasks: the arena's length, and the longest stacked product of
-// a supernode pair (updatePair). Callers hold e.mu.
-func (e *engine) selectSubtrees() (arena, prod int) {
-	st := e.st
-	e.subtrees = subtreeTasks(st, e.m2d, e.r.ID)
-	e.folded = make([]bool, len(st.Snodes))
-	e.trapOff = make([]int32, len(st.Snodes))
-	for _, s := range e.subtrees {
-		off := 0
-		for k := s.First; k <= s.Root; k++ {
-			e.folded[k] = true
-			e.trapOff[k] = int32(off)
-			sn := &st.Snodes[k]
-			off += sn.NRows() * sn.NCols()
-			blks := st.SnodeBlocks(k)
-			for i := 1; i < len(blks) && blks[i].RowSn <= s.Root; i++ {
-				m := sn.NRows() - int(blks[i].RowOff)
-				prod = max(prod, m*int(blks[i].NRows))
-			}
-		}
-		arena = max(arena, off)
-	}
-	return arena, prod
-}
-
-// subtreeTasks returns the subtree tasks of rank under map m: the maximal
-// bottom subtrees of the supernodal elimination tree, of at least
-// subtreeMin supernodes, whose modeled flop sum to at most subtreeFlop and
-// whose blocks rank owns, every one of them. At one rank every small
-// subtree qualifies, under MapSubtree the leaves of each rank's range do,
-// and under the 2D-cyclic map at several ranks next to nothing does. A
-// root of the tree never folds: a tree under the bound keeps its root's
-// tasks, so every factorization, however small, still runs its updates
-// into the root through the scheduler — dependency counters, out-of-turn
-// arrivals, helpers — at the cost of one supernode's tasks.
-func subtreeTasks(st *symbolic.Structure, m symbolic.BlockMap, rank int) []symbolic.SubtreeRange {
-	return st.BottomSubtrees(subtreeFlop, subtreeMin, func(k int32) bool {
-		if st.SnParent[k] == -1 {
-			return false
-		}
-		blks := st.SnodeBlocks(k)
-		for i := range blks {
-			if symbolic.OwnerOfBlock(m, &blks[i]) != rank {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// receiveSlab lists the wanted items other ranks produce in e.remote,
-// ascending by item id, and gives each one its slot of one slab as its
-// avail entry's host buffer: every remote item this rank will fetch, with
-// its size, is known before the first task runs, so the gets of the run
-// write into memory allocated once (as owned blocks live in one slab). A
-// failed get leaves its slot to the retry, and a duplicate announcement
-// finds the entry ready, so a slot is written by one successful get at
-// most. Callers hold e.mu.
-func (e *engine) receiveSlab() {
-	total := 0
-	for item, w := range e.wanted {
-		if w && e.itemProducer(int32(item)) != e.r.ID {
-			e.remote = append(e.remote, awaited{item: int32(item)})
-			total += e.itemLen(int32(item))
-		}
-	}
-	slab := make([]float64, total)
-	for _, w := range e.remote {
-		sz := e.itemLen(w.item)
-		e.avail[w.item].host = slab[:sz:sz]
+// receiveSlab fills e.remote with the layout's remote items, the wanted
+// items other ranks produce, ascending by item id, and gives each one its
+// slot of one slab as its avail entry's host buffer: every remote item this
+// rank will fetch, with its size, is known before the first task runs, so
+// the gets of the run write into memory allocated once (as owned blocks
+// live in one slab). A failed get leaves its slot to the retry, and a
+// duplicate announcement finds the entry ready, so a slot is written by one
+// successful get at most. Callers hold e.mu.
+func (e *engine) receiveSlab(rl *rankLayout) {
+	e.remote = make([]awaited, len(rl.remote))
+	slab := make([]float64, rl.recvLen)
+	for i, item := range rl.remote {
+		e.remote[i].item = item
+		sz := itemLen(e.st, e.tg, item)
+		e.avail[item].host = slab[:sz:sz]
 		slab = slab[sz:]
-	}
-}
-
-// itemLen is the element count of an item: a block's dense storage, or an
-// update's contribution.
-func (e *engine) itemLen(item int32) int {
-	if item < e.nBlocks {
-		m, n := blockDims(e.st, &e.st.Blocks[item])
-		return m * n
-	}
-	return e.contribLen(&e.tg.Updates[item-e.nBlocks])
-}
-
-// want marks an item as awaited by this rank's tasks; callers hold e.mu.
-func (e *engine) want(item int32) {
-	if !e.wanted[item] {
-		e.wanted[item] = true
-		e.nWanted++
 	}
 }
 
@@ -501,15 +361,14 @@ func taskFor(b *symbolic.Block) taskKind {
 	return taskFactor
 }
 
-// assemble puts the permuted matrix entries into the owned blocks. A
-// folded supernode's entries go into its trapezoid instead, when its
-// subtree task runs, and a supernode this rank owns no block of is skipped:
-// the ranks that own its blocks assemble it (and panic on an entry outside
-// its structure).
+// assemble puts the matrix entries into the owned blocks. A folded
+// supernode's entries go into its trapezoid instead, when its subtree task
+// runs, and a supernode this rank owns no block of is skipped: the ranks
+// that own its blocks assemble it.
 func (e *engine) assemble() {
 	for k := range e.st.Snodes {
-		if !e.folded[k] && e.ownsBlockOf(int32(k)) {
-			e.assembleSnode(int32(k), nil, e.lanes[0].rpos)
+		if !e.lay.folded[k] && e.ownsBlockOf(int32(k)) {
+			e.assembleSnode(int32(k), nil)
 		}
 	}
 }
@@ -525,31 +384,31 @@ func (e *engine) ownsBlockOf(k int32) bool {
 }
 
 // assembleSnode puts the entries of supernode k's columns at their rows'
-// positions in its row list (relIndex): into trapezoid t when k is folded,
-// otherwise (t nil) into the block holding each position, found walking
-// k's blocks forward, unless another rank owns it. pos is the caller's
-// row-position buffer. An entry outside the structure panics, incomplete
-// structures included: the matrix they factor is the one their pattern
-// describes.
-func (e *engine) assembleSnode(k int32, t []float64, pos []int) {
-	a, sn := e.a, &e.st.Snodes[k]
+// positions in its row list, which the plan's assembly map holds: into
+// trapezoid t when k is folded, otherwise (t nil) into the block holding
+// each position, found walking k's blocks forward, unless another rank owns
+// it.
+func (e *engine) assembleSnode(k int32, t []float64) {
+	asm, vals, sn := &e.pl.asm, e.a.Val, &e.st.Snodes[k]
 	blks := e.st.SnodeBlocks(k)
 	for j := sn.FirstCol; j <= sn.LastCol; j++ {
-		rows, vals := a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]], a.Val[a.ColPtr[j]:a.ColPtr[j+1]]
-		if len(rows) > len(pos) || !relIndex(pos, rows, sn.Rows) {
-			panic(fmt.Sprintf("core: an entry of column %d lies outside the symbolic structure", j))
-		}
 		c, b := int(j-sn.FirstCol), 0
-		for x, i := range pos[:len(rows)] {
+		for x := asm.colPtr[j]; x < asm.colPtr[j+1]; x++ {
+			i, v := int(asm.pos[x]), 0.0
+			if asm.src != nil {
+				v = vals[asm.src[x]]
+			} else {
+				v = vals[x]
+			}
 			if t != nil {
-				t[c*sn.NRows()+i] = vals[x]
+				t[c*sn.NRows()+i] = v
 				continue
 			}
 			for i >= int(blks[b].RowOff+blks[b].NRows) {
 				b++
 			}
 			if data := e.owned[blks[b].ID]; data != nil {
-				data[c*int(blks[b].NRows)+i-int(blks[b].RowOff)] = vals[x]
+				data[c*int(blks[b].NRows)+i-int(blks[b].RowOff)] = v
 			}
 		}
 	}
@@ -765,7 +624,7 @@ func (e *engine) reRequestLost() {
 // reRequest asks an item's producer to re-announce it if already produced
 // (msgReRequest); callers hold e.mu.
 func (e *engine) reRequest(b int32) {
-	owner := e.itemProducer(b)
+	owner := e.lay.producer(e.st, e.tg, b)
 	e.met.reRequests.Inc()
 	e.r.Runtime().CountReRequest()
 	if tr := e.opt.Trace; tr != nil {
@@ -955,17 +814,6 @@ func (e *engine) acquireContribution(item int32) {
 	}
 	e.acquired(item)
 	e.push(taskApply, item-e.nBlocks)
-}
-
-// itemProducer returns the rank that produces an item: the owner of a
-// block, or — for a contribution — the owner of the update's compute block
-// under the active formulation.
-func (e *engine) itemProducer(item int32) int {
-	if item < e.nBlocks {
-		return symbolic.OwnerOfBlock(e.m2d, &e.st.Blocks[item])
-	}
-	u := &e.tg.Updates[item-e.nBlocks]
-	return symbolic.OwnerOfBlock(e.m2d, &e.st.Blocks[e.form.ComputeBlock(u)])
 }
 
 // hostOf returns the host copy of an available item (source block or
@@ -1234,7 +1082,7 @@ func (e *engine) runSubtree(id int32, ls *laneScratch) {
 	for k := s.First; k <= s.Root; k++ {
 		t := e.trapezoid(k, ls)
 		clear(t)
-		e.assembleSnode(k, t, ls.rpos)
+		e.assembleSnode(k, t)
 	}
 	for k := s.First; k <= s.Root; k++ {
 		if rt.ShouldAbort() || e.checkCanceled() {
@@ -1272,7 +1120,7 @@ func (e *engine) runSubtree(id int32, ls *laneScratch) {
 // trapezoid returns folded supernode k's trapezoid in the lane's arena.
 func (e *engine) trapezoid(k int32, ls *laneScratch) []float64 {
 	sn := &e.st.Snodes[k]
-	off := int(e.trapOff[k])
+	off := int(e.lay.trapOff[k])
 	return ls.arena[off : off+sn.NRows()*sn.NCols()]
 }
 
@@ -1321,12 +1169,7 @@ func (e *engine) updatePair(k int32, b *symbolic.Block, ls *laneScratch) {
 // Under fan-out execute sends the update to applyUpdate instead.
 func (e *engine) runUpdate(ui int32, ls *laneScratch) {
 	u := &e.tg.Updates[ui]
-	e.publishContribution(ui, e.computeUpdate(ui, make([]float64, e.contribLen(u))), ls)
-}
-
-// contribLen is the length of update u's mB×nA contribution.
-func (e *engine) contribLen(u *symbolic.Update) int {
-	return int(e.st.Blocks[u.BlkB].NRows) * int(e.st.Blocks[u.BlkA].NRows)
+	e.publishContribution(ui, e.computeUpdate(ui, make([]float64, contribLen(e.st, u))), ls)
 }
 
 // computeUpdate writes W = B_{i,j}·B_{k,j}ᵀ (SYRK when the blocks coincide,

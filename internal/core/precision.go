@@ -26,7 +26,7 @@ const (
 	// double-precision accuracy — the classic mixed-precision
 	// factor-then-refine scheme. If a pivot breaks down because the blocks
 	// under it were rounded, on a matrix that is SPD in fp64,
-	// FactorizeAnalyzed retries the whole factorization in fp64 (counted
+	// the factorization is retried whole in fp64 (counted
 	// by sympack_iter_fp32_fallbacks_total).
 	PrecFP32
 )

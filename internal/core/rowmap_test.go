@@ -9,6 +9,7 @@ import (
 
 	"sympack/internal/gen"
 	"sympack/internal/matrix"
+	"sympack/internal/ordering"
 	"sympack/internal/symbolic"
 )
 
@@ -111,7 +112,7 @@ func TestPlaceRowsMissingRow(t *testing.T) {
 // assemble into trapezoids, and at three, where every supernode assembles
 // into its blocks.
 func TestAssembleEntryOutsideStructure(t *testing.T) {
-	st, pa, err := Analyze(gen.Laplace2D(6, 6), Options{})
+	st, pa, err := symbolic.Analyze(gen.Laplace2D(6, 6), ordering.NestedDissection, symbolic.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestPopOrdering(t *testing.T) {
 			}
 
 			o := Options{Workers: 1, Formulation: form}
-			e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil)
+			e := newEngine(nil, &Plan{st: st, tg: tg}, &layout{m2d: symbolic.NewMap2D(1)}, nil, &o, nil)
 			for _, tk := range all {
 				e.push(tk.kind, tk.id)
 			}
@@ -97,7 +97,7 @@ func TestRTQOrderProperty(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		o := Options{Workers: 1, Formulation: FanBoth}
-		e := newEngine(nil, st, tg, nil, symbolic.NewMap2D(1), &o, nil)
+		e := newEngine(nil, &Plan{st: st, tg: tg}, &layout{m2d: symbolic.NewMap2D(1)}, nil, &o, nil)
 		todo := append([]task(nil), all...)
 		rng.Shuffle(len(todo), func(i, j int) { todo[i], todo[j] = todo[j], todo[i] })
 		var ref []task

@@ -222,11 +222,11 @@ func folded(f *Factor) bool {
 // analyzed runs the default symbolic analysis.
 func analyzed(t *testing.T, a *matrix.SparseSym) *symbolic.Structure {
 	t.Helper()
-	st, _, err := Analyze(a, Options{})
+	p, err := Analyze(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return p.Structure()
 }
 
 // checkSubtree verifies a subtree task's range: its supernodes are Root and

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"regexp"
+	"runtime"
 	"testing"
 )
 
@@ -66,16 +66,45 @@ func TestValidateRejectsBadLengths(t *testing.T) {
 	}
 }
 
-// longNumber matches a digit run of eight or more: a declared size that
-// large makes one input allocate hundreds of megabytes.
-var longNumber = regexp.MustCompile(`[0-9]{8,}`)
+// hugeDeclared are inputs of a few dozen bytes that declare a 50 000 000 ×
+// 50 000 000 matrix: the Matrix Market one with no entries (68 bytes), and
+// a Rutherford-Boeing one whose header promises one entry per column.
+// Before the readers were bounded by their input they allocated 201 MB and
+// more from the declaration alone.
+var hugeDeclared = []string{
+	"%%MatrixMarket matrix coordinate real symmetric\n50000000 50000000 0\n",
+	"t\n1 1 1 1\nrsa 50000000 50000000 50000000 0\n(f)(f)(f)\n1\n2\n3\n",
+}
+
+// TestReadersBoundedByInput: reading an input that declares a huge matrix
+// is a format error and allocates less than 1 MB, whatever it declares.
+func TestReadersBoundedByInput(t *testing.T) {
+	if len(hugeDeclared[0]) != 68 {
+		t.Fatalf("the Matrix Market input is %d bytes, want 68", len(hugeDeclared[0]))
+	}
+	readers := []func([]byte) (*SparseSym, error){
+		func(b []byte) (*SparseSym, error) { return ReadMatrixMarket(bytes.NewReader(b)) },
+		func(b []byte) (*SparseSym, error) { return ReadRutherfordBoeing(bytes.NewReader(b)) },
+	}
+	for i, in := range hugeDeclared {
+		for r, read := range readers {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err := read([]byte(in))
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, ErrFormat) {
+				t.Errorf("input %d, reader %d: err = %v, want ErrFormat", i, r, err)
+			}
+			if b := m1.TotalAlloc - m0.TotalAlloc; b >= 1<<20 {
+				t.Errorf("input %d, reader %d: allocated %d bytes, want < 1 MB", i, r, b)
+			}
+		}
+	}
+}
 
 // checkReader is the fuzz property of one reader: it never panics, and a
 // matrix it accepts is valid and reads back identical after writing.
 func checkReader(t *testing.T, data []byte, read func([]byte) (*SparseSym, error), write func(*SparseSym) []byte) {
-	if longNumber.Match(data) {
-		t.Skip("declared size too large for one fuzz input")
-	}
 	s, err := read(data)
 	if err != nil {
 		return
@@ -115,7 +144,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	for _, in := range malformedMM {
+	for _, in := range append(malformedMM, hugeDeclared...) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -137,7 +166,7 @@ func FuzzReadRutherfordBoeing(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	for _, in := range malformedRB {
+	for _, in := range append(malformedRB, hugeDeclared...) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

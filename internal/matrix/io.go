@@ -42,7 +42,7 @@ func ReadFile(path string) (*SparseSym, error) {
 // pattern/general-square-symmetric-content) stream into a SparseSym.
 func ReadMatrixMarket(r io.Reader) (*SparseSym, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024) // grows with the longest line
 	if !sc.Scan() {
 		return nil, fmt.Errorf("%w: empty matrix market stream", ErrFormat)
 	}
@@ -74,6 +74,11 @@ func ReadMatrixMarket(r io.Reader) (*SparseSym, error) {
 	}
 	if m != n {
 		return nil, ErrNotSquare
+	}
+	// An SPD matrix stores every diagonal entry, so a file of fewer
+	// entries than columns is refused before anything is sized by n.
+	if nnz < n {
+		return nil, fmt.Errorf("%w: %d entries cannot hold the diagonal of a %d×%d matrix", ErrFormat, nnz, n, n)
 	}
 	coo := NewCOO(n)
 	count := 0
@@ -112,6 +117,10 @@ func ReadMatrixMarket(r io.Reader) (*SparseSym, error) {
 	}
 	if count < nnz {
 		return nil, fmt.Errorf("%w: expected %d entries, got %d", ErrFormat, nnz, count)
+	}
+	if count < n {
+		// A general file's entries above the diagonal were dropped.
+		return nil, fmt.Errorf("%w: %d lower-triangle entries cannot hold the diagonal of a %d×%d matrix", ErrFormat, count, n, n)
 	}
 	s, err := coo.ToSym()
 	if err != nil {
@@ -179,9 +188,11 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 	if nrow != ncol {
 		return nil, ErrNotSquare
 	}
-	// Bound allocations against hostile headers: a symmetric assembled
-	// matrix cannot carry more than a full lower triangle.
-	if !indexable(ncol) || !indexable(nnz) || int64(nnz) > int64(ncol)*(int64(ncol)+1)/2 {
+	// A symmetric assembled matrix carries at most a full lower triangle,
+	// and an SPD one at least its diagonal. Nothing below is sized from
+	// the header: the arrays grow as entries are read, so a hostile header
+	// costs what its file holds.
+	if !indexable(ncol) || !indexable(nnz) || nnz < ncol || int64(nnz) > int64(ncol)*(int64(ncol)+1)/2 {
 		return nil, fmt.Errorf("%w: implausible RB sizes n=%d nnz=%d", ErrFormat, ncol, nnz)
 	}
 	if _, err := readLine(); err != nil { // line 4: formats
@@ -189,7 +200,7 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 	}
 	// Free-form token scanner over the remainder.
 	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024) // grows with the longest line
 	sc.Split(bufio.ScanWords)
 	nextInt := func() (int, error) {
 		if !sc.Scan() {
@@ -205,7 +216,7 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 		t := strings.ReplaceAll(strings.ReplaceAll(sc.Text(), "D", "E"), "d", "e")
 		return strconv.ParseFloat(t, 64)
 	}
-	colPtr := make([]int32, ncol+1)
+	var colPtr []int32
 	for j := 0; j <= ncol; j++ {
 		v, err := nextInt()
 		if err != nil {
@@ -216,29 +227,25 @@ func ReadRutherfordBoeing(r io.Reader) (*SparseSym, error) {
 		if (j == 0 && v != 1) || (j > 0 && v-1 < int(colPtr[j-1])) || v > nnz+1 {
 			return nil, fmt.Errorf("%w: bad RB column pointer %d at column %d", ErrFormat, v, j)
 		}
-		colPtr[j] = int32(v - 1)
+		colPtr = append(colPtr, int32(v-1))
 	}
-	rowInd := make([]int32, nnz)
+	var rowInd []int32
 	for k := 0; k < nnz; k++ {
 		v, err := nextInt()
 		if err != nil {
 			return nil, err
 		}
-		rowInd[k] = int32(v - 1)
+		rowInd = append(rowInd, int32(v-1))
 	}
-	vals := make([]float64, nnz)
-	if pattern {
-		for k := range vals {
-			vals[k] = 1
-		}
-	} else {
-		for k := 0; k < nnz; k++ {
-			v, err := nextFloat()
-			if err != nil {
+	vals := make([]float64, 0, len(rowInd))
+	for range rowInd {
+		v := 1.0
+		if !pattern {
+			if v, err = nextFloat(); err != nil {
 				return nil, err
 			}
-			vals[k] = v
 		}
+		vals = append(vals, v)
 	}
 	// RB symmetric files store the lower triangle; columns may be unsorted,
 	// so route through COO for canonicalization.

@@ -5,25 +5,31 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"sync"
 
+	"sympack/internal/core"
 	"sympack/internal/matrix"
 	"sympack/internal/metrics"
-	"sympack/internal/symbolic"
 )
+
+// hashChunk is the size of the one buffer patternHash and valueHash stream
+// a matrix's arrays through, little-endian, into SHA-256: the digest is
+// that of the arrays' bytes back to back, and a request's hashing allocates
+// a fixed amount whatever the matrix's size.
+const hashChunk = 4096
 
 // patternHash fingerprints the sparsity structure of a matrix — dimension,
 // column pointers and row indices, never values — so analyses are shared
 // across same-structure matrices (the PEXSI reuse pattern of paper §5.3).
 // The hex-truncated digest doubles as the client-visible pattern id.
 func patternHash(a *matrix.SparseSym) string {
-	h := sha256.New()
-	var dim [8]byte
-	binary.LittleEndian.PutUint64(dim[:], uint64(a.N))
-	h.Write(dim[:])
-	h.Write(int32Bytes(a.ColPtr))
-	h.Write(int32Bytes(a.RowInd))
+	h, buf := sha256.New(), make([]byte, hashChunk)
+	binary.LittleEndian.PutUint64(buf, uint64(a.N))
+	h.Write(buf[:8])
+	writeInt32s(h, buf, a.ColPtr)
+	writeInt32s(h, buf, a.RowInd)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -31,33 +37,35 @@ func patternHash(a *matrix.SparseSym) string {
 // pattern+values: two matrices with the same structure but different
 // entries must never share a cached factor.
 func valueHash(a *matrix.SparseSym) string {
-	h := sha256.New()
-	buf := make([]byte, 8*len(a.Val))
-	for i, v := range a.Val {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	h, buf := sha256.New(), make([]byte, hashChunk)
+	for v := a.Val; len(v) > 0; {
+		k := min(len(v), len(buf)/8)
+		for i, x := range v[:k] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+		}
+		h.Write(buf[:8*k])
+		v = v[k:]
 	}
-	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func int32Bytes(s []int32) []byte {
-	b := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+// writeInt32s writes s into h, little-endian, through buf.
+func writeInt32s(h hash.Hash, buf []byte, s []int32) {
+	for len(s) > 0 {
+		k := min(len(s), len(buf)/4)
+		for i, x := range s[:k] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+		}
+		h.Write(buf[:4*k])
+		s = s[k:]
 	}
-	return b
 }
 
-// analysisBytes estimates the retained size of a cached analysis (the
-// symbolic structure). It is a budget estimate, not an accounting
-// guarantee: the dominant arrays (row index lists, block tables) are
-// counted, fixed per-object overheads are not.
-func analysisBytes(st *symbolic.Structure) int64 {
-	b := int64(st.NnzL) * 4 // supernode row lists are int32
-	b += int64(len(st.Blocks)) * 32
-	b += int64(st.N) * 12 // perm, iperm, snof
-	return b
-}
+// analysisBytes estimates the retained size of a cached analysis, a plan:
+// its structure, task graph, assembly map and layout (core.Plan.Bytes). It
+// is a budget estimate, not an accounting guarantee: the dominant arrays
+// are counted, fixed per-object overheads are not.
+func analysisBytes(p *core.Plan) int64 { return p.Bytes() }
 
 // factorBytes estimates the retained size of a cached Factor: the dense
 // block storage dominates everything else.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sympack/internal/gen"
+	"sympack/internal/matrix"
 	"sympack/internal/metrics"
 )
 
@@ -122,5 +123,27 @@ func TestPatternAndValueHashes(t *testing.T) {
 	d := gen.Laplace2D(5, 6)
 	if patternHash(a) == patternHash(d) {
 		t.Fatal("different structures share a pattern hash")
+	}
+}
+
+// TestHashesPinned pins both digests of two fixed matrices: pattern ids and
+// factor ids are client-visible cache keys, so the bytes they hash must not
+// change with how they are streamed. Thermal2D 40²'s arrays (24 KB of
+// pattern, 36 KB of values) span several hashChunk buffers.
+func TestHashesPinned(t *testing.T) {
+	for _, c := range []struct {
+		a               *matrix.SparseSym
+		pattern, values string
+	}{
+		{gen.Thermal2D(40, 40, 3, 7), "92ad95c0629a3634", "4aec3f24a6daf5c8"},
+		{gen.Laplace2D(3, 3), "29370b3f2d9ee828", "68e33002350ee65b"},
+	} {
+		if p, v := patternHash(c.a), valueHash(c.a); p != c.pattern || v != c.values {
+			t.Errorf("n=%d: hashes %s/%s, want %s/%s", c.a.N, p, v, c.pattern, c.values)
+		}
+	}
+	a := gen.Thermal2D(40, 40, 3, 7)
+	if allocs := testing.AllocsPerRun(5, func() { patternHash(a); valueHash(a) }); allocs > 12 {
+		t.Errorf("hashing allocates %.0f objects, want a fixed handful", allocs)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sympack/internal/matrix"
 	"sympack/internal/metrics"
 	"sympack/internal/precond"
-	"sympack/internal/symbolic"
 )
 
 // StatusClientClosedRequest is the nginx-convention status for a request
@@ -327,31 +326,25 @@ func decode[T any](r *http.Request) (*T, *httpError) {
 	return &v, nil
 }
 
-// analysisFor returns the (cached or freshly computed) symbolic structure
-// for a's pattern, pinned — the caller must invoke the release — together
-// with a permuted by that structure's ordering. Only the structure is
-// cached: it depends on the pattern alone, while the permuted matrix carries
-// this request's values, so a hit permutes the posted matrix afresh.
-func (s *Server) analysisFor(ctx context.Context, a *matrix.SparseSym, ph string) (*symbolic.Structure, *matrix.SparseSym, func(), bool, *httpError) {
+// analysisFor returns the (cached or freshly computed) plan for a's
+// pattern, pinned — the caller must invoke the release. The plan depends on
+// the pattern alone, and a factorization reads the posted matrix's values
+// through its assembly map, so a hit serves any matrix of the pattern as
+// it is.
+func (s *Server) analysisFor(ctx context.Context, a *matrix.SparseSym, ph string) (*core.Plan, func(), bool, *httpError) {
 	key := "a:" + ph
 	s.thrashFor(ctx, key)
 	if v, rel, ok := s.cache.get(key); ok {
-		st := v.(*symbolic.Structure)
-		pa, err := a.Permute(st.Perm)
-		if err != nil {
-			rel()
-			return nil, nil, nil, false, &httpError{code: http.StatusInternalServerError, err: err}
-		}
-		return st, pa, rel, true, nil
+		return v.(*core.Plan), rel, true, nil
 	}
-	st, pa, err := s.analyzeFn(a, s.cfg.Solver)
+	p, err := s.analyzeFn(a, s.cfg.Solver)
 	if err != nil {
-		return nil, nil, nil, false, &httpError{code: http.StatusUnprocessableEntity, err: err}
+		return nil, nil, false, &httpError{code: http.StatusUnprocessableEntity, err: err}
 	}
-	// st and pa stay paired even when a concurrent miss cached its own
-	// (equal) structure first; the pin is on whichever copy the cache kept.
-	_, rel := s.cache.put(key, st, analysisBytes(st))
-	return st, pa, rel, false, nil
+	// When a concurrent miss cached its own plan of the pattern first, the
+	// pin is on that one, and this request factors with whichever it got.
+	v, rel := s.cache.put(key, p, analysisBytes(p))
+	return v.(*core.Plan), rel, false, nil
 }
 
 // handleAnalyze serves POST /v1/analyze.
@@ -370,11 +363,12 @@ func (s *Server) handleAnalyze(r *http.Request) (any, *httpError) {
 	}
 	defer done()
 	ph := patternHash(a)
-	st, _, rel, cached, herr := s.analysisFor(ctx, a, ph)
+	p, rel, cached, herr := s.analysisFor(ctx, a, ph)
 	if herr != nil {
 		return nil, herr
 	}
 	defer rel()
+	st := p.Structure()
 	return AnalyzeResponse{
 		Pattern:    ph,
 		Cached:     cached,
@@ -413,7 +407,7 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 		return FactorResponse{Factor: fid, Pattern: ph, Cached: true, NnzL: f.Stats.NnzL}, nil
 	}
 
-	st, pa, arel, _, herr := s.analysisFor(ctx, a, ph)
+	p, arel, _, herr := s.analysisFor(ctx, a, ph)
 	if herr != nil {
 		return nil, herr
 	}
@@ -436,7 +430,7 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	if !useGPU {
 		opt.GPUsPerNode = 0
 	}
-	f, err := s.factorWithRetry(ctx, st, pa, opt)
+	f, err := s.factorWithRetry(ctx, p, a, opt)
 	s.brk.result(err, probe)
 	if err != nil {
 		return nil, s.engineError(ctx, err)
@@ -466,10 +460,10 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 // bounded backoff. The engine already retries transient faults internally;
 // this outer loop is the second line of defense for runs that still
 // surface ErrTransient.
-func (s *Server) factorWithRetry(ctx context.Context, st *symbolic.Structure, pa *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
+func (s *Server) factorWithRetry(ctx context.Context, p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
 	backoff := 10 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		f, err := s.factorFn(st, pa, opt)
+		f, err := s.factorFn(p, a, opt)
 		if err == nil || attempt >= 2 || !errors.Is(err, core.ErrTransient) {
 			return f, err
 		}

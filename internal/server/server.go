@@ -26,7 +26,6 @@ import (
 	"sympack/internal/faults"
 	"sympack/internal/matrix"
 	"sympack/internal/metrics"
-	"sympack/internal/symbolic"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -107,9 +106,9 @@ type Server struct {
 
 	// factorFn is the engine seam; tests substitute failures and delays
 	// without building matrices that actually break devices.
-	factorFn func(st *symbolic.Structure, pa *matrix.SparseSym, opt core.Options) (*core.Factor, error)
+	factorFn func(p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error)
 	// analyzeFn is the symbolic seam.
-	analyzeFn func(a *matrix.SparseSym, opt core.Options) (*symbolic.Structure, *matrix.SparseSym, error)
+	analyzeFn func(a *matrix.SparseSym, opt core.Options) (*core.Plan, error)
 }
 
 // New builds a Server from cfg.
@@ -123,7 +122,7 @@ func New(cfg Config) *Server {
 		brk:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, met),
 		cache:     newCache(cfg.CacheBudget, met),
 		ring:      &latencyRing{},
-		factorFn:  core.FactorizeAnalyzed,
+		factorFn:  (*core.Plan).Factorize,
 		analyzeFn: core.Analyze,
 	}
 	if cfg.Chaos != nil && cfg.Chaos.Active() {

@@ -17,7 +17,6 @@ import (
 	"sympack/internal/gen"
 	"sympack/internal/matrix"
 	"sympack/internal/metrics"
-	"sympack/internal/symbolic"
 )
 
 // wire converts a matrix to its JSON form.
@@ -213,7 +212,7 @@ func newBlockingEngine(buffer int) *blockingEngine {
 	return &blockingEngine{gate: make(chan struct{}), started: make(chan struct{}, buffer)}
 }
 
-func (e *blockingEngine) factor(st *symbolic.Structure, pa *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
+func (e *blockingEngine) factor(p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
 	e.started <- struct{}{}
 	ctx := opt.Context
 	if ctx == nil {
@@ -221,7 +220,7 @@ func (e *blockingEngine) factor(st *symbolic.Structure, pa *matrix.SparseSym, op
 	}
 	select {
 	case <-e.gate:
-		return core.FactorizeAnalyzed(st, pa, opt)
+		return p.Factorize(a, opt)
 	case <-ctx.Done():
 		return nil, fmt.Errorf("%w: %v", core.ErrCanceled, ctx.Err())
 	}
@@ -417,14 +416,14 @@ func TestBreakerDegradesToCPUAndRecovers(t *testing.T) {
 	})
 	var mu sync.Mutex
 	devHealthy := false
-	s.factorFn = func(st *symbolic.Structure, pa *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
+	s.factorFn = func(p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
 		mu.Lock()
 		healthy := devHealthy
 		mu.Unlock()
 		if opt.GPUsPerNode > 0 && !healthy {
 			return nil, fmt.Errorf("device 0: %w", core.ErrDeviceFailed)
 		}
-		return core.FactorizeAnalyzed(st, pa, opt)
+		return p.Factorize(a, opt)
 	}
 	a := gen.Laplace2D(6, 6)
 	req := func(scale float64) (int, FactorResponse) {
@@ -585,4 +584,59 @@ func TestFactorOnAnalysisHitUsesPostedValues(t *testing.T) {
 		}
 		solveAgainst(t, s, a)
 	})
+}
+
+// TestRefactorOnAnalysisHitMatchesColdServer: a /v1/factor that hits the
+// analysis cache factors through the cached plan, and must return the
+// factor and the solution a fresh server's cold factor of the same matrix
+// returns, bit for bit.
+func TestRefactorOnAnalysisHitMatchesColdServer(t *testing.T) {
+	a := gen.Thermal2D(32, 32, 2, 4)
+	shifted, err := a.ShiftDiag(0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = float64(i%7) - 2.5
+	}
+	// factorSolve factors m on s and solves rhs against it, returning the
+	// served factor and the solution.
+	factorSolve := func(s *Server, m *matrix.SparseSym, wantHit bool) (*core.Factor, []float64) {
+		t.Helper()
+		hits := s.met.CacheHits.Value()
+		var fr FactorResponse
+		if code, _ := post(t, s.Addr(), "/v1/factor", FactorRequest{Matrix: wire(m)}, &fr); code != 200 || fr.Cached {
+			t.Fatalf("factor status %d, cached %v; want a fresh 200", code, fr.Cached)
+		}
+		if hit := s.met.CacheHits.Value() > hits; hit != wantHit {
+			t.Fatalf("analysis cache hit %v, want %v", hit, wantHit)
+		}
+		v, rel, ok := s.cache.get("f:" + fr.Factor)
+		if !ok {
+			t.Fatal("factor not cached")
+		}
+		defer rel()
+		var sr SolveResponse
+		if code, _ := post(t, s.Addr(), "/v1/solve", SolveRequest{Factor: fr.Factor, B: rhs}, &sr); code != 200 {
+			t.Fatalf("solve status %d", code)
+		}
+		return v.(*core.Factor), sr.X
+	}
+	warm := startServer(t, Config{})
+	factorSolve(warm, a, false)
+	refactor, xRefactor := factorSolve(warm, shifted, true)
+	cold, xCold := factorSolve(startServer(t, Config{}), shifted, false)
+	for bid := range cold.Data {
+		for i, v := range cold.Data[bid] {
+			if math.Float64bits(refactor.Data[bid][i]) != math.Float64bits(v) {
+				t.Fatalf("block %d entry %d: refactor %g, cold %g", bid, i, refactor.Data[bid][i], v)
+			}
+		}
+	}
+	for i := range xCold {
+		if math.Float64bits(xRefactor[i]) != math.Float64bits(xCold[i]) {
+			t.Fatalf("x[%d]: refactor %g, cold %g", i, xRefactor[i], xCold[i])
+		}
+	}
 }

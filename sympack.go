@@ -172,41 +172,40 @@ func Factorize(a *Matrix, opt Options) (*Factor, error) {
 	return core.Factorize(a, opt)
 }
 
-// Analysis is a reusable symbolic factorization: the ordering, supernode
-// partition and block structure of a matrix's sparsity pattern. Matrices
-// sharing a pattern (e.g. A − σI for varying σ, the PEXSI workload of
-// §5.3) can be factored repeatedly against one Analysis.
+// Analysis is a reusable analysis of a matrix's sparsity pattern: the
+// ordering, supernode partition and block structure, and the plan every
+// factorization of the pattern shares — task graph, block map, each rank's
+// initial state and the map from the matrix's entries into the factor.
+// Matrices sharing a pattern (e.g. A − σI for varying σ, the PEXSI
+// workload of §5.3) can be factored repeatedly against one Analysis,
+// concurrently too.
 type Analysis struct {
-	st  *symbolic.Structure
-	opt Options
+	plan *core.Plan
+	opt  Options
 }
 
 // Analyze runs the symbolic phase once for a matrix's sparsity pattern.
 func Analyze(a *Matrix, opt Options) (*Analysis, error) {
-	st, _, err := core.Analyze(a, opt)
+	p, err := core.Analyze(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{st: st, opt: opt}, nil
+	return &Analysis{plan: p, opt: opt}, nil
 }
 
 // NumSupernodes reports the supernode count of the analyzed structure.
-func (an *Analysis) NumSupernodes() int { return an.st.NumSupernodes() }
+func (an *Analysis) NumSupernodes() int { return an.plan.Structure().NumSupernodes() }
 
 // NnzFactor reports the factor's stored nonzeros (padding included).
-func (an *Analysis) NnzFactor() int64 { return an.st.NnzL }
+func (an *Analysis) NnzFactor() int64 { return an.plan.Structure().NnzL }
 
 // Flops reports the factorization's floating-point operation count.
-func (an *Analysis) Flops() int64 { return an.st.FactorFlop }
+func (an *Analysis) Flops() int64 { return an.plan.Structure().FactorFlop }
 
-// Factorize numerically factors a matrix with this analysis's pattern. The
-// matrix must have the same sparsity structure as the one analyzed.
+// Factorize numerically factors a matrix with this analysis's pattern. A
+// matrix whose pattern differs from the analysed one is an error.
 func (an *Analysis) Factorize(a *Matrix) (*Factor, error) {
-	pa, err := a.Permute(an.st.Perm)
-	if err != nil {
-		return nil, err
-	}
-	return core.FactorizeAnalyzed(an.st, pa, an.opt)
+	return an.plan.Factorize(a, an.opt)
 }
 
 // LoadFactor reads a factor previously written with Factor.Save, ready to

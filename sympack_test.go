@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -235,13 +236,23 @@ func TestFacadeTrace(t *testing.T) {
 // Analyze, then Analysis.Factorize of a shifted matrix on one rank with two
 // workers. Allocation counts are a deterministic function of the code and
 // the problem, so the budget is a hard gate, and it is one constant for
-// every size: a refactorization allocates what it sets up once (task graph,
-// runtime, engine arrays, lane buffers, slab, metrics, the factor), and
-// nothing per update. With an update-scratch pool that started cold every
+// every size: a refactorization allocates what it sets up once (runtime,
+// engine arrays, lane buffers, slab, metrics, the factor), and nothing per
+// update. With an update-scratch pool that started cold every
 // factorization it was 1.2k / 3.8k / 11.4k at n = 8 / 14 / 20.
+//
+// Bytes are gated too, in units of 8·nnz(L), the factor's own storage: the
+// plan holds the task graph and the assembly map, so a refactorization
+// builds neither, nor a permuted copy of the matrix. Rebuilding them made
+// it 5.84 / 2.70 / 1.99 units at n = 8 / 14 / 20; the plan makes it
+// 4.56 / 2.12 / 1.60.
 func TestRefactorAllocBudget(t *testing.T) {
 	const budget = 1000
-	for _, n := range []int{8, 14, 20} {
+	for _, c := range []struct {
+		n     int
+		bytes float64 // bound, in units of 8·nnz(L)
+	}{{8, 5.2}, {14, 2.4}, {20, 1.8}} {
+		n := c.n
 		a := Laplace3D(n, n, n)
 		an, err := Analyze(a, Options{Ranks: 1, Workers: 2})
 		if err != nil {
@@ -251,14 +262,24 @@ func TestRefactorAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
+		const runs = 3
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs := testing.AllocsPerRun(runs, func() {
 			if _, err := an.Factorize(sh); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("laplace3d n=%d: %.0f allocs per refactorization (budget %d)", n, allocs, budget)
+		runtime.ReadMemStats(&m1)
+		// AllocsPerRun makes one warm-up call besides the runs.
+		units := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) / (8 * float64(an.NnzFactor()))
+		t.Logf("laplace3d n=%d: %.0f allocs per refactorization (budget %d), %.2f × 8·nnz(L) bytes (bound %.2f)",
+			n, allocs, budget, units, c.bytes)
 		if allocs > budget {
 			t.Errorf("laplace3d n=%d: %.0f allocs per refactorization, budget %d", n, allocs, budget)
+		}
+		if units > c.bytes {
+			t.Errorf("laplace3d n=%d: %.2f × 8·nnz(L) bytes per refactorization, bound %.2f", n, units, c.bytes)
 		}
 	}
 }
