@@ -111,9 +111,7 @@ type Options struct {
 	// ErrCanceled. Checks happen at task-pull boundaries, so the latency
 	// from cancellation to return is one task execution — or, for a
 	// subtree task, one supernode of it (its kernels check the context
-	// between supernodes), and for an update that holds its target block's
-	// turn, that block's chain of deferred updates, which the turn holder
-	// computes one after another — not one job.
+	// between supernodes) — not one job.
 	// Nil means no externally imposed bound (the stall watchdog still
 	// applies). The context is consulted only during the call it
 	// configures: the returned Factor's Opt.Context is nil.

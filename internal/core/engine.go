@@ -73,20 +73,6 @@ type fetched struct {
 	ready   bool
 }
 
-// blockApply sequences update applications into one target block. Because
-// floating-point subtraction is not associative, contributions must land in
-// a canonical order — ascending update index, the block's
-// TaskGraph.UpdatesByTarget list — for the factor to be bit-identical across
-// worker counts, rank counts and formulations. An update popped out
-// of turn only marks itself in engine.arrived; the worker holding the turn
-// computes and scatters it when the cursor reaches it (see applyUpdate).
-type blockApply struct {
-	mu sync.Mutex
-	// next indexes the block's UpdatesByTarget list at the next update to
-	// apply; guarded by bs.mu.
-	next int32
-}
-
 // awaited is the re-request state of one item another rank produces:
 // exponential backoff between attempts, with at the earliest next attempt in
 // wall-clock nanoseconds (ticks proved useless as a clock: the idle loop's
@@ -109,15 +95,20 @@ type awaited struct {
 //   - arena, the trapezoids of the largest subtree task's supernodes, back
 //     to back (layout.trapOff), and diag, the view of a trapezoid's
 //     diagonal that runSubtree hands trsm;
-//   - the consumer-rank set announce fans a finished item out to.
+//   - the consumer-rank set announce fans a finished item out to;
+//   - next, when carried is set, the update or apply task the lane's last
+//     completion readied (passTurn), which its next pull takes ahead of the
+//     RTQ (take). Both are touched under e.mu.
 type laneScratch struct {
-	lane  int32 // index into engine.lanes, the trace lane
-	w     []float64
-	rpos  []int
-	arena []float64
-	diag  fetched
-	mark  []bool // by rank: already in ranks
-	ranks []int
+	lane    int32 // index into engine.lanes, the trace lane
+	w       []float64
+	rpos    []int
+	arena   []float64
+	diag    fetched
+	mark    []bool // by rank: already in ranks
+	ranks   []int
+	next    task
+	carried bool
 }
 
 // consumer adds a rank to the consumer set of the item about to be announced.
@@ -133,13 +124,12 @@ func (ls *laneScratch) consumer(rank int) {
 // Concurrency: a rank is `workers` goroutines pulling tasks from the RTQ.
 // The rank's own goroutine (factorLoop, lane 0) also owns upcxx.Progress,
 // inbox draining and the re-request protocol; the other workers-1 are
-// helpers (workerLoop) that only execute tasks. The mutex mu guards all
-// scheduler state: the RTQ, dependency counters, avail, inbox,
-// wanted/remote, produced and doneTasks. Numeric kernels run outside mu;
-// ordered application into target blocks is serialized per block by
-// blockApply, whose mutex guards only the cursor and the arrival marks: the
-// worker holding a block's turn computes and scatters with no lock held.
-// Lock order: blockApply.mu before engine.mu, never the reverse.
+// helpers (workerLoop) that only execute tasks. The mutex mu, the engine's
+// only lock, guards all scheduler state: the RTQ, dependency counters,
+// avail, inbox, wanted/remote, produced and doneTasks. Numeric kernels run
+// outside mu, and so do the scatters into a target block: the updates into
+// a block wait for each other in its canonical order (passTurn), so one
+// of them at a time writes it.
 type engine struct {
 	r *upcxx.Rank
 	// pl and lay are the shared, read-only plan and its layout for this
@@ -166,9 +156,9 @@ type engine struct {
 	cond    *sync.Cond
 	workers int  // goroutines executing tasks, the rank's own included
 	stopped bool // set when factorLoop returns; helpers exit; guarded by e.mu
-	// inflight counts tasks popped but not yet completed, so factorLoop can
-	// tell "helpers busy" from "rank starved" when deciding to suspect
-	// lost announcements. Guarded by e.mu.
+	// inflight counts tasks taken but not yet completed, a lane's next task
+	// (take) among them, so factorLoop can tell "helpers busy" from "rank
+	// starved" when deciding to suspect lost announcements. Guarded by e.mu.
 	inflight int
 
 	// owned is, per block id, the storage of the blocks this rank owns:
@@ -176,9 +166,11 @@ type engine struct {
 	owned [][]float64
 
 	// Dependency counters for tasks this rank owns, indexed by block id
-	// and update index respectively. Guarded by e.mu.
+	// and update index respectively, and under fan-in/fan-both those of
+	// the apply tasks, by update index. Guarded by e.mu.
 	depBlock  []int32
 	depUpdate []int32 // guarded by e.mu
+	depApply  []int32 // guarded by e.mu
 
 	// avail caches source data this rank can consume, by item id (blocks,
 	// then delivered contributions). Guarded by e.mu; an entry is frozen
@@ -187,14 +179,6 @@ type engine struct {
 	// produces starts out holding its slot of the receive slab (setup),
 	// which acquire's get fills.
 	avail []fetched
-
-	// blk holds the per-block ordered-apply state and arrived[ui] marks an
-	// update popped before its turn and not yet applied (guarded by the
-	// target's blk mutex). Together with the task graph's UpdatesByTarget
-	// lists they make the scatter-subtract order — and therefore the factor
-	// bits — independent of execution interleaving.
-	blk     []blockApply
-	arrived []bool
 
 	// lanes is each executor goroutine's private working memory, indexed
 	// by lane.
@@ -262,8 +246,6 @@ func newEngine(r *upcxx.Rank, p *Plan, lay *layout, a *matrix.SparseSym, opt *Op
 		depBlock:  make([]int32, len(st.Blocks)),
 		depUpdate: make([]int32, len(tg.Updates)),
 		avail:     make([]fetched, nItems),
-		blk:       make([]blockApply, len(st.Blocks)),
-		arrived:   make([]bool, len(tg.Updates)),
 		produced:  make([]bool, nItems),
 		wanted:    make([]bool, nItems),
 		workers:   max(opt.Workers, 1),
@@ -275,6 +257,9 @@ func newEngine(r *upcxx.Rank, p *Plan, lay *layout, a *matrix.SparseSym, opt *Op
 			mark:  make([]bool, m2d.P()),
 			ranks: make([]int, 0, m2d.P()),
 		}
+	}
+	if e.form.DeliversContributions() {
+		e.depApply = make([]int32, len(tg.Updates))
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.met = newCoreMetrics(metrics.NewRegistry())
@@ -296,22 +281,37 @@ func (e *engine) setup() {
 	e.mu.Lock()
 	e.subtrees = rl.subtrees
 	// Owned blocks live back to back in one slab of the shared segment;
-	// each block publishes a pointer to its own range.
+	// each block publishes a pointer to its own range. An update applied
+	// here waits for the update before it in its target's canonical order,
+	// unless it is the first (passTurn): a fan-out U task besides its
+	// source blocks, an apply task besides the delivered contribution.
+	deliver := e.form.DeliversContributions()
 	slab, off := e.r.NewArray(rl.slabLen), 0
 	for x, bid := range rl.blocks {
-		m, n := blockDims(st, &st.Blocks[bid])
+		b := &st.Blocks[bid]
+		m, n := blockDims(st, b)
 		g := slab.Slice(off, off+m*n)
 		off += m * n
 		e.owned[bid] = g.Data
 		e.dir[bid] = g
 		e.depBlock[bid] = rl.deps[x]
+		if deliver && !e.lay.folded[b.Snode] {
+			for i, ui := range e.tg.UpdatesByTarget[bid] {
+				e.depApply[ui] = 1 + int32(min(i, 1))
+			}
+		}
 	}
 	// An update computed elsewhere, or inside a subtree, keeps a zero
-	// counter, which is how acquire tells them apart.
+	// counter, which is how acquire tells them apart. One computed here
+	// waits for its one (SYRK) or two source blocks.
 	for _, ui := range rl.updates {
+		u := &e.tg.Updates[ui]
 		e.depUpdate[ui] = 2
-		if e.tg.Updates[ui].IsSyrk() {
+		if u.IsSyrk() {
 			e.depUpdate[ui] = 1
+		}
+		if !deliver && e.tg.UpdatesByTarget[u.Target][0] != ui {
+			e.depUpdate[ui]++
 		}
 	}
 	for _, item := range rl.wanted {
@@ -468,6 +468,21 @@ func (e *engine) push(kind taskKind, id int32) {
 	e.cond.Signal()
 }
 
+// take returns a lane's next task and puts it in flight: the update or apply
+// task the lane's last completion readied (passTurn), which is in flight
+// already, ahead of the RTQ, or else the RTQ's oldest. Callers hold e.mu.
+func (e *engine) take(ls *laneScratch) (task, bool) {
+	if ls.carried {
+		ls.carried = false
+		return ls.next, true
+	}
+	t, ok := e.pop()
+	if ok {
+		e.inflight++
+	}
+	return t, ok
+}
+
 // pop removes the oldest task from the RTQ, so tasks run in the order they
 // became ready; callers hold e.mu.
 func (e *engine) pop() (task, bool) {
@@ -505,9 +520,10 @@ func (e *engine) checkCanceled() bool {
 // the rank is starved — no ready task AND no helper mid-task — with source
 // blocks still outstanding it suspects lost announcements and runs the
 // re-request protocol, turning what used to be a silent deadlock into
-// recovery. Helpers (workerLoop, pool.go) share pop, execute and complete.
+// recovery. Helpers (workerLoop, pool.go) share take, execute and complete.
 func (e *engine) factorLoop() {
 	rt := e.r.Runtime()
+	ls := &e.lanes[0]
 	idle := 0
 	for {
 		if rt.ShouldAbort() {
@@ -523,16 +539,13 @@ func (e *engine) factorLoop() {
 			e.mu.Unlock()
 			return
 		}
-		t, ok := e.pop()
-		if ok {
-			e.inflight++
-		}
+		t, ok := e.take(ls)
 		starved := !ok && e.inflight == 0
 		e.mu.Unlock()
 		if ok {
 			idle = 0
-			e.execute(t, 0)
-			e.complete()
+			e.execute(t, ls)
+			e.complete(t, ls)
 			continue
 		}
 		if !starved {
@@ -709,7 +722,7 @@ func (e *engine) poll() {
 // fault-tolerant: a transfer whose retry budget ran out leaves the item in
 // the wanted set, where the re-request protocol triggers a fresh
 // announcement and a fresh fetch into the same slot. Callers hold e.mu; the
-// mutex release at the subsequent pop is the happens-before edge that lets
+// mutex release at the subsequent take is the happens-before edge that lets
 // workers read avail entries unlocked afterwards (acquire never rewrites a
 // ready entry).
 func (e *engine) acquire(item int32) {
@@ -773,12 +786,7 @@ func (e *engine) acquire(item int32) {
 	// dependency; a zero counter is an update computed on another rank
 	// (a local one still counts this very block).
 	for _, ui := range e.tg.UpdatesBySource[bid] {
-		if e.depUpdate[ui] == 0 {
-			continue
-		}
-		e.depUpdate[ui]--
-		e.met.depDecrements.Inc()
-		if e.depUpdate[ui] == 0 {
+		if e.depUpdate[ui] != 0 && e.retire(&e.depUpdate[ui]) {
 			e.push(taskUpdate, ui)
 		}
 	}
@@ -813,7 +821,9 @@ func (e *engine) acquireContribution(item int32) {
 		return
 	}
 	e.acquired(item)
-	e.push(taskApply, item-e.nBlocks)
+	if ui := item - e.nBlocks; e.retire(&e.depApply[ui]) {
+		e.push(taskApply, ui)
+	}
 }
 
 // hostOf returns the host copy of an available item (source block or
@@ -821,7 +831,7 @@ func (e *engine) acquireContribution(item int32) {
 // block was fetched device-direct. Concurrent workers consuming the same
 // item race to materialize; once serializes.
 func (e *engine) hostOf(item int32) []float64 {
-	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this task happens-after acquire published the entry (see acquire's doc)
+	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the take that scheduled this task happens-after acquire published the entry (see acquire's doc)
 	return e.host(&e.avail[item])
 }
 
@@ -838,18 +848,21 @@ func (e *engine) host(fc *fetched) []float64 {
 	return fc.host
 }
 
-// decBlockN retires n of a block's dependencies, readying its task at
-// zero; callers hold e.mu.
-func (e *engine) decBlockN(bid, n int32) {
-	e.depBlock[bid] -= n
-	e.met.depDecrements.Add(float64(n))
-	if e.depBlock[bid] == 0 {
+// retire takes one dependency off the counter c of a task, which is ready
+// when retire reports c at zero; callers hold e.mu.
+func (e *engine) retire(c *int32) bool {
+	*c--
+	e.met.depDecrements.Inc()
+	return *c == 0
+}
+
+// decBlock retires one dependency of a block, readying its task at zero;
+// callers hold e.mu.
+func (e *engine) decBlock(bid int32) {
+	if e.retire(&e.depBlock[bid]) {
 		e.push(taskFor(&e.st.Blocks[bid]), bid)
 	}
 }
-
-// decBlock retires one dependency of a block; callers hold e.mu.
-func (e *engine) decBlock(bid int32) { e.decBlockN(bid, 1) }
 
 func (e *engine) gpuEnabled() bool { return e.r.Device() != nil && !e.demoted.Load() }
 
@@ -896,29 +909,27 @@ var (
 	traceLabel = [...]string{taskDiag: "sn=%d", taskFactor: "blk=%d", taskUpdate: "upd=%d", taskApply: "upd=%d"}
 )
 
-// execute dispatches one ready task, recording it on the executing lane
-// when tracing is on — except fan-out updates and apply tasks, which
-// applyUpdate records as it applies them, and subtree tasks, which
-// runSubtree records kernel by kernel. Runs outside e.mu; the caller
-// accounts completion.
-func (e *engine) execute(t task, lane int32) {
+// execute runs one ready task on lane ls, recording it on the lane when
+// tracing is on — except a subtree task, which runSubtree records kernel by
+// kernel. A fan-out update computes its product into the lane's buffer and
+// scatters it into its target; an apply task scatters the delivered
+// contribution. Runs outside e.mu; the caller accounts completion.
+func (e *engine) execute(t task, ls *laneScratch) {
 	tr := e.opt.Trace
 	start := tr.Begin()
-	ls := &e.lanes[lane]
 	switch t.kind {
 	case taskDiag:
 		e.runDiag(t.id, ls)
 	case taskFactor:
 		e.runFactor(t.id, ls)
 	case taskUpdate:
-		if !e.form.DeliversContributions() {
-			e.applyUpdate(t.id, ls)
-			return
+		if e.form.DeliversContributions() {
+			e.runUpdate(t.id, ls)
+		} else {
+			e.scatterSub(t.id, e.computeUpdate(t.id, ls.w), ls.rpos)
 		}
-		e.runUpdate(t.id, ls)
 	case taskApply:
-		e.applyUpdate(t.id, ls)
-		return
+		e.scatterSub(t.id, e.hostOf(e.nBlocks+t.id), ls.rpos)
 	case taskSubtree:
 		e.runSubtree(t.id, ls)
 		return
@@ -927,7 +938,7 @@ func (e *engine) execute(t task, lane int32) {
 	if t.kind == taskDiag {
 		arg = e.st.Blocks[t.id].Snode
 	}
-	e.traceTask(lane, t.kind, start, arg)
+	e.traceTask(ls.lane, t.kind, start, arg)
 }
 
 // traceTask records the event of a task of the given kind that ran on lane
@@ -963,7 +974,7 @@ func (e *engine) traceFolded(lane int32, kind taskKind, start time.Duration, src
 // produced so the re-request protocol can serve consumers whose
 // notification the network lost. The producing worker's write to the item
 // data happens-before every consumer read: locally via e.mu (acquire under
-// the same lock the consuming pop takes), remotely via the consumer's
+// the same lock the consuming take holds), remotely via the consumer's
 // signal queue lock followed by its inbox drain under its mu.
 func (e *engine) announce(bid int32, ls *laneScratch) {
 	e.mu.Lock()
@@ -1023,7 +1034,7 @@ func (e *engine) factorPanel(bid int32) {
 	b := &e.st.Blocks[bid]
 	data := e.owned[bid]
 	m, n := blockDims(e.st, b)
-	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the pop that scheduled this TRSM happens-after acquire published the diagonal and its use count
+	//lint:ignore mutexguard an avail entry is frozen once ready (set under e.mu); the take that scheduled this TRSM happens-after acquire published the diagonal and its use count
 	fc := &e.avail[e.st.DiagBlock(b.Snode).ID]
 	e.trsm(m, n, fc, n, data, m)
 	// Only the supernode's TRSMs read its diagonal, so once the last local
@@ -1064,10 +1075,10 @@ func (e *engine) announceBlock(bid int32, ls *laneScratch) {
 // inside the subtree, and the trapezoid goes back to its blocks. Every
 // update into the subtree comes from inside it, and ascending sources land
 // each target element's contributions in ascending update index, the
-// canonical order of applyUpdate. The kernels accumulate each element over
-// the inner dimension one column at a time, and a TRSM's rows are
-// independent, so stacking rows moves no bit: the factor is that of the
-// D/F/U tasks the subtree stands for. When the loop is done, each block
+// canonical order of the update tasks (passTurn). The kernels accumulate
+// each element over the inner dimension one column at a time, and a TRSM's
+// rows are independent, so stacking rows moves no bit: the factor is that
+// of the D/F/U tasks the subtree stands for. When the loop is done, each block
 // in the columns of a supernode outside the subtree is announced as its F
 // task would have been: the updates leaving the subtree take their
 // formulation's ordinary path. The other blocks are not announced: every
@@ -1166,7 +1177,6 @@ func (e *engine) updatePair(k int32, b *symbolic.Block, ls *laneScratch) {
 // runUpdate executes U_{i,j,k} under the contribution-delivering
 // formulations: compute the product into a fresh buffer — published, it
 // stays alive for the rest of the run — and ship it to the target's owner.
-// Under fan-out execute sends the update to applyUpdate instead.
 func (e *engine) runUpdate(ui int32, ls *laneScratch) {
 	u := &e.tg.Updates[ui]
 	e.publishContribution(ui, e.computeUpdate(ui, make([]float64, contribLen(e.st, u))), ls)
@@ -1208,64 +1218,31 @@ func (e *engine) publishContribution(ui int32, w []float64, ls *laneScratch) {
 	e.announce(item, ls)
 }
 
-// applyUpdate runs a fan-out update task, or an apply task A_{i,j,k} under
-// fan-in/fan-both, in its target's canonical order (ascending update index:
-// the target's UpdatesByTarget list). An update popped out of turn only
-// marks itself arrived. The worker holding the turn applies it — the kernel
-// into the lane's buffer under fan-out, the delivered item otherwise, then
-// the scatter — and then every arrived successor, with no lock held: only
-// the turn holder touches the target's data, and an update arriving
-// meanwhile finds the cursor short of it and marks itself, both sides
-// deciding under bs.mu, so no arrival is missed. Apply tasks exist because
-// blockApply.mu is taken strictly before engine.mu, so acquire (which holds
-// e.mu) cannot apply inline. Because every contribution lands in the same
-// order whichever worker, rank or formulation produced it — and
-// floating-point subtraction is not associative — the factor is
-// bit-identical across all those dimensions.
-func (e *engine) applyUpdate(ui int32, ls *laneScratch) {
+// passTurn passes the turn of update ui's target block on once ui is
+// applied (complete): the next update in the block's canonical order —
+// ascending update index, its UpdatesByTarget list — loses the dependency
+// on its predecessor, or after the last update the block's D or F task
+// loses its one on the updates. Floating-point subtraction is not
+// associative, so it is this order, the same whichever worker, rank or
+// formulation produced each contribution, that makes the factor
+// bit-identical across all of them. A successor readied here, held back
+// only by its turn, becomes the lane's next task (take). Callers hold e.mu.
+func (e *engine) passTurn(ui int32, ls *laneScratch) {
 	bid := e.tg.Updates[ui].Target
 	turn := e.tg.UpdatesByTarget[bid]
-	bs := &e.blk[bid]
-	bs.mu.Lock()
-	if turn[bs.next] != ui {
-		e.arrived[ui] = true
-		bs.mu.Unlock()
-		e.met.updatesParked.Inc()
+	i, _ := slices.BinarySearch(turn, ui)
+	if i+1 == len(turn) {
+		e.decBlock(bid)
 		return
 	}
-	rt, tr := e.r.Runtime(), e.opt.Trace
-	deliver := e.form.DeliversContributions()
-	kind := taskUpdate
-	if deliver {
-		kind = taskApply
+	next, dep, kind := turn[i+1], e.depUpdate, taskUpdate
+	if e.form.DeliversContributions() {
+		dep, kind = e.depApply, taskApply
 	}
-	applied := int32(0)
-	for {
-		e.arrived[ui] = false
-		bs.mu.Unlock()
-		start := tr.Begin()
-		if deliver {
-			e.scatterSub(ui, e.hostOf(e.nBlocks+ui), ls.rpos)
-		} else {
-			e.scatterSub(ui, e.computeUpdate(ui, ls.w), ls.rpos)
-		}
-		e.traceTask(ls.lane, kind, start, ui)
-		bs.mu.Lock()
-		bs.next++
-		applied++
-		if int(bs.next) == len(turn) {
-			break
-		}
-		ui = turn[bs.next]
-		if !e.arrived[ui] || rt.ShouldAbort() {
-			break
-		}
+	if e.retire(&dep[next]) {
+		ls.next, ls.carried = task{kind: kind, id: next}, true
+		e.met.updatesParked.Inc()
 	}
-	bs.mu.Unlock()
-	// Lock order: blockApply.mu strictly before engine.mu.
-	e.mu.Lock()
-	e.decBlockN(bid, applied)
-	e.mu.Unlock()
 }
 
 // scatterSub subtracts one update's contribution w from its target block:
@@ -1273,9 +1250,8 @@ func (e *engine) applyUpdate(ui int32, ls *laneScratch) {
 // per A-block row, whose column is that row relative to the target
 // supernode's first column — from the diagonal down for a SYRK, whose w
 // holds only its lower triangle. rpos is the calling lane's row-position
-// buffer. Only the worker holding the target's turn in applyUpdate calls
-// it, with no lock held: the turn is what makes it the block's only
-// writer.
+// buffer. It runs with no lock held: the update holds its target's turn
+// (passTurn), which makes it the block's only writer.
 func (e *engine) scatterSub(ui int32, w []float64, rpos []int) {
 	st := e.st
 	u := &e.tg.Updates[ui]

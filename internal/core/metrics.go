@@ -101,7 +101,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 	m.depDecrements = reg.Counter("sympack_core_dep_decrements_total",
 		"dependency-counter decrements")
 	m.updatesParked = reg.Counter("sympack_core_updates_parked_total",
-		"update and apply tasks popped before their turn in the target block's order, left for the turn holder to apply")
+		"update and apply tasks held back by their turn in the target block's order: readied by the update before them")
 	m.reRequests = reg.Counter("sympack_core_rerequests_total",
 		"lost-signal re-requests issued")
 	m.backoffWaits = reg.Counter("sympack_core_backoff_waits_total",

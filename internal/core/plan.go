@@ -55,7 +55,7 @@ func (p *Plan) Bytes() int64 {
 	b += int64(st.N) * 12 // perm, snof, etree
 	b += int64(len(tg.Updates)) * int64(unsafe.Sizeof(symbolic.Update{}))
 	for bi := range tg.UpdatesBySource {
-		b += 4 * int64(len(tg.UpdatesBySource[bi])+len(tg.UpdatesByTarget[bi])+1)
+		b += 4 * int64(len(tg.UpdatesBySource[bi])+len(tg.UpdatesByTarget[bi]))
 	}
 	b += 4 * int64(len(p.asm.colPtr)+len(p.asm.pos)+len(p.asm.src))
 	return b + p.lay.bytes()
@@ -204,8 +204,10 @@ type rankLayout struct {
 	subtrees []symbolic.SubtreeRange // the subtree tasks, ascending
 	// blocks lists the owned blocks, ascending: their order in the rank's
 	// slab, slabLen elements long. deps[x] is blocks[x]'s initial D/F
-	// dependency count: updates targeting it, plus the diagonal for an
-	// off-diagonal block; 0 for a folded block, which has no task.
+	// dependency count: one for the updates targeting it, if any, which
+	// the last of them in their canonical order retires (passTurn), plus
+	// one for the diagonal for an off-diagonal block; 0 for a folded
+	// block, which has no task.
 	blocks  []int32
 	deps    []int32
 	slabLen int
@@ -266,7 +268,9 @@ func newLayout(st *symbolic.Structure, tg *symbolic.TaskGraph, opt Options) *lay
 		rl := &l.rank[owner[bi]]
 		dep := int32(0)
 		if !l.folded[b.Snode] {
-			dep = tg.InUpdates[bi]
+			if len(tg.UpdatesByTarget[bi]) > 0 {
+				dep = 1
+			}
 			if !b.IsDiag() {
 				dep++
 			}
@@ -334,8 +338,8 @@ func (l *layout) selectSubtrees(st *symbolic.Structure, r int) {
 // and under the 2D-cyclic map at several ranks next to nothing does. A
 // root of the tree never folds: a tree under the bound keeps its root's
 // tasks, so every factorization, however small, still runs its updates
-// into the root through the scheduler — dependency counters, out-of-turn
-// arrivals, helpers — at the cost of one supernode's tasks.
+// into the root through the scheduler — dependency counters, the chain of
+// updates into each block, helpers — at the cost of one supernode's tasks.
 func subtreeTasks(st *symbolic.Structure, m symbolic.BlockMap, rank int) []symbolic.SubtreeRange {
 	return st.BottomSubtrees(subtreeFlop, subtreeMin, func(k int32) bool {
 		if st.SnParent[k] == -1 {

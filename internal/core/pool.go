@@ -1,9 +1,10 @@
 // Intra-rank execution. A rank is Options.Workers goroutines: the rank's own
-// goroutine runs the Fig. 3 loop (factorLoop, engine.go) — poll, pop,
+// goroutine runs the Fig. 3 loop (factorLoop, engine.go) — poll, take,
 // execute — as executor lane 0 and as the rank's only caller of
 // upcxx.Progress, so RPC handlers, inbox draining, health mirroring and the
 // lost-signal re-request protocol are serialized on it; Workers-1 helper
-// goroutines (workerLoop) only pull ready tasks from the same RTQ.
+// goroutines (workerLoop) only take ready tasks: their own lane's next
+// task, else the same RTQ's oldest.
 // Workers == 1 is the same loop with no helpers.
 package core
 
@@ -53,19 +54,19 @@ func (e *engine) run() {
 // broadcast. Helpers never call upcxx.Progress.
 func (e *engine) workerLoop(lane int32) {
 	rt := e.r.Runtime()
+	ls := &e.lanes[lane]
 	e.mu.Lock()
 	for {
 		if e.stopped || e.doneTasks >= e.totalTasks || rt.ShouldAbort() {
 			e.mu.Unlock()
 			return
 		}
-		t, ok := e.pop()
+		t, ok := e.take(ls)
 		if !ok {
 			e.met.workerWaits.Inc()
 			e.cond.Wait()
 			continue
 		}
-		e.inflight++
 		e.mu.Unlock()
 
 		// Task-pull boundary: a canceled context stops the worker before
@@ -76,18 +77,26 @@ func (e *engine) workerLoop(lane int32) {
 			e.mu.Unlock()
 			return
 		}
-		e.execute(t, lane)
-		e.complete()
+		e.execute(t, ls)
+		e.complete(t, ls)
 		e.mu.Lock()
 	}
 }
 
-// complete accounts one executed task: it leaves the in-flight set, counts
-// toward the rank's share (the last one releases helpers parked on an empty
-// queue) and toward the job-wide watchdog counter.
-func (e *engine) complete() {
+// complete accounts one task that ran on lane ls: an applied update — a
+// fan-out U task or an apply task — passes its target's turn on
+// (passTurn), the task leaves the in-flight set unless that readied the
+// lane's next task, which takes its place, and it counts toward the rank's
+// share (the last one releases helpers parked on an empty queue) and
+// toward the job-wide watchdog counter.
+func (e *engine) complete(t task, ls *laneScratch) {
 	e.mu.Lock()
-	e.inflight--
+	if t.kind == taskApply || t.kind == taskUpdate && !e.form.DeliversContributions() {
+		e.passTurn(t.id, ls)
+	}
+	if !ls.carried {
+		e.inflight--
+	}
 	e.doneTasks++
 	if e.doneTasks >= e.totalTasks {
 		e.cond.Broadcast()

@@ -21,8 +21,9 @@ import (
 // TestRaceStressWorkerPool hammers the workers with the worst scheduler shape:
 // width-2 supernodes over a 3D Laplacian produce thousands of tiny tasks
 // whose updates fan into shared target blocks, so workers continuously
-// contend on the RTQ, the per-block apply locks and the dependency
-// counters while the rank goroutine's polling races them with RPC deliveries.
+// contend on the RTQ and the dependency counters, each update passing its
+// target's turn on to the next, while the rank goroutine's polling races
+// them with RPC deliveries.
 func TestRaceStressWorkerPool(t *testing.T) {
 	a := gen.Laplace3D(6, 6, 6)
 	sym := symbolic.DefaultOptions()
@@ -63,15 +64,17 @@ func TestRaceStressGPUAdmission(t *testing.T) {
 	}
 }
 
-// TestRaceStressDeferredApply hammers the ordered-apply drain: four workers
-// on one rank, where narrow supernodes make most updates pop out of turn, so
-// a pop that only marks its arrival races the worker holding the target's
-// turn, which computes and scatters that update later with no lock held.
-// Under fan-out the drained kernel runs into the drainer's lane buffer;
-// under fan-both the drain scatters delivered contributions; with a device
-// and thresholds of 1 every drained kernel goes through onDevice. The factor
-// must still match the single-worker bits. At 9³ the two halves below the
-// top separator run as subtree tasks and the separator's ≈ 30k tasks stay.
+// TestRaceStressDeferredApply hammers the chain of updates into each target
+// block: four workers on one rank, where narrow supernodes make most
+// updates wait for their turn after their sources are in, so the lane that
+// applies an update readies the next one into the same block and runs it
+// next, with no lock held, while other lanes ready, compute and apply
+// updates into other blocks. Under fan-out each kernel runs into the
+// applying lane's buffer; under fan-both the chain scatters delivered
+// contributions; with a device and thresholds of 1 every chained kernel
+// goes through onDevice. The factor must still match the single-worker
+// bits. At 9³ the two halves below the top separator run as subtree tasks
+// and the separator's ≈ 30k tasks stay.
 func TestRaceStressDeferredApply(t *testing.T) {
 	a := gen.Laplace3D(9, 9, 9)
 	sym := symbolic.DefaultOptions()
@@ -101,7 +104,7 @@ func TestRaceStressDeferredApply(t *testing.T) {
 					t.Fatal(err)
 				}
 				if parked := f.Metrics.Snapshot().Value("sympack_core_updates_parked_total"); parked == 0 {
-					t.Fatal("no update arrived out of turn: the drain path was not exercised")
+					t.Fatal("no update readied by its predecessor: the chain was not exercised")
 				}
 				if opt.GPUsPerNode > 0 && f.Stats.PerRank[0].GPU[machine.OpGemm] == 0 {
 					t.Fatal("no GEMM ran on the device")

@@ -194,34 +194,26 @@ func TestFactorizationTracing(t *testing.T) {
 		t.Fatal("no utilization data")
 	}
 
-	// An update's event covers its kernel, which runs at the update's turn
-	// in its target's canonical order — not at the pop, which may only mark
-	// the update arrived — or inside its subtree task. So at 1 × 1 every
-	// update is recorded exactly once and each target's U events come in
-	// ascending update index. At one rank the bottom subtrees run as subtree
-	// tasks; the problem is large enough (2.7 Mflop, 461 tasks) for the
-	// updates leaving them into the top separators to be popped out of turn.
+	// An update is applied by its own task — a U task under fan-out, an A
+	// task under fan-in/fan-both, whose U task computes it — which starts
+	// only once the update before it into the same target is applied
+	// (passTurn), or inside its subtree task. So at one worker or four
+	// every update is applied exactly once and each target's apply events
+	// come in ascending update index. At one rank the bottom subtrees run
+	// as subtree tasks; the problem is large enough (2.7 Mflop, 461 tasks)
+	// for updates leaving them into the top separators to be readied by
+	// their predecessor rather than by their sources.
 	base := Options{}.withDefaults()
 	st, pa, err := symbolic.Analyze(gen.Thermal2D(64, 64, 4, 2), base.Ordering, *base.Symbolic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tg := symbolic.BuildTaskGraph(st)
-	rec = trace.New()
-	f1, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 1, Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Even one worker pops updates out of turn in FIFO order, so this run
-	// also covers the deferred path: the turn holder computes them later.
-	if parked := f1.Metrics.Value("sympack_core_updates_parked_total"); parked == 0 {
-		t.Fatal("no update popped out of turn at 1 rank × 1 worker: the deferred apply path went unexercised")
-	}
 	// A subtree task records its kernels: a D and an F per supernode,
 	// labelled sn=k, and a U per (source, target) supernode pair, labelled
 	// sn=k->p, for each ancestor p inside the subtree. Every other task
 	// records one event.
-	subtrees := subtreeTasks(st, symbolic.NewBlockMap(f1.Opt.Mapping, 1, st), 0)
+	subtrees := subtreeTasks(st, symbolic.NewBlockMap(base.Mapping, 1, st), 0)
 	in := make([]int32, len(st.Snodes)) // by supernode: its subtree's root + 1, or 0
 	for _, s := range subtrees {
 		for k := s.First; k <= s.Root; k++ {
@@ -245,30 +237,64 @@ func TestFactorizationTracing(t *testing.T) {
 			}
 		}
 	}
+	updates := 0 // outside subtrees
 	for _, u := range tg.Updates {
 		if in[st.Blocks[u.Target].Snode] == 0 {
-			want++
+			updates++
 		}
 	}
-	if got := rec.Len(); got != want {
-		t.Fatalf("1 × 1: trace has %d events, want %d", got, want)
+	for _, form := range symbolic.Formulations() {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v-w%d", form, workers), func(t *testing.T) {
+				rec := trace.New()
+				f1, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: workers, Formulation: form, Trace: rec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Even one worker has updates whose sources are in before
+				// their turn comes, so this run covers the chain.
+				if form == FanOut && workers == 1 {
+					if parked := f1.Metrics.Value("sympack_core_updates_parked_total"); parked == 0 {
+						t.Fatal("no update readied by its predecessor at 1 rank × 1 worker: that path went unexercised")
+					}
+				}
+				checkApplyOrder(t, rec, st, tg, in, form, want, updates)
+			})
+		}
 	}
-	// Every update is recorded exactly once, by its own U event or by the
-	// pair event of its supernodes, and each target — a block for an
-	// update event, a supernode for a pair event — records them in
-	// ascending order: update index, or source supernode.
-	seen := make([]int, len(tg.Updates))
-	last := make([]int32, len(st.Blocks)) // by target block: last update index recorded + 1
-	pairs := map[[2]int32]int{}           // by (source, target) supernode: events recorded
+}
+
+// checkApplyOrder checks a one-rank trace of st's factorization under form,
+// in[k] being the root + 1 of supernode k's subtree task (0 outside one):
+// it holds blockEvents events of D, F and subtree tasks, and one event per
+// update outside the subtrees (of which there are updates), two under
+// fan-in/fan-both; every update is applied exactly once, by its own event
+// or by the pair event of its supernodes, and computed once by a U event
+// under fan-in/fan-both; and each target — a block for an apply event, a
+// supernode for a pair event — records them in ascending order: update
+// index, or source supernode.
+func checkApplyOrder(t *testing.T, rec *trace.Recorder, st *symbolic.Structure, tg *symbolic.TaskGraph, in []int32, form Formulation, blockEvents, updates int) {
+	t.Helper()
+	apply, want := "U", blockEvents+updates
+	if form.DeliversContributions() {
+		apply, want = "A", want+updates
+	}
+	if got := rec.Len(); got != want {
+		t.Fatalf("trace has %d events, want %d", got, want)
+	}
+	seen := make([]int, len(tg.Updates))     // by update: applies recorded
+	computed := make([]int, len(tg.Updates)) // by update: U events under fan-in/fan-both
+	last := make([]int32, len(st.Blocks))    // by target block: last update index applied + 1
+	pairs := map[[2]int32]int{}              // by (source, target) supernode: events recorded
 	lastSrc := make([]int32, len(st.Snodes))
 	for _, ev := range rec.Events() {
-		if ev.Kind != "U" {
+		if ev.Kind != "U" && ev.Kind != "A" {
 			continue
 		}
 		var src, tgt int32
 		if _, err := fmt.Sscanf(ev.Detail, "sn=%d->%d", &src, &tgt); err == nil {
-			if in[src] == 0 || in[tgt] != in[src] || tgt <= src {
-				t.Fatalf("pair event %q outside a subtree", ev.Detail)
+			if ev.Kind != "U" || in[src] == 0 || in[tgt] != in[src] || tgt <= src {
+				t.Fatalf("pair event %s %q outside a subtree", ev.Kind, ev.Detail)
 			}
 			if src < lastSrc[tgt] {
 				t.Fatalf("target supernode %d: source %d recorded after source %d", tgt, src, lastSrc[tgt]-1)
@@ -279,21 +305,28 @@ func TestFactorizationTracing(t *testing.T) {
 		}
 		var ui int32
 		if _, err := fmt.Sscanf(ev.Detail, "upd=%d", &ui); err != nil {
-			t.Fatalf("U event detail %q: %v", ev.Detail, err)
+			t.Fatalf("%s event detail %q: %v", ev.Kind, ev.Detail, err)
+		}
+		if ev.Kind != apply {
+			computed[ui]++
+			continue
 		}
 		seen[ui]++
 		bt := tg.Updates[ui].Target
 		if ui < last[bt] {
-			t.Fatalf("target %d: update %d recorded after update %d", bt, ui, last[bt]-1)
+			t.Fatalf("target %d: update %d applied after update %d", bt, ui, last[bt]-1)
 		}
 		last[bt] = ui + 1
 	}
 	for ui, u := range tg.Updates {
-		if tsn := st.Blocks[u.Target].Snode; in[tsn] != 0 {
+		tsn := st.Blocks[u.Target].Snode
+		if in[tsn] != 0 {
 			seen[ui] += pairs[[2]int32{u.SrcSn, tsn}]
+		} else if form.DeliversContributions() && computed[ui] != 1 {
+			t.Fatalf("update %d computed %d times, want once", ui, computed[ui])
 		}
 		if seen[ui] != 1 {
-			t.Fatalf("update %d recorded %d times, want once", ui, seen[ui])
+			t.Fatalf("update %d applied %d times, want once", ui, seen[ui])
 		}
 	}
 }

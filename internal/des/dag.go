@@ -75,7 +75,7 @@ func buildSymPACKFactorDAG(st *symbolic.Structure, tg *symbolic.TaskGraph, cfg *
 		t := &tasks[k]
 		t.owner = owner
 		t.device = -1
-		t.indeg = tg.InUpdates[diag.ID]
+		t.indeg = int32(len(tg.UpdatesByTarget[diag.ID]))
 		if offload(machine.OpPotrf, nc*nc) {
 			t.device = deviceOf(cfg, int(owner))
 			t.cost = m.GPUTime(fl) + 2*m.HostDeviceCopyTime(bytesOf(nc, nc))
@@ -98,7 +98,7 @@ func buildSymPACKFactorDAG(st *symbolic.Structure, tg *symbolic.TaskGraph, cfg *
 		t := &tasks[id]
 		t.owner = owner
 		t.device = -1
-		t.indeg = tg.InUpdates[b.ID] + 1
+		t.indeg = int32(len(tg.UpdatesByTarget[b.ID])) + 1
 		fl := machine.KernelFlops(machine.OpTrsm, mRows, nc, 0)
 		diagEdgePath := simnet.PathHostHost
 		if offload(machine.OpTrsm, mRows*nc) {

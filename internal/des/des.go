@@ -157,9 +157,9 @@ type sched struct {
 	// (bottom level, descending). When a rank picks work it drains waitQ
 	// entries whose ready time has passed into runQ and takes the highest
 	// priority — standard list scheduling.
-	waitQs  []taskHeap
-	runQs   []prioHeap
-	cand    candHeap
+	waitQs  []queue[readyEntry]
+	runQs   []queue[prioEntry]
+	cand    queue[candEntry]
 	candVer []int64 // stale-entry invalidation: only the latest per rank counts
 	bytes   int64
 }
@@ -173,8 +173,8 @@ func newSched(tasks []simTask, net *simnet.Network, ranks, rpn, devices int) *sc
 		rpn:     rpn,
 		rankAt:  make([]float64, ranks),
 		devAt:   make([]float64, max(devices, 1)),
-		waitQs:  make([]taskHeap, ranks),
-		runQs:   make([]prioHeap, ranks),
+		waitQs:  make([]queue[readyEntry], ranks),
+		runQs:   make([]queue[prioEntry], ranks),
 		candVer: make([]int64, ranks),
 	}
 	for i := range tasks {
@@ -195,7 +195,7 @@ func (s *sched) enqueue(t int32) {
 // rank's wait queue into its priority run queue.
 func (s *sched) drain(rank int32, now float64) {
 	wq := &s.waitQs[rank]
-	for wq.Len() > 0 && (*wq)[0].ready <= now {
+	for wq.Len() > 0 && wq.items[0].ready <= now {
 		re := heap.Pop(wq).(readyEntry)
 		heap.Push(&s.runQs[rank], prioEntry{prio: s.tasks[re.task].prio, task: re.task})
 	}
@@ -208,7 +208,7 @@ func (s *sched) nextStart(rank int32) (float64, bool) {
 		return s.rankAt[rank], true
 	}
 	if s.waitQs[rank].Len() > 0 {
-		return s.waitQs[rank][0].ready, true
+		return s.waitQs[rank].items[0].ready, true
 	}
 	return 0, false
 }
@@ -274,46 +274,47 @@ func (s *sched) run() float64 {
 	return makespan
 }
 
+// queue is a binary heap under container/heap whose top, items[0], is an
+// entry no other comes before in E's order.
+type queue[E interface{ before(E) bool }] struct {
+	items []E
+}
+
+func (q *queue[E]) Len() int           { return len(q.items) }
+func (q *queue[E]) Less(i, j int) bool { return q.items[i].before(q.items[j]) }
+func (q *queue[E]) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
+func (q *queue[E]) Push(x any)         { q.items = append(q.items, x.(E)) }
+func (q *queue[E]) Pop() any {
+	n := len(q.items) - 1
+	x := q.items[n]
+	q.items = q.items[:n]
+	return x
+}
+
+// readyEntry orders a wait queue by ready time.
 type readyEntry struct {
 	ready float64
 	task  int32
 }
 
-type taskHeap []readyEntry
+func (a readyEntry) before(b readyEntry) bool { return a.ready < b.ready }
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return h[i].ready < h[j].ready }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(readyEntry)) }
-func (h *taskHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
+// prioEntry orders a run queue by bottom-level priority, highest first.
 type prioEntry struct {
 	prio float64
 	task int32
 }
 
-// prioHeap is a max-heap on bottom-level priority.
-type prioHeap []prioEntry
+func (a prioEntry) before(b prioEntry) bool { return a.prio > b.prio }
 
-func (h prioHeap) Len() int           { return len(h) }
-func (h prioHeap) Less(i, j int) bool { return h[i].prio > h[j].prio }
-func (h prioHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap) Push(x any)        { *h = append(*h, x.(prioEntry)) }
-func (h *prioHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
+// candEntry orders the candidate queue by start time.
 type candEntry struct {
 	start float64
 	rank  int32
 	ver   int64
 }
 
-type candHeap []candEntry
-
-func (h candHeap) Len() int           { return len(h) }
-func (h candHeap) Less(i, j int) bool { return h[i].start < h[j].start }
-func (h candHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)        { *h = append(*h, x.(candEntry)) }
-func (h *candHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (a candEntry) before(b candEntry) bool { return a.start < b.start }
 
 // ------------------------------------------------------------ Simulate ----
 

@@ -5,14 +5,7 @@
 // it encodes all column dependencies of the factorization.
 package etree
 
-import (
-	"errors"
-
-	"sympack/internal/matrix"
-)
-
-// ErrNotPostordered is returned by functions requiring a postordered tree.
-var ErrNotPostordered = errors.New("etree: tree is not postordered")
+import "sympack/internal/matrix"
 
 // Tree holds an elimination tree as a parent array: Parent[j] is the parent
 // column of j, or -1 for roots.
@@ -120,17 +113,6 @@ func (t *Tree) ChildLists() (first, next []int32) {
 	return first, next
 }
 
-// Roots returns the tree roots (one per connected component).
-func (t *Tree) Roots() []int32 {
-	var r []int32
-	for j, p := range t.Parent {
-		if p == -1 {
-			r = append(r, int32(j))
-		}
-	}
-	return r
-}
-
 // Postorder returns a postorder permutation (new-to-old): vertices are
 // renumbered so every child precedes its parent and each subtree is a
 // contiguous index range. Children are visited in ascending original order,
@@ -188,67 +170,4 @@ func (t *Tree) Permute(perm []int32) *Tree {
 		}
 	}
 	return &Tree{Parent: np}
-}
-
-// Level returns each vertex's depth from its root (root = 0).
-func (t *Tree) Level() []int32 {
-	n := t.N()
-	lvl := make([]int32, n)
-	for i := range lvl {
-		lvl[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		// Iterative path walk to avoid deep recursion on path-shaped
-		// trees: collect unlabeled ancestors, then assign downward.
-		if lvl[v] >= 0 {
-			continue
-		}
-		path := []int32{}
-		u := int32(v)
-		for u != -1 && lvl[u] < 0 {
-			path = append(path, u)
-			u = t.Parent[u]
-		}
-		base := int32(-1)
-		if u != -1 {
-			base = lvl[u]
-		}
-		for i := len(path) - 1; i >= 0; i-- {
-			base++
-			lvl[path[i]] = base
-		}
-	}
-	return lvl
-}
-
-// Height returns 1 + the maximum level (the length of the longest
-// root-to-leaf path), a proxy for the critical path of the factorization.
-func (t *Tree) Height() int {
-	h := int32(0)
-	for _, l := range t.Level() {
-		if l > h {
-			h = l
-		}
-	}
-	return int(h + 1)
-}
-
-// FirstDescendants returns, for a postordered tree, the smallest vertex in
-// each subtree. Returns ErrNotPostordered when the precondition fails.
-func (t *Tree) FirstDescendants() ([]int32, error) {
-	if !t.IsPostordered() {
-		return nil, ErrNotPostordered
-	}
-	n := t.N()
-	fd := make([]int32, n)
-	for j := 0; j < n; j++ {
-		fd[j] = int32(j)
-	}
-	for j := 0; j < n; j++ {
-		p := t.Parent[j]
-		if p != -1 && fd[j] < fd[p] {
-			fd[p] = fd[j]
-		}
-	}
-	return fd, nil
 }

@@ -163,24 +163,6 @@ func TestChildrenAndRoots(t *testing.T) {
 	if len(ch[4]) != 2 || ch[4][0] != 2 || ch[4][1] != 3 {
 		t.Fatalf("children(4) = %v", ch[4])
 	}
-	roots := tr.Roots()
-	if len(roots) != 2 || roots[0] != 4 || roots[1] != 5 {
-		t.Fatalf("roots = %v", roots)
-	}
-}
-
-func TestLevelAndHeight(t *testing.T) {
-	tr := &Tree{Parent: []int32{1, 2, -1, 2}}
-	lvl := tr.Level()
-	want := []int32{2, 1, 0, 1}
-	for i := range want {
-		if lvl[i] != want[i] {
-			t.Fatalf("level[%d] = %d, want %d", i, lvl[i], want[i])
-		}
-	}
-	if tr.Height() != 3 {
-		t.Fatalf("height = %d, want 3", tr.Height())
-	}
 }
 
 func TestLevelDeepPath(t *testing.T) {
@@ -192,31 +174,9 @@ func TestLevelDeepPath(t *testing.T) {
 	}
 	parent[n-1] = -1
 	tr := &Tree{Parent: parent}
-	lvl := tr.Level()
-	if lvl[0] != int32(n-1) || lvl[n-1] != 0 {
-		t.Fatalf("path levels wrong: %d %d", lvl[0], lvl[n-1])
-	}
 	post := tr.Postorder()
 	if len(post) != n || post[0] != 0 {
 		t.Fatal("path postorder wrong")
-	}
-}
-
-func TestFirstDescendants(t *testing.T) {
-	tr := &Tree{Parent: []int32{2, 2, 4, 4, -1}}
-	fd, err := tr.FirstDescendants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{0, 1, 0, 3, 0}
-	for i := range want {
-		if fd[i] != want[i] {
-			t.Fatalf("fd[%d] = %d, want %d", i, fd[i], want[i])
-		}
-	}
-	bad := &Tree{Parent: []int32{-1, 0}}
-	if _, err := bad.FirstDescendants(); err == nil {
-		t.Fatal("expected ErrNotPostordered")
 	}
 }
 

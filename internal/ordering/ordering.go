@@ -110,15 +110,6 @@ func Validate(perm []int32, n int) error {
 	return nil
 }
 
-// Inverse returns the old-to-new inverse of a new-to-old permutation.
-func Inverse(perm []int32) []int32 {
-	inv := make([]int32, len(perm))
-	for k, v := range perm {
-		inv[v] = int32(k)
-	}
-	return inv
-}
-
 // ---------------------------------------------------------------- RCM ----
 
 func rcm(g *graph.Graph) []int32 {

@@ -165,16 +165,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	perm := []int32{2, 0, 3, 1}
-	inv := Inverse(perm)
-	for k, old := range perm {
-		if inv[old] != int32(k) {
-			t.Fatalf("Inverse wrong at %d", k)
-		}
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	if err := Validate([]int32{0, 1}, 3); err == nil {
 		t.Fatal("length")

@@ -215,13 +215,13 @@ func TestTaskGraphDependencyAccounting(t *testing.T) {
 				t.Fatalf("%s: update %d syrk/diag mismatch", name, ui)
 			}
 		}
-		// InUpdates sums match the update count.
+		// The UpdatesByTarget lists' lengths sum to the update count.
 		var sum int64
-		for _, c := range tg.InUpdates {
-			sum += int64(c)
+		for _, l := range tg.UpdatesByTarget {
+			sum += int64(len(l))
 		}
 		if sum != int64(len(tg.Updates)) {
-			t.Fatalf("%s: InUpdates sum %d != updates %d", name, sum, len(tg.Updates))
+			t.Fatalf("%s: UpdatesByTarget lengths sum %d != updates %d", name, sum, len(tg.Updates))
 		}
 		// UpdatesBySource covers each update once per distinct source.
 		var srcRefs int64

@@ -26,9 +26,9 @@ type Update struct {
 // diagonal block (the two source blocks coincide).
 func (u *Update) IsSyrk() bool { return u.BlkA == u.BlkB }
 
-// TaskGraph materializes every update task plus per-block dependency
-// counts, shared by the real runtime (internal/core) and the performance
-// model (internal/des).
+// TaskGraph materializes every update task and, per block, the updates
+// reading it and the updates into it, shared by the real runtime
+// (internal/core) and the performance model (internal/des).
 type TaskGraph struct {
 	St      *Structure
 	Updates []Update
@@ -41,13 +41,9 @@ type TaskGraph struct {
 
 	// UpdatesByTarget[b] lists, ascending, the indices into Updates whose
 	// Target is block b: the canonical order in which the engine applies
-	// contributions to b. len(UpdatesByTarget[b]) == InUpdates[b].
+	// contributions to b. D (for a diagonal block) and F (for an
+	// off-diagonal one, besides its D) wait for all of them.
 	UpdatesByTarget [][]int32
-
-	// InUpdates[b] is the number of update tasks targeting block b — the
-	// initial dependency count of D (for diagonal blocks) and of F beyond
-	// its D dependency (for off-diagonal blocks).
-	InUpdates []int32
 }
 
 // BuildTaskGraph enumerates all update tasks: for every supernode j and
@@ -70,9 +66,9 @@ func BuildTaskGraph(st *Structure) *TaskGraph {
 		Updates:         make([]Update, 0, pairs),
 		UpdatesBySource: make([][]int32, nb),
 		UpdatesByTarget: make([][]int32, nb),
-		InUpdates:       make([]int32, nb),
 	}
 	bySource := make([]int32, nb) // per-block count of consuming updates
+	byTarget := make([]int32, nb) // per-block count of targeting updates
 	refs := 0
 	for j := range st.Snodes {
 		blks := st.SnodeBlocks(int32(j))[1:] // off-diagonal blocks only
@@ -100,7 +96,7 @@ func BuildTaskGraph(st *Structure) *TaskGraph {
 					bySource[b.ID]++
 					refs++
 				}
-				tg.InUpdates[target]++
+				byTarget[target]++
 			}
 		}
 	}
@@ -109,7 +105,7 @@ func BuildTaskGraph(st *Structure) *TaskGraph {
 	backing := make([]int32, refs+len(tg.Updates))
 	src, tgt := backing[:refs], backing[refs:]
 	for b := 0; b < nb; b++ {
-		ns, nt := bySource[b], tg.InUpdates[b]
+		ns, nt := bySource[b], byTarget[b]
 		tg.UpdatesBySource[b], src = src[:0:ns], src[ns:]
 		tg.UpdatesByTarget[b], tgt = tgt[:0:nt], tgt[nt:]
 	}

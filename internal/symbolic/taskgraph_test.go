@@ -120,14 +120,14 @@ func TestTaskGraphCountsPerFormulation(t *testing.T) {
 				}
 			}
 
-			// Dependency bookkeeping: InUpdates is the per-target incoming
-			// update census, so it must sum to the update count.
+			// Dependency bookkeeping: UpdatesByTarget is the per-target
+			// incoming update census, so its lengths sum to the update count.
 			var inSum int
-			for _, v := range tg.InUpdates {
-				inSum += int(v)
+			for _, l := range tg.UpdatesByTarget {
+				inSum += len(l)
 			}
 			if inSum != tc.updates {
-				t.Fatalf("sum(InUpdates) = %d, want %d", inSum, tc.updates)
+				t.Fatalf("sum of UpdatesByTarget lengths = %d, want %d", inSum, tc.updates)
 			}
 		})
 	}
@@ -211,9 +211,9 @@ func TestTaskGraphUpdatesBySource(t *testing.T) {
 }
 
 // TestTaskGraphUpdatesByTarget checks the canonical apply order: each
-// block's list holds exactly the updates targeting it, ascending, with the
-// InUpdates count — for exact and incomplete (IC) structures alike, where
-// the update count is below the pair count the lists are carved for.
+// block's list holds exactly the updates targeting it, ascending — for
+// exact and incomplete (IC) structures alike, where the update count is
+// below the pair count the lists are carved for.
 func TestTaskGraphUpdatesByTarget(t *testing.T) {
 	a := gen.Laplace2D(7, 6)
 	exact, _, err := Analyze(a, ordering.NestedDissection, Options{MaxSupernodeSize: 2})
@@ -231,9 +231,6 @@ func TestTaskGraphUpdatesByTarget(t *testing.T) {
 		}
 		listed := 0
 		for b, l := range tg.UpdatesByTarget {
-			if len(l) != int(tg.InUpdates[b]) {
-				t.Fatalf("%s: block %d lists %d updates, InUpdates says %d", name, b, len(l), tg.InUpdates[b])
-			}
 			for i, ui := range l {
 				if tg.Updates[ui].Target != int32(b) {
 					t.Fatalf("%s: update %d listed under block %d, targets %d", name, ui, b, tg.Updates[ui].Target)
