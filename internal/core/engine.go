@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -73,14 +72,13 @@ type fetched struct {
 	ready   bool
 }
 
-// awaited is the re-request state of one item another rank produces:
-// exponential backoff between attempts, with at the earliest next attempt in
-// wall-clock nanoseconds (ticks proved useless as a clock: the idle loop's
-// short sleeps stretch to OS-timer granularity, freezing tick-based timers).
+// awaited is the re-request state of one item another rank produces: the
+// re-requests sent for it, and the quiescent rounds to skip before the next
+// one. The backoff is exponential in rounds, capped at 64 (reRequestLost).
 type awaited struct {
 	item  int32
 	count int32
-	at    int64
+	skip  int32
 }
 
 // laneScratch is the reusable working memory of one executor goroutine
@@ -517,9 +515,10 @@ func (e *engine) checkCanceled() bool {
 // factorLoop is the scheduling loop of paper Fig. 3, run by the rank's own
 // goroutine (executor lane 0): poll for incoming notifications, then run a
 // ready task; repeat until all local tasks are done or the job aborts. When
-// the rank is starved — no ready task AND no helper mid-task — with source
-// blocks still outstanding it suspects lost announcements and runs the
-// re-request protocol, turning what used to be a silent deadlock into
+// the rank is starved — no ready task AND no helper mid-task, with the
+// inbox drained — it marks itself idle, and if the whole job is then
+// quiescent, nothing can move unless a signal was lost: it runs the
+// re-request protocol, turning what would be a silent deadlock into
 // recovery. Helpers (workerLoop, pool.go) share take, execute and complete.
 func (e *engine) factorLoop() {
 	rt := e.r.Runtime()
@@ -532,7 +531,9 @@ func (e *engine) factorLoop() {
 		if e.checkCanceled() {
 			return
 		}
-		e.poll()
+		if e.poll() > 0 {
+			idle = 0
+		}
 		e.mu.Lock()
 		e.mirrorHealth()
 		if e.doneTasks >= e.totalTasks {
@@ -554,7 +555,8 @@ func (e *engine) factorLoop() {
 			continue
 		}
 		idle++
-		if idle > 256 && idle%64 == 0 {
+		e.r.Idle()
+		if rt.Quiescent() {
 			e.mu.Lock()
 			e.reRequestLost()
 			e.mu.Unlock()
@@ -598,7 +600,10 @@ func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
 		if e.checkCanceled() {
 			return
 		}
-		e.r.Progress()
+		if e.r.Progress() > 0 {
+			idle = 0
+		}
+		e.r.Idle()
 		idle++
 		idleWait(idle)
 	}
@@ -606,16 +611,16 @@ func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
 
 // reRequestLost asks the producers of still-awaited remote items — source
 // blocks, and contribution items under fan-in/fan-both — to re-announce
-// anything they have already produced. A producer that has not produced
-// the item yet ignores the request (the real announcement will come); one
-// whose announcement was dropped re-signals, and the consumer's normal
-// poll path takes it from there. Per-item exponential backoff keeps the
-// recovery traffic bounded, and the request/redeliver signals are
-// themselves subject to injection — the protocol only assumes the network
-// delivers eventually, not reliably.
+// anything they have already produced (msgReRequest). A producer that has
+// not produced the item yet ignores the request (the real announcement will
+// come); one whose announcement was dropped re-signals, and the consumer's
+// normal poll path takes it from there. Each call is one quiescent round:
+// an item sits out 2^min(n-1,6) - 1 rounds after its n-th re-request, which
+// bounds the traffic when recovery signals are lost too — the protocol only
+// assumes the network delivers eventually. A failed fetch leaves its item
+// wanted, for a later round. Callers hold e.mu (wanted/remote are
+// scheduler state).
 func (e *engine) reRequestLost() {
-	// Callers hold e.mu (wanted/remote are scheduler state).
-	now := machine.WallNow().UnixNano()
 	// e.remote ascends by item id: the recovery signals race the normal
 	// announcement path, so their order must be a function of the items,
 	// not of when each was first awaited.
@@ -624,26 +629,21 @@ func (e *engine) reRequestLost() {
 		if !e.wanted[w.item] {
 			continue // acquired since the last sweep
 		}
-		if now >= w.at {
-			w.at = now + int64(4*time.Millisecond)<<min(w.count, 6)
+		if w.skip > 0 {
+			w.skip--
+		} else {
+			w.skip = 1<<min(w.count, 6) - 1
 			w.count++
-			e.reRequest(w.item)
+			owner := e.lay.producer(e.st, e.tg, w.item)
+			e.met.reRequests.Inc()
+			if tr := e.opt.Trace; tr != nil {
+				tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", w.item, owner))
+			}
+			e.r.Signal(owner, upcxx.Msg{Kind: msgReRequest, ID: w.item})
 		}
 		kept = append(kept, w)
 	}
 	e.remote = kept
-}
-
-// reRequest asks an item's producer to re-announce it if already produced
-// (msgReRequest); callers hold e.mu.
-func (e *engine) reRequest(b int32) {
-	owner := e.lay.producer(e.st, e.tg, b)
-	e.met.reRequests.Inc()
-	e.r.Runtime().CountReRequest()
-	if tr := e.opt.Trace; tr != nil {
-		tr.End(int32(e.r.ID), "fault:re-request", tr.Begin(), fmt.Sprintf("item=%d owner=%d", b, owner))
-	}
-	e.r.Signal(owner, upcxx.Msg{Kind: msgReRequest, ID: b})
 }
 
 // The kinds of upcxx.Msg. The factorization's handler (engine.handle)
@@ -680,15 +680,6 @@ func (e *engine) handle(m upcxx.Msg) {
 	}
 }
 
-// retryNow clears a remote item's re-request backoff after a failed fetch,
-// so the next idle sweep asks for a fresh announcement; callers hold e.mu.
-func (e *engine) retryNow(item int32) {
-	byItem := func(w awaited, item int32) int { return cmp.Compare(w.item, item) }
-	if i, ok := slices.BinarySearchFunc(e.remote, item, byItem); ok {
-		e.remote[i].at = 0
-	}
-}
-
 // enqueueSignal records an announced block id for the next poll. It is the
 // only inbox writer and runs inside the signal handler on this rank's own
 // goroutine; the lock orders it against the poll drain and against health
@@ -701,10 +692,10 @@ func (e *engine) enqueueSignal(bid int32) {
 
 // poll drains the signal queue (which enqueues announced block ids into the
 // inbox) and then fetches each announced block with a one-sided get,
-// updating dependency counters — paper Fig. 4 steps 2–6. Only the rank
-// goroutine (factorLoop) calls it.
-func (e *engine) poll() {
-	e.r.Progress()
+// updating dependency counters — paper Fig. 4 steps 2–6. It returns how
+// many signals it handled. Only the rank goroutine (factorLoop) calls it.
+func (e *engine) poll() int {
+	n := e.r.Progress()
 	e.mu.Lock()
 	// enqueueSignal is the only inbox writer and needs e.mu, so the drain
 	// sees a fixed slice and can keep its backing array.
@@ -713,6 +704,7 @@ func (e *engine) poll() {
 	}
 	e.inbox = e.inbox[:0]
 	e.mu.Unlock()
+	return n
 }
 
 // acquire makes a source item locally available (fetching it if remote,
@@ -764,7 +756,6 @@ func (e *engine) acquire(item int32) {
 				// re-request path re-signal it; a later acquire retries
 				// the get with a fresh attempt budget.
 				e.met.fetchFailures.Inc()
-				e.retryNow(bid)
 				return
 			}
 		}
@@ -817,7 +808,6 @@ func (e *engine) acquireContribution(item int32) {
 		e.avail[item].host = src.Data
 	} else if err := e.r.Rget(src, e.avail[item].host); err != nil {
 		e.met.fetchFailures.Inc()
-		e.retryNow(item)
 		return
 	}
 	e.acquired(item)

@@ -252,7 +252,7 @@ var faultRows = [...]struct{ label, series string }{
 	{"xfer-retries", "sympack_upcxx_transfer_retries_total"},
 	{"xfer-failures", "sympack_upcxx_transfer_failures_total"},
 	{"stalls", "sympack_upcxx_rank_stalls_total"},
-	{"re-requests", "sympack_upcxx_rerequests_total"},
+	{"re-requests", "sympack_core_rerequests_total"},
 	{"redeliveries", "sympack_upcxx_redeliveries_total"},
 	{"alloc-retries", "sympack_gpu_alloc_retries_total"},
 	{"gpu-demotions", "sympack_gpu_demotions_total"},

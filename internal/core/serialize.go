@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"sympack/internal/etree"
 	"sympack/internal/symbolic"
@@ -92,8 +93,9 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 	if n < 0 || n > maxDim || nsn < 0 || nsn > n || nblk < nsn || nblk > maxDim {
 		return nil, fmt.Errorf("core: corrupt factor sizes n=%d nsn=%d nblk=%d", n, nsn, nblk)
 	}
-	st := &symbolic.Structure{N: n, Perm: make([]int32, n)}
-	if err := binary.Read(br, binary.LittleEndian, st.Perm); err != nil {
+	st := &symbolic.Structure{N: n}
+	var err error
+	if st.Perm, err = readValues[int32](br, n); err != nil {
 		return nil, fmt.Errorf("core: factor perm: %w", err)
 	}
 	// Perm must be a permutation of 0..n-1: the solve indexes right-hand
@@ -125,8 +127,7 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 		if dims[2] > uint64(n) || int(dims[2]) < sn.NCols() {
 			return nil, fmt.Errorf("core: supernode %d row count %d corrupt", k, dims[2])
 		}
-		sn.Rows = make([]int32, dims[2])
-		if err := binary.Read(br, binary.LittleEndian, sn.Rows); err != nil {
+		if sn.Rows, err = readValues[int32](br, int(dims[2])); err != nil {
 			return nil, fmt.Errorf("core: supernode %d rows: %w", k, err)
 		}
 		for _, r := range sn.Rows {
@@ -138,7 +139,9 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 			st.SnOf[c] = int32(k)
 		}
 	}
-	st.Blocks = make([]symbolic.Block, nblk)
+	// The blocks grow as they are read, like every array sized by a count
+	// in the file.
+	st.Blocks = make([]symbolic.Block, 0, min(nblk, readChunk))
 	st.BlockPtr = make([]int32, nsn+1)
 	prevSn := int32(-1)
 	for bi := 0; bi < nblk; bi++ {
@@ -146,9 +149,9 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 		if err := binary.Read(br, binary.LittleEndian, &vals); err != nil {
 			return nil, fmt.Errorf("core: block %d: %w", bi, err)
 		}
+		st.Blocks = append(st.Blocks, symbolic.Block{ID: int32(bi),
+			Snode: vals[0], RowSn: vals[1], RowOff: vals[2], NRows: vals[3]})
 		b := &st.Blocks[bi]
-		b.ID = int32(bi)
-		b.Snode, b.RowSn, b.RowOff, b.NRows = vals[0], vals[1], vals[2], vals[3]
 		if b.Snode < prevSn || int(b.Snode) >= nsn {
 			return nil, fmt.Errorf("core: block %d owner order corrupt", bi)
 		}
@@ -159,14 +162,21 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 			int(b.RowOff)+int(b.NRows) > len(st.Snodes[b.Snode].Rows) {
 			return nil, fmt.Errorf("core: block %d extents corrupt", bi)
 		}
-		for sn := prevSn + 1; sn <= b.Snode; sn++ {
-			st.BlockPtr[sn] = int32(bi)
+		// The solve takes a supernode's first block for its full diagonal,
+		// so every supernode needs one, starting at its own columns.
+		if b.Snode != prevSn {
+			if b.Snode != prevSn+1 || b.RowSn != b.Snode || b.RowOff != 0 ||
+				int(b.NRows) != st.Snodes[b.Snode].NCols() {
+				return nil, fmt.Errorf("core: supernode %d does not start with its diagonal block", prevSn+1)
+			}
+			st.BlockPtr[b.Snode] = int32(bi)
+			prevSn = b.Snode
 		}
-		prevSn = b.Snode
 	}
-	for sn := prevSn + 1; sn <= int32(nsn); sn++ {
-		st.BlockPtr[sn] = int32(nblk)
+	if int(prevSn) != nsn-1 {
+		return nil, fmt.Errorf("core: supernode %d has no blocks", prevSn+1)
 	}
+	st.BlockPtr[nsn] = int32(nblk)
 	// Rebuild the supernodal tree from the structures.
 	st.SnParent = make([]int32, nsn)
 	for k := 0; k < nsn; k++ {
@@ -193,10 +203,27 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 		if int(ln) != want {
 			return nil, fmt.Errorf("core: block %d data length %d, want %d", bid, ln, want)
 		}
-		f.Data[bid] = make([]float64, ln)
-		if err := binary.Read(br, binary.LittleEndian, f.Data[bid]); err != nil {
+		if f.Data[bid], err = readValues[float64](br, want); err != nil {
 			return nil, fmt.Errorf("core: block %d data: %w", bid, err)
 		}
 	}
 	return f, nil
+}
+
+// readChunk is how many values readValues reads at a time.
+const readChunk = 1 << 14
+
+// readValues reads n little-endian values. The slice grows as the values
+// arrive, so a corrupt count costs no more memory than the input holds.
+func readValues[T int32 | float64](r io.Reader, n int) ([]T, error) {
+	s := make([]T, 0, min(n, readChunk))
+	for len(s) < n {
+		m := min(n-len(s), readChunk)
+		s = slices.Grow(s, m)
+		if err := binary.Read(r, binary.LittleEndian, s[len(s):len(s)+m]); err != nil {
+			return nil, err
+		}
+		s = s[:len(s)+m]
+	}
+	return s, nil
 }

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sympack/internal/gen"
+	"sympack/internal/matrix"
 )
 
 func TestFactorSaveLoadRoundTrip(t *testing.T) {
@@ -203,4 +205,123 @@ func TestLoadFactorCorruptNeverPanics(t *testing.T) {
 			t.Fatalf("%s: load succeeded (%v), want error", h.name, g)
 		}
 	}
+}
+
+// factorFile encodes a factor file field by field, for inputs Save cannot
+// produce: n, the supernodes as (first, last, rows), the blocks as
+// (snode, rowSn, rowOff, nRows), and the blocks' data.
+func factorFile(n int, snodes [][3]any, blocks [][4]int32, data [][]float64) []byte {
+	var buf bytes.Buffer
+	put := func(v any) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	put([5]uint64{uint64(factorMagic), uint64(factorVersion), uint64(n), uint64(len(snodes)), uint64(len(blocks))})
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	put(perm)
+	for _, sn := range snodes {
+		rows := sn[2].([]int32)
+		put([3]uint64{uint64(sn[0].(int)), uint64(sn[1].(int)), uint64(len(rows))})
+		put(rows)
+	}
+	for _, b := range blocks {
+		put(b)
+	}
+	for _, d := range data {
+		put(uint64(len(d)))
+		put(d)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadFactorRequiresDiagonalFirst: the solve takes each supernode's
+// first block for its full diagonal, so a file whose supernode lacks one is
+// rejected. A 2×2 file whose one supernode's only block had no rows used to
+// load, and its Solve panicked with an index out of range.
+func TestLoadFactorRequiresDiagonalFirst(t *testing.T) {
+	whole := [][3]any{{0, 1, []int32{0, 1}}}
+	split := [][3]any{{0, 0, []int32{0, 1}}, {1, 1, []int32{1}}}
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"empty diagonal", factorFile(2, whole, [][4]int32{{0, 0, 0, 0}}, [][]float64{{}})},
+		{"short diagonal", factorFile(2, whole, [][4]int32{{0, 0, 0, 1}}, [][]float64{{1, 1}})},
+		{"offset diagonal", factorFile(2, split,
+			[][4]int32{{0, 0, 1, 1}, {1, 1, 0, 1}}, [][]float64{{1}, {1}})},
+		{"diagonal of another supernode", factorFile(2, split,
+			[][4]int32{{0, 1, 0, 1}, {1, 1, 0, 1}}, [][]float64{{1}, {1}})},
+		{"supernode without blocks", factorFile(2, split,
+			[][4]int32{{0, 0, 0, 1}, {0, 1, 1, 1}}, [][]float64{{1}, {1}})},
+	}
+	for _, c := range cases {
+		if _, err := LoadFactor(bytes.NewReader(c.data)); err == nil {
+			t.Errorf("%s: load succeeded, want error", c.name)
+		}
+	}
+	// The same encoder's well-formed file: L = [2 0; 1 1], so L·Lᵀ = [4 2; 2 2] and x = (0, 1/2).
+	good := factorFile(2, split, [][4]int32{{0, 0, 0, 1}, {0, 1, 1, 1}, {1, 1, 0, 1}},
+		[][]float64{{2}, {1}, {1}})
+	g, err := LoadFactor(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := g.Solve([]float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 0.5}; x[0] != want[0] || x[1] != want[1] {
+		t.Fatalf("x = %v, want %v", x, want)
+	}
+}
+
+// TestLoadFactorBoundedByInput: a 40-byte header declaring the largest n,
+// and as many blocks, is an error that allocates less than 1 MB. The
+// arrays the counts size grow as their values are read.
+func TestLoadFactorBoundedByInput(t *testing.T) {
+	const huge = 1<<31 - 1
+	var buf bytes.Buffer
+	_ = binary.Write(&buf, binary.LittleEndian, [5]uint64{uint64(factorMagic), uint64(factorVersion), huge, 1, huge})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := LoadFactor(&buf)
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("load of a bare header succeeded")
+	}
+	if b := m1.TotalAlloc - m0.TotalAlloc; b >= 1<<20 {
+		t.Errorf("allocated %d bytes, want < 1 MB", b)
+	}
+}
+
+// FuzzLoadFactor mutates saved factors: LoadFactor returns an error or a
+// factor whose Solve of a ones vector returns, never a panic.
+func FuzzLoadFactor(f *testing.F) {
+	for _, opt := range []struct {
+		a     *matrix.SparseSym
+		ranks int
+	}{{gen.Laplace2D(3, 3), 1}, {gen.Laplace3D(3, 3, 2), 2}} {
+		fac, err := Factorize(opt.a, Options{Ranks: opt.ranks})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := fac.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := LoadFactor(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		b := make([]float64, g.St.N)
+		for i := range b {
+			b[i] = 1
+		}
+		if _, err := g.Solve(b); err != nil {
+			t.Fatalf("loaded factor does not solve: %v", err)
+		}
+	})
 }

@@ -65,30 +65,23 @@ func TestSubtreeTasks(t *testing.T) {
 	})
 
 	t.Run("laplace10-subtree-r4", func(t *testing.T) {
-		// A re-request, which a loaded host can trigger without a fault,
-		// adds signals; count on a run that sent none.
-		for try := 0; try < 3; try++ {
-			f, err := Factorize(laplace, Options{Ranks: 4, Workers: 1, Mapping: MapSubtree})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := f.Metrics
-			if got := m.Value("sympack_upcxx_rma_gets_total"); got != parentGets {
-				t.Errorf("%g RMA gets, want %d", got, parentGets)
-			}
-			if rr := m.Value("sympack_upcxx_rerequests_total"); rr > 0 {
-				t.Logf("try %d: %g re-requests; signal count not comparable", try, rr)
-				continue
-			}
-			if got := m.Value("sympack_upcxx_signals_sent_total"); got != parentSignals {
-				t.Errorf("%g signals, want %d", got, parentSignals)
-			}
-			if !folded(f) {
-				t.Error("nothing folded under MapSubtree")
-			}
-			return
+		f, err := Factorize(laplace, Options{Ranks: 4, Workers: 1, Mapping: MapSubtree})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Error("every factorization sent re-requests; signals never checked")
+		m := f.Metrics
+		if got := m.Value("sympack_upcxx_rma_gets_total"); got != parentGets {
+			t.Errorf("%g RMA gets, want %d", got, parentGets)
+		}
+		if rr := m.Value("sympack_core_rerequests_total"); rr != 0 {
+			t.Errorf("%g re-requests without a fault", rr)
+		}
+		if got := m.Value("sympack_upcxx_signals_sent_total"); got != parentSignals {
+			t.Errorf("%g signals, want %d", got, parentSignals)
+		}
+		if !folded(f) {
+			t.Error("nothing folded under MapSubtree")
+		}
 	})
 
 	// A subtree task runs one POTRF, one TRSM and one GEMM per supernode

@@ -215,3 +215,53 @@ func TestConcurrentFailBarrierAbort(t *testing.T) {
 		t.Fatal("abort flag not set")
 	}
 }
+
+// TestQuiescent walks the quiescence service through its states: a rank
+// starts busy, and the job is quiescent once every rank is idle and every
+// enqueued signal has been handled. A handled signal marks its target
+// busy until it is idle again. Under injection the counts follow what was
+// enqueued: a dropped signal never counts, a duplicated one counts twice
+// and a delayed one counts until a later Progress hands it over.
+func TestQuiescent(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		plan    faults.Plan
+		handled int64
+	}{
+		{"perfect", faults.Plan{}, 1},
+		{"drop", planOf(3, faults.DropSignal, 1, 0), 0},
+		{"dup", planOf(3, faults.DupSignal, 1, 0), 2},
+		{"delay", planOf(3, faults.DelaySignal, 1, 0), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newFaultyRT(t, 2, tc.plan)
+			hits := countHits(rt)
+			r0, r1 := rt.ranks[0], rt.ranks[1]
+			check := func(step string, want bool) {
+				t.Helper()
+				if got := rt.Quiescent(); got != want {
+					t.Errorf("%s: Quiescent() = %v, want %v", step, got, want)
+				}
+			}
+			lost := tc.handled == 0
+			check("at start", false)
+			r0.Idle()
+			check("one rank idle", false)
+			r1.Idle()
+			check("both idle", true)
+			r0.Signal(1, Msg{})
+			check("signal sent", lost)
+			for r1.PendingSignals() > 0 {
+				r1.Progress()
+			}
+			check("signal handled", lost)
+			r1.Idle()
+			check("target idle again", true)
+			r1.Progress()
+			check("empty Progress", true)
+			if hits.Load() != tc.handled {
+				t.Errorf("handled %d signals, want %d", hits.Load(), tc.handled)
+			}
+		})
+	}
+}

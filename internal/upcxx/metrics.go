@@ -30,7 +30,6 @@ type rtMetrics struct {
 	transferRetries  *metrics.Counter
 	transferFailures *metrics.Counter
 	stalls           *metrics.Counter
-	reRequests       *metrics.Counter
 	redeliveries     *metrics.Counter
 
 	pathTransfers [6]*metrics.Counter // per simnet.Path
@@ -60,7 +59,6 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 		transferRetries:  reg.Counter("sympack_upcxx_transfer_retries_total", "transfer attempts that failed and retried"),
 		transferFailures: reg.Counter("sympack_upcxx_transfer_failures_total", "transfers whose retry budget ran out"),
 		stalls:           reg.Counter("sympack_upcxx_rank_stalls_total", "injected rank-stall windows"),
-		reRequests:       reg.Counter("sympack_upcxx_rerequests_total", "consumer re-requests for lost signals"),
 		redeliveries:     reg.Counter("sympack_upcxx_redeliveries_total", "producer re-announcements of done blocks"),
 	}
 	for p := range m.pathTransfers {
@@ -81,11 +79,10 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 // have been imported into it.
 func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
 
-// CountReRequest and CountRedelivery record the two recovery events of the
-// lost-signal protocol, which the engine implements on top of Signal: a
-// consumer asking a producer to re-announce an item, and the producer
-// doing so.
-func (rt *Runtime) CountReRequest()  { rt.met.reRequests.Inc() }
+// CountRedelivery records the producer's side of the lost-signal protocol,
+// which the engine implements on top of Signal: re-announcing an item a
+// consumer asked for. The consumer's re-requests are counted by the engine
+// (sympack_core_rerequests_total).
 func (rt *Runtime) CountRedelivery() { rt.met.redeliveries.Inc() }
 
 // ExportDevices projects the devices' current state into reg: memory in

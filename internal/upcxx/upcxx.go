@@ -12,7 +12,10 @@
 //   - memory kinds: global pointers to device memory allocated from a
 //     per-rank device allocator, and a device-aware Copy() that models the
 //     zero-copy GPUDirect path (or the staged reference path) between any
-//     combination of host and device memories on any ranks.
+//     combination of host and device memories on any ranks;
+//   - quiescence detection (Rank.Idle, Runtime.Quiescent): whether every
+//     rank is idle and every signal enqueued has been handled, so the job
+//     can move again only if a rank sends a signal on its own.
 //
 // Ranks run as goroutines inside one process, so "RMA" is a memcpy; the
 // modeled time of each transfer is computed by internal/simnet and
@@ -221,6 +224,18 @@ type Rank struct {
 
 	device *gpu.Device
 	clock  machine.Clock
+
+	// The quiescence counters (Quiescent), each written only by this
+	// rank's goroutines, so a signal touches no job-wide word: the signals
+	// this rank enqueued on any target (a duplicate counts twice, a dropped
+	// signal never counts), the signals its Progress handed to the handler,
+	// and its idle transitions, odd while the rank is idle. The padding
+	// gives them a cache line of their own: without it they share one with
+	// the queue lock of the rank allocated next, which every sender to
+	// that rank takes.
+	_                       [64]byte
+	enqueued, handled, idle atomic.Int64
+	_                       [40]byte
 }
 
 // delayedMsg is a signal the injector deferred by `ticks` progress calls on
@@ -336,6 +351,7 @@ func (r *Rank) Signal(target int, m Msg) {
 		rt.traceFault(int32(r.ID), "fault:delay-signal", fmt.Sprintf("to=%d ticks=%d", target, delay))
 	}
 	m.From = int32(r.ID)
+	r.enqueued.Add(int64(copies))
 	t := rt.ranks[target]
 	t.qmu.Lock()
 	for i := 0; i < copies; i++ {
@@ -384,15 +400,62 @@ func (r *Rank) Progress() int {
 	q := r.inq
 	r.inq, r.runq = r.runq[:0], q
 	r.qmu.Unlock()
+	if v := r.idle.Load(); len(q) > 0 && v&1 == 1 {
+		r.idle.CompareAndSwap(v, v+1) // busy: see Idle
+	}
 	h := r.rt.handler
 	for _, m := range q {
 		h(r, m)
 	}
 	r.rt.met.progressIters.Inc()
 	if len(q) > 0 {
+		r.handled.Add(int64(len(q)))
 		r.rt.met.signalsReceived.Add(float64(len(q)))
 	}
 	return len(q)
+}
+
+// Idle marks the rank idle: it has nothing to run until a signal arrives.
+// The rank stays idle until its Progress next hands a signal to the
+// handler. A rank starts busy.
+func (r *Rank) Idle() {
+	if v := r.idle.Load(); v&1 == 0 {
+		r.idle.CompareAndSwap(v, v+1)
+	}
+}
+
+// Quiescent reports whether the job is quiescent: every rank is idle and
+// every signal enqueued has been handled, so no rank can become busy again
+// unless one sends a signal while idle. It takes two collects of the ranks'
+// counters and reports true only if they agree. The counters only grow, so
+// equal sums mean that no counter moved between its two reads, and the
+// collected state held at one instant between the collects.
+func (rt *Runtime) Quiescent() bool {
+	c, ok := rt.collect()
+	if !ok || c.enqueued != c.handled {
+		return false
+	}
+	d, ok := rt.collect()
+	return ok && c == d
+}
+
+// quiet sums the ranks' quiescence counters.
+type quiet struct{ enqueued, handled, idle int64 }
+
+// collect sums the counters of every rank, and reports false at the first
+// rank it finds busy.
+func (rt *Runtime) collect() (quiet, bool) {
+	var c quiet
+	for _, r := range rt.ranks {
+		v := r.idle.Load()
+		if v&1 == 0 {
+			return c, false
+		}
+		c.idle += v
+		c.enqueued += r.enqueued.Load()
+		c.handled += r.handled.Load()
+	}
+	return c, true
 }
 
 // PendingSignals reports the queued-but-unhandled signal count, including
