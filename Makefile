@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmtcheck lint lint-json bits
+.PHONY: all build test race vet fmtcheck lint lint-json bits bench
 
 all: build test lint
 
@@ -55,3 +55,9 @@ lint: fmtcheck vet
 lint-json:
 	$(GO) run ./cmd/sympacklint -json ./... > lint-report.jsonl
 	@echo "wrote lint-report.jsonl"
+
+# bench runs one workload of the wall-clock benchmark (bench/, declared in
+# BENCHMARK.json) for a short untraced pass: `make bench W=flan_w1`.
+W ?= laplace_r4
+bench:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 2 --trace 0

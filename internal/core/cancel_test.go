@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -27,45 +26,61 @@ func TestFactorizeCanceledBeforeStart(t *testing.T) {
 // TestFactorizeDeadlineMidRun cancels a deliberately slowed factorization
 // mid-flight: every loop must stop at its next task-pull boundary, so the
 // call returns ErrCanceled long before the stall-injected run would have
-// finished. The rank loop and the helper loop both carry checks, so ranks
-// with and without helpers are exercised, as is a multi-rank job where only
-// one rank needs to detect the cancellation for the abort to fan out.
+// finished. The rank loop and the helper loop both stop on the job's abort,
+// so ranks with and without helpers are exercised, as is a multi-rank job.
+// The drop rows lose every signal, so no rank past its first tasks ever
+// pulls another: all of them starve or wait for the others to finish, and
+// the cancellation must reach them there, well before the stall watchdog.
 func TestFactorizeDeadlineMidRun(t *testing.T) {
 	a := gen.Laplace2D(16, 16)
 	// Rate-1 stalls of 2ms on every runtime operation make the full run
 	// take tens of seconds — if cancellation failed, the generous elapsed
 	// bound below would still trip.
-	plan := planWith(1, faults.RankStall, 1)
-	plan.StallWindow = 2 * time.Millisecond
+	stalled := planWith(1, faults.RankStall, 1)
+	stalled.StallWindow = 2 * time.Millisecond
 	// Stalls are injected in Progress(), which only the rank goroutine
 	// calls — once per task it pulls. A rank without helpers is therefore
 	// slowed on every task, and multi-rank jobs are slowed because their
 	// dependencies flow through the stalled polls; a single rank with
 	// helpers would not be (the helpers drain the RTQ unstalled), so
-	// workerLoop's check is covered by the r2 cases.
-	for _, tc := range []struct{ ranks, workers int }{
-		{1, 1}, {2, 2}, {2, 4},
+	// workerLoop's stop is covered by the r2 cases.
+	//
+	// The deadline of the stall rows expires before the first cross-rank
+	// announcement can be delivered (delivery rides a Progress call, which
+	// the plan stalls for 2ms), so no variant can outrun it to completion.
+	// A total loss never completes; its 20s stall timeout outlasts the 5s
+	// bound, so a run the deadline fails to stop fails the test.
+	dropped := planWith(1, faults.DropSignal, 1.0)
+	for _, tc := range []struct {
+		name           string
+		ranks, workers int
+		plan           *faults.Plan
+		stallTimeout   time.Duration
+		deadline       time.Duration
+	}{
+		{"r1w1", 1, 1, stalled, 0, time.Millisecond},
+		{"r2w2", 2, 2, stalled, 0, time.Millisecond},
+		{"r2w4", 2, 4, stalled, 0, time.Millisecond},
+		{"r4w1-drop", 4, 1, dropped, 20 * time.Second, 50 * time.Millisecond},
+		{"r4w2-drop", 4, 2, dropped, 20 * time.Second, 50 * time.Millisecond},
 	} {
-		t.Run(fmt.Sprintf("r%dw%d", tc.ranks, tc.workers), func(t *testing.T) {
-			// The deadline expires before the first cross-rank
-			// announcement can be delivered (delivery rides a Progress
-			// call, which the plan stalls for 2ms), so no variant can
-			// outrun it to completion.
-			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), tc.deadline)
 			defer cancel()
 			start := machine.WallNow()
 			f, err := Factorize(a, Options{
-				Ranks:   tc.ranks,
-				Workers: tc.workers,
-				Faults:  plan,
-				Context: ctx,
+				Ranks:        tc.ranks,
+				Workers:      tc.workers,
+				Faults:       tc.plan,
+				StallTimeout: tc.stallTimeout,
+				Context:      ctx,
 			})
 			elapsed := machine.WallSince(start)
 			if f != nil || !errors.Is(err, ErrCanceled) {
 				t.Fatalf("f=%v err=%v, want ErrCanceled", f, err)
 			}
 			if elapsed > 5*time.Second {
-				t.Fatalf("cancellation took %v, want prompt return after the 1ms deadline", elapsed)
+				t.Fatalf("cancellation took %v, want prompt return after the %v deadline", elapsed, tc.deadline)
 			}
 		})
 	}

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"sympack/internal/faults"
@@ -106,12 +105,12 @@ type Options struct {
 	// plan through a restricted injector (see SolveDistributed).
 	Faults *faults.Plan
 	// Context, when non-nil, bounds the factorization (and context-aware
-	// solves): when it is canceled or its deadline expires, every rank
-	// stops pulling new tasks and the call returns an error wrapping
-	// ErrCanceled. Checks happen at task-pull boundaries, so the latency
-	// from cancellation to return is one task execution — or, for a
-	// subtree task, one supernode of it (its kernels check the context
-	// between supernodes) — not one job.
+	// solves): when it is canceled or its deadline expires, the job fails
+	// as on any other fault — every rank stops pulling new tasks — and the
+	// call returns an error wrapping ErrCanceled. Ranks see the failure at
+	// task-pull boundaries, so the latency from cancellation to return is
+	// one task execution — or, for a subtree task, one supernode of it —
+	// not one job.
 	// Nil means no externally imposed bound (the stall watchdog still
 	// applies). The context is consulted only during the call it
 	// configures: the returned Factor's Opt.Context is nil.
@@ -398,8 +397,15 @@ func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Fac
 	dir := make([]upcxx.GlobalPtr, opt.Formulation.ItemCount(tg))
 	led := &ledger{engines: make([]*engine, opt.Ranks), rt: rt, inj: inj, tr: opt.Trace}
 
-	var progress atomic.Int64
-	stopWatch := startWatchdog(rt, &progress, opt.StallTimeout, func() error {
+	// A canceled context fails the job like any other fault: every rank
+	// loop stops on ShouldAbort.
+	if ctx := opt.Context; ctx != nil {
+		stop := context.AfterFunc(ctx, func() {
+			rt.Fail(fmt.Errorf("%w: %v", ErrCanceled, ctx.Err()))
+		})
+		defer stop()
+	}
+	stopWatch := startWatchdog(rt, led.done, opt.StallTimeout, func() error {
 		rep := led.health()
 		err := fmt.Errorf("no task completed for %v; %s", opt.StallTimeout, rep)
 		if rep.Waiting() && rep.ReRequested() {
@@ -434,20 +440,17 @@ func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Fac
 	rt.Handle(func(r *upcxx.Rank, m upcxx.Msg) { led.engines[r.ID].handle(m) })
 	err = rt.Run(func(r *upcxx.Rank) {
 		e := newEngine(r, p, lay, a, &opt, dir)
-		e.progress = &progress
 		led.publish(e)
 		e.setup()
 		if err := r.Barrier(); err != nil {
 			return
 		}
-		// Every rank has counted its tasks at setup, subtree tasks as one
-		// each, so past the barrier the job-wide total is final.
-		total := led.tasks()
 		e.run()
+		led.finished.Add(1)
 		// A rank that finishes early must keep handling signals until
 		// every rank is done: consumers whose announcements were lost
 		// direct re-requests at this rank.
-		e.drainUntil(&progress, total)
+		e.drainUntil(&led.finished)
 	})
 	f.Stats.Wall = machine.WallSince(start)
 	if err != nil {
@@ -479,17 +482,17 @@ func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Fac
 	return f, nil
 }
 
-// startWatchdog monitors a progress counter and fails the runtime when it
-// stalls for longer than `timeout` (positive: Options.withDefaults
-// resolves the default). It returns a stop function. The diag callback
-// builds the diagnosis error at trip time; it is wrapped in ErrStalled, so
-// a diag may add further sentinel errors (ErrLostSignal) for callers to
-// branch on. Engines publish health through atomic mirrors, so the snapshot
-// is race-free even mid-run.
-func startWatchdog(rt *upcxx.Runtime, progress *atomic.Int64, timeout time.Duration, diag func() error) func() {
+// startWatchdog samples progress, a count of completed tasks, and fails the
+// runtime when it stalls for longer than `timeout` (positive:
+// Options.withDefaults resolves the default). It returns a stop function.
+// The diag callback builds the diagnosis error at trip time; it is wrapped
+// in ErrStalled, so a diag may add further sentinel errors (ErrLostSignal)
+// for callers to branch on. Engines publish health through their metric
+// gauges, so the snapshot is race-free even mid-run.
+func startWatchdog(rt *upcxx.Runtime, progress func() int64, timeout time.Duration, diag func() error) func() {
 	done := make(chan struct{})
 	go func() {
-		last := progress.Load()
+		last := progress()
 		ticker := machine.NewWallTicker(timeout)
 		defer ticker.Stop()
 		for {
@@ -497,7 +500,7 @@ func startWatchdog(rt *upcxx.Runtime, progress *atomic.Int64, timeout time.Durat
 			case <-done:
 				return
 			case <-ticker.C:
-				cur := progress.Load()
+				cur := progress()
 				if cur == last {
 					rt.Fail(fmt.Errorf("%w: %w", ErrStalled, diag()))
 					return

@@ -198,9 +198,6 @@ type engine struct {
 	// which is pushed exactly once. Guarded by e.mu.
 	rtq  []task
 	head int // guarded by e.mu
-	// progress counts executed tasks for the stall watchdog (shared
-	// across ranks; may be nil in tests constructing engines directly).
-	progress *atomic.Int64
 
 	totalTasks int // guarded by e.mu
 	doneTasks  int // guarded by e.mu
@@ -316,6 +313,7 @@ func (e *engine) setup() {
 		e.wanted[item] = true
 	}
 	e.nWanted = len(rl.wanted)
+	e.met.wantedBlocks.Set(float64(e.nWanted))
 	e.totalTasks = rl.tasks
 	for i := range e.lanes {
 		ls := &e.lanes[i]
@@ -493,25 +491,6 @@ func (e *engine) pop() (task, bool) {
 	return t, true
 }
 
-// checkCanceled consults Options.Context at a task-pull boundary. On
-// cancellation it fails the runtime with an ErrCanceled-wrapped error
-// (first failure wins, so concurrent detections collapse to one) and
-// returns true; the caller's scheduling loop then exits and the abort
-// propagates to every other rank through ShouldAbort. Runs without e.mu.
-func (e *engine) checkCanceled() bool {
-	ctx := e.opt.Context
-	if ctx == nil {
-		return false
-	}
-	err := ctx.Err()
-	if err == nil {
-		return false
-	}
-	e.met.cancelChecks.Inc()
-	e.r.Runtime().Fail(fmt.Errorf("%w: rank %d: %v", ErrCanceled, e.r.ID, err))
-	return true
-}
-
 // factorLoop is the scheduling loop of paper Fig. 3, run by the rank's own
 // goroutine (executor lane 0): poll for incoming notifications, then run a
 // ready task; repeat until all local tasks are done or the job aborts. When
@@ -528,14 +507,10 @@ func (e *engine) factorLoop() {
 		if rt.ShouldAbort() {
 			return
 		}
-		if e.checkCanceled() {
-			return
-		}
 		if e.poll() > 0 {
 			idle = 0
 		}
 		e.mu.Lock()
-		e.mirrorHealth()
 		if e.doneTasks >= e.totalTasks {
 			e.mu.Unlock()
 			return
@@ -569,8 +544,12 @@ func (e *engine) factorLoop() {
 
 // idleWait is the one idle step of the package's polling loops (factorLoop,
 // drainUntil, the distributed solve): after the idle-th consecutive poll that
-// found nothing to do it yields the processor, and past 256 of them sleeps
-// instead so a starved rank stops spinning. It reports whether it slept.
+// found nothing to do it yields the processor, and past 256 of them sleeps.
+// The sleep lasts the timer's granularity, about 1 ms on Linux, not the
+// 20 µs asked for, so a sleeping rank answers a signal that late; it stays
+// because it frees the cores for the ranks with work (a yield alone made
+// 4-rank Laplace3D 24³ on 2 cores ≈ 6 % slower; EXPERIMENTS "A starved
+// rank sleeps"). It reports whether it slept.
 func idleWait(idle int) bool {
 	if idle > 256 {
 		machine.Backoff(20 * time.Microsecond)
@@ -580,26 +559,15 @@ func idleWait(idle int) bool {
 	return false
 }
 
-// mirrorHealth refreshes the scheduler-occupancy gauges the watchdog and
-// the /metrics endpoint read while the rank runs; callers hold e.mu.
-func (e *engine) mirrorHealth() {
-	e.met.tasksDone.Set(float64(e.doneTasks))
-	e.met.rtqDepth.Set(float64(len(e.rtq) - e.head))
-	e.met.inboxDepth.Set(float64(len(e.inbox)))
-	e.met.wantedBlocks.Set(float64(e.nWanted))
-}
-
 // drainUntil keeps handling incoming signals after this rank's own tasks
-// are done, until the job-wide progress counter reaches total (or the job
-// aborts). Without it a finished producer parked in the final barrier would
-// never answer the re-requests other ranks aim at it.
-func (e *engine) drainUntil(progress *atomic.Int64, total int64) {
+// are done, until finished — the count of ranks whose run has returned —
+// reaches the job's rank count (or the job aborts). Without it a finished
+// producer would never answer the re-requests other ranks aim at it.
+func (e *engine) drainUntil(finished *atomic.Int64) {
 	rt := e.r.Runtime()
+	ranks := int64(rt.P())
 	idle := 0
-	for progress.Load() < total && !rt.ShouldAbort() {
-		if e.checkCanceled() {
-			return
-		}
+	for finished.Load() < ranks && !rt.ShouldAbort() {
 		if e.r.Progress() > 0 {
 			idle = 0
 		}
@@ -687,6 +655,7 @@ func (e *engine) handle(m upcxx.Msg) {
 func (e *engine) enqueueSignal(bid int32) {
 	e.mu.Lock()
 	e.inbox = append(e.inbox, bid)
+	e.met.inboxDepth.Set(float64(len(e.inbox)))
 	e.mu.Unlock()
 }
 
@@ -703,6 +672,7 @@ func (e *engine) poll() int {
 		e.acquire(bid)
 	}
 	e.inbox = e.inbox[:0]
+	e.met.inboxDepth.Set(0)
 	e.mu.Unlock()
 	return n
 }
@@ -790,6 +760,7 @@ func (e *engine) acquired(item int32) {
 	if e.wanted[item] {
 		e.wanted[item] = false
 		e.nWanted--
+		e.met.wantedBlocks.Set(float64(e.nWanted))
 	}
 }
 
@@ -1074,8 +1045,8 @@ func (e *engine) announceBlock(bid int32, ls *laneScratch) {
 // formulation's ordinary path. The other blocks are not announced: every
 // update that reads a block B_{p,k} targets the columns of p or of a
 // supernode below p, so when p is inside the subtree the loop has run all
-// of them. Cancellation and aborts are checked at every supernode, so a
-// subtree answers them within one supernode's kernels.
+// of them. Aborts, cancellation among them, are checked at every
+// supernode, so a subtree answers them within one supernode's kernels.
 func (e *engine) runSubtree(id int32, ls *laneScratch) {
 	st := e.st
 	s := e.subtrees[id]
@@ -1086,7 +1057,7 @@ func (e *engine) runSubtree(id int32, ls *laneScratch) {
 		e.assembleSnode(k, t)
 	}
 	for k := s.First; k <= s.Root; k++ {
-		if rt.ShouldAbort() || e.checkCanceled() {
+		if rt.ShouldAbort() {
 			return
 		}
 		n, ld := st.Snodes[k].NCols(), st.Snodes[k].NRows()

@@ -29,11 +29,12 @@ var (
 	ErrLostSignal = errors.New("core: lost signal")
 
 	// ErrCanceled is returned when a factorization or solve is abandoned
-	// because Options.Context was canceled or its deadline expired.
-	// Cancellation is cooperative: every scheduling loop checks the
-	// context at its task-pull boundary, so in-flight kernels finish but
-	// no new task starts. A canceled factorization returns no Factor;
-	// the analysis it consumed remains valid for a retry.
+	// because Options.Context was canceled or its deadline expired. In a
+	// factorization the cancellation fails the runtime like any other
+	// fault: every scheduling loop stops on the abort at its task-pull
+	// boundary, so in-flight kernels finish but no new task starts. A
+	// canceled factorization returns no Factor; the analysis it consumed
+	// remains valid for a retry.
 	ErrCanceled = errors.New("core: canceled")
 )
 

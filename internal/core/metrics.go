@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sympack/internal/faults"
 	"sympack/internal/machine"
@@ -30,9 +31,9 @@ type coreMetrics struct {
 	taskSecs [machine.NumOps]*metrics.Histogram
 
 	// Queue/scheduler state. rtqDepth/inboxDepth/wantedBlocks are live
-	// occupancy gauges (summed across ranks); rtqPeak is the high-water
-	// mark (maxed across ranks). tasksTotal/tasksDone double as the
-	// watchdog's health mirror.
+	// occupancy gauges (summed across ranks), each set where its value
+	// changes; rtqPeak is the high-water mark (maxed across ranks).
+	// tasksDone is the stall watchdog's progress count (ledger.done).
 	rtqDepth     *metrics.Gauge
 	rtqPeak      *metrics.Gauge
 	inboxDepth   *metrics.Gauge
@@ -47,7 +48,6 @@ type coreMetrics struct {
 	backoffWaits  *metrics.Counter
 	workerWaits   *metrics.Counter
 	fetchFailures *metrics.Counter
-	cancelChecks  *metrics.Counter
 
 	// GPU offload economics (engine-side; device-side series live in the
 	// runtime registry).
@@ -110,8 +110,6 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		"helper-worker waits on an empty ready queue")
 	m.fetchFailures = reg.Counter("sympack_core_fetch_failures_total",
 		"block fetches whose transfer retry budget ran out")
-	m.cancelChecks = reg.Counter("sympack_core_cancel_detections_total",
-		"scheduling loops that observed a canceled context and stopped")
 	m.gpuDemotions = reg.Counter("sympack_gpu_demotions_total",
 		"ranks demoted to CPU kernels after device failure")
 	m.allocRetries = reg.Counter("sympack_gpu_alloc_retries_total",
@@ -151,18 +149,22 @@ type ledger struct {
 	inj     *faults.Injector
 	tr      *trace.Recorder
 	final   *metrics.Registry // the finished job's registry, once gathered
+
+	// finished counts the ranks whose own tasks are done (or that stopped
+	// on an abort); the job ends when it reaches the rank count.
+	finished atomic.Int64
 }
 
-// tasks returns the job-wide count of scheduled tasks, the sum of the
-// engines' shares; it is final once every rank is past setup.
-func (l *ledger) tasks() int64 {
+// done returns the job's completed tasks, the sum of the published
+// engines' tasks_done gauges: the stall watchdog's progress count.
+func (l *ledger) done() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var n int64
 	for _, e := range l.engines {
-		e.mu.Lock()
-		n += int64(e.totalTasks)
-		e.mu.Unlock()
+		if e != nil {
+			n += int64(e.met.tasksDone.Value())
+		}
 	}
 	return n
 }

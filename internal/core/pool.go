@@ -1,10 +1,10 @@
 // Intra-rank execution. A rank is Options.Workers goroutines: the rank's own
 // goroutine runs the Fig. 3 loop (factorLoop, engine.go) — poll, take,
 // execute — as executor lane 0 and as the rank's only caller of
-// upcxx.Progress, so RPC handlers, inbox draining, health mirroring and the
-// lost-signal re-request protocol are serialized on it; Workers-1 helper
-// goroutines (workerLoop) only take ready tasks: their own lane's next
-// task, else the same RTQ's oldest.
+// upcxx.Progress, so RPC handlers, inbox draining and the lost-signal
+// re-request protocol are serialized on it; Workers-1 helper goroutines
+// (workerLoop) only take ready tasks: their own lane's next task, else the
+// same RTQ's oldest.
 // Workers == 1 is the same loop with no helpers.
 package core
 
@@ -68,15 +68,6 @@ func (e *engine) workerLoop(lane int32) {
 			continue
 		}
 		e.mu.Unlock()
-
-		// Task-pull boundary: a canceled context stops the worker before
-		// the kernel starts, not after.
-		if e.checkCanceled() {
-			e.mu.Lock()
-			e.inflight--
-			e.mu.Unlock()
-			return
-		}
 		e.execute(t, ls)
 		e.complete(t, ls)
 		e.mu.Lock()
@@ -87,8 +78,8 @@ func (e *engine) workerLoop(lane int32) {
 // fan-out U task or an apply task — passes its target's turn on
 // (passTurn), the task leaves the in-flight set unless that readied the
 // lane's next task, which takes its place, and it counts toward the rank's
-// share (the last one releases helpers parked on an empty queue) and
-// toward the job-wide watchdog counter.
+// share (the last one releases helpers parked on an empty queue) and on
+// the tasks_done gauge the stall watchdog sums.
 func (e *engine) complete(t task, ls *laneScratch) {
 	e.mu.Lock()
 	if t.kind == taskApply || t.kind == taskUpdate && !e.form.DeliversContributions() {
@@ -98,11 +89,9 @@ func (e *engine) complete(t task, ls *laneScratch) {
 		e.inflight--
 	}
 	e.doneTasks++
+	e.met.tasksDone.Set(float64(e.doneTasks))
 	if e.doneTasks >= e.totalTasks {
 		e.cond.Broadcast()
 	}
 	e.mu.Unlock()
-	if e.progress != nil {
-		e.progress.Add(1)
-	}
 }

@@ -338,7 +338,7 @@ func TestWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var progress atomic.Int64
-	stop := startWatchdog(rt, &progress, 10*time.Millisecond, func() error { return errors.New("diag") })
+	stop := startWatchdog(rt, progress.Load, 10*time.Millisecond, func() error { return errors.New("diag") })
 	defer stop()
 	time.Sleep(40 * time.Millisecond)
 	if !rt.ShouldAbort() {
@@ -351,7 +351,7 @@ func TestWatchdog(t *testing.T) {
 	// A progressing counter must not trip.
 	rt2, _ := upcxx.NewRuntime(upcxx.Config{Ranks: 1, Machine: machine.Perlmutter()})
 	var p2 atomic.Int64
-	stop2 := startWatchdog(rt2, &p2, 15*time.Millisecond, func() error { return nil })
+	stop2 := startWatchdog(rt2, p2.Load, 15*time.Millisecond, func() error { return nil })
 	for i := 0; i < 6; i++ {
 		p2.Add(1)
 		time.Sleep(8 * time.Millisecond)

@@ -24,10 +24,9 @@ type ServerMetrics struct {
 	Shed       *Counter // requests rejected 429 at a full queue
 	Draining   *Gauge   // 1 while the server refuses new work
 
-	// Deadlines, cancellations, retries.
+	// Deadlines and cancellations.
 	Canceled     *Counter // requests whose context was canceled mid-flight
 	DeadlineMiss *Counter // requests that exceeded their deadline (504)
-	Retries      *Counter // transient-fault retries of the factor engine
 
 	// Circuit breaker. State encodes 0=closed, 1=open, 2=half-open.
 	BreakerState *Gauge
@@ -60,8 +59,6 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 		"requests canceled mid-flight (client gone or chaos-injected)")
 	m.DeadlineMiss = reg.Counter("sympack_server_deadline_miss_total",
 		"requests that exceeded their deadline and returned 504")
-	m.Retries = reg.Counter("sympack_server_retries_total",
-		"transient-fault retries of factorizations")
 	m.BreakerState = reg.Gauge("sympack_server_breaker_state",
 		"circuit breaker state (0=closed 1=open 2=half-open)", MergeMax)
 	m.BreakerTrips = reg.Counter("sympack_server_breaker_trips_total",

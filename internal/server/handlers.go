@@ -381,7 +381,8 @@ func (s *Server) handleAnalyze(r *http.Request) (any, *httpError) {
 }
 
 // handleFactor serves POST /v1/factor: the full pipeline of admission,
-// cache, breaker, retry and engine.
+// cache, breaker and engine. The engine absorbs transient faults itself,
+// so a factorization error is final: it is mapped, not retried.
 func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	req, herr := decode[FactorRequest](r)
 	if herr != nil {
@@ -430,7 +431,7 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	if !useGPU {
 		opt.GPUsPerNode = 0
 	}
-	f, err := s.factorWithRetry(ctx, p, a, opt)
+	f, err := s.factorFn(p, a, opt)
 	s.brk.result(err, probe)
 	if err != nil {
 		return nil, s.engineError(ctx, err)
@@ -454,26 +455,6 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 		resp.GFlops = float64(f.Stats.FactorFlop) / f.Stats.ModelSeconds / 1e9
 	}
 	return resp, nil
-}
-
-// factorWithRetry runs the engine, absorbing transient-fault failures with
-// bounded backoff. The engine already retries transient faults internally;
-// this outer loop is the second line of defense for runs that still
-// surface ErrTransient.
-func (s *Server) factorWithRetry(ctx context.Context, p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
-	backoff := 10 * time.Millisecond
-	for attempt := 0; ; attempt++ {
-		f, err := s.factorFn(p, a, opt)
-		if err == nil || attempt >= 2 || !errors.Is(err, core.ErrTransient) {
-			return f, err
-		}
-		s.met.Retries.Inc()
-		machine.Backoff(backoff)
-		backoff *= 2
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrCanceled, cerr)
-		}
-	}
 }
 
 // factorRef resolves a solve request's factor id to a pinned Factor.
