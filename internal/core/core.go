@@ -45,7 +45,10 @@ type Options struct {
 	// means the default: the SYMPACK_WORKERS environment variable if set,
 	// otherwise GOMAXPROCS/Ranks (at least 1). The factor is bit-identical
 	// across worker counts — update contributions are applied in a
-	// canonical order regardless of completion interleaving.
+	// canonical order regardless of completion interleaving. The
+	// shared-memory solve (Factor.Solve, SolveMulti) runs on as many lanes:
+	// the calling goroutine and Workers-1 helpers that live for the call,
+	// with the same solution bits at every count.
 	Workers int
 	// RanksPerNode controls node locality in the communication model
 	// (default: all ranks on one node).
@@ -237,8 +240,9 @@ type Factor struct {
 	// factor restored by LoadFactor.
 	Metrics *metrics.Registry
 
-	msrv *metrics.Server // live /metrics endpoint; nil unless MetricsAddr was set
-	dist *distSolve      // SolveDistributed's reusable state; nil until its first call
+	msrv  *metrics.Server // live /metrics endpoint; nil unless MetricsAddr was set
+	dist  *distSolve      // SolveDistributed's reusable state; nil until its first call
+	solve *solveOnce      // the solve schedule, shared with the plan's other factors
 }
 
 // MetricsAddr returns the bound address of the metrics endpoint ("" when
@@ -385,7 +389,7 @@ func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Fac
 		return nil, err
 	}
 
-	f := &Factor{St: st, Opt: opt, Data: make([][]float64, len(st.Blocks)), Stats: Stats{
+	f := &Factor{St: st, Opt: opt, Data: make([][]float64, len(st.Blocks)), solve: &p.solve, Stats: Stats{
 		PerRank: make([]OpStats, opt.Ranks), Workers: opt.Workers, NnzL: st.NnzL, FactorFlop: st.FactorFlop,
 		Supernodes: st.NumSupernodes(), Blocks: st.NumBlocks(), Updates: len(tg.Updates),
 	}}

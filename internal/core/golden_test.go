@@ -57,8 +57,9 @@ func TestFactorBitsGolden(t *testing.T) {
 // established bits fails here. Three right-hand sides are drawn one after
 // the other with b[i] = 0.5 + U[0,1) (seed 1); the hash is SHA-256 over
 // x₀‖x₁‖x₂, each entry little-endian Float64bits. Solve per right-hand side
-// and SolveMulti over all three must give the same prefix, at 1 and 3 ranks,
-// on the vector path and under -tags purego.
+// and SolveMulti over all three must give the same prefix, at 1 and 3 ranks
+// and 1, 2 and 4 workers — the shared-memory solve runs on the factor's
+// lanes — on the vector path and under -tags purego.
 func TestSolveBitsGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -90,26 +91,29 @@ func TestSolveBitsGolden(t *testing.T) {
 			}
 		}
 		for _, ranks := range []int{1, 3} {
-			f, err := Factorize(c.a, Options{Ranks: ranks, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s, %d ranks: %v", c.name, ranks, err)
-			}
-			single := make([][]float64, len(bs))
-			for j, b := range bs {
-				if single[j], err = f.Solve(b); err != nil {
-					t.Fatalf("%s, %d ranks: Solve: %v", c.name, ranks, err)
+			for _, workers := range []int{1, 2, 4} {
+				f, err := Factorize(c.a, Options{Ranks: ranks, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s, %d ranks × %d workers: %v", c.name, ranks, workers, err)
 				}
-			}
-			multi, err := f.SolveMulti(bs)
-			if err != nil {
-				t.Fatalf("%s, %d ranks: SolveMulti: %v", c.name, ranks, err)
-			}
-			for _, r := range []struct {
-				call string
-				xs   [][]float64
-			}{{"Solve", single}, {"SolveMulti", multi}} {
-				if got := hash(r.xs); got != c.want {
-					t.Errorf("%s, %d ranks: %s solution SHA-256 starts %s, want %s", c.name, ranks, r.call, got, c.want)
+				single := make([][]float64, len(bs))
+				for j, b := range bs {
+					if single[j], err = f.Solve(b); err != nil {
+						t.Fatalf("%s, %d ranks × %d workers: Solve: %v", c.name, ranks, workers, err)
+					}
+				}
+				multi, err := f.SolveMulti(bs)
+				if err != nil {
+					t.Fatalf("%s, %d ranks × %d workers: SolveMulti: %v", c.name, ranks, workers, err)
+				}
+				for _, r := range []struct {
+					call string
+					xs   [][]float64
+				}{{"Solve", single}, {"SolveMulti", multi}} {
+					if got := hash(r.xs); got != c.want {
+						t.Errorf("%s, %d ranks × %d workers: %s solution SHA-256 starts %s, want %s",
+							c.name, ranks, workers, r.call, got, c.want)
+					}
 				}
 			}
 		}

@@ -17,12 +17,15 @@ import (
 // seed, slab and receive-slab layout and lane sizes (DESIGN §9 "Plan").
 // Analyze builds one; Factorize reads it and writes none of it, so any
 // number of factorizations of the pattern, concurrent ones included, share
-// one Plan, as CHOLMOD's analyse-once, factorize-many split does.
+// one Plan, as CHOLMOD's analyse-once, factorize-many split does. The one
+// part built later, the solve schedule, is built once, behind a sync.Once,
+// by the first of its factors' solves that needs it.
 type Plan struct {
-	st  *symbolic.Structure
-	tg  *symbolic.TaskGraph
-	asm assembly
-	lay *layout
+	st    *symbolic.Structure
+	tg    *symbolic.TaskGraph
+	asm   assembly
+	lay   *layout
+	solve solveOnce // the solve schedule the plan's factors share
 }
 
 // Structure returns the plan's symbolic structure, which callers must not

@@ -9,12 +9,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"sympack/internal/gen"
 	"sympack/internal/gpu"
 	"sympack/internal/machine"
+	"sympack/internal/matrix"
 	"sympack/internal/symbolic"
 )
 
@@ -157,6 +163,65 @@ func TestRaceStressSubtreeTasks(t *testing.T) {
 						t.Fatalf("block %d elem %d differs from the one-rank, one-worker factor", bid, i)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestRaceStressSolveLanes runs four SolveMulti calls at once on one
+// factor at four workers, so sixteen lanes share its blocks and its
+// schedule while each call writes only its own panel, counters and queue:
+// narrow supernodes on Thermal2D give a graph of many small units, and
+// Laplace3D 10³ one with wide separators. Every answer must have the
+// one-worker bits, and every helper must be gone once the calls return.
+func TestRaceStressSolveLanes(t *testing.T) {
+	sym := symbolic.DefaultOptions()
+	sym.MaxSupernodeSize = 4
+	cases := []struct {
+		name string
+		a    *matrix.SparseSym
+		sym  *symbolic.Options
+	}{
+		{"Thermal2D(48,48,4,2) thin", gen.Thermal2D(48, 48, 4, 2), &sym},
+		{"Laplace3D(10,10,10)", gen.Laplace3D(10, 10, 10), nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := Factorize(c.a, Options{Ranks: 1, Workers: 4, Symbolic: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if units := len(f.solve.get(f.St).units); units < 2 {
+				t.Fatalf("%d solve unit(s): the lanes are not exercised", units)
+			}
+			bs := randomRHS(rand.New(rand.NewSource(7)), c.a.N, 3)
+			want := solveAt(t, f, 1, bs)
+			before := runtime.NumGoroutine()
+			var wg sync.WaitGroup
+			errs := make([]error, 4)
+			got := make([][][]float64, 4)
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < 3 && errs[g] == nil; round++ {
+						got[g], errs[g] = f.SolveMulti(bs)
+					}
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				if errs[g] != nil {
+					t.Fatalf("caller %d: %v", g, errs[g])
+				}
+				sameBits(t, fmt.Sprintf("caller %d", g), got[g], want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after the solves, %d before", n, before)
 			}
 		})
 	}

@@ -192,7 +192,7 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 	// persisted.
 	st.Tree = &etree.Tree{Parent: make([]int32, 0)}
 
-	f := &Factor{St: st, Opt: Options{}.withDefaults(), Data: make([][]float64, nblk)}
+	f := &Factor{St: st, Opt: Options{}.withDefaults(), Data: make([][]float64, nblk), solve: new(solveOnce)}
 	for bid := 0; bid < nblk; bid++ {
 		var ln uint64
 		if err := binary.Read(br, binary.LittleEndian, &ln); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"sympack/internal/blas"
+	"sympack/internal/symbolic"
 )
 
 // Solve solves A·x = b for the original (unpermuted) right-hand side b,
@@ -49,7 +50,8 @@ const panelMin = 8
 // and one backward sweep, so each block of L is read once per sweep, not
 // once per right-hand side. Column j of the panel gets the bits a solve of
 // b_j alone would: per column the operation sequence does not depend on
-// nrhs.
+// nrhs. At Options.Workers > 1 each sweep runs as a task graph on that many
+// lanes (laneSolve), with the same bits.
 func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64, error) {
 	st := f.St
 	n := st.N
@@ -75,8 +77,22 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	if err := canceled(); err != nil {
 		return nil, err
 	}
-	// One allocation holds the panel and the gather workspace behind it.
-	buf := make([]float64, (n+f.panelRows())*nrhs)
+	// One lane runs the whole forest as one unit and builds no schedule;
+	// so does a schedule of one unit.
+	var s *solveSched
+	lanes, rows := 1, 0
+	if f.Opt.Workers > 1 {
+		s = f.solve.get(st)
+		rows = s.panelRows
+		if len(s.units) > 1 {
+			lanes = f.Opt.Workers
+		}
+	} else {
+		rows = panelRows(st)
+	}
+	// One allocation holds the panel and every lane's gather workspace
+	// behind it.
+	buf := make([]float64, (n+lanes*rows)*nrhs)
 	y, w := buf[:n*nrhs:n*nrhs], buf[n*nrhs:]
 	for j, b := range bs {
 		yj := y[j*n : j*n+n]
@@ -84,11 +100,25 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 			yj[k] = b[p]
 		}
 	}
-	f.forward(y, nrhs, w)
-	if err := canceled(); err != nil {
-		return nil, err
+	root := int32(st.NumSupernodes() - 1)
+	if lanes == 1 {
+		f.forward(y, nrhs, w, 0, root)
+		if err := canceled(); err != nil {
+			return nil, err
+		}
+		f.backward(y, nrhs, w, 0, root)
+	} else {
+		ls := newLaneSolve(f, s, y, nrhs, w, lanes)
+		if err := ls.sweep(false); err != nil {
+			return nil, err
+		}
+		if err := canceled(); err != nil {
+			return nil, err
+		}
+		if err := ls.sweep(true); err != nil {
+			return nil, err
+		}
 	}
-	f.backward(y, nrhs, w)
 	for j := range out {
 		x := make([]float64, n)
 		yj := y[j*n : j*n+n]
@@ -101,11 +131,9 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 }
 
 // panelRows returns the tallest off-diagonal block of a supernode at least
-// panelMin wide: the gather workspace holds that many rows per right-hand
-// side. It is computed per call, not kept on the factor, so concurrent
-// solves share nothing writable.
-func (f *Factor) panelRows() int {
-	st := f.St
+// panelMin wide: a lane's gather workspace holds that many rows per
+// right-hand side.
+func panelRows(st *symbolic.Structure) int {
 	rows := 0
 	for k := range st.Snodes {
 		if st.Snodes[k].NCols() < panelMin {
@@ -118,73 +146,95 @@ func (f *Factor) panelRows() int {
 	return rows
 }
 
-// forward solves L·Y = B in place over the supernodal blocks. y is the
-// n×nrhs panel (ld n); w is the gather workspace, panelRows()×nrhs.
-//
-// A supernode at least panelMin wide gathers W = Y[rows, :] for each
-// off-diagonal block and runs W −= L_ik·Y_k as one Gemm. gemmNN forms
-// t = −y_c exactly, skips t == 0 as the loops below do, and computes
-// W + (−y_c)·col — y − col·y_c in IEEE 754 — so each element receives the
-// same updates, rounded the same way, in the same c order.
-func (f *Factor) forward(y []float64, nrhs int, w []float64) {
+// forward solves L·Y = B in place over supernodes first…root, pushing each
+// supernode's off-diagonal blocks into the rows they update; a block whose
+// rows lie past root is left to its row supernode's pull. y is the n×nrhs
+// panel (ld n); w is a gather workspace, panelRows×nrhs.
+func (f *Factor) forward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
 	n := st.N
-	for k := 0; k < st.NumSupernodes(); k++ {
+	for k := first; k <= root; k++ {
 		sn := &st.Snodes[k]
 		nc := sn.NCols()
-		fc := int(sn.FirstCol)
-		blks := st.SnodeBlocks(int32(k))
+		blks := st.SnodeBlocks(k)
 		// Y_k ← L_kk⁻¹ Y_k (dense forward substitution).
-		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, nc, nrhs, 1, f.Data[blks[0].ID], nc, y[fc:], n)
-		// Panel updates: Y_rows ← Y_rows − L_{i,k} · Y_k.
+		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, nc, nrhs, 1, f.Data[blks[0].ID], nc, y[sn.FirstCol:], n)
 		for bi := 1; bi < len(blks); bi++ {
-			blk := &blks[bi]
-			data := f.Data[blk.ID]
-			m := int(blk.NRows)
-			rows := sn.Rows[blk.RowOff : blk.RowOff+blk.NRows]
-			if nc >= panelMin {
-				wk := w[:m*nrhs]
-				gatherRows(wk, y, rows, n, nrhs)
-				blas.Gemm(blas.NoTrans, blas.NoTrans, m, nrhs, nc, -1, data, m, y[fc:], n, 1, wk, m)
-				for j := 0; j < nrhs; j++ {
-					yj, wj := y[j*n:j*n+n], wk[j*m:j*m+m]
-					for x, r := range rows {
-						yj[r] = wj[x]
-					}
-				}
-				continue
-			}
-			for j := 0; j < nrhs; j++ {
-				yj := y[j*n : j*n+n]
-				for c, t := range yj[fc : fc+nc] {
-					if t == 0 {
-						continue
-					}
-					col := data[c*m : c*m+m]
-					for x, r := range rows {
-						yj[r] -= float64(col[x] * t)
-					}
-				}
+			if blks[bi].RowSn <= root {
+				f.forwardBlock(y, nrhs, w, sn, &blks[bi])
 			}
 		}
 	}
 }
 
-// backward solves Lᵀ·X = Y in place over the supernodal blocks; y and w as
-// for forward.
+// pull applies to supernode t's rows every off-diagonal block that lies
+// in them, in block-id order — ascending source supernode, as forward's
+// pushes arrive — and then solves t's diagonal through forward.
+func (f *Factor) pull(y []float64, nrhs int, w []float64, s *solveSched, t int32) {
+	st := f.St
+	for _, bid := range s.rowBlk[s.rowPtr[t]:s.rowPtr[t+1]] {
+		blk := &st.Blocks[bid]
+		f.forwardBlock(y, nrhs, w, &st.Snodes[blk.Snode], blk)
+	}
+	f.forward(y, nrhs, w, t, t)
+}
+
+// forwardBlock applies off-diagonal block blk of supernode sn:
+// Y_rows ← Y_rows − L_{i,k}·Y_k.
+//
+// A supernode at least panelMin wide gathers W = Y[rows, :] and runs
+// W −= L_ik·Y_k as one Gemm. gemmNN forms t = −y_c exactly, skips t == 0
+// as the loops below do, and computes W + (−y_c)·col — y − col·y_c in IEEE
+// 754 — so each element receives the same updates, rounded the same way,
+// in the same c order.
+func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.Supernode, blk *symbolic.Block) {
+	n := f.St.N
+	nc, fc := sn.NCols(), int(sn.FirstCol)
+	data := f.Data[blk.ID]
+	m := int(blk.NRows)
+	rows := sn.Rows[blk.RowOff : blk.RowOff+blk.NRows]
+	if nc >= panelMin {
+		wk := w[:m*nrhs]
+		gatherRows(wk, y, rows, n, nrhs)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, m, nrhs, nc, -1, data, m, y[fc:], n, 1, wk, m)
+		for j := 0; j < nrhs; j++ {
+			yj, wj := y[j*n:j*n+n], wk[j*m:j*m+m]
+			for x, r := range rows {
+				yj[r] = wj[x]
+			}
+		}
+		return
+	}
+	for j := 0; j < nrhs; j++ {
+		yj := y[j*n : j*n+n]
+		for c, t := range yj[fc : fc+nc] {
+			if t == 0 {
+				continue
+			}
+			col := data[c*m : c*m+m]
+			for x, r := range rows {
+				yj[r] -= float64(col[x] * t)
+			}
+		}
+	}
+}
+
+// backward solves Lᵀ·X = Y in place over supernodes root…first, descending;
+// every supernode it reads past root is already solved. y and w as for
+// forward.
 //
 // A supernode at least panelMin wide gathers W = X[rows, :] for each
 // off-diagonal block and runs Y_k −= L_ikᵀ·W as one Gemm. gemmTN's dot
 // accumulates col[x]·W[x] from 0 in x order, as the loop below does, then
 // adds −1·s, which is y_c − s.
-func (f *Factor) backward(y []float64, nrhs int, w []float64) {
+func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
 	n := st.N
-	for k := st.NumSupernodes() - 1; k >= 0; k-- {
+	for k := root; k >= first; k-- {
 		sn := &st.Snodes[k]
 		nc := sn.NCols()
 		fc := int(sn.FirstCol)
-		blks := st.SnodeBlocks(int32(k))
+		blks := st.SnodeBlocks(k)
 		// Gather panel contributions: Y_k ← Y_k − Σ L_{i,k}ᵀ X_rows.
 		for bi := 1; bi < len(blks); bi++ {
 			blk := &blks[bi]

@@ -108,31 +108,18 @@ func (f *Factor) distSolve() *distSolve {
 	m2d := symbolic.NewBlockMap(f.Opt.Mapping, p, st)
 	d := &distSolve{nranks: p, mapping: f.Opt.Mapping, y: make([]float64, st.N), off: make([]int, len(st.Blocks))}
 
-	// Off-diagonal block ids grouped by row supernode (the backward sweep's
-	// fan-out), as a CSR filled in block-id order. Counting at i+2 leaves
-	// rowPtr[i+1] at the start of row i after the prefix sum, so the fill's
-	// cursor increments turn it into the end of row i — the start of i+1.
-	nsn := st.NumSupernodes()
-	rowPtr := make([]int32, nsn+2)
+	// Contribution slots, one per off-diagonal block.
 	size := 0
 	for bi := range st.Blocks {
 		if bl := &st.Blocks[bi]; !bl.IsDiag() {
-			rowPtr[bl.RowSn+2]++
 			d.off[bi] = size
 			size += int(bl.NRows) + st.Snodes[bl.Snode].NCols()
 		}
 	}
 	d.contrib = make([]float64, size)
-	for i := 2; i < len(rowPtr); i++ {
-		rowPtr[i] += rowPtr[i-1]
-	}
-	rowBlk := make([]int32, rowPtr[nsn+1])
-	for bi := range st.Blocks {
-		if bl := &st.Blocks[bi]; !bl.IsDiag() {
-			rowBlk[rowPtr[bl.RowSn+1]] = bl.ID
-			rowPtr[bl.RowSn+1]++
-		}
-	}
+	// The backward sweep fans out to the blocks by row supernode: the
+	// shared-memory solve's lists.
+	s := f.solve.get(st)
 
 	// Every rank's share is set up before the ranks run, so a handler may
 	// reach any peer from the first message on. A rank's tasks are two
@@ -140,8 +127,8 @@ func (f *Factor) distSolve() *distSolve {
 	d.solvers = make([]*solveRank, p)
 	for q := range d.solvers {
 		d.solvers[q] = &solveRank{
-			f: f, d: d, m2d: m2d, rowPtr: rowPtr, rowBlk: rowBlk,
-			count: make([]int32, nsn), sent: make([]int32, p),
+			f: f, d: d, m2d: m2d, rowPtr: s.rowPtr, rowBlk: s.rowBlk,
+			count: make([]int32, st.NumSupernodes()), sent: make([]int32, p),
 		}
 	}
 	for bi := range st.Blocks {

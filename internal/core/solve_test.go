@@ -1,13 +1,20 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"sympack/internal/blas"
 	"sympack/internal/gen"
 	"sympack/internal/matrix"
+	"sympack/internal/ordering"
+	"sympack/internal/symbolic"
 )
 
 // scalarForward is the one-vector forward substitution the panel solve
@@ -72,7 +79,8 @@ func scalarBackward(f *Factor, y []float64) {
 // leading half in factor order, an all-zero column — so the t == 0 skip is
 // taken on both branches. Each problem must have supernodes on both sides
 // of panelMin with off-diagonal blocks, so the gathered Gemm and the
-// indexed loops both run.
+// indexed loops both run. Each factor solves at 1, 2 and 4 workers, and at
+// more than one its solve must split into several units, so the lanes run.
 func TestSolvePanelMatchesScalar(t *testing.T) {
 	problems := []struct {
 		name string
@@ -84,71 +92,232 @@ func TestSolvePanelMatchesScalar(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(30))
 	for _, p := range problems {
-		f, err := Factorize(p.a, Options{Ranks: 1, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
-		}
-		st := f.St
-		var thin, wide bool
-		for k := range st.Snodes {
-			if len(st.SnodeBlocks(int32(k))) > 1 {
-				thin = thin || st.Snodes[k].NCols() < panelMin
-				wide = wide || st.Snodes[k].NCols() >= panelMin
-			}
-		}
-		if !thin || !wide {
-			t.Fatalf("%s: thin branch %v, wide branch %v: want both exercised", p.name, thin, wide)
-		}
-		n := st.N
-		for _, nrhs := range []int{1, 2, 3, 8, 17} {
-			bs := make([][]float64, nrhs)
-			for j := range bs {
-				b := make([]float64, n)
-				for i := range b {
-					b[i] = rng.NormFloat64()
-				}
-				switch {
-				case j == 3:
-					clear(b)
-				case j%2 == 1:
-					for k := 0; k < n/2; k++ {
-						b[st.Perm[k]] = 0
-					}
-				default:
-					for i := range b {
-						if rng.Intn(5) == 0 {
-							b[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
-						}
-					}
-				}
-				bs[j] = b
-			}
-			xs, err := f.SolveMulti(bs)
+		for _, workers := range []int{1, 2, 4} {
+			f, err := Factorize(p.a, Options{Ranks: 1, Workers: workers})
 			if err != nil {
-				t.Fatalf("%s nrhs=%d: %v", p.name, nrhs, err)
+				t.Fatalf("%s: %v", p.name, err)
 			}
-			for j, b := range bs {
-				y := make([]float64, n)
-				for k, pk := range st.Perm {
-					y[k] = b[pk]
+			if units := len(f.solve.get(f.St).units); workers > 1 && units < 2 {
+				t.Fatalf("%s: %d solve unit(s): the lanes are not exercised", p.name, units)
+			}
+			checkPanelMatchesScalar(t, fmt.Sprintf("%s workers=%d", p.name, workers), f, rng)
+		}
+	}
+}
+
+// checkPanelMatchesScalar runs one factor's half of
+// TestSolvePanelMatchesScalar.
+func checkPanelMatchesScalar(t *testing.T, name string, f *Factor, rng *rand.Rand) {
+	t.Helper()
+	st := f.St
+	var thin, wide bool
+	for k := range st.Snodes {
+		if len(st.SnodeBlocks(int32(k))) > 1 {
+			thin = thin || st.Snodes[k].NCols() < panelMin
+			wide = wide || st.Snodes[k].NCols() >= panelMin
+		}
+	}
+	if !thin || !wide {
+		t.Fatalf("%s: thin branch %v, wide branch %v: want both exercised", name, thin, wide)
+	}
+	n := st.N
+	for _, nrhs := range []int{1, 2, 3, 8, 17} {
+		bs := make([][]float64, nrhs)
+		for j := range bs {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			switch {
+			case j == 3:
+				clear(b)
+			case j%2 == 1:
+				for k := 0; k < n/2; k++ {
+					b[st.Perm[k]] = 0
 				}
-				scalarForward(f, y)
-				scalarBackward(f, y)
-				for k, pk := range st.Perm {
-					if got, want := math.Float64bits(xs[j][pk]), math.Float64bits(y[k]); got != want {
-						t.Fatalf("%s nrhs=%d: column %d, row %d: panel %x, scalar %x", p.name, nrhs, j, pk, got, want)
+			default:
+				for i := range b {
+					if rng.Intn(5) == 0 {
+						b[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
 					}
+				}
+			}
+			bs[j] = b
+		}
+		xs, err := f.SolveMulti(bs)
+		if err != nil {
+			t.Fatalf("%s nrhs=%d: %v", name, nrhs, err)
+		}
+		for j, b := range bs {
+			y := make([]float64, n)
+			for k, pk := range st.Perm {
+				y[k] = b[pk]
+			}
+			scalarForward(f, y)
+			scalarBackward(f, y)
+			for k, pk := range st.Perm {
+				if got, want := math.Float64bits(xs[j][pk]), math.Float64bits(y[k]); got != want {
+					t.Fatalf("%s nrhs=%d: column %d, row %d: panel %x, scalar %x", name, nrhs, j, pk, got, want)
 				}
 			}
 		}
 	}
 }
 
+// solveAt solves bs on f at the given worker count.
+func solveAt(t *testing.T, f *Factor, workers int, bs [][]float64) [][]float64 {
+	t.Helper()
+	saved := f.Opt.Workers
+	defer func() { f.Opt.Workers = saved }()
+	f.Opt.Workers = workers
+	xs, err := f.SolveMulti(bs)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return xs
+}
+
+// sameBits fails t unless got and want hold the same bits.
+func sameBits(t *testing.T, name string, got, want [][]float64) {
+	t.Helper()
+	for j := range want {
+		for i := range want[j] {
+			if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+				t.Fatalf("%s: column %d, row %d: %x, want %x", name, j, i,
+					math.Float64bits(got[j][i]), math.Float64bits(want[j][i]))
+			}
+		}
+	}
+}
+
+// randomRHS returns nrhs right-hand sides of length n.
+func randomRHS(rng *rand.Rand, n, nrhs int) [][]float64 {
+	bs := make([][]float64, nrhs)
+	for j := range bs {
+		bs[j] = make([]float64, n)
+		for i := range bs[j] {
+			bs[j][i] = rng.NormFloat64()
+		}
+	}
+	return bs
+}
+
+// TestSolveLanesICAndLoaded solves two factors the other bit tests do not
+// reach at four workers and at one, bit for bit: an IC(k) factor, whose
+// Incomplete structure is one unit, and a factor after Save → LoadFactor,
+// whose own schedule is built from the loaded structure.
+func TestSolveLanesICAndLoaded(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	a := gen.Thermal2D(64, 64, 4, 2)
+	st, pa, err := symbolic.AnalyzeIC(a, ordering.NestedDissection, symbolic.DefaultOptions(), symbolic.ICOptions{Level: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := FactorizeAnalyzed(st, pa, Options{Ranks: 1, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if units := len(ic.solve.get(ic.St).units); units != 1 {
+		t.Fatalf("IC(2): %d solve units, want 1", units)
+	}
+	bs := randomRHS(rng, a.N, 3)
+	sameBits(t, "IC(2)", solveAt(t, ic, 4, bs), solveAt(t, ic, 1, bs))
+
+	f, err := Factorize(gen.Laplace3D(12, 12, 12), Options{Ranks: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadFactor(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if units := len(g.solve.get(g.St).units); units < 2 {
+		t.Fatalf("loaded factor: %d solve unit(s): the lanes are not exercised", units)
+	}
+	bs = randomRHS(rng, f.St.N, 3)
+	sameBits(t, "loaded", solveAt(t, g, 4, bs), solveAt(t, g, 1, bs))
+}
+
+// TestSolveLanesUnsplittableIsOneUnit gives a loaded factor a block whose
+// RowSn lies below its own supernode, which LoadFactor's range checks
+// accept: run on the lanes, its unit edges would form a cycle and the
+// solve would wait forever. The schedule must instead be one unit, solved
+// on the caller at any worker count.
+func TestSolveLanesUnsplittableIsOneUnit(t *testing.T) {
+	f, err := Factorize(gen.Laplace3D(16, 16, 16), Options{Ranks: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadFactor(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Point a block of a lone unit above the cut at the lone unit below
+	// it, whose own blocks lead back up: a cycle.
+	sound := newSolveSched(g.St)
+	k := int32(-1)
+	for u := len(sound.units) - 1; u > 0 && k < 0; u-- {
+		r, below := sound.units[u], sound.units[u-1]
+		if r.First == r.Root && below.First == below.Root && len(g.St.SnodeBlocks(r.Root)) > 1 {
+			k = r.Root
+		}
+	}
+	if k < 0 {
+		t.Fatal("no two adjacent lone supernodes with off-diagonal blocks")
+	}
+	g.St.SnodeBlocks(k)[1].RowSn = k - 1
+	if units := len(g.solve.get(g.St).units); units != 1 {
+		t.Fatalf("%d solve units, want 1", units)
+	}
+	bs := randomRHS(rand.New(rand.NewSource(3)), g.St.N, 2)
+	sameBits(t, "unsplittable", solveAt(t, g, 4, bs), solveAt(t, g, 1, bs))
+}
+
+// TestSolveLanePanicIsAnError corrupts a diagonal block so that the kernel
+// solving it panics on whichever lane runs it: the solve must return an
+// error wrapping ErrInternal, not crash, and leave no goroutine behind.
+func TestSolveLanePanicIsAnError(t *testing.T) {
+	f, err := Factorize(gen.Laplace3D(10, 10, 10), Options{Ranks: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if units := len(f.solve.get(f.St).units); units < 2 {
+		t.Fatalf("%d solve unit(s): the lanes are not exercised", units)
+	}
+	root := int32(f.St.NumSupernodes() - 1)
+	f.Data[f.St.DiagBlock(root).ID] = nil
+	before := runtime.NumGoroutine()
+	_, err = f.SolveMulti(randomRHS(rand.New(rand.NewSource(1)), f.St.N, 2))
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("err = %v, want one wrapping ErrInternal", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the failed solve, %d before", n, before)
+	}
+}
+
 // TestSolveAllocBudget pins what a solve allocates: the panel and its
 // gather workspace in one buffer, the slice of solutions and one vector per
 // solution — 3 objects for Solve, nrhs + 2 for SolveMulti — whatever n and
-// the number of blocks. A per-block or per-supernode buffer fails it.
+// the number of blocks. A per-block or per-supernode buffer fails it. At
+// two workers the lanes add a fixed laneAllocs however many units the
+// schedule has: the run's state, its unit counters, its ready queue and per
+// sweep the helper's closure (5), and one for a goroutine the runtime could
+// not reuse.
 func TestSolveAllocBudget(t *testing.T) {
+	const laneAllocs = 6
 	problems := []struct {
 		name string
 		a    *matrix.SparseSym
@@ -159,36 +328,46 @@ func TestSolveAllocBudget(t *testing.T) {
 		{"Laplace3D 12³", gen.Laplace3D(12, 12, 12)},
 	}
 	for _, p := range problems {
-		f, err := Factorize(p.a, Options{Ranks: 1, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
-		}
-		b := make([]float64, p.a.N)
-		for i := range b {
-			b[i] = 1
-		}
-		single := testing.AllocsPerRun(5, func() {
-			if _, err := f.Solve(b); err != nil {
-				t.Fatal(err)
+		for _, workers := range []int{1, 2} {
+			f, err := Factorize(p.a, Options{Ranks: 1, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
 			}
-		})
-		t.Logf("%s: Solve %.0f allocs", p.name, single)
-		if single > 3 {
-			t.Errorf("%s: Solve allocates %.0f objects, budget 3", p.name, single)
-		}
-		for _, nrhs := range []int{2, 8} {
-			bs := make([][]float64, nrhs)
-			for j := range bs {
-				bs[j] = b
+			extra, units := 0.0, 1
+			if workers > 1 {
+				extra, units = laneAllocs, len(f.solve.get(f.St).units)
+				if units < 2 {
+					t.Fatalf("%s: one solve unit: the lanes are not exercised", p.name)
+				}
 			}
-			multi := testing.AllocsPerRun(5, func() {
-				if _, err := f.SolveMulti(bs); err != nil {
+			name := fmt.Sprintf("%s workers=%d (%d units)", p.name, workers, units)
+			b := make([]float64, p.a.N)
+			for i := range b {
+				b[i] = 1
+			}
+			single := testing.AllocsPerRun(5, func() {
+				if _, err := f.Solve(b); err != nil {
 					t.Fatal(err)
 				}
 			})
-			t.Logf("%s: SolveMulti(%d) %.0f allocs", p.name, nrhs, multi)
-			if budget := float64(nrhs + 2); multi > budget {
-				t.Errorf("%s: SolveMulti(%d) allocates %.0f objects, budget %.0f", p.name, nrhs, multi, budget)
+			t.Logf("%s: Solve %.0f allocs", name, single)
+			if budget := 3 + extra; single > budget {
+				t.Errorf("%s: Solve allocates %.0f objects, budget %.0f", name, single, budget)
+			}
+			for _, nrhs := range []int{2, 8} {
+				bs := make([][]float64, nrhs)
+				for j := range bs {
+					bs[j] = b
+				}
+				multi := testing.AllocsPerRun(5, func() {
+					if _, err := f.SolveMulti(bs); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%s: SolveMulti(%d) %.0f allocs", name, nrhs, multi)
+				if budget := float64(nrhs+2) + extra; multi > budget {
+					t.Errorf("%s: SolveMulti(%d) allocates %.0f objects, budget %.0f", name, nrhs, multi, budget)
+				}
 			}
 		}
 	}
@@ -196,7 +375,8 @@ func TestSolveAllocBudget(t *testing.T) {
 
 // BenchmarkSolvePanel times the shared-memory solve at one rank on the
 // benchmark workloads' matrices: one right-hand side and, on Laplace3D, a
-// panel of eight — the shape of a laplace_reuse_pool op.
+// panel of eight — the shape of a laplace_reuse_pool op — at one lane and
+// at two.
 func BenchmarkSolvePanel(b *testing.B) {
 	cases := []struct {
 		name string
@@ -209,25 +389,27 @@ func BenchmarkSolvePanel(b *testing.B) {
 		{"Thermal2D-256/nrhs=1", gen.Thermal2D(256, 256, 12, 1), 1},
 	}
 	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			f, err := Factorize(c.a, Options{Ranks: 1, Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bs := make([][]float64, c.nrhs)
-			for j := range bs {
-				bs[j] = make([]float64, c.a.N)
-				for i := range bs[j] {
-					bs[j][i] = float64(1 + (i+j)%7)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.SolveMulti(bs); err != nil {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				f, err := Factorize(c.a, Options{Ranks: 1, Workers: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				bs := make([][]float64, c.nrhs)
+				for j := range bs {
+					bs[j] = make([]float64, c.a.N)
+					for i := range bs[j] {
+						bs[j][i] = float64(1 + (i+j)%7)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := f.SolveMulti(bs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
