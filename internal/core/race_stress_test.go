@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"sympack/internal/gen"
 	"sympack/internal/gpu"
@@ -216,13 +215,7 @@ func TestRaceStressSolveLanes(t *testing.T) {
 				}
 				sameBits(t, fmt.Sprintf("caller %d", g), got[g], want)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Fatalf("%d goroutines after the solves, %d before", n, before)
-			}
+			goroutinesBack(t, before)
 		})
 	}
 }

@@ -100,8 +100,8 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 			yj[k] = b[p]
 		}
 	}
-	root := int32(st.NumSupernodes() - 1)
 	if lanes == 1 {
+		root := int32(st.NumSupernodes() - 1)
 		f.forward(y, nrhs, w, 0, root)
 		if err := canceled(); err != nil {
 			return nil, err

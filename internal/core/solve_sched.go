@@ -74,8 +74,7 @@ func newSolveSched(st *symbolic.Structure) *solveSched {
 	}
 	s.rowPtr = rowPtr[:nsn+1]
 
-	whole := []symbolic.SubtreeRange{{First: 0, Root: nsn - 1}}
-	s.units, s.succPtr, s.predPtr = whole, []int32{0, 0}, []int32{0, 0}
+	s.units, s.succPtr, s.predPtr = []symbolic.SubtreeRange{{First: 0, Root: nsn - 1}}, []int32{0, 0}, []int32{0, 0}
 	subtrees := st.BottomSubtrees(subtreeFlop, subtreeMin, func(k int32) bool { return st.SnParent[k] != -1 })
 	if len(subtrees) == 0 || !splittable(st) {
 		return s

@@ -299,12 +299,19 @@ func TestSolveLanePanicIsAnError(t *testing.T) {
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want one wrapping ErrInternal", err)
 	}
+	goroutinesBack(t, before)
+}
+
+// goroutinesBack fails t unless the goroutine count falls back to before
+// within five seconds: a solve's helpers have all exited.
+func goroutinesBack(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after the failed solve, %d before", n, before)
+		t.Fatalf("%d goroutines after the solves, %d before", n, before)
 	}
 }
 
