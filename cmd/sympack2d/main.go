@@ -78,7 +78,7 @@ func register(fs *flag.FlagSet, c *config) {
 	fs.IntVar(&c.icLevel, "ic-level", 1, "IC(k) fill level for -solver=pcg")
 	fs.Float64Var(&c.rtol, "rtol", 1e-8, "relative tolerance for -solver=cg|pcg")
 	fs.IntVar(&c.ranks, "ranks", 4, "number of UPC++ processes to simulate")
-	fs.IntVar(&c.workers, "workers", 0, "goroutines per rank running tasks, the rank's own included; the shared-memory solve runs on as many lanes (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
+	fs.IntVar(&c.workers, "workers", 0, "goroutines per rank running tasks, the rank's own included; the shared-memory solve runs on up to as many lanes, within GOMAXPROCS (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
 	fs.IntVar(&c.ranksPerNode, "ranks-per-node", 0, "ranks per node (0 = all on one node)")
 	fs.IntVar(&c.gpus, "gpus", 0, "GPUs per node (0 = CPU only)")
 	fs.Int64Var(&c.deviceMem, "device-mem", 0, "device memory per GPU in MiB (0 = unbounded)")

@@ -46,9 +46,10 @@ type Options struct {
 	// otherwise GOMAXPROCS/Ranks (at least 1). The factor is bit-identical
 	// across worker counts — update contributions are applied in a
 	// canonical order regardless of completion interleaving. The
-	// shared-memory solve (Factor.Solve, SolveMulti) runs on as many lanes:
-	// the calling goroutine and Workers-1 helpers that live for the call,
-	// with the same solution bits at every count.
+	// shared-memory solve (Factor.Solve, SolveMulti) runs on up to as many
+	// lanes: the calling goroutine and up to Workers-1 helpers that live
+	// for the call, taken only while the process's solve lanes stay within
+	// GOMAXPROCS, with the same solution bits at every count.
 	Workers int
 	// RanksPerNode controls node locality in the communication model
 	// (default: all ranks on one node).
@@ -242,7 +243,7 @@ type Factor struct {
 
 	msrv  *metrics.Server // live /metrics endpoint; nil unless MetricsAddr was set
 	dist  *distSolve      // SolveDistributed's reusable state; nil until its first call
-	solve *solveOnce      // the solve schedule, shared with the plan's other factors
+	solve *solveOnce      // the solves' by-row lists and schedule, shared with the plan's other factors
 }
 
 // MetricsAddr returns the bound address of the metrics endpoint ("" when
@@ -389,7 +390,7 @@ func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Fac
 		return nil, err
 	}
 
-	f := &Factor{St: st, Opt: opt, Data: make([][]float64, len(st.Blocks)), solve: &p.solve, Stats: Stats{
+	f := &Factor{St: st, Opt: opt, Data: make([][]float64, len(st.Blocks)), solve: p.solve, Stats: Stats{
 		PerRank: make([]OpStats, opt.Ranks), Workers: opt.Workers, NnzL: st.NnzL, FactorFlop: st.FactorFlop,
 		Supernodes: st.NumSupernodes(), Blocks: st.NumBlocks(), Updates: len(tg.Updates),
 	}}

@@ -19,13 +19,14 @@ import (
 // number of factorizations of the pattern, concurrent ones included, share
 // one Plan, as CHOLMOD's analyse-once, factorize-many split does. The one
 // part built later, the solve schedule, is built once, behind a sync.Once,
-// by the first of its factors' solves that needs it.
+// by the first of its factors' solves that needs it; it lives in an object
+// of its own, so a factor keeps the schedule alive but not the plan.
 type Plan struct {
 	st    *symbolic.Structure
 	tg    *symbolic.TaskGraph
 	asm   assembly
 	lay   *layout
-	solve solveOnce // the solve schedule the plan's factors share
+	solve *solveOnce // the solve schedule the plan's factors share
 }
 
 // Structure returns the plan's symbolic structure, which callers must not
@@ -35,7 +36,7 @@ func (p *Plan) Structure() *symbolic.Structure { return p.st }
 // newPlan builds the task graph and opt's layout for st and adopts asm.
 func newPlan(st *symbolic.Structure, asm assembly, opt Options) *Plan {
 	tg := symbolic.BuildTaskGraph(st)
-	return &Plan{st: st, tg: tg, asm: asm, lay: newLayout(st, tg, opt)}
+	return &Plan{st: st, tg: tg, asm: asm, lay: newLayout(st, tg, opt), solve: new(solveOnce)}
 }
 
 // layoutFor returns the plan's layout when opt's shape is the one it was
@@ -50,7 +51,8 @@ func (p *Plan) layoutFor(opt Options) *layout {
 
 // Bytes estimates the retained size of the plan: its structure, task
 // graph, assembly map and layout. Element arrays are counted, fixed
-// per-object overheads are not.
+// per-object overheads are not, and neither is the solve schedule (DESIGN
+// "Shared-memory solve" says why).
 func (p *Plan) Bytes() int64 {
 	st, tg := p.st, p.tg
 	b := st.NnzL * 4 // supernode row lists are int32

@@ -168,12 +168,14 @@ func TestRaceStressSubtreeTasks(t *testing.T) {
 }
 
 // TestRaceStressSolveLanes runs four SolveMulti calls at once on one
-// factor at four workers, so sixteen lanes share its blocks and its
-// schedule while each call writes only its own panel, counters and queue:
-// narrow supernodes on Thermal2D give a graph of many small units, and
-// Laplace3D 10³ one with wide separators. Every answer must have the
-// one-worker bits, and every helper must be gone once the calls return.
+// factor at four workers, on sixteen Ps so that all sixteen lanes run: they
+// share its blocks and its schedule while each call writes only its own
+// panel, counters and queue. Narrow supernodes on Thermal2D give a graph of
+// many small units, and Laplace3D 10³ one with wide separators. Every
+// answer must have the one-worker bits, and every helper must be gone once
+// the calls return.
 func TestRaceStressSolveLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	sym := symbolic.DefaultOptions()
 	sym.MaxSupernodeSize = 4
 	cases := []struct {

@@ -191,6 +191,12 @@ func LoadFactor(r io.Reader) (*Factor, error) {
 	// that only need the fields above working; scalar parents are not
 	// persisted.
 	st.Tree = &etree.Tree{Parent: make([]int32, 0)}
+	// The checks above keep every index in range; the solves need the
+	// layout a symbolic analysis gives too. Update closure is not checked:
+	// an IC(k) factor is saved without its Incomplete mark.
+	if err := st.ValidateLayout(); err != nil {
+		return nil, fmt.Errorf("core: corrupt factor structure: %w", err)
+	}
 
 	f := &Factor{St: st, Opt: Options{}.withDefaults(), Data: make([][]float64, nblk), solve: new(solveOnce)}
 	for bid := 0; bid < nblk; bid++ {

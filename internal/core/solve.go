@@ -50,8 +50,8 @@ const panelMin = 8
 // and one backward sweep, so each block of L is read once per sweep, not
 // once per right-hand side. Column j of the panel gets the bits a solve of
 // b_j alone would: per column the operation sequence does not depend on
-// nrhs. At Options.Workers > 1 each sweep runs as a task graph on that many
-// lanes (laneSolve), with the same bits.
+// nrhs. At Options.Workers > 1 each sweep runs as a task graph on up to
+// that many lanes, as many as the Ps allow (takeLanes), with the same bits.
 func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64, error) {
 	st := f.St
 	n := st.N
@@ -78,14 +78,15 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 		return nil, err
 	}
 	// One lane runs the whole forest as one unit and builds no schedule;
-	// so does a schedule of one unit.
+	// so does a schedule of one unit, or a call the Ps leave no helper.
 	var s *solveSched
 	lanes, rows := 1, 0
 	if f.Opt.Workers > 1 {
 		s = f.solve.get(st)
 		rows = s.panelRows
 		if len(s.units) > 1 {
-			lanes = f.Opt.Workers
+			lanes = takeLanes(f.Opt.Workers)
+			defer giveLanes(lanes)
 		}
 	} else {
 		rows = panelRows(st)
@@ -172,7 +173,7 @@ func (f *Factor) forward(y []float64, nrhs int, w []float64, first, root int32) 
 // pushes arrive — and then solves t's diagonal through forward.
 func (f *Factor) pull(y []float64, nrhs int, w []float64, s *solveSched, t int32) {
 	st := f.St
-	for _, bid := range s.rowBlk[s.rowPtr[t]:s.rowPtr[t+1]] {
+	for _, bid := range s.rows.blk[s.rows.ptr[t]:s.rows.ptr[t+1]] {
 		blk := &st.Blocks[bid]
 		f.forwardBlock(y, nrhs, w, &st.Snodes[blk.Snode], blk)
 	}

@@ -119,7 +119,7 @@ func (f *Factor) distSolve() *distSolve {
 	d.contrib = make([]float64, size)
 	// The backward sweep fans out to the blocks by row supernode: the
 	// shared-memory solve's lists.
-	s := f.solve.get(st)
+	rows := f.solve.byRow(st)
 
 	// Every rank's share is set up before the ranks run, so a handler may
 	// reach any peer from the first message on. A rank's tasks are two
@@ -127,7 +127,7 @@ func (f *Factor) distSolve() *distSolve {
 	d.solvers = make([]*solveRank, p)
 	for q := range d.solvers {
 		d.solvers[q] = &solveRank{
-			f: f, d: d, m2d: m2d, rowPtr: s.rowPtr, rowBlk: s.rowBlk,
+			f: f, d: d, m2d: m2d, rowPtr: rows.ptr, rowBlk: rows.blk,
 			count: make([]int32, st.NumSupernodes()), sent: make([]int32, p),
 		}
 	}

@@ -2,11 +2,42 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sympack/internal/symbolic"
 )
+
+// rowCSR groups the off-diagonal block ids by row supernode, in block-id
+// order: supernode i's are blk[ptr[i]:ptr[i+1]]. The shared-memory solve's
+// pull reads it, and so does the distributed solve's backward fan-out.
+type rowCSR struct{ ptr, blk []int32 }
+
+// newRowCSR builds st's rowCSR.
+func newRowCSR(st *symbolic.Structure) rowCSR {
+	nsn := int32(st.NumSupernodes())
+	// Count at i+2 so that, after the prefix sum, ptr[i+1] is the start of
+	// row i; the fill's cursor increments turn it into the end of row i,
+	// the start of i+1.
+	ptr := make([]int32, nsn+2)
+	for bi := range st.Blocks {
+		if bl := &st.Blocks[bi]; !bl.IsDiag() {
+			ptr[bl.RowSn+2]++
+		}
+	}
+	for i := 2; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
+	blk := make([]int32, ptr[nsn+1])
+	for bi := range st.Blocks {
+		if bl := &st.Blocks[bi]; !bl.IsDiag() {
+			blk[ptr[bl.RowSn+1]] = bl.ID
+			ptr[bl.RowSn+1]++
+		}
+	}
+	return rowCSR{ptr: ptr[:nsn+1], blk: blk}
+}
 
 // solveSched is the shared-memory solve's task graph. It follows from the
 // structure alone, so it is built once per pattern, by the first solve
@@ -18,10 +49,7 @@ import (
 // rows (forward) and a lone supernode pulls the blocks that lie in its rows
 // (pull); backward, every unit runs backward over its range.
 type solveSched struct {
-	// rowPtr/rowBlk group the off-diagonal block ids by row supernode, in
-	// block-id order: supernode i's are rowBlk[rowPtr[i]:rowPtr[i+1]]. The
-	// pull reads them, and so does the distributed solve.
-	rowPtr, rowBlk []int32
+	rows rowCSR // the blocks a lone supernode pulls
 	// units tile the supernodes in ascending order. One unit is the whole
 	// forest: the solve then runs on the calling goroutine alone.
 	units []symbolic.SubtreeRange
@@ -32,51 +60,40 @@ type solveSched struct {
 	panelRows                    int
 }
 
-// solveOnce builds a solveSched on first use. The factors of one Plan share
-// one; a factor LoadFactor returns has its own.
+// solveOnce builds, on first use, what the solves of a pattern share: the
+// rowCSR, which the distributed solve needs too, and the solveSched. The
+// factors of one Plan share one; a factor LoadFactor returns has its own.
 type solveOnce struct {
-	once  sync.Once
-	sched *solveSched
+	rowsOnce, schedOnce sync.Once
+	rows                rowCSR
+	sched               *solveSched
+}
+
+func (o *solveOnce) byRow(st *symbolic.Structure) rowCSR {
+	o.rowsOnce.Do(func() { o.rows = newRowCSR(st) })
+	return o.rows
 }
 
 func (o *solveOnce) get(st *symbolic.Structure) *solveSched {
-	o.once.Do(func() { o.sched = newSolveSched(st) })
+	o.schedOnce.Do(func() { o.sched = newSolveSched(st, o.byRow(st)) })
 	return o.sched
 }
 
-// newSolveSched builds st's solve schedule. The units are the bottom
-// subtrees the factorization folds at one rank (a root of the tree never
-// folds) and every supernode above them. A structure that yields no
-// subtree — an Incomplete one among them — or one the lanes could not
-// split safely (splittable) is one unit.
-func newSolveSched(st *symbolic.Structure) *solveSched {
+// newSolveSched builds st's solve schedule around its rowCSR. The units are
+// the bottom subtrees the factorization folds at one rank (a root of the
+// tree never folds) and every supernode above them. A structure that
+// yields no subtree, an Incomplete one among them, is one unit.
+//
+// st must satisfy symbolic.Structure.ValidateLayout (Analyze's structures
+// do, and LoadFactor checks a loaded one): then every off-diagonal block
+// lies in a later supernode's rows, so a unit writes only its own rows and
+// every edge points to a later unit.
+func newSolveSched(st *symbolic.Structure, rows rowCSR) *solveSched {
 	nsn := int32(st.NumSupernodes())
-	s := &solveSched{panelRows: panelRows(st)}
-
-	// Count at i+2 so that, after the prefix sum, rowPtr[i+1] is the start
-	// of row i; the fill's cursor increments turn it into the end of row i,
-	// the start of i+1.
-	rowPtr := make([]int32, nsn+2)
-	for bi := range st.Blocks {
-		if bl := &st.Blocks[bi]; !bl.IsDiag() {
-			rowPtr[bl.RowSn+2]++
-		}
-	}
-	for i := 2; i < len(rowPtr); i++ {
-		rowPtr[i] += rowPtr[i-1]
-	}
-	s.rowBlk = make([]int32, rowPtr[nsn+1])
-	for bi := range st.Blocks {
-		if bl := &st.Blocks[bi]; !bl.IsDiag() {
-			s.rowBlk[rowPtr[bl.RowSn+1]] = bl.ID
-			rowPtr[bl.RowSn+1]++
-		}
-	}
-	s.rowPtr = rowPtr[:nsn+1]
-
-	s.units, s.succPtr, s.predPtr = []symbolic.SubtreeRange{{First: 0, Root: nsn - 1}}, []int32{0, 0}, []int32{0, 0}
+	s := &solveSched{rows: rows, panelRows: panelRows(st),
+		units: []symbolic.SubtreeRange{{First: 0, Root: nsn - 1}}, succPtr: []int32{0, 0}, predPtr: []int32{0, 0}}
 	subtrees := st.BottomSubtrees(subtreeFlop, subtreeMin, func(k int32) bool { return st.SnParent[k] != -1 })
-	if len(subtrees) == 0 || !splittable(st) {
+	if len(subtrees) == 0 {
 		return s
 	}
 	// Units in ascending order: each subtree, after the lone supernodes
@@ -101,8 +118,9 @@ func newSolveSched(st *symbolic.Structure) *solveSched {
 
 	// Forward edges, deduplicated with a stamp per target unit. A block
 	// from outside a subtree into its rows would need the subtree to pull:
-	// the cut is closed under updates, so that happens only on a structure
-	// that is not postordered, which then stays one unit.
+	// the cut is closed under updates, so that happens only where a block's
+	// row supernode is no ancestor of its own, which a loaded factor's
+	// rebuilt tree does not rule out. Such a structure stays one unit.
 	succPtr := make([]int32, len(units)+1)
 	var succ []int32
 	stamp := make([]int32, len(units))
@@ -143,33 +161,31 @@ func newSolveSched(st *symbolic.Structure) *solveSched {
 	return s
 }
 
-// splittable reports whether st has what running its units on several
-// lanes relies on, beyond what the sequential sweeps need: supernodes tile
-// the columns in order, and every off-diagonal block lies below its
-// supernode, in the rows of its RowSn. Then a unit writes only its own
-// supernodes' rows and every edge points to a later unit. A structure from
-// symbolic.Analyze always has it; a loaded one may not.
-func splittable(st *symbolic.Structure) bool {
-	next := int32(0)
-	for k := range st.Snodes {
-		sn := &st.Snodes[k]
-		if sn.FirstCol != next || sn.LastCol < sn.FirstCol {
-			return false
-		}
-		next = sn.LastCol + 1
-		for _, bl := range st.SnodeBlocks(int32(k))[1:] {
-			if bl.RowSn <= int32(k) {
-				return false
-			}
-			for _, r := range sn.Rows[bl.RowOff : bl.RowOff+bl.NRows] {
-				if st.SnOf[r] != bl.RowSn {
-					return false
-				}
-			}
+// solveLanes counts the goroutines running a shared-memory solve in the
+// process: the caller of every solve on the lanes and the helpers it took.
+var solveLanes atomic.Int32
+
+// takeLanes counts the caller as a lane and takes up to want−1 helpers
+// while the lanes stay within GOMAXPROCS: a lane past the Ps only
+// time-slices with the others, which costs more than it gains (EXPERIMENTS
+// "The solve on the lanes"), so concurrent solves that fill the Ps run
+// alone. It returns the lanes the caller must give back with giveLanes.
+func takeLanes(want int) int {
+	busy := solveLanes.Add(1)
+	procs := int32(runtime.GOMAXPROCS(0))
+	got := 1
+	for got < want && busy < procs {
+		if solveLanes.CompareAndSwap(busy, busy+1) {
+			got++
+			busy++
+		} else {
+			busy = solveLanes.Load()
 		}
 	}
-	return int(next) == st.N
+	return got
 }
+
+func giveLanes(n int) { solveLanes.Add(-int32(n)) }
 
 // laneSolve is one call's run of a solveSched on lanes goroutines: the
 // caller and lanes−1 helpers that live for one sweep. Lane l gathers into

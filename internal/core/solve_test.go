@@ -80,8 +80,10 @@ func scalarBackward(f *Factor, y []float64) {
 // taken on both branches. Each problem must have supernodes on both sides
 // of panelMin with off-diagonal blocks, so the gathered Gemm and the
 // indexed loops both run. Each factor solves at 1, 2 and 4 workers, and at
-// more than one its solve must split into several units, so the lanes run.
+// more than one its solve must split into several units, so the lanes run;
+// four Ps leave room for four.
 func TestSolvePanelMatchesScalar(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	problems := []struct {
 		name string
 		a    *matrix.SparseSym
@@ -205,8 +207,10 @@ func randomRHS(rng *rand.Rand, n, nrhs int) [][]float64 {
 // TestSolveLanesICAndLoaded solves two factors the other bit tests do not
 // reach at four workers and at one, bit for bit: an IC(k) factor, whose
 // Incomplete structure is one unit, and a factor after Save → LoadFactor,
-// whose own schedule is built from the loaded structure.
+// whose own schedule is built from the loaded structure. Four Ps leave room
+// for four lanes.
 func TestSolveLanesICAndLoaded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(48))
 	a := gen.Thermal2D(64, 64, 4, 2)
 	st, pa, err := symbolic.AnalyzeIC(a, ordering.NestedDissection, symbolic.DefaultOptions(), symbolic.ICOptions{Level: 2})
@@ -242,49 +246,93 @@ func TestSolveLanesICAndLoaded(t *testing.T) {
 	sameBits(t, "loaded", solveAt(t, g, 4, bs), solveAt(t, g, 1, bs))
 }
 
-// TestSolveLanesUnsplittableIsOneUnit gives a loaded factor a block whose
-// RowSn lies below its own supernode, which LoadFactor's range checks
-// accept: run on the lanes, its unit edges would form a cycle and the
-// solve would wait forever. The schedule must instead be one unit, solved
-// on the caller at any worker count.
-func TestSolveLanesUnsplittableIsOneUnit(t *testing.T) {
-	f, err := Factorize(gen.Laplace3D(16, 16, 16), Options{Ranks: 1, Workers: 1})
+// TestLoadFactorRejectsBlockBelowItsSupernode gives a saved factor a block
+// whose RowSn lies below its own supernode, every index still in range: run
+// on the lanes, its unit edges would form a cycle and the solve would wait
+// forever. LoadFactor must reject it, as it rejects every structure that
+// fails symbolic.Structure.ValidateLayout.
+func TestLoadFactorRejectsBlockBelowItsSupernode(t *testing.T) {
+	f, err := Factorize(gen.Laplace3D(10, 10, 10), Options{Ranks: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := int32(f.St.NumSupernodes() - 1)
+	for ; k > 0 && len(f.St.SnodeBlocks(k)) < 2; k-- {
+	}
+	if k == 0 {
+		t.Fatal("no supernode above the first with an off-diagonal block")
+	}
+	f.St.SnodeBlocks(k)[1].RowSn = k - 1
 	var buf bytes.Buffer
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadFactor(&buf)
+	if _, err := LoadFactor(&buf); err == nil {
+		t.Fatal("load of a block below its supernode succeeded")
+	}
+}
+
+// TestSolveLanesWithinProcs: a solve takes a helper only while the solve
+// lanes of the process stay within GOMAXPROCS, so a solve that finds the
+// Ps full runs alone, on the sequential loops, and allocates what a
+// one-worker solve does.
+func TestSolveLanesWithinProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	first := takeLanes(4)
+	second := takeLanes(4)
+	giveLanes(first)
+	giveLanes(second)
+	if first != 2 || second != 1 {
+		t.Fatalf("two calls at 4 workers on 2 Ps took %d and %d lanes, want 2 and 1", first, second)
+	}
+	if n := solveLanes.Load(); n != 0 {
+		t.Fatalf("%d lanes held after every call gave its back", n)
+	}
+
+	f, err := Factorize(gen.Laplace3D(10, 10, 10), Options{Ranks: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Point a block of a lone unit above the cut at the lone unit below
-	// it, whose own blocks lead back up: a cycle.
-	sound := newSolveSched(g.St)
-	k := int32(-1)
-	for u := len(sound.units) - 1; u > 0 && k < 0; u-- {
-		r, below := sound.units[u], sound.units[u-1]
-		if r.First == r.Root && below.First == below.Root && len(g.St.SnodeBlocks(r.Root)) > 1 {
-			k = r.Root
+	b := make([]float64, f.St.N)
+	for i := range b {
+		b[i] = 1
+	}
+	solve := func() {
+		if _, err := f.Solve(b); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if k < 0 {
-		t.Fatal("no two adjacent lone supernodes with off-diagonal blocks")
+	if free := allocsAtProcs(5, solve); free <= 3 {
+		t.Fatalf("Solve on free Ps allocates %.0f objects: the lanes are not exercised", free)
 	}
-	g.St.SnodeBlocks(k)[1].RowSn = k - 1
-	if units := len(g.solve.get(g.St).units); units != 1 {
-		t.Fatalf("%d solve units, want 1", units)
+	full := takeLanes(2)
+	allocs := allocsAtProcs(5, solve)
+	giveLanes(full)
+	if allocs != 3 {
+		t.Fatalf("Solve on full Ps allocates %.0f objects, want the sequential 3", allocs)
 	}
-	bs := randomRHS(rand.New(rand.NewSource(3)), g.St.N, 2)
-	sameBits(t, "unsplittable", solveAt(t, g, 4, bs), solveAt(t, g, 1, bs))
+}
+
+// allocsAtProcs is testing.AllocsPerRun without its switch to one P, at
+// which a solve takes no helper: the mean number of allocations of a run
+// of f after one warm-up run.
+func allocsAtProcs(runs int, f func()) float64 {
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64((m1.Mallocs - m0.Mallocs) / uint64(runs))
 }
 
 // TestSolveLanePanicIsAnError corrupts a diagonal block so that the kernel
 // solving it panics on whichever lane runs it: the solve must return an
-// error wrapping ErrInternal, not crash, and leave no goroutine behind.
+// error wrapping ErrInternal, not crash, and leave no goroutine behind. Two
+// Ps leave room for the helper.
 func TestSolveLanePanicIsAnError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	f, err := Factorize(gen.Laplace3D(10, 10, 10), Options{Ranks: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -321,10 +369,12 @@ func goroutinesBack(t *testing.T, before int) {
 // the number of blocks. A per-block or per-supernode buffer fails it. At
 // two workers the lanes add a fixed laneAllocs however many units the
 // schedule has: the run's state, its unit counters, its ready queue and per
-// sweep the helper's closure (5), and one for a goroutine the runtime could
-// not reuse.
+// sweep the helper's closure (5), and per sweep one goroutine the runtime
+// could not reuse, as when the last helper exited on the other P (2). Those
+// rows count at two Ps (allocsAtProcs), where the helper runs.
 func TestSolveAllocBudget(t *testing.T) {
-	const laneAllocs = 6
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const laneAllocs = 7
 	problems := []struct {
 		name string
 		a    *matrix.SparseSym
@@ -340,8 +390,9 @@ func TestSolveAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", p.name, err)
 			}
-			extra, units := 0.0, 1
+			extra, units, allocs := 0.0, 1, testing.AllocsPerRun
 			if workers > 1 {
+				allocs = allocsAtProcs
 				extra, units = laneAllocs, len(f.solve.get(f.St).units)
 				if units < 2 {
 					t.Fatalf("%s: one solve unit: the lanes are not exercised", p.name)
@@ -352,7 +403,7 @@ func TestSolveAllocBudget(t *testing.T) {
 			for i := range b {
 				b[i] = 1
 			}
-			single := testing.AllocsPerRun(5, func() {
+			single := allocs(5, func() {
 				if _, err := f.Solve(b); err != nil {
 					t.Fatal(err)
 				}
@@ -366,7 +417,7 @@ func TestSolveAllocBudget(t *testing.T) {
 				for j := range bs {
 					bs[j] = b
 				}
-				multi := testing.AllocsPerRun(5, func() {
+				multi := allocs(5, func() {
 					if _, err := f.SolveMulti(bs); err != nil {
 						t.Fatal(err)
 					}

@@ -547,8 +547,41 @@ func (st *Structure) BottomSubtrees(maxFlop int64, minSnodes int32, keep func(k 
 	return out
 }
 
-// Validate checks the structural invariants the numeric phase depends on.
+// Validate checks the structural invariants the numeric phase depends on:
+// those of ValidateLayout and the closure of the blocks under updates.
 func (st *Structure) Validate() error {
+	if err := st.ValidateLayout(); err != nil {
+		return err
+	}
+	// Update-closure: for every supernode j and every pair of off-diagonal
+	// blocks (B_{k,j}, B_{i,j}) with i ≥ k, the target B_{i,k} must exist.
+	// Incomplete structures drop fill, so closure is exactly the invariant
+	// they give up; their dropped-target updates are skipped at task-graph
+	// construction instead.
+	if st.Incomplete {
+		return nil
+	}
+	for j := range st.Snodes {
+		blks := st.SnodeBlocks(int32(j))[1:]
+		for x := range blks {
+			for y := x; y < len(blks); y++ {
+				k, i := blks[x].RowSn, blks[y].RowSn
+				if st.FindBlock(i, k) < 0 {
+					return fmt.Errorf("symbolic: missing update target B[%d,%d] for source supernode %d", i, k, j)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// ValidateLayout checks the invariants a solve depends on: the permutation,
+// supernodes tiling the columns in order, each supernode's rows, blocks
+// tiling each supernode's rows in ascending row supernode with the
+// diagonal block first, and every supernode's parent after it. It leaves
+// out the closure check, so an IC(k) factor read back without its
+// Incomplete mark passes.
+func (st *Structure) ValidateLayout() error {
 	n := st.N
 	if err := ordering.Validate(st.Perm, n); err != nil {
 		return err
@@ -622,25 +655,6 @@ func (st *Structure) Validate() error {
 	for k, p := range st.SnParent {
 		if p != -1 && p <= int32(k) {
 			return fmt.Errorf("symbolic: snode parent %d ≤ %d", p, k)
-		}
-	}
-	// Update-closure: for every supernode j and every pair of off-diagonal
-	// blocks (B_{k,j}, B_{i,j}) with i ≥ k, the target B_{i,k} must exist.
-	// Incomplete structures drop fill, so closure is exactly the invariant
-	// they give up; their dropped-target updates are skipped at task-graph
-	// construction instead.
-	if st.Incomplete {
-		return nil
-	}
-	for j := range st.Snodes {
-		blks := st.SnodeBlocks(int32(j))[1:]
-		for x := range blks {
-			for y := x; y < len(blks); y++ {
-				k, i := blks[x].RowSn, blks[y].RowSn
-				if st.FindBlock(i, k) < 0 {
-					return fmt.Errorf("symbolic: missing update target B[%d,%d] for source supernode %d", i, k, j)
-				}
-			}
 		}
 	}
 	return nil
