@@ -121,13 +121,13 @@ func (ls *laneScratch) consumer(rank int) {
 //
 // Concurrency: a rank is `workers` goroutines pulling tasks from the RTQ.
 // The rank's own goroutine (factorLoop, lane 0) also owns upcxx.Progress,
-// inbox draining and the re-request protocol; the other workers-1 are
-// helpers (workerLoop) that only execute tasks. The mutex mu, the engine's
-// only lock, guards all scheduler state: the RTQ, dependency counters,
-// avail, inbox, wanted/remote, produced and doneTasks. Numeric kernels run
-// outside mu, and so do the scatters into a target block: the updates into
-// a block wait for each other in its canonical order (passTurn), so one
-// of them at a time writes it.
+// and with it the signal handler and the re-request protocol; the other
+// workers-1 are helpers (workerLoop) that only execute tasks. The mutex mu,
+// the engine's only lock, guards all scheduler state: the RTQ, dependency
+// counters, avail, wanted/remote, produced and doneTasks. Numeric kernels
+// run outside mu, and so do the scatters into a target block: the updates
+// into a block wait for each other in its canonical order (passTurn), so
+// one of them at a time writes it.
 type engine struct {
 	r *upcxx.Rank
 	// pl and lay are the shared, read-only plan and its layout for this
@@ -187,10 +187,6 @@ type engine struct {
 	// D/F task, and an update into one has no U or A task: the subtree
 	// task runs them all (runSubtree).
 	subtrees []symbolic.SubtreeRange
-
-	// signals received but not yet processed: item ids announced by
-	// producers (msgAnnounce). Guarded by e.mu.
-	inbox []int32
 
 	// rtq is the ready task queue, a FIFO (paper §3.4: the next task is
 	// whichever one is at the top of the queue): push appends, pop takes
@@ -492,13 +488,14 @@ func (e *engine) pop() (task, bool) {
 }
 
 // factorLoop is the scheduling loop of paper Fig. 3, run by the rank's own
-// goroutine (executor lane 0): poll for incoming notifications, then run a
-// ready task; repeat until all local tasks are done or the job aborts. When
-// the rank is starved — no ready task AND no helper mid-task, with the
-// inbox drained — it marks itself idle, and if the whole job is then
-// quiescent, nothing can move unless a signal was lost: it runs the
-// re-request protocol, turning what would be a silent deadlock into
-// recovery. Helpers (workerLoop, pool.go) share take, execute and complete.
+// goroutine (executor lane 0): handle incoming notifications (Progress runs
+// the handler, which fetches each announced item), then run a ready task;
+// repeat until all local tasks are done or the job aborts. When the rank is
+// starved — no ready task AND no helper mid-task, with the signals handled —
+// it marks itself idle, and if the whole job is then quiescent, nothing can
+// move unless a signal was lost: it runs the re-request protocol, turning
+// what would be a silent deadlock into recovery. Helpers (workerLoop,
+// pool.go) share take, execute and complete.
 func (e *engine) factorLoop() {
 	rt := e.r.Runtime()
 	ls := &e.lanes[0]
@@ -507,7 +504,7 @@ func (e *engine) factorLoop() {
 		if rt.ShouldAbort() {
 			return
 		}
-		if e.poll() > 0 {
+		if e.r.Progress() > 0 {
 			idle = 0
 		}
 		e.mu.Lock()
@@ -582,9 +579,9 @@ func (e *engine) drainUntil(finished *atomic.Int64) {
 // anything they have already produced (msgReRequest). A producer that has
 // not produced the item yet ignores the request (the real announcement will
 // come); one whose announcement was dropped re-signals, and the consumer's
-// normal poll path takes it from there. Each call is one quiescent round:
-// an item sits out 2^min(n-1,6) - 1 rounds after its n-th re-request, which
-// bounds the traffic when recovery signals are lost too — the protocol only
+// handler takes it from there. Each call is one quiescent round: an item
+// sits out 2^min(n-1,6) - 1 rounds after its n-th re-request, which bounds
+// the traffic when recovery signals are lost too — the protocol only
 // assumes the network delivers eventually. A failed fetch leaves its item
 // wanted, for a later round. Callers hold e.mu (wanted/remote are
 // scheduler state).
@@ -626,11 +623,16 @@ const (
 
 // handle is the factorization's signal handler. It runs on this rank's
 // goroutine inside Progress, so it reaches scheduler state only through
-// e.mu: the rank's helpers share it.
+// e.mu: the rank's helpers share it. An announcement is acquired on
+// delivery — paper Fig. 4 steps 2–6, the consumer's poll — the way announce
+// acquires a local item; a duplicate or late one returns at acquire's ready
+// check.
 func (e *engine) handle(m upcxx.Msg) {
 	switch m.Kind {
 	case msgAnnounce:
-		e.enqueueSignal(m.ID)
+		e.mu.Lock()
+		e.acquire(m.ID)
+		e.mu.Unlock()
 	case msgReRequest:
 		// If the item is done, re-announce it to the requester; duplicates
 		// are absorbed by acquire. produced is written by this rank's
@@ -648,45 +650,17 @@ func (e *engine) handle(m upcxx.Msg) {
 	}
 }
 
-// enqueueSignal records an announced block id for the next poll. It is the
-// only inbox writer and runs inside the signal handler on this rank's own
-// goroutine; the lock orders it against the poll drain and against health
-// snapshots taken while helpers run.
-func (e *engine) enqueueSignal(bid int32) {
-	e.mu.Lock()
-	e.inbox = append(e.inbox, bid)
-	e.met.inboxDepth.Set(float64(len(e.inbox)))
-	e.mu.Unlock()
-}
-
-// poll drains the signal queue (which enqueues announced block ids into the
-// inbox) and then fetches each announced block with a one-sided get,
-// updating dependency counters — paper Fig. 4 steps 2–6. It returns how
-// many signals it handled. Only the rank goroutine (factorLoop) calls it.
-func (e *engine) poll() int {
-	n := e.r.Progress()
-	e.mu.Lock()
-	// enqueueSignal is the only inbox writer and needs e.mu, so the drain
-	// sees a fixed slice and can keep its backing array.
-	for _, bid := range e.inbox {
-		e.acquire(bid)
-	}
-	e.inbox = e.inbox[:0]
-	e.met.inboxDepth.Set(0)
-	e.mu.Unlock()
-	return n
-}
-
 // acquire makes a source item locally available (fetching it if remote,
 // into its receive-slab slot) and propagates dependency decrements: a block
 // readies the F/U tasks consuming it, a contribution item readies its apply
 // task. It is idempotent — duplicated announcements return early — and
 // fault-tolerant: a transfer whose retry budget ran out leaves the item in
 // the wanted set, where the re-request protocol triggers a fresh
-// announcement and a fresh fetch into the same slot. Callers hold e.mu; the
-// mutex release at the subsequent take is the happens-before edge that lets
-// workers read avail entries unlocked afterwards (acquire never rewrites a
-// ready entry).
+// announcement and a fresh fetch into the same slot. Callers hold e.mu:
+// the signal handler (an item another rank produced) and announce (a local
+// one). The mutex release at the subsequent take is the happens-before edge
+// that lets workers read avail entries unlocked afterwards (acquire never
+// rewrites a ready entry).
 func (e *engine) acquire(item int32) {
 	fc := &e.avail[item]
 	if fc.ready {
@@ -936,7 +910,7 @@ func (e *engine) traceFolded(lane int32, kind taskKind, start time.Duration, src
 // notification the network lost. The producing worker's write to the item
 // data happens-before every consumer read: locally via e.mu (acquire under
 // the same lock the consuming take holds), remotely via the consumer's
-// signal queue lock followed by its inbox drain under its mu.
+// signal queue lock (qmu) followed by its handler's acquire under its mu.
 func (e *engine) announce(bid int32, ls *laneScratch) {
 	e.mu.Lock()
 	e.produced[bid] = true
@@ -952,8 +926,7 @@ func (e *engine) announce(bid int32, ls *laneScratch) {
 		if rank == e.r.ID {
 			continue
 		}
-		// The consumer's handler records the notification; its poll does
-		// the get.
+		// The consumer's handler does the get.
 		e.r.Signal(rank, upcxx.Msg{Kind: msgAnnounce, ID: bid})
 	}
 	ls.ranks = ls.ranks[:0]

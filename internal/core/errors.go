@@ -43,7 +43,6 @@ type RankHealth struct {
 	Rank            int
 	Done, Total     int   // executed vs owned tasks (the LTQ view)
 	RTQDepth        int   // ready tasks queued but not yet run
-	Inbox           int   // announcements received but not yet acquired
 	PendingSignals  int   // signals enqueued on the rank but not yet handled
 	OutstandingDeps int   // source blocks still awaited (wanted set)
 	ReRequests      int64 // lost-signal re-requests this rank has sent
@@ -83,8 +82,8 @@ func (h *HealthReport) String() string {
 	var b strings.Builder
 	b.WriteString("health:")
 	for _, r := range h.Ranks {
-		fmt.Fprintf(&b, " [r%d %d/%d rtq=%d inbox=%d sig=%d deps=%d rereq=%d]",
-			r.Rank, r.Done, r.Total, r.RTQDepth, r.Inbox, r.PendingSignals,
+		fmt.Fprintf(&b, " [r%d %d/%d rtq=%d sig=%d deps=%d rereq=%d]",
+			r.Rank, r.Done, r.Total, r.RTQDepth, r.PendingSignals,
 			r.OutstandingDeps, r.ReRequests)
 	}
 	fmt.Fprintf(&b, " faults{%s}", h.Faults)

@@ -30,13 +30,12 @@ type coreMetrics struct {
 	tasks    [machine.NumOps][2]*metrics.Counter
 	taskSecs [machine.NumOps]*metrics.Histogram
 
-	// Queue/scheduler state. rtqDepth/inboxDepth/wantedBlocks are live
-	// occupancy gauges (summed across ranks), each set where its value
-	// changes; rtqPeak is the high-water mark (maxed across ranks).
-	// tasksDone is the stall watchdog's progress count (ledger.done).
+	// Queue/scheduler state. rtqDepth/wantedBlocks are live occupancy
+	// gauges (summed across ranks), each set where its value changes;
+	// rtqPeak is the high-water mark (maxed across ranks). tasksDone is the
+	// stall watchdog's progress count (ledger.done).
 	rtqDepth     *metrics.Gauge
 	rtqPeak      *metrics.Gauge
-	inboxDepth   *metrics.Gauge
 	wantedBlocks *metrics.Gauge
 	tasksTotal   *metrics.Gauge
 	tasksDone    *metrics.Gauge
@@ -90,8 +89,6 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		"ready-task queue occupancy", metrics.MergeSum)
 	m.rtqPeak = reg.Gauge("sympack_core_rtq_peak",
 		"high-water ready-task queue occupancy", metrics.MergeMax)
-	m.inboxDepth = reg.Gauge("sympack_core_inbox_depth",
-		"announced-but-unfetched signal count", metrics.MergeSum)
 	m.wantedBlocks = reg.Gauge("sympack_core_wanted_blocks",
 		"source blocks still awaited", metrics.MergeSum)
 	m.tasksTotal = reg.Gauge("sympack_core_tasks_owned",
@@ -236,7 +233,6 @@ func (l *ledger) health() *HealthReport {
 			Done:            int(e.met.tasksDone.Value()),
 			Total:           int(e.met.tasksTotal.Value()),
 			RTQDepth:        int(e.met.rtqDepth.Value()),
-			Inbox:           int(e.met.inboxDepth.Value()),
 			PendingSignals:  e.r.PendingSignals(),
 			OutstandingDeps: int(e.met.wantedBlocks.Value()),
 			ReRequests:      int64(e.met.reRequests.Value()),

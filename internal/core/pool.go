@@ -1,10 +1,10 @@
 // Intra-rank execution. A rank is Options.Workers goroutines: the rank's own
-// goroutine runs the Fig. 3 loop (factorLoop, engine.go) — poll, take,
+// goroutine runs the Fig. 3 loop (factorLoop, engine.go) — Progress, take,
 // execute — as executor lane 0 and as the rank's only caller of
-// upcxx.Progress, so RPC handlers, inbox draining and the lost-signal
-// re-request protocol are serialized on it; Workers-1 helper goroutines
-// (workerLoop) only take ready tasks: their own lane's next task, else the
-// same RTQ's oldest.
+// upcxx.Progress, so the signal handler, with the gets it issues, and the
+// lost-signal re-request protocol are serialized on it; Workers-1 helper
+// goroutines (workerLoop) only take ready tasks: their own lane's next task,
+// else the same RTQ's oldest.
 // Workers == 1 is the same loop with no helpers.
 package core
 

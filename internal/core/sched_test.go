@@ -332,7 +332,22 @@ func checkApplyOrder(t *testing.T, rec *trace.Recorder, st *symbolic.Structure, 
 }
 
 // The watchdog must trip on a stalled runtime and stay quiet on a live one.
+// Neither half races the scheduler: the stall half waits for the trip up to
+// a generous deadline, and the progress half's counter advances on every
+// sample, so no sleep of the test goroutine can look like a stall.
 func TestWatchdog(t *testing.T) {
+	const deadline = 5 * time.Second
+	// waitFor polls cond every millisecond until it holds or the deadline
+	// passes, and reports whether it held.
+	waitFor := func(cond func() bool) bool {
+		for end := time.Now().Add(deadline); !cond(); {
+			if time.Now().After(end) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
+	}
 	rt, err := upcxx.NewRuntime(upcxx.Config{Ranks: 1, Machine: machine.Perlmutter()})
 	if err != nil {
 		t.Fatal(err)
@@ -340,23 +355,23 @@ func TestWatchdog(t *testing.T) {
 	var progress atomic.Int64
 	stop := startWatchdog(rt, progress.Load, 10*time.Millisecond, func() error { return errors.New("diag") })
 	defer stop()
-	time.Sleep(40 * time.Millisecond)
-	if !rt.ShouldAbort() {
+	if !waitFor(rt.ShouldAbort) {
 		t.Fatal("watchdog did not trip on stalled progress")
 	}
 	if !errors.Is(rt.Err(), ErrStalled) {
 		t.Fatalf("err = %v", rt.Err())
 	}
 
-	// A progressing counter must not trip.
+	// A progressing counter must not trip. The watchdog's first call reads
+	// the starting value, and each later one is a sample; stop after three.
 	rt2, _ := upcxx.NewRuntime(upcxx.Config{Ranks: 1, Machine: machine.Perlmutter()})
 	var p2 atomic.Int64
-	stop2 := startWatchdog(rt2, p2.Load, 15*time.Millisecond, func() error { return nil })
-	for i := 0; i < 6; i++ {
-		p2.Add(1)
-		time.Sleep(8 * time.Millisecond)
-	}
+	stop2 := startWatchdog(rt2, func() int64 { return p2.Add(1) }, 15*time.Millisecond, func() error { return nil })
+	sampled := waitFor(func() bool { return p2.Load() >= 4 })
 	stop2()
+	if !sampled {
+		t.Fatalf("watchdog sampled progress %d times in %v, want 3", p2.Load()-1, deadline)
+	}
 	if rt2.ShouldAbort() {
 		t.Fatal("watchdog tripped despite progress")
 	}

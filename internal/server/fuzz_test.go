@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"sympack/internal/core"
 	"sympack/internal/gen"
 )
 
@@ -50,4 +51,91 @@ func FuzzAnalyzeBody(f *testing.F) {
 			t.Fatalf("toSym accepted an invalid matrix: %v", err)
 		}
 	})
+}
+
+// FuzzSolveBody posts arbitrary bytes as a /v1/solve body, or as a
+// /v1/solvebatch one when batch is set, through Server.Handler against one
+// cached Laplace2D 3×3 factor: every response has a status of the solve
+// endpoints' vocabulary, never a 500, and a 200 carries n entries per
+// right-hand side.
+func FuzzSolveBody(f *testing.F) {
+	s := New(Config{Solver: core.Options{Ranks: 1, Workers: 1}})
+	a := gen.Laplace2D(3, 3)
+	factor, err := json.Marshal(FactorRequest{Matrix: wire(a)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var fr FactorResponse
+	if code := serve(s, "/v1/factor", factor, &fr); code != 200 {
+		f.Fatalf("factor status %d", code)
+	}
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i + 1)
+	}
+	for _, req := range []any{
+		SolveRequest{Factor: fr.Factor, B: b},
+		SolveRequest{Factor: fr.Factor, B: b[1:]},
+		SolveRequest{Factor: "deadbeef-deadbeef", B: b},
+		SolveBatchRequest{Factor: fr.Factor, Bs: [][]float64{b, b}},
+		SolveBatchRequest{Factor: fr.Factor, Bs: [][]float64{b, b[1:]}},
+		SolveBatchRequest{Factor: fr.Factor},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		_, batch := req.(SolveBatchRequest)
+		f.Add(batch, body)
+	}
+	// Right-hand sides this large overflow the solution, which JSON cannot
+	// carry: a 400, not a 200 without a body.
+	big := make([]float64, a.N)
+	for i := range big {
+		big[i] = 1.7e308
+	}
+	huge, err := json.Marshal(SolveRequest{Factor: fr.Factor, B: big})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(false, huge)
+	f.Add(false, []byte(`{"factor":`))
+	f.Add(true, []byte(`{"bs":[[1e308]]}`))
+	f.Fuzz(func(t *testing.T, batch bool, data []byte) {
+		var xs [][]float64
+		var code int
+		if batch {
+			var resp SolveBatchResponse
+			code = serve(s, "/v1/solvebatch", data, &resp)
+			xs = resp.Xs
+		} else {
+			var resp SolveResponse
+			code = serve(s, "/v1/solve", data, &resp)
+			xs = [][]float64{resp.X}
+		}
+		switch code {
+		case 200:
+			for i, x := range xs {
+				if len(x) != a.N {
+					t.Fatalf("200 with %d entries in solution %d, want %d", len(x), i, a.N)
+				}
+			}
+		case 400, 404, 429, 499, 503, 504:
+		default:
+			t.Fatalf("status %d for body %q", code, data)
+		}
+	})
+}
+
+// serve posts body to path through s.Handler and decodes a 200's body into
+// out; it returns the status.
+func serve(s *Server, path string, body []byte, out any) int {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+	if rec.Code == 200 {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			return -1 // a 200 whose body is not the endpoint's response
+		}
+	}
+	return rec.Code
 }

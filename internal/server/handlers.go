@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -472,32 +473,72 @@ func (s *Server) factorRef(id string) (*core.Factor, func(), *httpError) {
 	return v.(*core.Factor), rel, nil
 }
 
-// handleSolve serves POST /v1/solve.
+// handleSolve serves POST /v1/solve: the one-right-hand-side case of
+// solve.
 func (s *Server) handleSolve(r *http.Request) (any, *httpError) {
 	req, herr := decode[SolveRequest](r)
 	if herr != nil {
 		return nil, herr
 	}
+	xs, herr := s.solve(r, req.Factor, [][]float64{req.B})
+	if herr != nil {
+		return nil, herr
+	}
+	return SolveResponse{X: xs[0]}, nil
+}
+
+// handleSolveBatch serves POST /v1/solvebatch: many right-hand sides
+// against one pinned factor, one admission slot.
+func (s *Server) handleSolveBatch(r *http.Request) (any, *httpError) {
+	req, herr := decode[SolveBatchRequest](r)
+	if herr != nil {
+		return nil, herr
+	}
+	xs, herr := s.solve(r, req.Factor, req.Bs)
+	if herr != nil {
+		return nil, herr
+	}
+	return SolveBatchResponse{Xs: xs}, nil
+}
+
+// solve is the body both solve endpoints share: admission, the chaos
+// thrash of the factor's key, the pinned factor, the length check of every
+// right-hand side, one panel solve of them all, whose column j has the bits
+// a solve of bs[j] alone would, and the check that every solution is
+// finite.
+func (s *Server) solve(r *http.Request, id string, bs [][]float64) ([][]float64, *httpError) {
 	ctx, done, herr := s.admit(r, 0)
 	if herr != nil {
 		return nil, herr
 	}
 	defer done()
-	s.thrashFor(ctx, "f:"+req.Factor)
-	f, rel, herr := s.factorRef(req.Factor)
+	s.thrashFor(ctx, "f:"+id)
+	f, rel, herr := s.factorRef(id)
 	if herr != nil {
 		return nil, herr
 	}
 	defer rel()
-	if len(req.B) != f.St.N {
-		return nil, &httpError{code: http.StatusBadRequest,
-			err: fmt.Errorf("rhs has %d entries, factor is %d×%d", len(req.B), f.St.N, f.St.N)}
+	for i, b := range bs {
+		if len(b) != f.St.N {
+			return nil, &httpError{code: http.StatusBadRequest,
+				err: fmt.Errorf("rhs %d has %d entries, factor is %d×%d", i, len(b), f.St.N, f.St.N)}
+		}
 	}
-	x, err := f.SolveCtx(ctx, req.B)
+	xs, err := f.SolveMultiCtx(ctx, bs)
 	if err != nil {
 		return nil, s.engineError(ctx, err)
 	}
-	return SolveResponse{X: x}, nil
+	// JSON has no Inf or NaN: a solution that overflowed would go out as a
+	// 200 with no body.
+	for i, x := range xs {
+		for _, v := range x {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, &httpError{code: http.StatusBadRequest,
+					err: fmt.Errorf("rhs %d: the solution overflows float64", i)}
+			}
+		}
+	}
+	return xs, nil
 }
 
 // precondFor returns the (cached or freshly factored) IC(k) preconditioner
@@ -608,35 +649,4 @@ func (s *Server) handleSolveCG(r *http.Request) (any, *httpError) {
 	resp.Residual = res.Residual
 	resp.Converged = res.Converged
 	return resp, nil
-}
-
-// handleSolveBatch serves POST /v1/solvebatch: many right-hand sides
-// against one pinned factor, one admission slot.
-func (s *Server) handleSolveBatch(r *http.Request) (any, *httpError) {
-	req, herr := decode[SolveBatchRequest](r)
-	if herr != nil {
-		return nil, herr
-	}
-	ctx, done, herr := s.admit(r, 0)
-	if herr != nil {
-		return nil, herr
-	}
-	defer done()
-	s.thrashFor(ctx, "f:"+req.Factor)
-	f, rel, herr := s.factorRef(req.Factor)
-	if herr != nil {
-		return nil, herr
-	}
-	defer rel()
-	for i, b := range req.Bs {
-		if len(b) != f.St.N {
-			return nil, &httpError{code: http.StatusBadRequest,
-				err: fmt.Errorf("rhs %d has %d entries, factor is %d×%d", i, len(b), f.St.N, f.St.N)}
-		}
-	}
-	xs, err := f.SolveMultiCtx(ctx, req.Bs)
-	if err != nil {
-		return nil, s.engineError(ctx, err)
-	}
-	return SolveBatchResponse{Xs: xs}, nil
 }
