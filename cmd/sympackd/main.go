@@ -1,8 +1,9 @@
 // Command sympackd is the factorization daemon: a long-lived HTTP/JSON
 // service over the sparse Cholesky engine with admission control, request
-// deadlines, a circuit breaker, a byte-budgeted Analysis/Factor cache and
-// graceful drain on SIGTERM — the serving counterpart of the one-shot
-// sympack2d CLI.
+// deadlines, a byte-budgeted Analysis/Factor cache and graceful drain on
+// SIGTERM — the serving counterpart of the one-shot sympack2d CLI. Every
+// request runs the engine in the shape -ranks, -workers and -gpus set; a
+// rank whose device dies finishes on CPU kernels inside the engine.
 //
 // Usage:
 //
@@ -12,8 +13,8 @@
 //
 // Endpoints: POST /v1/analyze, /v1/factor, /v1/solve, /v1/solvebatch,
 // /v1/solvecg (iterative CG/PCG with a cached IC(k) preconditioner);
-// GET /healthz (real readiness: 503 while draining, breaker-open or
-// saturated) and /metrics (Prometheus text). See README "Serving".
+// GET /healthz (real readiness: 503 while draining or saturated) and
+// /metrics (Prometheus text). See README "Serving".
 package main
 
 import (
@@ -44,9 +45,6 @@ func main() {
 		workers = flag.Int("workers", 0, "goroutines per rank running tasks, the rank's own included; the shared-memory solve runs on up to as many lanes, within GOMAXPROCS (0 = SYMPACK_WORKERS env, else GOMAXPROCS/ranks)")
 		gpus    = flag.Int("gpus", 0, "GPUs per node (0 = CPU only)")
 
-		brkN  = flag.Int("breaker-threshold", 3, "consecutive device/stall failures that trip the breaker")
-		brkCD = flag.Duration("breaker-cooldown", 5*time.Second, "how long the breaker stays open before a half-open probe")
-
 		chaosSeed   = flag.Int64("chaos", 0, "inject server fault classes (slow clients, canceled requests, cache thrash) with this seed (0 = off)")
 		chaosSpec   = flag.String("server-faults", "", "explicit server fault plan, e.g. slowclient=0.1,cancelreq=0.05 (seeded by -chaos, default 1)")
 		solverSeed  = flag.Int64("solver-chaos", 0, "forward the default runtime chaos plan with this seed to every factorization (0 = off)")
@@ -57,14 +55,14 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*addr, *inflight, *queue, *cacheMB, *deadline, *ranks, *workers, *gpus,
-		*brkN, *brkCD, *chaosSeed, *chaosSpec, *solverSeed, *solverSpec, *drainT, *metricsAddr, *report); err != nil {
+		*chaosSeed, *chaosSpec, *solverSeed, *solverSpec, *drainT, *metricsAddr, *report); err != nil {
 		fmt.Fprintln(os.Stderr, "sympackd:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr string, inflight, queue int, cacheMB int64, deadline time.Duration,
-	ranks, workers, gpus, brkN int, brkCD time.Duration,
+	ranks, workers, gpus int,
 	chaosSeed int64, chaosSpec string, solverSeed int64, solverSpec string,
 	drainT time.Duration, metricsAddr, report string) error {
 
@@ -78,15 +76,13 @@ func run(addr string, inflight, queue int, cacheMB int64, deadline time.Duration
 	}
 
 	s := server.New(server.Config{
-		InflightCap:      inflight,
-		QueueCap:         queue,
-		CacheBudget:      cacheMB << 20,
-		DefaultDeadline:  deadline,
-		BreakerThreshold: brkN,
-		BreakerCooldown:  brkCD,
-		Solver:           core.Options{Ranks: ranks, Workers: workers, GPUsPerNode: gpus},
-		Chaos:            chaos,
-		SolverChaos:      solverChaos,
+		InflightCap:     inflight,
+		QueueCap:        queue,
+		CacheBudget:     cacheMB << 20,
+		DefaultDeadline: deadline,
+		Solver:          core.Options{Ranks: ranks, Workers: workers, GPUsPerNode: gpus},
+		Chaos:           chaos,
+		SolverChaos:     solverChaos,
 	})
 	if err := s.Start(addr); err != nil {
 		return err

@@ -33,7 +33,7 @@ var DeterministicPackages = map[string]bool{
 	"sympack/internal/precond": true,
 	// The service layer: cache iteration order must never decide what is
 	// evicted or reported, every host-clock touchpoint (latency rings,
-	// breaker cooldowns, backoff) goes through the machine facade, and
+	// request timing, backoff) goes through the machine facade, and
 	// loadgen's taxonomy output must be stable across runs.
 	"sympack/internal/server": true,
 	"sympack/cmd/sympackd":    true,

@@ -1,9 +1,10 @@
 // Package errflow implements the "errflow" analyzer: an interprocedural
 // taint check proving that the fault taxonomy survives error plumbing.
-// The degradation ladder (internal/faults, internal/server admission
-// control, core's chaos recovery) keys every retry/abort/degrade decision
-// on errors.Is against the taxonomy sentinels — ErrTransient,
-// ErrLostSignal, ErrDeviceFailed, ErrStalled, ErrTransferFailed. An
+// The engine's degradation ladder (core's retries of transient faults,
+// its demotion of a rank whose device died to CPU kernels) keys every
+// retry/abort/degrade decision on errors.Is against the taxonomy
+// sentinels — ErrTransient, ErrLostSignal, ErrDeviceFailed, ErrStalled,
+// ErrTransferFailed. An
 // error that *derives* from a sentinel but no longer matches it under
 // errors.Is silently demotes a retryable fault to a fatal one (or vice
 // versa), which is exactly the class of bug the fault-injection battery

@@ -3,11 +3,11 @@ package metrics
 // ServerMetrics is sympackd's instrumentation bundle: the
 // sympack_server_* namespace covering the robustness envelope around each
 // request — admission queue depth and shedding, deadline misses and
-// cancellations, circuit-breaker state, cache economics and per-endpoint
-// request latencies. Unlike the per-rank solver bundles these series
-// describe one process and are never reduced across ranks; the latency
-// histograms observe wall seconds (the documented exception to the
-// package determinism contract — a service's p99 is a wall-clock fact).
+// cancellations, cache economics and per-endpoint request latencies.
+// Unlike the per-rank solver bundles these series describe one process
+// and are never reduced across ranks; the latency histograms observe wall
+// seconds (the documented exception to the package determinism contract —
+// a service's p99 is a wall-clock fact).
 //
 // Every family is registered eagerly so /metrics exposes the full
 // inventory at zero from the first scrape; hot paths touch only the
@@ -27,10 +27,6 @@ type ServerMetrics struct {
 	// Deadlines and cancellations.
 	Canceled     *Counter // requests whose context was canceled mid-flight
 	DeadlineMiss *Counter // requests that exceeded their deadline (504)
-
-	// Circuit breaker. State encodes 0=closed, 1=open, 2=half-open.
-	BreakerState *Gauge
-	BreakerTrips *Counter
 
 	// Pattern cache.
 	CacheBytes     *Gauge
@@ -59,10 +55,6 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 		"requests canceled mid-flight (client gone or chaos-injected)")
 	m.DeadlineMiss = reg.Counter("sympack_server_deadline_miss_total",
 		"requests that exceeded their deadline and returned 504")
-	m.BreakerState = reg.Gauge("sympack_server_breaker_state",
-		"circuit breaker state (0=closed 1=open 2=half-open)", MergeMax)
-	m.BreakerTrips = reg.Counter("sympack_server_breaker_trips_total",
-		"circuit-breaker trips to the open state")
 	m.CacheBytes = reg.Gauge("sympack_server_cache_bytes",
 		"bytes held by the pattern cache", MergeSum)
 	m.CacheEntries = reg.Gauge("sympack_server_cache_entries",

@@ -29,7 +29,6 @@ func TestServerMetricsShape(t *testing.T) {
 		"sympack_server_queue_depth 3",
 		"sympack_server_queue_peak 5",
 		"sympack_server_shed_total 1",
-		"sympack_server_breaker_state 0",
 		"sympack_server_cache_bytes 0",
 		`sympack_server_requests_total{endpoint="factor",code="429"} 2`,
 		`sympack_server_request_seconds_count{endpoint="solvebatch"} 0`,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"sympack/internal/core"
 	"sympack/internal/faults"
 	"sympack/internal/gen"
+	"sympack/internal/gpu"
 	"sympack/internal/matrix"
 )
 
@@ -177,5 +179,52 @@ func TestServerChaosInjectionDeterminism(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("storm plan injected nothing across 10 requests")
+	}
+}
+
+// TestFactorSurvivesDeviceDeath pins the degradation the server relies on
+// the engine for: with every device dying at first touch, each rank demotes
+// itself to CPU kernels, every /v1/factor is a 200, and each factor solves
+// b = A·1 to ones.
+func TestFactorSurvivesDeviceDeath(t *testing.T) {
+	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
+	devfail := &faults.Plan{Seed: 5}
+	devfail.Rate[faults.DeviceFail] = 1
+	s := startServer(t, Config{
+		Solver:      core.Options{Ranks: 2, GPUsPerNode: 1, Thresholds: &th},
+		SolverChaos: devfail,
+	})
+	a := gen.Laplace2D(9, 8)
+	ones := make([]float64, a.N)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for i := 0; i < 4; i++ {
+		m := a.Clone()
+		for k := range m.Val {
+			m.Val[k] *= 1 + float64(i) // distinct factor keys
+		}
+		var fr FactorResponse
+		if code, _ := post(t, s.Addr(), "/v1/factor", FactorRequest{Matrix: wire(m)}, &fr); code != http.StatusOK {
+			t.Fatalf("request %d: factor status %d, want 200", i, code)
+		}
+		v, rel, ok := s.cache.get("f:" + fr.Factor)
+		if !ok {
+			t.Fatalf("request %d: factor %s not cached", i, fr.Factor)
+		}
+		demotions := v.(*core.Factor).Metrics.Value("sympack_gpu_demotions_total")
+		rel()
+		if demotions == 0 {
+			t.Fatalf("request %d: no rank demoted; the devices never died", i)
+		}
+		var sr SolveResponse
+		if code, _ := post(t, s.Addr(), "/v1/solve", SolveRequest{Factor: fr.Factor, B: m.MulVec(ones)}, &sr); code != http.StatusOK {
+			t.Fatalf("request %d: solve status %d, want 200", i, code)
+		}
+		for j, x := range sr.X {
+			if math.Abs(x-1) > 1e-10 {
+				t.Fatalf("request %d: x[%d] = %.17g, want 1", i, j, x)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -123,6 +124,56 @@ func FuzzSolveBody(f *testing.F) {
 		case 400, 404, 429, 499, 503, 504:
 		default:
 			t.Fatalf("status %d for body %q", code, data)
+		}
+	})
+}
+
+// FuzzFactorBody posts arbitrary bytes as a /v1/factor body through
+// Server.Handler: every response has a status of the factor endpoint's
+// vocabulary, never a 500, and after each input the Laplace2D 3×3 factor
+// body is still a 200 whose factor solves A·1 to ones, so no input
+// poisoned the cache. The server's engine shape is fixed by its Config, so
+// no body can ask for more ranks or goroutines.
+func FuzzFactorBody(f *testing.F) {
+	s := New(Config{Solver: core.Options{Ranks: 1, Workers: 1}})
+	a := gen.Laplace2D(3, 3)
+	ones := make([]float64, a.N)
+	for i := range ones {
+		ones[i] = 1
+	}
+	valid, err := json.Marshal(FactorRequest{Matrix: wire(a)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := a.MulVec(ones)
+	f.Add(valid)
+	for _, body := range malformedBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"matrix":{"n":2,"colptr":[0,2,3],"rowind":[0,1,1],"val":[1,2,1]}}`)) // not SPD
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resp FactorResponse
+		switch code := serve(s, "/v1/factor", data, &resp); code {
+		case 200, 400, 422, 429, 499, 503, 504:
+		default:
+			t.Fatalf("status %d for body %q", code, data)
+		}
+		var fr FactorResponse
+		if code := serve(s, "/v1/factor", valid, &fr); code != 200 {
+			t.Fatalf("after body %q: Laplace2D 3×3 factor status %d", data, code)
+		}
+		body, err := json.Marshal(SolveRequest{Factor: fr.Factor, B: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr SolveResponse
+		if code := serve(s, "/v1/solve", body, &sr); code != 200 {
+			t.Fatalf("after body %q: Laplace2D 3×3 solve status %d", data, code)
+		}
+		for i, x := range sr.X {
+			if math.Abs(x-1) > 1e-10 {
+				t.Fatalf("after body %q: x[%d] = %.17g, want 1", data, i, x)
+			}
 		}
 	})
 }

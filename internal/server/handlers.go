@@ -68,11 +68,6 @@ type AnalyzeResponse struct {
 // FactorRequest asks for a numeric factorization.
 type FactorRequest struct {
 	Matrix WireMatrix `json:"matrix"`
-	// Ranks/Workers/GPUs override the server's baseline solver options
-	// when positive.
-	Ranks   int `json:"ranks,omitempty"`
-	Workers int `json:"workers,omitempty"`
-	GPUs    int `json:"gpus,omitempty"`
 	// DeadlineMillis bounds this request; 0 falls back to the server
 	// default.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
@@ -83,7 +78,6 @@ type FactorResponse struct {
 	Factor      string  `json:"factor"` // cache id: pattern + value hash
 	Pattern     string  `json:"pattern"`
 	Cached      bool    `json:"cached"`
-	CPUOnly     bool    `json:"cpu_only"` // true when the breaker routed around devices
 	NnzL        int64   `json:"nnz_l"`
 	WallSeconds float64 `json:"wall_seconds"`
 	GFlops      float64 `json:"gflops,omitempty"`
@@ -382,8 +376,8 @@ func (s *Server) handleAnalyze(r *http.Request) (any, *httpError) {
 }
 
 // handleFactor serves POST /v1/factor: the full pipeline of admission,
-// cache, breaker and engine. The engine absorbs transient faults itself,
-// so a factorization error is final: it is mapped, not retried.
+// cache and engine. The engine absorbs faults itself, device death
+// included, so a factorization error is final: it is mapped, not retried.
 func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	req, herr := decode[FactorRequest](r)
 	if herr != nil {
@@ -416,24 +410,9 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	defer arel()
 
 	opt := s.cfg.Solver
-	if req.Ranks > 0 {
-		opt.Ranks = req.Ranks
-	}
-	if req.Workers > 0 {
-		opt.Workers = req.Workers
-	}
-	if req.GPUs > 0 {
-		opt.GPUsPerNode = req.GPUs
-	}
 	opt.Context = ctx
 	opt.Faults = s.cfg.SolverChaos
-
-	useGPU, probe := s.brk.acquire()
-	if !useGPU {
-		opt.GPUsPerNode = 0
-	}
 	f, err := s.factorFn(p, a, opt)
-	s.brk.result(err, probe)
 	if err != nil {
 		return nil, s.engineError(ctx, err)
 	}
@@ -448,7 +427,6 @@ func (s *Server) handleFactor(r *http.Request) (any, *httpError) {
 	resp := FactorResponse{
 		Factor:      fid,
 		Pattern:     ph,
-		CPUOnly:     !useGPU && (s.cfg.Solver.GPUsPerNode > 0 || req.GPUs > 0),
 		NnzL:        f.Stats.NnzL,
 		WallSeconds: f.Stats.Wall.Seconds(),
 	}
@@ -541,33 +519,26 @@ func (s *Server) solve(r *http.Request, id string, bs [][]float64) ([][]float64,
 	return xs, nil
 }
 
+// precondID names the IC(k) preconditioner of a matrix: its pattern and
+// value hashes — unlike an analysis, an incomplete factor is a numeric
+// object — and every option that changes the factor: the fill level, the
+// drop tolerance's exact value and the storage precision.
+func precondID(a *matrix.SparseSym, opt precond.Options) string {
+	return patternHash(a) + "-" + valueHash(a) + "-l" + strconv.Itoa(opt.Level) +
+		"-d" + strconv.FormatFloat(opt.DropTol, 'g', -1, 64) + "-" + opt.Core.Precision.String()
+}
+
 // precondFor returns the (cached or freshly factored) IC(k) preconditioner
-// for a matrix, pinned; the caller must invoke the release. The cache key
-// includes the value hash — unlike an analysis, an incomplete factor is a
-// numeric object — and the fill level.
-func (s *Server) precondFor(ctx context.Context, a *matrix.SparseSym, id string, req *SolveCGRequest) (*precond.ICFactor, func(), bool, *httpError) {
+// id names, pinned; the caller must invoke the release.
+func (s *Server) precondFor(ctx context.Context, a *matrix.SparseSym, id string, opt precond.Options) (*precond.ICFactor, func(), bool, *httpError) {
 	key := "p:" + id
 	s.thrashFor(ctx, key)
 	if v, rel, ok := s.cache.get(key); ok {
 		return v.(*precond.ICFactor), rel, true, nil
 	}
-	opt := s.cfg.Solver
-	if req.Precision != "" {
-		prec, err := core.ParsePrecision(req.Precision)
-		if err != nil {
-			return nil, nil, false, &httpError{code: http.StatusBadRequest, err: err}
-		}
-		opt.Precision = prec
-	}
-	opt.Context = ctx
-	opt.Faults = s.cfg.SolverChaos
-
-	useGPU, probe := s.brk.acquire()
-	if !useGPU {
-		opt.GPUsPerNode = 0
-	}
-	ic, err := precond.NewIC(a, precond.Options{Level: req.ICLevel, DropTol: req.DropTol, Core: opt})
-	s.brk.result(err, probe)
+	opt.Core.Context = ctx
+	opt.Core.Faults = s.cfg.SolverChaos
+	ic, err := precond.NewIC(a, opt)
 	if err != nil {
 		switch {
 		case errors.Is(err, precond.ErrBreakdown):
@@ -586,8 +557,8 @@ func (s *Server) precondFor(ctx context.Context, a *matrix.SparseSym, id string,
 }
 
 // handleSolveCG serves POST /v1/solvecg: admission, preconditioner cache,
-// breaker-guarded incomplete factorization, then the PCG driver under the
-// request's deadline.
+// incomplete factorization, then the PCG driver under the request's
+// deadline.
 func (s *Server) handleSolveCG(r *http.Request) (any, *httpError) {
 	req, herr := decode[SolveCGRequest](r)
 	if herr != nil {
@@ -609,6 +580,12 @@ func (s *Server) handleSolveCG(r *http.Request) (any, *httpError) {
 		return nil, &httpError{code: http.StatusBadRequest,
 			err: fmt.Errorf("unknown solver %q (want cg or pcg)", solver)}
 	}
+	popt := precond.Options{Level: req.ICLevel, DropTol: req.DropTol, Core: s.cfg.Solver}
+	if req.Precision != "" {
+		if popt.Core.Precision, err = core.ParsePrecision(req.Precision); err != nil {
+			return nil, &httpError{code: http.StatusBadRequest, err: err}
+		}
+	}
 	ctx, done, herr := s.admit(r, req.DeadlineMillis)
 	if herr != nil {
 		return nil, herr
@@ -623,8 +600,8 @@ func (s *Server) handleSolveCG(r *http.Request) (any, *httpError) {
 		Metrics: metrics.NewIterMetrics(s.cfg.Registry),
 	}
 	if solver == "pcg" {
-		id := patternHash(a) + "-" + valueHash(a) + "-l" + strconv.Itoa(req.ICLevel)
-		ic, rel, cached, herr := s.precondFor(ctx, a, id, req)
+		id := precondID(a, popt)
+		ic, rel, cached, herr := s.precondFor(ctx, a, id, popt)
 		if herr != nil {
 			return nil, herr
 		}

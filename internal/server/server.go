@@ -2,16 +2,18 @@
 // over the factorization engine with the robustness envelope a long-lived
 // daemon needs and a one-shot CLI does not — per-request deadlines wired
 // into the engine's cooperative cancellation, a bounded admission queue
-// with load shedding, a circuit breaker that degrades to CPU-only
-// execution when devices look unhealthy, a byte-budgeted LRU cache of
-// Analysis and Factor objects keyed by sparsity-pattern hash, and a
-// graceful drain path for rolling restarts.
+// with load shedding, a byte-budgeted LRU cache of Analysis and Factor
+// objects keyed by sparsity-pattern hash, and a graceful drain path for
+// rolling restarts.
 //
-// The request pipeline is admission → chaos hooks → cache → breaker →
-// engine; every stage is observable through the sympack_server_* metric
-// namespace and every failure maps onto a small, documented status
-// vocabulary (429 shed, 499 client-canceled, 504 deadline, 422 not SPD,
-// 503 draining, 500 engine failure).
+// The request pipeline is admission → chaos hooks → cache → engine. Every
+// request runs the engine in the shape the operator configured
+// (Config.Solver); device trouble is the engine's to absorb (a rank whose
+// device dies demotes itself to CPU kernels), so the server only maps
+// each failure onto a small, documented status vocabulary (429 shed, 499
+// client-canceled, 504 deadline, 422 not SPD, 503 draining, 500 engine
+// failure). Every stage is observable through the sympack_server_*
+// metric namespace.
 package server
 
 import (
@@ -41,15 +43,10 @@ type Config struct {
 	CacheBudget int64
 	// DefaultDeadline bounds requests that specify none (0 = unbounded).
 	DefaultDeadline time.Duration
-	// BreakerThreshold is the consecutive device/stall failure count that
-	// trips the breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before the
-	// half-open probe (default 5s).
-	BreakerCooldown time.Duration
-	// Solver is the baseline engine configuration (ranks, workers, GPUs,
-	// ordering...). Per-request fields may override parts of it; Context
-	// and Faults are always owned by the server.
+	// Solver is the engine configuration every request runs (ranks,
+	// workers, GPUs, ordering...); a request chooses at most its
+	// preconditioner's precision. Context and Faults are always owned by
+	// the server.
 	Solver core.Options
 	// Chaos, when active, injects the server fault classes (slow clients,
 	// mid-flight cancellations, cache thrashing) keyed by request
@@ -73,12 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheBudget <= 0 {
 		c.CacheBudget = 256 << 20
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
 	}
@@ -91,7 +82,6 @@ type Server struct {
 	cfg   Config
 	met   *metrics.ServerMetrics
 	adm   *admission
-	brk   *breaker
 	cache *lruCache
 	inj   *faults.Injector // server-class chaos; nil when inactive
 	ring  *latencyRing
@@ -104,8 +94,8 @@ type Server struct {
 	hs  *http.Server
 	lis net.Listener
 
-	// factorFn is the engine seam; tests substitute failures and delays
-	// without building matrices that actually break devices.
+	// factorFn is the engine seam; tests substitute an engine that parks
+	// until released, to hold a request in flight.
 	factorFn func(p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error)
 	// analyzeFn is the symbolic seam.
 	analyzeFn func(a *matrix.SparseSym, opt core.Options) (*core.Plan, error)
@@ -119,7 +109,6 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		met:       met,
 		adm:       newAdmission(cfg.InflightCap, cfg.QueueCap, met),
-		brk:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, met),
 		cache:     newCache(cfg.CacheBudget, met),
 		ring:      &latencyRing{},
 		factorFn:  (*core.Plan).Factorize,
@@ -192,15 +181,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Health is the /healthz body: the readiness verdict plus the state that
 // produced it.
 type Health struct {
-	OK           bool   `json:"ok"`
-	Draining     bool   `json:"draining"`
-	Breaker      string `json:"breaker"`
-	Inflight     int    `json:"inflight"`
-	InflightCap  int    `json:"inflight_cap"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueCap     int    `json:"queue_cap"`
-	CacheBytes   int64  `json:"cache_bytes"`
-	CacheEntries int    `json:"cache_entries"`
+	OK           bool  `json:"ok"`
+	Draining     bool  `json:"draining"`
+	Inflight     int   `json:"inflight"`
+	InflightCap  int   `json:"inflight_cap"`
+	QueueDepth   int   `json:"queue_depth"`
+	QueueCap     int   `json:"queue_cap"`
+	CacheBytes   int64 `json:"cache_bytes"`
+	CacheEntries int   `json:"cache_entries"`
 }
 
 // health adapts HealthCheck to the metrics.HealthHandler signature.
@@ -211,16 +199,13 @@ func (s *Server) health() (any, bool) {
 
 // HealthCheck produces the /healthz payload and readiness verdict — also
 // the hook a sidecar metrics listener mounts. Not ready means: draining,
-// breaker open (devices unhealthy, capacity degraded), or admission queue
-// saturated (the next arrival would be shed) — the states where a load
-// balancer should route elsewhere.
+// or admission queue saturated (the next arrival would be shed) — the
+// states where a load balancer should route elsewhere.
 func (s *Server) HealthCheck() (Health, bool) {
-	brk := s.brk.snapshot()
 	inflight, queued := s.adm.occupancy()
 	bytes, entries := s.cache.stats()
 	h := Health{
 		Draining:     s.draining.Load(),
-		Breaker:      stateName(brk),
 		Inflight:     inflight,
 		InflightCap:  s.cfg.InflightCap,
 		QueueDepth:   queued,
@@ -228,6 +213,6 @@ func (s *Server) HealthCheck() (Health, bool) {
 		CacheBytes:   bytes,
 		CacheEntries: entries,
 	}
-	h.OK = !h.Draining && brk != brkOpen && queued < s.cfg.QueueCap
+	h.OK = !h.Draining && queued < s.cfg.QueueCap
 	return h, h.OK
 }

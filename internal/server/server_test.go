@@ -404,73 +404,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestBreakerDegradesToCPUAndRecovers wires a device-failing engine seam
-// through the HTTP path: repeated ErrDeviceFailed trips the breaker,
-// while open the server serves CPU-only (degraded, not down), and the
-// half-open probe closes it once devices heal.
-func TestBreakerDegradesToCPUAndRecovers(t *testing.T) {
-	s := startServer(t, Config{
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		Solver:           core.Options{GPUsPerNode: 1},
-	})
-	var mu sync.Mutex
-	devHealthy := false
-	s.factorFn = func(p *core.Plan, a *matrix.SparseSym, opt core.Options) (*core.Factor, error) {
-		mu.Lock()
-		healthy := devHealthy
-		mu.Unlock()
-		if opt.GPUsPerNode > 0 && !healthy {
-			return nil, fmt.Errorf("device 0: %w", core.ErrDeviceFailed)
-		}
-		return p.Factorize(a, opt)
-	}
-	a := gen.Laplace2D(6, 6)
-	req := func(scale float64) (int, FactorResponse) {
-		m := a.Clone()
-		for i := range m.Val {
-			m.Val[i] *= scale
-		}
-		var fr FactorResponse
-		code, _ := post(t, s.Addr(), "/v1/factor", FactorRequest{Matrix: wire(m)}, &fr)
-		return code, fr
-	}
-
-	// Two consecutive device failures → 500s and an open breaker.
-	for i := 0; i < 2; i++ {
-		if code, _ := req(1 + float64(i)); code != http.StatusInternalServerError {
-			t.Fatalf("device-failure request %d got %d, want 500", i, code)
-		}
-	}
-	if s.brk.snapshot() != brkOpen {
-		t.Fatal("breaker not open after threshold failures")
-	}
-	if code, h := getHealth(t, s.Addr()); code != http.StatusServiceUnavailable || h.Breaker != "open" {
-		t.Fatalf("open-breaker healthz = %d %+v", code, h)
-	}
-
-	// While open the same workload succeeds, routed around the devices.
-	code, fr := req(7)
-	if code != 200 || !fr.CPUOnly {
-		t.Fatalf("open-breaker request = %d %+v, want 200 CPU-only", code, fr)
-	}
-
-	// Devices heal; after the cooldown one probe closes the breaker.
-	mu.Lock()
-	devHealthy = true
-	mu.Unlock()
-	time.Sleep(60 * time.Millisecond)
-	if code, fr := req(8); code != 200 || fr.CPUOnly {
-		t.Fatalf("probe request = %d %+v, want 200 on GPUs", code, fr)
-	}
-	if s.brk.snapshot() != brkClosed {
-		t.Fatal("breaker did not close after a successful probe")
-	}
-	if code, h := getHealth(t, s.Addr()); code != http.StatusOK || h.Breaker != "closed" {
-		t.Fatalf("recovered healthz = %d %+v", code, h)
-	}
-}
-
 // TestEvictionMidSolveKeepsFactorUsable pins the GC-backed eviction
 // contract end to end: a factor evicted while a solve holds it still
 // produces a correct solution, and the next solve sees a clean 404.

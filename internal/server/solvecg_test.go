@@ -145,3 +145,41 @@ func TestSolveCGFp32Precision(t *testing.T) {
 		t.Fatalf("fp32 pcg: code=%d converged=%v", code, resp.Converged)
 	}
 }
+
+// TestSolveCGPrecondKeyedOnOptions pins that the preconditioner cache
+// serves the factor that was asked for: an fp32 request with a drop
+// tolerance after an fp64 one of the same matrix and level builds its own,
+// and an unknown precision is a 400 whether or not the key is cached and
+// whatever the solver.
+func TestSolveCGPrecondKeyedOnOptions(t *testing.T) {
+	s := startServer(t, Config{})
+	a := gen.Laplace2D(10, 10)
+	b := cgRHS(a.N, 6)
+
+	var fp64 SolveCGResponse
+	code, _ := post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
+		Matrix: wire(a), B: b, ICLevel: 1, Precision: "fp64",
+	}, &fp64)
+	if code != http.StatusOK || !fp64.Converged {
+		t.Fatalf("fp64 pcg: code=%d converged=%v", code, fp64.Converged)
+	}
+	var fp32 SolveCGResponse
+	code, _ = post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
+		Matrix: wire(a), B: b, ICLevel: 1, Precision: "fp32", DropTol: 0.5,
+	}, &fp32)
+	if code != http.StatusOK || !fp32.Converged {
+		t.Fatalf("fp32 pcg: code=%d converged=%v", code, fp32.Converged)
+	}
+	if fp32.PrecondCached || fp32.Precond == fp64.Precond {
+		t.Fatalf("fp32 drop_tol 0.5 request served %q (cached=%v), the fp64 factor is %q",
+			fp32.Precond, fp32.PrecondCached, fp64.Precond)
+	}
+	for _, solver := range []string{"pcg", "cg"} {
+		code, _ = post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
+			Matrix: wire(a), B: b, Solver: solver, ICLevel: 1, Precision: "fp13",
+		}, nil)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s with unknown precision: code=%d, want 400", solver, code)
+		}
+	}
+}
