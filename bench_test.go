@@ -230,6 +230,7 @@ func BenchmarkAblationMemoryKinds(b *testing.B) {
 		cfgOn := des.Config{
 			Solver: des.SymPACK, Nodes: 16, RanksPerNode: 4, GPUsPerNode: 4,
 			Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+			Mapping: symbolic.Map2DCyclic,
 		}
 		cfgOff := cfgOn
 		cfgOff.Machine = machine.Perlmutter().WithoutGDR()
@@ -262,6 +263,7 @@ func BenchmarkAblationOffloadHeuristic(b *testing.B) {
 			base := des.Config{
 				Solver: des.SymPACK, Nodes: 4, RanksPerNode: 4, GPUsPerNode: 4,
 				Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+				Mapping: symbolic.Map2DCyclic,
 			}
 			var r row
 			res, err := des.Simulate(p.st, p.tg, base)
@@ -348,6 +350,7 @@ func BenchmarkAblationRelaxation(b *testing.B) {
 			r, err := des.Simulate(st, tg, des.Config{
 				Solver: des.SymPACK, Nodes: 4, RanksPerNode: 4, GPUsPerNode: 4,
 				Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+				Mapping: symbolic.Map2DCyclic,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -573,6 +576,7 @@ func BenchmarkSweepProblemSize(b *testing.B) {
 			cfg := des.Config{
 				Solver: des.SymPACK, Nodes: 4, RanksPerNode: 4, GPUsPerNode: 4,
 				Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+				Mapping: symbolic.Map2DCyclic,
 			}
 			sp, err := des.Simulate(st, tg, cfg)
 			if err != nil {
@@ -614,6 +618,7 @@ func BenchmarkSweepSparsity(b *testing.B) {
 			res, err := des.Simulate(st, tg, des.Config{
 				Solver: des.SymPACK, Nodes: 4, RanksPerNode: 4, GPUsPerNode: 4,
 				Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+				Mapping: symbolic.Map2DCyclic,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -641,6 +646,7 @@ func BenchmarkAblationMapping(b *testing.B) {
 		cfg := des.Config{
 			Solver: des.SymPACK, Nodes: 16, RanksPerNode: 4, GPUsPerNode: 4,
 			Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+			Mapping: symbolic.Map2DCyclic,
 		}
 		r, err := des.Simulate(p.st, p.tg, cfg)
 		if err != nil {

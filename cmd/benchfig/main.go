@@ -210,7 +210,7 @@ func sizeName(b int64) string {
 func fig6(scale int) error {
 	a := flan.Build(scale)
 	f, err := sympack.Factorize(a, sympack.Options{
-		Ranks: 4, RanksPerNode: 4, GPUsPerNode: 4,
+		Ranks: 4, RanksPerNode: 4, GPUsPerNode: 4, Mapping: sympack.Map2DCyclic,
 	})
 	if err != nil {
 		return err

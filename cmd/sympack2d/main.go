@@ -72,7 +72,7 @@ func register(fs *flag.FlagSet, c *config) {
 	fs.IntVar(&c.nrhs, "nrhs", 1, "number of random right-hand sides to solve (b = A·x, x seeded by -seed)")
 	fs.StringVar(&c.ordering, "ordering", "SCOTCH", "fill-reducing ordering of the direct factorization: SCOTCH|AMD|RCM|NATURAL (pcg's IC(k) always orders naturally)")
 	fs.StringVar(&c.formulation, "formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")
-	fs.StringVar(&c.mapping, "mapping", "2d-cyclic", "block→process mapping: 2d-cyclic|1d-cols|subtree")
+	fs.StringVar(&c.mapping, "mapping", "subtree", "block→process mapping: subtree (proportional over the elimination tree)|2d-cyclic (the paper's)|1d-cols")
 	fs.StringVar(&c.solver, "solver", "direct", "solve strategy: direct|cg|pcg")
 	fs.StringVar(&c.precision, "precision", "fp64", "factor storage: fp64|fp32 (fp32 = float32 storage and wire, fp64 arithmetic, rounded once per finalised block; direct solves auto-refine)")
 	fs.IntVar(&c.icLevel, "ic-level", 1, "IC(k) fill level for -solver=pcg")

@@ -90,11 +90,11 @@ type Options struct {
 	// and applied in the canonical order; they differ in what travels on
 	// the wire and where the update flops land.
 	Formulation Formulation
-	// Mapping selects the block→process distribution. The default 2D
-	// block-cyclic map is the paper's choice (§3.3); the 1D column map is
-	// provided to demonstrate the serial bottleneck it avoids, and the
-	// subtree map assigns proportional process ranges over the
-	// supernodal elimination tree.
+	// Mapping selects the block→process distribution. The default subtree
+	// map assigns proportional process ranges over the supernodal
+	// elimination tree, so a deep subtree runs on one rank and sends
+	// nothing; the 2D block-cyclic map is the paper's (§3.3) and the 1D
+	// column map shows the serial bottleneck the 2D map avoids.
 	Mapping MappingKind
 	// Trace, when non-nil, records every executed task for timeline and
 	// load-balance analysis (Chrome trace-event export).
@@ -133,12 +133,12 @@ type Options struct {
 type MappingKind = symbolic.MappingKind
 
 const (
-	// Map2DCyclic is the paper's 2D block-cyclic distribution (default).
+	// MapSubtree is the proportional subtree-to-process-range map (default).
+	MapSubtree = symbolic.MapSubtree
+	// Map2DCyclic is the paper's 2D block-cyclic distribution.
 	Map2DCyclic = symbolic.Map2DCyclic
 	// Map1DCols assigns whole supernode columns cyclically.
 	Map1DCols = symbolic.Map1DCols
-	// MapSubtree is the proportional subtree-to-process-range mapping.
-	MapSubtree = symbolic.MapSubtree
 )
 
 // Formulation selects the task formulation (fan-out / fan-in / fan-both);

@@ -163,15 +163,24 @@ func TestMappingKindString(t *testing.T) {
 func TestFactorizationTracing(t *testing.T) {
 	rec := trace.New()
 	a := gen.Laplace2D(10, 10)
-	f, err := Factorize(a, Options{Ranks: 3, Trace: rec})
+	f, err := Factorize(a, Options{Ranks: 3, Mapping: Map2DCyclic, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One event per task: D per supernode, F per off-diagonal block, U per
-	// update.
+	// update (nothing folds under the 2D map at 3 ranks).
 	want := f.Stats.Supernodes + (f.Stats.Blocks - f.Stats.Supernodes) + f.Stats.Updates
 	if rec.Len() != want {
 		t.Fatalf("trace has %d events, want %d", rec.Len(), want)
+	}
+	// Under the default subtree map the bottom subtrees fold, and a subtree
+	// task records one event per kernel it runs.
+	folded := trace.New()
+	if _, err := Factorize(a, Options{Ranks: 3, Trace: folded}); err != nil {
+		t.Fatal(err)
+	}
+	if folded.Len() != 180 {
+		t.Fatalf("default map: trace has %d events, want 180", folded.Len())
 	}
 	sum := rec.Summary()
 	kinds := map[string]bool{}

@@ -206,10 +206,18 @@ func (e *solveRank) slot(bid int32, back bool) []float64 {
 }
 
 // segOwner returns the rank owning supernode k's segment of the vector.
-// Segments are distributed 1D-cyclically: the 2D block map would place
-// every diagonal block on the process grid's diagonal (few distinct ranks),
-// serializing the solve's diagonal chain.
-func (e *solveRank) segOwner(k int32) int { return int(k) % e.d.nranks }
+// Under the 2D map segments are distributed 1D-cyclically: that map would
+// place every diagonal block on the process grid's diagonal (few distinct
+// ranks), serializing the solve's diagonal chain. Under the other maps it
+// is the owner of the diagonal block, so under the subtree map a deep
+// subtree's segments stay on the rank that holds its blocks; the 1D map's
+// diagonal owner is k mod P.
+func (e *solveRank) segOwner(k int32) int {
+	if e.d.mapping == Map2DCyclic {
+		return int(k) % e.d.nranks
+	}
+	return e.m2d.Owner(k, k)
+}
 
 // readers returns the off-diagonal blocks that read segment k in a sweep,
 // as a span lo ≤ i < hi of positions that blockAt resolves: forward the

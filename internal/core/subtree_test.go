@@ -54,7 +54,7 @@ func TestSubtreeTasks(t *testing.T) {
 	})
 
 	t.Run("laplace10-2d-r4", func(t *testing.T) {
-		f, err := Factorize(laplace, Options{Ranks: 4, Workers: 1})
+		f, err := Factorize(laplace, Options{Ranks: 4, Workers: 1, Mapping: Map2DCyclic})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,8 @@
 //
 // The two solvers differ exactly where the paper says they differ:
 //
-//   - symPACK: block-granular tasks, 2D block-cyclic mapping, dynamic
+//   - symPACK: block-granular tasks under Config.Mapping (the paper's
+//     figures name its 2D block-cyclic map, Map2DCyclic), dynamic
 //     list scheduling, one-sided notifications, GDR (native memory kinds)
 //     transfers straight into device memory with device-side operand
 //     caching, per-op offload thresholds, a lightweight task queue.
@@ -60,8 +61,9 @@ type Config struct {
 	// core.Options.Formulation, so a variant simulates exactly what it
 	// runs.
 	Formulation symbolic.Formulation
-	// Mapping selects the block→process distribution (2D block-cyclic /
-	// 1D columns / proportional subtree). Mirrors core.Options.Mapping.
+	// Mapping selects the block→process distribution (proportional
+	// subtree, the zero value / 2D block-cyclic / 1D columns). Mirrors
+	// core.Options.Mapping; the paper's figures name Map2DCyclic.
 	Mapping symbolic.MappingKind
 }
 

@@ -32,10 +32,13 @@ func simOne(t *testing.T, st *symbolic.Structure, tg *symbolic.TaskGraph, cfg Co
 	return res
 }
 
+// baseCfg models the paper's experiments, so it names the paper's 2D
+// block-cyclic map rather than the zero value's subtree map.
 func baseCfg(solver Solver, nodes, rpn int) Config {
 	return Config{
 		Solver: solver, Nodes: nodes, RanksPerNode: rpn, GPUsPerNode: 4,
 		Machine: machine.Perlmutter(), Thresholds: gpu.DefaultThresholds(),
+		Mapping: symbolic.Map2DCyclic,
 	}
 }
 

@@ -29,7 +29,8 @@ type SweepConfig struct {
 	Machine     machine.Machine
 	Thresholds  gpu.Thresholds
 	// Formulation and Mapping select the scheduling variant the symPACK
-	// personality sweeps (zero values: fan-out on the 2D cyclic map).
+	// personality sweeps (zero values: fan-out on the subtree map;
+	// DefaultSweep names the paper's 2D cyclic map).
 	Formulation symbolic.Formulation
 	Mapping     symbolic.MappingKind
 }
@@ -44,6 +45,7 @@ func DefaultSweep(s Solver) SweepConfig {
 		GPUsPerNode: 4,
 		Machine:     machine.Perlmutter(),
 		Thresholds:  gpu.DefaultThresholds(),
+		Mapping:     symbolic.Map2DCyclic,
 	}
 }
 

@@ -78,7 +78,7 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 // serverEndpoints is the fixed endpoint vocabulary of the request-scoped
 // families (labels beyond it are still accepted — lookups register on
 // first use).
-var serverEndpoints = []string{"analyze", "factor", "solve", "solvebatch"}
+var serverEndpoints = []string{"analyze", "factor", "solve", "solvebatch", "solvecg"}
 
 // Request returns the request counter for an (endpoint, HTTP status code)
 // pair, registering the series on first use.

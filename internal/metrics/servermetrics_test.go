@@ -41,3 +41,20 @@ func TestServerMetricsShape(t *testing.T) {
 		t.Fatalf("request counter = %g", got)
 	}
 }
+
+// TestServerMetricsEndpointFamilies checks that a freshly built bundle
+// exposes the latency family of every endpoint the server routes, before
+// any request.
+func TestServerMetricsEndpointFamilies(t *testing.T) {
+	reg := NewRegistry()
+	NewServerMetrics(reg)
+	var sb strings.Builder
+	if err := WriteText(&sb, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []string{"analyze", "factor", "solve", "solvebatch", "solvecg"} {
+		if want := `sympack_server_request_seconds_count{endpoint="` + ep + `"} 0`; !strings.Contains(sb.String(), want) {
+			t.Errorf("fresh exposition missing %q", want)
+		}
+	}
+}

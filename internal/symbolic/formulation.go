@@ -124,29 +124,28 @@ func Formulations() []Formulation { return []Formulation{FanOut, FanIn, FanBoth}
 type MappingKind uint8
 
 const (
-	// Map2DCyclic is the paper's 2D block-cyclic distribution (§3.3,
-	// default).
-	Map2DCyclic MappingKind = iota
-	// Map1DCols assigns whole supernode columns cyclically — the layout
-	// whose serial bottleneck the 2D map exists to avoid.
-	Map1DCols
-	// MapSubtree is the proportional subtree-to-subcube mapping: each
-	// subtree of the supernodal elimination tree gets a process range
+	// MapSubtree is the proportional subtree-to-subcube mapping (default):
+	// each subtree of the supernodal elimination tree gets a process range
 	// sized by its share of the factorization work, and a supernode's
 	// blocks are dealt round-robin over its subtree's range. Independent
 	// subtrees land on disjoint processes, so their schedules never
 	// contend.
-	MapSubtree
+	MapSubtree MappingKind = iota
+	// Map2DCyclic is the paper's 2D block-cyclic distribution (§3.3).
+	Map2DCyclic
+	// Map1DCols assigns whole supernode columns cyclically — the layout
+	// whose serial bottleneck the 2D map exists to avoid.
+	Map1DCols
 )
 
 func (m MappingKind) String() string {
 	switch m {
+	case Map2DCyclic:
+		return "2d-cyclic"
 	case Map1DCols:
 		return "1d-cols"
-	case MapSubtree:
-		return "subtree"
 	default:
-		return "2d-cyclic"
+		return "subtree"
 	}
 }
 
@@ -160,26 +159,28 @@ func ParseMapping(s string) (MappingKind, error) {
 	case "subtree", "proportional":
 		return MapSubtree, nil
 	}
-	return Map2DCyclic, fmt.Errorf("symbolic: unknown mapping %q (want 2d|1d|subtree)", s)
+	return MapSubtree, fmt.Errorf("symbolic: unknown mapping %q (want subtree|2d|1d)", s)
 }
 
-// NewBlockMap constructs the selected distribution over p processes. The
-// structure is consulted only by MapSubtree (which needs the supernodal
-// tree and work weights); a nil structure falls back to the 2D map so
-// structure-free callers cannot silently build a malformed mapping.
+// oneRank is every kind's map over one process, built once.
+var oneRank BlockMap = Map2D{Pr: 1, Pc: 1}
+
+// NewBlockMap constructs the selected distribution over p processes. Any
+// kind but Map2DCyclic and Map1DCols is the subtree map, as String names
+// it. The structure is consulted only by the subtree map (which needs the
+// supernodal tree and work weights); a nil structure falls back to the 2D
+// map so structure-free callers cannot silently build a malformed mapping.
 func NewBlockMap(kind MappingKind, p int, st *Structure) BlockMap {
-	switch kind {
-	case Map1DCols:
-		if p < 1 {
-			p = 1
-		}
-		return Map1D{NP: p}
-	case MapSubtree:
-		if st != nil {
-			return NewSubtreeMap(st, p)
-		}
+	if p <= 1 {
+		return oneRank
 	}
-	return NewMap2D(p)
+	switch {
+	case kind == Map1DCols:
+		return Map1D{NP: p}
+	case kind == Map2DCyclic || st == nil:
+		return NewMap2D(p)
+	}
+	return NewSubtreeMap(st, p)
 }
 
 // SubtreeMap is the proportional subtree mapping: supernode k owns the
@@ -214,46 +215,43 @@ func NewSubtreeMap(st *Structure, p int) *SubtreeMap {
 			sub[k] = 1
 		}
 	}
-	children := make([][]int32, nsn)
-	var roots []int32
-	for k := 0; k < nsn; k++ {
-		if par := st.SnParent[k]; par != -1 {
-			children[par] = append(children[par], int32(k))
-		} else {
-			roots = append(roots, int32(k))
-		}
-	}
 	st.subtreeSums(sub)
-	// Iterative proportional range assignment (explicit stack: supernodal
-	// chains can be deep). Children carve contiguous sub-ranges of the
-	// parent's range sized by subtree weight, every child at least one
-	// process; a forest splits [0, p) the same way under a virtual root.
-	type span struct {
-		kids []int32
-		lo   int32
-		hi   int32
+	// The children of each supernode as first-child / next-sibling links,
+	// ascending, with the roots under a virtual parent nsn.
+	first, next := make([]int32, nsn+1), make([]int32, nsn)
+	for q := range first {
+		first[q] = -1
 	}
-	stack := []span{{kids: roots, lo: 0, hi: int32(p)}}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for k := nsn - 1; k >= 0; k-- {
+		q := st.SnParent[k]
+		if q == -1 {
+			q = int32(nsn)
+		}
+		next[k], first[q] = first[q], int32(k)
+	}
+	// Proportional range assignment. Children carve contiguous sub-ranges
+	// of the parent's range sized by subtree weight, every child at least
+	// one process; a forest splits [0, p) the same way under the virtual
+	// root. Parents have higher indices than their children, so a
+	// descending sweep sets each range before it is split.
+	for q := nsn; q >= 0; q-- {
+		lo, width := int32(0), int64(p)
+		if q < nsn {
+			lo, width = m.base[q], int64(m.cnt[q])
+		}
 		var total int64
-		for _, c := range s.kids {
+		for c := first[q]; c != -1; c = next[c] {
 			total += sub[c]
 		}
 		var acc int64
-		width := int64(s.hi - s.lo)
-		for _, c := range s.kids {
-			clo := s.lo + int32(acc*width/total)
+		for c := first[q]; c != -1; c = next[c] {
+			clo := lo + int32(acc*width/total)
 			acc += sub[c]
-			chi := s.lo + int32(acc*width/total)
+			chi := lo + int32(acc*width/total)
 			if chi <= clo {
 				chi = clo + 1 // every subtree keeps at least one process
 			}
 			m.base[c], m.cnt[c] = clo, chi-clo
-			if len(children[c]) > 0 {
-				stack = append(stack, span{kids: children[c], lo: clo, hi: chi})
-			}
 		}
 	}
 	return m

@@ -108,12 +108,12 @@ type MappingKind = core.MappingKind
 
 // Block mappings for Options.Mapping.
 const (
+	MapSubtree  = core.MapSubtree  // proportional to elimination-subtree work (default)
 	Map2DCyclic = core.Map2DCyclic // 2D block-cyclic (the paper's map(i,j))
 	Map1DCols   = core.Map1DCols   // 1D column-cyclic
-	MapSubtree  = core.MapSubtree  // proportional to elimination-subtree work
 )
 
-// ParseMapping parses a mapping name ("2d-cyclic", "1d-cols", "subtree",
+// ParseMapping parses a mapping name ("subtree", "2d-cyclic", "1d-cols",
 // and common abbreviations) as accepted by the CLI flags.
 func ParseMapping(s string) (MappingKind, error) { return symbolic.ParseMapping(s) }
 
