@@ -17,11 +17,12 @@ race:
 	$(GO) test -race ./...
 
 # bits runs the bit-contract tests — the pinned factor and solution hashes
-# (complete and IC), folded ≡ unfolded factor bytes and the protocol's
-# counts — on the kernel path this host selects, then again under
-# -tags purego (Go loops instead of the assembly), plus the kernels'
+# (complete and IC), SolveMulti ≡ per-column Solve at every lane remainder
+# of the interleaved backward sweep, folded ≡ unfolded factor bytes and
+# the protocol's counts — on the kernel path this host selects, then again
+# under -tags purego (Go loops instead of the assembly), plus the kernels'
 # vector ≡ Go tests under purego. Any moved bit fails it.
-BITS = Golden|SubtreeFoldBits|ProtocolCounts
+BITS = Golden|SolveMultiWidthBits|SubtreeFoldBits|ProtocolCounts
 bits:
 	$(GO) test -count=1 -run '$(BITS)' ./internal/core
 	$(GO) test -count=1 -tags purego -run '$(BITS)' ./internal/core

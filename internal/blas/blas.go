@@ -40,7 +40,10 @@
 // The dot-shaped loops stay scalar Go: dot, gemmTN, gemmTT, Syrk Transpose,
 // the Left/Transpose Trsm cases and Potrf Upper. Vectorising a reduction
 // splits one running sum into several and reorders the additions, which
-// changes the bits.
+// changes the bits. Across right-hand sides nothing is split: the
+// interleaved kernels (rhs.go) run gemmTN's dot and the Left/Lower/
+// Transpose Trsm's column loop for up to 8 right-hand sides per
+// instruction, one running sum per lane, with the scalar bits.
 //
 // Each kernel has a straightforward reference implementation (ref.go) used
 // by the tests to validate the production kernels.

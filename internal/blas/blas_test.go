@@ -449,6 +449,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 				}
 			}
 		}
+		// The interleaved kernels take ld as their row stride: n
+		// right-hand sides, two full lane groups and a remainder.
+		expect("GemmTNInterleaved", func() { GemmTNInterleaved(m, k, n, a, ld, b, c, ld) })
+		expect("TrsmLTInterleaved", func() { TrsmLTInterleaved(m, n, a, ld, b, ld) })
 		for _, ta := range []Trans{NoTrans, Transpose} {
 			for _, tb := range []Trans{NoTrans, Transpose} {
 				expect(fmt.Sprintf("Gemm(%v,%v)", ta, tb), func() {

@@ -8,8 +8,9 @@ package blas
 var useVector = hasAVX2()
 
 // useTile selects the AVX-512 register tile of vec_amd64.s under gemmNT,
-// the Syrk Lower rectangle and the Right/Lower/Transpose Trsm. Like
-// useVector it is set once, from the CPU, and flipped only by the tests.
+// the Syrk Lower rectangle and the Right/Lower/Transpose Trsm, and the
+// interleaved-RHS kernels of rhs_amd64.s. Like useVector it is set once,
+// from the CPU, and flipped only by the tests.
 var useTile = hasAVX512()
 
 //go:noescape
@@ -20,6 +21,12 @@ func scalVec(d float64, x []float64)
 
 //go:noescape
 func tileVec(m, k int, alpha float64, neg bool, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+
+//go:noescape
+func gemmTNVec(n, m int, a []float64, lda int, w []float64, c []float64, ld, lanes int)
+
+//go:noescape
+func trsmLTVec(m int, a []float64, lda int, b []float64, ld, lanes int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

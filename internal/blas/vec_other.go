@@ -14,3 +14,11 @@ func scalVec(d float64, x []float64) { scalGo(d, x) }
 func tileVec(m, k int, alpha float64, neg bool, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	panic("blas: no register tile in this build")
 }
+
+func gemmTNVec(n, m int, a []float64, lda int, w []float64, c []float64, ld, lanes int) {
+	panic("blas: no interleaved-RHS kernels in this build")
+}
+
+func trsmLTVec(m int, a []float64, lda int, b []float64, ld, lanes int) {
+	panic("blas: no interleaved-RHS kernels in this build")
+}

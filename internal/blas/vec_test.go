@@ -55,6 +55,11 @@ func TestKernelPath(t *testing.T) {
 		path = "AVX2 axpy"
 	}
 	t.Logf("kernel path: %s", path)
+	rhs := "Go loops"
+	if hostTile {
+		rhs = "AVX-512"
+	}
+	t.Logf("interleaved-RHS kernels (GemmTNInterleaved, TrsmLTInterleaved): %s", rhs)
 }
 
 // specials are the values a bit-identity test must get right: signed zeros,
@@ -144,10 +149,13 @@ func TestAxpyScalBitsMatchGo(t *testing.T) {
 // multipliers, on each kernel path the host has — the Go loops, the AVX2
 // axpy and the AVX-512 tile — and requires identical bits. Its "tile"
 // subtest sweeps the three routed kernels (gemmNT, Syrk Lower/NoTrans, Trsm
-// Right/Lower/Transpose) over every row and column remainder of the tile.
+// Right/Lower/Transpose) over every row and column remainder of the tile;
+// its "interleaved" subtest does the same for the two interleaved-RHS
+// kernels over every lane remainder.
 func TestKernelsVectorEqualsGo(t *testing.T) {
 	t.Run("random", testKernelsRandom)
 	t.Run("tile", testKernelsTile)
+	t.Run("interleaved", testKernelsInterleaved)
 }
 
 // samePaths runs run on a fresh copy of out on every kernel path the host
@@ -373,6 +381,119 @@ func testKernelsTile(t *testing.T) {
 				Trsm(Right, Lower, Transpose, m, n, alpha, l, lda, b, ldb)
 				expectGuards(name, b, ldb, m, n, false)
 			})
+		}
+	}
+}
+
+// testKernelsInterleaved runs GemmTNInterleaved and TrsmLTInterleaved at
+// random shapes — m ∈ {0, 1} among them — and at right-hand-side counts
+// covering every remainder of the RHSLanes-lane groups, with ±0,
+// subnormals and an infinity in W and B, on every kernel path the host
+// has. Each must give the Go body's bits, leave the padding lanes (guard
+// cells) alone, and equal, right-hand side by right-hand side, the
+// column-major kernel whose sequence it claims: Gemm(Transpose, NoTrans,
+// α = −1, β = 1) and Trsm(Left, Lower, Transpose). The inputs hold no NaN:
+// gc commutes a product's or a sum's operands as it likes, so which of two
+// NaNs an operation returns is no property of the Go loops to hold the
+// assembly to.
+func testKernelsInterleaved(t *testing.T) {
+	if !hostTile {
+		t.Log("the CPU lacks AVX-512F (or this is a purego or non-amd64 build): only the Go bodies run")
+	}
+	rng := rand.New(rand.NewSource(52))
+	finite := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-310}
+	// value is a normal number, one in eight a signed zero or a subnormal.
+	value := func() float64 {
+		if rng.Intn(8) == 0 {
+			return finite[rng.Intn(len(finite))]
+		}
+		return rng.NormFloat64()
+	}
+	// interleaved returns rows × nrhs values at stride ld, guard in the
+	// padding lanes, with an infinity planted when inf is set.
+	interleaved := func(rows, nrhs, ld int, inf bool) []float64 {
+		s := make([]float64, rows*ld)
+		for i := range s {
+			s[i] = guard
+			if i%ld < nrhs {
+				s[i] = value()
+			}
+		}
+		if inf && rows > 0 {
+			s[rng.Intn(rows)*ld+rng.Intn(nrhs)] = math.Inf(1 - 2*rng.Intn(2))
+		}
+		return s
+	}
+	// columnMajor copies right-hand side j of an interleaved block out.
+	columnMajor := func(s []float64, rows, j, ld int) []float64 {
+		out := make([]float64, rows)
+		for x := range out {
+			out[x] = s[x*ld+j]
+		}
+		return out
+	}
+	expectGuards := func(name string, s []float64, nrhs, ld int) {
+		t.Helper()
+		for i, v := range s {
+			if i%ld >= nrhs && math.Float64bits(v) != math.Float64bits(guard) {
+				t.Fatalf("%s: padding lane %d of row %d is %x", name, i%ld, i/ld, math.Float64bits(v))
+			}
+		}
+	}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 23, 25}
+	for trial := 0; trial < 3*len(widths); trial++ {
+		nrhs := widths[trial%len(widths)]
+		ld := InterleavedStride(nrhs) + RHSLanes*rng.Intn(2)
+		m := []int{0, 1, rng.Intn(40) + 2}[trial%3]
+		n := rng.Intn(14)
+		lda := max(m, 1) + rng.Intn(3)
+		a := make([]float64, lda*n)
+		for i := range a {
+			a[i] = value()
+		}
+		w := interleaved(m, nrhs, ld, true)
+		c := interleaved(n, nrhs, ld, false)
+		name := fmt.Sprintf("GemmTNInterleaved(n=%d,m=%d,nrhs=%d,ld=%d)", n, m, nrhs, ld)
+		samePaths(t, name, c, func(c []float64) {
+			GemmTNInterleaved(n, m, nrhs, a, lda, w, c, ld)
+			expectGuards(name, c, nrhs, ld)
+		})
+		got := append([]float64(nil), c...)
+		GemmTNInterleaved(n, m, nrhs, a, lda, w, got, ld)
+		for j := 0; j < nrhs; j++ {
+			want := columnMajor(c, n, j, ld)
+			Gemm(Transpose, NoTrans, n, 1, m, -1, a, lda, columnMajor(w, m, j, ld), max(m, 1), 1, want, max(n, 1))
+			if i := sameBits(columnMajor(got, n, j, ld), want); i >= 0 {
+				t.Fatalf("%s: right-hand side %d, row %d differs from Gemm(Transpose, NoTrans)", name, j, i)
+			}
+		}
+
+		order := rng.Intn(20)
+		if trial%3 == 1 {
+			order = trial % 2
+		}
+		ldl := max(order, 1) + rng.Intn(3)
+		l := make([]float64, ldl*order)
+		for i := range l {
+			l[i] = value()
+		}
+		for i := 0; i < order; i++ {
+			l[i+i*ldl] = 2 + math.Abs(rng.NormFloat64())
+		}
+		b := interleaved(order, nrhs, ld, true)
+		name = fmt.Sprintf("TrsmLTInterleaved(m=%d,nrhs=%d,ld=%d)", order, nrhs, ld)
+		samePaths(t, name, b, func(b []float64) {
+			TrsmLTInterleaved(order, nrhs, l, ldl, b, ld)
+			expectGuards(name, b, nrhs, ld)
+		})
+		got = append([]float64(nil), b...)
+		TrsmLTInterleaved(order, nrhs, l, ldl, got, ld)
+		for j := 0; j < nrhs; j++ {
+			want := columnMajor(b, order, j, ld)
+			Trsm(Left, Lower, Transpose, order, 1, 1, l, ldl, want, max(order, 1))
+			if i := sameBits(columnMajor(got, order, j, ld), want); i >= 0 {
+				t.Fatalf("%s: right-hand side %d, row %d differs from Trsm(Left, Lower, Transpose)", name, j, i)
+			}
 		}
 	}
 }

@@ -80,20 +80,20 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	// One lane runs the whole forest as one unit and builds no schedule;
 	// so does a schedule of one unit, or a call the Ps leave no helper.
 	var s *solveSched
-	lanes, rows := 1, 0
+	lanes, rows := 1, workRows{}
 	if f.Opt.Workers > 1 {
 		s = f.solve.get(st)
-		rows = s.panelRows
+		rows = s.work
 		if len(s.units) > 1 {
 			lanes = takeLanes(f.Opt.Workers)
 			defer giveLanes(lanes)
 		}
 	} else {
-		rows = panelRows(st)
+		rows = newWorkRows(st)
 	}
 	// One allocation holds the panel and every lane's gather workspace
 	// behind it.
-	buf := make([]float64, (n+lanes*rows)*nrhs)
+	buf := make([]float64, n*nrhs+lanes*rows.size(nrhs))
 	y, w := buf[:n*nrhs:n*nrhs], buf[n*nrhs:]
 	for j, b := range bs {
 		yj := y[j*n : j*n+n]
@@ -131,26 +131,42 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	return out, nil
 }
 
-// panelRows returns the tallest off-diagonal block of a supernode at least
-// panelMin wide: a lane's gather workspace holds that many rows per
-// right-hand side.
-func panelRows(st *symbolic.Structure) int {
-	rows := 0
+// workRows is what a lane's gather workspace must hold. panel is the
+// tallest off-diagonal block of a supernode at least panelMin wide, which
+// forward gathers, and backward at one right-hand side: panel × nrhs,
+// column-major. back is the most rows backward holds at once at nrhs ≥ 2,
+// a supernode's width plus its tallest off-diagonal block: back ×
+// InterleavedStride(nrhs), interleaved.
+type workRows struct{ panel, back int }
+
+func newWorkRows(st *symbolic.Structure) workRows {
+	var r workRows
 	for k := range st.Snodes {
-		if st.Snodes[k].NCols() < panelMin {
-			continue
-		}
+		nc, tallest := st.Snodes[k].NCols(), 0
 		for _, blk := range st.SnodeBlocks(int32(k))[1:] {
-			rows = max(rows, int(blk.NRows))
+			tallest = max(tallest, int(blk.NRows))
+		}
+		r.back = max(r.back, nc+tallest)
+		if nc >= panelMin {
+			r.panel = max(r.panel, tallest)
 		}
 	}
-	return rows
+	return r
+}
+
+// size returns the float64s one lane's workspace holds at nrhs right-hand
+// sides.
+func (r workRows) size(nrhs int) int {
+	if nrhs == 1 {
+		return r.panel
+	}
+	return max(r.panel*nrhs, r.back*blas.InterleavedStride(nrhs))
 }
 
 // forward solves L·Y = B in place over supernodes first…root, pushing each
 // supernode's off-diagonal blocks into the rows they update; a block whose
 // rows lie past root is left to its row supernode's pull. y is the n×nrhs
-// panel (ld n); w is a gather workspace, panelRows×nrhs.
+// panel (ld n); w is a lane's gather workspace (workRows).
 func (f *Factor) forward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
 	n := st.N
@@ -224,18 +240,54 @@ func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.S
 // every supernode it reads past root is already solved. y and w as for
 // forward.
 //
-// A supernode at least panelMin wide gathers W = X[rows, :] for each
-// off-diagonal block and runs Y_k −= L_ikᵀ·W as one Gemm. gemmTN's dot
-// accumulates col[x]·W[x] from 0 in x order, as the loop below does, then
-// adds −1·s, which is y_c − s.
+// At nrhs ≥ 2 it copies Y_k into w RHS-interleaved (row stride
+// blas.InterleavedStride(nrhs)), and behind it gathers each off-diagonal
+// block's rows of X, already final, in the same layout and runs
+// Y_k −= L_ikᵀ·X_rows through blas.GemmTNInterleaved. It solves the
+// diagonal there through blas.TrsmLTInterleaved and copies Y_k back. Per
+// element those are the sequences of the one-vector loop below — products
+// summed from +0 in x order, then subtracted; the Transpose Trsm's column
+// loop — with a right-hand side per vector lane, so no sum is split or
+// reordered.
+//
+// At one right-hand side a supernode at least panelMin wide gathers
+// W = X[rows] per block and runs Y_k −= L_ikᵀ·W as one Gemm: gemmTN's dot
+// accumulates col[x]·W[x] from 0 in x order, as the loop does, then adds
+// −1·s, which is y_c − s.
 func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
 	n := st.N
+	if nrhs > 1 {
+		ld := blas.InterleavedStride(nrhs)
+		for k := root; k >= first; k-- {
+			sn := &st.Snodes[k]
+			nc := sn.NCols()
+			blks := st.SnodeBlocks(k)
+			xk, wk := w[:nc*ld], w[nc*ld:]
+			gatherInterleaved(xk, y, sn.Rows[:nc], n, nrhs, ld)
+			for bi := 1; bi < len(blks); bi++ {
+				blk := &blks[bi]
+				m := int(blk.NRows)
+				gatherInterleaved(wk, y, sn.Rows[blk.RowOff:blk.RowOff+blk.NRows], n, nrhs, ld)
+				blas.GemmTNInterleaved(nc, m, nrhs, f.Data[blk.ID], m, wk[:m*ld], xk, ld)
+			}
+			blas.TrsmLTInterleaved(nc, nrhs, f.Data[blks[0].ID], nc, xk, ld)
+			fc := int(sn.FirstCol)
+			for j := 0; j < nrhs; j++ {
+				yk := y[j*n+fc : j*n+fc+nc]
+				for c := range yk {
+					yk[c] = xk[c*ld+j]
+				}
+			}
+		}
+		return
+	}
 	for k := root; k >= first; k-- {
 		sn := &st.Snodes[k]
 		nc := sn.NCols()
 		fc := int(sn.FirstCol)
 		blks := st.SnodeBlocks(k)
+		yk := y[fc : fc+nc]
 		// Gather panel contributions: Y_k ← Y_k − Σ L_{i,k}ᵀ X_rows.
 		for bi := 1; bi < len(blks); bi++ {
 			blk := &blks[bi]
@@ -243,26 +295,35 @@ func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32)
 			m := int(blk.NRows)
 			rows := sn.Rows[blk.RowOff : blk.RowOff+blk.NRows]
 			if nc >= panelMin {
-				wk := w[:m*nrhs]
-				gatherRows(wk, y, rows, n, nrhs)
-				blas.Gemm(blas.Transpose, blas.NoTrans, nc, nrhs, m, -1, data, m, wk, m, 1, y[fc:], n)
+				wk := w[:m]
+				gatherRows(wk, y, rows, n, 1)
+				blas.Gemm(blas.Transpose, blas.NoTrans, nc, 1, m, -1, data, m, wk, m, 1, yk, n)
 				continue
 			}
-			for j := 0; j < nrhs; j++ {
-				yj := y[j*n : j*n+n]
-				yk := yj[fc : fc+nc]
-				for c := range yk {
-					col := data[c*m : c*m+m]
-					var s float64
-					for x, r := range rows {
-						s += float64(col[x] * yj[r])
-					}
-					yk[c] -= s
+			for c := range yk {
+				col := data[c*m : c*m+m]
+				var s float64
+				for x, r := range rows {
+					s += float64(col[x] * y[r])
 				}
+				yk[c] -= s
 			}
 		}
 		// X_k ← L_kk⁻ᵀ Y_k (dense backward substitution).
-		blas.Trsm(blas.Left, blas.Lower, blas.Transpose, nc, nrhs, 1, f.Data[blks[0].ID], nc, y[fc:], n)
+		blas.Trsm(blas.Left, blas.Lower, blas.Transpose, nc, 1, 1, f.Data[blks[0].ID], nc, yk, n)
+	}
+}
+
+// gatherInterleaved copies rows of the n×nrhs panel y into w,
+// RHS-interleaved with row stride ld: w[x·ld + j] = y[j·n + rows[x]]. The
+// padding lanes are left as they are; the interleaved kernels never read
+// them.
+func gatherInterleaved(w, y []float64, rows []int32, n, nrhs, ld int) {
+	for x, r := range rows {
+		wx := w[x*ld : x*ld+nrhs]
+		for j := range wx {
+			wx[j] = y[j*n+int(r)]
+		}
 	}
 }
 

@@ -166,6 +166,59 @@ func checkPanelMatchesScalar(t *testing.T, name string, f *Factor, rng *rand.Ran
 	}
 }
 
+// TestSolveMultiWidthBits checks that SolveMulti gives, column by column,
+// the bits of Solve on that column alone at panel widths 2, 3, 7, 8, 9 and
+// 17: the interleaved backward sweep's lane remainders, a full group of
+// blas.RHSLanes, and one and two groups with a remainder, which
+// TestSolveBitsGolden's three right-hand sides never reach. It runs on
+// TestSolveBitsGolden's problems and right-hand-side recipe (b[i] = 0.5 +
+// U[0,1)) at one worker and at two, where the lanes run; two Ps leave room
+// for the helper.
+func TestSolveMultiWidthBits(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	problems := []struct {
+		name string
+		a    *matrix.SparseSym
+	}{
+		{"Flan3D(10,10,10,1)", gen.Flan3D(10, 10, 10, 1)},
+		{"Thermal2D(64,64,4,2)", gen.Thermal2D(64, 64, 4, 2)},
+		{"Laplace3D(12,12,12)", gen.Laplace3D(12, 12, 12)},
+	}
+	widths := []int{2, 3, 7, 8, 9, 17}
+	for _, p := range problems {
+		rng := rand.New(rand.NewSource(1))
+		bs := make([][]float64, widths[len(widths)-1])
+		for j := range bs {
+			bs[j] = make([]float64, p.a.N)
+			for i := range bs[j] {
+				bs[j][i] = 0.5 + rng.Float64()
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			f, err := Factorize(p.a, Options{Ranks: 1, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			if units := len(f.solve.get(f.St).units); workers > 1 && units < 2 {
+				t.Fatalf("%s: %d solve unit(s): the lanes are not exercised", p.name, units)
+			}
+			single := make([][]float64, len(bs))
+			for j, b := range bs {
+				if single[j], err = f.Solve(b); err != nil {
+					t.Fatalf("%s workers=%d: Solve: %v", p.name, workers, err)
+				}
+			}
+			for _, nrhs := range widths {
+				multi, err := f.SolveMulti(bs[:nrhs])
+				if err != nil {
+					t.Fatalf("%s workers=%d nrhs=%d: SolveMulti: %v", p.name, workers, nrhs, err)
+				}
+				sameBits(t, fmt.Sprintf("%s workers=%d nrhs=%d: SolveMulti against Solve", p.name, workers, nrhs), multi, single[:nrhs])
+			}
+		}
+	}
+}
+
 // solveAt solves bs on f at the given worker count.
 func solveAt(t *testing.T, f *Factor, workers int, bs [][]float64) [][]float64 {
 	t.Helper()
