@@ -2,10 +2,8 @@ package blas
 
 // The right-hand-side-interleaved kernels. A block of right-hand sides is
 // stored row by row: element (x, j) — row x, right-hand side j — lives at
-// w[x·ld + j], so one row's right-hand sides are contiguous. ld, the row
-// stride, is InterleavedStride(nrhs): nrhs rounded up to RHSLanes, so a
-// row starts a new group of RHSLanes lanes. Lanes j ≥ nrhs are padding,
-// which the kernels neither read nor write.
+// w[x·ld + j], so one row's right-hand sides are contiguous. The row
+// stride ld is at least nrhs; the kernels touch no lane j ≥ nrhs.
 //
 // Both kernels keep, per element, the operation sequence of the scalar
 // loop that computes that element alone. A vector lane holds one
@@ -17,10 +15,6 @@ package blas
 
 // RHSLanes is the number of right-hand sides one vector register holds.
 const RHSLanes = 8
-
-// InterleavedStride returns the row stride of the interleaved layout for
-// nrhs right-hand sides: nrhs rounded up to a multiple of RHSLanes.
-func InterleavedStride(nrhs int) int { return (nrhs + RHSLanes - 1) / RHSLanes * RHSLanes }
 
 // GemmTNInterleaved computes C[c, j] −= Σ_x A[x, c]·W[x, j] for c < n and
 // j < nrhs, where A is m×n column-major (leading dimension lda) and W

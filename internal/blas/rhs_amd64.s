@@ -5,8 +5,8 @@
 // The AVX-512 bodies of the interleaved-RHS kernels (rhs.go). Each call
 // runs one group of up to 8 right-hand sides, one per lane of a ZMM
 // register; K1 masks the group's lanes, so the loads and stores of a
-// group narrower than 8 neither read nor write the padding lanes (a masked
-// lane does not fault either). Every lane computes its element's scalar
+// group narrower than 8 neither read nor write past it (a masked lane does
+// not fault either). Every lane computes its element's scalar
 // sequence: one rounded VMULPD, then one rounded VADDPD or VSUBPD, never
 // an FMA, in the Go loop's order, with gc's operands — w·a and p + s in
 // gemmTNVec, x·a, s − p and s / a in trsmLTVec. The Go wrappers have

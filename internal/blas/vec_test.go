@@ -389,8 +389,8 @@ func testKernelsTile(t *testing.T) {
 // random shapes — m ∈ {0, 1} among them — and at right-hand-side counts
 // covering every remainder of the RHSLanes-lane groups, with ±0,
 // subnormals and an infinity in W and B, on every kernel path the host
-// has. Each must give the Go body's bits, leave the padding lanes (guard
-// cells) alone, and equal, right-hand side by right-hand side, the
+// has. Each must give the Go body's bits, leave a row's lanes past nrhs
+// (guard cells) alone, and equal, right-hand side by right-hand side, the
 // column-major kernel whose sequence it claims: Gemm(Transpose, NoTrans,
 // α = −1, β = 1) and Trsm(Left, Lower, Transpose). The inputs hold no NaN:
 // gc commutes a product's or a sum's operands as it likes, so which of two
@@ -410,7 +410,7 @@ func testKernelsInterleaved(t *testing.T) {
 		return rng.NormFloat64()
 	}
 	// interleaved returns rows × nrhs values at stride ld, guard in the
-	// padding lanes, with an infinity planted when inf is set.
+	// lanes past nrhs, with an infinity planted when inf is set.
 	interleaved := func(rows, nrhs, ld int, inf bool) []float64 {
 		s := make([]float64, rows*ld)
 		for i := range s {
@@ -436,14 +436,14 @@ func testKernelsInterleaved(t *testing.T) {
 		t.Helper()
 		for i, v := range s {
 			if i%ld >= nrhs && math.Float64bits(v) != math.Float64bits(guard) {
-				t.Fatalf("%s: padding lane %d of row %d is %x", name, i%ld, i/ld, math.Float64bits(v))
+				t.Fatalf("%s: lane %d past nrhs of row %d is %x", name, i%ld, i/ld, math.Float64bits(v))
 			}
 		}
 	}
 	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 23, 25}
 	for trial := 0; trial < 3*len(widths); trial++ {
 		nrhs := widths[trial%len(widths)]
-		ld := InterleavedStride(nrhs) + RHSLanes*rng.Intn(2)
+		ld := nrhs + rng.Intn(3)
 		m := []int{0, 1, rng.Intn(40) + 2}[trial%3]
 		n := rng.Intn(14)
 		lda := max(m, 1) + rng.Intn(3)

@@ -38,10 +38,10 @@ func (f *Factor) SolveCtx(ctx context.Context, b []float64) ([]float64, error) {
 }
 
 // panelMin is the narrowest supernode whose off-diagonal blocks the solve
-// gathers into a dense workspace and hands to blas.Gemm. Below it the
-// gather and scatter cost more than the indexed loops they replace; a sweep
-// over {1, 2, 4, 8, 16, 32, ∞} found 4–16 a plateau (EXPERIMENTS.md "Panel
-// solve").
+// gathers into a dense workspace and hands to blas.Gemm: forward, and
+// backward at one right-hand side. Below it the gather and scatter cost
+// more than the indexed loops they replace; a sweep over {1, 2, 4, 8, 16,
+// 32, ∞} found 4–16 a plateau (EXPERIMENTS.md "Panel solve").
 const panelMin = 8
 
 // SolveMultiCtx solves A·X = B for multiple right-hand sides under a
@@ -80,20 +80,20 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	// One lane runs the whole forest as one unit and builds no schedule;
 	// so does a schedule of one unit, or a call the Ps leave no helper.
 	var s *solveSched
-	lanes, rows := 1, workRows{}
+	lanes, rows := 1, 0
 	if f.Opt.Workers > 1 {
 		s = f.solve.get(st)
-		rows = s.work
+		rows = s.workRows
 		if len(s.units) > 1 {
 			lanes = takeLanes(f.Opt.Workers)
 			defer giveLanes(lanes)
 		}
 	} else {
-		rows = newWorkRows(st)
+		rows = workRows(st)
 	}
 	// One allocation holds the panel and every lane's gather workspace
 	// behind it.
-	buf := make([]float64, n*nrhs+lanes*rows.size(nrhs))
+	buf := make([]float64, (n+lanes*rows)*nrhs)
 	y, w := buf[:n*nrhs:n*nrhs], buf[n*nrhs:]
 	for j, b := range bs {
 		yj := y[j*n : j*n+n]
@@ -131,36 +131,20 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	return out, nil
 }
 
-// workRows is what a lane's gather workspace must hold. panel is the
-// tallest off-diagonal block of a supernode at least panelMin wide, which
-// forward gathers, and backward at one right-hand side: panel × nrhs,
-// column-major. back is the most rows backward holds at once at nrhs ≥ 2,
-// a supernode's width plus its tallest off-diagonal block: back ×
-// InterleavedStride(nrhs), interleaved.
-type workRows struct{ panel, back int }
-
-func newWorkRows(st *symbolic.Structure) workRows {
-	var r workRows
+// workRows returns the rows a lane's gather workspace holds per
+// right-hand side: the most the interleaved backward sweep holds at once,
+// a supernode's width plus its tallest off-diagonal block, which is more
+// than the one-right-hand-side sweep and forward gather.
+func workRows(st *symbolic.Structure) int {
+	rows := 0
 	for k := range st.Snodes {
 		nc, tallest := st.Snodes[k].NCols(), 0
 		for _, blk := range st.SnodeBlocks(int32(k))[1:] {
 			tallest = max(tallest, int(blk.NRows))
 		}
-		r.back = max(r.back, nc+tallest)
-		if nc >= panelMin {
-			r.panel = max(r.panel, tallest)
-		}
+		rows = max(rows, nc+tallest)
 	}
-	return r
-}
-
-// size returns the float64s one lane's workspace holds at nrhs right-hand
-// sides.
-func (r workRows) size(nrhs int) int {
-	if nrhs == 1 {
-		return r.panel
-	}
-	return max(r.panel*nrhs, r.back*blas.InterleavedStride(nrhs))
+	return rows
 }
 
 // forward solves L·Y = B in place over supernodes first…root, pushing each
@@ -240,43 +224,45 @@ func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.S
 // every supernode it reads past root is already solved. y and w as for
 // forward.
 //
-// At nrhs ≥ 2 it copies Y_k into w RHS-interleaved (row stride
-// blas.InterleavedStride(nrhs)), and behind it gathers each off-diagonal
-// block's rows of X, already final, in the same layout and runs
-// Y_k −= L_ikᵀ·X_rows through blas.GemmTNInterleaved. It solves the
+// At nrhs ≥ 2 it copies Y_k into w RHS-interleaved (row x's right-hand
+// sides contiguous, row stride nrhs), and behind it gathers each
+// off-diagonal block's rows of X, already final, in the same layout and
+// runs Y_k −= L_ikᵀ·X_rows through blas.GemmTNInterleaved. It solves the
 // diagonal there through blas.TrsmLTInterleaved and copies Y_k back. Per
 // element those are the sequences of the one-vector loop below — products
 // summed from +0 in x order, then subtracted; the Transpose Trsm's column
 // loop — with a right-hand side per vector lane, so no sum is split or
 // reordered.
 //
-// At one right-hand side a supernode at least panelMin wide gathers
-// W = X[rows] per block and runs Y_k −= L_ikᵀ·W as one Gemm: gemmTN's dot
-// accumulates col[x]·W[x] from 0 in x order, as the loop does, then adds
-// −1·s, which is y_c − s.
+// At one right-hand side the same kernels have one lane to fill and cost
+// more than the scalar loops they would replace (EXPERIMENTS.md "The
+// backward solve across right-hand sides"), so a supernode at least
+// panelMin wide gathers W = X[rows] per block and runs Y_k −= L_ikᵀ·W as
+// one Gemm — gemmTN's dot accumulates col[x]·W[x] from 0 in x order, as
+// the loop does, then adds −1·s, which is y_c − s — and a thinner one runs
+// the loop.
 func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
 	n := st.N
 	if nrhs > 1 {
-		ld := blas.InterleavedStride(nrhs)
 		for k := root; k >= first; k-- {
 			sn := &st.Snodes[k]
 			nc := sn.NCols()
 			blks := st.SnodeBlocks(k)
-			xk, wk := w[:nc*ld], w[nc*ld:]
-			gatherInterleaved(xk, y, sn.Rows[:nc], n, nrhs, ld)
+			xk, wk := w[:nc*nrhs], w[nc*nrhs:]
+			gatherInterleaved(xk, y, sn.Rows[:nc], n, nrhs)
 			for bi := 1; bi < len(blks); bi++ {
 				blk := &blks[bi]
 				m := int(blk.NRows)
-				gatherInterleaved(wk, y, sn.Rows[blk.RowOff:blk.RowOff+blk.NRows], n, nrhs, ld)
-				blas.GemmTNInterleaved(nc, m, nrhs, f.Data[blk.ID], m, wk[:m*ld], xk, ld)
+				gatherInterleaved(wk, y, sn.Rows[blk.RowOff:blk.RowOff+blk.NRows], n, nrhs)
+				blas.GemmTNInterleaved(nc, m, nrhs, f.Data[blk.ID], m, wk[:m*nrhs], xk, nrhs)
 			}
-			blas.TrsmLTInterleaved(nc, nrhs, f.Data[blks[0].ID], nc, xk, ld)
+			blas.TrsmLTInterleaved(nc, nrhs, f.Data[blks[0].ID], nc, xk, nrhs)
 			fc := int(sn.FirstCol)
 			for j := 0; j < nrhs; j++ {
 				yk := y[j*n+fc : j*n+fc+nc]
 				for c := range yk {
-					yk[c] = xk[c*ld+j]
+					yk[c] = xk[c*nrhs+j]
 				}
 			}
 		}
@@ -315,12 +301,10 @@ func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32)
 }
 
 // gatherInterleaved copies rows of the n×nrhs panel y into w,
-// RHS-interleaved with row stride ld: w[x·ld + j] = y[j·n + rows[x]]. The
-// padding lanes are left as they are; the interleaved kernels never read
-// them.
-func gatherInterleaved(w, y []float64, rows []int32, n, nrhs, ld int) {
+// RHS-interleaved: w[x·nrhs + j] = y[j·n + rows[x]].
+func gatherInterleaved(w, y []float64, rows []int32, n, nrhs int) {
 	for x, r := range rows {
-		wx := w[x*ld : x*ld+nrhs]
+		wx := w[x*nrhs : x*nrhs+nrhs]
 		for j := range wx {
 			wx[j] = y[j*n+int(r)]
 		}

@@ -57,7 +57,7 @@ type solveSched struct {
 	// releases succ[succPtr[u]:succPtr[u+1]]; backward the roles swap.
 	// Neither list holds a unit twice.
 	succPtr, succ, predPtr, pred []int32
-	work                         workRows
+	workRows                     int
 }
 
 // solveOnce builds, on first use, what the solves of a pattern share: the
@@ -90,7 +90,7 @@ func (o *solveOnce) get(st *symbolic.Structure) *solveSched {
 // every edge points to a later unit.
 func newSolveSched(st *symbolic.Structure, rows rowCSR) *solveSched {
 	nsn := int32(st.NumSupernodes())
-	s := &solveSched{rows: rows, work: newWorkRows(st),
+	s := &solveSched{rows: rows, workRows: workRows(st),
 		units: []symbolic.SubtreeRange{{First: 0, Root: nsn - 1}}, succPtr: []int32{0, 0}, predPtr: []int32{0, 0}}
 	subtrees := st.BottomSubtrees(subtreeFlop, subtreeMin, func(k int32) bool { return st.SnParent[k] != -1 })
 	if len(subtrees) == 0 {
