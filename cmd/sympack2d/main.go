@@ -45,14 +45,14 @@ import (
 
 // config holds the parsed command line.
 type config struct {
-	in, gen, ordering, formulation, mapping, solver, precision, fallback string
-	trace, faults, metricsAddr, report                                   string
-	b, o, saveFactor, loadFactor, selinvDiag                             string
-	nrhs, icLevel, ranks, workers, ranksPerNode, gpus                    int
-	deviceMem, seed, chaos                                               int64
-	rtol                                                                 float64
-	gpuV, distSolve, refine                                              bool
-	metricsHold                                                          time.Duration
+	in, gen, ordering, formulation, mapping, solver, fallback string
+	trace, faults, metricsAddr, report                        string
+	b, o, saveFactor, loadFactor, selinvDiag                  string
+	nrhs, icLevel, ranks, workers, ranksPerNode, gpus         int
+	deviceMem, seed, chaos                                    int64
+	rtol                                                      float64
+	gpuV, distSolve, refine                                   bool
+	metricsHold                                               time.Duration
 }
 
 func main() {
@@ -74,7 +74,6 @@ func register(fs *flag.FlagSet, c *config) {
 	fs.StringVar(&c.formulation, "formulation", "fan-out", "task formulation: fan-out|fan-in|fan-both")
 	fs.StringVar(&c.mapping, "mapping", "subtree", "block→process mapping: subtree (proportional over the elimination tree)|2d-cyclic (the paper's)|1d-cols")
 	fs.StringVar(&c.solver, "solver", "direct", "solve strategy: direct|cg|pcg")
-	fs.StringVar(&c.precision, "precision", "fp64", "factor storage: fp64|fp32 (fp32 = float32 storage and wire, fp64 arithmetic, rounded once per finalised block; direct solves auto-refine)")
 	fs.IntVar(&c.icLevel, "ic-level", 1, "IC(k) fill level for -solver=pcg")
 	fs.Float64Var(&c.rtol, "rtol", 1e-8, "relative tolerance for -solver=cg|pcg")
 	fs.IntVar(&c.ranks, "ranks", 4, "number of UPC++ processes to simulate")
@@ -181,11 +180,8 @@ func run(c config, out io.Writer) error {
 		return nil // factor-only invocation
 	}
 
-	refine := c.refine || opt.Precision == sympack.PrecFP32
-	if refine && a == nil {
-		// An fp32 factor alone gives single-precision accuracy; refinement
-		// against the fp64 matrix recovers the rest, and needs that matrix.
-		return errors.New("-refine and -precision fp32 need the matrix (-in or -gen) for residuals")
+	if c.refine && a == nil {
+		return errors.New("-refine needs the matrix (-in or -gen) for residuals")
 	}
 	bs, err := rightHandSides(c, a, f.St.N)
 	if err != nil {
@@ -196,7 +192,7 @@ func run(c config, out io.Writer) error {
 		// Timed here: only SolveDistributed fills SolveStats.Wall.
 		t0 := machine.WallNow()
 		switch {
-		case refine:
+		case c.refine:
 			var rel float64
 			var sweeps int
 			if x, rel, sweeps, err = f.SolveRefined(a, b, 1e-14, 5); err != nil {
@@ -211,7 +207,7 @@ func run(c config, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("solve failed: %w", err)
 		}
-		if !refine {
+		if !c.refine {
 			fmt.Fprintf(out, "solve %d: wall=%v", r, machine.WallSince(t0))
 			if a != nil {
 				fmt.Fprintf(out, "  relative residual=%.3g", sympack.ResidualNorm(a, x, b))
@@ -255,12 +251,11 @@ func options(c config) (sympack.Options, error) {
 	ord, errOrd := ordering.ParseKind(c.ordering)
 	form, errForm := sympack.ParseFormulation(c.formulation)
 	bmap, errMap := sympack.ParseMapping(c.mapping)
-	prec, errPrec := sympack.ParsePrecision(c.precision)
 	fallback, errFallback := gpu.ParseFallback(c.fallback)
 	// An explicit -faults spec is seeded by -chaos when given, else by the
 	// run seed; -chaos alone selects the default chaos plan.
 	plan, errPlan := faults.Resolve(c.faults, c.chaos, c.seed, faults.DefaultChaos)
-	if err := errors.Join(errOrd, errForm, errMap, errPrec, errFallback, errPlan); err != nil {
+	if err := errors.Join(errOrd, errForm, errMap, errFallback, errPlan); err != nil {
 		return sympack.Options{}, err
 	}
 	opt := sympack.Options{
@@ -271,7 +266,6 @@ func options(c config) (sympack.Options, error) {
 		Ordering:     ord,
 		Formulation:  form,
 		Mapping:      bmap,
-		Precision:    prec,
 		Fallback:     fallback,
 		Faults:       plan,
 		MetricsAddr:  c.metricsAddr,
@@ -327,7 +321,7 @@ func runIterative(c config, a *sympack.Matrix, opt sympack.Options, out io.Write
 	if c.solver == "pcg" {
 		cg.Precond = sympack.PrecondIC
 		cg.ICLevel = c.icLevel
-		fmt.Fprintf(out, "iterative: %s with IC(%d), rtol=%.1g, precision=%v\n", c.solver, c.icLevel, c.rtol, opt.Precision)
+		fmt.Fprintf(out, "iterative: %s with IC(%d), rtol=%.1g\n", c.solver, c.icLevel, c.rtol)
 	} else {
 		fmt.Fprintf(out, "iterative: %s, rtol=%.1g\n", c.solver, c.rtol)
 	}

@@ -267,7 +267,6 @@ func TestRunErrors(t *testing.T) {
 		"-b with -nrhs 2":       {"-in", mat, "-b", rhs, "-nrhs", "2"},
 		"short rhs":             {"-in", mat, "-b", short},
 		"refine without matrix": {"-load-factor", fac, "-b", rhs, "-refine"},
-		"fp32 without matrix":   {"-load-factor", fac, "-b", rhs, "-precision", "fp32"},
 		"cg without matrix":     {"-load-factor", fac, "-b", rhs, "-solver", "cg"},
 		"nothing to do":         {"-load-factor", fac},
 		"trace of a load":       {"-load-factor", fac, "-b", rhs, "-trace", filepath.Join(dir, "t.json")},

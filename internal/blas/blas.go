@@ -583,17 +583,6 @@ func potrfUnblocked(uplo Uplo, n int, a []float64, lda int) error {
 	return nil
 }
 
-// Round32 rounds every element of a through float32 in place (round to
-// nearest even): the storage demotion of Options.Precision = fp32, applied
-// to a factor block once, when the task that finalises it has run. The
-// kernels above stay fp64; float32 is what the block is stored and shipped
-// as, not what it is computed in (DESIGN.md §14).
-func Round32(a []float64) {
-	for i, v := range a {
-		a[i] = float64(float32(v))
-	}
-}
-
 // FlopsGemm returns the floating-point operation count of a GEMM with the
 // given dimensions; used by the GPU offload heuristics and the machine model.
 func FlopsGemm(m, n, k int) int64 { return 2 * int64(m) * int64(n) * int64(k) }

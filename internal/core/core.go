@@ -75,14 +75,6 @@ type Options struct {
 	// Symbolic tunes supernode detection; zero value means
 	// symbolic.DefaultOptions.
 	Symbolic *symbolic.Options
-	// Precision selects the factor's storage format: PrecFP64 (default) or
-	// PrecFP32, the mixed-precision mode — float32 storage and wire, fp64
-	// arithmetic, rounded once per finalised block (CPU kernels only, half
-	// the modeled wire bytes), intended to be paired with SolveRefined's
-	// fp64 refinement. When a pivot breaks down under the rounding on a
-	// matrix that is SPD in fp64, the factorization transparently retries
-	// in fp64.
-	Precision Precision
 	// Formulation selects the task formulation: which block's owner
 	// computes each update (fan-out — the paper's choice and the default —
 	// fan-in, or fan-both). All formulations produce bit-identical factors
@@ -347,37 +339,11 @@ func FactorizeAnalyzed(st *symbolic.Structure, pa *matrix.SparseSym, opt Options
 	return factorize(newPlan(st, asm, opt), pa, opt)
 }
 
-// factorize runs one factorization of a through the plan.
-//
-// Under Options.Precision == PrecFP32, a pivot breakdown
-// (ErrNotPositiveDefinite — the float32-rounded blocks may have cancelled a
-// Schur complement that is positive in fp64) triggers one transparent retry
-// with fp64 storage; the fallback is counted
-// on the returned factor's registry as sympack_iter_fp32_fallbacks_total.
-// The returned factor's Opt.Context is nil: the context bounds this call
-// only.
+// factorize runs one factorization of a through the plan. The returned
+// factor's Opt.Context is nil: the context bounds this call only.
 func factorize(p *Plan, a *matrix.SparseSym, opt Options) (*Factor, error) {
 	opt = opt.withDefaults()
 	lay := p.layoutFor(opt)
-	f, err := factorizeOnce(p, lay, a, opt)
-	if err != nil && opt.Precision == PrecFP32 && errors.Is(err, ErrNotPositiveDefinite) {
-		opt.Precision = PrecFP64
-		f, err = factorizeOnce(p, lay, a, opt)
-		if err == nil {
-			f.Metrics.Counter("sympack_iter_fp32_fallbacks_total",
-				"factorizations retried in fp64 after fp32 pivot breakdown").Inc()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	f.Opt.Context = nil
-	return f, nil
-}
-
-// factorizeOnce is one factorization of a through plan p and its layout
-// lay for opt's shape.
-func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Factor, error) {
 	if ctx := opt.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
@@ -484,6 +450,7 @@ func factorizeOnce(p *Plan, lay *layout, a *matrix.SparseSym, opt Options) (*Fac
 			return nil, fmt.Errorf("core: internal: block %d never factored", bid)
 		}
 	}
+	f.Opt.Context = nil
 	return f, nil
 }
 
@@ -518,9 +485,8 @@ func startWatchdog(rt *upcxx.Runtime, progress func() int64, timeout time.Durati
 }
 
 // newRuntime builds the simulated job a factorization or a distributed solve
-// runs on from the options the two share. The solve issues no transfers and
-// no device allocations, so the element width and device capacity only
-// matter to the factorization.
+// runs on from the options the two share. The solve issues no device
+// allocations, so the device capacity only matters to the factorization.
 func newRuntime(opt Options, inj *faults.Injector) (*upcxx.Runtime, error) {
 	return upcxx.NewRuntime(upcxx.Config{
 		Ranks:          opt.Ranks,
@@ -530,7 +496,6 @@ func newRuntime(opt Options, inj *faults.Injector) (*upcxx.Runtime, error) {
 		DeviceCapacity: opt.DeviceCapacity,
 		Faults:         inj,
 		Trace:          opt.Trace,
-		ElemBytes:      opt.Precision.elemBytes(),
 	})
 }
 

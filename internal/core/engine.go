@@ -950,15 +950,14 @@ func (e *engine) runFactor(bid int32, ls *laneScratch) {
 
 // factorDiag runs the kernel of D_k, POTRF of supernode k's diagonal,
 // stored with leading dimension lda in a — its diagonal block, or the top
-// of its trapezoid — and rounds it under fp32. It reports false, with the
-// job failed, when the pivot breaks down.
+// of its trapezoid. It reports false, with the job failed, when the pivot
+// breaks down.
 func (e *engine) factorDiag(k int32, a []float64, lda int) bool {
 	n := e.st.Snodes[k].NCols()
 	if err := e.potrf(n, a, lda); err != nil {
 		e.r.Runtime().Fail(fmt.Errorf("%w: supernode %d: %v", ErrNotPositiveDefinite, k, err))
 		return false
 	}
-	e.round32(n, n, a, lda)
 	return true
 }
 
@@ -976,7 +975,6 @@ func (e *engine) factorPanel(bid int32) {
 	if fc.dev != nil && fc.devUses.Add(-1) == 0 {
 		e.r.Device().Free(fc.dev)
 	}
-	e.round32(m, n, data, m)
 }
 
 // announceBlock announces a factored block to the ranks holding its
@@ -1044,7 +1042,6 @@ func (e *engine) runSubtree(id int32, ls *laneScratch) {
 			start := tr.Begin()
 			ls.diag.host = t[:span(n, n, ld)]
 			e.trsm(m, n, &ls.diag, ld, t[n:], ld)
-			e.round32(m, n, t[n:], ld)
 			e.traceFolded(ls.lane, taskFactor, start, k, k)
 		}
 		blks := st.SnodeBlocks(k)
@@ -1211,17 +1208,6 @@ func (e *engine) scatterSub(ui int32, w []float64, rpos []int) {
 // threshold rejections per op.
 func (e *engine) offload(op machine.Op, elems int) bool {
 	if !e.gpuEnabled() {
-		return false
-	}
-	if e.fp32() {
-		// fp32 mode keeps every kernel on the CPU: the device model has no
-		// fp32 rate or fp32 copy width, and modeled numbers must not move
-		// with a precision it cannot price. Count the offloads the
-		// threshold would have admitted as demotions so the cost of the
-		// policy is visible.
-		if e.opt.Thresholds.ShouldOffload(op, elems) {
-			e.met.fp32Demotions.Inc()
-		}
 		return false
 	}
 	if !e.opt.Thresholds.ShouldOffload(op, elems) {

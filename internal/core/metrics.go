@@ -55,13 +55,6 @@ type coreMetrics struct {
 	gpuDemotions  *metrics.Counter
 	allocRetries  *metrics.Counter
 	oomFallbacks  *metrics.Counter
-
-	// fp32Demotions counts offloads the size threshold would have admitted
-	// that ran on the CPU instead because Options.Precision == PrecFP32
-	// keeps every kernel off the fp64-only device model (part of the
-	// sympack_iter_* mixed-precision namespace; the companion fp32-fallback
-	// counter is job-level and lives on the merged registry).
-	fp32Demotions *metrics.Counter
 }
 
 const (
@@ -113,8 +106,6 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		"transient device-allocation retries")
 	m.oomFallbacks = reg.Counter("sympack_gpu_oom_fallbacks_total",
 		"operations run on the CPU after a failed device allocation")
-	m.fp32Demotions = reg.Counter("sympack_iter_fp32_demotions_total",
-		"GPU-eligible kernels kept on the CPU by Precision=fp32")
 	return m
 }
 

@@ -61,7 +61,9 @@ func (f *Factor) SolveRefined(a *matrix.SparseSym, b []float64, tol float64, max
 		prev := rel
 		rel = res()
 		if rel >= prev {
-			// No further progress (already at working precision).
+			// No further progress (already at working precision); the
+			// sweep still ran and its correction stays in x.
+			iters++
 			break
 		}
 	}

@@ -149,9 +149,9 @@ func TestSubtreeTasks(t *testing.T) {
 // TestSubtreeFoldBits checks that folding bottom subtrees into subtree
 // tasks moves no bit of the factor: each case saves the factor with
 // folding on and with it off (subtreeFlop = 0, which folds nothing) and
-// compares the bytes. The cases cover both worker counts, fp32 storage, the
-// device path of every kernel (thresholds of 1) and MapSubtree at 4 ranks,
-// where folded panel blocks are announced to other ranks.
+// compares the bytes. The cases cover both worker counts, the device path
+// of every kernel (thresholds of 1) and MapSubtree at 4 ranks, where
+// folded panel blocks are announced to other ranks.
 func TestSubtreeFoldBits(t *testing.T) {
 	th := gpu.Thresholds{Potrf: 1, Trsm: 1, Syrk: 1, Gemm: 1}
 	opts := []struct {
@@ -160,7 +160,6 @@ func TestSubtreeFoldBits(t *testing.T) {
 	}{
 		{"r1w1", Options{Ranks: 1, Workers: 1}},
 		{"r1w2", Options{Ranks: 1, Workers: 2}},
-		{"fp32", Options{Ranks: 1, Workers: 1, Precision: PrecFP32}},
 		{"gpu-th1", Options{Ranks: 1, Workers: 1, GPUsPerNode: 1, Thresholds: &th}},
 		{"subtree-r4", Options{Ranks: 4, Workers: 1, Mapping: MapSubtree}},
 	}

@@ -24,12 +24,8 @@ type IterMetrics struct {
 	// application (the M⁻¹r solve inside PCG).
 	PrecondApplySeconds *Histogram
 	// RefineSweeps counts iterative-refinement sweeps performed by
-	// SolveRefined (the fp32-factor polish loop).
+	// SolveRefined.
 	RefineSweeps *Counter
-	// FP32Fallbacks counts factorizations retried in fp64 after an fp32
-	// pivot breakdown (the per-kernel demotion counter lives in the core
-	// bundle as sympack_iter_fp32_demotions_total).
-	FP32Fallbacks *Counter
 }
 
 // ResidualBuckets spans relative residuals from machine epsilon to O(1):
@@ -56,7 +52,5 @@ func NewIterMetrics(reg *Registry) *IterMetrics {
 			SecondsBuckets()),
 		RefineSweeps: reg.Counter("sympack_iter_refine_sweeps_total",
 			"iterative-refinement sweeps performed by SolveRefined"),
-		FP32Fallbacks: reg.Counter("sympack_iter_fp32_fallbacks_total",
-			"factorizations retried in fp64 after fp32 pivot breakdown"),
 	}
 }

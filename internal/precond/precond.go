@@ -69,7 +69,7 @@ type Options struct {
 	// expansion (see symbolic.ICOptions).
 	DropTol float64
 	// Core configures the factorization engine used to compute the
-	// incomplete factor: ranks, workers, formulation, mapping, precision —
+	// incomplete factor: ranks, workers, formulation, mapping —
 	// the full distributed surface applies to the preconditioner build.
 	// Its Ordering does not: IC(k) always orders naturally.
 	Core core.Options
@@ -94,6 +94,10 @@ type ICFactor struct {
 // ErrBreakdown is returned when every shifted attempt failed.
 var ErrBreakdown = errors.New("precond: incomplete factorization broke down at every shift")
 
+// ErrAnalysis wraps the error of a symbolic analysis the matrix failed
+// (an empty matrix, say): the input is at fault, not the engine.
+var ErrAnalysis = errors.New("precond: analysis")
+
 // NewIC analyzes, in the natural ordering, and factors the IC(k)
 // preconditioner for a. The symbolic phase runs once; breakdowns retry the
 // numeric phase on a diagonally shifted copy (σ starting at 1e-3 of the
@@ -106,7 +110,7 @@ func NewIC(a *matrix.SparseSym, opt Options) (*ICFactor, error) {
 	st, pa, err := symbolic.AnalyzeIC(a, ordering.Natural, symOpt,
 		symbolic.ICOptions{Level: opt.Level, DropTol: opt.DropTol})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrAnalysis, err)
 	}
 	var mean float64
 	for _, d := range pa.Diag() {
@@ -126,7 +130,9 @@ func NewIC(a *matrix.SparseSym, opt Options) (*ICFactor, error) {
 		m := pa
 		if shift > 0 {
 			if m, err = pa.ShiftDiag(shift); err != nil {
-				return nil, err
+				// A column without a structural diagonal has a zero
+				// pivot that no shift reaches.
+				return nil, fmt.Errorf("%w: %v", lastErr, err)
 			}
 		}
 		f, ferr := core.FactorizeAnalyzed(st, m, opt.Core)

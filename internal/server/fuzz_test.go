@@ -18,6 +18,25 @@ var malformedBodies = []string{
 	`{"matrix":{"n":1,"colptr":[0,5],"rowind":[]}}`,
 }
 
+// unfactorableBodies are well-formed bodies of matrices no engine can
+// factor: column 0 has no structural diagonal entry, and the empty matrix.
+// /v1/factor and /v1/solvecg must answer 422, the input's fault, not a 500.
+var unfactorableBodies = []string{
+	`{"matrix":{"n":2,"colptr":[0,1,2],"rowind":[1,1],"val":[1,1]},"b":[1,1]}`,
+	`{"matrix":{"colptr":[0]}}`,
+}
+
+func TestUnfactorableMatrixIs422(t *testing.T) {
+	s := startServer(t, Config{})
+	for _, path := range []string{"/v1/factor", "/v1/solvecg"} {
+		for _, body := range unfactorableBodies {
+			if code, _ := post(t, s.Addr(), path, json.RawMessage(body), nil); code != 422 {
+				t.Errorf("POST %s %s: status %d, want 422", path, body, code)
+			}
+		}
+	}
+}
+
 func TestAnalyzeMalformedMatrixIs400(t *testing.T) {
 	s := startServer(t, Config{})
 	for _, body := range malformedBodies {
@@ -171,6 +190,49 @@ func FuzzFactorBody(f *testing.F) {
 			t.Fatalf("after body %q: Laplace2D 3×3 solve status %d", data, code)
 		}
 		for i, x := range sr.X {
+			if math.Abs(x-1) > 1e-10 {
+				t.Fatalf("after body %q: x[%d] = %.17g, want 1", data, i, x)
+			}
+		}
+	})
+}
+
+// FuzzSolveCGBody posts arbitrary bytes as a /v1/solvecg body through
+// Server.Handler: every response has a status of the endpoint's
+// vocabulary, never a 500, and after each input the Laplace2D 3×3 pcg
+// body with IC(1) is still a 200 that solves A·x = A·1 to ones, so no input
+// poisoned the preconditioner cache.
+func FuzzSolveCGBody(f *testing.F) {
+	s := New(Config{Solver: core.Options{Ranks: 1, Workers: 1}})
+	a := gen.Laplace2D(3, 3)
+	ones := make([]float64, a.N)
+	for i := range ones {
+		ones[i] = 1
+	}
+	valid, err := json.Marshal(SolveCGRequest{
+		Matrix: wire(a), B: a.MulVec(ones), Solver: "pcg", ICLevel: 1, Rtol: 1e-12,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, body := range append(malformedBodies, unfactorableBodies...) {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"matrix":{"n":1,"colptr":[0,1],"rowind":[0],"val":[4]},"b":[2],"ic_level":-1}`))
+	f.Add([]byte(`{"matrix":{"n":1,"colptr":[0,1],"rowind":[0],"val":[-4]},"b":[2],"solver":"cg"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resp SolveCGResponse
+		switch code := serve(s, "/v1/solvecg", data, &resp); code {
+		case 200, 400, 422, 429, 499, 503, 504:
+		default:
+			t.Fatalf("status %d for body %q", code, data)
+		}
+		var cr SolveCGResponse
+		if code := serve(s, "/v1/solvecg", valid, &cr); code != 200 || !cr.Converged {
+			t.Fatalf("after body %q: Laplace2D 3×3 pcg status %d, converged %v", data, code, cr.Converged)
+		}
+		for i, x := range cr.X {
 			if math.Abs(x-1) > 1e-10 {
 				t.Fatalf("after body %q: x[%d] = %.17g, want 1", data, i, x)
 			}

@@ -114,14 +114,11 @@ type SolveCGRequest struct {
 	// Solver is "cg" (unpreconditioned) or "pcg" (IC(k) preconditioned);
 	// default "pcg".
 	Solver string `json:"solver,omitempty"`
-	// Precision selects the preconditioner factor's storage: "fp64"
-	// (default) or "fp32" (float32 storage and wire, fp64 arithmetic,
-	// rounded once per finalised block, with transparent fp64 retry on
-	// breakdown).
-	Precision string `json:"precision,omitempty"`
-	// ICLevel is the IC(k) fill level (pcg only; default 0).
+	// ICLevel is the IC(k) fill level (pcg only; default 0, negative is a
+	// 400).
 	ICLevel int `json:"ic_level,omitempty"`
-	// DropTol magnitude-filters the matrix before level expansion.
+	// DropTol magnitude-filters the matrix before level expansion
+	// (negative is a 400).
 	DropTol float64 `json:"drop_tol,omitempty"`
 	// Rtol is the relative convergence tolerance (0 = 1e-8).
 	Rtol float64 `json:"rtol,omitempty"`
@@ -521,11 +518,11 @@ func (s *Server) solve(r *http.Request, id string, bs [][]float64) ([][]float64,
 
 // precondID names the IC(k) preconditioner of a matrix: its pattern and
 // value hashes — unlike an analysis, an incomplete factor is a numeric
-// object — and every option that changes the factor: the fill level, the
-// drop tolerance's exact value and the storage precision.
+// object — and every option that changes the factor: the fill level and
+// the drop tolerance's exact value.
 func precondID(a *matrix.SparseSym, opt precond.Options) string {
 	return patternHash(a) + "-" + valueHash(a) + "-l" + strconv.Itoa(opt.Level) +
-		"-d" + strconv.FormatFloat(opt.DropTol, 'g', -1, 64) + "-" + opt.Core.Precision.String()
+		"-d" + strconv.FormatFloat(opt.DropTol, 'g', -1, 64)
 }
 
 // precondFor returns the (cached or freshly factored) IC(k) preconditioner
@@ -541,7 +538,7 @@ func (s *Server) precondFor(ctx context.Context, a *matrix.SparseSym, id string,
 	ic, err := precond.NewIC(a, opt)
 	if err != nil {
 		switch {
-		case errors.Is(err, precond.ErrBreakdown):
+		case errors.Is(err, precond.ErrBreakdown), errors.Is(err, precond.ErrAnalysis):
 			return nil, nil, false, &httpError{code: http.StatusUnprocessableEntity, err: err}
 		default:
 			return nil, nil, false, s.engineError(ctx, err)
@@ -580,12 +577,14 @@ func (s *Server) handleSolveCG(r *http.Request) (any, *httpError) {
 		return nil, &httpError{code: http.StatusBadRequest,
 			err: fmt.Errorf("unknown solver %q (want cg or pcg)", solver)}
 	}
-	popt := precond.Options{Level: req.ICLevel, DropTol: req.DropTol, Core: s.cfg.Solver}
-	if req.Precision != "" {
-		if popt.Core.Precision, err = core.ParsePrecision(req.Precision); err != nil {
-			return nil, &httpError{code: http.StatusBadRequest, err: err}
-		}
+	// The analysis clamps a negative level or tolerance to 0, so either
+	// would cache the same factor under a second key; math.Abs folds a
+	// drop_tol of -0, which passes the check, onto 0 for the same reason.
+	if req.ICLevel < 0 || req.DropTol < 0 {
+		return nil, &httpError{code: http.StatusBadRequest,
+			err: fmt.Errorf("ic_level %d and drop_tol %g must be non-negative", req.ICLevel, req.DropTol)}
 	}
+	popt := precond.Options{Level: req.ICLevel, DropTol: math.Abs(req.DropTol), Core: s.cfg.Solver}
 	ctx, done, herr := s.admit(r, req.DeadlineMillis)
 	if herr != nil {
 		return nil, herr

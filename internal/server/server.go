@@ -44,9 +44,8 @@ type Config struct {
 	// DefaultDeadline bounds requests that specify none (0 = unbounded).
 	DefaultDeadline time.Duration
 	// Solver is the engine configuration every request runs (ranks,
-	// workers, GPUs, ordering...); a request chooses at most its
-	// preconditioner's precision. Context and Faults are always owned by
-	// the server.
+	// workers, GPUs, ordering...); a request chooses none of it. Context
+	// and Faults are always owned by the server.
 	Solver core.Options
 	// Chaos, when active, injects the server fault classes (slow clients,
 	// mid-flight cancellations, cache thrashing) keyed by request

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"math/rand"
 	"net/http"
 	"testing"
@@ -90,10 +91,10 @@ func TestSolveCGBadRequests(t *testing.T) {
 		t.Fatalf("unknown solver: code=%d, want 400", code)
 	}
 	code, _ = post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
-		Matrix: wire(a), B: b, Precision: "fp13",
+		Matrix: wire(a), B: b, DropTol: -0.5,
 	}, nil)
 	if code != http.StatusBadRequest {
-		t.Fatalf("unknown precision: code=%d, want 400", code)
+		t.Fatalf("negative drop_tol: code=%d, want 400", code)
 	}
 }
 
@@ -133,53 +134,49 @@ func TestSolveCGNoConvergenceIs422(t *testing.T) {
 	}
 }
 
-func TestSolveCGFp32Precision(t *testing.T) {
-	s := startServer(t, Config{})
-	a := gen.Laplace2D(10, 10)
-	b := cgRHS(a.N, 5)
-	var resp SolveCGResponse
-	code, _ := post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
-		Matrix: wire(a), B: b, Solver: "pcg", ICLevel: 1, Precision: "fp32", Rtol: 1e-8,
-	}, &resp)
-	if code != http.StatusOK || !resp.Converged {
-		t.Fatalf("fp32 pcg: code=%d converged=%v", code, resp.Converged)
-	}
-}
-
 // TestSolveCGPrecondKeyedOnOptions pins that the preconditioner cache
-// serves the factor that was asked for: an fp32 request with a drop
-// tolerance after an fp64 one of the same matrix and level builds its own,
-// and an unknown precision is a 400 whether or not the key is cached and
-// whatever the solver.
+// serves the factor that was asked for: a drop tolerance of -0 is served
+// the drop_tol 0 factor, a request with a drop tolerance after one
+// without, of the same matrix and level, builds its own, and a
+// negative level — which the analysis would clamp to 0 and so cache that
+// factor a second time — is a 400 whatever the solver.
 func TestSolveCGPrecondKeyedOnOptions(t *testing.T) {
 	s := startServer(t, Config{})
 	a := gen.Laplace2D(10, 10)
 	b := cgRHS(a.N, 6)
 
-	var fp64 SolveCGResponse
+	var exact SolveCGResponse
 	code, _ := post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
-		Matrix: wire(a), B: b, ICLevel: 1, Precision: "fp64",
-	}, &fp64)
-	if code != http.StatusOK || !fp64.Converged {
-		t.Fatalf("fp64 pcg: code=%d converged=%v", code, fp64.Converged)
+		Matrix: wire(a), B: b, ICLevel: 1,
+	}, &exact)
+	if code != http.StatusOK || !exact.Converged {
+		t.Fatalf("drop_tol 0 pcg: code=%d converged=%v", code, exact.Converged)
 	}
-	var fp32 SolveCGResponse
+	var negZero SolveCGResponse
 	code, _ = post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
-		Matrix: wire(a), B: b, ICLevel: 1, Precision: "fp32", DropTol: 0.5,
-	}, &fp32)
-	if code != http.StatusOK || !fp32.Converged {
-		t.Fatalf("fp32 pcg: code=%d converged=%v", code, fp32.Converged)
+		Matrix: wire(a), B: b, ICLevel: 1, DropTol: math.Copysign(0, -1),
+	}, &negZero)
+	if code != http.StatusOK || !negZero.PrecondCached || negZero.Precond != exact.Precond {
+		t.Fatalf("drop_tol -0: code=%d, served %q (cached=%v), the drop_tol 0 factor is %q",
+			code, negZero.Precond, negZero.PrecondCached, exact.Precond)
 	}
-	if fp32.PrecondCached || fp32.Precond == fp64.Precond {
-		t.Fatalf("fp32 drop_tol 0.5 request served %q (cached=%v), the fp64 factor is %q",
-			fp32.Precond, fp32.PrecondCached, fp64.Precond)
+	var dropped SolveCGResponse
+	code, _ = post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
+		Matrix: wire(a), B: b, ICLevel: 1, DropTol: 0.5,
+	}, &dropped)
+	if code != http.StatusOK || !dropped.Converged {
+		t.Fatalf("drop_tol 0.5 pcg: code=%d converged=%v", code, dropped.Converged)
+	}
+	if dropped.PrecondCached || dropped.Precond == exact.Precond {
+		t.Fatalf("drop_tol 0.5 request served %q (cached=%v), the drop_tol 0 factor is %q",
+			dropped.Precond, dropped.PrecondCached, exact.Precond)
 	}
 	for _, solver := range []string{"pcg", "cg"} {
 		code, _ = post(t, s.Addr(), "/v1/solvecg", SolveCGRequest{
-			Matrix: wire(a), B: b, Solver: solver, ICLevel: 1, Precision: "fp13",
+			Matrix: wire(a), B: b, Solver: solver, ICLevel: -1,
 		}, nil)
 		if code != http.StatusBadRequest {
-			t.Fatalf("%s with unknown precision: code=%d, want 400", solver, code)
+			t.Fatalf("%s with ic_level -1: code=%d, want 400", solver, code)
 		}
 	}
 }

@@ -54,12 +54,6 @@ type Config struct {
 	// Trace, when non-nil, receives instant fault/recovery events so
 	// Chrome traces show them alongside task events.
 	Trace *trace.Recorder
-	// ElemBytes is the modeled width of one transferred element in bytes
-	// (0 = 8, the float64 default). Mixed-precision factorizations pass 4:
-	// the wire cost model then charges half the bytes per Rget/Copy,
-	// matching an implementation that ships fp32 payloads. Host storage
-	// stays []float64 either way — only the byte accounting changes.
-	ElemBytes int
 }
 
 // The retry loop of a transiently failing Rget/Copy makes at most
@@ -71,13 +65,8 @@ const (
 	transferBackoff  = 2e-6
 )
 
-// elemBytes resolves the configured element width.
-func (c *Config) elemBytes() int64 {
-	if c.ElemBytes > 0 {
-		return int64(c.ElemBytes)
-	}
-	return 8
-}
+// elemBytes is the modeled width of one transferred element: a float64.
+const elemBytes = 8
 
 // Runtime is one simulated UPC++ job.
 type Runtime struct {
@@ -538,7 +527,7 @@ func (r *Rank) Rget(src GlobalPtr, dst []float64) error {
 	copy(dst, src.Data)
 	same := src.Rank == int32(r.ID)
 	p := r.rt.net.Classify(src.Kind, simnet.Host, same, r.sameNode(src.Rank))
-	bytes := int64(len(dst)) * r.rt.cfg.elemBytes()
+	bytes := int64(len(dst)) * elemBytes
 	sec := extra + r.account(p, bytes, r.sameNode(src.Rank))
 	r.rt.met.rgetBytes.Observe(float64(bytes))
 	r.rt.met.rgetSeconds.Observe(sec)
@@ -563,7 +552,7 @@ func (r *Rank) Copy(src, dst GlobalPtr) error {
 		return err
 	}
 	copy(dst.Data, src.Data)
-	bytes := int64(src.Len()) * r.rt.cfg.elemBytes()
+	bytes := int64(src.Len()) * elemBytes
 	sameNode := r.rt.Node(int(src.Rank)) == r.rt.Node(int(dst.Rank))
 	switch {
 	case src.Rank != dst.Rank:

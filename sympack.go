@@ -223,24 +223,6 @@ func SolveOnce(a *Matrix, b []float64, opt Options) ([]float64, error) {
 
 // ----------------------------------------------------- iterative solves ----
 
-// Precision selects the format the factor is stored and shipped in, for
-// Options.Precision. PrecFP32 is float32 storage and wire, fp64 arithmetic,
-// rounded once per finalised block (CPU only — the device model prices
-// fp64), and transparently retries in fp64 if a pivot breaks down under the
-// rounding; pair it with Factor.SolveRefined or SolveCG to recover
-// fp64-quality solutions.
-type Precision = core.Precision
-
-// Precisions for Options.Precision.
-const (
-	PrecFP64 = core.PrecFP64
-	PrecFP32 = core.PrecFP32
-)
-
-// ParsePrecision parses a precision name ("fp64"/"double", "fp32"/"single"/
-// "mixed") as accepted by the CLI -precision flags.
-func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
-
 // PrecondKind selects a preconditioner for SolveCG.
 type PrecondKind = precond.Kind
 
@@ -287,8 +269,8 @@ type CGResult = krylov.Result
 type ICPreconditioner = precond.ICFactor
 
 // NewICPreconditioner analyzes and factors an IC(k) preconditioner for a.
-// The engine surface in opt (ranks, workers, formulation, mapping,
-// precision) applies to the preconditioner's factorization; opt.Ordering
+// The engine surface in opt (ranks, workers, formulation, mapping)
+// applies to the preconditioner's factorization; opt.Ordering
 // does not: IC(k) always orders naturally, since a fill-reducing ordering
 // costs PCG iterations (EXPERIMENTS.md, "IC ordering").
 func NewICPreconditioner(a *Matrix, level int, dropTol float64, opt Options) (*ICPreconditioner, error) {
