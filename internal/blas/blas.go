@@ -43,7 +43,9 @@
 // changes the bits. Across right-hand sides nothing is split: the
 // interleaved kernels (rhs.go) run gemmTN's dot and the Left/Lower/
 // Transpose Trsm's column loop for up to 8 right-hand sides per
-// instruction, one running sum per lane, with the scalar bits.
+// instruction, one running sum per lane, with the scalar bits, and with
+// them the forward pair, gemmNN's axpy and the Left/Lower/NoTrans Trsm,
+// one running value per lane and the zero skip lane by lane.
 //
 // Each kernel has a straightforward reference implementation (ref.go) used
 // by the tests to validate the production kernels.
@@ -109,13 +111,17 @@ func (t Trans) String() string {
 // checkDims panics with a descriptive message when a kernel is invoked with
 // an impossible geometry. Dimension errors are programming errors in the
 // solver, not data errors, so a panic is appropriate. The dimensions are
-// boxed for the message only once the check has failed: boxing an int
-// allocates from 256 on, and a leading dimension of n would otherwise cost
-// every kernel call an allocation.
+// boxed for the message only once the check has failed, in dimsPanic:
+// boxing an int allocates from 256 on, and a leading dimension of n would
+// otherwise cost every kernel call an allocation. What is left is small
+// enough to inline, so a check that holds costs no call.
 func checkDims(cond bool, format string, dims ...int) {
-	if cond {
-		return
+	if !cond {
+		dimsPanic(format, dims)
 	}
+}
+
+func dimsPanic(format string, dims []int) {
 	args := make([]any, len(dims))
 	for i, d := range dims {
 		args[i] = d

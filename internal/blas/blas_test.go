@@ -429,6 +429,10 @@ func TestPotrfBlockedMatchesUnblocked(t *testing.T) {
 func TestKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const m, n, k = 19, 17, 9
+	rows := make([]int32, m)
+	for x := range rows {
+		rows[x] = int32(x)
+	}
 	for _, ld := range []int{255, 256, 4096} {
 		a := randSlice(rng, ld*max(m, n, k))
 		b := randSlice(rng, ld*max(m, n, k))
@@ -450,8 +454,12 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			}
 		}
 		// The interleaved kernels take ld as their row stride: n
-		// right-hand sides, two full lane groups and a remainder.
-		expect("GemmTNInterleaved", func() { GemmTNInterleaved(m, k, n, a, ld, b, c, ld) })
+		// right-hand sides, two full lane groups and a remainder. The Gemm
+		// kernels address m = 19 rows through an index: two groups of
+		// eight rows and a remainder.
+		expect("GemmNNInterleaved", func() { GemmNNInterleaved(m, k, n, a, ld, b, rows, c, ld) })
+		expect("GemmTNInterleaved", func() { GemmTNInterleaved(k, m, n, a, ld, rows, b, c, ld) })
+		expect("TrsmLNInterleaved", func() { TrsmLNInterleaved(m, n, a, ld, b, ld) })
 		expect("TrsmLTInterleaved", func() { TrsmLTInterleaved(m, n, a, ld, b, ld) })
 		for _, ta := range []Trans{NoTrans, Transpose} {
 			for _, tb := range []Trans{NoTrans, Transpose} {

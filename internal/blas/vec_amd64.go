@@ -23,7 +23,13 @@ func scalVec(d float64, x []float64)
 func tileVec(m, k int, alpha float64, neg bool, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 
 //go:noescape
-func gemmTNVec(n, m int, a []float64, lda int, w []float64, c []float64, ld, lanes int)
+func gemmNNVec(k int, a []float64, lda int, t []float64, rows []int32, y []float64, ld, lanes int)
+
+//go:noescape
+func gemmTNVec(n int, a []float64, lda int, rows []int32, w []float64, c []float64, ld, lanes int)
+
+//go:noescape
+func trsmLNVec(m int, a []float64, lda int, b []float64, ld, lanes int)
 
 //go:noescape
 func trsmLTVec(m int, a []float64, lda int, b []float64, ld, lanes int)

@@ -15,7 +15,15 @@ func tileVec(m, k int, alpha float64, neg bool, a []float64, lda int, b []float6
 	panic("blas: no register tile in this build")
 }
 
-func gemmTNVec(n, m int, a []float64, lda int, w []float64, c []float64, ld, lanes int) {
+func gemmNNVec(k int, a []float64, lda int, t []float64, rows []int32, y []float64, ld, lanes int) {
+	panic("blas: no interleaved-RHS kernels in this build")
+}
+
+func gemmTNVec(n int, a []float64, lda int, rows []int32, w []float64, c []float64, ld, lanes int) {
+	panic("blas: no interleaved-RHS kernels in this build")
+}
+
+func trsmLNVec(m int, a []float64, lda int, b []float64, ld, lanes int) {
 	panic("blas: no interleaved-RHS kernels in this build")
 }
 

@@ -59,7 +59,7 @@ func TestKernelPath(t *testing.T) {
 	if hostTile {
 		rhs = "AVX-512"
 	}
-	t.Logf("interleaved-RHS kernels (GemmTNInterleaved, TrsmLTInterleaved): %s", rhs)
+	t.Logf("interleaved-RHS kernels (GemmNNInterleaved, GemmTNInterleaved, TrsmLNInterleaved, TrsmLTInterleaved): %s", rhs)
 }
 
 // specials are the values a bit-identity test must get right: signed zeros,
@@ -150,7 +150,7 @@ func TestAxpyScalBitsMatchGo(t *testing.T) {
 // axpy and the AVX-512 tile — and requires identical bits. Its "tile"
 // subtest sweeps the three routed kernels (gemmNT, Syrk Lower/NoTrans, Trsm
 // Right/Lower/Transpose) over every row and column remainder of the tile;
-// its "interleaved" subtest does the same for the two interleaved-RHS
+// its "interleaved" subtest does the same for the four interleaved-RHS
 // kernels over every lane remainder.
 func TestKernelsVectorEqualsGo(t *testing.T) {
 	t.Run("random", testKernelsRandom)
@@ -385,17 +385,27 @@ func testKernelsTile(t *testing.T) {
 	}
 }
 
-// testKernelsInterleaved runs GemmTNInterleaved and TrsmLTInterleaved at
-// random shapes — m ∈ {0, 1} among them — and at right-hand-side counts
-// covering every remainder of the RHSLanes-lane groups, with ±0,
-// subnormals and an infinity in W and B, on every kernel path the host
-// has. Each must give the Go body's bits, leave a row's lanes past nrhs
-// (guard cells) alone, and equal, right-hand side by right-hand side, the
-// column-major kernel whose sequence it claims: Gemm(Transpose, NoTrans,
-// α = −1, β = 1) and Trsm(Left, Lower, Transpose). The inputs hold no NaN:
-// gc commutes a product's or a sum's operands as it likes, so which of two
-// NaNs an operation returns is no property of the Go loops to hold the
-// assembly to.
+// testKernelsInterleaved runs the four interleaved-RHS kernels at random
+// shapes — m ∈ {0, 1} among them — and at every right-hand-side count from
+// 1 to 17 (every lane remainder of the RHSLanes-lane groups, one and two
+// groups) and 23 and 25, with ±0 and subnormals in the operands and an
+// infinity in the Gemm panels and TrsmLTInterleaved's B, on every kernel
+// path the host has. The Gemm kernels address a
+// panel through a random set of row indices, GemmNNInterleaved with T in
+// the same panel. The multipliers of GemmNNInterleaved and
+// TrsmLNInterleaved are one in three ±0, and some trials zero a whole row
+// of them, so a step is skipped in some lanes of a group and in all of
+// them, and the ±0 targets show a skip that was not taken (−0 − (−0) is
+// +0). Each kernel must give the Go body's bits, leave a row's lanes past
+// nrhs (guard cells) and the panel rows it does not address alone, and
+// equal, right-hand side by right-hand side, the column-major kernel whose
+// sequence it claims: Gemm(NoTrans, NoTrans) and Gemm(Transpose, NoTrans)
+// at α = −1, β = 1, Trsm(Left, Lower, NoTrans) and Trsm(Left, Lower,
+// Transpose). The inputs hold no NaN: gc commutes a product's or a sum's
+// operands as it likes, so which of two NaNs an operation returns is no
+// property of the Go loops to hold the assembly to. Nor does
+// TrsmLNInterleaved's B hold an infinity: the NaN it would breed meets
+// Trsm's negated multiplier, whose sign on a NaN gc does not keep either.
 func testKernelsInterleaved(t *testing.T) {
 	if !hostTile {
 		t.Log("the CPU lacks AVX-512F (or this is a purego or non-amd64 build): only the Go bodies run")
@@ -409,14 +419,21 @@ func testKernelsInterleaved(t *testing.T) {
 		}
 		return rng.NormFloat64()
 	}
-	// interleaved returns rows × nrhs values at stride ld, guard in the
-	// lanes past nrhs, with an infinity planted when inf is set.
-	interleaved := func(rows, nrhs, ld int, inf bool) []float64 {
+	// sparse is value, one in three a signed zero.
+	sparse := func() float64 {
+		if rng.Intn(3) == 0 {
+			return math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+		return value()
+	}
+	// interleaved returns rows × nrhs values of gen at stride ld, guard in
+	// the lanes past nrhs, with an infinity planted when inf is set.
+	interleaved := func(rows, nrhs, ld int, gen func() float64, inf bool) []float64 {
 		s := make([]float64, rows*ld)
 		for i := range s {
 			s[i] = guard
 			if i%ld < nrhs {
-				s[i] = value()
+				s[i] = gen()
 			}
 		}
 		if inf && rows > 0 {
@@ -424,11 +441,34 @@ func testKernelsInterleaved(t *testing.T) {
 		}
 		return s
 	}
-	// columnMajor copies right-hand side j of an interleaved block out.
-	columnMajor := func(s []float64, rows, j, ld int) []float64 {
-		out := make([]float64, rows)
+	// zeroRow sets a random row of an interleaved block to ±0 in every lane.
+	zeroRow := func(s []float64, rows, nrhs, ld int) {
+		if rows == 0 {
+			return
+		}
+		r := rng.Intn(rows)
+		for j := 0; j < nrhs; j++ {
+			s[r*ld+j] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+	}
+	// indices returns m distinct rows of [lo, lo+span) in random order.
+	indices := func(m, lo, span int) []int32 {
+		rows := make([]int32, m)
+		for x, r := range rng.Perm(span)[:m] {
+			rows[x] = int32(lo + r)
+		}
+		return rows
+	}
+	// columnMajor copies right-hand side j of the indexed rows of an
+	// interleaved block out; rows nil means rows 0, 1, ….
+	columnMajor := func(s []float64, rows []int32, n, j, ld int) []float64 {
+		out := make([]float64, n)
 		for x := range out {
-			out[x] = s[x*ld+j]
+			r := x
+			if rows != nil {
+				r = int(rows[x])
+			}
+			out[x] = s[r*ld+j]
 		}
 		return out
 	}
@@ -440,7 +480,21 @@ func testKernelsInterleaved(t *testing.T) {
 			}
 		}
 	}
-	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 23, 25}
+	// expectRowsAlone requires the rows of s outside [lo, lo+n) ∪ rows to
+	// hold the bits of before.
+	expectRowsAlone := func(name string, s, before []float64, rows []int32, lo, n, ld int) {
+		t.Helper()
+		hit := map[int]bool{}
+		for _, r := range rows {
+			hit[int(r)] = true
+		}
+		for i := range s {
+			if r := i / ld; (r < lo || r >= lo+n) && !hit[r] && math.Float64bits(s[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: row %d, not addressed, changed", name, r)
+			}
+		}
+	}
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 25}
 	for trial := 0; trial < 3*len(widths); trial++ {
 		nrhs := widths[trial%len(widths)]
 		ld := nrhs + rng.Intn(3)
@@ -451,19 +505,43 @@ func testKernelsInterleaved(t *testing.T) {
 		for i := range a {
 			a[i] = value()
 		}
-		w := interleaved(m, nrhs, ld, true)
-		c := interleaved(n, nrhs, ld, false)
-		name := fmt.Sprintf("GemmTNInterleaved(n=%d,m=%d,nrhs=%d,ld=%d)", n, m, nrhs, ld)
-		samePaths(t, name, c, func(c []float64) {
-			GemmTNInterleaved(n, m, nrhs, a, lda, w, c, ld)
-			expectGuards(name, c, nrhs, ld)
+		// The panel: n rows of T (or C) at its top, the m indexed rows
+		// spread over the rows below.
+		span := m + rng.Intn(6)
+		rows := indices(m, n, span)
+		panel := interleaved(n+span, nrhs, ld, sparse, true)
+		if trial%2 == 0 {
+			zeroRow(panel, n, nrhs, ld)
+		}
+
+		name := fmt.Sprintf("GemmNNInterleaved(m=%d,k=%d,nrhs=%d,ld=%d)", m, n, nrhs, ld)
+		samePaths(t, name, panel, func(y []float64) {
+			GemmNNInterleaved(m, n, nrhs, a, lda, y, rows, y, ld)
+			expectGuards(name, y, nrhs, ld)
+			expectRowsAlone(name, y, panel, rows, 0, 0, ld)
 		})
-		got := append([]float64(nil), c...)
-		GemmTNInterleaved(n, m, nrhs, a, lda, w, got, ld)
+		got := append([]float64(nil), panel...)
+		GemmNNInterleaved(m, n, nrhs, a, lda, got, rows, got, ld)
 		for j := 0; j < nrhs; j++ {
-			want := columnMajor(c, n, j, ld)
-			Gemm(Transpose, NoTrans, n, 1, m, -1, a, lda, columnMajor(w, m, j, ld), max(m, 1), 1, want, max(n, 1))
-			if i := sameBits(columnMajor(got, n, j, ld), want); i >= 0 {
+			want := columnMajor(panel, rows, m, j, ld)
+			Gemm(NoTrans, NoTrans, m, 1, n, -1, a, lda, columnMajor(panel, nil, n, j, ld), max(n, 1), 1, want, max(m, 1))
+			if i := sameBits(columnMajor(got, rows, m, j, ld), want); i >= 0 {
+				t.Fatalf("%s: right-hand side %d, row %d differs from Gemm(NoTrans, NoTrans)", name, j, i)
+			}
+		}
+
+		name = fmt.Sprintf("GemmTNInterleaved(n=%d,m=%d,nrhs=%d,ld=%d)", n, m, nrhs, ld)
+		samePaths(t, name, panel, func(w []float64) {
+			GemmTNInterleaved(n, m, nrhs, a, lda, rows, w, w, ld)
+			expectGuards(name, w, nrhs, ld)
+			expectRowsAlone(name, w, panel, nil, 0, n, ld)
+		})
+		got = append([]float64(nil), panel...)
+		GemmTNInterleaved(n, m, nrhs, a, lda, rows, got, got, ld)
+		for j := 0; j < nrhs; j++ {
+			want := columnMajor(panel, nil, n, j, ld)
+			Gemm(Transpose, NoTrans, n, 1, m, -1, a, lda, columnMajor(panel, rows, m, j, ld), max(m, 1), 1, want, max(n, 1))
+			if i := sameBits(columnMajor(got, nil, n, j, ld), want); i >= 0 {
 				t.Fatalf("%s: right-hand side %d, row %d differs from Gemm(Transpose, NoTrans)", name, j, i)
 			}
 		}
@@ -480,7 +558,26 @@ func testKernelsInterleaved(t *testing.T) {
 		for i := 0; i < order; i++ {
 			l[i+i*ldl] = 2 + math.Abs(rng.NormFloat64())
 		}
-		b := interleaved(order, nrhs, ld, true)
+		b := interleaved(order, nrhs, ld, sparse, false)
+		if trial%2 == 1 {
+			zeroRow(b, order, nrhs, ld)
+		}
+		name = fmt.Sprintf("TrsmLNInterleaved(m=%d,nrhs=%d,ld=%d)", order, nrhs, ld)
+		samePaths(t, name, b, func(b []float64) {
+			TrsmLNInterleaved(order, nrhs, l, ldl, b, ld)
+			expectGuards(name, b, nrhs, ld)
+		})
+		got = append([]float64(nil), b...)
+		TrsmLNInterleaved(order, nrhs, l, ldl, got, ld)
+		for j := 0; j < nrhs; j++ {
+			want := columnMajor(b, nil, order, j, ld)
+			Trsm(Left, Lower, NoTrans, order, 1, 1, l, ldl, want, max(order, 1))
+			if i := sameBits(columnMajor(got, nil, order, j, ld), want); i >= 0 {
+				t.Fatalf("%s: right-hand side %d, row %d differs from Trsm(Left, Lower, NoTrans)", name, j, i)
+			}
+		}
+
+		b = interleaved(order, nrhs, ld, value, true)
 		name = fmt.Sprintf("TrsmLTInterleaved(m=%d,nrhs=%d,ld=%d)", order, nrhs, ld)
 		samePaths(t, name, b, func(b []float64) {
 			TrsmLTInterleaved(order, nrhs, l, ldl, b, ld)
@@ -489,9 +586,9 @@ func testKernelsInterleaved(t *testing.T) {
 		got = append([]float64(nil), b...)
 		TrsmLTInterleaved(order, nrhs, l, ldl, got, ld)
 		for j := 0; j < nrhs; j++ {
-			want := columnMajor(b, order, j, ld)
+			want := columnMajor(b, nil, order, j, ld)
 			Trsm(Left, Lower, Transpose, order, 1, 1, l, ldl, want, max(order, 1))
-			if i := sameBits(columnMajor(got, order, j, ld), want); i >= 0 {
+			if i := sameBits(columnMajor(got, nil, order, j, ld), want); i >= 0 {
 				t.Fatalf("%s: right-hand side %d, row %d differs from Trsm(Left, Lower, Transpose)", name, j, i)
 			}
 		}

@@ -37,21 +37,26 @@ func (f *Factor) SolveCtx(ctx context.Context, b []float64) ([]float64, error) {
 	return x[0], nil
 }
 
-// panelMin is the narrowest supernode whose off-diagonal blocks the solve
-// gathers into a dense workspace and hands to blas.Gemm: forward, and
-// backward at one right-hand side. Below it the gather and scatter cost
-// more than the indexed loops they replace; a sweep over {1, 2, 4, 8, 16,
-// 32, ∞} found 4–16 a plateau (EXPERIMENTS.md "Panel solve").
+// panelMin is the narrowest supernode whose off-diagonal blocks the
+// one-right-hand-side solve gathers into a dense workspace and hands to
+// blas.Gemm. Below it the gather and scatter cost more than the indexed
+// loops they replace; a sweep over {1, 2, 4, 8, 16, 32, ∞} found 4–16 a
+// plateau (EXPERIMENTS.md "Panel solve").
 const panelMin = 8
 
 // SolveMultiCtx solves A·X = B for multiple right-hand sides under a
 // context; see SolveCtx for the cancellation contract. The right-hand sides
-// are permuted into one n×nrhs column-major panel and solved in one forward
+// are permuted into one n×nrhs panel, RHS-interleaved — element (row r,
+// right-hand side j) at y[r·nrhs + j] — and solved in place in one forward
 // and one backward sweep, so each block of L is read once per sweep, not
-// once per right-hand side. Column j of the panel gets the bits a solve of
-// b_j alone would: per column the operation sequence does not depend on
-// nrhs. At Options.Workers > 1 each sweep runs as a task graph on up to
-// that many lanes, as many as the Ps allow (takeLanes), with the same bits.
+// once per right-hand side. At nrhs ≥ 2 both sweeps run the interleaved
+// kernels of internal/blas on the panel itself, with no workspace; at one
+// right-hand side the panel is the vector, and a lane gathers a wide
+// supernode's blocks into a workspace for blas.Gemm. Right-hand side j gets
+// the bits a solve of b_j alone would: per element the operation sequence
+// does not depend on nrhs. At Options.Workers > 1 each sweep runs as a task
+// graph on up to that many lanes, as many as the Ps allow (takeLanes), with
+// the same bits.
 func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64, error) {
 	st := f.St
 	n := st.N
@@ -80,25 +85,29 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	// One lane runs the whole forest as one unit and builds no schedule;
 	// so does a schedule of one unit, or a call the Ps leave no helper.
 	var s *solveSched
-	lanes, rows := 1, 0
+	lanes := 1
 	if f.Opt.Workers > 1 {
 		s = f.solve.get(st)
-		rows = s.workRows
 		if len(s.units) > 1 {
 			lanes = takeLanes(f.Opt.Workers)
 			defer giveLanes(lanes)
 		}
-	} else {
-		rows = workRows(st)
 	}
-	// One allocation holds the panel and every lane's gather workspace
-	// behind it.
-	buf := make([]float64, (n+lanes*rows)*nrhs)
+	// One allocation holds the panel and, at one right-hand side, every
+	// lane's gather workspace behind it.
+	rows := 0
+	if nrhs == 1 {
+		if s != nil {
+			rows = s.workRows
+		} else {
+			rows = workRows(st)
+		}
+	}
+	buf := make([]float64, n*nrhs+lanes*rows)
 	y, w := buf[:n*nrhs:n*nrhs], buf[n*nrhs:]
 	for j, b := range bs {
-		yj := y[j*n : j*n+n]
 		for k, p := range st.Perm {
-			yj[k] = b[p]
+			y[k*nrhs+j] = b[p]
 		}
 	}
 	if lanes == 1 {
@@ -122,44 +131,47 @@ func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64
 	}
 	for j := range out {
 		x := make([]float64, n)
-		yj := y[j*n : j*n+n]
 		for k, p := range st.Perm {
-			x[p] = yj[k]
+			x[p] = y[k*nrhs+j]
 		}
 		out[j] = x
 	}
 	return out, nil
 }
 
-// workRows returns the rows a lane's gather workspace holds per
-// right-hand side: the most the interleaved backward sweep holds at once,
-// a supernode's width plus its tallest off-diagonal block, which is more
-// than the one-right-hand-side sweep and forward gather.
+// workRows returns the rows a lane's gather workspace holds at one
+// right-hand side: the tallest off-diagonal block of a supernode at least
+// panelMin wide.
 func workRows(st *symbolic.Structure) int {
 	rows := 0
 	for k := range st.Snodes {
-		nc, tallest := st.Snodes[k].NCols(), 0
-		for _, blk := range st.SnodeBlocks(int32(k))[1:] {
-			tallest = max(tallest, int(blk.NRows))
+		if st.Snodes[k].NCols() < panelMin {
+			continue
 		}
-		rows = max(rows, nc+tallest)
+		for _, blk := range st.SnodeBlocks(int32(k))[1:] {
+			rows = max(rows, int(blk.NRows))
+		}
 	}
 	return rows
 }
 
 // forward solves L·Y = B in place over supernodes first…root, pushing each
 // supernode's off-diagonal blocks into the rows they update; a block whose
-// rows lie past root is left to its row supernode's pull. y is the n×nrhs
-// panel (ld n); w is a lane's gather workspace (workRows).
+// rows lie past root is left to its row supernode's pull. y is the
+// RHS-interleaved panel of nrhs right-hand sides; w is a lane's gather
+// workspace at one right-hand side (workRows), empty at more.
 func (f *Factor) forward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
-	n := st.N
 	for k := first; k <= root; k++ {
 		sn := &st.Snodes[k]
-		nc := sn.NCols()
+		nc, fc := sn.NCols(), int(sn.FirstCol)
 		blks := st.SnodeBlocks(k)
 		// Y_k ← L_kk⁻¹ Y_k (dense forward substitution).
-		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, nc, nrhs, 1, f.Data[blks[0].ID], nc, y[sn.FirstCol:], n)
+		if nrhs > 1 {
+			blas.TrsmLNInterleaved(nc, nrhs, f.Data[blks[0].ID], nc, y[fc*nrhs:(fc+nc)*nrhs], nrhs)
+		} else {
+			blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, nc, 1, 1, f.Data[blks[0].ID], nc, y[fc:fc+nc], nc)
+		}
 		for bi := 1; bi < len(blks); bi++ {
 			if blks[bi].RowSn <= root {
 				f.forwardBlock(y, nrhs, w, sn, &blks[bi])
@@ -183,39 +195,42 @@ func (f *Factor) pull(y []float64, nrhs int, w []float64, s *solveSched, t int32
 // forwardBlock applies off-diagonal block blk of supernode sn:
 // Y_rows ← Y_rows − L_{i,k}·Y_k.
 //
-// A supernode at least panelMin wide gathers W = Y[rows, :] and runs
-// W −= L_ik·Y_k as one Gemm. gemmNN forms t = −y_c exactly, skips t == 0
-// as the loops below do, and computes W + (−y_c)·col — y − col·y_c in IEEE
-// 754 — so each element receives the same updates, rounded the same way,
-// in the same c order.
+// At nrhs ≥ 2 blas.GemmNNInterleaved updates the block's rows in place in
+// the panel, each target row held across the columns c of Y_k, one
+// right-hand side per vector lane: per element the sequence of the loop
+// below.
+//
+// At one right-hand side a supernode at least panelMin wide gathers
+// W = Y[rows] and runs W −= L_ik·Y_k as one Gemm. gemmNN forms t = −y_c
+// exactly, skips t == 0 as the loop below does, and computes
+// W + (−y_c)·col — y − col·y_c in IEEE 754 — so each element receives the
+// same updates, rounded the same way, in the same c order.
 func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.Supernode, blk *symbolic.Block) {
-	n := f.St.N
 	nc, fc := sn.NCols(), int(sn.FirstCol)
 	data := f.Data[blk.ID]
 	m := int(blk.NRows)
 	rows := sn.Rows[blk.RowOff : blk.RowOff+blk.NRows]
+	if nrhs > 1 {
+		blas.GemmNNInterleaved(m, nc, nrhs, data, m, y[fc*nrhs:(fc+nc)*nrhs], rows, y, nrhs)
+		return
+	}
+	yk := y[fc : fc+nc]
 	if nc >= panelMin {
-		wk := w[:m*nrhs]
-		gatherRows(wk, y, rows, n, nrhs)
-		blas.Gemm(blas.NoTrans, blas.NoTrans, m, nrhs, nc, -1, data, m, y[fc:], n, 1, wk, m)
-		for j := 0; j < nrhs; j++ {
-			yj, wj := y[j*n:j*n+n], wk[j*m:j*m+m]
-			for x, r := range rows {
-				yj[r] = wj[x]
-			}
+		wk := w[:m]
+		gatherRows(wk, y, rows)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, m, 1, nc, -1, data, m, yk, nc, 1, wk, m)
+		for x, r := range rows {
+			y[r] = wk[x]
 		}
 		return
 	}
-	for j := 0; j < nrhs; j++ {
-		yj := y[j*n : j*n+n]
-		for c, t := range yj[fc : fc+nc] {
-			if t == 0 {
-				continue
-			}
-			col := data[c*m : c*m+m]
-			for x, r := range rows {
-				yj[r] -= float64(col[x] * t)
-			}
+	for c, t := range yk {
+		if t == 0 {
+			continue
+		}
+		col := data[c*m : c*m+m]
+		for x, r := range rows {
+			y[r] -= float64(col[x] * t)
 		}
 	}
 }
@@ -224,15 +239,13 @@ func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.S
 // every supernode it reads past root is already solved. y and w as for
 // forward.
 //
-// At nrhs ≥ 2 it copies Y_k into w RHS-interleaved (row x's right-hand
-// sides contiguous, row stride nrhs), and behind it gathers each
-// off-diagonal block's rows of X, already final, in the same layout and
-// runs Y_k −= L_ikᵀ·X_rows through blas.GemmTNInterleaved. It solves the
-// diagonal there through blas.TrsmLTInterleaved and copies Y_k back. Per
-// element those are the sequences of the one-vector loop below — products
-// summed from +0 in x order, then subtracted; the Transpose Trsm's column
-// loop — with a right-hand side per vector lane, so no sum is split or
-// reordered.
+// At nrhs ≥ 2 Y_k is a contiguous stretch of the panel: for each
+// off-diagonal block blas.GemmTNInterleaved runs Y_k −= L_ikᵀ·X_rows,
+// reading the block's rows of X, already final, in place, and
+// blas.TrsmLTInterleaved then solves the diagonal. Per element those are
+// the sequences of the one-vector loop below — products summed from +0 in
+// x order, then subtracted; the Transpose Trsm's column loop — with a
+// right-hand side per vector lane, so no sum is split or reordered.
 //
 // At one right-hand side the same kernels have one lane to fill and cost
 // more than the scalar loops they would replace (EXPERIMENTS.md "The
@@ -243,36 +256,21 @@ func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.S
 // the loop.
 func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32) {
 	st := f.St
-	n := st.N
-	if nrhs > 1 {
-		for k := root; k >= first; k-- {
-			sn := &st.Snodes[k]
-			nc := sn.NCols()
-			blks := st.SnodeBlocks(k)
-			xk, wk := w[:nc*nrhs], w[nc*nrhs:]
-			gatherInterleaved(xk, y, sn.Rows[:nc], n, nrhs)
-			for bi := 1; bi < len(blks); bi++ {
-				blk := &blks[bi]
-				m := int(blk.NRows)
-				gatherInterleaved(wk, y, sn.Rows[blk.RowOff:blk.RowOff+blk.NRows], n, nrhs)
-				blas.GemmTNInterleaved(nc, m, nrhs, f.Data[blk.ID], m, wk[:m*nrhs], xk, nrhs)
-			}
-			blas.TrsmLTInterleaved(nc, nrhs, f.Data[blks[0].ID], nc, xk, nrhs)
-			fc := int(sn.FirstCol)
-			for j := 0; j < nrhs; j++ {
-				yk := y[j*n+fc : j*n+fc+nc]
-				for c := range yk {
-					yk[c] = xk[c*nrhs+j]
-				}
-			}
-		}
-		return
-	}
 	for k := root; k >= first; k-- {
 		sn := &st.Snodes[k]
 		nc := sn.NCols()
 		fc := int(sn.FirstCol)
 		blks := st.SnodeBlocks(k)
+		if nrhs > 1 {
+			yk := y[fc*nrhs : (fc+nc)*nrhs]
+			for bi := 1; bi < len(blks); bi++ {
+				blk := &blks[bi]
+				m := int(blk.NRows)
+				blas.GemmTNInterleaved(nc, m, nrhs, f.Data[blk.ID], m, sn.Rows[blk.RowOff:blk.RowOff+blk.NRows], y, yk, nrhs)
+			}
+			blas.TrsmLTInterleaved(nc, nrhs, f.Data[blks[0].ID], nc, yk, nrhs)
+			continue
+		}
 		yk := y[fc : fc+nc]
 		// Gather panel contributions: Y_k ← Y_k − Σ L_{i,k}ᵀ X_rows.
 		for bi := 1; bi < len(blks); bi++ {
@@ -282,8 +280,8 @@ func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32)
 			rows := sn.Rows[blk.RowOff : blk.RowOff+blk.NRows]
 			if nc >= panelMin {
 				wk := w[:m]
-				gatherRows(wk, y, rows, n, 1)
-				blas.Gemm(blas.Transpose, blas.NoTrans, nc, 1, m, -1, data, m, wk, m, 1, yk, n)
+				gatherRows(wk, y, rows)
+				blas.Gemm(blas.Transpose, blas.NoTrans, nc, 1, m, -1, data, m, wk, m, 1, yk, nc)
 				continue
 			}
 			for c := range yk {
@@ -296,30 +294,14 @@ func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32)
 			}
 		}
 		// X_k ← L_kk⁻ᵀ Y_k (dense backward substitution).
-		blas.Trsm(blas.Left, blas.Lower, blas.Transpose, nc, 1, 1, f.Data[blks[0].ID], nc, yk, n)
+		blas.Trsm(blas.Left, blas.Lower, blas.Transpose, nc, 1, 1, f.Data[blks[0].ID], nc, yk, nc)
 	}
 }
 
-// gatherInterleaved copies rows of the n×nrhs panel y into w,
-// RHS-interleaved: w[x·nrhs + j] = y[j·n + rows[x]].
-func gatherInterleaved(w, y []float64, rows []int32, n, nrhs int) {
+// gatherRows copies the rows of the one-right-hand-side panel y into w.
+func gatherRows(w, y []float64, rows []int32) {
 	for x, r := range rows {
-		wx := w[x*nrhs : x*nrhs+nrhs]
-		for j := range wx {
-			wx[j] = y[j*n+int(r)]
-		}
-	}
-}
-
-// gatherRows copies rows of the n×nrhs panel y into the len(rows)×nrhs
-// matrix w (ld len(rows)).
-func gatherRows(w, y []float64, rows []int32, n, nrhs int) {
-	m := len(rows)
-	for j := 0; j < nrhs; j++ {
-		yj, wj := y[j*n:j*n+n], w[j*m:j*m+m]
-		for x, r := range rows {
-			wj[x] = yj[r]
-		}
+		w[x] = y[r]
 	}
 }
 

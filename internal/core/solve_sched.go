@@ -188,11 +188,13 @@ func takeLanes(want int) int {
 func giveLanes(n int) { solveLanes.Add(-int32(n)) }
 
 // laneSolve is one call's run of a solveSched on lanes goroutines: the
-// caller and lanes−1 helpers that live for one sweep. Lane l gathers into
-// its own slice of w. A unit runs once its count reaches zero: forward once
-// its predecessors are done, backward once its successors are. The lane
-// that readies a unit runs the first one it readies next and queues the
-// rest; the lane that completes the last unit stops them all.
+// caller and lanes−1 helpers that live for one sweep. At one right-hand
+// side lane l gathers into its own slice of w; at more w is empty, since
+// the sweeps run in place on the panel. A unit runs once its count
+// reaches zero: forward once its predecessors are done, backward once its
+// successors are. The lane that readies a unit runs the first one it
+// readies next and queues the rest; the lane that completes the last unit
+// stops them all.
 type laneSolve struct {
 	f     *Factor
 	s     *solveSched

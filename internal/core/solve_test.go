@@ -168,12 +168,17 @@ func checkPanelMatchesScalar(t *testing.T, name string, f *Factor, rng *rand.Ran
 
 // TestSolveMultiWidthBits checks that SolveMulti gives, column by column,
 // the bits of Solve on that column alone at panel widths 2, 3, 7, 8, 9 and
-// 17: the interleaved backward sweep's lane remainders, a full group of
+// 17: the interleaved sweeps' lane remainders, a full group of
 // blas.RHSLanes, and one and two groups with a remainder, which
 // TestSolveBitsGolden's three right-hand sides never reach. It runs on
-// TestSolveBitsGolden's problems and right-hand-side recipe (b[i] = 0.5 +
-// U[0,1)) at one worker and at two, where the lanes run; two Ps leave room
-// for the helper.
+// TestSolveBitsGolden's problems at one worker and at two, where the lanes
+// run (two Ps leave room for the helper), with two sets of right-hand
+// sides. The dense set is TestSolveBitsGolden's recipe, b[i] = 0.5 +
+// U[0,1), in which no multiplier is ever zero. The sparse set is +0 and −0
+// of random sign but for a few nonzeros per column, and its second column
+// is zero throughout, so the zero skip runs lane by lane: a lane whose
+// multiplier is ±0 must skip its step while the others in its vector take
+// theirs, or −0 − (−0) turns a −0 into +0.
 func TestSolveMultiWidthBits(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	problems := []struct {
@@ -187,12 +192,19 @@ func TestSolveMultiWidthBits(t *testing.T) {
 	widths := []int{2, 3, 7, 8, 9, 17}
 	for _, p := range problems {
 		rng := rand.New(rand.NewSource(1))
-		bs := make([][]float64, widths[len(widths)-1])
-		for j := range bs {
-			bs[j] = make([]float64, p.a.N)
-			for i := range bs[j] {
-				bs[j][i] = 0.5 + rng.Float64()
+		dense := make([][]float64, widths[len(widths)-1])
+		for j := range dense {
+			dense[j] = make([]float64, p.a.N)
+			for i := range dense[j] {
+				dense[j][i] = 0.5 + rng.Float64()
 			}
+		}
+		sets := []struct {
+			name string
+			bs   [][]float64
+		}{
+			{"dense", dense},
+			{"sparse", sparseRHS(rand.New(rand.NewSource(2)), p.a.N, widths[len(widths)-1])},
 		}
 		for _, workers := range []int{1, 2} {
 			f, err := Factorize(p.a, Options{Ranks: 1, Workers: workers})
@@ -202,21 +214,44 @@ func TestSolveMultiWidthBits(t *testing.T) {
 			if units := len(f.solve.get(f.St).units); workers > 1 && units < 2 {
 				t.Fatalf("%s: %d solve unit(s): the lanes are not exercised", p.name, units)
 			}
-			single := make([][]float64, len(bs))
-			for j, b := range bs {
-				if single[j], err = f.Solve(b); err != nil {
-					t.Fatalf("%s workers=%d: Solve: %v", p.name, workers, err)
+			for _, set := range sets {
+				name := fmt.Sprintf("%s workers=%d %s", p.name, workers, set.name)
+				single := make([][]float64, len(set.bs))
+				for j, b := range set.bs {
+					if single[j], err = f.Solve(b); err != nil {
+						t.Fatalf("%s: Solve: %v", name, err)
+					}
 				}
-			}
-			for _, nrhs := range widths {
-				multi, err := f.SolveMulti(bs[:nrhs])
-				if err != nil {
-					t.Fatalf("%s workers=%d nrhs=%d: SolveMulti: %v", p.name, workers, nrhs, err)
+				for _, nrhs := range widths {
+					multi, err := f.SolveMulti(set.bs[:nrhs])
+					if err != nil {
+						t.Fatalf("%s nrhs=%d: SolveMulti: %v", name, nrhs, err)
+					}
+					sameBits(t, fmt.Sprintf("%s nrhs=%d: SolveMulti against Solve", name, nrhs), multi, single[:nrhs])
 				}
-				sameBits(t, fmt.Sprintf("%s workers=%d nrhs=%d: SolveMulti against Solve", p.name, workers, nrhs), multi, single[:nrhs])
 			}
 		}
 	}
+}
+
+// sparseRHS returns nrhs right-hand sides of length n that are +0 or −0,
+// at random, but for two to five normal entries per column; column 1 has
+// none.
+func sparseRHS(rng *rand.Rand, n, nrhs int) [][]float64 {
+	bs := make([][]float64, nrhs)
+	for j := range bs {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+		if j != 1 {
+			for range 2 + rng.Intn(4) {
+				b[rng.Intn(n)] = rng.NormFloat64()
+			}
+		}
+		bs[j] = b
+	}
+	return bs
 }
 
 // solveAt solves bs on f at the given worker count.
@@ -416,8 +451,9 @@ func goroutinesBack(t *testing.T, before int) {
 	}
 }
 
-// TestSolveAllocBudget pins what a solve allocates: the panel and its
-// gather workspace in one buffer, the slice of solutions and one vector per
+// TestSolveAllocBudget pins what a solve allocates: the panel (at one
+// right-hand side with its gather workspace behind it, in one buffer; at
+// more there is no workspace), the slice of solutions and one vector per
 // solution — 3 objects for Solve, nrhs + 2 for SolveMulti — whatever n and
 // the number of blocks. A per-block or per-supernode buffer fails it. At
 // two workers the lanes add a fixed laneAllocs however many units the
@@ -485,9 +521,10 @@ func TestSolveAllocBudget(t *testing.T) {
 }
 
 // BenchmarkSolvePanel times the shared-memory solve at one rank on the
-// benchmark workloads' matrices: one right-hand side and, on Laplace3D, a
-// panel of eight — the shape of a laplace_reuse_pool op — at one lane and
-// at two.
+// benchmark workloads' matrices, at one lane and at two: one right-hand
+// side, and panels of eight — on Laplace3D the shape of a
+// laplace_reuse_pool op — and, on Thermal2D's thin supernodes, two, where
+// a kernel call has the fewest right-hand sides to run across.
 func BenchmarkSolvePanel(b *testing.B) {
 	cases := []struct {
 		name string
@@ -497,7 +534,10 @@ func BenchmarkSolvePanel(b *testing.B) {
 		{"Laplace3D-24/nrhs=1", gen.Laplace3D(24, 24, 24), 1},
 		{"Laplace3D-24/nrhs=8", gen.Laplace3D(24, 24, 24), 8},
 		{"Flan3D-14/nrhs=1", gen.Flan3D(14, 14, 14, 1), 1},
+		{"Flan3D-14/nrhs=8", gen.Flan3D(14, 14, 14, 1), 8},
 		{"Thermal2D-256/nrhs=1", gen.Thermal2D(256, 256, 12, 1), 1},
+		{"Thermal2D-256/nrhs=2", gen.Thermal2D(256, 256, 12, 1), 2},
+		{"Thermal2D-256/nrhs=8", gen.Thermal2D(256, 256, 12, 1), 8},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {

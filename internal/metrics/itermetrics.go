@@ -23,9 +23,6 @@ type IterMetrics struct {
 	// PrecondApplySeconds observes the wall time of each preconditioner
 	// application (the M⁻¹r solve inside PCG).
 	PrecondApplySeconds *Histogram
-	// RefineSweeps counts iterative-refinement sweeps performed by
-	// SolveRefined.
-	RefineSweeps *Counter
 }
 
 // ResidualBuckets spans relative residuals from machine epsilon to O(1):
@@ -50,7 +47,5 @@ func NewIterMetrics(reg *Registry) *IterMetrics {
 		PrecondApplySeconds: reg.Histogram("sympack_iter_precond_apply_seconds",
 			"wall time per preconditioner application",
 			SecondsBuckets()),
-		RefineSweeps: reg.Counter("sympack_iter_refine_sweeps_total",
-			"iterative-refinement sweeps performed by SolveRefined"),
 	}
 }
