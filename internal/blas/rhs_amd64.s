@@ -153,9 +153,9 @@ nndone:
 //
 // C[c, :] −= Σ_x A[x, c]·W[rows[x], :], eight columns c at a time, so
 // that each row of W, read through its index, feeds eight independent add
-// chains, then four, then one at a time. The sums start at +0 and take the
-// products in ascending x. The wrapper runs m = 0 in Go, so rows has an
-// entry here.
+// chains, then the last n mod 8 one at a time. The sums start at +0 and
+// take the products in ascending x. The wrapper runs m = 0 in Go, so rows
+// has an entry here.
 TEXT ·gemmTNVec(SB), NOSPLIT, $0-128
 	LANEMASK(lanes+120)
 	MOVQ n+0(FP), CX
@@ -168,7 +168,7 @@ TEXT ·gemmTNVec(SB), NOSPLIT, $0-128
 	MOVQ ld+112(FP), R9
 	SHLQ $3, R9
 	CMPQ CX, $8
-	JLT  tn4check
+	JLT  tn1
 
 tn8:
 	// A[x, c+j] is at R11 + j·R8 for j < 2, R12 + (j−2)·R8 for j < 5 and
@@ -253,58 +253,6 @@ tn8step:
 	SUBQ      $8, CX
 	CMPQ      CX, $8
 	JGE       tn8
-
-tn4check:
-	CMPQ CX, $4
-	JLT  tn1
-
-tn4:
-	// Columns c…c+3 of A are at SI, R11, R12, R13.
-	LEAQ   (SI)(R8*1), R11
-	LEAQ   (SI)(R8*2), R12
-	LEAQ   (R11)(R8*2), R13
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	XORQ   AX, AX
-
-tn4step:
-	MOVLQSX     (DI)(AX*4), BX
-	IMULQ       R9, BX
-	ADDQ        w_base+64(FP), BX
-	VMOVUPD.Z   (BX), K1, Z8
-	VMULPD.BCST (SI)(AX*8), Z8, Z4
-	VMULPD.BCST (R11)(AX*8), Z8, Z5
-	VMULPD.BCST (R12)(AX*8), Z8, Z6
-	VMULPD.BCST (R13)(AX*8), Z8, Z7
-	VADDPD      Z0, Z4, Z0
-	VADDPD      Z1, Z5, Z1
-	VADDPD      Z2, Z6, Z2
-	VADDPD      Z3, Z7, Z3
-	INCQ        AX
-	CMPQ        AX, DX
-	JLT         tn4step
-
-	// Rows c…c+3 of C are at R10, R10+R9, BX, BX+R9.
-	LEAQ      (R10)(R9*2), BX
-	VMOVUPD.Z (R10), K1, Z4
-	VMOVUPD.Z (R10)(R9*1), K1, Z5
-	VMOVUPD.Z (BX), K1, Z6
-	VMOVUPD.Z (BX)(R9*1), K1, Z7
-	VSUBPD    Z0, Z4, Z4
-	VSUBPD    Z1, Z5, Z5
-	VSUBPD    Z2, Z6, Z6
-	VSUBPD    Z3, Z7, Z7
-	VMOVUPD   Z4, K1, (R10)
-	VMOVUPD   Z5, K1, (R10)(R9*1)
-	VMOVUPD   Z6, K1, (BX)
-	VMOVUPD   Z7, K1, (BX)(R9*1)
-	LEAQ      (SI)(R8*4), SI
-	LEAQ      (R10)(R9*4), R10
-	SUBQ      $4, CX
-	CMPQ      CX, $4
-	JGE       tn4
 
 tn1:
 	TESTQ CX, CX

@@ -52,11 +52,14 @@ const panelMin = 8
 // once per right-hand side. At nrhs ≥ 2 both sweeps run the interleaved
 // kernels of internal/blas on the panel itself, with no workspace; at one
 // right-hand side the panel is the vector, and a lane gathers a wide
-// supernode's blocks into a workspace for blas.Gemm. Right-hand side j gets
-// the bits a solve of b_j alone would: per element the operation sequence
-// does not depend on nrhs. At Options.Workers > 1 each sweep runs as a task
-// graph on up to that many lanes, as many as the Ps allow (takeLanes), with
-// the same bits.
+// supernode's blocks into a workspace for blas.Gemm. Both sweeps run on
+// the interleaved kernels with one lane filled gave the same bits but a
+// slower solve, most on thin supernodes (EXPERIMENTS.md "The forward solve
+// across right-hand sides"), so one right-hand side keeps its loops.
+// Right-hand side j gets the bits a solve of b_j alone would: per element
+// the operation sequence does not depend on nrhs. At Options.Workers > 1
+// each sweep runs as a task graph on up to that many lanes, as many as the
+// Ps allow (takeLanes), with the same bits.
 func (f *Factor) SolveMultiCtx(ctx context.Context, bs [][]float64) ([][]float64, error) {
 	st := f.St
 	n := st.N
@@ -247,11 +250,9 @@ func (f *Factor) forwardBlock(y []float64, nrhs int, w []float64, sn *symbolic.S
 // x order, then subtracted; the Transpose Trsm's column loop — with a
 // right-hand side per vector lane, so no sum is split or reordered.
 //
-// At one right-hand side the same kernels have one lane to fill and cost
-// more than the scalar loops they would replace (EXPERIMENTS.md "The
-// backward solve across right-hand sides"), so a supernode at least
-// panelMin wide gathers W = X[rows] per block and runs Y_k −= L_ikᵀ·W as
-// one Gemm — gemmTN's dot accumulates col[x]·W[x] from 0 in x order, as
+// At one right-hand side (see SolveMultiCtx for why not the kernels
+// above) a supernode at least panelMin wide gathers W = X[rows] per block
+// and runs Y_k −= L_ikᵀ·W as one Gemm — gemmTN's dot accumulates col[x]·W[x] from 0 in x order, as
 // the loop does, then adds −1·s, which is y_c − s — and a thinner one runs
 // the loop.
 func (f *Factor) backward(y []float64, nrhs int, w []float64, first, root int32) {
